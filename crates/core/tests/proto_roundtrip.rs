@@ -1,10 +1,17 @@
 //! Wire-format coverage of the v-command protocol: every `VCommand`
 //! variant (and both `VResponse` arms) must survive a JSON round trip
 //! byte-for-byte, and malformed payloads must surface as parse errors,
-//! never panics.
+//! never panics. `to_json` writes JSON directly; it must stay byte for
+//! byte what rendering the payload's `serde_json::Value` tree gives.
 
-use vgraph::{diff, Graph, ViewInst};
+use std::fmt::Debug;
+
+use ksim::workload::{build, WorkloadConfig};
+use proptest::prelude::*;
+use vbridge::LatencyProfile;
+use vgraph::{diff, Graph, Item, ViewInst};
 use visualinux::proto::{VCommand, VResponse, VERSION};
+use visualinux::{figures, Session};
 use vpanels::{PaneId, SplitDir};
 
 fn sample_graph() -> Graph {
@@ -226,4 +233,160 @@ fn malformed_json_is_an_error_not_a_panic() {
         );
     }
     assert!(VResponse::from_json("{\"status\":\"nope\"}").is_err());
+}
+
+/// `json` (what `to_json` wrote for `x`) equals the value-tree rendering
+/// of `x`, and parses back into `x`.
+fn assert_codec_agrees<T: serde::Serialize + PartialEq + Debug>(
+    what: &str,
+    x: &T,
+    json: String,
+    parse: fn(&str) -> serde_json::Result<T>,
+) {
+    let tree = serde_json::to_string(&serde_json::to_value(x).unwrap()).unwrap();
+    assert!(
+        json == tree,
+        "{what}: direct encoding differs from the value tree"
+    );
+    let back = parse(&json).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(back == *x, "{what}: round trip changed the value");
+}
+
+fn check_command(what: &str, cmd: &VCommand) {
+    assert_codec_agrees(what, cmd, cmd.to_json(), VCommand::from_json);
+}
+
+fn check_response(what: &str, resp: &VResponse) {
+    assert_codec_agrees(what, resp, resp.to_json(), VResponse::from_json);
+}
+
+#[test]
+fn direct_encoding_matches_the_value_tree_for_every_figure() {
+    for (pname, profile) in [
+        ("gdb_qemu", LatencyProfile::gdb_qemu()),
+        ("kgdb_rpi400", LatencyProfile::kgdb_rpi400()),
+    ] {
+        let mut s = Session::builder(build(&WorkloadConfig::default()))
+            .profile(profile)
+            .attach()
+            .unwrap();
+        let figs = figures::all();
+        let before: Vec<Graph> = figs
+            .iter()
+            .map(|fig| s.extract(fig.viewcl).expect(fig.id).0)
+            .collect();
+        let roots = s.roots.clone();
+        s.stop_event(|img| {
+            ksim::tick::tick(img, &roots, 1);
+        })
+        .unwrap();
+        for (i, (fig, base)) in figs.iter().zip(before).enumerate() {
+            let what = |arm: &str| format!("{pname}/{}/{arm}", fig.id);
+            let (after, _) = s.extract(fig.viewcl).expect(fig.id);
+            let delta = diff::diff(&base, &after);
+            let source = fig.viewcl.to_string();
+            check_command(
+                &what("vplot"),
+                &VCommand::Vplot {
+                    graph: base,
+                    source: source.clone(),
+                },
+            );
+            check_command(
+                &what("vplot_delta"),
+                &VCommand::VplotDelta {
+                    source: source.clone(),
+                    seq: 1,
+                    delta,
+                },
+            );
+            check_command(
+                &what("vplot_request"),
+                &VCommand::VplotRequest {
+                    viewcl: source.clone(),
+                },
+            );
+            check_command(
+                &what("vack"),
+                &VCommand::Vack {
+                    source,
+                    seq: 1,
+                    proto: VERSION,
+                },
+            );
+            check_response(
+                &what("ok"),
+                &VResponse::Ok {
+                    pane: Some(PaneId(i as u32)),
+                    synthesized: Some(fig.title.to_string()),
+                },
+            );
+            check_response(
+                &what("err"),
+                &VResponse::Err {
+                    message: format!("{}: {}", fig.id, fig.title),
+                },
+            );
+        }
+    }
+}
+
+/// Characters that stress the string codec: printable ASCII, control
+/// characters, the three characters JSON may escape, and 2-byte, 3-byte
+/// and astral UTF-8.
+fn wire_char() -> BoxedStrategy<char> {
+    let code = |range: std::ops::Range<u32>| {
+        range.prop_map(|c| char::from_u32(c).expect("no surrogates in range"))
+    };
+    prop_oneof![
+        code(0x20..0x7f),
+        code(0..0x20),
+        (0usize..3).prop_map(|i| ['"', '\\', '/'][i]),
+        code(0x80..0x800),
+        code(0x800..0xd800),
+        code(0x10000..0x110000),
+    ]
+    .boxed()
+}
+
+fn wire_string() -> BoxedStrategy<String> {
+    proptest::collection::vec(wire_char(), 0..24)
+        .prop_map(|cs| cs.into_iter().collect())
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_strings_survive_the_codec(
+        label in wire_string(),
+        value in wire_string(),
+        source in wire_string(),
+    ) {
+        let mut g = Graph::new();
+        let (a, _) = g.intern(0x1000, &label, "task_struct", 0x40);
+        g.get_mut(a).views.push(ViewInst {
+            name: label.clone(),
+            items: vec![Item::Text {
+                name: "comm".into(),
+                value: value.clone(),
+                raw: None,
+            }],
+        });
+        g.roots.push(a);
+        check_command("vplot", &VCommand::Vplot { graph: g, source: source.clone() });
+        check_command("vplot_request", &VCommand::VplotRequest { viewcl: source });
+        check_response("err", &VResponse::Err { message: value });
+    }
+}
+
+/// A correctness test, not a timing one: a parser that re-scanned the
+/// input per character would take minutes here.
+#[test]
+fn a_one_mib_viewcl_source_round_trips() {
+    let line = "define T as Box<task_struct> [ Text pid ] // \"é☃😀\\\t\n";
+    let viewcl = line.repeat((1 << 20) / line.len() + 1);
+    assert!(viewcl.len() >= 1 << 20);
+    check_command("1 MiB vplot_request", &VCommand::VplotRequest { viewcl });
 }

@@ -61,7 +61,8 @@ pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
 pub enum ServeError {
     /// The server is shutting down (or already gone).
     Closed,
-    /// The request queue is full right now (only from `try_send`).
+    /// The request queue is full right now (only from a
+    /// [`SendMode::NonBlocking`] send).
     Backpressure,
     /// A delta did not fit the replica's current state.
     OutOfSync(String),

@@ -174,19 +174,6 @@ impl Connection {
         }
     }
 
-    /// Submit a raw protocol line.
-    #[deprecated(note = "use `send_frame(line, SendMode::Blocking)`; removed next release")]
-    pub fn send_line(&self, line: String) -> Result<(), ServeError> {
-        self.send_frame(line, SendMode::Blocking)
-    }
-
-    /// Non-blocking submit; surfaces a full queue as
-    /// [`ServeError::Backpressure`].
-    #[deprecated(note = "use `send(cmd, SendMode::NonBlocking)`; removed next release")]
-    pub fn try_send(&self, cmd: &VCommand) -> Result<(), ServeError> {
-        self.send(cmd, SendMode::NonBlocking)
-    }
-
     /// Next reply line; blocks. `None` once the server closed this
     /// client's stream and everything queued has been read.
     pub fn recv(&self) -> Option<String> {
@@ -339,11 +326,16 @@ struct MemoEntry {
 
 impl MemoEntry {
     fn new(source: &str, graph: vgraph::Graph, stats: PlotStats) -> MemoEntry {
-        let full = VCommand::Vplot {
-            graph: graph.clone(),
+        // Move the graph into the command to serialize it, then back out:
+        // the full ship costs no graph clone.
+        let cmd = VCommand::Vplot {
+            graph,
             source: source.to_string(),
-        }
-        .to_json();
+        };
+        let full = cmd.to_json();
+        let VCommand::Vplot { graph, .. } = cmd else {
+            unreachable!("built as a vplot above")
+        };
         MemoEntry {
             graph: Arc::new(graph),
             stats,

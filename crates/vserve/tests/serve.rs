@@ -133,11 +133,11 @@ fn nonblocking_send_reports_backpressure_then_closed() {
         conn.send(&ping, SendMode::NonBlocking),
         Err(ServeError::Backpressure)
     );
-    // The one-release compatibility shims delegate to the same entry.
-    #[allow(deprecated)]
-    {
-        assert_eq!(conn.try_send(&ping), Err(ServeError::Backpressure));
-    }
+    // A refused send enqueues nothing: the queue is still full.
+    assert_eq!(
+        conn.send(&ping, SendMode::NonBlocking),
+        Err(ServeError::Backpressure)
+    );
 
     // Graceful shutdown: queued work is still answered before the
     // engine returns, but nothing new gets in.

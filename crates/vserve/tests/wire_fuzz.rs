@@ -5,12 +5,12 @@
 //! must never mis-frame a valid stream no matter how it is chunked.
 
 use proptest::prelude::*;
+use visualinux::proto::{VCommand, VResponse, VERSION};
 use vserve::framing::{
     accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame,
     sniff, BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
 };
-use vserve::{byte_pair, Io, WireClient};
-use visualinux::proto::VERSION;
+use vserve::{byte_pair, Io, ServeConfig, Server, SingleSession, WireClient, WireConfig, WirePump};
 
 /// JSON-ish payloads: printable, no newlines (a line frame cannot carry
 /// one), including empty and multi-byte UTF-8.
@@ -293,4 +293,98 @@ fn client_handshake_survives_hostile_verdicts() {
         assert!(msg.contains(want), "verdict {want:?}: got {msg}");
         server.join().unwrap();
     }
+}
+
+/// Hostile JSON at the engine boundary, over the binary wire: a frame
+/// nested far past the parser's depth limit and a multi-megabyte
+/// type-mismatched field each earn a small error reply — no stack
+/// overflow, no error that echoes the payload — and the engine keeps
+/// answering a sibling connection.
+#[test]
+fn hostile_json_earns_small_errors_and_siblings_stay_served() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let engine = std::thread::spawn(move || {
+        let session = visualinux::Session::builder(ksim::workload::build(
+            &ksim::workload::WorkloadConfig::default(),
+        ))
+        .profile(vbridge::LatencyProfile::free())
+        .attach()
+        .unwrap();
+        let mut server = Server::new(
+            session,
+            ServeConfig {
+                exit_when_idle: false,
+                ..ServeConfig::default()
+            },
+        );
+        tx.send(server.handle()).unwrap();
+        server.run();
+        server.stats()
+    });
+    let handle = rx.recv().unwrap();
+    let pump = WirePump::new(
+        Box::new(SingleSession::new(handle.clone())),
+        WireConfig::default(),
+    );
+    let ph = pump.handle();
+    let pump_thread = std::thread::spawn(move || pump.run());
+    let connect = || {
+        let (client_io, srv_io) = byte_pair(64);
+        ph.add(Box::new(srv_io)).unwrap();
+        WireClient::binary(Box::new(client_io)).unwrap()
+    };
+    let mut hostile = connect();
+    let mut sibling = connect();
+
+    let head = "{\"command\":\"vplot_request\",\"viewcl\":";
+    // 20 KB: 10,000 nested arrays. The command object is level 1, so
+    // the 128th `[` opens level 129, one past the limit.
+    let deep = format!("{head}{}{}}}", "[".repeat(10_000), "]".repeat(10_000));
+    let too_deep_at = head.len() + 127;
+    // 2 MB: a number array where the source string belongs.
+    let wide = format!("{head}[{}1]}}", "1,".repeat(1 << 20));
+    let cases = [
+        (
+            "10,000-deep",
+            deep,
+            format!("recursion limit exceeded at byte {too_deep_at}"),
+        ),
+        (
+            "2 MB mismatch",
+            wide,
+            "viewcl: expected string, got array".to_string(),
+        ),
+    ];
+    let fig = visualinux::figures::by_id("fig3-4").unwrap();
+    let request = VCommand::VplotRequest {
+        viewcl: fig.viewcl.to_string(),
+    };
+    for (what, frame, want) in cases {
+        hostile.send_payload(&frame).unwrap();
+        let reply = hostile.recv().unwrap().expect("the engine answers");
+        assert!(reply.len() < 1024, "{what}: {} B error reply", reply.len());
+        match VResponse::from_json(&reply) {
+            Ok(VResponse::Err { message }) => {
+                assert!(message.contains(&want), "{what}: {message}")
+            }
+            other => panic!("{what}: expected an error reply, got {other:?}"),
+        }
+        sibling.send(&request).unwrap();
+        let plot = sibling.recv().unwrap();
+        let plot = plot.expect("the sibling is still served");
+        assert!(
+            plot.starts_with("{\"command\":\"vplot"),
+            "{what}: sibling got {plot:.80}"
+        );
+    }
+
+    drop(hostile);
+    drop(sibling);
+    handle.shutdown();
+    let stats = engine.join().unwrap();
+    ph.shutdown();
+    let wire = pump_thread.join().unwrap();
+    wire.reconcile().expect("wire books balance");
+    stats.reconcile().expect("engine books balance");
+    assert_eq!((stats.requests, stats.errors), (4, 2), "{stats:?}");
 }
