@@ -403,6 +403,7 @@ impl SessionBuilder {
             dirty_log: Vec::new(),
             touched: RefCell::new(vincr::TouchedIndex::new()),
             retained: RefCell::new(HashMap::new()),
+            programs: RefCell::default(),
         };
         if incremental && s.replay.is_none() {
             // The image's write log is the source of exact dirty sets.
@@ -458,6 +459,47 @@ pub struct Session {
     /// Retained graphs keyed by ViewCL source, with the dirty-log
     /// length at extraction time.
     retained: RefCell<HashMap<String, (Graph, usize)>>,
+    /// Parsed ViewCL programs by source: a pane re-extracted on every
+    /// stop is parsed once, not once per walk.
+    programs: RefCell<ProgramCache>,
+}
+
+/// Most programs, and most source bytes, a session keeps parsed.
+/// Sources arrive from wire clients, so the cache may not grow without
+/// limit; when the next program would pass either bound it starts over,
+/// and a source larger than the byte bound is parsed but never kept.
+/// The 21 library figures are 17.6 KB of source in all.
+const PROGRAM_CACHE_ENTRIES: usize = 64;
+const PROGRAM_CACHE_BYTES: usize = 256 * 1024;
+
+/// Parsed programs keyed by their source (see [`PROGRAM_CACHE_ENTRIES`]).
+#[derive(Default)]
+struct ProgramCache {
+    programs: HashMap<String, Rc<viewcl::Program>>,
+    /// Source bytes of the cached programs.
+    bytes: usize,
+}
+
+impl ProgramCache {
+    /// The parsed program for `src`, parsing it on a miss. Parse errors
+    /// are not cached.
+    fn get_or_parse(&mut self, src: &str) -> viewcl::Result<Rc<viewcl::Program>> {
+        if let Some(program) = self.programs.get(src) {
+            return Ok(Rc::clone(program));
+        }
+        let program = Rc::new(viewcl::parse_program(src)?);
+        if src.len() <= PROGRAM_CACHE_BYTES {
+            if self.programs.len() == PROGRAM_CACHE_ENTRIES
+                || self.bytes + src.len() > PROGRAM_CACHE_BYTES
+            {
+                self.programs.clear();
+                self.bytes = 0;
+            }
+            self.bytes += src.len();
+            self.programs.insert(src.to_string(), Rc::clone(&program));
+        }
+        Ok(program)
+    }
 }
 
 impl Session {
@@ -820,7 +862,7 @@ impl Session {
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
         let program = {
             let _s = vtrace::span(tracer, SpanKind::Parse, "viewcl::parse");
-            viewcl::parse_program(viewcl_src)?
+            self.programs.borrow_mut().get_or_parse(viewcl_src)?
         };
         let target = self.target();
         // vincr: if a retained graph exists and the dirty set since its
@@ -1366,6 +1408,54 @@ plot @m
             vgraph::Item::Text { value, .. } => assert_eq!(value, "🔓"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn program_cache_stays_bounded_and_extracts_as_uncached() {
+        let cached = session();
+        let uncached = session();
+        let fields = ["pid", "tgid", "prio", "comm", "se.vruntime", "flags"];
+        let source = |i: usize| {
+            format!(
+                "define T{i} as Box<task_struct> [ Text {} ]\nt = T{i}(${{&init_task}})\nplot @t",
+                fields[i % fields.len()]
+            )
+        };
+        for i in 0..1_000 {
+            let src = source(i);
+            let (got, _) = cached.extract(&src).unwrap();
+            *uncached.programs.borrow_mut() = ProgramCache::default();
+            let (want, _) = uncached.extract(&src).unwrap();
+            assert_eq!(got.to_json(), want.to_json(), "source {i}");
+            let cache = cached.programs.borrow();
+            assert!(cache.programs.len() <= PROGRAM_CACHE_ENTRIES);
+            assert!(cache.bytes <= PROGRAM_CACHE_BYTES);
+            assert_eq!(cache.bytes, cache.programs.keys().map(String::len).sum());
+        }
+        // Hits extract what the misses that filled them did.
+        for i in 990..1_000 {
+            assert!(cached.programs.borrow().programs.contains_key(&source(i)));
+            let (got, _) = cached.extract(&source(i)).unwrap();
+            *uncached.programs.borrow_mut() = ProgramCache::default();
+            let (want, _) = uncached.extract(&source(i)).unwrap();
+            assert_eq!(got.to_json(), want.to_json(), "source {i}");
+        }
+        // The 21 library figures fit at once.
+        let s = session();
+        for fig in crate::figures::all() {
+            s.extract(fig.viewcl).unwrap();
+        }
+        assert_eq!(s.programs.borrow().programs.len(), 21);
+        // A program past the byte bound is parsed but never kept.
+        let big = format!(
+            "{}{}",
+            "// padding\n".repeat(PROGRAM_CACHE_BYTES / 11 + 1),
+            source(0)
+        );
+        let (got, _) = s.extract(&big).unwrap();
+        let (want, _) = s.extract(&source(0)).unwrap();
+        assert_eq!(got.to_json(), want.to_json());
+        assert!(!s.programs.borrow().programs.contains_key(&big));
     }
 
     #[test]

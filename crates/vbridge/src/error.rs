@@ -47,6 +47,11 @@ impl std::fmt::Display for ErrorKind {
     }
 }
 
+/// How much of a malformed C expression a parse error echoes. The text
+/// can come from any wire client, so a longer one is cut here and the
+/// error's byte offset says where in it the parser stopped.
+const PARSE_ECHO_BYTES: usize = 64;
+
 /// Errors surfaced while debugging the target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BridgeError {
@@ -58,6 +63,8 @@ pub enum BridgeError {
     Parse {
         /// The offending expression text.
         expr: String,
+        /// Byte offset of the error within `expr`.
+        at: usize,
         /// What went wrong.
         msg: String,
     },
@@ -93,7 +100,18 @@ impl std::fmt::Display for BridgeError {
         match self {
             BridgeError::Mem(e) => write!(f, "target memory error: {e}"),
             BridgeError::Type(e) => write!(f, "type error: {e}"),
-            BridgeError::Parse { expr, msg } => write!(f, "parse error in `{expr}`: {msg}"),
+            BridgeError::Parse { expr, at, msg } => {
+                if expr.len() <= PARSE_ECHO_BYTES {
+                    write!(f, "parse error in `{expr}`: {msg}")
+                } else {
+                    write!(
+                        f,
+                        "parse error in `{}…` {}: {msg}",
+                        &expr[..expr.floor_char_boundary(PARSE_ECHO_BYTES)],
+                        vtrace::diag::at_byte(*at)
+                    )
+                }
+            }
             BridgeError::Eval(msg) => write!(f, "evaluation error: {msg}"),
             BridgeError::UnknownIdent(n) => write!(f, "unknown identifier `{n}`"),
             BridgeError::UnknownHelper(n) => write!(f, "unknown helper function `{n}`"),
@@ -142,6 +160,7 @@ mod tests {
             (
                 BridgeError::Parse {
                     expr: "x".into(),
+                    at: 0,
                     msg: "bad".into(),
                 },
                 ErrorKind::Parse,
@@ -160,6 +179,28 @@ mod tests {
         for (err, kind) in cases {
             assert_eq!(err.kind(), kind, "{err}");
         }
+    }
+
+    #[test]
+    fn parse_errors_echo_at_most_64_bytes() {
+        let short = "a".repeat(64);
+        let e = BridgeError::Parse {
+            expr: short.clone(),
+            at: 3,
+            msg: "bad".into(),
+        };
+        assert_eq!(e.to_string(), format!("parse error in `{short}`: bad"));
+        // The cut lands on a character boundary: `é` spans bytes 63–64.
+        let long = format!("{}é{}", "a".repeat(63), "b".repeat(2 << 20));
+        let e = BridgeError::Parse {
+            expr: long,
+            at: 1_000_000,
+            msg: "bad".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            format!("parse error in `{}…` at byte 1000000: bad", "a".repeat(63))
+        );
     }
 
     #[test]

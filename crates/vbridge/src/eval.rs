@@ -12,7 +12,7 @@
 //! * full arithmetic / bitwise / comparison / logical operator ladder with
 //!   C precedence, and the ternary conditional,
 //! * calls into registered helpers plus the `container_of` builtin,
-//! * `@name` escapes resolved from the caller-provided environment (the
+//! * `@name` escapes resolved through a caller-supplied lookup (the
 //!   ViewCL interpreter's local scope).
 
 use std::collections::HashMap;
@@ -35,16 +35,20 @@ enum Tok {
     Eof,
 }
 
-fn lex(src: &str) -> Result<Vec<Tok>> {
+/// Tokenize `src`; each token carries the byte offset it starts at.
+fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
     let mut out = Vec::new();
     let b = src.as_bytes();
     let mut i = 0;
-    let err = |msg: &str| BridgeError::Parse {
-        expr: src.to_string(),
-        msg: msg.to_string(),
-    };
     while i < b.len() {
         let c = b[i] as char;
+        let at = i;
+        let err = |msg: &str| parse_error(src, at, msg);
+        macro_rules! push {
+            ($t:expr) => {
+                out.push(($t, at))
+            };
+        }
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
             '0'..='9' => {
@@ -56,13 +60,13 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                     }
                     let v = u64::from_str_radix(&src[start + 2..i], 16)
                         .map_err(|_| err("bad hex literal"))?;
-                    out.push(Tok::Num(v as i64));
+                    push!(Tok::Num(v as i64));
                 } else {
                     while i < b.len() && (b[i] as char).is_ascii_digit() {
                         i += 1;
                     }
                     let v: u64 = src[start..i].parse().map_err(|_| err("bad literal"))?;
-                    out.push(Tok::Num(v as i64));
+                    push!(Tok::Num(v as i64));
                 }
                 // Swallow C integer suffixes (UL, ULL, …).
                 while i < b.len() && matches!(b[i] as char, 'u' | 'U' | 'l' | 'L') {
@@ -75,7 +79,7 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                 {
                     i += 1;
                 }
-                out.push(Tok::Ident(src[start..i].to_string()));
+                push!(Tok::Ident(src[start..i].to_string()));
             }
             '@' => {
                 i += 1;
@@ -87,7 +91,7 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                 if start == i {
                     return Err(err("dangling `@`"));
                 }
-                out.push(Tok::AtIdent(src[start..i].to_string()));
+                push!(Tok::AtIdent(src[start..i].to_string()));
             }
             '"' => {
                 i += 1;
@@ -98,7 +102,7 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                 if i == b.len() {
                     return Err(err("unterminated string"));
                 }
-                out.push(Tok::Str(src[start..i].to_string()));
+                push!(Tok::Str(src[start..i].to_string()));
                 i += 1;
             }
             _ => {
@@ -116,7 +120,7 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                     _ => None,
                 };
                 if let Some(p) = p2 {
-                    out.push(Tok::Punct(p));
+                    push!(Tok::Punct(p));
                     i += 2;
                     continue;
                 }
@@ -143,13 +147,22 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
                     '>' => ">",
                     _ => return Err(err(&format!("unexpected character `{c}`"))),
                 };
-                out.push(Tok::Punct(p1));
+                push!(Tok::Punct(p1));
                 i += 1;
             }
         }
     }
-    out.push(Tok::Eof);
+    out.push((Tok::Eof, src.len()));
     Ok(out)
+}
+
+/// A [`BridgeError::Parse`] for `src`, positioned at byte `at`.
+fn parse_error(src: &str, at: usize, msg: &str) -> BridgeError {
+    BridgeError::Parse {
+        expr: src.to_string(),
+        at,
+        msg: msg.to_string(),
+    }
 }
 
 // --------------------------------------------------------------- parser --
@@ -192,30 +205,47 @@ pub enum Expr {
     SizeofExpr(Box<Expr>),
 }
 
+/// Deepest expression tree the parser builds, the JSON codec's limit.
+/// Evaluating and dropping a tree recurse once per level, so a hostile
+/// `${…}` must end in a parse error long before the thread's stack
+/// does. Chains of binary operators and postfix accesses count one
+/// level per link, since each link wraps the tree built so far.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'s> {
-    toks: Vec<Tok>,
+    toks: Vec<(Tok, usize)>,
     pos: usize,
     src: &'s str,
+    /// Levels of the tree under construction above the cursor.
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
     fn err(&self, msg: impl Into<String>) -> BridgeError {
-        BridgeError::Parse {
-            expr: self.src.to_string(),
-            msg: msg.into(),
-        }
+        parse_error(self.src, self.toks[self.pos].1, &msg.into())
     }
 
     fn peek(&self) -> &Tok {
-        &self.toks[self.pos]
+        &self.toks[self.pos].0
     }
 
     fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].clone();
+        let t = self.toks[self.pos].0.clone();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Enter one more level of the tree, or fail at the cursor once
+    /// [`MAX_DEPTH`] levels are open. Callers restore `depth` when the
+    /// level is built; a failed parse is discarded whole.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn eat(&mut self, p: &str) -> bool {
@@ -278,7 +308,11 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_ternary()
+        let mark = self.depth;
+        self.descend()?;
+        let e = self.parse_ternary()?;
+        self.depth = mark;
+        Ok(e)
     }
 
     fn parse_ternary(&mut self) -> Result<Expr> {
@@ -318,18 +352,29 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_bin(&mut self, min_prec: u8) -> Result<Expr> {
+        let mark = self.depth;
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = self.bin_op(min_prec) {
+            self.descend()?;
             self.pos += 1;
             let rhs = self.parse_bin(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
+        let mark = self.depth;
+        let e = self.parse_unary_at_depth()?;
+        self.depth = mark;
+        Ok(e)
+    }
+
+    fn parse_unary_at_depth(&mut self) -> Result<Expr> {
         if let Tok::Ident(w) = self.peek() {
             if w == "sizeof" {
+                self.descend()?;
                 self.pos += 1;
                 if self.eat("(") {
                     if let Some(tn) = self.try_type_name() {
@@ -348,6 +393,7 @@ impl<'s> Parser<'s> {
         }
         for op in ["!", "~", "-", "+", "*", "&"] {
             if matches!(self.peek(), Tok::Punct(p) if *p == op) {
+                self.descend()?;
                 self.pos += 1;
                 let e = self.parse_unary()?;
                 return Ok(if op == "+" {
@@ -371,6 +417,7 @@ impl<'s> Parser<'s> {
                         Tok::Ident(_) | Tok::AtIdent(_) | Tok::Num(_) | Tok::Punct("(")
                     ) || matches!(self.peek(), Tok::Punct(p) if ["*", "&", "-", "~", "!"].contains(p));
                     if is_multiword || next_starts_operand {
+                        self.descend()?;
                         let e = self.parse_unary()?;
                         return Ok(Expr::Cast(tn, Box::new(e)));
                     }
@@ -384,6 +431,9 @@ impl<'s> Parser<'s> {
     fn parse_postfix(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary()?;
         loop {
+            if matches!(self.peek(), Tok::Punct("." | "->" | "[" | "(")) {
+                self.descend()?;
+            }
             let arrow = if self.eat(".") {
                 Some(false)
             } else if self.eat("->") {
@@ -392,10 +442,11 @@ impl<'s> Parser<'s> {
                 None
             };
             if let Some(arrow) = arrow {
-                let field = match self.next() {
-                    Tok::Ident(f) => f,
+                let field = match self.peek() {
+                    Tok::Ident(f) => f.clone(),
                     t => return Err(self.err(format!("expected field name, got {t:?}"))),
                 };
+                self.pos += 1;
                 e = Expr::Member {
                     base: Box::new(e),
                     field,
@@ -431,6 +482,7 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
+        let at = self.toks[self.pos].1;
         match self.next() {
             Tok::Num(n) => Ok(Expr::Num(n)),
             Tok::Str(s) => Ok(Expr::Str(s)),
@@ -451,7 +503,11 @@ impl<'s> Parser<'s> {
                 self.expect(")")?;
                 Ok(e)
             }
-            t => Err(self.err(format!("unexpected token {t:?}"))),
+            t => Err(parse_error(
+                self.src,
+                at,
+                &format!("unexpected token {t:?}"),
+            )),
         }
     }
 }
@@ -459,7 +515,12 @@ impl<'s> Parser<'s> {
 /// Parse a C expression into an AST.
 pub fn parse(src: &str) -> Result<Expr> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, src };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        src,
+        depth: 0,
+    };
     let e = p.parse_expr()?;
     if !matches!(p.peek(), Tok::Eof) {
         return Err(p.err(format!("trailing tokens at {:?}", p.peek())));
@@ -491,19 +552,19 @@ impl<'t, 'img> Evaluator<'t, 'img> {
     /// Parse and evaluate `src`; `@name` references resolve from `env`.
     pub fn eval_str_with(&self, src: &str, env: &HashMap<String, CValue>) -> Result<CValue> {
         let ast = parse(src)?;
-        self.eval(&ast, env)
+        self.eval(&ast, &|name| env.get(name).cloned())
     }
 
-    /// Evaluate a parsed expression.
-    pub fn eval(&self, e: &Expr, env: &HashMap<String, CValue>) -> Result<CValue> {
+    /// Evaluate a parsed expression; `env` resolves each `@name` it
+    /// reaches (`None` for an unbound name).
+    pub fn eval(&self, e: &Expr, env: &dyn Fn(&str) -> Option<CValue>) -> Result<CValue> {
         match e {
             Expr::Num(n) => Ok(self.int(*n)),
             Expr::Str(s) => Ok(CValue::Str(s.clone())),
-            Expr::AtRef(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| BridgeError::UnknownIdent(format!("@{name}"))),
-            Expr::Ident(name) => self.resolve_ident(name, env),
+            Expr::AtRef(name) => {
+                env(name).ok_or_else(|| BridgeError::UnknownIdent(format!("@{name}")))
+            }
+            Expr::Ident(name) => self.resolve_ident(name),
             Expr::Member { base, field, arrow } => {
                 let b = self.eval(base, env)?;
                 self.member(b, field, *arrow)
@@ -585,7 +646,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         Ok(ty)
     }
 
-    fn resolve_ident(&self, name: &str, _env: &HashMap<String, CValue>) -> Result<CValue> {
+    fn resolve_ident(&self, name: &str) -> Result<CValue> {
         if let Ok(c) = self.target.types.lookup_const(name) {
             let ty =
                 c.ty.unwrap_or_else(|| self.target.types.find("long").expect("long interned"));
@@ -671,7 +732,12 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         }
     }
 
-    fn call(&self, name: &str, args: &[Expr], env: &HashMap<String, CValue>) -> Result<CValue> {
+    fn call(
+        &self,
+        name: &str,
+        args: &[Expr],
+        env: &dyn Fn(&str) -> Option<CValue>,
+    ) -> Result<CValue> {
         if name == "container_of" {
             // container_of(ptr, type, member)
             if args.len() != 3 {
@@ -722,7 +788,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         helper(self.target, &vals)
     }
 
-    fn unary(&self, op: &str, a: &Expr, env: &HashMap<String, CValue>) -> Result<CValue> {
+    fn unary(&self, op: &str, a: &Expr, env: &dyn Fn(&str) -> Option<CValue>) -> Result<CValue> {
         if op == "&" {
             let v = self.eval(a, env)?;
             return match v {
@@ -768,7 +834,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         op: &str,
         a: &Expr,
         b: &Expr,
-        env: &HashMap<String, CValue>,
+        env: &dyn Fn(&str) -> Option<CValue>,
     ) -> Result<CValue> {
         // Short-circuit logicals first.
         if op == "&&" {
@@ -1136,6 +1202,38 @@ mod tests {
         with_eval(&fx, |ev| {
             assert!(ev.eval_str("((struct task_struct *)0)->pid").is_err());
         });
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_positioned_parse_error() {
+        // 127 parentheses open 128 levels, the most the parser builds.
+        let ok = format!("{}1{}", "(".repeat(127), ")".repeat(127));
+        assert_eq!(parse(&ok).unwrap(), Expr::Num(1));
+        let deep = format!("{}1{}", "(".repeat(2_000), ")".repeat(2_000));
+        match parse(&deep) {
+            Err(BridgeError::Parse { at, msg, .. }) => {
+                assert_eq!(at, 128, "level 129 starts inside the 128th `(`");
+                assert_eq!(msg, "nesting deeper than 128 levels");
+            }
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+        // Unary chains and long operator or member chains nest as
+        // deeply as their trees do.
+        for hostile in [
+            "-".repeat(10_000) + "1",
+            vec!["1"; 10_000].join(" + "),
+            "init_task".to_string() + &".pid".repeat(10_000),
+            "a".to_string() + &"[0]".repeat(10_000),
+            vec!["1 ? 2"; 10_000].join(" : ") + " : 3",
+        ] {
+            let err = parse(&hostile).unwrap_err();
+            let text = err.to_string();
+            assert!(
+                text.contains("nesting deeper than 128 levels"),
+                "{text:.200}"
+            );
+            assert!(text.len() < 200, "the echo is cut: {} bytes", text.len());
+        }
     }
 
     #[test]

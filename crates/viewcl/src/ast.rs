@@ -1,5 +1,8 @@
 //! ViewCL abstract syntax.
 
+use vbridge::eval::Expr;
+use vbridge::BridgeError;
+
 /// A parsed program: box definitions plus top-level statements.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
@@ -71,8 +74,29 @@ pub enum ItemDef {
 pub struct TextSpec {
     /// Display name.
     pub name: String,
-    /// Value source; `None` means "read field path `name` off `@this`".
-    pub expr: Option<RValue>,
+    /// Value source; a bare `pid` or `se.vruntime` reads that path off
+    /// `@this` ([`RValue::ThisPath`]).
+    pub expr: RValue,
+}
+
+/// An embedded C expression, parsed once with the program. A syntax
+/// error is kept with it and raised each time the expression is
+/// evaluated, so a bad `${…}` in a branch never taken costs nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CExpr {
+    /// The C source text, as an error message echoes it.
+    pub src: String,
+    /// The parsed expression, or why it does not parse.
+    pub parsed: Result<Expr, BridgeError>,
+}
+
+impl CExpr {
+    /// Parse `src`, keeping a syntax error for evaluation time.
+    pub(crate) fn new(src: impl Into<String>) -> CExpr {
+        let src = src.into();
+        let parsed = vbridge::eval::parse(&src);
+        CExpr { src, parsed }
+    }
 }
 
 /// Container constructors of the standard library.
@@ -93,13 +117,24 @@ pub enum CtorKind {
 /// A right-hand-side value expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RValue {
-    /// `${ c-expression }`.
-    CExpr(String),
+    /// `${ c-expression }`, or an integer literal.
+    CExpr(CExpr),
     /// `@name` or `@name.field.path` — scope reference with optional
     /// member navigation.
-    Ref(String),
+    Ref {
+        /// The reference without its `@` (`node.mr64.slot`).
+        path: String,
+        /// `@path` as a C expression when the path navigates past its
+        /// head; `None` for a bare `@name`.
+        nav: Option<CExpr>,
+    },
     /// A bare field path off `@this` (text specs only).
-    ThisPath(String),
+    ThisPath {
+        /// The field path (`se.vruntime`).
+        path: String,
+        /// `@this.path` as a C expression.
+        expr: CExpr,
+    },
     /// The literal `NULL` (no box).
     Null,
     /// `switch rvalue { case v, v: r … otherwise: r }`.
@@ -146,6 +181,29 @@ pub enum RValue {
         /// Local bindings.
         wheres: Vec<(String, RValue)>,
     },
+}
+
+impl RValue {
+    /// `@path`: a scope reference, navigating through the C evaluator
+    /// when the path goes past its head name.
+    pub(crate) fn reference(path: impl Into<String>) -> RValue {
+        let path = path.into();
+        let nav = (ref_head(&path).len() < path.len()).then(|| CExpr::new(format!("@{path}")));
+        RValue::Ref { path, nav }
+    }
+
+    /// A field path read off `@this`.
+    pub(crate) fn this_path(path: impl Into<String>) -> RValue {
+        let path = path.into();
+        let expr = CExpr::new(format!("@this.{path}"));
+        RValue::ThisPath { path, expr }
+    }
+}
+
+/// The scope name a reference path starts with (`node` in
+/// `node.mr64.slot`, `x` in `x[2]`).
+pub(crate) fn ref_head(path: &str) -> &str {
+    path.split(['.', '[']).next().unwrap_or(path)
 }
 
 /// A `.forEach |param| { wheres… yield expr }` body.

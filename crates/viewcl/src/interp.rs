@@ -26,20 +26,21 @@ pub enum Value {
 
 type Scope = HashMap<String, Value>;
 
-/// The interpreter. Owns the output graph; borrow the target and helper
-/// registry for the duration of evaluation.
-pub struct Interp<'t, 'img> {
+/// The interpreter. Owns the output graph; borrows the programs it runs
+/// (`'p`) and the target and helper registry (`'t`) for the duration of
+/// evaluation.
+pub struct Interp<'p, 't, 'img> {
     target: &'t Target<'img>,
     helpers: &'t HelperRegistry,
     /// Flag/emoji sets for decorators.
     pub flags: FlagSets,
-    defines: HashMap<String, BoxDef>,
+    defines: HashMap<&'p str, &'p BoxDef>,
     /// The graph under construction.
     pub graph: Graph,
     globals: Scope,
 }
 
-impl<'t, 'img> Interp<'t, 'img> {
+impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     /// Create an interpreter over `target` with `helpers` callable from
     /// `${...}` expressions.
     pub fn new(target: &'t Target<'img>, helpers: &'t HelperRegistry) -> Self {
@@ -55,14 +56,14 @@ impl<'t, 'img> Interp<'t, 'img> {
 
     /// Load a program's box definitions without executing statements
     /// (used for the predefined "standard library" of boxes, §2.2).
-    pub fn load_defines(&mut self, program: &Program) {
+    pub fn load_defines(&mut self, program: &'p Program) {
         for d in &program.defines {
-            self.defines.insert(d.name.clone(), d.clone());
+            self.defines.insert(&d.name, d);
         }
     }
 
     /// Execute a program: register its defines, run its statements.
-    pub fn run(&mut self, program: &Program) -> Result<()> {
+    pub fn run(&mut self, program: &'p Program) -> Result<()> {
         self.load_defines(program);
         let mut scope = std::mem::take(&mut self.globals);
         for stmt in &program.stmts {
@@ -109,80 +110,63 @@ impl<'t, 'img> Interp<'t, 'img> {
             .ok_or_else(|| VclError::Eval(format!("unknown C type `{name}`")))
     }
 
-    /// Convert the ViewCL scope into the `@ref` environment of the
-    /// C-expression evaluator.
-    fn cenv(&self, scope: &Scope) -> HashMap<String, CValue> {
-        let mut env = HashMap::new();
-        for (k, v) in scope {
-            let cv = match v {
-                Value::C(c) => c.clone(),
-                Value::Box(id) => {
-                    let b = self.graph.get(*id);
-                    match self.target.types.find(&b.ctype) {
-                        Some(ty) if b.addr != 0 => CValue::LValue { addr: b.addr, ty },
-                        _ => CValue::Int {
-                            value: b.addr as i64,
-                            ty: self.target.types.find("long").expect("long interned"),
-                        },
-                    }
-                }
-                Value::Null => CValue::Int {
-                    value: 0,
-                    ty: self.target.types.find("long").expect("long interned"),
-                },
-                Value::Seq(..) => continue,
-            };
-            env.insert(k.clone(), cv);
+    /// The C value `@name` denotes in a `${…}` expression: boxes are
+    /// lvalues of their C type, `NULL` is 0, containers have none.
+    fn c_value(&self, v: &Value) -> Option<CValue> {
+        match v {
+            Value::C(c) => Some(c.clone()),
+            Value::Box(id) => {
+                let b = self.graph.get(*id);
+                Some(match self.target.types.find(&b.ctype) {
+                    Some(ty) if b.addr != 0 => CValue::LValue { addr: b.addr, ty },
+                    _ => CValue::Int {
+                        value: b.addr as i64,
+                        ty: self.target.types.find("long").expect("long interned"),
+                    },
+                })
+            }
+            Value::Null => Some(CValue::Int {
+                value: 0,
+                ty: self.target.types.find("long").expect("long interned"),
+            }),
+            Value::Seq(..) => None,
         }
-        env
     }
 
-    fn eval_cexpr(&self, src: &str, scope: &Scope) -> Result<CValue> {
-        let env = self.cenv(scope);
-        Ok(self.evaluator().eval_str_with(src, &env)?)
+    /// Evaluate a C expression whose `@name`s resolve from `scope`.
+    fn eval_cexpr(&self, e: &CExpr, scope: &Scope) -> Result<CValue> {
+        let expr = e.parsed.as_ref().map_err(Clone::clone)?;
+        let env = |name: &str| scope.get(name).and_then(|v| self.c_value(v));
+        Ok(self.evaluator().eval(expr, &env)?)
     }
 
     /// Evaluate an rvalue to a ViewCL value.
     pub fn eval(&mut self, rv: &RValue, scope: &Scope) -> Result<Value> {
         match rv {
-            RValue::CExpr(src) => Ok(Value::C(self.eval_cexpr(src, scope)?)),
+            RValue::CExpr(e) => Ok(Value::C(self.eval_cexpr(e, scope)?)),
             RValue::Null => Ok(Value::Null),
-            RValue::ThisPath(path) => {
-                let v = self.eval_cexpr(&format!("@this.{path}"), scope)?;
-                Ok(Value::C(v))
-            }
-            RValue::Ref(path) => {
-                let (head, rest) = match path.split_once('.') {
-                    Some((h, r)) => (h, Some(r)),
-                    None => (path.as_str(), None),
-                };
-                // `[idx]` can be attached to the head too.
-                let (head, head_idx) = match head.split_once('[') {
-                    Some((h, _)) => (h, true),
-                    None => (head, false),
-                };
+            RValue::ThisPath { expr, .. } => Ok(Value::C(self.eval_cexpr(expr, scope)?)),
+            RValue::Ref { path, nav } => {
+                let head = ref_head(path);
                 let base = scope
                     .get(head)
                     .or_else(|| self.globals.get(head))
-                    .cloned()
                     .ok_or_else(|| VclError::Eval(format!("unknown `@{head}`")))?;
-                match (rest, head_idx) {
-                    (None, false) => Ok(base),
-                    _ => {
-                        // Navigate the remainder through the C evaluator.
-                        let mut tmp = scope.clone();
-                        tmp.insert("__ref".into(), base);
-                        let full = match path.split_once('.') {
-                            Some((_, r)) => format!("@__ref.{r}"),
-                            None => {
-                                // Only an index on the head.
-                                let idx = &path[path.find('[').unwrap()..];
-                                format!("@__ref{idx}")
-                            }
-                        };
-                        Ok(Value::C(self.eval_cexpr(&full, &tmp)?))
-                    }
-                }
+                let Some(nav) = nav else {
+                    return Ok(base.clone());
+                };
+                // Navigate the remainder through the C evaluator; the
+                // head may be a global, the rest resolves from scope.
+                let expr = nav.parsed.as_ref().map_err(Clone::clone)?;
+                let env = |name: &str| {
+                    let v = if name == head {
+                        Some(base)
+                    } else {
+                        scope.get(name)
+                    };
+                    v.and_then(|v| self.c_value(v))
+                };
+                Ok(Value::C(self.evaluator().eval(expr, &env)?))
             }
             RValue::Switch {
                 scrutinee,
@@ -276,12 +260,11 @@ impl<'t, 'img> Interp<'t, 'img> {
                     }
                     None => addr,
                 };
-                let def = self
+                let def = *self
                     .defines
-                    .get(box_type)
-                    .cloned()
+                    .get(box_type.as_str())
                     .ok_or_else(|| VclError::Eval(format!("unknown box type `{box_type}`")))?;
-                Ok(Value::Box(self.instantiate(&def, addr)?))
+                Ok(Value::Box(self.instantiate(def, addr)?))
             }
             RValue::AnonBox {
                 label,
@@ -294,7 +277,8 @@ impl<'t, 'img> Interp<'t, 'img> {
                     let v = self.eval(rv, &inner)?;
                     inner.insert(name.clone(), v);
                 }
-                let view_items = self.eval_items(items, &inner)?;
+                let mut view_items = Vec::new();
+                self.eval_items(items, &inner, &mut view_items)?;
                 self.graph.get_mut(id).views.push(ViewInst {
                     name: "default".into(),
                     items: view_items,
@@ -336,7 +320,7 @@ impl<'t, 'img> Interp<'t, 'img> {
         // and the root symbol path it walks. Inclusive of the per-element
         // materialization below (nested ctors open nested spans).
         let label = match args.first() {
-            Some(RValue::CExpr(src)) => format!("{ctor_name}({})", src.trim()),
+            Some(RValue::CExpr(e)) => format!("{ctor_name}({})", e.src.trim()),
             _ => format!("{ctor_name}(…)"),
         };
         let _span = vtrace::span(self.target.tracer(), vtrace::SpanKind::Distill, label);
@@ -482,18 +466,22 @@ impl<'t, 'img> Interp<'t, 'img> {
         // Evaluate every where binding once, in view-declaration order,
         // first binding of a name wins (shared across views).
         for view in &def.views {
-            for (name, rv) in self.chain_wheres(def, &view.name)? {
-                if scope.contains_key(&name) {
-                    continue;
+            for v in self.chain(def, &view.name)? {
+                for (name, rv) in &v.wheres {
+                    if scope.contains_key(name) {
+                        continue;
+                    }
+                    let val = self.eval(rv, &scope)?;
+                    scope.insert(name.clone(), val);
                 }
-                let v = self.eval(&rv, &scope)?;
-                scope.insert(name, v);
             }
         }
 
         for view in &def.views {
-            let items = self.chain_items(def, &view.name)?;
-            let view_items = self.eval_items(&items, &scope)?;
+            let mut view_items = Vec::new();
+            for v in self.chain(def, &view.name)? {
+                self.eval_items(&v.items, &scope, &mut view_items)?;
+            }
             self.graph.get_mut(id).views.push(ViewInst {
                 name: view.name.clone(),
                 items: view_items,
@@ -505,10 +493,10 @@ impl<'t, 'img> Interp<'t, 'img> {
     /// Inheritance chain (root-first) of a view.
     fn chain<'d>(&self, def: &'d BoxDef, name: &str) -> Result<Vec<&'d ViewDef>> {
         let mut chain = Vec::new();
-        let mut cur = Some(name.to_string());
+        let mut cur = Some(name);
         while let Some(n) = cur {
             let v = def
-                .view(&n)
+                .view(n)
                 .ok_or_else(|| VclError::Eval(format!("box `{}` has no view `:{n}`", def.name)))?;
             if chain.iter().any(|c: &&ViewDef| c.name == v.name) {
                 return Err(VclError::Eval(format!(
@@ -517,30 +505,14 @@ impl<'t, 'img> Interp<'t, 'img> {
                 )));
             }
             chain.push(v);
-            cur = v.parent.clone();
+            cur = v.parent.as_deref();
         }
         chain.reverse();
         Ok(chain)
     }
 
-    fn chain_wheres(&self, def: &BoxDef, name: &str) -> Result<Vec<(String, RValue)>> {
-        Ok(self
-            .chain(def, name)?
-            .into_iter()
-            .flat_map(|v| v.wheres.iter().cloned())
-            .collect())
-    }
-
-    fn chain_items(&self, def: &BoxDef, name: &str) -> Result<Vec<ItemDef>> {
-        Ok(self
-            .chain(def, name)?
-            .into_iter()
-            .flat_map(|v| v.items.iter().cloned())
-            .collect())
-    }
-
-    fn eval_items(&mut self, items: &[ItemDef], scope: &Scope) -> Result<Vec<Item>> {
-        let mut out = Vec::new();
+    /// Evaluate `items` in order, appending their display items to `out`.
+    fn eval_items(&mut self, items: &[ItemDef], scope: &Scope, out: &mut Vec<Item>) -> Result<()> {
         for item in items {
             match item {
                 ItemDef::Text { decor, specs } => {
@@ -586,30 +558,27 @@ impl<'t, 'img> Interp<'t, 'img> {
                 },
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn eval_text(&mut self, spec: &TextSpec, dec: Option<&Decorator>, scope: &Scope) -> Item {
         let rendered = (|| -> Result<(String, Option<i64>)> {
-            let value = match &spec.expr {
-                None => self.eval_cexpr(&format!("@this.{}", spec.name), scope)?,
-                Some(rv) => match self.eval(rv, scope)? {
-                    Value::C(c) => c,
-                    Value::Null => CValue::Int {
-                        value: 0,
-                        ty: self.target.types.find("long").expect("long interned"),
-                    },
-                    Value::Box(id) => CValue::Int {
-                        value: self.graph.get(id).addr as i64,
-                        ty: self.target.types.find("long").expect("long interned"),
-                    },
-                    Value::Seq(..) => {
-                        return Err(VclError::Eval(format!(
-                            "Text `{}` cannot render a container",
-                            spec.name
-                        )))
-                    }
+            let value = match self.eval(&spec.expr, scope)? {
+                Value::C(c) => c,
+                Value::Null => CValue::Int {
+                    value: 0,
+                    ty: self.target.types.find("long").expect("long interned"),
                 },
+                Value::Box(id) => CValue::Int {
+                    value: self.graph.get(id).addr as i64,
+                    ty: self.target.types.find("long").expect("long interned"),
+                },
+                Value::Seq(..) => {
+                    return Err(VclError::Eval(format!(
+                        "Text `{}` cannot render a container",
+                        spec.name
+                    )))
+                }
             };
             let raw = decor::raw_for_query(&value);
             let text = match dec {

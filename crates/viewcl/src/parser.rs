@@ -4,17 +4,34 @@ use crate::ast::*;
 use crate::lexer::{lex, SpannedTok, Tok};
 use crate::{Result, VclError};
 
+/// Deepest nesting of values (`switch` arms, constructor arguments,
+/// box bodies) the parser accepts, the JSON codec's limit. Parsing and
+/// evaluating recurse once per level, so hostile program text must end
+/// in a positioned error long before the thread's stack does.
+const MAX_DEPTH: usize = 128;
+
+/// Longest parse error message. Messages quote tokens, and a token can
+/// be a whole `${…}` of wire-supplied text; the position says where.
+const MAX_MSG_BYTES: usize = 256;
+
 struct P {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Values open above the cursor.
+    depth: usize,
 }
 
 impl P {
     fn err(&self, msg: impl Into<String>) -> VclError {
+        let mut msg = msg.into();
+        if msg.len() > MAX_MSG_BYTES {
+            msg.truncate(msg.floor_char_boundary(MAX_MSG_BYTES));
+            msg.push('…');
+        }
         VclError::Parse {
             line: self.toks[self.pos].line,
             pos: self.toks[self.pos].pos,
-            msg: msg.into(),
+            msg,
         }
     }
 
@@ -241,41 +258,41 @@ impl P {
         // Bare dotted/indexed path (no colon follows the first ident).
         if matches!(self.peek(), Tok::Punct(".") | Tok::Punct("[")) {
             self.path_tail(&mut name)?;
-            return Ok(TextSpec {
-                name: name.clone(),
-                expr: None,
-            });
-        }
-        if self.eat_punct(":") {
+        } else if self.eat_punct(":") {
             // Either an rvalue or a bare field path.
-            match self.peek() {
+            let expr = match self.peek() {
                 Tok::Ident(_) => {
                     let mut path = self.expect_ident()?;
                     self.path_tail(&mut path)?;
-                    return Ok(TextSpec {
-                        name,
-                        expr: Some(RValue::ThisPath(path)),
-                    });
+                    RValue::this_path(path)
                 }
-                _ => {
-                    let rv = self.rvalue()?;
-                    return Ok(TextSpec {
-                        name,
-                        expr: Some(rv),
-                    });
-                }
-            }
+                _ => self.rvalue()?,
+            };
+            return Ok(TextSpec { name, expr });
         }
-        Ok(TextSpec { name, expr: None })
+        Ok(TextSpec {
+            expr: RValue::this_path(name.clone()),
+            name,
+        })
     }
 
     // ----------------------------------------------------------- rvalue --
 
     fn rvalue(&mut self) -> Result<RValue> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let rv = self.rvalue_at_depth()?;
+        self.depth -= 1;
+        Ok(rv)
+    }
+
+    fn rvalue_at_depth(&mut self) -> Result<RValue> {
         match self.peek().clone() {
             Tok::CExpr(e) => {
                 self.pos += 1;
-                Ok(RValue::CExpr(e))
+                Ok(RValue::CExpr(CExpr::new(e)))
             }
             Tok::AtRef(r) => {
                 self.pos += 1;
@@ -287,11 +304,11 @@ impl P {
                         "`.forEach` applies to container constructors; wrap the source in one (e.g. RBTree(@x).forEach)",
                     ));
                 }
-                Ok(RValue::Ref(r))
+                Ok(RValue::reference(r))
             }
             Tok::Num(n) => {
                 self.pos += 1;
-                Ok(RValue::CExpr(n.to_string()))
+                Ok(RValue::CExpr(CExpr::new(n.to_string())))
             }
             Tok::Ident(i) if i == "NULL" => {
                 self.pos += 1;
@@ -452,7 +469,11 @@ impl P {
 /// Parse a full ViewCL program.
 pub fn parse_program(src: &str) -> Result<Program> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
@@ -588,6 +609,77 @@ slots = Array(@node.mr64.slot).forEach |item| {
             &p.stmts[0],
             Stmt::Assign(_, RValue::SelectFrom { box_type, .. }) if box_type == "VMArea"
         ));
+    }
+
+    /// `x = switch ${1} { case ${1}: switch … }`, `n` switches deep.
+    fn nested_switches(n: usize) -> String {
+        format!(
+            "x = {}${{1}}{}\nplot @x",
+            "switch ${1} { case ${1}: ".repeat(n),
+            " }".repeat(n)
+        )
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_positioned_error() {
+        // The assigned value is level 1, so 127 switches (128 values
+        // deep, the innermost `${1}` included) parse and 128 do not.
+        assert!(parse_program(&nested_switches(127)).is_ok());
+        let src = nested_switches(2_000);
+        match parse_program(&src).unwrap_err() {
+            VclError::Parse { line, pos, msg } => {
+                assert_eq!(line, 1);
+                // The 128th switch's scrutinee opens level 129.
+                let level = "switch ${1} { case ${1}: ".len();
+                assert_eq!(pos, "x = ".len() + 127 * level + "switch ".len());
+                assert_eq!(msg, "nesting deeper than 128 levels");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn errors_quoting_a_huge_token_stay_short() {
+        let src = format!("plot ${{{}}}", "1".repeat(2 << 20));
+        match parse_program(&src).unwrap_err() {
+            VclError::Parse { msg, .. } => {
+                assert!(msg.starts_with("plot expects `@name`, got CExpr(\"111"));
+                assert_eq!(msg.len(), MAX_MSG_BYTES + '…'.len_utf8());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn c_expressions_parse_with_the_program_and_keep_their_errors() {
+        let p = parse_program("a = ${1 +}\nb = @a.x[)]\nc = 7\nplot @c").unwrap();
+        match &p.stmts[0] {
+            Stmt::Assign(_, RValue::CExpr(e)) => {
+                assert_eq!(e.src, "1 +");
+                assert!(e.parsed.is_err(), "kept for evaluation time");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match &p.stmts[1] {
+            Stmt::Assign(
+                _,
+                RValue::Ref {
+                    path,
+                    nav: Some(nav),
+                },
+            ) => {
+                assert_eq!(path, "a.x[)]");
+                assert_eq!(nav.src, "@a.x[)]");
+                assert!(nav.parsed.is_err());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match &p.stmts[2] {
+            Stmt::Assign(_, RValue::CExpr(e)) => {
+                assert_eq!(e.parsed, Ok(vbridge::eval::Expr::Num(7)))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -234,9 +234,9 @@ fn collect_this_reads(src: &str, out: &mut Vec<String>) {
 /// Collect the field reads an rvalue performs off `@this`.
 fn rvalue_reads(rv: &RValue, out: &mut Vec<String>) {
     match rv {
-        RValue::CExpr(src) => collect_this_reads(src, out),
-        RValue::ThisPath(p) => out.push(p.clone()),
-        RValue::Ref(path) => {
+        RValue::CExpr(e) => collect_this_reads(&e.src, out),
+        RValue::ThisPath { path, .. } => out.push(path.clone()),
+        RValue::Ref { path, .. } => {
             if let Some(p) = path.strip_prefix("this.") {
                 out.push(p.to_string());
             }
@@ -280,10 +280,7 @@ fn item_reads(item: &ItemDef, out: &mut Vec<String>) {
     match item {
         ItemDef::Text { specs, .. } => {
             for s in specs {
-                match &s.expr {
-                    None => out.push(s.name.clone()),
-                    Some(rv) => rvalue_reads(rv, out),
-                }
+                rvalue_reads(&s.expr, out);
             }
         }
         ItemDef::Link { target, .. } => rvalue_reads(target, out),
@@ -302,11 +299,13 @@ impl<'p> Compiler<'p> {
             _ => return None,
         };
         match (arg, ctx) {
-            (RValue::CExpr(src), _) if !src.contains('@') => Some(RootSpec::Static(src.clone())),
-            (RValue::CExpr(src), Ctx::BoxViews { .. }) => {
-                this_field_path(src).map(|(p, _)| RootSpec::ElemField(p))
+            (RValue::CExpr(e), _) if !e.src.contains('@') => Some(RootSpec::Static(e.src.clone())),
+            (RValue::CExpr(e), Ctx::BoxViews { .. }) => {
+                this_field_path(&e.src).map(|(p, _)| RootSpec::ElemField(p))
             }
-            (RValue::Ref(name), Ctx::Elem { param }) if name == param => Some(RootSpec::Elem),
+            (RValue::Ref { path, .. }, Ctx::Elem { param }) if path == param => {
+                Some(RootSpec::Elem)
+            }
             _ => None,
         }
     }
@@ -362,18 +361,18 @@ impl<'p> Compiler<'p> {
                 self.ensure_box(box_type);
                 match (ctx, &**arg) {
                     // `root = Task(${&init_task})`: an object seed.
-                    (Ctx::Top, RValue::CExpr(src)) if !src.contains('@') => {
+                    (Ctx::Top, RValue::CExpr(e)) if !e.src.contains('@') => {
                         self.plan.seeds.push(Seed {
                             box_type: box_type.clone(),
                             anchor: anchor.clone(),
-                            src: src.clone(),
+                            src: e.src.clone(),
                         });
                     }
                     // `Link mm -> MM(${@this.mm})`: a pointer hop.
                     (Ctx::BoxViews { box_name }, arg) => {
                         let hop = match arg {
-                            RValue::CExpr(src) => this_field_path(src),
-                            RValue::Ref(path) => {
+                            RValue::CExpr(e) => this_field_path(&e.src),
+                            RValue::Ref { path, .. } => {
                                 path.strip_prefix("this.").map(|p| (p.to_string(), false))
                             }
                             _ => None,
@@ -418,9 +417,7 @@ impl<'p> Compiler<'p> {
         match item {
             ItemDef::Text { specs, .. } => {
                 for s in specs {
-                    if let Some(rv) = &s.expr {
-                        self.scan(rv, ctx, out);
-                    }
+                    self.scan(&s.expr, ctx, out);
                 }
             }
             ItemDef::Link { target, .. } => self.scan(target, ctx, out),
@@ -453,7 +450,7 @@ impl<'p> Compiler<'p> {
                 self.ensure_box(box_type);
                 // Element box bases are only computable when the yield
                 // instantiates the loop element itself.
-                let direct = matches!(&**arg, RValue::Ref(name) if name == param);
+                let direct = matches!(&**arg, RValue::Ref { path, .. } if path == param);
                 if info.child_box.is_none() && direct {
                     if let Some(bi) = self.plan.boxes.get(box_type.as_str()) {
                         info.ctype = Some(bi.ctype.clone());

@@ -412,6 +412,55 @@ fn error_paths_are_reported_not_panicked() {
     let p = parse_program("plot @nothing").unwrap();
     let mut i = Interp::new(&target, &h);
     assert!(i.run(&p).is_err());
+
+    // A C syntax error surfaces only where its expression is evaluated:
+    // malformed `${…}` in switch arms never taken still extract.
+    let p = parse_program(
+        "define T as Box<task_struct> [ Text kind: @k ] where {
+    k = switch ${1} {
+        case ${1}: ${2}
+        case ${1 +}: ${3}
+        otherwise: ${)(}
+    }
+}
+t = T(${&init_task})
+plot @t",
+    )
+    .unwrap();
+    let mut i = Interp::new(&target, &h);
+    i.run(&p).unwrap();
+    let g = i.into_graph();
+    match g.get(g.roots[0]).item("kind").unwrap() {
+        Item::Text { value, .. } => assert_eq!(value, "2"),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // A malformed Text expression renders as an error in its item.
+    let p = parse_program(
+        "define T as Box<task_struct> [ Text pid, bad: ${1 +} ]\nt = T(${&init_task})\nplot @t",
+    )
+    .unwrap();
+    let mut i = Interp::new(&target, &h);
+    i.run(&p).unwrap();
+    let g = i.into_graph();
+    match g.get(g.roots[0]).item("bad").unwrap() {
+        Item::Text { value, .. } => assert_eq!(
+            value,
+            "<error: viewcl: parse error in `1 +`: unexpected token Eof>"
+        ),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // A malformed `where` binding fails the walk.
+    let p = parse_program(
+        "define T as Box<task_struct> [ Text pid ] where { x = ${@this.pid +} }\nt = T(${&init_task})\nplot @t",
+    )
+    .unwrap();
+    let mut i = Interp::new(&target, &h);
+    assert_eq!(
+        i.run(&p).unwrap_err().to_string(),
+        "viewcl: parse error in `@this.pid +`: unexpected token Eof"
+    );
 }
 
 #[test]

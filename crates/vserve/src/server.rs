@@ -378,7 +378,8 @@ pub struct Server {
     /// in original order; drained before the next local walk.
     lag: Vec<LagOp>,
     /// Every extraction served (walked or shared), first-served order —
-    /// what a respawned successor must re-enact.
+    /// what a respawned successor must re-enact. Kept only while a
+    /// shared store is attached: only a fleet respawns engines.
     journal: Vec<JournalEntry>,
     /// The previous generation's graphs, kept across a stop so the
     /// canonical `previous → current` delta per source can be recognized
@@ -431,10 +432,7 @@ impl Server {
         for (gen, op) in ops {
             match op {
                 Preload::Plot(src) => {
-                    self.journal.push(JournalEntry {
-                        generation: gen,
-                        viewcl: src.clone(),
-                    });
+                    self.journal_served(gen, &src);
                     self.lag.push(LagOp::Plot(src));
                 }
                 Preload::Stop(mutate) => self.lag.push(LagOp::Stop(mutate)),
@@ -465,9 +463,21 @@ impl Server {
     }
 
     /// The served-extraction journal, first-served order (fleet respawn
-    /// input; includes preloaded history).
+    /// input; includes preloaded history). Empty for a standalone
+    /// engine: the journal is kept only once
+    /// [`Server::share_extractions`] attached a store.
     pub fn journal(&self) -> &[JournalEntry] {
         &self.journal
+    }
+
+    /// Journal one served extraction, when a fleet may respawn us.
+    fn journal_served(&mut self, generation: u64, viewcl: &str) {
+        if self.share.is_some() {
+            self.journal.push(JournalEntry {
+                generation,
+                viewcl: viewcl.to_string(),
+            });
+        }
     }
 
     /// The current stop-generation key.
@@ -626,10 +636,7 @@ impl Server {
                         self.lag.push(LagOp::Plot(viewcl.to_string()));
                     }
                 }
-                self.journal.push(JournalEntry {
-                    generation: self.generation,
-                    viewcl: viewcl.to_string(),
-                });
+                self.journal_served(self.generation, viewcl);
                 self.memo
                     .insert(viewcl.to_string(), MemoEntry::from_shared(sp));
                 return Ok(());
@@ -652,10 +659,7 @@ impl Server {
         self.stats.walk_virtual_ns += pstats.target.virtual_ns;
         self.stats.walk_cache_hits += pstats.target.cache_hits;
         self.stats.walk_faults += pstats.target.faults;
-        self.journal.push(JournalEntry {
-            generation: self.generation,
-            viewcl: viewcl.to_string(),
-        });
+        self.journal_served(self.generation, viewcl);
         let entry = MemoEntry::new(viewcl, graph, pstats);
         if let Some(share) = &self.share {
             share.publish(

@@ -112,6 +112,33 @@ fn stop_events_invalidate_the_memo_in_request_order() {
 }
 
 #[test]
+fn a_standalone_engine_keeps_no_journal() {
+    let fig = figures::by_id("fig3-4").expect("figure");
+    let request = VCommand::VplotRequest {
+        viewcl: fig.viewcl.to_string(),
+    };
+    let (tx, rx) = mpsc::channel();
+    let engine = thread::spawn(move || {
+        let mut server = Server::new(attach(), ServeConfig::default());
+        tx.send(server.handle()).unwrap();
+        server.run();
+        (server.stats(), server.journal().len())
+    });
+    let handle = rx.recv().unwrap();
+    let conn = handle.connect();
+    for _ in 0..3 {
+        conn.send(&request, SendMode::Blocking).unwrap();
+        conn.recv().unwrap();
+        handle.stop_event(|_| {}).unwrap();
+    }
+    conn.close();
+    let (stats, journaled) = engine.join().unwrap();
+    assert_eq!(stats.walks, 3, "{stats:?}");
+    // Only a fleet respawns engines, and it attaches a shared store.
+    assert_eq!(journaled, 0);
+}
+
+#[test]
 fn nonblocking_send_reports_backpressure_then_closed() {
     // No engine thread: the queue stays full, so the second
     // non-blocking send must surface Backpressure rather than block.

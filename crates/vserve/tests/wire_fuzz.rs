@@ -295,11 +295,13 @@ fn client_handshake_survives_hostile_verdicts() {
     }
 }
 
-/// Hostile JSON at the engine boundary, over the binary wire: a frame
-/// nested far past the parser's depth limit and a multi-megabyte
-/// type-mismatched field each earn a small error reply — no stack
-/// overflow, no error that echoes the payload — and the engine keeps
-/// answering a sibling connection.
+/// Hostile JSON and ViewCL at the engine boundary, over the binary
+/// wire: a frame nested far past the JSON parser's depth limit, a
+/// multi-megabyte type-mismatched field, program text nested far past
+/// the ViewCL and C-expression parsers' depth limits, and a
+/// multi-megabyte malformed C expression each earn a small error reply —
+/// no stack overflow, no error that echoes the payload — and the engine
+/// keeps answering a sibling connection.
 #[test]
 fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -343,6 +345,25 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let too_deep_at = head.len() + 127;
     // 2 MB: a number array where the source string belongs.
     let wide = format!("{head}[{}1]}}", "1,".repeat(1 << 20));
+    let plot = |viewcl: String| VCommand::VplotRequest { viewcl }.to_json();
+    // 20 KB: one `${…}` in 10,000 parentheses. The expression is level
+    // 1, so level 129 starts inside the 128th `(`, at byte 128.
+    let parens = plot(format!(
+        "x = ${{{}1{}}}\nplot @x",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    ));
+    // 270 KB: 10,000 nested switch arms. The 128th switch's scrutinee
+    // opens level 129.
+    let arm = "switch ${1} { case ${1}: ";
+    let switches = plot(format!(
+        "x = {}${{1}}{}\nplot @x",
+        arm.repeat(10_000),
+        " }".repeat(10_000)
+    ));
+    let too_deep_arm = "x = ".len() + 127 * arm.len() + "switch ".len();
+    // 2 MB: one malformed C expression.
+    let malformed = plot(format!("x = ${{{} $}}\nplot @x", "x".repeat(2 << 20)));
     let cases = [
         (
             "10,000-deep",
@@ -353,6 +374,21 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
             "2 MB mismatch",
             wide,
             "viewcl: expected string, got array".to_string(),
+        ),
+        (
+            "10,000 parentheses",
+            parens,
+            "at byte 128: nesting deeper than 128 levels".to_string(),
+        ),
+        (
+            "10,000 switch arms",
+            switches,
+            format!("at byte {too_deep_arm} (line 1): nesting deeper than 128 levels"),
+        ),
+        (
+            "2 MB malformed expression",
+            malformed,
+            format!("at byte {}: unexpected character `$`", (2 << 20) + 1),
         ),
     ];
     let fig = visualinux::figures::by_id("fig3-4").unwrap();
@@ -386,5 +422,5 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let wire = pump_thread.join().unwrap();
     wire.reconcile().expect("wire books balance");
     stats.reconcile().expect("engine books balance");
-    assert_eq!((stats.requests, stats.errors), (4, 2), "{stats:?}");
+    assert_eq!((stats.requests, stats.errors), (10, 5), "{stats:?}");
 }
