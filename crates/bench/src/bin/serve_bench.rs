@@ -54,8 +54,8 @@ use visualinux::proto::{VCommand, VERSION};
 use visualinux::{figures, Session, SessionSpec};
 use vserve::framing::{hello_frame, parse_verdict, BinaryFraming, DecodeBuf, Framing};
 use vserve::{
-    byte_pair, Io, Replica, SendMode, ServeConfig, ServeStats, Server, ServerHandle,
-    SingleSession, WireClient, WireConfig, WirePump, WireStats,
+    byte_pair, Io, Replica, SendMode, ServeConfig, ServeStats, Server, ServerHandle, SingleSession,
+    WireClient, WireConfig, WirePump, WireStats,
 };
 
 /// How much faster an N-engine replay fleet must aggregate over one
@@ -242,9 +242,12 @@ fn run_profile(
                 for round in 0..=stops as u64 {
                     for fig in figs.iter() {
                         let sent = Instant::now();
-                        conn.send(&VCommand::VplotRequest {
-                            viewcl: fig.viewcl.to_string(),
-                        }, SendMode::Blocking)
+                        conn.send(
+                            &VCommand::VplotRequest {
+                                viewcl: fig.viewcl.to_string(),
+                            },
+                            SendMode::Blocking,
+                        )
                         .expect("send");
                         let line = conn.recv().expect("reply");
                         latencies_ns.push(sent.elapsed().as_nanos() as u64);
@@ -380,9 +383,12 @@ fn run_fleet(
                     let mut sent_at = Vec::with_capacity(figs.len());
                     for fig in figs.iter() {
                         sent_at.push(Instant::now());
-                        conn.send(&VCommand::VplotRequest {
-                            viewcl: fig.viewcl.to_string(),
-                        }, SendMode::Blocking)
+                        conn.send(
+                            &VCommand::VplotRequest {
+                                viewcl: fig.viewcl.to_string(),
+                            },
+                            SendMode::Blocking,
+                        )
                         .expect("send");
                     }
                     for sent in sent_at {

@@ -269,9 +269,12 @@ fn run_serve() {
         for (conn, replica) in conns.iter().zip(replicas.iter_mut()) {
             for id in TABLE4_FIGURES {
                 let fig = figures::by_id(id).expect("figure exists");
-                conn.send(&VCommand::VplotRequest {
-                    viewcl: fig.viewcl.to_string(),
-                }, SendMode::Blocking)
+                conn.send(
+                    &VCommand::VplotRequest {
+                        viewcl: fig.viewcl.to_string(),
+                    },
+                    SendMode::Blocking,
+                )
                 .expect("send");
                 replica
                     .apply_line(&conn.recv().expect("reply"))

@@ -867,12 +867,12 @@ impl Session {
         let target = self.target();
         // vincr: if a retained graph exists and the dirty set since its
         // extraction provably misses every span it read, serve it as-is
-        // — zero wire traffic, byte-identical by the splice invariant.
-        let mut prior: Option<(Graph, usize)> = None;
+        // — zero wire traffic, and byte-identical to a fresh walk, since
+        // nothing it read has changed.
         if self.incremental {
-            prior = self.retained.borrow().get(viewcl_src).cloned();
-            if let Some((retained, epoch)) = &prior {
-                let _s = vtrace::span(tracer, SpanKind::Incr, format!("incr::decide {label}"));
+            if let Some((retained, epoch)) = self.retained.borrow().get(viewcl_src) {
+                let _s =
+                    vtrace::span_with(tracer, SpanKind::Incr, || format!("incr::decide {label}"));
                 let dirty = self.dirty_since(*epoch);
                 let bytes = dirty.known().map_or(0, |s| s.total_bytes());
                 let decision = vincr::decide(self.touched.borrow().get(viewcl_src), &dirty);
@@ -897,35 +897,23 @@ impl Session {
             let plan = viewcl::plan::compile(&program);
             viewcl::plan::execute(&plan, &target, &self.helpers);
         }
-        let fresh = {
+        let graph = {
             let _s = vtrace::span(tracer, SpanKind::Interp, "interp::run");
             let mut interp = viewcl::Interp::new(&target, &self.helpers);
             interp.run(&program)?;
             interp.into_graph()
         };
-        let graph = if self.incremental {
-            // Remember what this walk read, then fold the fresh result
-            // into the retained predecessor (when there is one) — the
-            // splice reconstructs the fresh graph exactly, and its
-            // delta is the same wire object vserve ships.
+        if self.incremental {
+            // Remember what this walk read; the fresh graph replaces
+            // the retained one.
             self.touched
                 .borrow_mut()
                 .record(viewcl_src, target.take_touched());
-            let graph = match &prior {
-                Some((retained, _)) => {
-                    let _s = vtrace::span(tracer, SpanKind::Incr, format!("incr::splice {label}"));
-                    vincr::splice(retained, &fresh).graph
-                }
-                None => fresh,
-            };
             self.retained.borrow_mut().insert(
                 viewcl_src.to_string(),
                 (graph.clone(), self.dirty_log.len()),
             );
-            graph
-        } else {
-            fresh
-        };
+        }
         let stats = PlotStats {
             graph: GraphStats::of(&graph),
             target: target.stats(),

@@ -29,10 +29,13 @@ const ITEM_PREFIXES: [&str; 8] = [
 
 /// Collect the `pub` item signatures of one source file, in order,
 /// stopping at the test module. One line per item: `file: signature`.
+/// A signature rustfmt wrapped over several lines is joined back into
+/// one, so the snapshot pins the whole signature however it is laid out.
 fn harvest(path: &Path, out: &mut String) {
     let src = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let file = path.file_name().unwrap().to_str().unwrap();
-    for line in src.lines() {
+    let mut lines = src.lines();
+    while let Some(line) = lines.next() {
         let t = line.trim();
         if t.starts_with("#[cfg(test)]") {
             break;
@@ -40,7 +43,22 @@ fn harvest(path: &Path, out: &mut String) {
         if !ITEM_PREFIXES.iter().any(|p| t.starts_with(p)) {
             continue;
         }
-        let sig = t
+        let mut joined = t.to_string();
+        while !joined.contains('{') && !joined.ends_with(';') {
+            let Some(next) = lines.next().map(str::trim) else {
+                break;
+            };
+            if next.starts_with(')') || next.starts_with('>') {
+                // `a: A,` `) -> R` reads `a: A) -> R`.
+                if joined.ends_with(',') {
+                    joined.pop();
+                }
+            } else if !joined.ends_with('(') && !joined.ends_with('<') {
+                joined.push(' ');
+            }
+            joined.push_str(next);
+        }
+        let sig = joined
             .split(" {")
             .next()
             .unwrap()

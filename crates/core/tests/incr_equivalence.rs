@@ -2,8 +2,8 @@
 //! Between stops, an incremental session must produce *byte-identical*
 //! vgraph JSON to a plain session's fresh extraction — across every
 //! Table 2 figure, both latency profiles, and corpus tick workloads —
-//! whether each pane was kept (dirty set missed its spans) or re-walked
-//! and spliced. A backend that cannot report dirty ranges degrades to
+//! whether each pane was kept (dirty set missed its spans) or re-walked.
+//! A backend that cannot report dirty ranges degrades to
 //! full re-walks, never to stale graphs; and an incremental `.vrec`
 //! capture replays bit-identically, dirty events and all.
 

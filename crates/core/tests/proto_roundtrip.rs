@@ -145,7 +145,7 @@ fn every_vcommand_variant_round_trips() {
 #[test]
 fn vack_carries_the_protocol_version_and_defaults_for_old_peers() {
     // The current revision round-trips through the stamped field.
-    assert!(VERSION >= 2, "binary framing shipped at revision 2");
+    const { assert!(VERSION >= 2, "binary framing shipped at revision 2") };
     let ack = VCommand::Vack {
         source: "plot @root".into(),
         seq: 3,

@@ -179,12 +179,7 @@ impl TypeRegistry {
     /// Unlike [`lookup`](Self::lookup) this never interns primitives, so it
     /// works on a shared reference.
     pub fn find(&self, name: &str) -> Option<TypeId> {
-        let name = name
-            .trim()
-            .trim_start_matches("struct ")
-            .trim_start_matches("union ")
-            .trim_start_matches("enum ")
-            .trim();
+        let name = bare_name(name);
         if let Some(id) = self.by_name.get(name) {
             return Some(*id);
         }
@@ -194,12 +189,7 @@ impl TypeRegistry {
     /// Look up a type by name: struct/union/enum tag, primitive spelling,
     /// or a kernel integer typedef.
     pub fn lookup(&mut self, name: &str) -> Result<TypeId> {
-        let name = name
-            .trim()
-            .trim_start_matches("struct ")
-            .trim_start_matches("union ")
-            .trim_start_matches("enum ")
-            .trim();
+        let name = bare_name(name);
         if let Some(&id) = self.by_name.get(name) {
             return Ok(id);
         }
@@ -401,6 +391,20 @@ impl TypeRegistry {
     }
 }
 
+/// `name` without surrounding whitespace and without its leading
+/// `struct `, then `union `, then `enum ` tags (each possibly repeated).
+/// Plain prefix compares: the interpreter resolves a type name on most
+/// evaluations.
+fn bare_name(name: &str) -> &str {
+    let mut name = name.trim();
+    for tag in ["struct ", "union ", "enum "] {
+        while let Some(rest) = name.strip_prefix(tag) {
+            name = rest;
+        }
+    }
+    name.trim()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +436,34 @@ mod tests {
         assert_eq!(r.lookup("task_struct").unwrap(), ty);
         assert_eq!(r.lookup("struct task_struct").unwrap(), ty);
         assert!(r.lookup("no_such_struct").is_err());
+    }
+
+    #[test]
+    fn find_and_lookup_strip_tags_and_whitespace() {
+        let mut r = TypeRegistry::new();
+        let u64_t = r.prim(Prim::U64);
+        let task = StructBuilder::new("task_struct")
+            .field("pid", u64_t)
+            .build(&mut r);
+        let maple = r.intern_enum(EnumDef {
+            name: "maple_type".into(),
+            variants: vec![("maple_dense".into(), 0)],
+            size: 4,
+        });
+        let long = r.prim(Prim::I64);
+        let cases = [
+            (" struct  task_struct ", Some(task)),
+            ("struct struct task_struct", Some(task)),
+            // Tags strip in the order struct, union, enum: a `struct`
+            // after a `union` survives, and the name is not found.
+            ("union struct task_struct", None),
+            ("enum maple_type", Some(maple)),
+            ("  long ", Some(long)),
+        ];
+        for (name, want) in cases {
+            assert_eq!(r.find(name), want, "find({name:?})");
+            assert_eq!(r.lookup(name).ok(), want, "lookup({name:?})");
+        }
     }
 
     #[test]

@@ -53,9 +53,12 @@ pub fn serve_round(
 ) -> Vec<vgraph::Graph> {
     figs.iter()
         .map(|fig| {
-            conn.send(&VCommand::VplotRequest {
-                viewcl: fig.clone(),
-            }, SendMode::Blocking)
+            conn.send(
+                &VCommand::VplotRequest {
+                    viewcl: fig.clone(),
+                },
+                SendMode::Blocking,
+            )
             .expect("send");
             let line = conn.recv().expect("reply");
             replica.apply_line(&line).expect("apply");

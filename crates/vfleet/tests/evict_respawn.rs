@@ -71,9 +71,12 @@ fn evicted_replay_session_respawns_bit_identically() {
     let dconn = fleet.connect("decoy").unwrap();
     assert!(!fleet.is_resident("r"), "replay engine was not evicted");
     dconn
-        .send(&VCommand::VplotRequest {
-            viewcl: figs[0].clone(),
-        }, SendMode::Blocking)
+        .send(
+            &VCommand::VplotRequest {
+                viewcl: figs[0].clone(),
+            },
+            SendMode::Blocking,
+        )
         .unwrap();
     dconn.recv().expect("decoy serves");
     drop(dconn);

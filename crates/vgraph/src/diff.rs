@@ -13,7 +13,8 @@
 //! renumbered but whose content is otherwise untouched costs two integers
 //! on the wire, not a re-serialized subtree.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -107,77 +108,142 @@ impl GraphDelta {
     }
 }
 
-/// Semantic identity of one box: `(addr, label, virtual-occurrence)`.
-/// Real boxes are unique per `(addr, label)` by interning; virtual boxes
-/// (addr 0) are numbered per label in graph order.
-type Key = (u64, String, u32);
+/// Semantic identity of one box: `(addr, label, virtual-occurrence)`,
+/// borrowing the label from its graph. Real boxes are unique per
+/// `(addr, label)` by interning; virtual boxes (addr 0) are numbered per
+/// label in graph order.
+type Key<'g> = (u64, &'g str, u32);
 
-fn keys_of(g: &Graph) -> Vec<Key> {
+fn keys_of(g: &Graph) -> impl Iterator<Item = Key<'_>> {
     let mut virt: HashMap<&str, u32> = HashMap::new();
-    g.boxes()
-        .iter()
-        .map(|b| {
-            if b.addr != 0 {
-                (b.addr, b.label.clone(), 0)
-            } else {
-                let occ = virt.entry(b.label.as_str()).or_insert(0);
-                let k = (0, b.label.clone(), *occ);
-                *occ += 1;
-                k
-            }
-        })
-        .collect()
+    g.boxes().iter().map(move |b| {
+        let label = b.label.as_str();
+        if b.addr != 0 {
+            (b.addr, label, 0)
+        } else {
+            let occ = virt.entry(label).or_insert(0);
+            *occ += 1;
+            (0, label, *occ - 1)
+        }
+    })
 }
 
-/// Rewrite every edge of `node` through `old2new`. Returns `None` when an
-/// edge points at a box with no new identity (the caller must then ship
-/// the node in full — though in practice such a node's new content always
-/// differs anyway, since the edge cannot survive the target's removal).
-fn remap_node(node: &BoxNode, new_id: BoxId, old2new: &HashMap<u32, u32>) -> Option<BoxNode> {
+/// The new id of base box `old`, if its identity persists.
+fn remapped(old2new: &[Option<u32>], old: BoxId) -> Option<u32> {
+    old2new.get(old.0 as usize).copied().flatten()
+}
+
+/// Whether `new` (at `new_id`) is base box `old` with its edges
+/// rewritten through `old2new` — i.e. whether the base box can be
+/// carried over and cost only its remap pair. Compares in place; an
+/// edge to a base box with no new identity never matches.
+fn carries_over(old: &BoxNode, new: &BoxNode, new_id: u32, old2new: &[Option<u32>]) -> bool {
+    let same_edge = |o: &BoxId, n: &BoxId| remapped(old2new, *o) == Some(n.0);
+    let same_item = |oi: &Item, ni: &Item| match (oi, ni) {
+        (Item::Link { name, target }, Item::Link { name: n, target: t }) => {
+            name == n && same_edge(target, t)
+        }
+        (
+            Item::Container {
+                name,
+                kind,
+                members,
+                attrs,
+            },
+            Item::Container {
+                name: n,
+                kind: k,
+                members: m,
+                attrs: a,
+            },
+        ) => {
+            name == n
+                && kind == k
+                && attrs == a
+                && members.len() == m.len()
+                && members.iter().zip(m).all(|(o, n)| same_edge(o, n))
+        }
+        _ => oi == ni,
+    };
+    new.id.0 == new_id
+        && old.label == new.label
+        && old.ctype == new.ctype
+        && old.addr == new.addr
+        && old.size == new.size
+        && old.attrs == new.attrs
+        && old.views.len() == new.views.len()
+        && old.views.iter().zip(&new.views).all(|(ov, nv)| {
+            ov.name == nv.name
+                && ov.items.len() == nv.items.len()
+                && ov
+                    .items
+                    .iter()
+                    .zip(&nv.items)
+                    .all(|(oi, ni)| same_item(oi, ni))
+        })
+}
+
+/// A copy of base box `node` at `new_id` with every edge rewritten
+/// through `old2new`. Returns `None` when an edge points at a box with
+/// no new identity.
+fn remap_node(node: &BoxNode, new_id: BoxId, old2new: &[Option<u32>]) -> Option<BoxNode> {
     let mut out = node.clone();
     out.id = new_id;
-    for view in &mut out.views {
-        for item in &mut view.items {
-            match item {
-                Item::Link { target, .. } => {
-                    *target = BoxId(*old2new.get(&target.0)?);
+    for item in out.views.iter_mut().flat_map(|v| &mut v.items) {
+        match item {
+            Item::Link { target, .. } => *target = BoxId(remapped(old2new, *target)?),
+            Item::Container { members, .. } => {
+                for m in members.iter_mut() {
+                    *m = BoxId(remapped(old2new, *m)?);
                 }
-                Item::Container { members, .. } => {
-                    for m in members.iter_mut() {
-                        *m = BoxId(*old2new.get(&m.0)?);
-                    }
-                }
-                _ => {}
             }
+            _ => {}
         }
     }
     Some(out)
 }
 
-/// Edge signatures of a graph in semantic-key space, with multiplicity —
-/// used only for the summary counts.
-fn edge_sigs(g: &Graph, keys: &[Key]) -> HashMap<(Key, String, Key), i64> {
-    let mut sigs = HashMap::new();
-    for b in g.boxes() {
-        for view in &b.views {
-            for item in &view.items {
-                let targets: Vec<BoxId> = match item {
-                    Item::Link { target, .. } => vec![*target],
-                    Item::Container { members, .. } => members.clone(),
-                    _ => continue,
-                };
-                for t in targets {
-                    let sig = (
-                        keys[b.id.0 as usize].clone(),
-                        item.name().to_string(),
-                        keys[t.0 as usize].clone(),
-                    );
-                    *sigs.entry(sig).or_insert(0) += 1;
-                }
+/// A box's outgoing edges (links and container memberships) as
+/// `(item name, target)` pairs.
+fn edges(b: &BoxNode) -> impl Iterator<Item = (&str, BoxId)> {
+    b.views.iter().flat_map(|v| &v.items).flat_map(|item| {
+        let targets: &[BoxId] = match item {
+            Item::Link { target, .. } => std::slice::from_ref(target),
+            Item::Container { members, .. } => members,
+            _ => &[],
+        };
+        targets.iter().map(move |t| (item.name(), *t))
+    })
+}
+
+fn edge_count(b: &BoxNode) -> u32 {
+    edges(b).count() as u32
+}
+
+/// `(added, removed)` edges between a changed box and its predecessor:
+/// the multiset difference of their `(item name, target)` pairs, with
+/// base targets carried into new ids. An edge whose target vanished
+/// matches nothing, so it counts as removed.
+fn edge_churn(old: &BoxNode, new: &BoxNode, old2new: &[Option<u32>]) -> (u32, u32) {
+    let mut was: Vec<(&str, Option<u32>)> = edges(old)
+        .map(|(name, t)| (name, remapped(old2new, t)))
+        .collect();
+    let mut now: Vec<(&str, Option<u32>)> = edges(new).map(|(name, t)| (name, Some(t.0))).collect();
+    was.sort_unstable();
+    now.sort_unstable();
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < was.len() && j < now.len() {
+        match was[i].cmp(&now[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    sigs
+    ((now.len() - common) as u32, (was.len() - common) as u32)
 }
 
 fn count_text_changes(old: &BoxNode, new: &BoxNode) -> u32 {
@@ -207,67 +273,61 @@ fn count_text_changes(old: &BoxNode, new: &BoxNode) -> u32 {
 }
 
 /// Compute the delta that turns `base` into `new`.
+///
+/// Each new box is matched to its predecessor by semantic key and
+/// compared with it in place, through the old→new id map; only changed
+/// and added boxes are cloned into the delta.
 pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
-    let base_keys = keys_of(base);
-    let new_keys = keys_of(new);
-    let base_index: HashMap<&Key, u32> = base_keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k, i as u32))
-        .collect();
-
-    // old→new id map over every persistent identity.
-    let mut old2new: HashMap<u32, u32> = HashMap::new();
-    for (new_id, key) in new_keys.iter().enumerate() {
-        if let Some(&old_id) = base_index.get(key) {
-            old2new.insert(old_id, new_id as u32);
+    let base_index: HashMap<Key, u32> = keys_of(base).zip(0..).collect();
+    // new→old and old→new over every persistent identity.
+    let new2old: Vec<Option<u32>> = keys_of(new).map(|k| base_index.get(&k).copied()).collect();
+    let mut old2new: Vec<Option<u32>> = vec![None; base.len()];
+    for (n, o) in (0..).zip(&new2old) {
+        if let Some(o) = o {
+            old2new[*o as usize] = Some(n);
         }
     }
+    let remap: Vec<(u32, u32)> = (0..)
+        .zip(&old2new)
+        .filter_map(|(o, n)| n.map(|n| (o, n)))
+        .collect();
 
+    // Edge churn is counted per source box. Keys are unique within a
+    // graph (interning makes real boxes unique, occurrence numbers make
+    // virtual boxes unique), so every edge belongs to exactly one
+    // source identity, and a kept box's edges are equal under the
+    // remap: only changed, added and removed boxes contribute, and
+    // their sum equals the graph-wide multiset difference of
+    // `(source key, item name, target key)` edges.
     let mut summary = DeltaSummary {
-        boxes_removed: (base.len() - old2new.len()) as u32,
+        boxes_removed: (base.len() - remap.len()) as u32,
         ..DeltaSummary::default()
     };
-    let mut remap: Vec<(u32, u32)> = old2new.iter().map(|(&o, &n)| (o, n)).collect();
-    remap.sort_unstable();
-
     let mut boxes: Vec<BoxNode> = Vec::new();
-    for (new_id, key) in new_keys.iter().enumerate() {
-        let nb = &new.boxes()[new_id];
-        match base_index.get(key) {
-            Some(&old_id) => {
-                let carried = remap_node(
-                    &base.boxes()[old_id as usize],
-                    BoxId(new_id as u32),
-                    &old2new,
-                );
-                match carried {
-                    Some(c) if c == *nb => {} // kept: costs only the remap pair
-                    _ => {
-                        summary.boxes_changed += 1;
-                        summary.texts_changed +=
-                            count_text_changes(&base.boxes()[old_id as usize], nb);
-                        boxes.push(nb.clone());
-                    }
+    for ((n, nb), old) in (0..).zip(new.boxes()).zip(&new2old) {
+        match *old {
+            Some(o) => {
+                let ob = &base.boxes()[o as usize];
+                if carries_over(ob, nb, n, &old2new) {
+                    continue; // kept: costs only the remap pair
                 }
+                let (added, removed) = edge_churn(ob, nb, &old2new);
+                summary.boxes_changed += 1;
+                summary.texts_changed += count_text_changes(ob, nb);
+                summary.edges_added += added;
+                summary.edges_removed += removed;
             }
             None => {
                 summary.boxes_added += 1;
-                boxes.push(nb.clone());
+                summary.edges_added += edge_count(nb);
             }
         }
+        boxes.push(nb.clone());
     }
-
-    // Edge churn, for the summary only.
-    let old_sigs = edge_sigs(base, &base_keys);
-    let new_sigs = edge_sigs(new, &new_keys);
-    for (sig, n) in &new_sigs {
-        let old_n = old_sigs.get(sig).copied().unwrap_or(0);
-        summary.edges_added += (n - old_n).max(0) as u32;
-    }
-    for (sig, n) in &old_sigs {
-        let new_n = new_sigs.get(sig).copied().unwrap_or(0);
-        summary.edges_removed += (n - new_n).max(0) as u32;
+    for (ob, n) in base.boxes().iter().zip(&old2new) {
+        if n.is_none() {
+            summary.edges_removed += edge_count(ob);
+        }
     }
 
     GraphDelta {
@@ -290,37 +350,40 @@ pub fn apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
         });
     }
     let mut slots: Vec<Option<BoxNode>> = vec![None; delta.new_len as usize];
-    let mut old2new: HashMap<u32, u32> = HashMap::new();
-    let mut new_ids: HashSet<u32> = HashSet::new();
+    let mut old2new: Vec<Option<u32>> = vec![None; base.len()];
+    let mut claimed = vec![false; delta.new_len as usize];
     for &(o, n) in &delta.remap {
         if o >= delta.base_len || n >= delta.new_len {
             return Err(DiffError::BadId(format!("remap ({o}, {n})")));
         }
-        if old2new.insert(o, n).is_some() || !new_ids.insert(n) {
+        let (old, new) = (&mut old2new[o as usize], &mut claimed[n as usize]);
+        if old.is_some() || *new {
             return Err(DiffError::BadId(format!("duplicate in remap ({o}, {n})")));
         }
+        *old = Some(n);
+        *new = true;
     }
 
     // Patched and added boxes ship in full.
-    let mut patched: HashSet<u32> = HashSet::new();
     for b in &delta.boxes {
-        if b.id.0 >= delta.new_len {
+        let Some(slot) = slots.get_mut(b.id.0 as usize) else {
             return Err(DiffError::BadId(format!("box {}", b.id.0)));
-        }
-        if !patched.insert(b.id.0) {
+        };
+        if slot.is_some() {
             return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
         }
-        slots[b.id.0 as usize] = Some(b.clone());
+        *slot = Some(b.clone());
     }
 
     // Everything else persists from the base, edges rewritten.
-    for (&o, &n) in &old2new {
-        if patched.contains(&n) {
-            continue;
+    for ((o, ob), n) in (0..).zip(base.boxes()).zip(&old2new) {
+        let Some(n) = *n else { continue };
+        let slot = &mut slots[n as usize];
+        if slot.is_none() {
+            let node = remap_node(ob, BoxId(n), &old2new)
+                .ok_or(DiffError::UnmappedEdge { from: o, to: n })?;
+            *slot = Some(node);
         }
-        let node = remap_node(&base.boxes()[o as usize], BoxId(n), &old2new)
-            .ok_or(DiffError::UnmappedEdge { from: o, to: n })?;
-        slots[n as usize] = Some(node);
     }
 
     let mut boxes = Vec::with_capacity(delta.new_len as usize);
@@ -444,6 +507,82 @@ mod tests {
         assert!(d.boxes.len() <= 1);
         let back = apply(&a, &d).unwrap();
         assert_eq!(back.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn link_to_a_renumbered_box_is_kept() {
+        // A new box is discovered before the MM, so the MM's id moves
+        // and the task's link target with it. The task's content is
+        // otherwise untouched: it rides the remap and does not ship.
+        let mk = |grown: bool| {
+            let mut g = Graph::new();
+            let (t, _) = g.intern(0x1000, "Task", "task_struct", 64);
+            g.roots.push(t);
+            if grown {
+                let (n, _) = g.intern(0x3000, "Task", "task_struct", 64);
+                g.roots.push(n);
+            }
+            let (mm, _) = g.intern(0x2000, "MM", "mm_struct", 32);
+            g.get_mut(t).views.push(ViewInst {
+                name: "default".into(),
+                items: vec![Item::Link {
+                    name: "mm".into(),
+                    target: mm,
+                }],
+            });
+            g
+        };
+        let (a, b) = (mk(false), mk(true));
+        let d = diff(&a, &b);
+        assert_eq!(d.remap, vec![(0, 0), (1, 2)]);
+        assert_eq!(d.boxes.len(), 1, "only the new box ships");
+        assert_eq!(d.boxes[0].addr, 0x3000);
+        let only_added = DeltaSummary {
+            boxes_added: 1,
+            ..DeltaSummary::default()
+        };
+        assert_eq!(d.summary, only_added);
+        assert_eq!(apply(&a, &d).unwrap(), b);
+    }
+
+    #[test]
+    fn edge_to_a_vanished_box_counts_as_removed() {
+        // Both stops link `mm` to box 1, but box 1 is a different object
+        // each time: the edge to the vanished MM is removed and the edge
+        // to its successor added, although the ids agree.
+        let mk = |mm_addr: u64| {
+            let mut g = Graph::new();
+            let (t, _) = g.intern(0x1000, "Task", "task_struct", 64);
+            let (mm, _) = g.intern(mm_addr, "MM", "mm_struct", 32);
+            g.get_mut(t).views.push(ViewInst {
+                name: "default".into(),
+                items: vec![Item::Link {
+                    name: "mm".into(),
+                    target: mm,
+                }],
+            });
+            g.roots.push(t);
+            g
+        };
+        let (a, b) = (mk(0x2000), mk(0x3000));
+        let d = diff(&a, &b);
+        let expected = DeltaSummary {
+            boxes_added: 1,
+            boxes_removed: 1,
+            boxes_changed: 1,
+            edges_added: 1,
+            edges_removed: 1,
+            texts_changed: 0,
+        };
+        assert_eq!(d.summary, expected);
+        assert_eq!(apply(&a, &d).unwrap(), b);
+
+        // A container that drops its vanished member loses one edge and
+        // gains none.
+        let a = stop(&[(0x1100, 10), (0x1200, 20)], false);
+        let b = stop(&[(0x1100, 10)], false);
+        let d = diff(&a, &b);
+        assert_eq!((d.summary.edges_added, d.summary.edges_removed), (0, 1));
     }
 
     #[test]

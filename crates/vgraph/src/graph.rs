@@ -177,13 +177,16 @@ pub struct Graph {
     boxes: Vec<BoxNode>,
     /// Plot roots (the `plot` statements' arguments).
     pub roots: Vec<BoxId>,
+    /// Intern index: the positions in `boxes` of the real boxes at each
+    /// address, oldest first. One object plotted under several labels
+    /// shares an entry, and a lookup compares labels in place.
     #[serde(skip)]
-    by_key: HashMap<(u64, String), BoxId>,
+    by_addr: HashMap<u64, Vec<u32>>,
 }
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        // `by_key` is derived from `boxes`, so it carries no extra state.
+        // `by_addr` is derived from `boxes`, so it carries no extra state.
         self.boxes == other.boxes && self.roots == other.roots
     }
 }
@@ -200,25 +203,31 @@ impl Graph {
         let mut g = Graph {
             boxes,
             roots,
-            by_key: HashMap::new(),
+            by_addr: HashMap::new(),
         };
-        for b in &g.boxes {
+        for (pos, b) in (0..).zip(&g.boxes) {
             if b.addr != 0 {
-                g.by_key.insert((b.addr, b.label.clone()), b.id);
+                g.by_addr.entry(b.addr).or_default().push(pos);
             }
         }
         g
     }
 
     /// Intern a box for `(addr, label)`; returns `(id, true)` when newly
-    /// created. Virtual boxes (addr 0) are never deduplicated.
+    /// created. Virtual boxes (addr 0) are never deduplicated. When
+    /// several boxes share `(addr, label)` (only possible through
+    /// [`Graph::from_parts`]), the last one wins.
     pub fn intern(&mut self, addr: u64, label: &str, ctype: &str, size: u64) -> (BoxId, bool) {
+        let pos = self.boxes.len() as u32;
         if addr != 0 {
-            if let Some(&id) = self.by_key.get(&(addr, label.to_string())) {
-                return (id, false);
+            let boxes = &self.boxes;
+            let at = self.by_addr.entry(addr).or_default();
+            if let Some(&hit) = at.iter().rev().find(|&&i| boxes[i as usize].label == label) {
+                return (boxes[hit as usize].id, false);
             }
+            at.push(pos);
         }
-        let id = BoxId(self.boxes.len() as u32);
+        let id = BoxId(pos);
         self.boxes.push(BoxNode {
             id,
             label: label.to_string(),
@@ -228,9 +237,6 @@ impl Graph {
             views: Vec::new(),
             attrs: Attrs::default(),
         });
-        if addr != 0 {
-            self.by_key.insert((addr, label.to_string()), id);
-        }
         (id, true)
     }
 
@@ -466,6 +472,36 @@ mod tests {
         let (id, fresh) = g2.intern(0x1000, "Task", "task_struct", 100);
         assert_eq!(id, BoxId(0));
         assert!(!fresh);
+    }
+
+    #[test]
+    fn one_address_with_two_labels_stays_two_boxes() {
+        let mut g = Graph::new();
+        let (task, _) = g.intern(0x1000, "Task", "task_struct", 100);
+        let (sched, fresh) = g.intern(0x1000, "TaskSched", "task_struct", 100);
+        assert!(fresh);
+        assert_ne!(task, sched);
+        // Each label keeps resolving to its own box, in either order.
+        assert_eq!(g.intern(0x1000, "TaskSched", "", 0), (sched, false));
+        assert_eq!(g.intern(0x1000, "Task", "", 0), (task, false));
+        assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn from_parts_resolves_a_duplicate_key_to_the_last_box() {
+        let mut boxes = sample().boxes().to_vec();
+        let mut dup = boxes[0].clone();
+        dup.id = BoxId(boxes.len() as u32);
+        boxes.push(dup);
+        let mut g = Graph::from_parts(boxes, vec![BoxId(0)]);
+        assert_eq!(
+            g.intern(0x1000, "Task", "task_struct", 100),
+            (BoxId(3), false)
+        );
+        assert_eq!(
+            g.intern(0x2000, "Task", "task_struct", 100),
+            (BoxId(1), false)
+        );
     }
 
     #[test]

@@ -1,0 +1,568 @@
+//! The structural diff against the straightforward one it replaced.
+//!
+//! `vgraph::diff::diff` compares each persistent box with its
+//! predecessor in place, through the old→new id map, and counts edge
+//! churn only for boxes that changed, appeared or vanished. [`oracle`]
+//! below is the earlier version: it clones every persistent base box,
+//! rewrites the clone's edges, compares it with the new box, and counts
+//! edge churn over a multiset of every edge of both graphs, keyed by
+//! semantic identity. Random pairs of intern-built graphs must get the
+//! same `GraphDelta` from both — summary included — and the delta must
+//! rebuild the new graph exactly.
+
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+use vgraph::diff::{apply, diff};
+use vgraph::{
+    Attrs, BoxId, BoxNode, ContainerKind, DeltaSummary, Graph, GraphDelta, Item, ViewInst,
+};
+
+// ------------------------------------------------------------ oracle --
+
+/// Semantic identity of one box: `(addr, label, virtual-occurrence)`.
+type Key = (u64, String, u32);
+
+fn keys_of(g: &Graph) -> Vec<Key> {
+    let mut virt: HashMap<&str, u32> = HashMap::new();
+    g.boxes()
+        .iter()
+        .map(|b| {
+            if b.addr != 0 {
+                (b.addr, b.label.clone(), 0)
+            } else {
+                let occ = virt.entry(b.label.as_str()).or_insert(0);
+                let k = (0, b.label.clone(), *occ);
+                *occ += 1;
+                k
+            }
+        })
+        .collect()
+}
+
+/// Rewrite every edge of `node` through `old2new`; `None` when an edge
+/// points at a box with no new identity.
+fn remap_node(node: &BoxNode, new_id: BoxId, old2new: &HashMap<u32, u32>) -> Option<BoxNode> {
+    let mut out = node.clone();
+    out.id = new_id;
+    for view in &mut out.views {
+        for item in &mut view.items {
+            match item {
+                Item::Link { target, .. } => {
+                    *target = BoxId(*old2new.get(&target.0)?);
+                }
+                Item::Container { members, .. } => {
+                    for m in members.iter_mut() {
+                        *m = BoxId(*old2new.get(&m.0)?);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Edge signatures of a graph in semantic-key space, with multiplicity.
+fn edge_sigs(g: &Graph, keys: &[Key]) -> HashMap<(Key, String, Key), i64> {
+    let mut sigs = HashMap::new();
+    for b in g.boxes() {
+        for view in &b.views {
+            for item in &view.items {
+                let targets: Vec<BoxId> = match item {
+                    Item::Link { target, .. } => vec![*target],
+                    Item::Container { members, .. } => members.clone(),
+                    _ => continue,
+                };
+                for t in targets {
+                    let sig = (
+                        keys[b.id.0 as usize].clone(),
+                        item.name().to_string(),
+                        keys[t.0 as usize].clone(),
+                    );
+                    *sigs.entry(sig).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    sigs
+}
+
+fn count_text_changes(old: &BoxNode, new: &BoxNode) -> u32 {
+    let mut n = 0;
+    for ov in &old.views {
+        let Some(nv) = new.views.iter().find(|v| v.name == ov.name) else {
+            continue;
+        };
+        for oi in &ov.items {
+            if let Item::Text { name, value, .. } = oi {
+                for ni in &nv.items {
+                    if let Item::Text {
+                        name: nn,
+                        value: nval,
+                        ..
+                    } = ni
+                    {
+                        if nn == name && nval != value {
+                            n += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    n
+}
+
+/// The delta that turns `base` into `new`, computed the long way.
+fn oracle(base: &Graph, new: &Graph) -> GraphDelta {
+    let base_keys = keys_of(base);
+    let new_keys = keys_of(new);
+    let base_index: HashMap<&Key, u32> = base_keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| (k, i as u32))
+        .collect();
+
+    let mut old2new: HashMap<u32, u32> = HashMap::new();
+    for (new_id, key) in new_keys.iter().enumerate() {
+        if let Some(&old_id) = base_index.get(key) {
+            old2new.insert(old_id, new_id as u32);
+        }
+    }
+
+    let mut summary = DeltaSummary {
+        boxes_removed: (base.len() - old2new.len()) as u32,
+        ..DeltaSummary::default()
+    };
+    let mut remap: Vec<(u32, u32)> = old2new.iter().map(|(&o, &n)| (o, n)).collect();
+    remap.sort_unstable();
+
+    let mut boxes: Vec<BoxNode> = Vec::new();
+    for (new_id, key) in new_keys.iter().enumerate() {
+        let nb = &new.boxes()[new_id];
+        match base_index.get(key) {
+            Some(&old_id) => {
+                let carried = remap_node(
+                    &base.boxes()[old_id as usize],
+                    BoxId(new_id as u32),
+                    &old2new,
+                );
+                match carried {
+                    Some(c) if c == *nb => {}
+                    _ => {
+                        summary.boxes_changed += 1;
+                        summary.texts_changed +=
+                            count_text_changes(&base.boxes()[old_id as usize], nb);
+                        boxes.push(nb.clone());
+                    }
+                }
+            }
+            None => {
+                summary.boxes_added += 1;
+                boxes.push(nb.clone());
+            }
+        }
+    }
+
+    let old_sigs = edge_sigs(base, &base_keys);
+    let new_sigs = edge_sigs(new, &new_keys);
+    for (sig, n) in &new_sigs {
+        let old_n = old_sigs.get(sig).copied().unwrap_or(0);
+        summary.edges_added += (n - old_n).max(0) as u32;
+    }
+    for (sig, n) in &old_sigs {
+        let new_n = new_sigs.get(sig).copied().unwrap_or(0);
+        summary.edges_removed += (n - new_n).max(0) as u32;
+    }
+
+    GraphDelta {
+        base_len: base.len() as u32,
+        new_len: new.len() as u32,
+        remap,
+        boxes,
+        roots: new.roots.clone(),
+        summary,
+    }
+}
+
+// ------------------------------------------------------------- model --
+
+/// Real boxes draw addresses from a small pool, so one address often
+/// carries two labels and repeated `(addr, label)` pairs deduplicate.
+const ADDRS: [u64; 5] = [0x1000, 0x2000, 0x3000, 0x4000, 0x5000];
+const REAL: [&str; 3] = ["Task", "MM", "Node"];
+const VIRTUAL: [&str; 2] = ["V", "Cell"];
+const NAMES: [&str; 4] = ["pid", "next", "kids", "state"];
+
+/// One item; box references are indices into [`Pane::boxes`].
+#[derive(Debug, Clone)]
+enum ItemSpec {
+    Text(&'static str, i64),
+    Link(&'static str, usize),
+    Null(&'static str),
+    Members(&'static str, ContainerKind, Vec<usize>),
+}
+
+#[derive(Debug, Clone)]
+struct BoxSpec {
+    addr: u64,
+    label: &'static str,
+    views: Vec<(String, Vec<ItemSpec>)>,
+    attrs: Attrs,
+}
+
+/// One pane's extraction: boxes in discovery order, box 0 the root.
+#[derive(Debug, Clone)]
+struct Pane {
+    boxes: Vec<BoxSpec>,
+}
+
+impl Pane {
+    /// Intern every box in order, as the interpreter does: a repeated
+    /// `(addr, label)` resolves to the first box and adds no content.
+    fn build(&self) -> Graph {
+        let mut g = Graph::new();
+        let ids: Vec<(BoxId, bool)> = self
+            .boxes
+            .iter()
+            .map(|b| match b.addr {
+                0 => g.intern(0, b.label, "", 0),
+                addr => g.intern(addr, b.label, "obj", 64),
+            })
+            .collect();
+        for (b, &(id, fresh)) in self.boxes.iter().zip(&ids) {
+            if !fresh {
+                continue;
+            }
+            let node = g.get_mut(id);
+            node.attrs = b.attrs.clone();
+            node.views = b
+                .views
+                .iter()
+                .map(|(name, items)| ViewInst {
+                    name: name.clone(),
+                    items: items.iter().map(|it| it.build(&ids)).collect(),
+                })
+                .collect();
+        }
+        g.roots.push(ids[0].0);
+        g
+    }
+
+    /// Rewrite every box reference through `f`; a reference `f` drops
+    /// nulls its link or leaves its container.
+    fn retarget(&mut self, f: impl Fn(usize) -> Option<usize>) {
+        for b in &mut self.boxes {
+            for (_, items) in &mut b.views {
+                for it in items.iter_mut() {
+                    match it {
+                        ItemSpec::Link(name, t) => match f(*t) {
+                            Some(u) => *t = u,
+                            None => *it = ItemSpec::Null(name),
+                        },
+                        ItemSpec::Members(_, _, ms) => {
+                            *ms = ms.iter().filter_map(|&t| f(t)).collect()
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `pick`-th item of box `i` that `want` accepts, cycling.
+    fn item_mut(
+        &mut self,
+        i: usize,
+        pick: usize,
+        want: fn(&ItemSpec) -> bool,
+    ) -> Option<&mut ItemSpec> {
+        let mut hits: Vec<&mut ItemSpec> = self.boxes[i]
+            .views
+            .iter_mut()
+            .flat_map(|(_, items)| items.iter_mut())
+            .filter(|it| want(it))
+            .collect();
+        let n = hits.len();
+        (n > 0).then(|| hits.swap_remove(pick % n))
+    }
+
+    fn mutate(&mut self, m: Mutation) {
+        let n = self.boxes.len();
+        let (a, b, c) = (m.a % n, m.b % n, m.c);
+        let is_text = |it: &ItemSpec| matches!(it, ItemSpec::Text(..));
+        let is_link = |it: &ItemSpec| matches!(it, ItemSpec::Link(..));
+        let is_members = |it: &ItemSpec| matches!(it, ItemSpec::Members(..));
+        match m.kind {
+            // Text edit.
+            0 => {
+                if let Some(ItemSpec::Text(_, v)) = self.item_mut(a, m.b, is_text) {
+                    *v += 1 + c;
+                }
+            }
+            // Retargeted link.
+            1 => {
+                if let Some(ItemSpec::Link(_, t)) = self.item_mut(a, m.c as usize, is_link) {
+                    *t = b;
+                }
+            }
+            // Nulled link.
+            2 => {
+                if let Some(it) = self.item_mut(a, m.b, is_link) {
+                    *it = ItemSpec::Null(it.name());
+                }
+            }
+            // Reordered, grown, shrunk or re-kinded container.
+            3..=6 => {
+                if let Some(ItemSpec::Members(_, kind, ms)) =
+                    self.item_mut(a, m.c as usize, is_members)
+                {
+                    match m.kind {
+                        3 => ms.reverse(),
+                        4 => ms.push(b),
+                        5 => drop(ms.pop()),
+                        _ => {
+                            *kind = match kind {
+                                ContainerKind::Sequence => ContainerKind::Set,
+                                ContainerKind::Set => ContainerKind::Sequence,
+                            }
+                        }
+                    }
+                }
+            }
+            // Added box, discovered at position `at` and linked from `a`.
+            7 => {
+                let at = m.b % (n + 1);
+                self.retarget(|t| Some(if t >= at { t + 1 } else { t }));
+                let (addr, label) = match c % 3 {
+                    0 => (0, VIRTUAL[c as usize / 3 % 2]),
+                    _ => (
+                        ADDRS[c as usize % ADDRS.len()],
+                        REAL[c as usize % REAL.len()],
+                    ),
+                };
+                self.boxes.insert(
+                    at,
+                    BoxSpec {
+                        addr,
+                        label,
+                        views: vec![("default".into(), vec![ItemSpec::Text("pid", c)])],
+                        attrs: Attrs::default(),
+                    },
+                );
+                let from = if a >= at { a + 1 } else { a };
+                match self.boxes[from].views.first_mut() {
+                    Some((_, items)) => items.push(ItemSpec::Link("next", at)),
+                    None => self.boxes[from]
+                        .views
+                        .push(("default".into(), vec![ItemSpec::Link("next", at)])),
+                }
+            }
+            // Removed box: links to it null, containers drop it.
+            8 => {
+                if n > 1 {
+                    self.boxes.remove(a);
+                    self.retarget(|t| match t.cmp(&a) {
+                        std::cmp::Ordering::Less => Some(t),
+                        std::cmp::Ordering::Equal => None,
+                        std::cmp::Ordering::Greater => Some(t - 1),
+                    });
+                }
+            }
+            // Display attributes.
+            9 => {
+                let attrs = &mut self.boxes[a].attrs;
+                match c % 3 {
+                    0 => attrs.collapsed = !attrs.collapsed,
+                    1 => attrs.set("view", serde_json::json!("sched")),
+                    _ => attrs.set("pinned", serde_json::json!(c)),
+                }
+            }
+            // Added view.
+            10 => self.boxes[a]
+                .views
+                .push(("sched".into(), vec![ItemSpec::Text("state", c)])),
+            // Two boxes discovered in the other order: ids renumber.
+            _ => {
+                self.boxes.swap(a, b);
+                self.retarget(|t| {
+                    Some(match t {
+                        t if t == a => b,
+                        t if t == b => a,
+                        t => t,
+                    })
+                });
+            }
+        }
+    }
+}
+
+impl ItemSpec {
+    fn name(&self) -> &'static str {
+        match self {
+            ItemSpec::Text(n, _)
+            | ItemSpec::Link(n, _)
+            | ItemSpec::Null(n)
+            | ItemSpec::Members(n, ..) => n,
+        }
+    }
+
+    fn build(&self, ids: &[(BoxId, bool)]) -> Item {
+        let id = |i: usize| ids[i % ids.len()].0;
+        match self {
+            ItemSpec::Text(name, v) => Item::Text {
+                name: name.to_string(),
+                value: v.to_string(),
+                raw: Some(*v),
+            },
+            ItemSpec::Link(name, t) => Item::Link {
+                name: name.to_string(),
+                target: id(*t),
+            },
+            ItemSpec::Null(name) => Item::NullLink {
+                name: name.to_string(),
+            },
+            ItemSpec::Members(name, kind, ms) => Item::Container {
+                name: name.to_string(),
+                kind: *kind,
+                members: ms.iter().map(|&t| id(t)).collect(),
+                attrs: Attrs::default(),
+            },
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Mutation {
+    kind: u8,
+    a: usize,
+    b: usize,
+    c: i64,
+}
+
+fn arb_item() -> impl Strategy<Value = ItemSpec> {
+    (
+        0u8..4,
+        0usize..NAMES.len(),
+        0i64..4,
+        any::<usize>(),
+        proptest::collection::vec(any::<usize>(), 0..4),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, name, v, target, members, set)| {
+            let name = NAMES[name];
+            match kind {
+                0 => ItemSpec::Text(name, v),
+                1 => ItemSpec::Link(name, target),
+                2 => ItemSpec::Null(name),
+                _ => {
+                    let kind = if set {
+                        ContainerKind::Set
+                    } else {
+                        ContainerKind::Sequence
+                    };
+                    ItemSpec::Members(name, kind, members)
+                }
+            }
+        })
+}
+
+fn arb_box() -> impl Strategy<Value = BoxSpec> {
+    (
+        0u8..4,
+        0usize..ADDRS.len(),
+        0usize..REAL.len(),
+        proptest::collection::vec(arb_item(), 0..5),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, slot, label, items, collapsed)| {
+            let (addr, label) = match kind {
+                0 => (0, VIRTUAL[label % VIRTUAL.len()]),
+                _ => (ADDRS[slot], REAL[label]),
+            };
+            BoxSpec {
+                addr,
+                label,
+                views: vec![("default".into(), items)],
+                attrs: Attrs {
+                    collapsed,
+                    ..Attrs::default()
+                },
+            }
+        })
+}
+
+fn arb_pane() -> impl Strategy<Value = Pane> {
+    proptest::collection::vec(arb_box(), 1..10).prop_map(|boxes| {
+        let n = boxes.len();
+        let mut pane = Pane { boxes };
+        pane.retarget(|t| Some(t % n));
+        pane
+    })
+}
+
+/// A base pane and the same pane after up to six random changes.
+fn arb_pair() -> impl Strategy<Value = (Graph, Graph)> {
+    let mutation = (0u8..12, any::<usize>(), any::<usize>(), 0i64..60)
+        .prop_map(|(kind, a, b, c)| Mutation { kind, a, b, c });
+    (arb_pane(), proptest::collection::vec(mutation, 0..7)).prop_map(|(pane, muts)| {
+        let base = pane.build();
+        let mut next = pane;
+        for m in muts {
+            next.mutate(m);
+        }
+        (base, next.build())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn diff_matches_the_oracle_and_rebuilds_the_new_graph(pair in arb_pair()) {
+        let (a, b) = pair;
+        for (base, new) in [(&a, &b), (&b, &a)] {
+            let d = diff(base, new);
+            prop_assert_eq!(&d, &oracle(base, new));
+            let back = apply(base, &d);
+            prop_assert_eq!(back.as_ref(), Ok(new));
+            prop_assert_eq!(back.unwrap().to_json(), new.to_json());
+        }
+    }
+}
+
+#[test]
+fn generated_pairs_cover_every_kind_of_change() {
+    // The property above is only as good as the pairs it sees: check
+    // that they keep, change, add and remove boxes, churn edges, and
+    // renumber kept boxes.
+    let mut rng = proptest::test_runner::TestRng::from_seed_str("diff_oracle coverage");
+    let mut seen = DeltaSummary::default();
+    let mut renumbered = 0;
+    let mut kept = 0;
+    for _ in 0..512 {
+        let (a, b) = arb_pair().generate(&mut rng);
+        let d = diff(&a, &b);
+        seen.boxes_added += d.summary.boxes_added;
+        seen.boxes_removed += d.summary.boxes_removed;
+        seen.boxes_changed += d.summary.boxes_changed;
+        seen.edges_added += d.summary.edges_added;
+        seen.edges_removed += d.summary.edges_removed;
+        seen.texts_changed += d.summary.texts_changed;
+        renumbered += d.remap.iter().filter(|(o, n)| o != n).count();
+        kept += d.remap.len() - d.summary.boxes_changed as usize;
+    }
+    for (what, n) in [
+        ("boxes added", seen.boxes_added),
+        ("boxes removed", seen.boxes_removed),
+        ("boxes changed", seen.boxes_changed),
+        ("edges added", seen.edges_added),
+        ("edges removed", seen.edges_removed),
+        ("texts changed", seen.texts_changed),
+        ("boxes renumbered", renumbered as u32),
+        ("boxes kept", kept as u32),
+    ] {
+        assert!(n >= 50, "only {n} {what} over 512 pairs");
+    }
+}

@@ -319,11 +319,14 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         // One span per distiller invocation, labeled with the distiller
         // and the root symbol path it walks. Inclusive of the per-element
         // materialization below (nested ctors open nested spans).
-        let label = match args.first() {
-            Some(RValue::CExpr(e)) => format!("{ctor_name}({})", e.src.trim()),
-            _ => format!("{ctor_name}(…)"),
-        };
-        let _span = vtrace::span(self.target.tracer(), vtrace::SpanKind::Distill, label);
+        let _span = vtrace::span_with(
+            self.target.tracer(),
+            vtrace::SpanKind::Distill,
+            || match args.first() {
+                Some(RValue::CExpr(e)) => format!("{ctor_name}({})", e.src.trim()),
+                _ => format!("{ctor_name}(…)"),
+            },
+        );
         let mut cargs = Vec::with_capacity(args.len());
         for a in args {
             match self.eval(a, scope)? {

@@ -16,10 +16,10 @@
 //!   else re-walks — including everything, when dirty info is unknown
 //!   (the degradation ladder's bottom rung is exactly the old
 //!   whole-epoch behaviour);
-//! * [`splice`] folds a re-walked pane back into its retained graph via
-//!   [`vgraph::diff`]/[`vgraph::apply`], yielding the same
-//!   [`vgraph::GraphDelta`] vserve ships to clients — so the wire cost
-//!   of a refresh is proportional to what actually changed.
+//! * a re-walked pane's fresh graph replaces its retained one outright.
+//!   The delta a client sees is computed once, by vserve, from the graph
+//!   it last shipped — so the wire cost of a refresh is proportional to
+//!   what actually changed.
 //!
 //! The subsystem never *improves* fidelity claims by guessing: every
 //! shortcut is justified by an exact dirty set, and the equivalence
@@ -29,7 +29,6 @@
 use std::collections::BTreeMap;
 
 use vbridge::{DirtyInfo, DirtySet};
-use vgraph::{diff, Graph, GraphDelta};
 
 /// Why a pane could not be served from its retained graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +48,7 @@ pub enum RewalkReason {
 pub enum Decision {
     /// The retained graph is provably current: serve it as-is.
     Keep,
-    /// Re-extract the pane, then [`splice`] it into the retained graph.
+    /// Re-extract the pane; the fresh graph replaces the retained one.
     Rewalk(RewalkReason),
 }
 
@@ -133,41 +132,6 @@ impl TouchedIndex {
     }
 }
 
-/// A re-walked pane folded back into its retained graph.
-#[derive(Debug, Clone)]
-pub struct Spliced {
-    /// The post-splice graph. Byte-identical (in wire form) to the
-    /// fresh extraction — `apply(retained, diff(retained, fresh))`
-    /// reconstructs `fresh` exactly; that invariant is what lets the
-    /// incremental path claim fidelity.
-    pub graph: Graph,
-    /// The delta that carried the change — the same wire object vserve
-    /// ships to clients, so refresh cost is proportional to mutation.
-    pub delta: GraphDelta,
-    /// Boxes carried over unchanged from the retained graph.
-    pub carried: usize,
-}
-
-/// Splice a freshly re-walked pane into its retained predecessor.
-///
-/// Returns the delta alongside the reconstructed graph; an unchanged
-/// pane yields an empty delta (`delta.summary.is_empty()`).
-pub fn splice(retained: &Graph, fresh: &Graph) -> Spliced {
-    let delta = diff::diff(retained, fresh);
-    let graph = diff::apply(retained, &delta)
-        .expect("splice: delta computed from these very graphs must apply");
-    // Identity-persistent boxes minus the changed ones rode along.
-    let carried = delta
-        .remap
-        .len()
-        .saturating_sub(delta.summary.boxes_changed as usize);
-    Spliced {
-        graph,
-        delta,
-        carried,
-    }
-}
-
 /// Outcome counters for one whole refresh (all panes of one stop).
 /// Feed these to `Target::note_incr` so live runs and replays report
 /// byte-identical `vincr_*` stats.
@@ -239,32 +203,6 @@ mod tests {
         // Re-recording replaces rather than accumulates.
         idx.record("b", [(0x500, 4)]);
         assert_eq!(idx.get("b").unwrap().ranges(), &[(0x500, 4)]);
-    }
-
-    #[test]
-    fn splice_reconstructs_fresh_exactly() {
-        let mut retained = Graph::new();
-        let (a, _) = retained.intern(0x1000, "task", "task_struct", 64);
-        let (b, _) = retained.intern(0x2000, "mm", "mm_struct", 32);
-        retained.roots.push(a);
-        retained.roots.push(b);
-
-        let mut fresh = Graph::new();
-        let (a2, _) = fresh.intern(0x1000, "task", "task_struct", 64);
-        fresh.get_mut(a2).attrs.set("pid", serde_json::json!(42));
-        let (b2, _) = fresh.intern(0x2000, "mm", "mm_struct", 32);
-        fresh.roots.push(a2);
-        fresh.roots.push(b2);
-
-        let s = splice(&retained, &fresh);
-        assert_eq!(s.graph.to_json(), fresh.to_json(), "byte-identical splice");
-        assert!(!s.delta.summary.is_empty());
-        assert_eq!(s.carried, 1, "the mm box rode along unchanged");
-
-        // Unchanged pane: empty delta, everything carried.
-        let s2 = splice(&fresh, &fresh);
-        assert!(s2.delta.summary.is_empty());
-        assert_eq!(s2.carried, 2);
     }
 
     #[test]

@@ -428,7 +428,9 @@ pub fn parse_hello(buf: &mut DecodeBuf) -> Result<Option<u16>, FrameError> {
 /// Server side: check the client's announced version against [`VERSION`]
 /// and produce the verdict frame to send back. `Err` carries the skew
 /// (after the caller ships the reject frame, the connection is done).
-pub fn negotiate_server(theirs: u16) -> Result<[u8; HANDSHAKE_LEN], (FrameError, [u8; HANDSHAKE_LEN])> {
+pub fn negotiate_server(
+    theirs: u16,
+) -> Result<[u8; HANDSHAKE_LEN], (FrameError, [u8; HANDSHAKE_LEN])> {
     if theirs == VERSION {
         Ok(accept_frame(VERSION))
     } else {

@@ -538,11 +538,9 @@ impl Server {
                         .to_json()
                     }
                     Ok(cmd) => {
-                        let _sp = vtrace::span(
-                            self.session.tracer(),
-                            SpanKind::Serve,
-                            format!("serve:{}", tag_of(&cmd)),
-                        );
+                        let _sp = vtrace::span_with(self.session.tracer(), SpanKind::Serve, || {
+                            format!("serve:{}", tag_of(&cmd))
+                        });
                         self.dispatch(client, &cmd)
                     }
                 };

@@ -38,9 +38,12 @@ fn deltas_reconstruct_and_beat_full_ships_across_the_corpus() {
 
     // Round 1: baseline full ships for every figure.
     for fig in &figs {
-        conn.send(&VCommand::VplotRequest {
-            viewcl: fig.viewcl.to_string(),
-        }, SendMode::Blocking)
+        conn.send(
+            &VCommand::VplotRequest {
+                viewcl: fig.viewcl.to_string(),
+            },
+            SendMode::Blocking,
+        )
         .unwrap();
         let ev = replica.apply_line(&conn.recv().unwrap()).unwrap();
         assert!(
@@ -62,9 +65,12 @@ fn deltas_reconstruct_and_beat_full_ships_across_the_corpus() {
     // follows along and acks whatever it applied.
     let mut replies = Vec::new();
     for fig in &figs {
-        conn.send(&VCommand::VplotRequest {
-            viewcl: fig.viewcl.to_string(),
-        }, SendMode::Blocking)
+        conn.send(
+            &VCommand::VplotRequest {
+                viewcl: fig.viewcl.to_string(),
+            },
+            SendMode::Blocking,
+        )
         .unwrap();
         let line = conn.recv().unwrap();
         let ev = replica.apply_line(&line).unwrap();

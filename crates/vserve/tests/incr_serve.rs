@@ -54,9 +54,12 @@ fn serve_rounds(incremental: bool, rounds: u64) -> (Vec<String>, ServeStats) {
                 .expect("stop event");
         }
         for fig in &figs {
-            conn.send(&VCommand::VplotRequest {
-                viewcl: fig.viewcl.to_string(),
-            }, SendMode::Blocking)
+            conn.send(
+                &VCommand::VplotRequest {
+                    viewcl: fig.viewcl.to_string(),
+                },
+                SendMode::Blocking,
+            )
             .expect("send");
             replica
                 .apply_line(&conn.recv().expect("reply"))

@@ -60,9 +60,12 @@ fn server_serves_a_replay_capture_without_an_image() {
     let mut replica = Replica::new();
     for (id, want) in FIGS.iter().zip(&expected) {
         let fig = figures::by_id(id).unwrap();
-        conn.send(&VCommand::VplotRequest {
-            viewcl: fig.viewcl.to_string(),
-        }, SendMode::Blocking)
+        conn.send(
+            &VCommand::VplotRequest {
+                viewcl: fig.viewcl.to_string(),
+            },
+            SendMode::Blocking,
+        )
         .expect("send");
         let reply = conn.recv().expect("reply");
         assert_eq!(&reply, want, "figure {id} diverged from the live recording");

@@ -169,7 +169,10 @@ fn nonblocking_send_reports_backpressure_then_closed() {
     // Graceful shutdown: queued work is still answered before the
     // engine returns, but nothing new gets in.
     handle.shutdown();
-    assert_eq!(conn.send(&ping, SendMode::NonBlocking), Err(ServeError::Closed));
+    assert_eq!(
+        conn.send(&ping, SendMode::NonBlocking),
+        Err(ServeError::Closed)
+    );
     assert!(conn.send(&ping, SendMode::Blocking).is_err());
     server.run();
     let reply = conn.recv().expect("queued request was served");
@@ -221,9 +224,12 @@ fn shutdown_drains_requests_queued_by_departed_clients() {
     let handle = server.handle();
     let conn = handle.connect();
     for _ in 0..3 {
-        conn.send(&VCommand::VplotRequest {
-            viewcl: fig.viewcl.to_string(),
-        }, SendMode::Blocking)
+        conn.send(
+            &VCommand::VplotRequest {
+                viewcl: fig.viewcl.to_string(),
+            },
+            SendMode::Blocking,
+        )
         .expect("queued while the engine is not yet running");
     }
     // The client hangs up with its requests still queued, then the

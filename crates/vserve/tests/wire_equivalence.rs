@@ -99,7 +99,11 @@ fn serve_profile(profile: LatencyProfile, rounds: u64) {
                 "{}: round {round}: the wire changed the payload",
                 fig.id
             );
-            let expect = if round == 0 { "\"command\":\"vplot\"" } else { "\"command\":\"vplot_delta\"" };
+            let expect = if round == 0 {
+                "\"command\":\"vplot\""
+            } else {
+                "\"command\":\"vplot_delta\""
+            };
             assert!(over_binary.contains(expect), "{}: round {round}", fig.id);
         }
     }

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use visualinux::proto::{VCommand, VResponse, VERSION};
 use vserve::framing::{
-    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame,
-    sniff, BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
+    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame, sniff,
+    BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
 };
 use vserve::{byte_pair, Io, ServeConfig, Server, SingleSession, WireClient, WireConfig, WirePump};
 
@@ -45,11 +45,7 @@ fn representable(f: &dyn Framing, payloads: &[String]) -> Vec<String> {
 
 /// Drain `buf` through `f`, bounding the iteration count so a decoder
 /// that stops making progress fails the test instead of hanging it.
-fn drain(
-    f: &dyn Framing,
-    buf: &mut DecodeBuf,
-    out: &mut Vec<String>,
-) -> Result<(), FrameError> {
+fn drain(f: &dyn Framing, buf: &mut DecodeBuf, out: &mut Vec<String>) -> Result<(), FrameError> {
     for _ in 0..100_000 {
         match f.decode(buf)? {
             Some(p) => out.push(p),

@@ -60,8 +60,8 @@ pub enum SpanKind {
     /// Plan-mode extraction: walk-plan compilation, one scheduler wave,
     /// or one plan-node walk + span fetch.
     Plan,
-    /// Incremental refresh: the dirty-set intersection decision plus
-    /// (on a rewalk) the splice into the retained graph.
+    /// Incremental refresh: the dirty-set intersection that decides
+    /// whether a retained pane is kept or re-walked.
     Incr,
     /// One ViewQL program applied to a pane.
     Query,
@@ -552,8 +552,18 @@ impl Drop for SpanHandle {
 
 /// Open a span on `tracer` (when present) for the enclosing scope.
 pub fn span(tracer: Option<&Rc<Tracer>>, kind: SpanKind, name: impl Into<String>) -> SpanHandle {
+    span_with(tracer, kind, || name.into())
+}
+
+/// [`span`] with a name built only when a tracer is attached, for
+/// labels that cost a `format!` on untraced hot paths.
+pub fn span_with(
+    tracer: Option<&Rc<Tracer>>,
+    kind: SpanKind,
+    name: impl FnOnce() -> String,
+) -> SpanHandle {
     if let Some(t) = tracer {
-        t.begin(kind, name);
+        t.begin(kind, name());
     }
     SpanHandle {
         tracer: tracer.cloned(),

@@ -36,8 +36,8 @@ use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::proto::VCommand;
 use visualinux::Session;
 use vserve::{
-    Replica, ReplicaEvent, ServeConfig, Server, SingleSession, StreamIo, WireClient,
-    WireConfig, WirePump,
+    Replica, ReplicaEvent, ServeConfig, Server, SingleSession, StreamIo, WireClient, WireConfig,
+    WirePump,
 };
 
 /// A nonblocking TCP stream as a pump lane / client codec substrate.
@@ -171,7 +171,11 @@ fn main() -> std::io::Result<()> {
     let wire = pump_thread.join().expect("pump");
     println!(
         "wire: {} lanes ({} binary, {} lines), {} frames in / {} out, {} sweeps",
-        wire.accepted, wire.hello_binary, wire.hello_lines, wire.frames_in, wire.frames_out,
+        wire.accepted,
+        wire.hello_binary,
+        wire.hello_lines,
+        wire.frames_in,
+        wire.frames_out,
         wire.sweeps
     );
     wire.reconcile().expect("wire books balance");
