@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ksim::workload::{AllTypes, Workload, WorkloadConfig, WorkloadRoots};
 use ksim::KernelImage;
@@ -400,8 +401,6 @@ impl SessionBuilder {
             exec_mode,
             scenario,
             incremental,
-            dirty_log: Vec::new(),
-            touched: RefCell::new(vincr::TouchedIndex::new()),
             retained: RefCell::new(HashMap::new()),
             programs: RefCell::default(),
         };
@@ -450,18 +449,26 @@ pub struct Session {
     /// Incremental re-extraction (vincr) is on: retained pane graphs
     /// refresh against backend-reported dirty sets between stops.
     incremental: bool,
-    /// One entry per resume since attach: what changed across it.
-    /// Retained panes remember the log length at extraction; the dirty
-    /// set they must survive is the union of everything after.
-    dirty_log: Vec<DirtyInfo>,
-    /// Address spans each retained pane read during its last walk.
-    touched: RefCell<vincr::TouchedIndex>,
-    /// Retained graphs keyed by ViewCL source, with the dirty-log
-    /// length at extraction time.
-    retained: RefCell<HashMap<String, (Graph, usize)>>,
+    /// Retained panes keyed by ViewCL source.
+    retained: RefCell<HashMap<String, Retained>>,
     /// Parsed ViewCL programs by source: a pane re-extracted on every
     /// stop is parsed once, not once per walk.
     programs: RefCell<ProgramCache>,
+}
+
+/// A retained pane (vincr): the graph its last walk produced, and what
+/// the resumes since then did to the spans that walk read. Each resume
+/// updates every record once, so a keep is a flag read.
+struct Retained {
+    graph: Arc<Graph>,
+    stats: GraphStats,
+    /// Address spans the walk read.
+    touched: DirtySet,
+    /// A resume since the walk may have changed a span it read.
+    stale: bool,
+    /// Bytes the resumes since the walk dirtied, summed; `None` once one
+    /// of them could not say.
+    dirty_bytes: Option<u64>,
 }
 
 /// Most programs, and most source bytes, a session keeps parsed.
@@ -626,7 +633,11 @@ impl Session {
             let _ = s.consume_resume();
         }
         if self.incremental {
-            self.dirty_log.push(info);
+            let bytes = info.known().map(DirtySet::total_bytes);
+            for r in self.retained.get_mut().values_mut() {
+                r.dirty_bytes = r.dirty_bytes.zip(bytes).map(|(a, b)| a + b);
+                r.stale = r.stale || !vincr::decide(&r.touched, &info).is_keep();
+            }
         }
     }
 
@@ -672,20 +683,6 @@ impl Session {
     /// Whether incremental re-extraction (vincr) is on.
     pub fn incremental(&self) -> bool {
         self.incremental
-    }
-
-    /// What changed since a retained pane's extraction: the union of
-    /// every dirty set logged after `epoch`; `Unknown` if any resume in
-    /// the window could not say.
-    fn dirty_since(&self, epoch: usize) -> DirtyInfo {
-        let mut ranges = Vec::new();
-        for info in &self.dirty_log[epoch..] {
-            match info.known() {
-                Some(set) => ranges.extend_from_slice(set.ranges()),
-                None => return DirtyInfo::Unknown,
-            }
-        }
-        DirtyInfo::Known(DirtySet::from_ranges(ranges))
     }
 
     /// The active execution mode.
@@ -851,13 +848,22 @@ impl Session {
     /// Evaluate a ViewCL program against the stopped kernel, producing a
     /// graph, without creating a pane. Returns the graph and its stats.
     pub fn extract(&self, viewcl_src: &str) -> Result<(Graph, PlotStats)> {
+        let (graph, stats) = self.extract_shared(viewcl_src)?;
+        Ok((Arc::unwrap_or_clone(graph), stats))
+    }
+
+    /// [`Session::extract`] without taking the graph over. A pane an
+    /// incremental session keeps comes back as its retained allocation
+    /// itself, so callers can tell an unchanged pane by `Arc::ptr_eq`.
+    pub fn extract_shared(&self, viewcl_src: &str) -> Result<(Arc<Graph>, PlotStats)> {
         self.extract_labeled(viewcl_src, "extract")
     }
 
-    /// [`Session::extract`] with a span label (the figure id for library
-    /// plots). The root `extract` span covers the whole pipeline; parse
-    /// and interp get child spans, distillers nest inside interp.
-    fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Graph, PlotStats)> {
+    /// [`Session::extract_shared`] with a span label (the figure id for
+    /// library plots). The root `extract` span covers the whole
+    /// pipeline; parse and interp get child spans, distillers nest
+    /// inside interp.
+    fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Arc<Graph>, PlotStats)> {
         let tracer = self.tracer.as_ref();
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
         let program = {
@@ -865,24 +871,22 @@ impl Session {
             self.programs.borrow_mut().get_or_parse(viewcl_src)?
         };
         let target = self.target();
-        // vincr: if a retained graph exists and the dirty set since its
-        // extraction provably misses every span it read, serve it as-is
-        // — zero wire traffic, and byte-identical to a fresh walk, since
-        // nothing it read has changed.
+        // vincr: if no resume since the retained graph's walk dirtied a
+        // span it read, serve it as-is — zero wire traffic, and
+        // byte-identical to a fresh walk, since nothing it read has
+        // changed.
         if self.incremental {
-            if let Some((retained, epoch)) = self.retained.borrow().get(viewcl_src) {
+            if let Some(r) = self.retained.borrow().get(viewcl_src) {
                 let _s =
                     vtrace::span_with(tracer, SpanKind::Incr, || format!("incr::decide {label}"));
-                let dirty = self.dirty_since(*epoch);
-                let bytes = dirty.known().map_or(0, |s| s.total_bytes());
-                let decision = vincr::decide(self.touched.borrow().get(viewcl_src), &dirty);
-                if decision.is_keep() {
+                let bytes = r.dirty_bytes.unwrap_or(0);
+                if !r.stale {
                     target.note_incr(1, 0, bytes);
                     let stats = PlotStats {
-                        graph: GraphStats::of(retained),
+                        graph: r.stats,
                         target: target.stats(),
                     };
-                    return Ok((retained.clone(), stats));
+                    return Ok((Arc::clone(&r.graph), stats));
                 }
                 target.note_incr(0, 1, bytes);
             }
@@ -901,23 +905,26 @@ impl Session {
             let _s = vtrace::span(tracer, SpanKind::Interp, "interp::run");
             let mut interp = viewcl::Interp::new(&target, &self.helpers);
             interp.run(&program)?;
-            interp.into_graph()
+            Arc::new(interp.into_graph())
         };
-        if self.incremental {
-            // Remember what this walk read; the fresh graph replaces
-            // the retained one.
-            self.touched
-                .borrow_mut()
-                .record(viewcl_src, target.take_touched());
-            self.retained.borrow_mut().insert(
-                viewcl_src.to_string(),
-                (graph.clone(), self.dirty_log.len()),
-            );
-        }
         let stats = PlotStats {
             graph: GraphStats::of(&graph),
             target: target.stats(),
         };
+        if self.incremental {
+            // Remember what this walk read; the fresh graph replaces
+            // the retained one.
+            self.retained.borrow_mut().insert(
+                viewcl_src.to_string(),
+                Retained {
+                    graph: Arc::clone(&graph),
+                    stats: stats.graph,
+                    touched: DirtySet::from_ranges(target.take_touched()),
+                    stale: false,
+                    dirty_bytes: Some(0),
+                },
+            );
+        }
         // The distillers tolerate per-object memory faults (corrupt
         // pointers render as diagnostics), but a capture-level failure
         // means the replay itself is broken: surface it loudly instead
@@ -971,7 +978,7 @@ impl Session {
 
     fn plot_labeled(&mut self, viewcl_src: &str, label: &str) -> Result<PaneId> {
         let (graph, stats) = self.extract_labeled(viewcl_src, label)?;
-        let pane = self.adopt_graph(graph, Some(stats))?;
+        let pane = self.adopt_graph(Arc::unwrap_or_clone(graph), Some(stats))?;
         self.record_trace(pane);
         Ok(pane)
     }
@@ -1444,6 +1451,20 @@ plot @m
         let (want, _) = s.extract(&source(0)).unwrap();
         assert_eq!(got.to_json(), want.to_json());
         assert!(!s.programs.borrow().programs.contains_key(&big));
+    }
+
+    #[test]
+    fn a_kept_pane_is_handed_out_as_its_retained_allocation() {
+        let mut s = Session::builder(build(&WorkloadConfig::default()))
+            .incremental()
+            .attach()
+            .expect("live attach");
+        let src = crate::figures::by_id("fig3-4").expect("figure").viewcl;
+        let (walked, _) = s.extract_shared(src).unwrap();
+        s.stop_event(|_| {}).unwrap();
+        let (kept, stats) = s.extract_shared(src).unwrap();
+        assert_eq!(stats.target.vincr_hits, 1);
+        assert!(Arc::ptr_eq(&walked, &kept));
     }
 
     #[test]

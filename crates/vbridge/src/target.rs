@@ -61,8 +61,10 @@ pub struct TargetStats {
     /// Panes re-walked because the dirty set intersected their touched
     /// spans — or because the backend reported an unknown dirty set.
     pub vincr_rewalks: u64,
-    /// Total mutated bytes reported by the backend across resumes
-    /// (0 whenever dirty information was unknown).
+    /// Mutated bytes behind the incremental refresh decisions: for each
+    /// kept or re-walked pane, the bytes dirtied by every resume since
+    /// that pane's last walk, summed per resume — 0 for the pane when
+    /// any of those resumes could not say what changed.
     pub dirty_bytes: u64,
 }
 

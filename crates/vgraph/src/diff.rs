@@ -183,26 +183,6 @@ fn carries_over(old: &BoxNode, new: &BoxNode, new_id: u32, old2new: &[Option<u32
         })
 }
 
-/// A copy of base box `node` at `new_id` with every edge rewritten
-/// through `old2new`. Returns `None` when an edge points at a box with
-/// no new identity.
-fn remap_node(node: &BoxNode, new_id: BoxId, old2new: &[Option<u32>]) -> Option<BoxNode> {
-    let mut out = node.clone();
-    out.id = new_id;
-    for item in out.views.iter_mut().flat_map(|v| &mut v.items) {
-        match item {
-            Item::Link { target, .. } => *target = BoxId(remapped(old2new, *target)?),
-            Item::Container { members, .. } => {
-                for m in members.iter_mut() {
-                    *m = BoxId(remapped(old2new, *m)?);
-                }
-            }
-            _ => {}
-        }
-    }
-    Some(out)
-}
-
 /// A box's outgoing edges (links and container memberships) as
 /// `(item name, target)` pairs.
 fn edges(b: &BoxNode) -> impl Iterator<Item = (&str, BoxId)> {
@@ -278,6 +258,20 @@ fn count_text_changes(old: &BoxNode, new: &BoxNode) -> u32 {
 /// compared with it in place, through the old→new id map; only changed
 /// and added boxes are cloned into the delta.
 pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
+    if std::ptr::eq(base, new) {
+        // One allocation: every box persists at its own id, unchanged.
+        // Keys of an intern-built graph are unique, so the comparison
+        // below would map each box to itself and return exactly this.
+        let n = base.len() as u32;
+        return GraphDelta {
+            base_len: n,
+            new_len: n,
+            remap: (0..n).map(|i| (i, i)).collect(),
+            boxes: Vec::new(),
+            roots: new.roots.clone(),
+            summary: DeltaSummary::default(),
+        };
+    }
     let base_index: HashMap<Key, u32> = keys_of(base).zip(0..).collect();
     // new→old and old→new over every persistent identity.
     let new2old: Vec<Option<u32>> = keys_of(new).map(|k| base_index.get(&k).copied()).collect();
@@ -342,16 +336,38 @@ pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
 
 /// Apply a delta to the base it was computed against, reconstructing the
 /// new graph exactly (same boxes, ids, roots — byte-identical wire form).
+/// A copy of `base` plus [`apply_in_place`].
 pub fn apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
-    if base.len() as u32 != delta.base_len {
+    let mut graph = base.clone();
+    apply_in_place(&mut graph, delta.clone())?;
+    Ok(graph)
+}
+
+/// [`apply`] to `graph` itself. Every check runs before anything
+/// changes, so on error the graph is untouched. When every persistent
+/// box keeps its id, only the shipped boxes are written; otherwise the
+/// base boxes move into their new slots with their edges rewritten.
+/// Either way the intern index follows the boxes.
+pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffError> {
+    let base_len = graph.len();
+    if base_len as u32 != delta.base_len {
         return Err(DiffError::BaseMismatch {
             expected: delta.base_len,
-            got: base.len() as u32,
+            got: base_len as u32,
         });
     }
-    let mut slots: Vec<Option<BoxNode>> = vec![None; delta.new_len as usize];
-    let mut old2new: Vec<Option<u32>> = vec![None; base.len()];
-    let mut claimed = vec![false; delta.new_len as usize];
+    // Each new slot holds a shipped box or a carried base box, so no
+    // delta that applies is longer than both together. `new_len` comes
+    // off the wire: bound it before allocating anything by it.
+    let new_len = delta.new_len as usize;
+    if new_len > base_len + delta.boxes.len() {
+        return Err(DiffError::BadId(format!(
+            "new_len {new_len} over {base_len} base boxes plus {} shipped",
+            delta.boxes.len()
+        )));
+    }
+    let mut old2new: Vec<Option<u32>> = vec![None; base_len];
+    let mut claimed = vec![false; new_len];
     for &(o, n) in &delta.remap {
         if o >= delta.base_len || n >= delta.new_len {
             return Err(DiffError::BadId(format!("remap ({o}, {n})")));
@@ -365,37 +381,71 @@ pub fn apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
     }
 
     // Patched and added boxes ship in full.
+    let mut shipped = vec![false; new_len];
     for b in &delta.boxes {
-        let Some(slot) = slots.get_mut(b.id.0 as usize) else {
+        let Some(slot) = shipped.get_mut(b.id.0 as usize) else {
             return Err(DiffError::BadId(format!("box {}", b.id.0)));
         };
-        if slot.is_some() {
+        if *slot {
             return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
         }
-        *slot = Some(b.clone());
+        *slot = true;
     }
 
-    // Everything else persists from the base, edges rewritten.
-    for ((o, ob), n) in (0..).zip(base.boxes()).zip(&old2new) {
+    // Everything else persists from the base, so each of its edges
+    // needs a new identity.
+    for ((o, ob), n) in (0..).zip(graph.boxes()).zip(&old2new) {
         let Some(n) = *n else { continue };
-        let slot = &mut slots[n as usize];
-        if slot.is_none() {
-            let node = remap_node(ob, BoxId(n), &old2new)
-                .ok_or(DiffError::UnmappedEdge { from: o, to: n })?;
-            *slot = Some(node);
+        if !shipped[n as usize] && edges(ob).any(|(_, t)| remapped(&old2new, t).is_none()) {
+            return Err(DiffError::UnmappedEdge { from: o, to: n });
         }
+    }
+    if let Some(i) = (0..new_len).find(|&i| !shipped[i] && !claimed[i]) {
+        return Err(DiffError::MissingBox(i as u32));
+    }
+    if let Some(r) = delta.roots.iter().find(|r| r.0 >= delta.new_len) {
+        return Err(DiffError::BadId(format!("root {}", r.0)));
     }
 
-    let mut boxes = Vec::with_capacity(delta.new_len as usize);
-    for (i, slot) in slots.into_iter().enumerate() {
-        boxes.push(slot.ok_or(DiffError::MissingBox(i as u32))?);
-    }
-    for r in &delta.roots {
-        if r.0 >= delta.new_len {
-            return Err(DiffError::BadId(format!("root {}", r.0)));
+    if new_len == base_len && delta.remap.iter().all(|&(o, n)| o == n) {
+        // Carried boxes keep their slots, and every edge they hold
+        // already names its target's new id.
+        for (i, b) in (0..).zip(graph.boxes_mut()) {
+            b.id = BoxId(i);
         }
+        for b in delta.boxes {
+            graph.replace_box(b);
+        }
+        graph.roots = delta.roots;
+        return Ok(());
     }
-    Ok(Graph::from_parts(boxes, delta.roots.clone()))
+    let mut slots: Vec<Option<BoxNode>> = vec![None; new_len];
+    for (mut ob, n) in std::mem::take(graph).into_boxes().into_iter().zip(&old2new) {
+        let Some(n) = *n else { continue };
+        if shipped[n as usize] {
+            continue;
+        }
+        ob.id = BoxId(n);
+        let renumber = |t: &mut BoxId| *t = BoxId(remapped(&old2new, *t).expect("edges checked"));
+        for item in ob.views.iter_mut().flat_map(|v| &mut v.items) {
+            match item {
+                Item::Link { target, .. } => renumber(target),
+                Item::Container { members, .. } => members.iter_mut().for_each(renumber),
+                _ => {}
+            }
+        }
+        slots[n as usize] = Some(ob);
+    }
+    for b in delta.boxes {
+        let at = b.id.0 as usize;
+        slots[at] = Some(b);
+    }
+    let boxes = slots
+        .into_iter()
+        .map(|b| b.expect("every slot checked filled"))
+        .collect();
+    *graph = Graph::from_parts(boxes, delta.roots);
+    Ok(())
 }
 
 #[cfg(test)]

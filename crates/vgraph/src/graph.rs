@@ -258,6 +258,29 @@ impl Graph {
         &mut self.boxes[id.0 as usize]
     }
 
+    /// Put `node` into the slot its id names, moving its intern-index
+    /// entry when the slot's address changes.
+    pub(crate) fn replace_box(&mut self, node: BoxNode) {
+        let pos = node.id.0;
+        let (old, new) = (self.boxes[pos as usize].addr, node.addr);
+        self.boxes[pos as usize] = node;
+        if old == new {
+            return;
+        }
+        if let Some(at) = self.by_addr.get_mut(&old) {
+            at.retain(|&p| p != pos);
+        }
+        if new != 0 {
+            let at = self.by_addr.entry(new).or_default();
+            at.insert(at.partition_point(|&p| p < pos), pos);
+        }
+    }
+
+    /// The boxes, by value.
+    pub(crate) fn into_boxes(self) -> Vec<BoxNode> {
+        self.boxes
+    }
+
     /// All boxes.
     pub fn boxes(&self) -> &[BoxNode] {
         &self.boxes

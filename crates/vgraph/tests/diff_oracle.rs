@@ -9,13 +9,20 @@
 //! semantic identity. Random pairs of intern-built graphs must get the
 //! same `GraphDelta` from both — summary included — and the delta must
 //! rebuild the new graph exactly.
+//!
+//! `vgraph::diff::apply_in_place` rewrites the base graph itself, and
+//! `apply` is a copy plus `apply_in_place`. [`oracle_apply`] is the
+//! earlier `apply`, which assembled a fresh graph slot by slot. Every
+//! delta, sound or corrupted, must get the oracle's result from both:
+//! the same graph or the same error, and an untouched graph on error.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use vgraph::diff::{apply, diff};
+use vgraph::diff::{apply, apply_in_place, diff};
 use vgraph::{
-    Attrs, BoxId, BoxNode, ContainerKind, DeltaSummary, Graph, GraphDelta, Item, ViewInst,
+    Attrs, BoxId, BoxNode, ContainerKind, DeltaSummary, DiffError, Graph, GraphDelta, Item,
+    ViewInst,
 };
 
 // ------------------------------------------------------------ oracle --
@@ -184,6 +191,63 @@ fn oracle(base: &Graph, new: &Graph) -> GraphDelta {
         roots: new.roots.clone(),
         summary,
     }
+}
+
+/// The earlier `apply`: fill a fresh slot per new box, shipped boxes
+/// first, then carried base boxes with their edges rewritten.
+fn oracle_apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
+    if base.len() as u32 != delta.base_len {
+        return Err(DiffError::BaseMismatch {
+            expected: delta.base_len,
+            got: base.len() as u32,
+        });
+    }
+    let mut slots: Vec<Option<BoxNode>> = vec![None; delta.new_len as usize];
+    let mut old2new: Vec<Option<u32>> = vec![None; base.len()];
+    let mut claimed = vec![false; delta.new_len as usize];
+    for &(o, n) in &delta.remap {
+        if o >= delta.base_len || n >= delta.new_len {
+            return Err(DiffError::BadId(format!("remap ({o}, {n})")));
+        }
+        let (old, new) = (&mut old2new[o as usize], &mut claimed[n as usize]);
+        if old.is_some() || *new {
+            return Err(DiffError::BadId(format!("duplicate in remap ({o}, {n})")));
+        }
+        *old = Some(n);
+        *new = true;
+    }
+    for b in &delta.boxes {
+        let Some(slot) = slots.get_mut(b.id.0 as usize) else {
+            return Err(DiffError::BadId(format!("box {}", b.id.0)));
+        };
+        if slot.is_some() {
+            return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
+        }
+        *slot = Some(b.clone());
+    }
+    let old2new: HashMap<u32, u32> = (0..)
+        .zip(&old2new)
+        .filter_map(|(o, n)| n.map(|n| (o, n)))
+        .collect();
+    for (o, ob) in (0..).zip(base.boxes()) {
+        let Some(&n) = old2new.get(&o) else { continue };
+        let slot = &mut slots[n as usize];
+        if slot.is_none() {
+            let node = remap_node(ob, BoxId(n), &old2new)
+                .ok_or(DiffError::UnmappedEdge { from: o, to: n })?;
+            *slot = Some(node);
+        }
+    }
+    let mut boxes = Vec::with_capacity(delta.new_len as usize);
+    for (i, slot) in slots.into_iter().enumerate() {
+        boxes.push(slot.ok_or(DiffError::MissingBox(i as u32))?);
+    }
+    for r in &delta.roots {
+        if r.0 >= delta.new_len {
+            return Err(DiffError::BadId(format!("root {}", r.0)));
+        }
+    }
+    Ok(Graph::from_parts(boxes, delta.roots.clone()))
 }
 
 // ------------------------------------------------------------- model --
@@ -564,5 +628,239 @@ fn generated_pairs_cover_every_kind_of_change() {
         ("boxes kept", kept as u32),
     ] {
         assert!(n >= 50, "only {n} {what} over 512 pairs");
+    }
+}
+
+// ------------------------------------------------------- corruptions --
+
+/// One way to break a sound delta; `a` and `b` pick where and how far.
+#[derive(Debug, Clone, Copy)]
+struct Corruption {
+    kind: u8,
+    a: usize,
+    b: u32,
+}
+
+fn arb_corruption() -> impl Strategy<Value = Corruption> {
+    (0u8..10, any::<usize>(), 0u32..6).prop_map(|(kind, a, b)| Corruption { kind, a, b })
+}
+
+fn nth<T>(v: &[T], i: usize) -> Option<usize> {
+    (!v.is_empty()).then(|| i % v.len())
+}
+
+/// Targets of every edge of `g`.
+fn edge_targets(g: &Graph) -> Vec<u32> {
+    let mut out = Vec::new();
+    for item in g
+        .boxes()
+        .iter()
+        .flat_map(|b| &b.views)
+        .flat_map(|v| &v.items)
+    {
+        match item {
+            Item::Link { target, .. } => out.push(target.0),
+            Item::Container { members, .. } => out.extend(members.iter().map(|m| m.0)),
+            _ => {}
+        }
+    }
+    out
+}
+
+fn corrupt(d: &mut GraphDelta, base: &Graph, c: Corruption) {
+    let (base_len, new_len, k) = (d.base_len, d.new_len, c.b % 3);
+    match c.kind {
+        // A remap id out of range, on either side.
+        0 => {
+            if let Some(i) = nth(&d.remap, c.a) {
+                match c.b % 2 {
+                    0 => d.remap[i].0 = base_len + k,
+                    _ => d.remap[i].1 = new_len + k,
+                }
+            }
+        }
+        // An old or new id the remap names twice.
+        1 => {
+            if let Some(i) = nth(&d.remap, c.a) {
+                let (o, n) = d.remap[i];
+                d.remap.push(match c.b % 3 {
+                    0 => (o, n),
+                    1 => (o, (n + 1) % new_len.max(1)),
+                    _ => ((o + 1) % base_len.max(1), n),
+                });
+            }
+        }
+        // A shipped box out of range.
+        2 => {
+            if let Some(i) = nth(&d.boxes, c.a) {
+                d.boxes[i].id = BoxId(new_len + k);
+            }
+        }
+        // A box shipped twice.
+        3 => {
+            if let Some(i) = nth(&d.boxes, c.a) {
+                let again = d.boxes[i].clone();
+                d.boxes.push(again);
+            }
+        }
+        // A shipped box dropped.
+        4 => {
+            if let Some(i) = nth(&d.boxes, c.a) {
+                d.boxes.remove(i);
+            }
+        }
+        // A root out of range.
+        5 => d.roots.push(BoxId(new_len + k)),
+        // The wrong base.
+        6 => {
+            d.base_len = match c.b % 2 {
+                0 => base_len + 1 + k,
+                _ => base_len.saturating_sub(1 + k),
+            }
+        }
+        // An edge target the remap no longer carries.
+        7 => {
+            let targets = edge_targets(base);
+            if let Some(i) = nth(&targets, c.a) {
+                d.remap.retain(|&(o, _)| o != targets[i]);
+            }
+        }
+        // More new boxes than the base and the shipped boxes can fill.
+        8 => d.new_len = base_len + d.boxes.len() as u32 + 1 + k,
+        // Fewer new boxes than the delta names.
+        _ => d.new_len = new_len.saturating_sub(1 + k),
+    }
+}
+
+/// Whether interning each real box's `(addr, label)` finds that box.
+fn interns_to_itself(g: &Graph) -> bool {
+    let mut probe = g.clone();
+    g.boxes()
+        .iter()
+        .filter(|b| b.addr != 0)
+        .all(|b| probe.intern(b.addr, &b.label, &b.ctype, b.size) == (b.id, false))
+}
+
+/// What applying `d` to `base` gives, through `apply` and through
+/// `apply_in_place`, checked against each other and the oracle.
+fn apply_both(base: &Graph, d: &GraphDelta) -> Result<Result<Graph, DiffError>, TestCaseError> {
+    let copied = apply(base, d);
+    let mut graph = base.clone();
+    let in_place = apply_in_place(&mut graph, d.clone()).map(|()| graph.clone());
+    prop_assert_eq!(&copied, &in_place);
+    if in_place.is_err() {
+        prop_assert_eq!(&graph, base, "a failed apply changed the graph");
+    }
+    prop_assert!(interns_to_itself(&graph), "intern index out of step");
+    // No delta longer than the base plus its shipped boxes can apply:
+    // it is refused before anything is sized by its `new_len`.
+    if base.len() as u32 == d.base_len && d.new_len as usize > base.len() + d.boxes.len() {
+        let named = format!("new_len {} ", d.new_len);
+        prop_assert!(
+            matches!(&in_place, Err(DiffError::BadId(m)) if m.starts_with(&named)),
+            "{:?}",
+            in_place
+        );
+    } else {
+        prop_assert_eq!(&in_place, &oracle_apply(base, d));
+    }
+    Ok(in_place)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn in_place_apply_matches_the_oracle_on_sound_and_corrupted_deltas(
+        pair in arb_pair(),
+        corruptions in proptest::collection::vec(arb_corruption(), 0..3),
+    ) {
+        let (a, b) = pair;
+        for g in [&a, &b] {
+            prop_assert_eq!(diff(g, g), oracle(g, &g.clone()));
+        }
+        for (base, new) in [(&a, &b), (&b, &a)] {
+            let mut d = diff(base, new);
+            for &c in &corruptions {
+                corrupt(&mut d, base, c);
+            }
+            let got = apply_both(base, &d)?;
+            if corruptions.is_empty() {
+                prop_assert_eq!(got.as_ref(), Ok(new));
+            }
+        }
+    }
+}
+
+#[test]
+fn corrupted_deltas_reach_every_outcome() {
+    // The property above is only as good as the deltas it sees: check
+    // that they apply and fail in every way `apply_in_place` can.
+    let mut rng = proptest::test_runner::TestRng::from_seed_str("diff_oracle corruptions");
+    let mut seen: HashMap<&str, u32> = HashMap::new();
+    for _ in 0..512 {
+        let (base, new) = arb_pair().generate(&mut rng);
+        let mut d = diff(&base, &new);
+        corrupt(&mut d, &base, arb_corruption().generate(&mut rng));
+        let outcome = match apply_both(&base, &d).expect("matches the oracle") {
+            Ok(_) => "applied",
+            Err(DiffError::BaseMismatch { .. }) => "base mismatch",
+            Err(DiffError::BadId(m)) if m.starts_with("new_len") => "new_len bound",
+            Err(DiffError::BadId(_)) => "bad id",
+            Err(DiffError::UnmappedEdge { .. }) => "unmapped edge",
+            Err(DiffError::MissingBox(_)) => "missing box",
+        };
+        *seen.entry(outcome).or_default() += 1;
+    }
+    for outcome in [
+        "applied",
+        "base mismatch",
+        "new_len bound",
+        "bad id",
+        "unmapped edge",
+        "missing box",
+    ] {
+        let n = seen.get(outcome).copied().unwrap_or(0);
+        assert!(
+            n >= 10,
+            "only {n} corrupted deltas ended in {outcome}: {seen:?}"
+        );
+    }
+}
+
+#[test]
+fn carried_boxes_take_their_slot_ids_when_the_base_numbers_them_otherwise() {
+    // A graph off the wire can give its boxes ids other than their
+    // positions. The oracle gives each carried box its new slot's id,
+    // and so must the in-place path, even when no box moves.
+    let mut g = Graph::new();
+    g.intern(0x1000, "Task", "task_struct", 64);
+    g.intern(0x2000, "Task", "task_struct", 64);
+    g.roots.push(BoxId(0));
+    let mut boxes = g.boxes().to_vec();
+    boxes[0].id = BoxId(1);
+    boxes[1].id = BoxId(0);
+    let base = Graph::from_parts(boxes, g.roots.clone());
+    let identity = GraphDelta {
+        base_len: 2,
+        new_len: 2,
+        remap: vec![(0, 0), (1, 1)],
+        boxes: Vec::new(),
+        roots: vec![BoxId(0)],
+        summary: DeltaSummary::default(),
+    };
+    let got = apply_both(&base, &identity).expect("matches the oracle");
+    assert_eq!(got, Ok(g));
+}
+
+#[test]
+fn a_graph_diffed_with_itself_is_the_identity_on_every_figure() {
+    use visualinux::ksim::workload::{build, WorkloadConfig};
+    let session = visualinux::Session::builder(build(&WorkloadConfig::default()))
+        .attach()
+        .expect("live attach");
+    for fig in visualinux::figures::all() {
+        let (g, _) = session.extract(fig.viewcl).expect("the figure extracts");
+        assert_eq!(diff(&g, &g), oracle(&g, &g.clone()), "{}", fig.id);
     }
 }

@@ -60,20 +60,20 @@ impl Replica {
                 Ok(ReplicaEvent::Full { source })
             }
             VCommand::VplotDelta { source, seq, delta } => {
-                let Some((have, base)) = self.plots.get(&source) else {
+                let Some((have, graph)) = self.plots.get_mut(&source) else {
                     return Err(ServeError::OutOfSync(format!(
                         "delta for `{source}` but no baseline"
                     )));
                 };
-                if seq != have + 1 {
+                if seq != *have + 1 {
                     return Err(ServeError::OutOfSync(format!(
                         "delta seq {seq} after {have}"
                     )));
                 }
                 let summary = delta.summary;
-                let next =
-                    diff::apply(base, &delta).map_err(|e| ServeError::OutOfSync(e.to_string()))?;
-                self.plots.insert(source.clone(), (seq, next));
+                diff::apply_in_place(graph, delta)
+                    .map_err(|e| ServeError::OutOfSync(e.to_string()))?;
+                *have = seq;
                 Ok(ReplicaEvent::Delta {
                     source,
                     seq,
@@ -188,5 +188,43 @@ mod tests {
             fresh.apply_line(&d.to_json()),
             Err(ServeError::OutOfSync(_))
         ));
+    }
+
+    #[test]
+    fn oversized_new_len_is_refused_and_the_replica_stays_usable() {
+        let mut r = Replica::new();
+        let base = graph(1);
+        r.apply_line(
+            &VCommand::Vplot {
+                graph: base.clone(),
+                source: "src".into(),
+            }
+            .to_json(),
+        )
+        .unwrap();
+        // A matching `base_len` gets a delta past the first check; a
+        // slot table sized by this `new_len` would take hundreds of GB.
+        let mut delta = diff::diff(&base, &graph(2));
+        delta.new_len = u32::MAX;
+        let hostile = VCommand::VplotDelta {
+            source: "src".into(),
+            seq: 1,
+            delta,
+        };
+        match r.apply_line(&hostile.to_json()) {
+            Err(ServeError::OutOfSync(m)) => assert!(m.contains("new_len 4294967295"), "{m}"),
+            other => panic!("hostile delta applied: {other:?}"),
+        }
+        assert_eq!(r.graph("src"), Some(&base));
+        assert_eq!(r.seq("src"), Some(0));
+
+        let good = VCommand::VplotDelta {
+            source: "src".into(),
+            seq: 1,
+            delta: diff::diff(&base, &graph(2)),
+        };
+        r.apply_line(&good.to_json()).unwrap();
+        assert_eq!(r.graph("src"), Some(&graph(2)));
+        assert_eq!(r.seq("src"), Some(1));
     }
 }

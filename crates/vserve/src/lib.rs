@@ -21,11 +21,14 @@
 //! * **Delta sync.** Per `(client, source)` the server remembers the
 //!   last shipped graph and sends a [`vgraph::GraphDelta`]
 //!   (`vplot_delta`) when it is smaller than a full re-ship, falling
-//!   back to `vplot` otherwise; [`Replica`] applies them client-side and
-//!   answers `vack`.
+//!   back to `vplot` otherwise; [`Replica`] applies them client-side,
+//!   in place, and answers `vack`.
 //! * **Stop events.** [`ServerHandle::stop_event`] queues an image
 //!   mutation; the engine applies it strictly ordered with requests,
-//!   bumps the cache epoch and drops the extraction memo.
+//!   bumps the cache epoch and invalidates the extraction memo. A pane
+//!   the session kept comes back as the allocation the memo already
+//!   serves, so its full payload is reused and its identity delta is
+//!   built without comparing boxes.
 //! * **The wire.** See DESIGN.md §17: byte streams plug in through the
 //!   nonblocking [`Io`] seam, a [`Framing`] turns bytes into `VCommand`
 //!   payloads (newline-JSON [`LineFraming`], or length-prefixed

@@ -313,7 +313,9 @@ struct DeltaMemo {
     payload: String,
 }
 
-/// One memoized extraction, valid for the current stop generation.
+/// One source's memoized extraction: what it serves in the current stop
+/// generation — or, until it is served again, in the one that just
+/// ended — and the graph of the generation before.
 struct MemoEntry {
     graph: Arc<vgraph::Graph>,
     stats: PlotStats,
@@ -322,36 +324,38 @@ struct MemoEntry {
     /// sibling engine).
     full: Arc<str>,
     delta: Option<DeltaMemo>,
+    /// The previous generation's key and graph: the base of the
+    /// canonical `previous → current` delta, recognized by pointer and
+    /// fetched from / published to the shared store.
+    prev: Option<(u64, Arc<vgraph::Graph>)>,
+    /// Served in the current generation, so requests coalesce on it.
+    /// Every stop clears it: a repeated generation key still
+    /// invalidates.
+    fresh: bool,
 }
 
-impl MemoEntry {
-    fn new(source: &str, graph: vgraph::Graph, stats: PlotStats) -> MemoEntry {
-        // Move the graph into the command to serialize it, then back out:
-        // the full ship costs no graph clone.
-        let cmd = VCommand::Vplot {
-            graph,
-            source: source.to_string(),
-        };
-        let full = cmd.to_json();
-        let VCommand::Vplot { graph, .. } = cmd else {
-            unreachable!("built as a vplot above")
-        };
-        MemoEntry {
-            graph: Arc::new(graph),
-            stats,
-            full: full.into(),
-            delta: None,
+/// Serialize the full `vplot` ship of `graph`. A graph only the caller
+/// holds moves into the command and back out; one the session retains
+/// (an incremental re-walk) is cloned for the command instead, so the
+/// allocation a later keep hands out is still the one served.
+fn encode_full(source: &str, graph: Arc<vgraph::Graph>) -> (Arc<vgraph::Graph>, Arc<str>) {
+    let source = source.to_string();
+    match Arc::try_unwrap(graph) {
+        Ok(graph) => {
+            let cmd = VCommand::Vplot { graph, source };
+            let full = cmd.to_json();
+            let VCommand::Vplot { graph, .. } = cmd else {
+                unreachable!("built as a vplot above")
+            };
+            (Arc::new(graph), full.into())
         }
-    }
-
-    /// Adopt a sibling engine's published extraction wholesale — no
-    /// graph clone, no re-serialization.
-    fn from_shared(sp: SharedPlot) -> MemoEntry {
-        MemoEntry {
-            graph: sp.graph,
-            stats: sp.stats,
-            full: sp.full,
-            delta: None,
+        Err(graph) => {
+            let full = VCommand::Vplot {
+                graph: (*graph).clone(),
+                source,
+            }
+            .to_json();
+            (graph, full.into())
         }
     }
 }
@@ -381,10 +385,6 @@ pub struct Server {
     /// what a respawned successor must re-enact. Kept only while a
     /// shared store is attached: only a fleet respawns engines.
     journal: Vec<JournalEntry>,
-    /// The previous generation's graphs, kept across a stop so the
-    /// canonical `previous → current` delta per source can be recognized
-    /// (by pointer) and fetched from / published to the shared store.
-    prev: HashMap<String, (u64, Arc<vgraph::Graph>)>,
 }
 
 impl Server {
@@ -408,7 +408,6 @@ impl Server {
             generation: 0,
             lag: Vec::new(),
             journal: Vec::new(),
-            prev: HashMap::new(),
         }
     }
 
@@ -511,13 +510,17 @@ impl Server {
                 }
                 let old = self.generation;
                 self.generation = generation.unwrap_or(self.generation + 1);
-                // The invalidated memo becomes the previous-generation
-                // anchor set: deltas stepping `old → new` are canonical
-                // and shareable across sibling engines.
-                self.prev.clear();
-                for (src, m) in self.memo.drain() {
-                    self.prev.insert(src, (old, m.graph));
-                }
+                // What the ended generation served becomes the anchor of
+                // the canonical `old → new` deltas, shareable across
+                // sibling engines; anything it did not serve goes.
+                self.memo.retain(|_, m| {
+                    let served = std::mem::take(&mut m.fresh);
+                    if served {
+                        m.prev = Some((old, Arc::clone(&m.graph)));
+                        m.delta = None;
+                    }
+                    served
+                });
                 self.stats.stops += 1;
             }
             Request::Gone(id) => {
@@ -635,8 +638,8 @@ impl Server {
                     }
                 }
                 self.journal_served(self.generation, viewcl);
-                self.memo
-                    .insert(viewcl.to_string(), MemoEntry::from_shared(sp));
+                let prev = self.memo.remove(viewcl).and_then(|m| m.prev);
+                self.serve(viewcl, prev, sp.graph, sp.stats, sp.full);
                 return Ok(());
             }
         }
@@ -650,7 +653,10 @@ impl Server {
             }
         }
         let tape_from = self.session.replay_state().map(|st| st.position());
-        let (graph, pstats) = self.session.extract(viewcl).map_err(|e| e.to_string())?;
+        let (graph, pstats) = self
+            .session
+            .extract_shared(viewcl)
+            .map_err(|e| e.to_string())?;
         self.stats.walks += 1;
         self.stats.walk_packets += pstats.target.reads;
         self.stats.walk_bytes += pstats.target.bytes;
@@ -658,15 +664,28 @@ impl Server {
         self.stats.walk_cache_hits += pstats.target.cache_hits;
         self.stats.walk_faults += pstats.target.faults;
         self.journal_served(self.generation, viewcl);
-        let entry = MemoEntry::new(viewcl, graph, pstats);
+        // A pane the session kept comes back as the very allocation this
+        // source last served, whose full payload is already encoded. Any
+        // other payload is freed before the new one is encoded.
+        let (prev, kept) = match self.memo.remove(viewcl) {
+            Some(m) => (m.prev, Arc::ptr_eq(&m.graph, &graph).then_some(m.full)),
+            None => (None, None),
+        };
+        let (graph, full) = match kept {
+            Some(full) => (graph, full),
+            None => {
+                self.stats.full_encodes += 1;
+                encode_full(viewcl, graph)
+            }
+        };
         if let Some(share) = &self.share {
             share.publish(
                 self.generation,
                 viewcl,
                 &SharedPlot {
-                    graph: Arc::clone(&entry.graph),
+                    graph: Arc::clone(&graph),
                     stats: pstats,
-                    full: Arc::clone(&entry.full),
+                    full: Arc::clone(&full),
                     tape: tape_from.and_then(|from| {
                         self.session.replay_state().map(|st| (from, st.position()))
                     }),
@@ -678,8 +697,29 @@ impl Server {
                 }
             }
         }
-        self.memo.insert(viewcl.to_string(), entry);
+        self.serve(viewcl, prev, graph, pstats, full);
         Ok(())
+    }
+
+    /// Make `graph` what `viewcl` serves in the current generation,
+    /// over `prev`, the previous generation's graph.
+    fn serve(
+        &mut self,
+        viewcl: &str,
+        prev: Option<(u64, Arc<vgraph::Graph>)>,
+        graph: Arc<vgraph::Graph>,
+        stats: PlotStats,
+        full: Arc<str>,
+    ) {
+        let entry = MemoEntry {
+            graph,
+            stats,
+            full,
+            delta: None,
+            prev,
+            fresh: true,
+        };
+        self.memo.insert(viewcl.to_string(), entry);
     }
 
     /// Re-enact lagged operations (shared-served walks, deferred stops)
@@ -690,7 +730,7 @@ impl Server {
             match op {
                 LagOp::Plot(src) => {
                     self.session
-                        .extract(&src)
+                        .extract_shared(&src)
                         .map_err(|e| format!("catch-up walk of `{src}` failed: {e}"))?;
                     self.stats.catchup_walks += 1;
                 }
@@ -717,7 +757,7 @@ impl Server {
     /// Serve one `vplot_request`: memoized extraction, then a full ship
     /// or a delta, whichever is fewer bytes for *this* client.
     fn plot(&mut self, client: u64, viewcl: &str) -> Result<String, String> {
-        if self.memo.contains_key(viewcl) {
+        if self.memo.get(viewcl).is_some_and(|m| m.fresh) {
             self.stats.coalesced += 1;
         } else {
             self.materialize(viewcl)?;
@@ -773,9 +813,9 @@ impl Server {
                 // → current) is engine-invariant, so its structural diff
                 // can come from the fleet's shared store instead of
                 // being recomputed by every sibling.
-                let canonical_from = self
+                let canonical_from = m
                     .prev
-                    .get(viewcl)
+                    .as_ref()
                     .filter(|(_, pg)| Arc::ptr_eq(pg, &sub.last))
                     .map(|(from, _)| *from);
                 let delta = match (canonical_from, &self.share) {

@@ -18,6 +18,10 @@ pub struct ServeStats {
     pub extractions: u64,
     /// Bridge walks actually performed.
     pub walks: u64,
+    /// Full `vplot` payloads serialized. A walk whose graph is the one
+    /// its source already served (a pane an incremental session kept)
+    /// reuses that payload.
+    pub full_encodes: u64,
     /// Extraction requests answered from a concurrent/identical walk.
     pub coalesced: u64,
     /// Extraction requests answered from a fleet's shared store — a
@@ -77,6 +81,12 @@ impl ServeStats {
                 self.extractions, self.walks, self.coalesced, self.shared_hits
             ));
         }
+        if self.full_encodes > self.walks {
+            return Err(format!(
+                "full encodes ({}) > walks ({})",
+                self.full_encodes, self.walks
+            ));
+        }
         if self.fulls_sent + self.deltas_sent != self.extractions {
             return Err(format!(
                 "fulls ({}) + deltas ({}) != extractions ({})",
@@ -111,6 +121,7 @@ impl ServeStats {
         self.stops += other.stops;
         self.extractions += other.extractions;
         self.walks += other.walks;
+        self.full_encodes += other.full_encodes;
         self.coalesced += other.coalesced;
         self.shared_hits += other.shared_hits;
         self.shared_delta_hits += other.shared_delta_hits;
@@ -327,6 +338,25 @@ mod tests {
             walks: 3,
             coalesced: 1,
             ..ServeStats::default()
+        };
+        assert!(s.reconcile().is_err());
+    }
+
+    #[test]
+    fn reconcile_catches_more_encodes_than_walks() {
+        let settled = ServeStats {
+            requests: 2,
+            plot_requests: 2,
+            extractions: 2,
+            walks: 2,
+            full_encodes: 2,
+            fulls_sent: 2,
+            ..ServeStats::default()
+        };
+        settled.reconcile().unwrap();
+        let s = ServeStats {
+            full_encodes: 3,
+            ..settled
         };
         assert!(s.reconcile().is_err());
     }

@@ -26,10 +26,23 @@ fn attach(incremental: bool) -> Session {
     builder.attach().unwrap()
 }
 
-/// Serve every figure for `rounds` generations (one scheduler tick
-/// between each) and return the final-round graphs plus the engine's
-/// books.
-fn serve_rounds(incremental: bool, rounds: u64) -> (Vec<String>, ServeStats) {
+/// What the stop between two rounds does to the image.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// One scheduler tick.
+    Tick,
+    /// Nothing: every pane stays as it was.
+    Empty,
+}
+
+/// Serve every figure for `rounds` generations (a `stop` between each)
+/// and return the final-round graphs, every reply line in order, and
+/// the engine's books.
+fn serve_rounds(
+    incremental: bool,
+    rounds: u64,
+    stop: Stop,
+) -> (Vec<String>, Vec<String>, ServeStats) {
     let figs = figures::all();
     let (_, _, roots) = build(&WorkloadConfig::default()).finish();
 
@@ -43,13 +56,16 @@ fn serve_rounds(incremental: bool, rounds: u64) -> (Vec<String>, ServeStats) {
     let handle = rx.recv().unwrap();
     let conn = handle.connect();
     let mut replica = Replica::new();
+    let mut replies = Vec::new();
 
     for round in 0..rounds {
         if round > 0 {
             let roots = roots.clone();
             handle
                 .stop_event(move |img| {
-                    ksim::tick::tick(img, &roots, round);
+                    if let Stop::Tick = stop {
+                        ksim::tick::tick(img, &roots, round);
+                    }
                 })
                 .expect("stop event");
         }
@@ -61,9 +77,9 @@ fn serve_rounds(incremental: bool, rounds: u64) -> (Vec<String>, ServeStats) {
                 SendMode::Blocking,
             )
             .expect("send");
-            replica
-                .apply_line(&conn.recv().expect("reply"))
-                .expect("apply");
+            let reply = conn.recv().expect("reply");
+            replica.apply_line(&reply).expect("apply");
+            replies.push(reply);
         }
     }
     let graphs = figs
@@ -73,13 +89,13 @@ fn serve_rounds(incremental: bool, rounds: u64) -> (Vec<String>, ServeStats) {
     drop(conn);
     let stats = engine.join().expect("engine");
     stats.reconcile().expect("books balance");
-    (graphs, stats)
+    (graphs, replies, stats)
 }
 
 #[test]
 fn incremental_engine_collapses_the_post_stop_walk_bill() {
-    let (g_plain, s_plain) = serve_rounds(false, 2);
-    let (g_incr, s_incr) = serve_rounds(true, 2);
+    let (g_plain, _, s_plain) = serve_rounds(false, 2, Stop::Tick);
+    let (g_incr, _, s_incr) = serve_rounds(true, 2, Stop::Tick);
     // Byte-identical serving: every pane a client mirrors from the
     // incremental engine equals the plain engine's fresh re-walk.
     assert_eq!(g_plain, g_incr, "incremental serving drifted");
@@ -88,7 +104,7 @@ fn incremental_engine_collapses_the_post_stop_walk_bill() {
     // tracking reads nothing extra), so the difference is purely the
     // post-stop refresh. One tick dirties a handful of task_struct
     // bytes: the incremental engine must cut that refresh ≥ 5x.
-    let (_, s_round0) = serve_rounds(false, 1);
+    let (_, _, s_round0) = serve_rounds(false, 1, Stop::Tick);
     let post_plain = s_plain.walk_packets - s_round0.walk_packets;
     let post_incr = s_incr.walk_packets.saturating_sub(s_round0.walk_packets);
     assert!(
@@ -99,4 +115,25 @@ fn incremental_engine_collapses_the_post_stop_walk_bill() {
     // refresh decision served the retained graph — not memo hits).
     assert_eq!(s_incr.plot_requests, s_plain.plot_requests);
     assert_eq!(s_incr.stops, 1);
+}
+
+#[test]
+fn kept_panes_reuse_their_full_payload_and_every_reply_is_unchanged() {
+    let (_, plain, s_plain) = serve_rounds(false, 5, Stop::Tick);
+    let (_, incr, s_incr) = serve_rounds(true, 5, Stop::Tick);
+    assert_eq!(plain.len(), incr.len());
+    if let Some(i) = (0..plain.len()).find(|&i| plain[i] != incr[i]) {
+        panic!("reply {i} differs between the plain and incremental engines");
+    }
+    // A plain engine serializes the full plot of every walk.
+    assert_eq!(s_plain.full_encodes, s_plain.walks);
+    assert!(s_incr.full_encodes < s_incr.walks);
+
+    // After an empty stop every pane is kept: the incremental engine
+    // walks each figure again but encodes none of their full plots.
+    let figs = figures::all().len() as u64;
+    let (_, _, once) = serve_rounds(true, 1, Stop::Empty);
+    let (_, _, twice) = serve_rounds(true, 2, Stop::Empty);
+    assert_eq!(twice.walks - once.walks, figs);
+    assert_eq!(twice.full_encodes, once.full_encodes);
 }
