@@ -270,12 +270,12 @@ fn main() {
     let structural: u64 = g
         .boxes()
         .iter()
-        .filter(|b| b.label == "MapleNode" || b.label == "Cell")
+        .filter(|b| &*b.label == "MapleNode" || &*b.label == "Cell")
         .count() as u64;
     let distilled: u64 = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "vm_area_struct")
+        .filter(|b| &*b.ctype == "vm_area_struct")
         .count() as u64;
     t.row(&[
         "distill OFF (tree + pivot cells)".to_string(),
@@ -409,7 +409,7 @@ fn main() {
             .unwrap()
             .boxes()
             .iter()
-            .filter(|b| b.label == "Diag")
+            .filter(|b| &*b.label == "Diag")
             .count();
         let report = s.vcheck();
         if fault.is_none() {

@@ -35,16 +35,20 @@ UPDATE writable_vmas WITH trimmed: true
         .expect("§3.1 ViewQL");
 
     let g = session.graph(pane).unwrap();
-    let nodes = g.boxes().iter().filter(|b| b.label == "MapleNode").count();
+    let nodes = g
+        .boxes()
+        .iter()
+        .filter(|b| &*b.label == "MapleNode")
+        .count();
     let visible_vmas = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "vm_area_struct" && !b.attrs.trimmed)
+        .filter(|b| &*b.ctype == "vm_area_struct" && !b.attrs.trimmed)
         .count();
     let trimmed_vmas = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "vm_area_struct" && b.attrs.trimmed)
+        .filter(|b| &*b.ctype == "vm_area_struct" && b.attrs.trimmed)
         .count();
 
     let text = session.render_text(pane).unwrap();

@@ -79,12 +79,12 @@ pub fn stackrot(profile: LatencyProfile) -> Result<StackRotReport, SessionError>
     // Evidence 1: the victim node is still linked below the tree root.
     let graph = session.graph(pane)?;
     let node_in_tree = graph.boxes().iter().any(|b| {
-        b.label == "MapleNode" && ksim::maple::mte_to_node(b.addr) == injected.victim_node
+        &*b.label == "MapleNode" && ksim::maple::mte_to_node(b.addr) == injected.victim_node
     });
     // Evidence 2: its embedded rcu_head sits on CPU 0's callback list with
     // the maple destructor.
     let node_on_rcu_list = graph.boxes().iter().any(|b| {
-        b.label == "RcuHead"
+        &*b.label == "RcuHead"
             && b.addr == injected.rcu_head
             && matches!(
                 b.item("func"),
@@ -97,7 +97,7 @@ pub fn stackrot(profile: LatencyProfile) -> Result<StackRotReport, SessionError>
     let keep = graph
         .boxes()
         .iter()
-        .find(|b| b.ctype == "vm_area_struct")
+        .find(|b| &*b.ctype == "vm_area_struct")
         .map(|b| b.addr)
         .unwrap_or(0);
     let out = session.vchat(
@@ -109,7 +109,7 @@ pub fn stackrot(profile: LatencyProfile) -> Result<StackRotReport, SessionError>
     let visible_vmas = graph
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "vm_area_struct" && !b.attrs.collapsed && !b.attrs.trimmed)
+        .filter(|b| &*b.ctype == "vm_area_struct" && !b.attrs.collapsed && !b.attrs.trimmed)
         .count();
 
     Ok(StackRotReport {
@@ -217,11 +217,11 @@ pub fn dirty_pipe(profile: LatencyProfile) -> Result<DirtyPipeReport, SessionErr
     let visible_pages: Vec<u64> = graph
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "page" && !b.attrs.trimmed)
+        .filter(|b| &*b.ctype == "page" && !b.attrs.trimmed)
         .map(|b| b.addr)
         .collect();
     let can_merge_flagged = graph.boxes().iter().any(|b| {
-        b.ctype == "pipe_buffer"
+        &*b.ctype == "pipe_buffer"
             && matches!(
                 b.item("flags"),
                 Some(Item::Text { value, .. }) if value.contains("PIPE_BUF_FLAG_CAN_MERGE")

@@ -1200,7 +1200,7 @@ plot @root
             .into_iter()
             .map(|id| {
                 let b = scratch.get(id);
-                (id, b.addr, b.ctype.clone())
+                (id, b.addr, b.ctype.to_string())
             })
             .filter(|(_, addr, ctype)| *addr != 0 && !ctype.is_empty())
             .collect();
@@ -1357,7 +1357,7 @@ mod tests {
             })
             .unwrap();
         let g = s.graph(pane).unwrap();
-        assert_eq!(g.get(g.roots[0]).ctype, "vm_area_struct");
+        assert_eq!(&*g.get(g.roots[0]).ctype, "vm_area_struct");
         // The naive plot shows the real field values.
         assert_eq!(g.get(g.roots[0]).member_raw("vm_start", g), Some(0x400000));
         assert!(matches!(

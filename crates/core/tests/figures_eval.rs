@@ -62,18 +62,22 @@ fn figure_graphs_have_expected_shapes() {
     let tasks = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "task_struct")
+        .filter(|b| &*b.ctype == "task_struct")
         .count();
     assert_eq!(tasks, session.roots.all_tasks.len());
 
     // fig9-2: maple nodes + every VMA of the current task.
     let pane = session.plot(PlotSpec::Figure("fig9-2")).unwrap();
     let g = session.graph(pane).unwrap();
-    let nodes = g.boxes().iter().filter(|b| b.label == "MapleNode").count();
+    let nodes = g
+        .boxes()
+        .iter()
+        .filter(|b| &*b.label == "MapleNode")
+        .count();
     let vmas = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "vm_area_struct")
+        .filter(|b| &*b.ctype == "vm_area_struct")
         .count();
     assert!(nodes >= 2, "expected a multi-node maple tree, got {nodes}");
     assert!(vmas >= 8, "expected the full VMA set, got {vmas}");
@@ -81,22 +85,22 @@ fn figure_graphs_have_expected_shapes() {
     // fig15-1: a real radix tree with pages.
     let pane = session.plot(PlotSpec::Figure("fig15-1")).unwrap();
     let g = session.graph(pane).unwrap();
-    let pages = g.boxes().iter().filter(|b| b.ctype == "page").count();
+    let pages = g.boxes().iter().filter(|b| &*b.ctype == "page").count();
     assert!(pages >= 1, "page cache must hold pages");
 
     // workqueue: both enclosing types present (heterogeneous list).
     let pane = session.plot(PlotSpec::Figure("workqueue")).unwrap();
     let g = session.graph(pane).unwrap();
-    assert!(g.boxes().iter().any(|b| b.label == "DelayedWork"));
+    assert!(g.boxes().iter().any(|b| &*b.label == "DelayedWork"));
     assert!(g
         .boxes()
         .iter()
-        .any(|b| b.label == "Work" && b.ctype == "work_struct"));
+        .any(|b| &*b.label == "Work" && &*b.ctype == "work_struct"));
 
     // socketconn: one socket per process, with skbs.
     let pane = session.plot(PlotSpec::Figure("socketconn")).unwrap();
     let g = session.graph(pane).unwrap();
-    let socks = g.boxes().iter().filter(|b| b.ctype == "socket").count();
+    let socks = g.boxes().iter().filter(|b| &*b.ctype == "socket").count();
     assert_eq!(socks, 5);
 }
 

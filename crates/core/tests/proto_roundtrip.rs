@@ -365,9 +365,9 @@ proptest! {
         source in wire_string(),
     ) {
         let mut g = Graph::new();
-        let (a, _) = g.intern(0x1000, &label, "task_struct", 0x40);
+        let (a, _) = g.intern(0x1000, label.as_str(), "task_struct", 0x40);
         g.get_mut(a).views.push(ViewInst {
-            name: label.clone(),
+            name: label.as_str().into(),
             items: vec![Item::Text {
                 name: "comm".into(),
                 value: value.clone(),

@@ -31,14 +31,14 @@ fn display_state(g: &Graph) -> Vec<BoxState> {
                 .flat_map(|view| &view.items)
                 .filter_map(|i| match i {
                     vgraph::Item::Container { name, attrs, .. } => {
-                        Some((name.clone(), attrs.collapsed, attrs.direction.clone()))
+                        Some((name.to_string(), attrs.collapsed, attrs.direction.clone()))
                     }
                     _ => None,
                 })
                 .collect();
             (
                 b.addr,
-                b.label.clone(),
+                b.label.to_string(),
                 b.attrs.collapsed,
                 b.attrs.trimmed,
                 b.attrs.view.clone(),

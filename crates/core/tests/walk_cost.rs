@@ -1,0 +1,110 @@
+//! What a walk allocates, pinned.
+//!
+//! A session binds what a ViewCL program fixes once: decorators, view
+//! chains and the definitions table at parse time; box C types, anchor
+//! offsets and the names inside its C expressions on the first walk.
+//! Scopes are slot vectors reused across boxes, and names reach the
+//! graph as the program's shared `Arc<str>`s. So a walk allocates only
+//! for what it reads and builds: rendered values, graph vectors and
+//! cache fills. A counting global allocator pins that number for three
+//! figures on a plain session with perfbench's settings (the KGDB
+//! profile and the default cache), and checks it does not move after
+//! 300 scheduler ticks, so nothing is bound again per walk. Allocation
+//! counts repeat exactly; timings do not. This binary holds a single
+//! test so that nothing else allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ksim::workload::{build, WorkloadConfig};
+use vbridge::{CacheConfig, LatencyProfile};
+use visualinux::{figures, Session};
+
+/// Counts every allocation and reallocation, then defers to [`System`].
+struct Counting;
+
+/// Allocations so far. A statistic only: it orders no other memory, so
+/// `Relaxed` suffices.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: each method passes its arguments unchanged to `System`, which
+// implements `GlobalAlloc` soundly, and returns what `System` returned;
+// the counter touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`, and the caller upholds `realloc`'s contract for
+        // `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The figures counted, and what one walk of each allocates after a
+/// tick stop.
+const PINNED: [(&str, u64); 3] = [("fig3-4", 988), ("fig9-2", 470), ("socketconn", 201)];
+
+/// Allocations made by one `extract_shared` of each pinned figure, with
+/// the graph dropped again.
+fn walk_allocations(session: &Session) -> Vec<(&'static str, u64)> {
+    PINNED
+        .iter()
+        .map(|&(id, _)| {
+            let src = figures::by_id(id).expect("figure").viewcl;
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let (graph, _) = session.extract_shared(src).expect("the figure extracts");
+            let n = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            drop(graph);
+            (id, n)
+        })
+        .collect()
+}
+
+#[test]
+fn a_walk_allocates_as_pinned_after_one_stop_and_after_three_hundred() {
+    let cfg = WorkloadConfig {
+        seed: 1,
+        ..WorkloadConfig::default()
+    };
+    let (_, _, roots) = build(&cfg).finish();
+    let mut session = Session::builder(build(&cfg))
+        .profile(LatencyProfile::kgdb_rpi400())
+        .cache(CacheConfig::default())
+        .attach()
+        .expect("live attach");
+    let stop = |session: &mut Session, step: u64| {
+        session
+            .stop_event(|img| {
+                ksim::tick::tick(img, &roots, step);
+            })
+            .expect("a live session takes stop events");
+    };
+    // The warm walk parses each program and binds its names.
+    walk_allocations(&session);
+    stop(&mut session, 1);
+    let after_one = walk_allocations(&session);
+    assert_eq!(after_one, PINNED, "allocations per walk after one stop");
+    for step in 2..=300 {
+        stop(&mut session, step);
+    }
+    assert_eq!(
+        walk_allocations(&session),
+        after_one,
+        "allocations per walk after 300 stops"
+    );
+}

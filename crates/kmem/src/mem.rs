@@ -171,15 +171,26 @@ impl Mem {
     /// Read a NUL-terminated C string (capped at `max` bytes).
     pub fn read_cstr(&self, addr: u64, max: usize) -> Result<String> {
         let mut s = Vec::new();
-        for i in 0..max as u64 {
-            let mut b = [0u8];
-            self.read(addr + i, &mut b)?;
-            if b[0] == 0 {
+        // One page lookup per page the string touches; a fault names the
+        // first byte that is not mapped.
+        let mut i = 0;
+        while i < max {
+            let at = addr + i as u64;
+            let (page, off) = Self::page_of(at);
+            let p = self
+                .pages
+                .get(&page)
+                .ok_or(MemError::Unmapped { addr: at })?;
+            let bytes = &p[off..off + (PAGE_SIZE as usize - off).min(max - i)];
+            if let Some(nul) = bytes.iter().position(|&b| b == 0) {
+                s.extend_from_slice(&bytes[..nul]);
                 break;
             }
-            s.push(b[0]);
+            s.extend_from_slice(bytes);
+            i += bytes.len();
         }
-        Ok(String::from_utf8_lossy(&s).into_owned())
+        Ok(String::from_utf8(s)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
     }
 
     /// Write a NUL-terminated C string at `addr`.
@@ -244,6 +255,16 @@ mod tests {
         assert_eq!(m.read_cstr(0x100, 16).unwrap(), "swapper/0");
         // Truncation at `max`.
         assert_eq!(m.read_cstr(0x100, 4).unwrap(), "swap");
+        // A string running off its last mapped page faults at the first
+        // unmapped byte, and one ending before it does not.
+        m.write(0xff8, b"abcdefgh");
+        assert_eq!(m.read_cstr(0xffc, 3).unwrap(), "efg");
+        assert_eq!(
+            m.read_cstr(0xffc, 8),
+            Err(MemError::Unmapped { addr: 0x1000 })
+        );
+        m.write(0x1000, b"ij\0");
+        assert_eq!(m.read_cstr(0xffc, 64).unwrap(), "efghij");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ktypes::TypeId;
+use ktypes::{Stamp, TypeId};
 
 /// What a symbol denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +35,8 @@ pub struct Symbol {
 pub struct SymbolTable {
     by_name: HashMap<String, Symbol>,
     by_addr: HashMap<u64, String>,
+    /// This state of the table; replaced by every mutation.
+    stamp: Stamp,
 }
 
 impl SymbolTable {
@@ -66,6 +68,13 @@ impl SymbolTable {
     fn insert(&mut self, sym: Symbol) {
         self.by_addr.insert(sym.addr, sym.name.clone());
         self.by_name.insert(sym.name.clone(), sym);
+        self.stamp = Stamp::fresh();
+    }
+
+    /// The table's current state. It changes on every mutation, so a
+    /// name bound under it stays valid exactly while it is current.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// Look up a symbol by name.
@@ -117,6 +126,18 @@ mod tests {
         t.define_function("vmstat_update", 0xffff_ffff_8112_3400);
         assert_eq!(t.name_at(0xffff_ffff_8112_3400), Some("vmstat_update"));
         assert_eq!(t.name_at(0xdead), None);
+    }
+
+    #[test]
+    fn every_definition_takes_a_fresh_stamp() {
+        let mut t = SymbolTable::new();
+        let empty = t.stamp();
+        assert_ne!(empty, SymbolTable::new().stamp(), "two tables");
+        t.define_function("f", 0x10);
+        let one = t.stamp();
+        assert_ne!(one, empty);
+        t.define_function("f", 0x10);
+        assert_ne!(t.stamp(), one, "a redefinition is a mutation");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! little-endian, 8-byte pointers, natural alignment, struct size rounded up
 //! to the maximum member alignment.
 
+mod bind;
 mod decode;
 mod layout;
 mod prim;
@@ -16,6 +17,7 @@ mod registry;
 mod ty;
 mod value;
 
+pub use bind::{Name, Stamp};
 pub use decode::{read_int, read_uint, write_int, BitField};
 pub use layout::StructBuilder;
 pub use prim::Prim;

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use crate::bind::Stamp;
 use crate::prim::Prim;
 use crate::ty::{EnumDef, StructDef, Type, TypeId, TypeKind};
 use crate::{Result, TypeError};
@@ -28,9 +29,16 @@ pub struct TypeRegistry {
     types: Vec<Type>,
     by_name: HashMap<String, TypeId>,
     prims: HashMap<Prim, TypeId>,
-    pointers: HashMap<TypeId, TypeId>,
+    /// The pointer type to each type, by the pointee's index: the
+    /// evaluator takes an address (`&x`) on most walks.
+    pointers: Vec<Option<TypeId>>,
     arrays: HashMap<(TypeId, u64), TypeId>,
     consts: HashMap<String, EnumConst>,
+    /// This state of the registry; replaced by every mutation.
+    stamp: Stamp,
+    /// `find("long")`, which every integer result of the expression
+    /// evaluator needs, kept current by every mutation.
+    long: Option<TypeId>,
 }
 
 impl TypeRegistry {
@@ -45,6 +53,24 @@ impl TypeRegistry {
         id
     }
 
+    /// Note a mutation: bindings resolved against the old state no
+    /// longer hold.
+    fn changed(&mut self) {
+        self.stamp = Stamp::fresh();
+        self.long = self.find("long");
+    }
+
+    /// The registry's current state. It changes on every mutation, so a
+    /// name bound under it stays valid exactly while it is current.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
+    }
+
+    /// The type `find("long")` returns, without the lookup.
+    pub fn long(&self) -> Option<TypeId> {
+        self.long
+    }
+
     /// Intern a primitive type.
     pub fn prim(&mut self, p: Prim) -> TypeId {
         if let Some(&id) = self.prims.get(&p) {
@@ -55,18 +81,23 @@ impl TypeRegistry {
         });
         self.prims.insert(p, id);
         self.by_name.entry(p.c_name().to_string()).or_insert(id);
+        self.changed();
         id
     }
 
     /// Intern a pointer to `target`.
     pub fn pointer_to(&mut self, target: TypeId) -> TypeId {
-        if let Some(&id) = self.pointers.get(&target) {
+        if let Some(id) = self.find_pointer_to(target) {
             return id;
         }
         let id = self.push(Type {
             kind: TypeKind::Pointer(target),
         });
-        self.pointers.insert(target, id);
+        if self.pointers.len() <= target.index() {
+            self.pointers.resize(target.index() + 1, None);
+        }
+        self.pointers[target.index()] = Some(id);
+        self.changed();
         id
     }
 
@@ -79,6 +110,7 @@ impl TypeRegistry {
             kind: TypeKind::Array { elem, len },
         });
         self.arrays.insert((elem, len), id);
+        self.changed();
         id
     }
 
@@ -93,6 +125,7 @@ impl TypeRegistry {
                 self.types[id.index()] = Type {
                     kind: TypeKind::Struct(def),
                 };
+                self.changed();
                 return id;
             }
         }
@@ -101,6 +134,7 @@ impl TypeRegistry {
             kind: TypeKind::Struct(def),
         });
         self.by_name.insert(name, id);
+        self.changed();
         id
     }
 
@@ -144,14 +178,17 @@ impl TypeRegistry {
                 },
             );
         }
+        self.changed();
         id
     }
 
     /// Intern a function type with a display signature (for `FunPtr` text).
     pub fn func(&mut self, signature: impl Into<String>) -> TypeId {
-        self.push(Type {
+        let id = self.push(Type {
             kind: TypeKind::Func(signature.into()),
-        })
+        });
+        self.changed();
+        id
     }
 
     /// Register a macro-style integer constant (e.g. a bit-flag `#define`).
@@ -165,6 +202,7 @@ impl TypeRegistry {
                 ty: None,
             },
         );
+        self.changed();
     }
 
     /// Look up a named constant (enumerator or macro).
@@ -377,7 +415,7 @@ impl TypeRegistry {
 
     /// Find the interned pointer-to-`target` type, if any.
     pub fn find_pointer_to(&self, target: TypeId) -> Option<TypeId> {
-        self.pointers.get(&target).copied()
+        self.pointers.get(target.index()).copied().flatten()
     }
 
     /// Total number of interned types.
@@ -463,6 +501,40 @@ mod tests {
         for (name, want) in cases {
             assert_eq!(r.find(name), want, "find({name:?})");
             assert_eq!(r.lookup(name).ok(), want, "lookup({name:?})");
+        }
+    }
+
+    #[test]
+    fn every_mutation_takes_a_fresh_stamp_and_long_stays_current() {
+        let mut r = TypeRegistry::new();
+        assert_ne!(r.stamp(), TypeRegistry::new().stamp(), "two registries");
+        assert_eq!(r.long(), None);
+        let mut seen = vec![r.stamp()];
+        let long = r.prim(Prim::I64);
+        seen.push(r.stamp());
+        assert_eq!(r.long(), Some(long));
+        assert_eq!(r.find("long"), r.long());
+        let u8_t = r.prim(Prim::U8);
+        seen.push(r.stamp());
+        r.pointer_to(u8_t);
+        seen.push(r.stamp());
+        r.array_of(u8_t, 2);
+        seen.push(r.stamp());
+        r.declare_struct("mm_struct");
+        seen.push(r.stamp());
+        StructBuilder::new("mm_struct")
+            .field("x", u8_t)
+            .build(&mut r);
+        seen.push(r.stamp());
+        r.define_const("X", 1);
+        seen.push(r.stamp());
+        r.func("void f(void)");
+        seen.push(r.stamp());
+        let stamp = r.stamp();
+        assert_eq!(r.prim(Prim::U8), u8_t);
+        assert_eq!(r.stamp(), stamp, "re-interning changes nothing");
+        for (i, a) in seen.iter().enumerate() {
+            assert!(!seen[i + 1..].contains(a), "stamp {i} repeats");
         }
     }
 

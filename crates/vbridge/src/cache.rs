@@ -16,10 +16,16 @@
 //! spans a page boundary. Since the memory image maps whole pages, a block
 //! is either fully mapped or fully unmapped — which is what lets the cached
 //! read path fault at exactly the same address an uncached read would.
+//!
+//! The map is keyed by block base with [`BaseHasher`], one folded
+//! multiply per lookup instead of SipHash; nothing depends on its
+//! iteration order.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, LazyLock};
 
 /// Block cache tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +86,7 @@ impl From<u64> for CacheConfig {
 #[derive(Debug)]
 pub struct BlockCache {
     cfg: CacheConfig,
-    blocks: RefCell<HashMap<u64, Box<[u8]>>>,
+    blocks: RefCell<HashMap<u64, Box<[u8]>, BaseHasher>>,
     order: RefCell<VecDeque<u64>>,
     epoch: Cell<u64>,
 }
@@ -97,7 +103,7 @@ impl BlockCache {
         cfg.validate();
         BlockCache {
             cfg,
-            blocks: RefCell::new(HashMap::new()),
+            blocks: RefCell::new(HashMap::default()),
             order: RefCell::new(VecDeque::new()),
             epoch: Cell::new(0),
         }
@@ -185,15 +191,16 @@ impl BlockCache {
         }
     }
 
-    /// Copy `dst.len()` bytes out of the resident block at `base`,
-    /// starting `off` bytes in. Panics if the block is absent or the
-    /// range leaves the block — callers establish residency first.
-    pub(crate) fn copy_from(&self, base: u64, off: usize, dst: &mut [u8]) {
+    /// Copy `dst.len()` bytes out of the block at `base`, starting
+    /// `off` bytes in, if it is resident; one lookup either way. Panics
+    /// if the range leaves the block.
+    pub(crate) fn copy_from(&self, base: u64, off: usize, dst: &mut [u8]) -> bool {
         let blocks = self.blocks.borrow();
-        let block = blocks
-            .get(&base)
-            .expect("copy_from requires a resident block");
+        let Some(block) = blocks.get(&base) else {
+            return false;
+        };
         dst.copy_from_slice(&block[off..off + dst.len()]);
+        true
     }
 
     /// Export the resident blocks as a `Send + Sync` [`CacheSnapshot`]
@@ -236,6 +243,50 @@ impl BlockCache {
     }
 }
 
+/// Hashes a block base with one folded multiply: the 128-bit product of
+/// the key and a constant, its halves XORed, so every key bit reaches
+/// the low bits the table indexes by. The key is first mixed with a
+/// per-process seed, so crafted addresses cannot aim at one bucket.
+#[derive(Debug, Clone, Copy)]
+struct BaseHasher {
+    seed: u64,
+}
+
+impl Default for BaseHasher {
+    fn default() -> BaseHasher {
+        static SEED: LazyLock<u64> = LazyLock::new(|| RandomState::new().hash_one(0u64));
+        BaseHasher { seed: *SEED }
+    }
+}
+
+impl BuildHasher for BaseHasher {
+    type Hasher = BaseHash;
+
+    fn build_hasher(&self) -> BaseHash {
+        BaseHash(self.seed)
+    }
+}
+
+/// The state of one [`BaseHasher`] hash.
+struct BaseHash(u64);
+
+impl Hasher for BaseHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A thread-safe view of a cache's resident blocks at one stop
 /// generation — the unit of cross-session span sharing (`vfleet`). Plain
 /// shared data: safe to pass between engine threads.
@@ -274,8 +325,9 @@ mod tests {
         c.insert(0x1200, vec![7u8; 256].into_boxed_slice());
         assert!(c.contains(0x1200));
         let mut out = [0u8; 4];
-        c.copy_from(0x1200, 0x34, &mut out);
+        assert!(c.copy_from(0x1200, 0x34, &mut out));
         assert_eq!(out, [7; 4]);
+        assert!(!c.copy_from(0x1300, 0, &mut out), "absent block");
         assert_eq!(c.len(), 1);
     }
 
@@ -341,9 +393,9 @@ mod tests {
         b.insert(0x100, vec![9u8; 256].into_boxed_slice());
         assert_eq!(b.warm_from(&snap), 1, "only the absent block is adopted");
         let mut out = [0u8; 2];
-        b.copy_from(0x100, 0, &mut out);
+        assert!(b.copy_from(0x100, 0, &mut out));
         assert_eq!(out, [9; 2], "resident blocks are never overwritten");
-        b.copy_from(0x200, 0, &mut out);
+        assert!(b.copy_from(0x200, 0, &mut out));
         assert_eq!(out, [4; 2]);
 
         let c = BlockCache::new(CacheConfig::with_block_size(64));

@@ -14,10 +14,22 @@
 //! * calls into registered helpers plus the `container_of` builtin,
 //! * `@name` escapes resolved through a caller-supplied lookup (the
 //!   ViewCL interpreter's local scope).
+//!
+//! Names are bound once. Every node that names something keeps a
+//! [`Name`] that caches what the name resolved to: an identifier its
+//! constant or symbol value, a cast or `sizeof` its type, `container_of`
+//! its offset and pointer type, and a member access its receiver type
+//! with the field's offset, type and bitfield. A cached binding is used
+//! only under the type registry and symbol table stamps it was made
+//! under, and a member binding only for the receiver type it was made
+//! for, so a program that outlives a mutation, or runs against another
+//! image, resolves again. A name that does not resolve is not cached: it
+//! raises the same error each time its node is evaluated, and never when
+//! it is not.
 
 use std::collections::HashMap;
 
-use ktypes::{CValue, TypeId, TypeKind};
+use ktypes::{BitField, CValue, Name, TypeId, TypeKind};
 
 use crate::helpers::HelperRegistry;
 use crate::target::Target;
@@ -167,7 +179,12 @@ fn parse_error(src: &str, at: usize, msg: &str) -> BridgeError {
 
 // --------------------------------------------------------------- parser --
 
-/// Expression AST.
+/// A member binding: the receiver type it was made for, and the
+/// field's offset, type and bitfield.
+type FieldBinding = (TypeId, u64, TypeId, Option<BitField>);
+
+/// Expression AST. Each [`Name`] caches its binding (see the module
+/// docs); the caches do not show in `Debug`, `Clone` or `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
@@ -175,7 +192,7 @@ pub enum Expr {
     /// String literal (helper arguments only).
     Str(String),
     /// Plain identifier (symbol / constant / helper name).
-    Ident(String),
+    Ident(Name<CValue>),
     /// `@name` environment reference.
     AtRef(String),
     /// `base.field` / `base->field`.
@@ -183,14 +200,14 @@ pub enum Expr {
         /// Receiver expression.
         base: Box<Expr>,
         /// Member name.
-        field: String,
+        field: Name<FieldBinding>,
         /// True when written with `->`.
         arrow: bool,
     },
     /// `base[index]`.
     Index(Box<Expr>, Box<Expr>),
-    /// Function call.
-    Call(String, Vec<Expr>),
+    /// Function call; `container_of` binds its offset and pointer type.
+    Call(Name<(u64, TypeId)>, Vec<Expr>),
     /// Unary operator application.
     Unary(&'static str, Box<Expr>),
     /// Binary operator application.
@@ -198,9 +215,9 @@ pub enum Expr {
     /// Conditional `c ? a : b`.
     Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `(type)expr` cast.
-    Cast(String, Box<Expr>),
+    Cast(Name<TypeId>, Box<Expr>),
     /// `sizeof(type)` / `sizeof(expr)` (type form resolved at eval).
-    SizeofType(String),
+    SizeofType(Name<TypeId>),
     /// `sizeof expr`.
     SizeofExpr(Box<Expr>),
 }
@@ -379,7 +396,7 @@ impl<'s> Parser<'s> {
                 if self.eat("(") {
                     if let Some(tn) = self.try_type_name() {
                         if self.eat(")") {
-                            return Ok(Expr::SizeofType(tn));
+                            return Ok(Expr::SizeofType(Name::new(tn)));
                         }
                         return Err(self.err("expected `)` after sizeof type"));
                     }
@@ -419,7 +436,7 @@ impl<'s> Parser<'s> {
                     if is_multiword || next_starts_operand {
                         self.descend()?;
                         let e = self.parse_unary()?;
-                        return Ok(Expr::Cast(tn, Box::new(e)));
+                        return Ok(Expr::Cast(Name::new(tn), Box::new(e)));
                     }
                 }
             }
@@ -443,7 +460,7 @@ impl<'s> Parser<'s> {
             };
             if let Some(arrow) = arrow {
                 let field = match self.peek() {
-                    Tok::Ident(f) => f.clone(),
+                    Tok::Ident(f) => Name::new(f.as_str()),
                     t => return Err(self.err(format!("expected field name, got {t:?}"))),
                 };
                 self.pos += 1;
@@ -458,7 +475,7 @@ impl<'s> Parser<'s> {
                 e = Expr::Index(Box::new(e), Box::new(idx));
             } else if matches!(self.peek(), Tok::Punct("(")) {
                 if let Expr::Ident(name) = &e {
-                    let name = name.clone();
+                    let name = Name::new(name.text().clone());
                     self.pos += 1;
                     let mut args = Vec::new();
                     if !self.eat(")") {
@@ -492,10 +509,10 @@ impl<'s> Parser<'s> {
                 if matches!(n.as_str(), "struct" | "union" | "enum") {
                     if let Tok::Ident(tag) = self.peek().clone() {
                         self.pos += 1;
-                        return Ok(Expr::Ident(format!("{n} {tag}")));
+                        return Ok(Expr::Ident(Name::new(format!("{n} {tag}"))));
                     }
                 }
-                Ok(Expr::Ident(n))
+                Ok(Expr::Ident(Name::new(n)))
             }
             Tok::AtIdent(n) => Ok(Expr::AtRef(n)),
             Tok::Punct("(") => {
@@ -564,7 +581,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
             Expr::AtRef(name) => {
                 env(name).ok_or_else(|| BridgeError::UnknownIdent(format!("@{name}")))
             }
-            Expr::Ident(name) => self.resolve_ident(name),
+            Expr::Ident(name) => self.bound(name, || self.resolve_ident(name)),
             Expr::Member { base, field, arrow } => {
                 let b = self.eval(base, env)?;
                 self.member(b, field, *arrow)
@@ -589,10 +606,11 @@ impl<'t, 'img> Evaluator<'t, 'img> {
             }
             Expr::Cast(tyname, a) => {
                 let v = self.eval(a, env)?;
-                self.cast(tyname, v)
+                let ty = self.bound(tyname, || self.find_type(tyname))?;
+                self.cast(ty, v)
             }
             Expr::SizeofType(tyname) => {
-                let ty = self.find_type(tyname)?;
+                let ty = self.bound(tyname, || self.find_type(tyname))?;
                 Ok(self.int(self.target.types.size_of(ty) as i64))
             }
             Expr::SizeofExpr(a) => {
@@ -625,9 +643,16 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         let ty = self
             .target
             .types
-            .find("long")
+            .long()
             .expect("long interned by CommonTypes");
         CValue::Int { value: v, ty }
+    }
+
+    /// What `name` resolves to under the target's current type registry
+    /// and symbol table (see [`Name::get_or_resolve`]).
+    fn bound<T: Clone>(&self, name: &Name<T>, resolve: impl FnOnce() -> Result<T>) -> Result<T> {
+        let (types, symbols) = (self.target.types.stamp(), self.target.symbols.stamp());
+        name.get_or_resolve(types, symbols, resolve)
     }
 
     fn find_type(&self, name: &str) -> Result<TypeId> {
@@ -649,13 +674,13 @@ impl<'t, 'img> Evaluator<'t, 'img> {
     fn resolve_ident(&self, name: &str) -> Result<CValue> {
         if let Ok(c) = self.target.types.lookup_const(name) {
             let ty =
-                c.ty.unwrap_or_else(|| self.target.types.find("long").expect("long interned"));
+                c.ty.unwrap_or_else(|| self.target.types.long().expect("long interned"));
             return Ok(CValue::Int { value: c.value, ty });
         }
         self.target.symbol_value(name)
     }
 
-    fn member(&self, base: CValue, field: &str, _arrow: bool) -> Result<CValue> {
+    fn member(&self, base: CValue, field: &Name<FieldBinding>, _arrow: bool) -> Result<CValue> {
         // Lenient auto-deref: both `.` and `->` accept pointers and lvalues.
         let base = self.rvalue(base)?;
         let (addr, ty) = match base {
@@ -674,28 +699,36 @@ impl<'t, 'img> Evaluator<'t, 'img> {
                 )))
             }
         };
-        let def = self.target.types.struct_def(ty).ok_or_else(|| {
-            BridgeError::Type(ktypes::TypeError::NotAggregate(
-                self.target.types.display_name(ty),
-            ))
-        })?;
-        let f = def.field(field).ok_or_else(|| {
-            BridgeError::Type(ktypes::TypeError::UnknownField {
-                ty: def.name.clone(),
-                field: field.to_string(),
-            })
-        })?;
-        match f.bit {
+        let (types, symbols) = (self.target.types.stamp(), self.target.symbols.stamp());
+        let (offset, fty, bit) = match field.bound(types, symbols) {
+            Some((recv, offset, fty, bit)) if recv == ty => (offset, fty, bit),
+            _ => {
+                let def = self.target.types.struct_def(ty).ok_or_else(|| {
+                    BridgeError::Type(ktypes::TypeError::NotAggregate(
+                        self.target.types.display_name(ty),
+                    ))
+                })?;
+                let f = def.field(field).ok_or_else(|| {
+                    BridgeError::Type(ktypes::TypeError::UnknownField {
+                        ty: def.name.clone(),
+                        field: field.to_string(),
+                    })
+                })?;
+                field.bind(types, symbols, (ty, f.offset, f.ty, f.bit));
+                (f.offset, f.ty, f.bit)
+            }
+        };
+        match bit {
             Some(bf) => {
                 let storage = self
                     .target
-                    .read_uint(addr + f.offset, bf.storage_size as usize)?;
+                    .read_uint(addr + offset, bf.storage_size as usize)?;
                 Ok(CValue::Int {
                     value: bf.extract(storage),
-                    ty: f.ty,
+                    ty: fty,
                 })
             }
-            None => self.target.load(addr + f.offset, f.ty),
+            None => self.target.load(addr + offset, fty),
         }
     }
 
@@ -734,11 +767,11 @@ impl<'t, 'img> Evaluator<'t, 'img> {
 
     fn call(
         &self,
-        name: &str,
+        name: &Name<(u64, TypeId)>,
         args: &[Expr],
         env: &dyn Fn(&str) -> Option<CValue>,
     ) -> Result<CValue> {
-        if name == "container_of" {
+        if *name == "container_of" {
             // container_of(ptr, type, member)
             if args.len() != 3 {
                 return Err(BridgeError::Eval("container_of takes 3 arguments".into()));
@@ -748,15 +781,18 @@ impl<'t, 'img> Evaluator<'t, 'img> {
                 .address()
                 .or_else(|| ptr.as_u64())
                 .ok_or_else(|| BridgeError::Eval("container_of needs a pointer".into()))?;
-            let tyname = expr_to_typename(&args[1])?;
-            let member = expr_to_path(&args[2])?;
-            let ty = self.find_type(&tyname)?;
-            let (off, _) = self.target.types.field_path(ty, &member)?;
-            let pty = self
-                .target
-                .types
-                .find_pointer_to(ty)
-                .ok_or_else(|| BridgeError::Eval("pointer type not interned".into()))?;
+            let (off, pty) = self.bound(name, || {
+                let tyname = expr_to_typename(&args[1])?;
+                let member = expr_to_path(&args[2])?;
+                let ty = self.find_type(&tyname)?;
+                let (off, _) = self.target.types.field_path(ty, &member)?;
+                let pty = self
+                    .target
+                    .types
+                    .find_pointer_to(ty)
+                    .ok_or_else(|| BridgeError::Eval("pointer type not interned".into()))?;
+                Ok((off, pty))
+            })?;
             return Ok(CValue::Ptr {
                 addr: addr.wrapping_sub(off),
                 ty: pty,
@@ -929,8 +965,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
         Ok(self.int(out))
     }
 
-    fn cast(&self, tyname: &str, v: CValue) -> Result<CValue> {
-        let ty = self.find_type(tyname)?;
+    fn cast(&self, ty: TypeId, v: CValue) -> Result<CValue> {
         let v = match &v {
             CValue::LValue { ty: vt, .. }
                 if matches!(
@@ -975,7 +1010,7 @@ impl<'t, 'img> Evaluator<'t, 'img> {
 
 fn expr_to_typename(e: &Expr) -> Result<String> {
     match e {
-        Expr::Ident(n) => Ok(n.clone()),
+        Expr::Ident(n) => Ok(n.to_string()),
         Expr::Binary("*", a, _) => Ok(format!("{} *", expr_to_typename(a)?)),
         _ => Err(BridgeError::Eval(format!(
             "expected a type name, got {e:?}"
@@ -985,7 +1020,7 @@ fn expr_to_typename(e: &Expr) -> Result<String> {
 
 fn expr_to_path(e: &Expr) -> Result<String> {
     match e {
-        Expr::Ident(n) => Ok(n.clone()),
+        Expr::Ident(n) => Ok(n.to_string()),
         Expr::Member { base, field, .. } => Ok(format!("{}.{}", expr_to_path(base)?, field)),
         _ => Err(BridgeError::Eval(format!(
             "expected a member path, got {e:?}"
@@ -1234,6 +1269,53 @@ mod tests {
             );
             assert!(text.len() < 200, "the echo is cut: {} bytes", text.len());
         }
+    }
+
+    #[test]
+    fn one_member_site_reads_the_field_of_each_receiver_type() {
+        // `f` sits at offset 8 in `a` and at offset 0 in `b`.
+        let mut types = ktypes::TypeRegistry::new();
+        let u32_t = types.prim(ktypes::Prim::U32);
+        let u64_t = types.prim(ktypes::Prim::U64);
+        types.prim(ktypes::Prim::I64);
+        let a = ktypes::StructBuilder::new("a")
+            .field("pad", u64_t)
+            .field("f", u32_t)
+            .build(&mut types);
+        let b = ktypes::StructBuilder::new("b")
+            .field("f", u32_t)
+            .build(&mut types);
+        let mut mem = kmem::Mem::new();
+        mem.map(0x1000, 0x1000);
+        mem.write_uint(0x1008, 4, 11);
+        mem.write_uint(0x1800, 4, 22);
+        let symbols = kmem::SymbolTable::new();
+        let target = Target::new(&mem, &types, &symbols, LatencyProfile::free());
+        let helpers = HelperRegistry::new();
+        let ev = Evaluator::new(&target, &helpers);
+        let expr = parse("@x.f").unwrap();
+        for (addr, ty, want) in [(0x1000, a, 11), (0x1800, b, 22), (0x1000, a, 11)] {
+            let env = |_: &str| Some(CValue::LValue { addr, ty });
+            assert_eq!(ev.eval(&expr, &env).unwrap().as_int(), Some(want));
+        }
+    }
+
+    #[test]
+    fn bindings_are_invisible_to_debug_clone_and_eq() {
+        let fx = fixture();
+        let src = "container_of(init_task.tasks.next, struct task_struct, tasks)->pid + \
+                   sizeof(struct task_struct) + (u8)VM_WRITE";
+        let fresh = parse(src).unwrap();
+        let used = parse(src).unwrap();
+        let (debug, copy) = (format!("{fresh:?}"), used.clone());
+        with_eval(&fx, |ev| {
+            let first = ev.eval(&used, &|_| None).unwrap();
+            assert_eq!(ev.eval(&used, &|_| None).unwrap(), first, "bound");
+            assert_eq!(ev.eval(&copy, &|_| None).unwrap(), first);
+        });
+        assert_eq!(used, fresh);
+        assert_eq!(used.clone(), fresh);
+        assert_eq!(format!("{used:?}"), debug);
     }
 
     #[test]

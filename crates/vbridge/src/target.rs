@@ -482,9 +482,7 @@ impl<'a> Target<'a> {
             let base = cache.base_of(a);
             let off = (a - base) as usize;
             let n = (bs as usize - off).min(out.len() - pos);
-            if cache.contains(base) {
-                cache.copy_from(base, off, &mut out[pos..pos + n]);
-            } else {
+            if !cache.copy_from(base, off, &mut out[pos..pos + n]) {
                 self.backend
                     .read(a, &mut out[pos..pos + n])
                     .map_err(|e| self.wire_err(a, e))?;
@@ -496,6 +494,16 @@ impl<'a> Target<'a> {
 
     fn read_through_cache(&self, cache: &BlockCache, addr: u64, out: &mut [u8]) -> Result<()> {
         if out.is_empty() {
+            return Ok(());
+        }
+        // A read inside one resident block is one lookup, booked as the
+        // metered path below books it: one hit, one packet saved.
+        let base = cache.base_of(addr);
+        if cache.base_of(addr + out.len() as u64 - 1) == base
+            && cache.copy_from(base, (addr - base) as usize, out)
+        {
+            self.note_hit(base, cache.block_size());
+            self.note_saved(1);
             return Ok(());
         }
         let packets = self.meter_range_cached(cache, addr, out.len() as u64);

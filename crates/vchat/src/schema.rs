@@ -47,10 +47,10 @@ impl Schema {
     pub fn of(graph: &Graph) -> Schema {
         let mut map: std::collections::BTreeMap<(String, String), SchemaType> = Default::default();
         for b in graph.boxes() {
-            let key = (b.ctype.clone(), b.label.clone());
+            let key = (b.ctype.to_string(), b.label.to_string());
             let e = map.entry(key).or_insert_with(|| SchemaType {
-                ctype: b.ctype.clone(),
-                label: b.label.clone(),
+                ctype: b.ctype.to_string(),
+                label: b.label.to_string(),
                 members: Vec::new(),
                 count: 0,
             });

@@ -117,7 +117,7 @@ type Key<'g> = (u64, &'g str, u32);
 fn keys_of(g: &Graph) -> impl Iterator<Item = Key<'_>> {
     let mut virt: HashMap<&str, u32> = HashMap::new();
     g.boxes().iter().map(move |b| {
-        let label = b.label.as_str();
+        let label = &*b.label;
         if b.addr != 0 {
             (b.addr, label, 0)
         } else {

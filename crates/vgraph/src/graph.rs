@@ -1,6 +1,14 @@
 //! Graph data model.
+//!
+//! Names (box labels and C types, view and item names) are shared
+//! `Arc<str>`s: a graph built from a program holds the program's own
+//! names, so building, cloning, diffing and applying a box copies only
+//! its values, and equal names usually compare by pointer.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, LazyLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -24,7 +32,7 @@ pub enum Item {
     /// A displayed scalar.
     Text {
         /// Display name (field name or ViewCL-defined name).
-        name: String,
+        name: Arc<str>,
         /// Decorated display string (e.g. `0xffff8880…`, `vmstat_update`).
         value: String,
         /// Raw integer value for ViewQL `WHERE` comparisons.
@@ -33,19 +41,19 @@ pub enum Item {
     /// An edge to another box.
     Link {
         /// Link label.
-        name: String,
+        name: Arc<str>,
         /// Target box.
         target: BoxId,
     },
     /// A link whose target was NULL (kept for display as `∅`).
     NullLink {
         /// Link label.
-        name: String,
+        name: Arc<str>,
     },
     /// A collection of member boxes.
     Container {
         /// Container label.
-        name: String,
+        name: Arc<str>,
         /// Sequence or set.
         kind: ContainerKind,
         /// Member boxes in order.
@@ -114,7 +122,7 @@ fn as_truthy(v: &serde_json::Value) -> bool {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ViewInst {
     /// View name (`default` unless declared otherwise).
-    pub name: String,
+    pub name: Arc<str>,
     /// Items in declaration order.
     pub items: Vec<Item>,
 }
@@ -125,9 +133,9 @@ pub struct BoxNode {
     /// Stable id within the graph.
     pub id: BoxId,
     /// ViewCL box-type label (`Task`, `MapleNode`, …).
-    pub label: String,
+    pub label: Arc<str>,
     /// Underlying C type tag (`task_struct`, …; empty for virtual boxes).
-    pub ctype: String,
+    pub ctype: Arc<str>,
     /// Object address (0 for virtual boxes).
     pub addr: u64,
     /// Object size in bytes (0 for virtual boxes).
@@ -145,7 +153,7 @@ impl BoxNode {
             Some(name) => self
                 .views
                 .iter()
-                .find(|v| &v.name == name)
+                .find(|v| *v.name == **name)
                 .or_else(|| self.views.first()),
             None => self.views.first(),
         }
@@ -172,7 +180,7 @@ impl BoxNode {
 }
 
 /// The object graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Graph {
     boxes: Vec<BoxNode>,
     /// Plot roots (the `plot` statements' arguments).
@@ -181,13 +189,160 @@ pub struct Graph {
     /// address, oldest first. One object plotted under several labels
     /// shares an entry, and a lookup compares labels in place.
     #[serde(skip)]
-    by_addr: HashMap<u64, Vec<u32>>,
+    by_addr: HashMap<u64, Positions, AddrHasher>,
 }
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         // `by_addr` is derived from `boxes`, so it carries no extra state.
         self.boxes == other.boxes && self.roots == other.roots
+    }
+}
+
+/// A decoded graph comes from a peer, so it is checked before it is
+/// used: every box's id is its position, and every link, container
+/// member and root names a box. The graph is then built with
+/// [`Graph::from_parts`], so its intern index is whole.
+impl Deserialize for Graph {
+    fn deserialize_value(v: &serde::Value) -> serde::Result<Graph> {
+        let wire::Graph { boxes, roots } = Deserialize::deserialize_value(v)?;
+        check_parts(&boxes, &roots).map_err(serde::Error::custom)?;
+        Ok(Graph::from_parts(boxes, roots))
+    }
+}
+
+mod wire {
+    use super::{BoxId, BoxNode};
+
+    /// A graph as the JSON carries it, before [`super::check_parts`].
+    /// Named as [`super::Graph`] is, so decode errors read the same.
+    #[derive(serde::Deserialize)]
+    pub(super) struct Graph {
+        pub(super) boxes: Vec<BoxNode>,
+        pub(super) roots: Vec<BoxId>,
+    }
+}
+
+/// Why `boxes` and `roots` do not form a graph, if they do not: a box
+/// whose id is not its position, or a link, container member or root
+/// that names no box. Names quoted from the input are cut short.
+fn check_parts(boxes: &[BoxNode], roots: &[BoxId]) -> Result<(), String> {
+    let n = boxes.len();
+    let in_graph = |id: &BoxId| (id.0 as usize) < n;
+    for (pos, b) in boxes.iter().enumerate() {
+        if b.id.0 as usize != pos {
+            return Err(format!("box {pos} has id {}", b.id.0));
+        }
+        for item in b.views.iter().flat_map(|v| &v.items) {
+            let bad = match item {
+                Item::Link { target, .. } => Some(target).filter(|t| !in_graph(t)),
+                Item::Container { members, .. } => members.iter().find(|m| !in_graph(m)),
+                Item::Text { .. } | Item::NullLink { .. } => None,
+            };
+            if let Some(t) = bad {
+                return Err(format!(
+                    "box {pos}, item `{}`: no box {} in a graph of {n}",
+                    cut(item.name()),
+                    t.0
+                ));
+            }
+        }
+    }
+    match roots.iter().find(|r| !in_graph(r)) {
+        Some(r) => Err(format!("root: no box {} in a graph of {n}", r.0)),
+        None => Ok(()),
+    }
+}
+
+/// `s`, cut to at most 64 bytes, with `…` when something was cut.
+fn cut(s: &str) -> String {
+    let mut end = s.len().min(64);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    let more = if end < s.len() { "…" } else { "" };
+    format!("{}{more}", &s[..end])
+}
+
+/// The positions of the real boxes at one address, oldest first. An
+/// address usually holds one box, which is kept inline.
+#[derive(Debug, Clone)]
+enum Positions {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Positions {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Positions::One(p) => std::slice::from_ref(p),
+            Positions::Many(ps) => ps,
+        }
+    }
+
+    /// Add `pos`, keeping the positions in order.
+    fn insert(&mut self, pos: u32) {
+        let mut ps = match self {
+            Positions::One(p) => vec![*p],
+            Positions::Many(ps) => std::mem::take(ps),
+        };
+        ps.insert(ps.partition_point(|&p| p < pos), pos);
+        *self = Positions::Many(ps);
+    }
+
+    /// Drop `pos`; false when no position is left.
+    fn remove(&mut self, pos: u32) -> bool {
+        match self {
+            Positions::One(p) => *p != pos,
+            Positions::Many(ps) => {
+                ps.retain(|&p| p != pos);
+                !ps.is_empty()
+            }
+        }
+    }
+}
+
+/// Hashes an address with one folded multiply: the 128-bit product of
+/// the key and a constant, its halves XORed, so every key bit reaches
+/// the low bits the table indexes by. The key is first mixed with a
+/// per-process seed, so crafted addresses cannot aim at one bucket.
+#[derive(Debug, Clone, Copy)]
+struct AddrHasher {
+    seed: u64,
+}
+
+impl Default for AddrHasher {
+    fn default() -> AddrHasher {
+        static SEED: LazyLock<u64> = LazyLock::new(|| RandomState::new().hash_one(0u64));
+        AddrHasher { seed: *SEED }
+    }
+}
+
+impl BuildHasher for AddrHasher {
+    type Hasher = AddrHash;
+
+    fn build_hasher(&self) -> AddrHash {
+        AddrHash(self.seed)
+    }
+}
+
+/// The state of one [`AddrHasher`] hash.
+struct AddrHash(u64);
+
+impl Hasher for AddrHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -203,11 +358,16 @@ impl Graph {
         let mut g = Graph {
             boxes,
             roots,
-            by_addr: HashMap::new(),
+            by_addr: HashMap::default(),
         };
         for (pos, b) in (0..).zip(&g.boxes) {
             if b.addr != 0 {
-                g.by_addr.entry(b.addr).or_default().push(pos);
+                match g.by_addr.entry(b.addr) {
+                    Entry::Occupied(mut at) => at.get_mut().insert(pos),
+                    Entry::Vacant(at) => {
+                        at.insert(Positions::One(pos));
+                    }
+                }
             }
         }
         g
@@ -216,22 +376,37 @@ impl Graph {
     /// Intern a box for `(addr, label)`; returns `(id, true)` when newly
     /// created. Virtual boxes (addr 0) are never deduplicated. When
     /// several boxes share `(addr, label)` (only possible through
-    /// [`Graph::from_parts`]), the last one wins.
-    pub fn intern(&mut self, addr: u64, label: &str, ctype: &str, size: u64) -> (BoxId, bool) {
+    /// [`Graph::from_parts`]), the last one wins. A new box keeps the
+    /// names it is given; pass shared ones to avoid a copy.
+    pub fn intern(
+        &mut self,
+        addr: u64,
+        label: impl AsRef<str> + Into<Arc<str>>,
+        ctype: impl Into<Arc<str>>,
+        size: u64,
+    ) -> (BoxId, bool) {
         let pos = self.boxes.len() as u32;
         if addr != 0 {
             let boxes = &self.boxes;
-            let at = self.by_addr.entry(addr).or_default();
-            if let Some(&hit) = at.iter().rev().find(|&&i| boxes[i as usize].label == label) {
-                return (boxes[hit as usize].id, false);
+            match self.by_addr.entry(addr) {
+                Entry::Occupied(mut at) => {
+                    let key = label.as_ref();
+                    let same = |&&i: &&u32| *boxes[i as usize].label == *key;
+                    if let Some(&hit) = at.get().as_slice().iter().rev().find(same) {
+                        return (boxes[hit as usize].id, false);
+                    }
+                    at.get_mut().insert(pos);
+                }
+                Entry::Vacant(at) => {
+                    at.insert(Positions::One(pos));
+                }
             }
-            at.push(pos);
         }
         let id = BoxId(pos);
         self.boxes.push(BoxNode {
             id,
-            label: label.to_string(),
-            ctype: ctype.to_string(),
+            label: label.into(),
+            ctype: ctype.into(),
             addr,
             size,
             views: Vec::new(),
@@ -267,12 +442,18 @@ impl Graph {
         if old == new {
             return;
         }
-        if let Some(at) = self.by_addr.get_mut(&old) {
-            at.retain(|&p| p != pos);
+        if let Entry::Occupied(mut at) = self.by_addr.entry(old) {
+            if !at.get_mut().remove(pos) {
+                at.remove();
+            }
         }
         if new != 0 {
-            let at = self.by_addr.entry(new).or_default();
-            at.insert(at.partition_point(|&p| p < pos), pos);
+            match self.by_addr.entry(new) {
+                Entry::Occupied(mut at) => at.get_mut().insert(pos),
+                Entry::Vacant(at) => {
+                    at.insert(Positions::One(pos));
+                }
+            }
         }
     }
 
@@ -339,10 +520,10 @@ impl Graph {
         serde_json::to_string(self).expect("graph serialization cannot fail")
     }
 
-    /// Deserialize from the JSON wire format.
+    /// Deserialize from the JSON wire format, checked as any decoded
+    /// graph is (see the `Deserialize` impl).
     pub fn from_json(s: &str) -> serde_json::Result<Graph> {
-        let g: Graph = serde_json::from_str(s)?;
-        Ok(Graph::from_parts(g.boxes, g.roots))
+        serde_json::from_str(s)
     }
 }
 
@@ -445,12 +626,12 @@ mod tests {
             name: "sched".into(),
             items: vec![],
         });
-        assert_eq!(g.get(BoxId(0)).active_view().unwrap().name, "default");
+        assert_eq!(&*g.get(BoxId(0)).active_view().unwrap().name, "default");
         g.get_mut(BoxId(0)).attrs.view = Some("sched".into());
-        assert_eq!(g.get(BoxId(0)).active_view().unwrap().name, "sched");
+        assert_eq!(&*g.get(BoxId(0)).active_view().unwrap().name, "sched");
         // Unknown view falls back to first.
         g.get_mut(BoxId(0)).attrs.view = Some("nope".into());
-        assert_eq!(g.get(BoxId(0)).active_view().unwrap().name, "default");
+        assert_eq!(&*g.get(BoxId(0)).active_view().unwrap().name, "default");
     }
 
     #[test]
@@ -525,6 +706,55 @@ mod tests {
             g.intern(0x2000, "Task", "task_struct", 100),
             (BoxId(1), false)
         );
+    }
+
+    #[test]
+    fn a_decoded_graph_interns_each_real_box_to_itself() {
+        let mut g = sample();
+        // A second label at one address, and a virtual box.
+        g.intern(0x2000, "TaskSched", "task_struct", 100);
+        g.intern(0, "Cell", "", 0);
+        let mut decoded: Graph = serde_json::from_str(&g.to_json()).unwrap();
+        assert_eq!(decoded, g);
+        for b in g.boxes().iter().filter(|b| b.addr != 0) {
+            let label = b.label.clone();
+            assert_eq!(decoded.intern(b.addr, label, "", 0), (b.id, false));
+        }
+    }
+
+    #[test]
+    fn decoding_refuses_ids_and_edges_that_name_no_box() {
+        let decode = |g: &Graph| serde_json::from_str::<Graph>(&g.to_json()).map(|_| ());
+        let mut renumbered = sample();
+        renumbered.boxes_mut()[1].id = BoxId(7);
+        let mut linked = sample();
+        linked.get_mut(BoxId(1)).views[0].items.push(Item::Link {
+            name: "x".repeat(100).into(),
+            target: BoxId(3),
+        });
+        let mut member = sample();
+        if let Item::Container { members, .. } = &mut member.get_mut(BoxId(0)).views[0].items[2] {
+            members.push(BoxId(99));
+        }
+        let mut rooted = sample();
+        rooted.roots.push(BoxId(5));
+        let long = format!("{}…", "x".repeat(64));
+        for (g, want) in [
+            (renumbered, "box 1 has id 7".to_string()),
+            (
+                linked,
+                format!("box 1, item `{long}`: no box 3 in a graph of 3"),
+            ),
+            (
+                member,
+                "box 0, item `children`: no box 99 in a graph of 3".to_string(),
+            ),
+            (rooted, "root: no box 5 in a graph of 3".to_string()),
+        ] {
+            let err = decode(&g).unwrap_err().to_string();
+            assert!(err.contains(&want), "{err}");
+        }
+        assert!(decode(&sample()).is_ok());
     }
 
     #[test]

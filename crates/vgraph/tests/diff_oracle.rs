@@ -36,10 +36,10 @@ fn keys_of(g: &Graph) -> Vec<Key> {
         .iter()
         .map(|b| {
             if b.addr != 0 {
-                (b.addr, b.label.clone(), 0)
+                (b.addr, b.label.to_string(), 0)
             } else {
-                let occ = virt.entry(b.label.as_str()).or_insert(0);
-                let k = (0, b.label.clone(), *occ);
+                let occ = virt.entry(&b.label).or_insert(0);
+                let k = (0, b.label.to_string(), *occ);
                 *occ += 1;
                 k
             }
@@ -305,7 +305,7 @@ impl Pane {
                 .views
                 .iter()
                 .map(|(name, items)| ViewInst {
-                    name: name.clone(),
+                    name: name.as_str().into(),
                     items: items.iter().map(|it| it.build(&ids)).collect(),
                 })
                 .collect();
@@ -476,19 +476,19 @@ impl ItemSpec {
         let id = |i: usize| ids[i % ids.len()].0;
         match self {
             ItemSpec::Text(name, v) => Item::Text {
-                name: name.to_string(),
+                name: name.to_string().into(),
                 value: v.to_string(),
                 raw: Some(*v),
             },
             ItemSpec::Link(name, t) => Item::Link {
-                name: name.to_string(),
+                name: name.to_string().into(),
                 target: id(*t),
             },
             ItemSpec::Null(name) => Item::NullLink {
-                name: name.to_string(),
+                name: name.to_string().into(),
             },
             ItemSpec::Members(name, kind, ms) => Item::Container {
-                name: name.to_string(),
+                name: name.to_string().into(),
                 kind: *kind,
                 members: ms.iter().map(|&t| id(t)).collect(),
                 attrs: Attrs::default(),
@@ -738,7 +738,7 @@ fn interns_to_itself(g: &Graph) -> bool {
     g.boxes()
         .iter()
         .filter(|b| b.addr != 0)
-        .all(|b| probe.intern(b.addr, &b.label, &b.ctype, b.size) == (b.id, false))
+        .all(|b| probe.intern(b.addr, b.label.clone(), b.ctype.clone(), b.size) == (b.id, false))
 }
 
 /// What applying `d` to `base` gives, through `apply` and through

@@ -1,7 +1,23 @@
 //! ViewCL abstract syntax.
+//!
+//! Parsing does the per-program work once: `Text<…>` decorators are
+//! parsed, each view's inheritance chain is resolved, the definitions
+//! are indexed by name, and the names a graph will carry (box labels and
+//! C types, view and item names) are shared `Arc<str>`s the graph takes
+//! by reference count. Names resolved against a target's debug info —
+//! box C types, `Name<anchor>` offsets, and the names inside every C
+//! expression — are [`Name`]s that cache their binding per registry
+//! state.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use ktypes::{Name, TypeId};
 use vbridge::eval::Expr;
 use vbridge::BridgeError;
+
+use crate::decor::Decorator;
+use crate::{Result, VclError};
 
 /// A parsed program: box definitions plus top-level statements.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -10,37 +26,69 @@ pub struct Program {
     pub defines: Vec<BoxDef>,
     /// Top-level assignments and `plot` statements, in order.
     pub stmts: Vec<Stmt>,
+    /// Positions in `defines` by name; a later definition of a name
+    /// shadows an earlier one.
+    pub(crate) table: BTreeMap<Arc<str>, usize>,
+}
+
+impl Program {
+    /// The definition `name` refers to (the last one of that name).
+    pub fn define(&self, name: &str) -> Option<&BoxDef> {
+        self.table.get(name).map(|&i| &self.defines[i])
+    }
 }
 
 /// A `define Name as Box<ctype>` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoxDef {
-    /// Box-type name (`Task`).
-    pub name: String,
-    /// Underlying C struct tag (`task_struct`).
-    pub ctype: String,
+    /// Box-type name (`Task`), the label of its boxes.
+    pub name: Arc<str>,
+    /// Underlying C struct tag (`task_struct`), bound to its type.
+    pub ctype: Name<TypeId>,
     /// Declared views; a bare `[ … ]` body becomes one `default` view.
     pub views: Vec<ViewDef>,
-}
-
-impl BoxDef {
-    /// Find a view by name.
-    pub fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.iter().find(|v| v.name == name)
-    }
 }
 
 /// One named view of a box definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewDef {
     /// View name (`default`, `sched`, …).
-    pub name: String,
+    pub name: Arc<str>,
     /// Parent view for `:parent => :name` inheritance.
     pub parent: Option<String>,
     /// Item declarations.
     pub items: Vec<ItemDef>,
     /// `where { a = …; b = … }` local bindings, in order.
     pub wheres: Vec<(String, RValue)>,
+    /// The inheritance chain of the view this one's name finds, root
+    /// first, as positions in the box's views; or why there is none (an
+    /// unknown parent, a cycle), raised when a box of this definition is
+    /// instantiated.
+    pub(crate) chain: Result<Vec<usize>>,
+}
+
+/// The inheritance chain (root first) of the view named `name` among
+/// `views`, the views of box `def`: positions in `views`.
+pub(crate) fn chain(def: &str, views: &[ViewDef], name: &str) -> Result<Vec<usize>> {
+    let mut chain: Vec<usize> = Vec::new();
+    let mut cur = Some(name);
+    while let Some(n) = cur {
+        let i = views
+            .iter()
+            .position(|v| *v.name == *n)
+            .ok_or_else(|| VclError::Eval(format!("box `{def}` has no view `:{n}`")))?;
+        let v = &views[i];
+        if chain.iter().any(|&c| views[c].name == v.name) {
+            return Err(VclError::Eval(format!(
+                "view inheritance cycle at `:{}` in `{def}`",
+                v.name
+            )));
+        }
+        chain.push(i);
+        cur = v.parent.as_deref();
+    }
+    chain.reverse();
+    Ok(chain)
 }
 
 /// A display item inside a view.
@@ -48,22 +96,23 @@ pub struct ViewDef {
 pub enum ItemDef {
     /// `Text<decor> spec, spec, …`.
     Text {
-        /// Optional display decorator (Table 1).
-        decor: Option<String>,
+        /// Optional display decorator (Table 1); one that does not parse
+        /// displays as no decorator.
+        decor: Option<Decorator>,
         /// One or more text specs.
         specs: Vec<TextSpec>,
     },
     /// `Link name -> rvalue`.
     Link {
         /// Edge label.
-        name: String,
+        name: Arc<str>,
         /// Target (must evaluate to a box or NULL).
         target: RValue,
     },
     /// `Container name: rvalue` (rvalue must evaluate to a sequence).
     Container {
         /// Container label.
-        name: String,
+        name: Arc<str>,
         /// Member source.
         value: RValue,
     },
@@ -73,7 +122,7 @@ pub enum ItemDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextSpec {
     /// Display name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Value source; a bare `pid` or `se.vruntime` reads that path off
     /// `@this` ([`RValue::ThisPath`]).
     pub expr: RValue,
@@ -87,7 +136,7 @@ pub struct CExpr {
     /// The C source text, as an error message echoes it.
     pub src: String,
     /// The parsed expression, or why it does not parse.
-    pub parsed: Result<Expr, BridgeError>,
+    pub parsed: std::result::Result<Expr, BridgeError>,
 }
 
 impl CExpr {
@@ -166,8 +215,9 @@ pub enum RValue {
     Instantiate {
         /// The defined box-type name.
         box_type: String,
-        /// Optional `container_of` anchor: `ctype.member.path`.
-        anchor: Option<String>,
+        /// Optional `container_of` anchor: `ctype.member.path`, bound to
+        /// the member's offset.
+        anchor: Option<Name<u64>>,
         /// The object (or member) address expression.
         arg: Box<RValue>,
     },
@@ -175,7 +225,7 @@ pub enum RValue {
     /// label (`Box List [ … ]`) names the virtual box for ViewQL.
     AnonBox {
         /// Display label (default `Box`).
-        label: String,
+        label: Arc<str>,
         /// Items of the single default view.
         items: Vec<ItemDef>,
         /// Local bindings.

@@ -1,6 +1,7 @@
 //! Text decorators (paper Table 1): how a raw value is displayed.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 use ktypes::{CValue, TypeKind};
 use vbridge::Target;
@@ -146,10 +147,10 @@ impl Decorator {
         let raw = raw_of(value);
         match self {
             Decorator::Int { base } => match base {
-                'x' => format!("{:#x}", raw as u64),
-                'b' => format!("{:#b}", raw as u64),
-                'o' => format!("{:#o}", raw as u64),
-                _ => format!("{raw}"),
+                'x' => number(format_args!("{:#x}", raw as u64)),
+                'b' => number(format_args!("{:#b}", raw as u64)),
+                'o' => number(format_args!("{:#o}", raw as u64)),
+                _ => number(format_args!("{raw}")),
             },
             Decorator::Bool => if raw != 0 { "true" } else { "false" }.to_string(),
             Decorator::Char => {
@@ -167,7 +168,7 @@ impl Decorator {
                     .and_then(|id| target.types.enum_def(id))
                     .and_then(|e| e.name_of(raw))
                     .map(str::to_string);
-                name.unwrap_or_else(|| format!("{raw}"))
+                name.unwrap_or_else(|| number(format_args!("{raw}")))
             }
             Decorator::Str => match value {
                 CValue::Str(s) => s.clone(),
@@ -180,15 +181,15 @@ impl Decorator {
                             .unwrap_or_else(|_| "<fault>".into())
                     }
                 }
-                _ => format!("{raw}"),
+                _ => number(format_args!("{raw}")),
             },
-            Decorator::RawPtr => format!("{:#x}", raw as u64),
+            Decorator::RawPtr => number(format_args!("{:#x}", raw as u64)),
             Decorator::FunPtr => {
                 let addr = raw as u64;
                 match target.symbols.name_at(addr) {
                     Some(n) => n.to_string(),
                     None if addr == 0 => "NULL".to_string(),
-                    None => format!("{addr:#x}"),
+                    None => number(format_args!("{addr:#x}")),
                 }
             }
             Decorator::Flag(id) => flags.render_flags(id, raw as u64),
@@ -200,12 +201,12 @@ impl Decorator {
 /// Default rendering when no decorator is given.
 pub fn render_default(target: &Target<'_>, value: &CValue) -> String {
     match value {
-        CValue::Int { value, .. } => format!("{value}"),
+        CValue::Int { value, .. } => number(format_args!("{value}")),
         CValue::Ptr { addr, .. } => {
             if *addr == 0 {
                 "NULL".into()
             } else {
-                format!("{addr:#x}")
+                number(format_args!("{addr:#x}"))
             }
         }
         CValue::LValue { addr, ty } => {
@@ -242,6 +243,15 @@ pub fn render_default(target: &Target<'_>, value: &CValue) -> String {
         CValue::Str(s) => s.clone(),
         CValue::Void => String::new(),
     }
+}
+
+/// A formatted number, in a buffer sized for any 64-bit value in hex
+/// or decimal; `format!` would start empty and grow per piece it writes.
+fn number(args: fmt::Arguments<'_>) -> String {
+    let mut out = String::with_capacity(20);
+    out.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    out
 }
 
 fn raw_of(value: &CValue) -> i64 {

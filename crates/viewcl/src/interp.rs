@@ -1,8 +1,23 @@
 //! The ViewCL interpreter: program × target → object graph.
+//!
+//! A walk pays only for the kernel values it reads. What a program fixes
+//! was resolved when it was parsed (decorators, view chains, the
+//! definitions table) or is bound on first use and kept with the program
+//! for as long as the target's type registry and symbol table stay as
+//! they were (box C types, anchor offsets, and every name inside a C
+//! expression, see [`vbridge::eval`]). Names reach the graph as the
+//! program's own `Arc<str>`s, and the fixed ones are shared process-wide.
+//!
+//! Scopes are slot vectors: one stack of `(name, value)` bindings,
+//! borrowed names from the program, reused by every box of a walk. A
+//! scope is the stack from its base up, searched from the end, so a
+//! later binding shadows an earlier one; a box starts a new scope at the
+//! top, and a `forEach` element or an anonymous box extends the enclosing
+//! one and truncates it again when done.
 
-use std::collections::HashMap;
+use std::sync::{Arc, LazyLock};
 
-use ktypes::{CValue, TypeId};
+use ktypes::{CValue, Name, TypeId};
 use vbridge::{Evaluator, HelperRegistry, Target};
 use vgraph::{Attrs, BoxId, ContainerKind, Graph, Item, ViewInst};
 
@@ -24,7 +39,17 @@ pub enum Value {
     Seq(Vec<BoxId>, ContainerKind),
 }
 
-type Scope = HashMap<String, Value>;
+/// The names every walk gives its virtual boxes and default views,
+/// shared by all graphs of the process.
+pub(crate) static DEFAULT: LazyLock<Arc<str>> = LazyLock::new(|| "default".into());
+static VALUE: LazyLock<Arc<str>> = LazyLock::new(|| "value".into());
+static DIAGNOSTIC: LazyLock<Arc<str>> = LazyLock::new(|| "diagnostic".into());
+static CELL: LazyLock<Arc<str>> = LazyLock::new(|| "Cell".into());
+static DIAG: LazyLock<Arc<str>> = LazyLock::new(|| "Diag".into());
+static NO_CTYPE: LazyLock<Arc<str>> = LazyLock::new(|| "".into());
+
+/// The flag and emoji sets of the decorators, built once per process.
+static FLAGS: LazyLock<FlagSets> = LazyLock::new(FlagSets::with_builtins);
 
 /// The interpreter. Owns the output graph; borrows the programs it runs
 /// (`'p`) and the target and helper registry (`'t`) for the duration of
@@ -32,12 +57,16 @@ type Scope = HashMap<String, Value>;
 pub struct Interp<'p, 't, 'img> {
     target: &'t Target<'img>,
     helpers: &'t HelperRegistry,
-    /// Flag/emoji sets for decorators.
-    pub flags: FlagSets,
-    defines: HashMap<&'p str, &'p BoxDef>,
+    /// Programs whose definitions are loaded, in load order; a later
+    /// program's definition of a name shadows an earlier one's.
+    programs: Vec<&'p Program>,
     /// The graph under construction.
-    pub graph: Graph,
-    globals: Scope,
+    graph: Graph,
+    /// The C type of each box of `graph`, by id; `None` for virtual ones.
+    box_types: Vec<Option<TypeId>>,
+    /// The scope stack (see the module docs). Top-level assignments stay
+    /// at its bottom.
+    scope: Vec<(&'p str, Value)>,
 }
 
 impl<'p, 't, 'img> Interp<'p, 't, 'img> {
@@ -47,34 +76,30 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         Interp {
             target,
             helpers,
-            flags: FlagSets::with_builtins(),
-            defines: HashMap::new(),
+            programs: Vec::new(),
             graph: Graph::new(),
-            globals: Scope::new(),
+            box_types: Vec::new(),
+            scope: Vec::new(),
         }
     }
 
     /// Load a program's box definitions without executing statements
     /// (used for the predefined "standard library" of boxes, §2.2).
     pub fn load_defines(&mut self, program: &'p Program) {
-        for d in &program.defines {
-            self.defines.insert(&d.name, d);
-        }
+        self.programs.push(program);
     }
 
     /// Execute a program: register its defines, run its statements.
     pub fn run(&mut self, program: &'p Program) -> Result<()> {
         self.load_defines(program);
-        let mut scope = std::mem::take(&mut self.globals);
         for stmt in &program.stmts {
             match stmt {
                 Stmt::Assign(name, rv) => {
-                    let v = self.eval(rv, &scope)?;
-                    scope.insert(name.clone(), v);
+                    let v = self.eval(rv, 0)?;
+                    self.scope.push((name, v));
                 }
                 Stmt::Plot(name) => {
-                    let v = scope
-                        .get(name)
+                    let v = lookup(&self.scope, 0, name)
                         .ok_or_else(|| VclError::Eval(format!("plot: unknown `@{name}`")))?;
                     match v {
                         Value::Box(id) => self.graph.roots.push(*id),
@@ -88,7 +113,6 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 }
             }
         }
-        self.globals = scope;
         Ok(())
     }
 
@@ -103,11 +127,45 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         Evaluator::new(self.target, self.helpers)
     }
 
+    fn long(&self) -> TypeId {
+        self.target.types.long().expect("long interned")
+    }
+
     fn ctype_of(&self, name: &str) -> Result<TypeId> {
         self.target
             .types
             .find(name)
             .ok_or_else(|| VclError::Eval(format!("unknown C type `{name}`")))
+    }
+
+    /// What `name` resolves to under the target's current type registry
+    /// and symbol table (see [`Name::get_or_resolve`]).
+    fn bound<T: Clone>(&self, name: &Name<T>, resolve: impl FnOnce() -> Result<T>) -> Result<T> {
+        let (types, symbols) = (self.target.types.stamp(), self.target.symbols.stamp());
+        name.get_or_resolve(types, symbols, resolve)
+    }
+
+    /// The definition `name` refers to among the loaded programs.
+    fn define(&self, name: &str) -> Option<&'p BoxDef> {
+        self.programs.iter().rev().find_map(|p| p.define(name))
+    }
+
+    /// Intern a box, noting the C type of a new one.
+    fn intern(
+        &mut self,
+        addr: u64,
+        label: &Arc<str>,
+        ctype: &Arc<str>,
+        size: u64,
+        ty: Option<TypeId>,
+    ) -> (BoxId, bool) {
+        let (id, fresh) = self
+            .graph
+            .intern(addr, Arc::clone(label), Arc::clone(ctype), size);
+        if fresh {
+            self.box_types.push(ty);
+        }
+        (id, fresh)
     }
 
     /// The C value `@name` denotes in a `${…}` expression: boxes are
@@ -116,75 +174,65 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         match v {
             Value::C(c) => Some(c.clone()),
             Value::Box(id) => {
-                let b = self.graph.get(*id);
-                Some(match self.target.types.find(&b.ctype) {
-                    Some(ty) if b.addr != 0 => CValue::LValue { addr: b.addr, ty },
+                let addr = self.graph.get(*id).addr;
+                Some(match self.box_types[id.0 as usize] {
+                    Some(ty) if addr != 0 => CValue::LValue { addr, ty },
                     _ => CValue::Int {
-                        value: b.addr as i64,
-                        ty: self.target.types.find("long").expect("long interned"),
+                        value: addr as i64,
+                        ty: self.long(),
                     },
                 })
             }
             Value::Null => Some(CValue::Int {
                 value: 0,
-                ty: self.target.types.find("long").expect("long interned"),
+                ty: self.long(),
             }),
             Value::Seq(..) => None,
         }
     }
 
-    /// Evaluate a C expression whose `@name`s resolve from `scope`.
-    fn eval_cexpr(&self, e: &CExpr, scope: &Scope) -> Result<CValue> {
+    /// Evaluate a C expression whose `@name`s resolve from the scope at
+    /// `base`.
+    fn eval_cexpr(&self, e: &CExpr, base: usize) -> Result<CValue> {
         let expr = e.parsed.as_ref().map_err(Clone::clone)?;
-        let env = |name: &str| scope.get(name).and_then(|v| self.c_value(v));
+        let env = |name: &str| lookup(&self.scope, base, name).and_then(|v| self.c_value(v));
         Ok(self.evaluator().eval(expr, &env)?)
     }
 
-    /// Evaluate an rvalue to a ViewCL value.
-    pub fn eval(&mut self, rv: &RValue, scope: &Scope) -> Result<Value> {
+    /// Evaluate an rvalue to a ViewCL value in the scope at `base`.
+    fn eval(&mut self, rv: &'p RValue, base: usize) -> Result<Value> {
         match rv {
-            RValue::CExpr(e) => Ok(Value::C(self.eval_cexpr(e, scope)?)),
+            RValue::CExpr(e) => Ok(Value::C(self.eval_cexpr(e, base)?)),
             RValue::Null => Ok(Value::Null),
-            RValue::ThisPath { expr, .. } => Ok(Value::C(self.eval_cexpr(expr, scope)?)),
+            RValue::ThisPath { expr, .. } => Ok(Value::C(self.eval_cexpr(expr, base)?)),
             RValue::Ref { path, nav } => {
                 let head = ref_head(path);
-                let base = scope
-                    .get(head)
-                    .or_else(|| self.globals.get(head))
+                let v = lookup(&self.scope, base, head)
                     .ok_or_else(|| VclError::Eval(format!("unknown `@{head}`")))?;
-                let Some(nav) = nav else {
-                    return Ok(base.clone());
-                };
-                // Navigate the remainder through the C evaluator; the
-                // head may be a global, the rest resolves from scope.
-                let expr = nav.parsed.as_ref().map_err(Clone::clone)?;
-                let env = |name: &str| {
-                    let v = if name == head {
-                        Some(base)
-                    } else {
-                        scope.get(name)
-                    };
-                    v.and_then(|v| self.c_value(v))
-                };
-                Ok(Value::C(self.evaluator().eval(expr, &env)?))
+                match nav {
+                    None => Ok(v.clone()),
+                    // Navigate the rest of the path through the C
+                    // evaluator.
+                    Some(nav) => Ok(Value::C(self.eval_cexpr(nav, base)?)),
+                }
             }
             RValue::Switch {
                 scrutinee,
                 cases,
                 otherwise,
             } => {
-                let s = self.eval(scrutinee, scope)?;
+                let s = self.eval(scrutinee, base)?;
                 let sv = self.value_as_int(&s)?;
                 for (guards, result) in cases {
                     for g in guards {
-                        let gv = self.eval(g, scope)?;
+                        let gv = self.eval(g, base)?;
                         if self.value_as_int(&gv)? == sv {
-                            return self.eval(result, scope);
+                            return self.eval(result, base);
                         }
                     }
                 }
                 match otherwise {
-                    Some(o) => self.eval(o, scope),
+                    Some(o) => self.eval(o, base),
                     None => Ok(Value::Null),
                 }
             }
@@ -192,9 +240,9 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 kind,
                 args,
                 for_each,
-            } => self.eval_ctor(*kind, args, for_each.as_deref(), scope),
+            } => self.eval_ctor(*kind, args, for_each.as_deref(), base),
             RValue::SelectFrom { source, box_type } => {
-                let src = self.eval(source, scope)?;
+                let src = self.eval(source, base)?;
                 let root = match src {
                     Value::Box(id) => id,
                     other => {
@@ -207,7 +255,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                     .graph
                     .reachable(&[root])
                     .into_iter()
-                    .filter(|id| self.graph.get(*id).label == *box_type)
+                    .filter(|id| *self.graph.get(*id).label == **box_type)
                     .collect();
                 // Order by the most natural sort key available.
                 members.sort_by_key(|id| {
@@ -222,7 +270,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 anchor,
                 arg,
             } => {
-                let v = self.eval(arg, scope)?;
+                let v = self.eval(arg, base)?;
                 let addr = match &v {
                     Value::Null => return Ok(Value::Null),
                     Value::C(c) => {
@@ -246,23 +294,11 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                     return Ok(Value::Null);
                 }
                 let addr = match anchor {
-                    Some(a) => {
-                        let (ctype, member) = a.split_once('.').ok_or_else(|| {
-                            VclError::Eval(format!("bad anchor `{a}`: need ctype.member"))
-                        })?;
-                        let ty = self.ctype_of(ctype)?;
-                        let (off, _) = self
-                            .target
-                            .types
-                            .field_path(ty, member)
-                            .map_err(vbridge::BridgeError::from)?;
-                        addr.wrapping_sub(off)
-                    }
+                    Some(a) => addr.wrapping_sub(self.bound(a, || self.anchor_offset(a))?),
                     None => addr,
                 };
-                let def = *self
-                    .defines
-                    .get(box_type.as_str())
+                let def = self
+                    .define(box_type)
                     .ok_or_else(|| VclError::Eval(format!("unknown box type `{box_type}`")))?;
                 Ok(Value::Box(self.instantiate(def, addr)?))
             }
@@ -271,21 +307,48 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 items,
                 wheres,
             } => {
-                let (id, _) = self.graph.intern(0, label, "", 0);
-                let mut inner = scope.clone();
-                for (name, rv) in wheres {
-                    let v = self.eval(rv, &inner)?;
-                    inner.insert(name.clone(), v);
-                }
-                let mut view_items = Vec::new();
-                self.eval_items(items, &inner, &mut view_items)?;
+                let (id, _) = self.intern(0, label, &NO_CTYPE, 0, None);
+                let mark = self.scope.len();
+                let view_items = self.anon_items(items, wheres, base);
+                self.scope.truncate(mark);
                 self.graph.get_mut(id).views.push(ViewInst {
-                    name: "default".into(),
-                    items: view_items,
+                    name: DEFAULT.clone(),
+                    items: view_items?,
                 });
                 Ok(Value::Box(id))
             }
         }
+    }
+
+    /// The offset of an anchor's `ctype.member.path`.
+    fn anchor_offset(&self, anchor: &str) -> Result<u64> {
+        let (ctype, member) = anchor
+            .split_once('.')
+            .ok_or_else(|| VclError::Eval(format!("bad anchor `{anchor}`: need ctype.member")))?;
+        let ty = self.ctype_of(ctype)?;
+        let (off, _) = self
+            .target
+            .types
+            .field_path(ty, member)
+            .map_err(vbridge::BridgeError::from)?;
+        Ok(off)
+    }
+
+    /// An anonymous box's items: its `wheres` extend the enclosing scope
+    /// at `base`; the caller truncates them.
+    fn anon_items(
+        &mut self,
+        items: &'p [ItemDef],
+        wheres: &'p [(String, RValue)],
+        base: usize,
+    ) -> Result<Vec<Item>> {
+        for (name, rv) in wheres {
+            let v = self.eval(rv, base)?;
+            self.scope.push((name, v));
+        }
+        let mut view_items = Vec::with_capacity(items_len(items));
+        self.eval_items(items, base, &mut view_items)?;
+        Ok(view_items)
     }
 
     fn value_as_int(&self, v: &Value) -> Result<i64> {
@@ -305,9 +368,9 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     fn eval_ctor(
         &mut self,
         kind: CtorKind,
-        args: &[RValue],
-        for_each: Option<&ForEach>,
-        scope: &Scope,
+        args: &'p [RValue],
+        for_each: Option<&'p ForEach>,
+        base: usize,
     ) -> Result<Value> {
         let ctor_name = match kind {
             CtorKind::List => "List",
@@ -329,11 +392,12 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         );
         let mut cargs = Vec::with_capacity(args.len());
         for a in args {
-            match self.eval(a, scope)? {
+            match self.eval(a, base)? {
                 Value::C(c) => cargs.push(c),
                 Value::Box(id) => {
                     let b = self.graph.get(id);
-                    let ty = self.target.types.find(&b.ctype);
+                    let ty =
+                        self.box_types[id.0 as usize].or_else(|| self.target.types.find(&b.ctype));
                     match ty {
                         Some(ty) => cargs.push(CValue::LValue { addr: b.addr, ty }),
                         None => {
@@ -349,7 +413,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             }
         }
 
-        let long_ty = self.target.types.find("long").expect("long interned");
+        let long_ty = self.long();
         let to_ints = |addrs: Vec<u64>| -> Vec<CValue> {
             addrs
                 .into_iter()
@@ -388,13 +452,10 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         match for_each {
             Some(fe) => {
                 for elem in elems {
-                    let mut inner = scope.clone();
-                    inner.insert(fe.param.clone(), Value::C(elem));
-                    for (name, rv) in &fe.wheres {
-                        let v = self.eval(rv, &inner)?;
-                        inner.insert(name.clone(), v);
-                    }
-                    match self.eval(&fe.yield_expr, &inner)? {
+                    let mark = self.scope.len();
+                    let yielded = self.yield_elem(fe, elem, base);
+                    self.scope.truncate(mark);
+                    match yielded? {
                         Value::Box(id) => members.push(id),
                         Value::Null => {}
                         Value::Seq(ids, _) => members.extend(ids),
@@ -418,17 +479,28 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         Ok(Value::Seq(members, ckind))
     }
 
+    /// One `forEach` element: its parameter and bindings extend the
+    /// enclosing scope at `base`; the caller truncates them.
+    fn yield_elem(&mut self, fe: &'p ForEach, elem: CValue, base: usize) -> Result<Value> {
+        self.scope.push((&fe.param, Value::C(elem)));
+        for (name, rv) in &fe.wheres {
+            let v = self.eval(rv, base)?;
+            self.scope.push((name, v));
+        }
+        self.eval(&fe.yield_expr, base)
+    }
+
     /// A virtual diagnostic box appended to a truncated container so the
     /// damage shows up in the plot itself.
     fn diag_box(&mut self, msg: &str, addr: u64) -> BoxId {
-        let (id, _) = self.graph.intern(0, "Diag", "", 0);
+        let (id, _) = self.intern(0, &DIAG, &NO_CTYPE, 0, None);
         let b = self.graph.get_mut(id);
         b.attrs
             .set("diagnostic", serde_json::Value::String(msg.to_string()));
         b.views.push(ViewInst {
-            name: "default".into(),
+            name: DEFAULT.clone(),
             items: vec![Item::Text {
-                name: "diagnostic".into(),
+                name: DIAGNOSTIC.clone(),
                 value: msg.to_string(),
                 raw: Some(addr as i64),
             }],
@@ -439,12 +511,12 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     /// A virtual single-text box used for containers of raw values
     /// (e.g. maple-tree pivots).
     fn cell_box(&mut self, v: &CValue) -> BoxId {
-        let (id, _) = self.graph.intern(0, "Cell", "", 0);
+        let (id, _) = self.intern(0, &CELL, &NO_CTYPE, 0, None);
         let value = decor::render_default(self.target, v);
         self.graph.get_mut(id).views.push(ViewInst {
-            name: "default".into(),
+            name: DEFAULT.clone(),
             items: vec![Item::Text {
-                name: "value".into(),
+                name: VALUE.clone(),
                 value,
                 raw: decor::raw_for_query(v),
             }],
@@ -455,76 +527,62 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     // ----------------------------------------------------- instantiation --
 
     /// Materialize a box for `def` at `addr`, evaluating all of its views.
-    pub fn instantiate(&mut self, def: &BoxDef, addr: u64) -> Result<BoxId> {
-        let cty = self.ctype_of(&def.ctype)?;
+    fn instantiate(&mut self, def: &'p BoxDef, addr: u64) -> Result<BoxId> {
+        let cty = self.bound(&def.ctype, || self.ctype_of(&def.ctype))?;
         let size = self.target.types.size_of(cty);
-        let (id, fresh) = self.graph.intern(addr, &def.name, &def.ctype, size);
+        let (id, fresh) = self.intern(addr, &def.name, def.ctype.text(), size, Some(cty));
         if !fresh {
             return Ok(id);
         }
+        let base = self.scope.len();
+        let filled = self.fill_views(def, id, base, CValue::LValue { addr, ty: cty });
+        self.scope.truncate(base);
+        filled.map(|()| id)
+    }
 
-        let mut scope = Scope::new();
-        scope.insert("this".into(), Value::C(CValue::LValue { addr, ty: cty }));
-
+    /// Evaluate the views of box `id` in a new scope at `base`; the
+    /// caller truncates it.
+    fn fill_views(&mut self, def: &'p BoxDef, id: BoxId, base: usize, this: CValue) -> Result<()> {
+        self.scope.push(("this", Value::C(this)));
         // Evaluate every where binding once, in view-declaration order,
         // first binding of a name wins (shared across views).
         for view in &def.views {
-            for v in self.chain(def, &view.name)? {
-                for (name, rv) in &v.wheres {
-                    if scope.contains_key(name) {
+            for &v in view.chain.as_ref().map_err(Clone::clone)? {
+                for (name, rv) in &def.views[v].wheres {
+                    if self.scope[base..].iter().any(|(n, _)| n == name) {
                         continue;
                     }
-                    let val = self.eval(rv, &scope)?;
-                    scope.insert(name.clone(), val);
+                    let val = self.eval(rv, base)?;
+                    self.scope.push((name, val));
                 }
             }
         }
 
         for view in &def.views {
-            let mut view_items = Vec::new();
-            for v in self.chain(def, &view.name)? {
-                self.eval_items(&v.items, &scope, &mut view_items)?;
+            let chain = view.chain.as_ref().map_err(Clone::clone)?;
+            let len = chain.iter().map(|&v| items_len(&def.views[v].items)).sum();
+            let mut view_items = Vec::with_capacity(len);
+            for &v in chain {
+                self.eval_items(&def.views[v].items, base, &mut view_items)?;
             }
             self.graph.get_mut(id).views.push(ViewInst {
                 name: view.name.clone(),
                 items: view_items,
             });
         }
-        Ok(id)
-    }
-
-    /// Inheritance chain (root-first) of a view.
-    fn chain<'d>(&self, def: &'d BoxDef, name: &str) -> Result<Vec<&'d ViewDef>> {
-        let mut chain = Vec::new();
-        let mut cur = Some(name);
-        while let Some(n) = cur {
-            let v = def
-                .view(n)
-                .ok_or_else(|| VclError::Eval(format!("box `{}` has no view `:{n}`", def.name)))?;
-            if chain.iter().any(|c: &&ViewDef| c.name == v.name) {
-                return Err(VclError::Eval(format!(
-                    "view inheritance cycle at `:{}` in `{}`",
-                    v.name, def.name
-                )));
-            }
-            chain.push(v);
-            cur = v.parent.as_deref();
-        }
-        chain.reverse();
-        Ok(chain)
+        Ok(())
     }
 
     /// Evaluate `items` in order, appending their display items to `out`.
-    fn eval_items(&mut self, items: &[ItemDef], scope: &Scope, out: &mut Vec<Item>) -> Result<()> {
+    fn eval_items(&mut self, items: &'p [ItemDef], base: usize, out: &mut Vec<Item>) -> Result<()> {
         for item in items {
             match item {
                 ItemDef::Text { decor, specs } => {
-                    let dec = decor.as_deref().and_then(Decorator::parse);
                     for spec in specs {
-                        out.push(self.eval_text(spec, dec.as_ref(), scope));
+                        out.push(self.eval_text(spec, decor.as_ref(), base));
                     }
                 }
-                ItemDef::Link { name, target } => match self.eval(target, scope) {
+                ItemDef::Link { name, target } => match self.eval(target, base) {
                     Ok(Value::Box(id)) => out.push(Item::Link {
                         name: name.clone(),
                         target: id,
@@ -540,7 +598,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                     }
                     Err(_) => out.push(Item::NullLink { name: name.clone() }),
                 },
-                ItemDef::Container { name, value } => match self.eval(value, scope)? {
+                ItemDef::Container { name, value } => match self.eval(value, base)? {
                     Value::Seq(members, kind) => out.push(Item::Container {
                         name: name.clone(),
                         kind,
@@ -564,17 +622,17 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         Ok(())
     }
 
-    fn eval_text(&mut self, spec: &TextSpec, dec: Option<&Decorator>, scope: &Scope) -> Item {
+    fn eval_text(&mut self, spec: &'p TextSpec, dec: Option<&Decorator>, base: usize) -> Item {
         let rendered = (|| -> Result<(String, Option<i64>)> {
-            let value = match self.eval(&spec.expr, scope)? {
+            let value = match self.eval(&spec.expr, base)? {
                 Value::C(c) => c,
                 Value::Null => CValue::Int {
                     value: 0,
-                    ty: self.target.types.find("long").expect("long interned"),
+                    ty: self.long(),
                 },
                 Value::Box(id) => CValue::Int {
                     value: self.graph.get(id).addr as i64,
-                    ty: self.target.types.find("long").expect("long interned"),
+                    ty: self.long(),
                 },
                 Value::Seq(..) => {
                     return Err(VclError::Eval(format!(
@@ -585,7 +643,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             };
             let raw = decor::raw_for_query(&value);
             let text = match dec {
-                Some(d) => d.render(self.target, &self.flags, &value),
+                Some(d) => d.render(self.target, &FLAGS, &value),
                 None => decor::render_default(self.target, &value),
             };
             Ok((text, raw))
@@ -603,4 +661,26 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             },
         }
     }
+}
+
+/// How many display items `items` yield: one per text spec, link and
+/// container.
+fn items_len(items: &[ItemDef]) -> usize {
+    items
+        .iter()
+        .map(|i| match i {
+            ItemDef::Text { specs, .. } => specs.len(),
+            ItemDef::Link { .. } | ItemDef::Container { .. } => 1,
+        })
+        .sum()
+}
+
+/// The value `name` is bound to in the scope at `base` of `scope`: its
+/// latest binding there.
+fn lookup<'s>(scope: &'s [(&str, Value)], base: usize, name: &str) -> Option<&'s Value> {
+    scope[base..]
+        .iter()
+        .rev()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
 }

@@ -1,6 +1,10 @@
 //! ViewCL recursive-descent parser.
 
+use ktypes::Name;
+
 use crate::ast::*;
+use crate::decor::Decorator;
+use crate::interp::DEFAULT;
 use crate::lexer::{lex, SpannedTok, Tok};
 use crate::{Result, VclError};
 
@@ -126,6 +130,9 @@ impl P {
                 t => return Err(self.err(format!("unexpected {t:?} at top level"))),
             }
         }
+        for (i, d) in prog.defines.iter().enumerate() {
+            prog.table.insert(d.name.clone(), i);
+        }
         Ok(prog)
     }
 
@@ -143,10 +150,11 @@ impl P {
             self.expect_punct("]")?;
             let wheres = self.opt_where()?;
             views.push(ViewDef {
-                name: "default".into(),
+                name: DEFAULT.clone(),
                 parent: None,
                 items,
                 wheres,
+                chain: Ok(Vec::new()),
             });
         } else if self.eat_punct("{") {
             while !self.eat_punct("}") {
@@ -155,7 +163,18 @@ impl P {
         } else {
             return Err(self.err("expected `[` or `{` after Box<...>"));
         }
-        Ok(BoxDef { name, ctype, views })
+        let chains: Vec<_> = views
+            .iter()
+            .map(|v| chain(&name, &views, &v.name))
+            .collect();
+        for (v, c) in views.iter_mut().zip(chains) {
+            v.chain = c;
+        }
+        Ok(BoxDef {
+            name: name.into(),
+            ctype: Name::new(ctype),
+            views,
+        })
     }
 
     fn named_view(&mut self) -> Result<ViewDef> {
@@ -173,10 +192,11 @@ impl P {
         self.expect_punct("]")?;
         let wheres = self.opt_where()?;
         Ok(ViewDef {
-            name,
+            name: name.into(),
             parent,
             items,
             wheres,
+            chain: Ok(Vec::new()),
         })
     }
 
@@ -202,7 +222,7 @@ impl P {
                 Tok::Ident(i) if i == "Text" => {
                     self.pos += 1;
                     let decor = match self.peek() {
-                        Tok::Spec(_) => Some(self.expect_spec()?),
+                        Tok::Spec(_) => Decorator::parse(&self.expect_spec()?),
                         _ => None,
                     };
                     let mut specs = vec![self.text_spec()?];
@@ -213,14 +233,14 @@ impl P {
                 }
                 Tok::Ident(i) if i == "Link" => {
                     self.pos += 1;
-                    let name = self.expect_ident()?;
+                    let name = self.expect_ident()?.into();
                     self.expect_punct("->")?;
                     let target = self.rvalue()?;
                     out.push(ItemDef::Link { name, target });
                 }
                 Tok::Ident(i) if i == "Container" => {
                     self.pos += 1;
-                    let name = self.expect_ident()?;
+                    let name = self.expect_ident()?.into();
                     self.expect_punct(":")?;
                     let value = self.rvalue()?;
                     out.push(ItemDef::Container { name, value });
@@ -268,11 +288,14 @@ impl P {
                 }
                 _ => self.rvalue()?,
             };
-            return Ok(TextSpec { name, expr });
+            return Ok(TextSpec {
+                name: name.into(),
+                expr,
+            });
         }
         Ok(TextSpec {
             expr: RValue::this_path(name.clone()),
-            name,
+            name: name.into(),
         })
     }
 
@@ -324,9 +347,9 @@ impl P {
                     Tok::Ident(l)
                         if !matches!(l.as_str(), "Text" | "Link" | "Container" | "where") =>
                     {
-                        self.expect_ident()?
+                        self.expect_ident()?.into()
                     }
-                    _ => "Box".to_string(),
+                    _ => "Box".into(),
                 };
                 self.expect_punct("[")?;
                 let items = self.items_until("]")?;
@@ -382,7 +405,7 @@ impl P {
                 // Box instantiation: Name(arg) or Name<anchor>(arg).
                 self.pos += 1;
                 let anchor = match self.peek() {
-                    Tok::Spec(_) => Some(self.expect_spec()?),
+                    Tok::Spec(_) => Some(Name::new(self.expect_spec()?)),
                     _ => None,
                 };
                 self.expect_punct("(")?;
@@ -500,7 +523,7 @@ plot @sched_tree
         let p = parse_program(src).unwrap();
         assert_eq!(p.defines.len(), 1);
         let d = &p.defines[0];
-        assert_eq!(d.name, "Task");
+        assert_eq!(&*d.name, "Task");
         assert_eq!(d.ctype, "task_struct");
         assert_eq!(d.views.len(), 1);
         assert_eq!(d.views[0].items.len(), 4);
@@ -508,7 +531,7 @@ plot @sched_tree
             ItemDef::Text { decor, specs } => {
                 assert!(decor.is_none());
                 assert_eq!(specs.len(), 2);
-                assert_eq!(specs[0].name, "pid");
+                assert_eq!(&*specs[0].name, "pid");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -563,7 +586,7 @@ define Task as Box<task_struct> {
         let d = &p.defines[0];
         assert_eq!(d.views.len(), 3);
         assert_eq!(d.views[1].parent.as_deref(), Some("default"));
-        assert_eq!(d.views[2].name, "sched_rq");
+        assert_eq!(&*d.views[2].name, "sched_rq");
         assert_eq!(d.views[2].wheres.len(), 1);
     }
 

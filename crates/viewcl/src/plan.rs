@@ -364,7 +364,7 @@ impl<'p> Compiler<'p> {
                     (Ctx::Top, RValue::CExpr(e)) if !e.src.contains('@') => {
                         self.plan.seeds.push(Seed {
                             box_type: box_type.clone(),
-                            anchor: anchor.clone(),
+                            anchor: anchor.as_deref().map(str::to_string),
                             src: e.src.clone(),
                         });
                     }
@@ -383,7 +383,7 @@ impl<'p> Compiler<'p> {
                                     path,
                                     addr_of,
                                     target_box: box_type.clone(),
-                                    anchor: anchor.clone(),
+                                    anchor: anchor.as_deref().map(str::to_string),
                                 });
                             }
                         }
@@ -455,7 +455,7 @@ impl<'p> Compiler<'p> {
                     if let Some(bi) = self.plan.boxes.get(box_type.as_str()) {
                         info.ctype = Some(bi.ctype.clone());
                         info.reads = bi.reads.clone();
-                        info.anchor = anchor.clone();
+                        info.anchor = anchor.as_deref().map(str::to_string);
                         info.child_box = Some(box_type.clone());
                     }
                 }
@@ -508,7 +508,7 @@ impl<'p> Compiler<'p> {
         self.plan.boxes.insert(
             name.to_string(),
             BoxInfo {
-                ctype: def.ctype.clone(),
+                ctype: def.ctype.to_string(),
                 reads,
                 walks: Vec::new(),
                 hops: Vec::new(),
@@ -539,11 +539,7 @@ impl<'p> Compiler<'p> {
 /// never correctness.
 pub fn compile(program: &Program) -> WalkPlan {
     let mut c = Compiler {
-        defines: program
-            .defines
-            .iter()
-            .map(|d| (d.name.as_str(), d))
-            .collect(),
+        defines: program.defines.iter().map(|d| (&*d.name, d)).collect(),
         plan: WalkPlan::default(),
         in_progress: HashSet::new(),
     };

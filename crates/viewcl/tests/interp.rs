@@ -82,7 +82,7 @@ plot @sched_tree
 
     // CPU 0 runs the three even workers (pids 100, 120, 140) plus some
     // threads; check every plotted box is a Task with the right fields.
-    let tasks: Vec<_> = g.boxes().iter().filter(|b| b.label == "Task").collect();
+    let tasks: Vec<_> = g.boxes().iter().filter(|b| &*b.label == "Task").collect();
     assert!(!tasks.is_empty(), "runqueue must not be empty");
     for t in &tasks {
         let view = t.active_view().unwrap();
@@ -146,7 +146,7 @@ plot @t
     assert_eq!(b.views.len(), 2);
     assert_eq!(b.views[0].items.len(), 2);
     // :sched = :default + vruntime.
-    assert_eq!(b.views[1].name, "sched");
+    assert_eq!(&*b.views[1].name, "sched");
     assert_eq!(b.views[1].items.len(), 3);
     assert_eq!(b.views[1].items[2].name(), "se.vruntime");
 }
@@ -228,7 +228,7 @@ plot @tasks
     let g = interp.into_graph();
     let mut real = 0;
     let mut null = 0;
-    for b in g.boxes().iter().filter(|b| b.label == "Task") {
+    for b in g.boxes().iter().filter(|b| &*b.label == "Task") {
         match b.item("mm").unwrap() {
             Item::Link { .. } => real += 1,
             Item::NullLink { .. } => null += 1,
@@ -329,8 +329,8 @@ plot @tasks
     let mut interp = Interp::new(&target, &h);
     interp.run(&program).unwrap();
     let g = interp.into_graph();
-    let n_tasks = g.boxes().iter().filter(|b| b.label == "Task").count();
-    let n_mms = g.boxes().iter().filter(|b| b.label == "MM").count();
+    let n_tasks = g.boxes().iter().filter(|b| &*b.label == "Task").count();
+    let n_mms = g.boxes().iter().filter(|b| &*b.label == "MM").count();
     assert_eq!(n_tasks, 10);
     assert_eq!(n_mms, 5, "threads share their leader's mm box");
 }
@@ -526,5 +526,90 @@ plot @t
     assert!(
         deep_reads > shallow_reads * 5,
         "recursive walk must read much more: {shallow_reads} vs {deep_reads}"
+    );
+}
+
+/// A name that does not resolve is a deferred error, not a parse-time
+/// or bind-time one: in a `switch` arm never taken it raises nothing,
+/// and in an arm taken it raises its message on every walk.
+#[test]
+fn unresolved_names_raise_only_when_evaluated_and_keep_their_text() {
+    let fx = fx();
+    let target = Target::new(
+        &fx.img.mem,
+        &fx.img.types,
+        &fx.img.symbols,
+        LatencyProfile::free(),
+    );
+    let h = helpers(&fx);
+    let cases = [
+        (
+            "${no_such_ident + 1}",
+            "viewcl: unknown identifier `no_such_ident`",
+        ),
+        (
+            "${(struct no_such_type *)0}",
+            "viewcl: type error: unknown type `struct no_such_type`",
+        ),
+        (
+            "${no_such_helper(1)}",
+            "viewcl: unknown helper function `no_such_helper`",
+        ),
+    ];
+    for (value, want) in cases {
+        let program = |k: u32| {
+            parse_program(&format!(
+                "k = ${{{k}}}\nx = switch @k {{ case ${{1}}: {value} otherwise: NULL }}"
+            ))
+            .unwrap()
+        };
+        let (skipped, taken) = (program(0), program(1));
+        for _ in 0..2 {
+            Interp::new(&target, &h)
+                .run(&skipped)
+                .unwrap_or_else(|e| panic!("{value} in an arm not taken: {e}"));
+            let err = Interp::new(&target, &h).run(&taken).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+    }
+}
+
+/// A view chain is resolved at parse time, but a bad one is still raised
+/// where the walk raised it before: when its box is instantiated, after
+/// the `where` bindings of the views declared before it.
+#[test]
+fn a_bad_view_chain_is_raised_after_the_bindings_of_earlier_views() {
+    let fx = fx();
+    let target = Target::new(
+        &fx.img.mem,
+        &fx.img.types,
+        &fx.img.symbols,
+        LatencyProfile::free(),
+    );
+    let h = helpers(&fx);
+    let program = |binding: &str| {
+        parse_program(&format!(
+            "define T as Box<task_struct> {{
+    :a [ Text pid ] where {{ x = {binding} }}
+    :missing => :b [ Text tgid ]
+}}
+n = ${{0}}
+t = switch @n {{ case ${{1}}: T(${{&init_task}}) otherwise: NULL }}
+u = T(${{&init_task}})"
+        ))
+        .unwrap()
+    };
+    let run = |binding: &str| {
+        let p = program(binding);
+        let mut i = Interp::new(&target, &h);
+        i.run(&p).map_err(|e| e.to_string())
+    };
+    assert_eq!(
+        run("${pid_of_nothing}"),
+        Err("viewcl: unknown identifier `pid_of_nothing`".to_string())
+    );
+    assert_eq!(
+        run("${1}"),
+        Err("viewcl evaluation error: box `T` has no view `:missing`".to_string())
     );
 }

@@ -293,7 +293,7 @@ impl Session {
                     hits.push(FocusHit {
                         pane,
                         boxid: b.id,
-                        label: b.label.clone(),
+                        label: b.label.to_string(),
                     });
                 }
             }

@@ -200,7 +200,7 @@ impl Engine {
         for id in candidates {
             let b = graph.get(id);
             // Type match: C type tag or ViewCL label (case-sensitive).
-            if b.ctype != expr.type_name && b.label != expr.type_name {
+            if *b.ctype != *expr.type_name && *b.label != *expr.type_name {
                 continue;
             }
             if let Some(c) = cond {
@@ -483,7 +483,7 @@ UPDATE task_all \ task_2 WITH collapsed: true
         let collapsed: Vec<bool> = g
             .boxes()
             .iter()
-            .filter(|b| b.label == "Task")
+            .filter(|b| &*b.label == "Task")
             .map(|b| b.attrs.collapsed)
             .collect();
         // pids 1 and 3 collapsed; 2 and 4 (ppid 2) stay.
@@ -561,7 +561,7 @@ UPDATE task_mms WITH trimmed: true
         let trimmed = g
             .boxes()
             .iter()
-            .filter(|b| b.label == "MM" && b.attrs.trimmed)
+            .filter(|b| &*b.label == "MM" && b.attrs.trimmed)
             .count();
         assert_eq!(trimmed, 3);
     }
@@ -581,7 +581,7 @@ UPDATE task_mms WITH trimmed: true
         let trimmed: Vec<bool> = g
             .boxes()
             .iter()
-            .filter(|b| b.label == "Task")
+            .filter(|b| &*b.label == "Task")
             .map(|b| b.attrs.trimmed)
             .collect();
         assert_eq!(trimmed, vec![false, true, true, true]);
@@ -629,7 +629,7 @@ UPDATE kids WITH collapsed: true
         let collapsed: Vec<bool> = g
             .boxes()
             .iter()
-            .filter(|b| b.label == "Task")
+            .filter(|b| &*b.label == "Task")
             .map(|b| b.attrs.collapsed)
             .collect();
         assert_eq!(collapsed, vec![false, true, true, true]);

@@ -29,7 +29,7 @@ pub fn to_dot(graph: &Graph) -> String {
         let title = if b.addr != 0 {
             format!("{} @{:#x}", b.label, b.addr)
         } else {
-            b.label.clone()
+            b.label.to_string()
         };
         if b.attrs.collapsed {
             let _ = writeln!(
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn trimmed_boxes_and_their_edges_vanish() {
         let mut g = sample_graph();
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         g.get_mut(mm).attrs.trimmed = true;
         let d = to_dot(&g);
         assert!(!d.contains("n0:mm ->"));

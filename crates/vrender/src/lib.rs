@@ -122,7 +122,7 @@ mod tests {
         let mut g = sample_graph();
         assert_eq!(visible(&g).len(), 3);
         // Trim the MM: it disappears.
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         g.get_mut(mm).attrs.trimmed = true;
         assert_eq!(visible(&g).len(), 2);
         // Collapse the root: children hidden.

@@ -142,7 +142,7 @@ fn box_lines(graph: &Graph, id: BoxId) -> Vec<String> {
     let title = if b.addr != 0 {
         format!("{} @{:#x}", b.label, b.addr)
     } else {
-        b.label.clone()
+        b.label.to_string()
     };
     if b.attrs.collapsed {
         return vec![format!("[+] {title}")];
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn collapsed_box_is_a_stub() {
         let mut g = sample_graph();
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         g.get_mut(mm).attrs.collapsed = true;
         let s = to_svg(&g);
         assert!(s.contains("[+] MM"));

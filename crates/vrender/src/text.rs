@@ -52,7 +52,7 @@ fn render_box(
     let title = if b.addr != 0 {
         format!("{} ({}) @{:#x}", b.label, b.ctype, b.addr)
     } else {
-        b.label.clone()
+        b.label.to_string()
     };
     if b.attrs.collapsed {
         indent(out, depth);
@@ -68,7 +68,7 @@ fn render_box(
                 Item::NullLink { name } => lines.push(format!("{name} → ∅")),
                 Item::Link { name, target } => {
                     lines.push(format!("{name} ↓"));
-                    children.push((name.clone(), vec![*target], false));
+                    children.push((name.to_string(), vec![*target], false));
                 }
                 Item::Container {
                     name,
@@ -85,7 +85,7 @@ fn render_box(
                         // latter); either flips the layout.
                         let vertical = attrs.direction.as_deref() == Some("vertical")
                             || b.attrs.direction.as_deref() == Some("vertical");
-                        children.push((name.clone(), members.clone(), vertical));
+                        children.push((name.to_string(), members.clone(), vertical));
                     }
                 }
             }
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn collapsed_box_renders_as_button() {
         let mut g = sample_graph();
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         g.get_mut(mm).attrs.collapsed = true;
         let t = to_text(&g);
         assert!(t.contains("[+] MM"));
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn trimmed_box_vanishes() {
         let mut g = sample_graph();
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         g.get_mut(mm).attrs.trimmed = true;
         let t = to_text(&g);
         assert!(!t.contains("MM"));
@@ -161,7 +161,7 @@ mod tests {
         use vgraph::{Item, ViewInst};
         let mut g = sample_graph();
         // Task #2 also links to the same MM.
-        let mm = g.boxes().iter().find(|b| b.label == "MM").unwrap().id;
+        let mm = g.boxes().iter().find(|b| &*b.label == "MM").unwrap().id;
         let t2 = vgraph::BoxId(1);
         g.get_mut(t2).views[0].items.push(Item::Link {
             name: "mm2".into(),
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(t.matches("map_count").count(), 1);
         assert!(t.contains("↩ MM"));
         let _ = ViewInst {
-            name: String::new(),
+            name: "".into(),
             items: vec![],
         };
     }

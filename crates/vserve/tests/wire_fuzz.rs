@@ -294,10 +294,12 @@ fn client_handshake_survives_hostile_verdicts() {
 /// Hostile JSON and ViewCL at the engine boundary, over the binary
 /// wire: a frame nested far past the JSON parser's depth limit, a
 /// multi-megabyte type-mismatched field, program text nested far past
-/// the ViewCL and C-expression parsers' depth limits, and a
-/// multi-megabyte malformed C expression each earn a small error reply —
-/// no stack overflow, no error that echoes the payload — and the engine
-/// keeps answering a sibling connection.
+/// the ViewCL and C-expression parsers' depth limits, a multi-megabyte
+/// malformed C expression, and a pushed graph whose only box links to a
+/// box it does not have each earn a small error reply — no stack
+/// overflow, no error that echoes the payload, no graph that would
+/// panic a later `REACHABLE` — and the engine keeps answering a sibling
+/// connection.
 #[test]
 fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -360,6 +362,22 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let too_deep_arm = "x = ".len() + 127 * arm.len() + "switch ".len();
     // 2 MB: one malformed C expression.
     let malformed = plot(format!("x = ${{{} $}}\nplot @x", "x".repeat(2 << 20)));
+    // ~400 B: a pushed graph whose one box links to box 99.
+    let mut graph = vgraph::Graph::new();
+    let (task, _) = graph.intern(0x1000, "Task", "task_struct", 64);
+    graph.get_mut(task).views.push(vgraph::ViewInst {
+        name: "default".into(),
+        items: vec![vgraph::Item::Link {
+            name: "next".into(),
+            target: vgraph::BoxId(99),
+        }],
+    });
+    graph.roots.push(task);
+    let dangling = VCommand::Vplot {
+        graph,
+        source: String::new(),
+    }
+    .to_json();
     let cases = [
         (
             "10,000-deep",
@@ -385,6 +403,11 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
             "2 MB malformed expression",
             malformed,
             format!("at byte {}: unexpected character `$`", (2 << 20) + 1),
+        ),
+        (
+            "a link to a missing box",
+            dangling,
+            "box 0, item `next`: no box 99 in a graph of 1".to_string(),
         ),
     ];
     let fig = visualinux::figures::by_id("fig3-4").unwrap();
@@ -418,5 +441,5 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     let wire = pump_thread.join().unwrap();
     wire.reconcile().expect("wire books balance");
     stats.reconcile().expect("engine books balance");
-    assert_eq!((stats.requests, stats.errors), (10, 5), "{stats:?}");
+    assert_eq!((stats.requests, stats.errors), (12, 6), "{stats:?}");
 }

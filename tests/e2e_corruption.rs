@@ -87,7 +87,7 @@ fn packets_of(w: Workload, viewcl: &str) -> (Session, vpanels::PaneId, u64, usiz
         .unwrap()
         .boxes()
         .iter()
-        .filter(|b| b.label == "Diag")
+        .filter(|b| &*b.label == "Diag")
         .count();
     (s, pane, reads, diags)
 }
@@ -111,7 +111,7 @@ fn cross_linked_task_list_plots_with_diagnostic_within_packet_budget() {
     let diag_text = g
         .boxes()
         .iter()
-        .filter(|b| b.label == "Diag")
+        .filter(|b| &*b.label == "Diag")
         .flat_map(|b| b.views.iter().flat_map(|v| &v.items))
         .find_map(|i| match i {
             vgraph::Item::Text { value, .. } => Some(value.clone()),
@@ -193,7 +193,7 @@ fn scoped_vcheck_annotates_only_the_damaged_objects() {
         .collect();
     assert!(!annotated.is_empty());
     assert!(
-        annotated.iter().all(|b| b.ctype == "mm_struct"),
+        annotated.iter().all(|b| &*b.ctype == "mm_struct"),
         "only the damaged address spaces are marked"
     );
 }

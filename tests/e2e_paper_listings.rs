@@ -48,7 +48,7 @@ UPDATE task_all \ task_2 WITH collapsed: true
     )
     .unwrap();
     let g = s.graph(pane).unwrap();
-    for b in g.boxes().iter().filter(|b| b.ctype == "task_struct") {
+    for b in g.boxes().iter().filter(|b| &*b.ctype == "task_struct") {
         let pid = b.member_raw("pid", g).unwrap();
         let ppid = b.member_raw("ppid", g).unwrap();
         assert_eq!(
@@ -112,7 +112,7 @@ UPDATE user_threads WITH view: show_children
     let (user, kernel): (Vec<_>, Vec<_>) = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "task_struct")
+        .filter(|b| &*b.ctype == "task_struct")
         .partition(|b| b.member_raw("mm", g).unwrap_or(0) != 0);
     assert!(user
         .iter()
@@ -130,7 +130,7 @@ UPDATE non_writable_vmas WITH collapsed: true
     )
     .unwrap();
     let g = s.graph(pane).unwrap();
-    for b in g.boxes().iter().filter(|b| b.ctype == "vm_area_struct") {
+    for b in g.boxes().iter().filter(|b| &*b.ctype == "vm_area_struct") {
         let writable = b.member_raw("is_writable", g).unwrap_or(0) == 1;
         assert_eq!(b.attrs.collapsed, !writable);
     }
@@ -169,7 +169,7 @@ UPDATE b WITH collapsed: true
     .unwrap();
     let g = s.graph(pane).unwrap();
     // The List virtual box's container is vertical now.
-    let list = g.boxes().iter().find(|b| b.label == "List").unwrap();
+    let list = g.boxes().iter().find(|b| &*b.label == "List").unwrap();
     let vertical = list.views.iter().flat_map(|v| &v.items).any(|i| {
         matches!(i, Item::Container { attrs, .. } if attrs.direction.as_deref() == Some("vertical"))
     }) || list.attrs.direction.as_deref() == Some("vertical");
@@ -178,7 +178,7 @@ UPDATE b WITH collapsed: true
     let collapsed: Vec<bool> = g
         .boxes()
         .iter()
-        .filter(|b| b.ctype == "super_block")
+        .filter(|b| &*b.ctype == "super_block")
         .map(|b| b.attrs.collapsed)
         .collect();
     assert_eq!(collapsed, vec![false, true, true]);

@@ -35,7 +35,11 @@ fn stackrot_rcu_lists_differ_across_cpus() {
     let r = casestudies::stackrot(LatencyProfile::free()).unwrap();
     let g = r.session.graph(r.pane).unwrap();
     // CPU 0 carries the deferred free; CPU 1's list exists but shorter.
-    let rcu_datas: Vec<_> = g.boxes().iter().filter(|b| b.label == "RcuData").collect();
+    let rcu_datas: Vec<_> = g
+        .boxes()
+        .iter()
+        .filter(|b| &*b.label == "RcuData")
+        .collect();
     assert_eq!(rcu_datas.len(), 2);
     let heads: Vec<i64> = rcu_datas
         .iter()
@@ -77,14 +81,14 @@ fn stackrot_after_grace_period_plots_the_poison() {
     let victim = g
         .boxes()
         .iter()
-        .find(|b| b.label == "MapleNode" && ksim::maple::mte_to_node(b.addr) == sr.victim_node)
+        .find(|b| &*b.label == "MapleNode" && ksim::maple::mte_to_node(b.addr) == sr.victim_node)
         .expect("the dangling node is still plotted");
     let ntype = victim
         .views
         .iter()
         .flat_map(|v| &v.items)
         .find_map(|i| match i {
-            vgraph::Item::Text { name, value, .. } if name == "ntype" => Some(value.clone()),
+            vgraph::Item::Text { name, value, .. } if &**name == "ntype" => Some(value.clone()),
             _ => None,
         })
         .unwrap();
@@ -94,7 +98,7 @@ fn stackrot_after_grace_period_plots_the_poison() {
     let poisoned_cells = g
         .boxes()
         .iter()
-        .filter(|b| b.label == "Pivot")
+        .filter(|b| &*b.label == "Pivot")
         .filter(|b| {
             b.views.iter().flat_map(|v| &v.items).any(|i| match i {
                 vgraph::Item::Text { value, .. } => value.contains("0x6b6b6b6b6b6b6b6b"),
