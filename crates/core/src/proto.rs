@@ -131,6 +131,31 @@ impl VCommand {
     }
 }
 
+/// How a [`VCommand::Vplot`] opens, up to its graph, and what separates
+/// the graph from the source.
+const VPLOT_HEAD: &str = "{\"command\":\"vplot\",\"graph\":";
+const VPLOT_SOURCE: &str = ",\"source\":";
+
+/// The `vplot` command for `graph` and `source`: byte for byte
+/// `VCommand::Vplot { graph, source }.to_json()`, written from borrowed
+/// parts into a string sized exactly ([`vplot_json_len`]), so no graph
+/// is moved or cloned to encode it.
+pub fn vplot_json(graph: &Graph, source: &str) -> String {
+    let mut out = String::with_capacity(vplot_json_len(graph, source));
+    out.push_str(VPLOT_HEAD);
+    graph.write_json(&mut out);
+    out.push_str(VPLOT_SOURCE);
+    source.write_json(&mut out);
+    out.push('}');
+    out
+}
+
+/// The exact length of [`vplot_json`]`(graph, source)`, counted without
+/// encoding it.
+pub fn vplot_json_len(graph: &Graph, source: &str) -> usize {
+    VPLOT_HEAD.len() + graph.json_len() + VPLOT_SOURCE.len() + source.json_len() + 1
+}
+
 impl VResponse {
     /// Serialize the reply.
     pub fn to_json(&self) -> String {

@@ -186,7 +186,8 @@ mod tests {
         SharedPlot {
             graph: std::sync::Arc::new(vgraph::Graph::default()),
             stats: visualinux::PlotStats::default(),
-            full: "".into(),
+            full_len: 0,
+            full: Default::default(),
             tape: None,
         }
     }

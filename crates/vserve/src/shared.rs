@@ -10,23 +10,28 @@
 //! so its session (and, for replay backends, the strict in-order tape
 //! cursor) can be caught up the moment a local walk becomes necessary.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use visualinux::PlotStats;
 
-/// One shareable extraction result. Graph and serialized payload are
-/// behind `Arc` so publishing and hitting are pointer bumps — a shared
-/// hit must not pay a graph deep-clone or a multi-kilobyte re-serialize,
-/// or the sharing saves nothing.
+/// One shareable extraction result. Graph and payload cell are behind
+/// `Arc` so publishing and hitting are pointer bumps — a shared hit must
+/// not pay a graph deep-clone or a multi-kilobyte re-serialize, or the
+/// sharing saves nothing.
 #[derive(Clone)]
 pub struct SharedPlot {
     /// The extracted graph.
     pub graph: Arc<vgraph::Graph>,
     /// Its extraction stats (virtual time, packets, …).
     pub stats: PlotStats,
-    /// The full `vplot` ship serialized once by the walking engine —
-    /// byte-identical for every sibling serving the same source.
-    pub full: Arc<str>,
+    /// The exact length of the full `vplot` ship of `graph`, measured
+    /// by the walking engine without encoding it.
+    pub full_len: usize,
+    /// The full `vplot` ship, encoded by the first engine that ships it
+    /// in full (the walker, or a sibling serving a shared hit) and then
+    /// byte-identical for every engine holding this cell. Empty until
+    /// then, so a sibling encodes only if it ships a full plot.
+    pub full: Arc<OnceLock<Arc<str>>>,
     /// The replay-tape event span `[from, to)` this walk consumed, when
     /// the walker serves a capture. Siblings replaying the *same*
     /// capture at the same position can advance their cursor over the

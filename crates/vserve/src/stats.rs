@@ -18,9 +18,11 @@ pub struct ServeStats {
     pub extractions: u64,
     /// Bridge walks actually performed.
     pub walks: u64,
-    /// Full `vplot` payloads serialized. A walk whose graph is the one
-    /// its source already served (a pane an incremental session kept)
-    /// reuses that payload.
+    /// Full `vplot` payloads serialized. A payload is encoded only for a
+    /// full plot that ships, once per graph: later full ships of that
+    /// graph (to another client, after a pane an incremental session
+    /// kept, or by a fleet sibling holding the same payload) reuse it,
+    /// and a graph that only ever ships as deltas is never encoded.
     pub full_encodes: u64,
     /// Extraction requests answered from a concurrent/identical walk.
     pub coalesced: u64,
@@ -81,10 +83,19 @@ impl ServeStats {
                 self.extractions, self.walks, self.coalesced, self.shared_hits
             ));
         }
-        if self.full_encodes > self.walks {
+        // An encode fills the payload of a graph this engine walked or
+        // took from a sibling, and only for a full plot that ships.
+        if self.full_encodes > self.walks + self.shared_hits {
             return Err(format!(
-                "full encodes ({}) > walks ({})",
-                self.full_encodes, self.walks
+                "full encodes ({}) > walks ({}) + shared hits ({})",
+                self.full_encodes, self.walks, self.shared_hits
+            ));
+        }
+        if self.full_encodes > self.fulls_sent {
+            return Err(format!(
+                "full encodes ({}) > full ships ({}) — a full plot was \
+                 encoded that never shipped",
+                self.full_encodes, self.fulls_sent
             ));
         }
         if self.fulls_sent + self.deltas_sent != self.extractions {
@@ -345,12 +356,13 @@ mod tests {
     #[test]
     fn reconcile_catches_more_encodes_than_walks() {
         let settled = ServeStats {
-            requests: 2,
-            plot_requests: 2,
-            extractions: 2,
+            requests: 3,
+            plot_requests: 3,
+            extractions: 3,
             walks: 2,
+            coalesced: 1,
             full_encodes: 2,
-            fulls_sent: 2,
+            fulls_sent: 3,
             ..ServeStats::default()
         };
         settled.reconcile().unwrap();
@@ -358,7 +370,42 @@ mod tests {
             full_encodes: 3,
             ..settled
         };
-        assert!(s.reconcile().is_err());
+        let err = s.reconcile().unwrap_err();
+        assert!(err.contains("walks"), "{err}");
+        // A fleet sibling that ships a shared hit's plot in full encodes
+        // a graph it never walked.
+        let sibling = ServeStats {
+            requests: 1,
+            plot_requests: 1,
+            extractions: 1,
+            shared_hits: 1,
+            full_encodes: 1,
+            fulls_sent: 1,
+            ..ServeStats::default()
+        };
+        sibling.reconcile().unwrap();
+    }
+
+    #[test]
+    fn reconcile_catches_an_encode_that_never_shipped() {
+        let settled = ServeStats {
+            requests: 2,
+            plot_requests: 2,
+            extractions: 2,
+            walks: 2,
+            full_encodes: 1,
+            fulls_sent: 1,
+            deltas_sent: 1,
+            delta_bytes_saved: 900,
+            ..ServeStats::default()
+        };
+        settled.reconcile().unwrap();
+        let s = ServeStats {
+            full_encodes: 2,
+            ..settled
+        };
+        let err = s.reconcile().unwrap_err();
+        assert!(err.contains("full ships"), "{err}");
     }
 
     #[test]

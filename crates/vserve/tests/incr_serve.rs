@@ -125,13 +125,17 @@ fn kept_panes_reuse_their_full_payload_and_every_reply_is_unchanged() {
     if let Some(i) = (0..plain.len()).find(|&i| plain[i] != incr[i]) {
         panic!("reply {i} differs between the plain and incremental engines");
     }
-    // A plain engine serializes the full plot of every walk.
-    assert_eq!(s_plain.full_encodes, s_plain.walks);
-    assert!(s_incr.full_encodes < s_incr.walks);
+    // A full plot is encoded only when it ships. Here every full ship is
+    // a source's first, of a distinct entry: 21 over 105 walks.
+    let figs = figures::all().len() as u64;
+    for s in [&s_plain, &s_incr] {
+        assert_eq!(s.full_encodes, s.fulls_sent);
+        assert_eq!(s.fulls_sent, figs);
+        assert_eq!(s.walks, 5 * figs);
+    }
 
     // After an empty stop every pane is kept: the incremental engine
     // walks each figure again but encodes none of their full plots.
-    let figs = figures::all().len() as u64;
     let (_, _, once) = serve_rounds(true, 1, Stop::Empty);
     let (_, _, twice) = serve_rounds(true, 2, Stop::Empty);
     assert_eq!(twice.walks - once.walks, figs);
