@@ -401,7 +401,6 @@ impl SessionBuilder {
             exec_mode,
             scenario,
             incremental,
-            retained: RefCell::new(HashMap::new()),
             programs: RefCell::default(),
         };
         if incremental && s.replay.is_none() {
@@ -449,10 +448,8 @@ pub struct Session {
     /// Incremental re-extraction (vincr) is on: retained pane graphs
     /// refresh against backend-reported dirty sets between stops.
     incremental: bool,
-    /// Retained panes keyed by ViewCL source.
-    retained: RefCell<HashMap<String, Retained>>,
-    /// Parsed ViewCL programs by source: a pane re-extracted on every
-    /// stop is parsed once, not once per walk.
+    /// Parsed ViewCL programs and retained panes by source: a pane
+    /// re-extracted on every stop is parsed once, not once per walk.
     programs: RefCell<ProgramCache>,
 }
 
@@ -471,41 +468,47 @@ struct Retained {
     dirty_bytes: Option<u64>,
 }
 
-/// Most programs, and most source bytes, a session keeps parsed.
-/// Sources arrive from wire clients, so the cache may not grow without
-/// limit; when the next program would pass either bound it starts over,
-/// and a source larger than the byte bound is parsed but never kept.
-/// The 21 library figures are 17.6 KB of source in all.
+/// Most programs, and most source bytes, a session keeps parsed, with
+/// their retained panes. Sources arrive from wire clients, so the cache
+/// may not grow without limit; when the next program would pass either
+/// bound it starts over, and a larger source is parsed and walked afresh
+/// every time. The 21 library figures are 17.6 KB of source in all.
 const PROGRAM_CACHE_ENTRIES: usize = 64;
 const PROGRAM_CACHE_BYTES: usize = 256 * 1024;
 
 /// Parsed programs keyed by their source (see [`PROGRAM_CACHE_ENTRIES`]).
 #[derive(Default)]
 struct ProgramCache {
-    programs: HashMap<String, Rc<viewcl::Program>>,
+    entries: HashMap<String, Cached>,
     /// Source bytes of the cached programs.
     bytes: usize,
 }
 
+/// A source's parsed program and the pane an incremental session keeps.
+struct Cached {
+    program: Rc<viewcl::Program>,
+    kept: Option<Retained>,
+}
+
 impl ProgramCache {
-    /// The parsed program for `src`, parsing it on a miss. Parse errors
-    /// are not cached.
-    fn get_or_parse(&mut self, src: &str) -> viewcl::Result<Rc<viewcl::Program>> {
-        if let Some(program) = self.programs.get(src) {
-            return Ok(Rc::clone(program));
-        }
+    /// Parse `src` into a new entry, or into none past the byte bound.
+    /// Parse errors are not cached.
+    fn parse(&mut self, src: &str) -> viewcl::Result<(Rc<viewcl::Program>, Option<&mut Cached>)> {
         let program = Rc::new(viewcl::parse_program(src)?);
-        if src.len() <= PROGRAM_CACHE_BYTES {
-            if self.programs.len() == PROGRAM_CACHE_ENTRIES
-                || self.bytes + src.len() > PROGRAM_CACHE_BYTES
-            {
-                self.programs.clear();
-                self.bytes = 0;
-            }
-            self.bytes += src.len();
-            self.programs.insert(src.to_string(), Rc::clone(&program));
+        if src.len() > PROGRAM_CACHE_BYTES {
+            return Ok((program, None));
         }
-        Ok(program)
+        if self.entries.len() == PROGRAM_CACHE_ENTRIES
+            || self.bytes + src.len() > PROGRAM_CACHE_BYTES
+        {
+            self.entries.clear();
+            self.bytes = 0;
+        }
+        self.bytes += src.len();
+        let kept = None;
+        self.entries.insert(src.into(), Cached { program, kept });
+        let e = self.entries.get_mut(src).expect("just inserted");
+        Ok((Rc::clone(&e.program), Some(e)))
     }
 }
 
@@ -634,7 +637,8 @@ impl Session {
         }
         if self.incremental {
             let bytes = info.known().map(DirtySet::total_bytes);
-            for r in self.retained.get_mut().values_mut() {
+            let entries = self.programs.get_mut().entries.values_mut();
+            for r in entries.filter_map(|e| e.kept.as_mut()) {
                 r.dirty_bytes = r.dirty_bytes.zip(bytes).map(|(a, b)| a + b);
                 r.stale = r.stale || !vincr::decide(&r.touched, &info).is_keep();
             }
@@ -866,9 +870,14 @@ impl Session {
     fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Arc<Graph>, PlotStats)> {
         let tracer = self.tracer.as_ref();
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
-        let program = {
+        // One lookup, held until this walk's graph replaces the pane.
+        let mut programs = self.programs.borrow_mut();
+        let (program, entry) = {
             let _s = vtrace::span(tracer, SpanKind::Parse, "viewcl::parse");
-            self.programs.borrow_mut().get_or_parse(viewcl_src)?
+            match programs.entries.get_mut(viewcl_src) {
+                Some(e) => (Rc::clone(&e.program), Some(e)),
+                None => programs.parse(viewcl_src)?,
+            }
         };
         let target = self.target();
         // vincr: if no resume since the retained graph's walk dirtied a
@@ -876,7 +885,7 @@ impl Session {
         // byte-identical to a fresh walk, since nothing it read has
         // changed.
         if self.incremental {
-            if let Some(r) = self.retained.borrow().get(viewcl_src) {
+            if let Some(r) = entry.as_ref().and_then(|e| e.kept.as_ref()) {
                 let _s =
                     vtrace::span_with(tracer, SpanKind::Incr, || format!("incr::decide {label}"));
                 let bytes = r.dirty_bytes.unwrap_or(0);
@@ -911,19 +920,16 @@ impl Session {
             graph: GraphStats::of(&graph),
             target: target.stats(),
         };
-        if self.incremental {
+        if let Some(e) = entry.filter(|_| self.incremental) {
             // Remember what this walk read; the fresh graph replaces
             // the retained one.
-            self.retained.borrow_mut().insert(
-                viewcl_src.to_string(),
-                Retained {
-                    graph: Arc::clone(&graph),
-                    stats: stats.graph,
-                    touched: DirtySet::from_ranges(target.take_touched()),
-                    stale: false,
-                    dirty_bytes: Some(0),
-                },
-            );
+            e.kept = Some(Retained {
+                graph: Arc::clone(&graph),
+                stats: stats.graph,
+                touched: DirtySet::from_ranges(target.take_touched()),
+                stale: false,
+                dirty_bytes: Some(0),
+            });
         }
         // The distillers tolerate per-object memory faults (corrupt
         // pointers render as diagnostics), but a capture-level failure
@@ -1058,6 +1064,7 @@ plot @root
     /// Display an already-extracted graph on a new primary pane (the
     /// receive path of the wire protocol: the GDB side extracted and
     /// shipped the graph; re-extracting would double the metered cost).
+    /// `vplot` pushes and [`Session::plot`] land here; subscriptions don't.
     pub fn adopt_graph(&mut self, graph: Graph, stats: Option<PlotStats>) -> Result<PaneId> {
         let pane = match &mut self.panes {
             None => {
@@ -1407,8 +1414,6 @@ plot @m
 
     #[test]
     fn program_cache_stays_bounded_and_extracts_as_uncached() {
-        let cached = session();
-        let uncached = session();
         let fields = ["pid", "tgid", "prio", "comm", "se.vruntime", "flags"];
         let source = |i: usize| {
             format!(
@@ -1416,41 +1421,59 @@ plot @m
                 fields[i % fields.len()]
             )
         };
-        for i in 0..1_000 {
-            let src = source(i);
-            let (got, _) = cached.extract(&src).unwrap();
-            *uncached.programs.borrow_mut() = ProgramCache::default();
-            let (want, _) = uncached.extract(&src).unwrap();
-            assert_eq!(got.to_json(), want.to_json(), "source {i}");
-            let cache = cached.programs.borrow();
-            assert!(cache.programs.len() <= PROGRAM_CACHE_ENTRIES);
-            assert!(cache.bytes <= PROGRAM_CACHE_BYTES);
-            assert_eq!(cache.bytes, cache.programs.keys().map(String::len).sum());
+        // An incremental session keeps each walk's pane in the entry of
+        // its source, so the retained panes share the cache's bound.
+        for incremental in [false, true] {
+            let attach = || {
+                let b = Session::builder(build(&WorkloadConfig::default()));
+                let b = if incremental { b.incremental() } else { b };
+                b.attach().expect("live attach")
+            };
+            let cached = attach();
+            let uncached = session();
+            for i in 0..1_000 {
+                let src = source(i);
+                let (got, _) = cached.extract(&src).unwrap();
+                *uncached.programs.borrow_mut() = ProgramCache::default();
+                let (want, _) = uncached.extract(&src).unwrap();
+                assert_eq!(got.to_json(), want.to_json(), "source {i}");
+                let cache = cached.programs.borrow();
+                assert!(cache.entries.len() <= PROGRAM_CACHE_ENTRIES);
+                assert!(cache.bytes <= PROGRAM_CACHE_BYTES);
+                assert_eq!(cache.bytes, cache.entries.keys().map(String::len).sum());
+                let kept = cache.entries.values().filter(|e| e.kept.is_some()).count();
+                assert_eq!(kept, if incremental { cache.entries.len() } else { 0 });
+            }
+            // Hits extract what the misses that filled them did.
+            for i in 990..1_000 {
+                assert!(cached.programs.borrow().entries.contains_key(&source(i)));
+                let (got, stats) = cached.extract(&source(i)).unwrap();
+                assert_eq!(stats.target.vincr_hits, u64::from(incremental));
+                *uncached.programs.borrow_mut() = ProgramCache::default();
+                let (want, _) = uncached.extract(&source(i)).unwrap();
+                assert_eq!(got.to_json(), want.to_json(), "source {i}");
+            }
+            // The 21 library figures fit at once.
+            let s = attach();
+            for fig in crate::figures::all() {
+                s.extract(fig.viewcl).unwrap();
+            }
+            assert_eq!(s.programs.borrow().entries.len(), 21);
+            // A program past the byte bound is parsed and walked afresh
+            // every time, never kept.
+            let big = format!(
+                "{}{}",
+                "// padding\n".repeat(PROGRAM_CACHE_BYTES / 11 + 1),
+                source(0)
+            );
+            let (want, _) = s.extract(&source(0)).unwrap();
+            for _ in 0..2 {
+                let (got, stats) = s.extract(&big).unwrap();
+                assert_eq!(got.to_json(), want.to_json());
+                assert_eq!(stats.target.vincr_hits, 0);
+            }
+            assert!(!s.programs.borrow().entries.contains_key(&big));
         }
-        // Hits extract what the misses that filled them did.
-        for i in 990..1_000 {
-            assert!(cached.programs.borrow().programs.contains_key(&source(i)));
-            let (got, _) = cached.extract(&source(i)).unwrap();
-            *uncached.programs.borrow_mut() = ProgramCache::default();
-            let (want, _) = uncached.extract(&source(i)).unwrap();
-            assert_eq!(got.to_json(), want.to_json(), "source {i}");
-        }
-        // The 21 library figures fit at once.
-        let s = session();
-        for fig in crate::figures::all() {
-            s.extract(fig.viewcl).unwrap();
-        }
-        assert_eq!(s.programs.borrow().programs.len(), 21);
-        // A program past the byte bound is parsed but never kept.
-        let big = format!(
-            "{}{}",
-            "// padding\n".repeat(PROGRAM_CACHE_BYTES / 11 + 1),
-            source(0)
-        );
-        let (got, _) = s.extract(&big).unwrap();
-        let (want, _) = s.extract(&source(0)).unwrap();
-        assert_eq!(got.to_json(), want.to_json());
-        assert!(!s.programs.borrow().programs.contains_key(&big));
     }
 
     #[test]

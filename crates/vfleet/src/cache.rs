@@ -142,6 +142,12 @@ impl SharedExtractions for FleetCache {
         self.published.notify_all();
     }
 
+    fn abandon(&self, generation: u64, viewcl: &str) {
+        let mut g = self.inner.lock().unwrap();
+        g.walking.remove(&(generation, viewcl.to_string()));
+        self.published.notify_all();
+    }
+
     fn get_delta(&self, from: u64, to: u64, viewcl: &str) -> Option<vgraph::diff::GraphDelta> {
         let mut g = self.inner.lock().unwrap();
         let hit = g.deltas.get(&(from, to, viewcl.to_string())).cloned();
@@ -185,7 +191,6 @@ mod tests {
     fn plot() -> SharedPlot {
         SharedPlot {
             graph: std::sync::Arc::new(vgraph::Graph::default()),
-            stats: visualinux::PlotStats::default(),
             full_len: 0,
             full: Default::default(),
             tape: None,

@@ -9,7 +9,7 @@ use vbridge::LatencyProfile;
 use vfleet::{Fleet, FleetConfig, FleetError, FleetRouter};
 use visualinux::proto::{VCommand, VResponse};
 use visualinux::SessionSpec;
-use vserve::{byte_pair, Replica, WireClient, WireConfig, WirePump};
+use vserve::{byte_pair, Replica, SendMode, WireClient, WireConfig, WirePump};
 
 const FIGS: usize = 5;
 const ROUNDS: u64 = 2;
@@ -181,4 +181,36 @@ fn vattach_routes_by_key_and_rejects_malformed_frames() {
     // The duplicate vattach and the two plots reached the engine.
     assert_eq!(stats.engine.requests, 3);
     assert_eq!(stats.engine.errors, 1);
+}
+
+#[test]
+fn a_failed_walk_releases_its_claim_on_the_key() {
+    let spec = || SessionSpec::live(WorkloadConfig::default(), LatencyProfile::free());
+    let fleet = Fleet::new(FleetConfig::default());
+    fleet.add_session("a", spec()).unwrap();
+    fleet.add_session("b", spec()).unwrap();
+    let (ca, cb) = (fleet.connect("a").unwrap(), fleet.connect("b").unwrap());
+    let bad = VCommand::VplotRequest {
+        viewcl: "define Broken as Box<task_struct> [".into(),
+    };
+    // A walk that fails publishes nothing; a claim it kept would hold
+    // every later lookup of the key, here and in the sibling, for the
+    // cache's whole walk wait.
+    let t0 = std::time::Instant::now();
+    for conn in [&ca, &ca, &ca, &ca, &ca, &cb] {
+        conn.send(&bad, SendMode::Blocking).unwrap();
+        let reply = conn.recv().expect("reply");
+        assert!(
+            matches!(VResponse::from_json(&reply), Ok(VResponse::Err { .. })),
+            "{reply}"
+        );
+    }
+    let took = t0.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "{took:?}");
+    drop(ca);
+    drop(cb);
+    let stats = fleet.shutdown();
+    stats.reconcile().expect("fleet books balance");
+    assert_eq!((stats.engine.errors, stats.engine.walks), (6, 0));
+    assert_eq!(stats.cache.misses, 6);
 }

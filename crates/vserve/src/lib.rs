@@ -18,11 +18,13 @@
 //!   stop generation pays the bridge walk; identical requests from any
 //!   client are answered from the memo until the next stop event
 //!   ([`ServeStats::coalesced`]).
-//! * **Delta sync.** Per `(client, source)` the server remembers the
-//!   last shipped graph and sends a [`vgraph::GraphDelta`]
-//!   (`vplot_delta`) when it is smaller than a full re-ship, falling
-//!   back to `vplot` otherwise; [`Replica`] applies them client-side,
-//!   in place, and answers `vack`.
+//! * **Delta sync.** A client's first `vplot_request` for a source
+//!   subscribes it: the server remembers the last graph it shipped that
+//!   client and sends a [`vgraph::GraphDelta`] (`vplot_delta`) when it
+//!   is smaller than a full re-ship, falling back to `vplot` otherwise;
+//!   [`Replica`] applies them client-side, in place, and answers
+//!   `vack`. A subscription is that sync state and nothing more: it
+//!   creates no pane, and the client's departure frees it.
 //! * **Stop events.** [`ServerHandle::stop_event`] queues an image
 //!   mutation; the engine applies it strictly ordered with requests,
 //!   bumps the cache epoch and invalidates the extraction memo. A pane

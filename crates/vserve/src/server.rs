@@ -13,9 +13,9 @@
 //! Identical concurrent extraction requests coalesce: the first
 //! `vplot_request` for a ViewCL program in a given stop pays the bridge
 //! walk, every further one (from any client, until the next stop event)
-//! is served from the memoized result. Per `(client, source)` the server
-//! remembers the last graph it shipped and sends a [`vgraph::diff`]
-//! delta when that is smaller than re-shipping the plot.
+//! is served from the memoized result. Per subscription (client, source)
+//! the server remembers the last graph it shipped, until the client
+//! departs, and sends a [`vgraph::diff`] delta when that is smaller.
 //!
 //! A fleet (`vfleet`) extends the memo across engines: plug a
 //! [`SharedExtractions`] store in with [`Server::share_extractions`] and
@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ksim::image::KernelImage;
 use vbridge::BackendKind;
 use visualinux::proto::{vplot_json, vplot_json_len, VCommand, VResponse};
-use visualinux::{PlotStats, Session};
+use visualinux::Session;
 use vtrace::SpanKind;
 
 use crate::queue::{Bounded, TryPush, Wake};
@@ -302,7 +302,7 @@ impl ServerHandle {
     }
 }
 
-/// Per-(client, source) delta-sync state.
+/// One client's subscription to one source: no pane, freed on departure.
 struct SyncState {
     /// Sequence of the last payload shipped (0 = the full ship).
     seq: u64,
@@ -311,9 +311,6 @@ struct SyncState {
     /// point at the same allocation and lockstep checks are a pointer
     /// compare.
     last: Arc<vgraph::Graph>,
-    /// Server-side pane adopted at first plot (anchor for vctrl/vchat).
-    #[allow(dead_code)]
-    pane: vpanels::PaneId,
     /// Ship full next time (client acked out of sync).
     resync: bool,
 }
@@ -332,7 +329,6 @@ struct DeltaMemo {
 /// ended — and the graph of the generation before.
 struct MemoEntry {
     graph: Arc<vgraph::Graph>,
-    stats: PlotStats,
     /// The exact length of the full `vplot` ship of `graph`, measured
     /// when the walk is served: what a delta must undercut to ship.
     full_len: usize,
@@ -364,7 +360,8 @@ pub struct Server {
     session: Session,
     shared: Arc<Shared>,
     stats: ServeStats,
-    subs: HashMap<(u64, String), SyncState>,
+    /// Each client's subscriptions by source; a departure drops its map.
+    subs: HashMap<u64, HashMap<String, SyncState>>,
     memo: HashMap<String, MemoEntry>,
     /// The fleet's cross-engine extraction store, if attached.
     share: Option<Arc<dyn SharedExtractions>>,
@@ -452,7 +449,7 @@ impl Server {
         s
     }
 
-    /// The wrapped session (e.g. to inspect panes after a run).
+    /// The wrapped session, whose panes are those `vplot` pushes made.
     pub fn session(&self) -> &Session {
         &self.session
     }
@@ -551,10 +548,14 @@ impl Server {
             }
             Request::Gone(id) => {
                 // Trails everything the departed client queued: those
-                // replies are delivered by now, so the outbox can go.
-                if let Some(e) = self.shared.clients.lock().unwrap().remove(&id) {
+                // replies are delivered by now, so the outbox can go, as do
+                // the subscriptions of every unregistered client (see
+                // `Shared::client_gone`'s fallback, which queues no `Gone`).
+                let mut clients = self.shared.clients.lock().unwrap();
+                if let Some(e) = clients.remove(&id) {
                     e.outbox.close();
                 }
+                self.subs.retain(|client, _| clients.contains_key(client));
             }
             Request::Cmd { client, line } => {
                 self.stats.requests += 1;
@@ -592,7 +593,7 @@ impl Server {
             }
             VCommand::Vack { source, seq, .. } => {
                 self.stats.acks += 1;
-                match self.subs.get_mut(&(client, source.clone())) {
+                match self.subs.get_mut(&client).and_then(|s| s.get_mut(source)) {
                     Some(sub) if sub.seq == *seq => VResponse::Ok {
                         pane: None,
                         synthesized: None,
@@ -665,7 +666,7 @@ impl Server {
                 }
                 self.journal_served(self.generation, viewcl);
                 let prev = self.memo.remove(viewcl).and_then(|m| m.prev);
-                self.serve(viewcl, prev, sp.graph, sp.stats, (sp.full_len, sp.full));
+                self.serve(viewcl, prev, sp.graph, (sp.full_len, sp.full));
                 return Ok(());
             }
         }
@@ -709,7 +710,6 @@ impl Server {
                 viewcl,
                 &SharedPlot {
                     graph: Arc::clone(&graph),
-                    stats: pstats,
                     full_len,
                     full: Arc::clone(&full),
                     tape: tape_from.and_then(|from| {
@@ -723,7 +723,7 @@ impl Server {
                 }
             }
         }
-        self.serve(viewcl, prev, graph, pstats, (full_len, full));
+        self.serve(viewcl, prev, graph, (full_len, full));
         Ok(())
     }
 
@@ -735,12 +735,10 @@ impl Server {
         viewcl: &str,
         prev: Option<(u64, Arc<vgraph::Graph>)>,
         graph: Arc<vgraph::Graph>,
-        stats: PlotStats,
         (full_len, full): (usize, Arc<OnceLock<Arc<str>>>),
     ) {
         let entry = MemoEntry {
             graph,
-            stats,
             full_len,
             full,
             delta: None,
@@ -788,33 +786,30 @@ impl Server {
         if self.memo.get(viewcl).is_some_and(|m| m.fresh) {
             self.stats.coalesced += 1;
         } else {
-            self.materialize(viewcl)?;
+            self.materialize(viewcl).inspect_err(|_| {
+                // A walk that fails publishes nothing: release the claim
+                // its miss took, or later lookups of the key wait for it.
+                if let Some(share) = &self.share {
+                    share.abandon(self.generation, viewcl);
+                }
+            })?;
         }
         self.stats.extractions += 1;
-        let (graph, pstats, full_len) = {
+        let (graph, full_len) = {
             let m = self.memo.get(viewcl).expect("just materialized");
-            (Arc::clone(&m.graph), m.stats, m.full_len)
+            (Arc::clone(&m.graph), m.full_len)
         };
 
-        let key = (client, viewcl.to_string());
-        if !self.subs.contains_key(&key) {
-            let pane = self
-                .session
-                .adopt_graph((*graph).clone(), Some(pstats))
-                .map_err(|e| e.to_string())?;
-            self.subs.insert(
-                key,
-                SyncState {
-                    seq: 0,
-                    last: graph,
-                    pane,
-                    resync: false,
-                },
-            );
-            return Ok(self.ship_full(viewcl));
-        }
-
-        let sub = self.subs.get_mut(&key).expect("checked above");
+        let subs = self.subs.entry(client).or_default();
+        let sub = match subs.get_mut(viewcl) {
+            Some(sub) => sub,
+            // A first subscription ships full, as a resync does.
+            None => subs.entry(viewcl.to_string()).or_insert(SyncState {
+                seq: 0,
+                last: Arc::clone(&graph),
+                resync: true,
+            }),
+        };
         let delta_cmd = if sub.resync {
             None
         } else {
@@ -915,7 +910,9 @@ impl Server {
             .get(&client)
             .map(|e| (e.outbox.clone(), e.gone));
         let Some((q, mut gone)) = outbox else {
+            // Departed: drop what a request it left queued subscribed.
             self.stats.dropped_replies += 1;
+            self.subs.remove(&client);
             return;
         };
         // Backpressure: a slow client stalls the engine rather than
@@ -986,6 +983,162 @@ mod tests {
     use ksim::workload::{build, WorkloadConfig};
     use vbridge::LatencyProfile;
     use visualinux::figures;
+    use visualinux::vpanels::PaneId;
+
+    fn server(cfg: ServeConfig) -> Server {
+        let session = Session::builder(build(&WorkloadConfig::default()))
+            .profile(LatencyProfile::free())
+            .attach()
+            .unwrap();
+        Server::new(session, cfg)
+    }
+
+    fn request(fig: &str) -> VCommand {
+        VCommand::VplotRequest {
+            viewcl: figures::by_id(fig).unwrap().viewcl.to_string(),
+        }
+    }
+
+    #[test]
+    fn departed_clients_leave_no_subscription_and_no_pane() {
+        let mut server = server(ServeConfig {
+            exit_when_idle: false,
+            ..ServeConfig::default()
+        });
+        let handle = server.handle();
+        let clients = thread::spawn(move || {
+            for _ in 0..10_000 {
+                let conn = handle.connect();
+                conn.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+                let reply = conn.recv().expect("a reply");
+                assert!(reply.starts_with(r#"{"command":"vplot","#), "{reply:.80}");
+            }
+            handle.shutdown();
+        });
+        server.run();
+        clients.join().unwrap();
+        assert!(server.subs.is_empty());
+        assert!(server.session().graph(PaneId(0)).is_err());
+        let stats = server.stats();
+        stats.reconcile().unwrap();
+        assert_eq!(
+            (stats.walks, stats.fulls_sent, stats.deltas_sent),
+            (1, 10_000, 0)
+        );
+    }
+
+    #[test]
+    fn requests_answered_after_an_unannounced_departure_subscribe_nobody() {
+        let mut server = server(ServeConfig {
+            request_queue: 2,
+            ..ServeConfig::default()
+        });
+        let handle = server.handle();
+        let (a, b) = (handle.connect(), handle.connect());
+        b.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+        a.send(&request("fig7-1"), SendMode::Blocking).unwrap();
+        // The queue is full, so neither departure can queue its `Gone`:
+        // both clients are unregistered at once, with a request queued.
+        drop(b);
+        drop(a);
+        server.run();
+        assert!(server.subs.is_empty());
+        let stats = server.stats();
+        stats.reconcile().unwrap();
+        assert_eq!(
+            (stats.plot_requests, stats.fulls_sent, stats.dropped_replies),
+            (2, 2, 2)
+        );
+    }
+
+    #[test]
+    fn any_departure_frees_clients_unregistered_without_one() {
+        let (tx, rx) = mpsc::channel();
+        let engine = thread::spawn(move || {
+            let mut server = server(ServeConfig {
+                request_queue: 2,
+                client_queue: 1,
+                exit_when_idle: false,
+            });
+            tx.send(server.handle()).unwrap();
+            server.run();
+            (server.subs.len(), server.stats())
+        });
+        let handle = rx.recv().unwrap();
+        let (a, b, c) = (handle.connect(), handle.connect(), handle.connect());
+        b.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+        assert!(b.recv().is_some(), "b is subscribed");
+        // The second reply to `a` finds its one-slot outbox full, so the
+        // engine waits there; `c`'s two requests then fill the queue.
+        a.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+        a.send(&request("fig7-1"), SendMode::Blocking).unwrap();
+        c.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+        c.send(&request("fig7-1"), SendMode::Blocking).unwrap();
+        drop(b); // no room for its `Gone`: unregistered unannounced
+        for conn in [&a, &a, &c, &c] {
+            assert!(conn.recv().is_some());
+        }
+        drop(c); // handling this `Gone` frees `b`'s subscription too
+        drop(a);
+        handle.shutdown();
+        let (subs, stats) = engine.join().unwrap();
+        assert_eq!(subs, 0);
+        stats.reconcile().unwrap();
+        assert_eq!((stats.fulls_sent, stats.dropped_replies), (5, 0));
+    }
+
+    #[test]
+    fn pane_ops_act_on_pushed_panes_only() {
+        let mut server = server(ServeConfig::default());
+        let conn = server.handle().connect();
+        let client = thread::spawn(move || {
+            let ask = |cmd: &VCommand| {
+                conn.send(cmd, SendMode::Blocking).unwrap();
+                conn.recv().expect("reply")
+            };
+            let answer = |cmd: &VCommand| VResponse::from_json(&ask(cmd)).unwrap();
+            // Subscriptions create no panes: the first push is pane 0.
+            let mut pushed = None;
+            for fig in figures::all() {
+                let reply = ask(&request(fig.id));
+                if fig.id == "fig3-4" {
+                    pushed = Some(VCommand::from_json(&reply).unwrap());
+                }
+            }
+            let Some(VCommand::Vplot { graph, source }) = pushed else {
+                panic!("a full plot of fig3-4");
+            };
+            let addr = graph.get(graph.roots[0]).addr;
+            let ok = |pane| VResponse::Ok {
+                pane: Some(PaneId(pane)),
+                synthesized: None,
+            };
+            assert_eq!(answer(&VCommand::Vplot { graph, source }), ok(0));
+            assert_eq!(answer(&VCommand::VctrlFocus { addr }), ok(0));
+            let apply = |pane| VCommand::VctrlApply {
+                pane: PaneId(pane),
+                viewql: "a = SELECT task_struct FROM * WHERE mm == NULL\n\
+                         UPDATE a WITH collapsed: true"
+                    .to_string(),
+            };
+            assert_eq!(answer(&apply(0)), ok(0));
+            // A pane no push created is an error, and the engine keeps
+            // serving.
+            assert!(matches!(answer(&apply(1)), VResponse::Err { .. }));
+            let chat = VCommand::Vchat {
+                pane: PaneId(1),
+                message: "shrink tasks that have no address space".to_string(),
+            };
+            assert!(matches!(answer(&chat), VResponse::Err { .. }));
+            let again = ask(&request("fig3-4"));
+            assert!(again.starts_with(r#"{"command":"vplot"#), "{again:.80}");
+        });
+        server.run();
+        client.join().unwrap();
+        let stats = server.stats();
+        assert_eq!(stats.errors, 2);
+        stats.reconcile().unwrap();
+    }
 
     #[test]
     fn an_idle_engine_rings_its_pump_once_not_per_reply() {

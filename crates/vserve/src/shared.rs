@@ -12,8 +12,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use visualinux::PlotStats;
-
 /// One shareable extraction result. Graph and payload cell are behind
 /// `Arc` so publishing and hitting are pointer bumps — a shared hit must
 /// not pay a graph deep-clone or a multi-kilobyte re-serialize, or the
@@ -22,8 +20,6 @@ use visualinux::PlotStats;
 pub struct SharedPlot {
     /// The extracted graph.
     pub graph: Arc<vgraph::Graph>,
-    /// Its extraction stats (virtual time, packets, …).
-    pub stats: PlotStats,
     /// The exact length of the full `vplot` ship of `graph`, measured
     /// by the walking engine without encoding it.
     pub full_len: usize,
@@ -50,6 +46,11 @@ pub trait SharedExtractions: Send + Sync {
 
     /// Publish a locally walked extraction for siblings.
     fn publish(&self, generation: u64, viewcl: &str, plot: &SharedPlot);
+
+    /// The local walk that followed a missed [`SharedExtractions::get`]
+    /// failed, so nothing will be published for the key: a store that
+    /// holds siblings back while a walk is in flight lets them go.
+    fn abandon(&self, _generation: u64, _viewcl: &str) {}
 
     /// Warmed block spans for `generation`, if any. Only consulted by
     /// live engines — a replay tape must fetch its own bytes in
