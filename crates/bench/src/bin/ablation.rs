@@ -301,18 +301,17 @@ fn main() {
     // dominated by list prefetch) and the page cache (xarray slot walks,
     // where read coalescing bites).
     println!("\nBridge cache mechanisms (KGDB, cold extraction)\n");
-    let run = |id: &str, cfg: Option<CacheConfig>, plan: bool| {
+    let run = |id: &str, cfg: Option<CacheConfig>| {
         let fig = visualinux::figures::by_id(id).unwrap();
-        let s = match (cfg, plan) {
-            (None, _) => attach(LatencyProfile::kgdb_rpi400()),
-            (Some(c), false) => attach_cached(LatencyProfile::kgdb_rpi400(), c),
-            (Some(c), true) => bench::attach_plan(LatencyProfile::kgdb_rpi400(), c),
+        let s = match cfg {
+            None => attach(LatencyProfile::kgdb_rpi400()),
+            Some(c) => attach_cached(LatencyProfile::kgdb_rpi400(), c),
         };
         let (_, st) = s.extract(fig.viewcl).expect("plot");
         (st.target.reads, st.total_ms())
     };
     let ladder = [
-        ("cache OFF (paper's baseline)", None, false),
+        ("cache OFF (paper's baseline)", None),
         (
             "+ block cache only",
             Some(CacheConfig {
@@ -320,7 +319,6 @@ fn main() {
                 prefetch: false,
                 ..CacheConfig::default()
             }),
-            false,
         ),
         (
             "+ read coalescing",
@@ -328,18 +326,8 @@ fn main() {
                 prefetch: false,
                 ..CacheConfig::default()
             }),
-            false,
         ),
-        (
-            "+ distiller prefetch (full)",
-            Some(CacheConfig::default()),
-            false,
-        ),
-        (
-            "+ walk planner (plan mode)",
-            Some(CacheConfig::default()),
-            true,
-        ),
+        ("+ distiller prefetch (full)", Some(CacheConfig::default())),
     ];
     let t = TablePrinter::new(&[34, 12, 10, 12, 10]);
     t.row(
@@ -355,9 +343,9 @@ fn main() {
     t.sep();
     let mut base_ms = 0.0;
     let mut full_ms = 0.0;
-    for (name, cfg, plan) in ladder {
-        let (r34, ms34) = run("fig3-4", cfg, plan);
-        let (r162, ms162) = run("fig16-2", cfg, plan);
+    for (name, cfg) in ladder {
+        let (r34, ms34) = run("fig3-4", cfg);
+        let (r162, ms162) = run("fig16-2", cfg);
         if cfg.is_none() {
             base_ms = ms34;
         }

@@ -6,7 +6,7 @@
 //! cost model's; the claims preserved are the *shape*: the KGDB/QEMU
 //! per-object ratio (~50x), the per-KB band, and the figure ranking.
 
-use bench::{attach, attach_cached, attach_incr, attach_plan, TablePrinter, TABLE4_FIGURES};
+use bench::{attach, attach_cached, attach_incr, TablePrinter, TABLE4_FIGURES};
 use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::{figures, PlotSpec};
 
@@ -18,9 +18,6 @@ struct Row {
     /// packets) on KGDB with the snapshot block cache; absent under
     /// `--no-cache`.
     cached: Option<(f64, f64, u64, u64)>,
-    /// (cold total ms, cold wire packets) on cached KGDB with the
-    /// walk-plan scheduler; absent under `--no-cache`.
-    plan: Option<(f64, u64)>,
     /// (post-stop refresh total ms, post-stop wire packets) on cached
     /// KGDB with incremental refresh, after one scheduler tick; absent
     /// under `--no-cache`.
@@ -60,19 +57,6 @@ fn measure_cached(profile: LatencyProfile) -> Vec<(f64, f64, u64, u64)> {
                 warm.target.reads,
                 cold.target.reads,
             )
-        })
-        .collect()
-}
-
-fn measure_plan(profile: LatencyProfile) -> Vec<(f64, u64)> {
-    let mut session = attach_plan(profile, CacheConfig::default());
-    TABLE4_FIGURES
-        .iter()
-        .map(|id| {
-            let fig = figures::by_id(id).expect("figure exists");
-            session.resume();
-            let (_, cold) = session.extract(fig.viewcl).expect("figure extracts");
-            (cold.total_ms(), cold.target.reads)
         })
         .collect()
 }
@@ -482,12 +466,11 @@ fn main() {
     println!("Table 4: performance of plotting the ULK figures (virtual time)\n");
     let qemu = measure(LatencyProfile::gdb_qemu());
     let kgdb = measure(LatencyProfile::kgdb_rpi400());
-    let (cached, plan, incr) = if no_cache {
-        (Vec::new(), Vec::new(), Vec::new())
+    let (cached, incr) = if no_cache {
+        (Vec::new(), Vec::new())
     } else {
         (
             measure_cached(LatencyProfile::kgdb_rpi400()),
-            measure_plan(LatencyProfile::kgdb_rpi400()),
             measure_incr(LatencyProfile::kgdb_rpi400()),
         )
     };
@@ -499,7 +482,6 @@ fn main() {
             qemu: (qemu[i].0, qemu[i].1, qemu[i].2),
             kgdb: (kgdb[i].0, kgdb[i].1, kgdb[i].2),
             cached: cached.get(i).copied(),
-            plan: plan.get(i).copied(),
             incr: incr.get(i).copied(),
         })
         .collect();
@@ -509,10 +491,8 @@ fn main() {
     ];
     let mut widths = vec![4, 11, 10, 9, 9, 12, 10, 10];
     if !no_cache {
-        header.extend([
-            "cold-ms", "warm-ms", "pkt-x", "plan-ms", "plan-x", "incr-ms", "incr-x",
-        ]);
-        widths.extend([10, 9, 7, 9, 7, 9, 7]);
+        header.extend(["cold-ms", "warm-ms", "pkt-x", "incr-ms", "incr-x"]);
+        widths.extend([10, 9, 7, 9, 7]);
     }
     let t = TablePrinter::new(&widths);
     t.row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());
@@ -535,15 +515,6 @@ fn main() {
                 "{:.0}x",
                 kgdb[i].3 as f64 / (warm_pkts.max(1)) as f64
             ));
-            if let Some((plan_ms, plan_pkts)) = r.plan {
-                // Plan column: the walk-plan scheduler's cold packet
-                // cut over the plain cached cold extraction.
-                cells.push(format!("{plan_ms:.1}"));
-                cells.push(format!(
-                    "{:.1}x",
-                    cold_pkts as f64 / plan_pkts.max(1) as f64
-                ));
-            }
             if let Some((incr_ms, incr_pkts)) = r.incr {
                 // Incr column: the refresh cost after one scheduler
                 // tick vs a cold cached re-extraction — kept panes
@@ -622,23 +593,6 @@ fn main() {
         println!(
             "  warm cache, fig3-4 (KGDB):  {ns_disp} faster, {pkt_x:.0}x fewer packets (floor: 5x / 3x)  {}",
             if ns_x >= 5.0 && pkt_x >= 3.0 {
-                "[in band]"
-            } else {
-                "[OUT OF BAND]"
-            }
-        );
-        // Walk-plan scheduler: at least one multi-pane figure must
-        // halve its cold packet count vs the plain cached extraction.
-        let plan_x = cached
-            .iter()
-            .zip(plan.iter())
-            .map(|(&(_, _, _, cold_pkts), &(_, plan_pkts))| {
-                cold_pkts as f64 / plan_pkts.max(1) as f64
-            })
-            .fold(0.0, f64::max);
-        println!(
-            "  walk planner, best figure:  {plan_x:.1}x fewer cold packets (floor: 2x)        {}",
-            if plan_x >= 2.0 {
                 "[in band]"
             } else {
                 "[OUT OF BAND]"

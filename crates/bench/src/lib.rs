@@ -11,8 +11,6 @@
 //!   ms-per-KB, virtual time).
 //! * `fig4` — the maple-tree plot of Figure 4 (ASCII + DOT + SVG files).
 //! * `fig7` — the Dirty Pipe object graph of Figure 7.
-//! * `plan_bench` — interp-mode vs plan-mode cold extraction cost per
-//!   figure and latency profile, emitted as `BENCH_plan.json`.
 //! * `incr_bench` — post-stop re-extraction cost, full re-walk vs
 //!   vincr incremental refresh, emitted as `BENCH_incr.json`.
 //! * `vrec` — record the full figure corpus into a `.vrec` wire capture
@@ -65,17 +63,6 @@ pub fn attach_cached(profile: LatencyProfile, cfg: CacheConfig) -> Session {
     Session::builder(build(&WorkloadConfig::default()))
         .profile(profile)
         .cache(cfg)
-        .attach()
-        .unwrap()
-}
-
-/// Build the evaluation workload and attach a cached session running in
-/// plan-driven execution mode (walk-plan pre-pass before the interp).
-pub fn attach_plan(profile: LatencyProfile, cfg: CacheConfig) -> Session {
-    Session::builder(build(&WorkloadConfig::default()))
-        .profile(profile)
-        .cache(cfg)
-        .plan()
         .attach()
         .unwrap()
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use ksim::workload::{AllTypes, Workload, WorkloadConfig, WorkloadRoots};
 use ksim::KernelImage;
 use vbridge::{
-    BackendKind, BlockCache, BridgeError, CacheConfig, Capture, DirtyInfo, DirtySet, ExecMode,
+    BackendKind, BlockCache, BridgeError, CacheConfig, Capture, DirtyInfo, DirtySet,
     HelperRegistry, LatencyProfile, RecordBackend, Recorder, ReplayBackend, ReplayState,
     SimBackend, Target, TargetBackend, TargetStats,
 };
@@ -216,7 +216,6 @@ pub struct SessionBuilder {
     cache: Option<CacheConfig>,
     tracing: bool,
     record: Option<PathBuf>,
-    exec: Option<ExecMode>,
     scenario: Option<(String, u64)>,
     incremental: bool,
 }
@@ -249,23 +248,6 @@ impl SessionBuilder {
     pub fn record(mut self, path: impl Into<PathBuf>) -> Self {
         self.record = Some(path.into());
         self
-    }
-
-    /// Set the execution mode. Live sessions default to
-    /// [`ExecMode::Interp`]; replay sessions default to the mode
-    /// recorded in the capture header (`meta.exec_mode`), because the
-    /// two modes issue different wire sequences — forcing a mismatch
-    /// makes the replay fail loudly naming the mode difference.
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = Some(mode);
-        self
-    }
-
-    /// Shorthand for `.exec(ExecMode::Plan)`: compile each pane into a
-    /// walk plan and warm the cache with scheduled spans before the
-    /// interpreter runs.
-    pub fn plan(self) -> Self {
-        self.exec(ExecMode::Plan)
     }
 
     /// Enable incremental re-extraction (vincr). The live image logs
@@ -345,24 +327,6 @@ impl SessionBuilder {
                     )
                 }
             };
-        // A replay session follows the capture's recorded execution
-        // mode unless the builder forces one; interp and plan issue
-        // different wire sequences, so a forced mismatch is noted on
-        // the replay state and surfaces in divergence diagnostics.
-        let capture_mode = replay.as_ref().map(|st| {
-            st.capture()
-                .meta
-                .get("exec_mode")
-                .and_then(|v| v.as_str())
-                .and_then(ExecMode::from_str_opt)
-                .unwrap_or(ExecMode::Interp)
-        });
-        let exec_mode = self.exec.or(capture_mode).unwrap_or(ExecMode::Interp);
-        if let (Some(st), Some(cm)) = (&replay, capture_mode) {
-            if exec_mode != cm {
-                st.note_mode_mismatch(exec_mode.as_str(), cm.as_str());
-            }
-        }
         // Replay sessions inherit the scenario identity stamped in the
         // capture header.
         let scenario = self.scenario.or_else(|| {
@@ -398,7 +362,6 @@ impl SessionBuilder {
             recorder,
             record_path,
             replay,
-            exec_mode,
             scenario,
             incremental,
             programs: RefCell::default(),
@@ -439,9 +402,6 @@ pub struct Session {
     record_path: Option<PathBuf>,
     /// Replay cursor when the session serves a capture.
     replay: Option<ReplayState>,
-    /// How extractions run: plain interpreter walk, or walk-plan
-    /// compilation + scheduled cache warming first.
-    exec_mode: ExecMode,
     /// Corpus scenario identity (name, spec fingerprint), when the
     /// session was built from or replays a corpus scenario.
     scenario: Option<(String, u64)>,
@@ -469,10 +429,11 @@ struct Retained {
 }
 
 /// Most programs, and most source bytes, a session keeps parsed, with
-/// their retained panes. Sources arrive from wire clients, so the cache
-/// may not grow without limit; when the next program would pass either
-/// bound it starts over, and a larger source is parsed and walked afresh
-/// every time. The 21 library figures are 17.6 KB of source in all.
+/// their footprints and retained panes. Sources arrive from wire
+/// clients, so the cache may not grow without limit; when the next
+/// program would pass either bound it starts over, and a larger source
+/// is parsed and walked afresh every time. The 21 library figures are
+/// 17.6 KB of source in all.
 const PROGRAM_CACHE_ENTRIES: usize = 64;
 const PROGRAM_CACHE_BYTES: usize = 256 * 1024;
 
@@ -484,9 +445,14 @@ struct ProgramCache {
     bytes: usize,
 }
 
-/// A source's parsed program and the pane an incremental session keeps.
+/// A source's parsed program, what its last walk on a cached session
+/// read, and the pane an incremental session keeps.
 struct Cached {
     program: Rc<viewcl::Program>,
+    /// The bases of the cache blocks the last successful walk used,
+    /// sorted, and the cache epoch it ran in.
+    footprint: Vec<u64>,
+    footprint_epoch: u64,
     kept: Option<Retained>,
 }
 
@@ -505,8 +471,13 @@ impl ProgramCache {
             self.bytes = 0;
         }
         self.bytes += src.len();
-        let kept = None;
-        self.entries.insert(src.into(), Cached { program, kept });
+        let entry = Cached {
+            program,
+            footprint: Vec::new(),
+            footprint_epoch: 0,
+            kept: None,
+        };
+        self.entries.insert(src.into(), entry);
         let e = self.entries.get_mut(src).expect("just inserted");
         Ok((Rc::clone(&e.program), Some(e)))
     }
@@ -522,7 +493,6 @@ impl Session {
             cache: None,
             tracing: false,
             record: None,
-            exec: None,
             scenario: None,
             incremental: false,
         }
@@ -553,7 +523,6 @@ impl Session {
             cache: None,
             tracing: false,
             record: None,
-            exec: None,
             scenario: None,
             incremental: false,
         }
@@ -689,16 +658,6 @@ impl Session {
         self.incremental
     }
 
-    /// The active execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Switch execution mode (affects subsequent plots).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
     /// Turn on vtrace span recording for this session. Idempotent;
     /// returns the (shared) tracer so callers can read the wire log or
     /// drain finished spans directly.
@@ -740,9 +699,8 @@ impl Session {
         let traces = self.traces.borrow();
         let mut panes: Vec<(&PaneId, &TraceSpan)> = traces.iter().collect();
         panes.sort_by_key(|(p, _)| p.0);
-        vtrace::chrome_trace_full(
+        vtrace::chrome_trace_with_backend(
             Some(self.backend_kind().as_str()),
-            Some(self.exec_mode.as_str()),
             panes.into_iter().map(|(p, s)| (p.0 as u64, s)),
         )
     }
@@ -810,12 +768,6 @@ impl Session {
         let cache = self.cache.as_ref().map(|c| c.config());
         let mut meta = workload_cfg_to_meta(&self.workload_cfg);
         if let serde_json::Value::Object(m) = &mut meta {
-            // The wire sequence depends on the execution mode; replay
-            // defaults to the recorded mode and names any mismatch.
-            m.insert(
-                "exec_mode".into(),
-                serde_json::Value::String(self.exec_mode.as_str().into()),
-            );
             // An incremental session tapes dirty events; replay must
             // follow the same refresh decisions to stay in step.
             if self.incremental {
@@ -865,8 +817,16 @@ impl Session {
 
     /// [`Session::extract_shared`] with a span label (the figure id for
     /// library plots). The root `extract` span covers the whole
-    /// pipeline; parse and interp get child spans, distillers nest
-    /// inside interp.
+    /// pipeline; parse, prefetch and interp get child spans, distillers
+    /// nest inside interp.
+    ///
+    /// A cached session remembers each source's *footprint*: the cache
+    /// blocks its last successful walk used. On the source's first walk
+    /// after a resume it fetches the footprint's absent blocks in merged
+    /// spans before the interpreter runs, so the walk finds them
+    /// resident instead of paying a round trip per block. It only moves
+    /// cost: the interpreter runs unchanged and builds the graph a cold
+    /// walk builds.
     fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Arc<Graph>, PlotStats)> {
         let tracer = self.tracer.as_ref();
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
@@ -901,35 +861,49 @@ impl Session {
             }
             target.set_touched_tracking(true);
         }
-        if self.exec_mode == ExecMode::Plan {
-            // Plan mode: compile the pane into a walk plan and warm the
-            // cache with scheduled spans. The interpreter below then
-            // runs unchanged over the warm cache, so the graph is
-            // byte-identical to interp mode by construction.
-            let _s = vtrace::span(tracer, SpanKind::Plan, "plan::run");
-            let plan = viewcl::plan::compile(&program);
-            viewcl::plan::execute(&plan, &target, &self.helpers);
+        // Footprints live in the program cache, so a source past its
+        // byte bound records none.
+        let cache = self.cache.as_ref().filter(|_| entry.is_some());
+        if let (Some(c), Some(e)) = (cache, entry.as_ref()) {
+            if !e.footprint.is_empty() && e.footprint_epoch != c.epoch() {
+                let _s = vtrace::span(tracer, SpanKind::Prefetch, "footprint::prefetch");
+                target.prefetch_footprint(&e.footprint);
+            }
         }
         let graph = {
             let _s = vtrace::span(tracer, SpanKind::Interp, "interp::run");
             let mut interp = viewcl::Interp::new(&target, &self.helpers);
-            interp.run(&program)?;
+            if let Some(c) = cache {
+                c.begin_footprint();
+            }
+            let run = interp.run(&program);
+            if let Some(c) = cache {
+                c.end_footprint();
+            }
+            run?;
             Arc::new(interp.into_graph())
         };
         let stats = PlotStats {
             graph: GraphStats::of(&graph),
             target: target.stats(),
         };
-        if let Some(e) = entry.filter(|_| self.incremental) {
-            // Remember what this walk read; the fresh graph replaces
-            // the retained one.
-            e.kept = Some(Retained {
-                graph: Arc::clone(&graph),
-                stats: stats.graph,
-                touched: DirtySet::from_ranges(target.take_touched()),
-                stale: false,
-                dirty_bytes: Some(0),
-            });
+        if let Some(e) = entry {
+            // Only a walk that succeeded replaces the footprint.
+            if let Some(c) = cache {
+                c.copy_footprint(&mut e.footprint);
+                e.footprint_epoch = c.epoch();
+            }
+            if self.incremental {
+                // Remember what this walk read; the fresh graph
+                // replaces the retained one.
+                e.kept = Some(Retained {
+                    graph: Arc::clone(&graph),
+                    stats: stats.graph,
+                    touched: DirtySet::from_ranges(target.take_touched()),
+                    stale: false,
+                    dirty_bytes: Some(0),
+                });
+            }
         }
         // The distillers tolerate per-object memory faults (corrupt
         // pointers render as diagnostics), but a capture-level failure
@@ -1694,6 +1668,31 @@ plot @m
         );
         assert_eq!(rep.replay_state().unwrap().remaining(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_ignores_an_execution_mode_in_old_capture_headers() {
+        let rec = Session::builder(build(&WorkloadConfig::default()))
+            .record("never-saved.vrec")
+            .attach()
+            .unwrap();
+        let fig = crate::figures::by_id("fig12-3").unwrap();
+        let (g_live, s_live) = rec.extract(fig.viewcl).unwrap();
+        let json = rec.capture().unwrap().to_json();
+        assert!(!json.contains("exec_mode"), "new headers carry no mode");
+        // Older captures named the mode they were recorded under.
+        let old = json.replacen(r#""meta":{"#, r#""meta":{"exec_mode":"plan","#, 1);
+        let cap = Capture::from_json(&old).unwrap();
+        let mode = cap.meta.get("exec_mode").and_then(|v| v.as_str());
+        assert_eq!(mode, Some("plan"));
+        let rep = Session::replay(cap).attach().unwrap();
+        let (g_rep, s_rep) = rep.extract(fig.viewcl).unwrap();
+        assert_eq!(g_live.to_json(), g_rep.to_json());
+        assert_eq!(
+            (s_rep.target.reads, s_rep.target.bytes),
+            (s_live.target.reads, s_live.target.bytes)
+        );
+        assert_eq!(rep.replay_state().unwrap().remaining(), 0);
     }
 
     #[test]

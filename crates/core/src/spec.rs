@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ksim::workload::{build, WorkloadConfig};
-use vbridge::{CacheConfig, Capture, ExecMode, LatencyProfile};
+use vbridge::{CacheConfig, Capture, LatencyProfile};
 
 use crate::session::{Result, Session};
 
@@ -30,8 +30,6 @@ pub enum SessionSpec {
         profile: LatencyProfile,
         /// Snapshot block cache, if enabled.
         cache: Option<CacheConfig>,
-        /// Interpreter or plan-driven extraction.
-        exec: ExecMode,
     },
     /// Rebuild a replay session over a recorded wire capture. The
     /// capture is shared (`Arc`): respawns clone the events once per
@@ -43,18 +41,17 @@ pub enum SessionSpec {
 }
 
 impl SessionSpec {
-    /// A live spec with the default cache and interpreter execution.
+    /// A live spec with the default cache.
     pub fn live(workload: WorkloadConfig, profile: LatencyProfile) -> SessionSpec {
         SessionSpec::Live {
             workload,
             profile,
             cache: Some(CacheConfig::default()),
-            exec: ExecMode::Interp,
         }
     }
 
-    /// A replay spec over a recorded capture (profile, cache and exec
-    /// mode come from the capture header, as `Session::replay` defaults).
+    /// A replay spec over a recorded capture (profile and cache come
+    /// from the capture header, as `Session::replay` defaults).
     pub fn replay(capture: Capture) -> SessionSpec {
         SessionSpec::Replay {
             capture: Arc::new(capture),
@@ -74,11 +71,8 @@ impl SessionSpec {
                 workload,
                 profile,
                 cache,
-                exec,
             } => {
-                let mut b = Session::builder(build(workload))
-                    .profile(*profile)
-                    .exec(*exec);
+                let mut b = Session::builder(build(workload)).profile(*profile);
                 if let Some(cfg) = cache {
                     b = b.cache(*cfg);
                 }
@@ -91,16 +85,15 @@ impl SessionSpec {
     /// A content fingerprint: equal fingerprints mean "these specs build
     /// sessions that serve byte-identical graphs", so the fleet may pool
     /// them into one cross-session share group. Live specs hash the
-    /// workload/profile/cache/exec configuration; replay specs hash the
-    /// full capture document.
+    /// workload/profile/cache configuration; replay specs hash the full
+    /// capture document.
     pub fn fingerprint(&self) -> u64 {
         match self {
             SessionSpec::Live {
                 workload,
                 profile,
                 cache,
-                exec,
-            } => fnv64(format!("live:{workload:?}:{profile:?}:{cache:?}:{exec:?}").as_bytes()),
+            } => fnv64(format!("live:{workload:?}:{profile:?}:{cache:?}").as_bytes()),
             SessionSpec::Replay { capture } => fnv64(capture.to_json().as_bytes()),
         }
     }

@@ -57,7 +57,7 @@ static GLOBAL: Counting = Counting;
 
 /// The figures counted, and what one walk of each allocates after a
 /// tick stop.
-const PINNED: [(&str, u64); 3] = [("fig3-4", 988), ("fig9-2", 470), ("socketconn", 201)];
+const PINNED: [(&str, u64); 3] = [("fig3-4", 972), ("fig9-2", 466), ("socketconn", 201)];
 
 /// Allocations made by one `extract_shared` of each pinned figure, with
 /// the graph dropped again.

@@ -229,23 +229,6 @@ pub trait TargetBackend {
         let _ = observed;
         DirtyInfo::Unknown
     }
-
-    /// A thread-shareable raw view of the wire, if the transport can
-    /// serve overlapped reads. The plan executor uses this to run
-    /// discovery walks concurrently; backends whose ordering *is* their
-    /// contract (record/replay tapes) return `None` and get the
-    /// serializing plan mode instead.
-    fn sync_view(&self) -> Option<&dyn SyncRead> {
-        None
-    }
-}
-
-/// Raw, unmetered span reads that may be issued from multiple threads
-/// at once. `Sync` is a supertrait so `&dyn SyncRead` can cross a
-/// `std::thread::scope` boundary.
-pub trait SyncRead: Sync {
-    /// Read `out.len()` bytes at `addr`, or fault.
-    fn read_raw(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError>;
 }
 
 /// The first backend: a live `ksim` memory image. Behavior-identical to
@@ -285,16 +268,6 @@ impl TargetBackend for SimBackend<'_> {
     fn resume_dirty(&self, observed: DirtyInfo) -> DirtyInfo {
         // The sim's owner observed the mutations directly; trust them.
         observed
-    }
-
-    fn sync_view(&self) -> Option<&dyn SyncRead> {
-        Some(self)
-    }
-}
-
-impl SyncRead for SimBackend<'_> {
-    fn read_raw(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError> {
-        self.mem.read(addr, out).map_err(BackendError::Mem)
     }
 }
 

@@ -20,6 +20,13 @@
 //! The map is keyed by block base with [`BaseHasher`], one folded
 //! multiply per lookup instead of SipHash; nothing depends on its
 //! iteration order.
+//!
+//! The cache also records *footprints*: between
+//! [`BlockCache::begin_footprint`] and [`BlockCache::end_footprint`] it
+//! logs the base of every resident block a demand read (or a prefetch
+//! hint) used. Each block carries the number of the walk that last
+//! used it, so a lookup logs a base the first time the walk stamps it
+//! and costs one compare afterwards.
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
@@ -86,9 +93,24 @@ impl From<u64> for CacheConfig {
 #[derive(Debug)]
 pub struct BlockCache {
     cfg: CacheConfig,
-    blocks: RefCell<HashMap<u64, Box<[u8]>, BaseHasher>>,
+    blocks: RefCell<HashMap<u64, Block, BaseHasher>>,
     order: RefCell<VecDeque<u64>>,
     epoch: Cell<u64>,
+    /// The walk whose footprint is being recorded; 0 while none is.
+    walk: Cell<u64>,
+    /// Walks recorded so far, so every walk gets a fresh stamp.
+    walks: Cell<u64>,
+    /// Bases the recording walk used, each logged once while resident;
+    /// at most `max_blocks` of them.
+    log: RefCell<Vec<u64>>,
+}
+
+/// One resident block.
+#[derive(Debug)]
+struct Block {
+    data: Box<[u8]>,
+    /// The walk that last used the block; 0 for none.
+    stamp: Cell<u64>,
 }
 
 impl Default for BlockCache {
@@ -106,6 +128,9 @@ impl BlockCache {
             blocks: RefCell::new(HashMap::default()),
             order: RefCell::new(VecDeque::new()),
             epoch: Cell::new(0),
+            walk: Cell::new(0),
+            walks: Cell::new(0),
+            log: RefCell::new(Vec::new()),
         }
     }
 
@@ -175,13 +200,74 @@ impl BlockCache {
         self.blocks.borrow().contains_key(&base)
     }
 
-    /// Insert a fetched block, evicting the oldest beyond capacity.
-    pub(crate) fn insert(&self, base: u64, data: Box<[u8]>) {
+    /// Start recording a footprint: every resident block a read uses
+    /// from now until [`BlockCache::end_footprint`] is logged once.
+    pub fn begin_footprint(&self) {
+        self.walks.set(self.walks.get() + 1);
+        self.walk.set(self.walks.get());
+        let mut log = self.log.borrow_mut();
+        log.clear();
+        // Sized once, so recording never allocates per read.
+        log.reserve_exact(self.cfg.max_blocks);
+    }
+
+    /// Stop recording. The footprint — the distinct bases of the blocks
+    /// used since [`BlockCache::begin_footprint`], sorted — stays
+    /// readable through [`BlockCache::copy_footprint`] until the next
+    /// recording begins.
+    pub fn end_footprint(&self) {
+        self.walk.set(0);
+        let mut log = self.log.borrow_mut();
+        log.sort_unstable();
+        log.dedup();
+    }
+
+    /// Replace `into`'s contents with the last recorded footprint,
+    /// reusing its allocation.
+    pub fn copy_footprint(&self, into: &mut Vec<u64>) {
+        into.clear();
+        into.extend_from_slice(&self.log.borrow());
+    }
+
+    /// Stamp `block` as used by the recording walk, logging its base
+    /// the first time. One compare once it is stamped.
+    fn used(&self, base: u64, block: &Block) {
+        let walk = self.walk.get();
+        if block.stamp.replace(walk) != walk && walk != 0 {
+            let mut log = self.log.borrow_mut();
+            if log.len() < self.cfg.max_blocks {
+                log.push(base);
+            }
+        }
+    }
+
+    /// [`BlockCache::contains`] for a read that uses the block: a
+    /// resident block joins the recording walk's footprint.
+    pub(crate) fn contains_used(&self, base: u64) -> bool {
+        let blocks = self.blocks.borrow();
+        let Some(block) = blocks.get(&base) else {
+            return false;
+        };
+        self.used(base, block);
+        true
+    }
+
+    /// Insert a fetched block, evicting the oldest beyond capacity. A
+    /// block a demand read fetched (`used`) joins the recording walk's
+    /// footprint; one fetched ahead of its use does not.
+    pub(crate) fn insert(&self, base: u64, data: Box<[u8]>, used: bool) {
         debug_assert_eq!(base, self.base_of(base));
         debug_assert_eq!(data.len() as u64, self.cfg.block_size);
         let mut blocks = self.blocks.borrow_mut();
         let mut order = self.order.borrow_mut();
-        if blocks.insert(base, data).is_none() {
+        let block = Block {
+            data,
+            stamp: Cell::new(0),
+        };
+        if used {
+            self.used(base, &block);
+        }
+        if blocks.insert(base, block).is_none() {
             order.push_back(base);
             while blocks.len() > self.cfg.max_blocks {
                 if let Some(old) = order.pop_front() {
@@ -192,14 +278,16 @@ impl BlockCache {
     }
 
     /// Copy `dst.len()` bytes out of the block at `base`, starting
-    /// `off` bytes in, if it is resident; one lookup either way. Panics
-    /// if the range leaves the block.
+    /// `off` bytes in, if it is resident; one lookup either way. A
+    /// demand read: the block joins the recording walk's footprint.
+    /// Panics if the range leaves the block.
     pub(crate) fn copy_from(&self, base: u64, off: usize, dst: &mut [u8]) -> bool {
         let blocks = self.blocks.borrow();
         let Some(block) = blocks.get(&base) else {
             return false;
         };
-        dst.copy_from_slice(&block[off..off + dst.len()]);
+        self.used(base, block);
+        dst.copy_from_slice(&block.data[off..off + dst.len()]);
         true
     }
 
@@ -214,7 +302,7 @@ impl BlockCache {
             block_size: self.cfg.block_size,
             blocks: blocks
                 .iter()
-                .map(|(base, data)| (*base, Arc::from(&data[..])))
+                .map(|(base, block)| (*base, Arc::from(&block.data[..])))
                 .collect(),
         }
     }
@@ -235,7 +323,7 @@ impl BlockCache {
         let mut adopted = 0;
         for (base, data) in &snap.blocks {
             if !self.contains(*base) {
-                self.insert(*base, data[..].into());
+                self.insert(*base, data[..].into(), false);
                 adopted += 1;
             }
         }
@@ -322,7 +410,7 @@ mod tests {
         let c = BlockCache::new(CacheConfig::default());
         assert_eq!(c.base_of(0x1234), 0x1200);
         assert!(!c.contains(0x1200));
-        c.insert(0x1200, vec![7u8; 256].into_boxed_slice());
+        c.insert(0x1200, vec![7u8; 256].into_boxed_slice(), false);
         assert!(c.contains(0x1200));
         let mut out = [0u8; 4];
         assert!(c.copy_from(0x1200, 0x34, &mut out));
@@ -334,7 +422,7 @@ mod tests {
     #[test]
     fn bump_epoch_invalidates() {
         let c = BlockCache::new(CacheConfig::default());
-        c.insert(0, vec![0u8; 256].into_boxed_slice());
+        c.insert(0, vec![0u8; 256].into_boxed_slice(), false);
         assert_eq!((c.epoch(), c.len()), (0, 1));
         c.bump_epoch();
         assert_eq!((c.epoch(), c.len()), (1, 0));
@@ -345,7 +433,7 @@ mod tests {
     fn invalidate_spans_drops_only_intersecting_blocks() {
         let c = BlockCache::new(CacheConfig::default());
         for base in [0x000u64, 0x100, 0x200, 0x300] {
-            c.insert(base, vec![base as u8; 256].into_boxed_slice());
+            c.insert(base, vec![base as u8; 256].into_boxed_slice(), false);
         }
         // A span straddling the 0x100/0x200 boundary kills both blocks;
         // 0x000 and 0x300 survive the resume.
@@ -356,7 +444,7 @@ mod tests {
         // Empty spans touch nothing; eviction order stays consistent.
         assert_eq!(c.invalidate_spans(&[(0x80, 0)]), 0);
         assert_eq!(c.len(), 2);
-        c.insert(0x400, vec![1u8; 256].into_boxed_slice());
+        c.insert(0x400, vec![1u8; 256].into_boxed_slice(), false);
         assert_eq!(c.len(), 3);
     }
 
@@ -368,11 +456,55 @@ mod tests {
             ..CacheConfig::default()
         });
         for i in 0..3u64 {
-            c.insert(i * 256, vec![0u8; 256].into_boxed_slice());
+            c.insert(i * 256, vec![0u8; 256].into_boxed_slice(), false);
         }
         assert_eq!(c.len(), 2);
         assert!(!c.contains(0), "oldest block evicted first");
         assert!(c.contains(256) && c.contains(512));
+    }
+
+    fn footprint(c: &BlockCache) -> Vec<u64> {
+        let mut out = vec![0xdead];
+        c.copy_footprint(&mut out);
+        out
+    }
+
+    #[test]
+    fn footprint_logs_each_used_block_once_and_nothing_else() {
+        let c = BlockCache::new(CacheConfig {
+            block_size: 256,
+            max_blocks: 3,
+            ..CacheConfig::default()
+        });
+        let mut out = [0u8; 4];
+        // Outside a recording nothing is logged.
+        c.insert(0x300, vec![0u8; 256].into_boxed_slice(), true);
+        c.begin_footprint();
+        assert!(c.copy_from(0x300, 0, &mut out));
+        assert!(c.copy_from(0x300, 8, &mut out), "a second use logs nothing");
+        c.insert(0x100, vec![0u8; 256].into_boxed_slice(), true);
+        c.insert(0x200, vec![0u8; 256].into_boxed_slice(), false);
+        assert!(!c.contains_used(0x400));
+        c.end_footprint();
+        assert_eq!(
+            footprint(&c),
+            [0x100, 0x300],
+            "sorted; the unused fill is out"
+        );
+        // A new walk starts from nothing, and stamps of the last walk
+        // do not count for it.
+        c.begin_footprint();
+        assert!(c.contains_used(0x200));
+        assert!(c.contains_used(0x300));
+        c.end_footprint();
+        assert_eq!(footprint(&c), [0x200, 0x300]);
+        // The log holds at most `max_blocks` bases.
+        c.begin_footprint();
+        for base in [0x400u64, 0x500, 0x600, 0x700] {
+            c.insert(base, vec![0u8; 256].into_boxed_slice(), true);
+        }
+        c.end_footprint();
+        assert_eq!(footprint(&c).len(), 3);
     }
 
     #[test]
@@ -384,13 +516,13 @@ mod tests {
     #[test]
     fn snapshot_warms_a_sibling_cache() {
         let a = BlockCache::new(CacheConfig::default());
-        a.insert(0x100, vec![3u8; 256].into_boxed_slice());
-        a.insert(0x200, vec![4u8; 256].into_boxed_slice());
+        a.insert(0x100, vec![3u8; 256].into_boxed_slice(), false);
+        a.insert(0x200, vec![4u8; 256].into_boxed_slice(), false);
         let snap = a.snapshot();
         assert_eq!((snap.block_size(), snap.len()), (256, 2));
 
         let b = BlockCache::new(CacheConfig::default());
-        b.insert(0x100, vec![9u8; 256].into_boxed_slice());
+        b.insert(0x100, vec![9u8; 256].into_boxed_slice(), false);
         assert_eq!(b.warm_from(&snap), 1, "only the absent block is adopted");
         let mut out = [0u8; 2];
         assert!(b.copy_from(0x100, 0, &mut out));

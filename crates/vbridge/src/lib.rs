@@ -15,8 +15,10 @@
 //!   inline kernel functions like `cpu_rq()` and `mte_to_node()`;
 //! * an optional snapshot [`BlockCache`] services repeat reads for free
 //!   while the kernel stays stopped, coalesces batched reads
-//!   ([`Target::read_many`]) into minimal wire spans, and accepts
-//!   prefetch hints ([`Target::prefetch`]) from container distillers —
+//!   ([`Target::read_many`]) into minimal wire spans, accepts prefetch
+//!   hints ([`Target::prefetch`]) from container distillers, and records
+//!   each walk's block footprint so the next walk of the same pane after
+//!   a resume can fetch it up front ([`Target::prefetch_footprint`]) —
 //!   invalidated wholesale when the session resumes the target;
 //! * the wire below the metering layer is a pluggable [`TargetBackend`]:
 //!   [`SimBackend`] serves a live `ksim` image, [`RecordBackend`] wraps
@@ -36,14 +38,11 @@ mod record;
 mod replay;
 mod target;
 
-pub use backend::{
-    BackendError, BackendKind, DirtyInfo, DirtySet, SimBackend, SyncRead, TargetBackend,
-};
+pub use backend::{BackendError, BackendKind, DirtyInfo, DirtySet, SimBackend, TargetBackend};
 pub use cache::{BlockCache, CacheConfig, CacheSnapshot};
 pub use error::{BridgeError, ErrorKind, Result};
 pub use eval::Evaluator;
 pub use helpers::{HelperFn, HelperRegistry};
-pub use planner::{ExecMode, PlanMode, SpanPlanner};
 pub use profile::LatencyProfile;
 pub use record::{Capture, RecordBackend, Recorder, WireEvent, VREC_VERSION};
 pub use replay::{ReplayBackend, ReplayState};

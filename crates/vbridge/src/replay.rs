@@ -32,7 +32,6 @@ pub struct ReplayState {
     capture: Capture,
     pos: Cell<usize>,
     poison: RefCell<Option<String>>,
-    mode_note: RefCell<Option<String>>,
 }
 
 impl ReplayState {
@@ -42,20 +41,7 @@ impl ReplayState {
             capture,
             pos: Cell::new(0),
             poison: RefCell::new(None),
-            mode_note: RefCell::new(None),
         }
-    }
-
-    /// Note that the replaying session runs a different execution mode
-    /// (interp vs plan) than the one recorded in the capture header.
-    /// The modes issue wire operations in different orders, so any
-    /// divergence or exhaustion diagnostic will name the mismatch as
-    /// the likely cause.
-    pub fn note_mode_mismatch(&self, session_mode: &str, capture_mode: &str) {
-        *self.mode_note.borrow_mut() = Some(format!(
-            "execution-mode mismatch: session runs {session_mode}-mode \
-             but the capture was recorded under {capture_mode}-mode"
-        ));
     }
 
     /// The capture being replayed.
@@ -78,12 +64,7 @@ impl ReplayState {
         self.poison.borrow().clone()
     }
 
-    fn fail(&self, mut msg: String) -> BackendError {
-        if let Some(note) = self.mode_note.borrow().as_ref() {
-            msg.push_str(" (");
-            msg.push_str(note);
-            msg.push(')');
-        }
+    fn fail(&self, msg: String) -> BackendError {
         let mut poison = self.poison.borrow_mut();
         if poison.is_none() {
             *poison = Some(msg.clone());
@@ -340,24 +321,6 @@ mod tests {
         let msg = format!("{err}");
         assert!(msg.contains("exhausted at event 0"), "{msg}");
         assert!(msg.contains("truncated"), "{msg}");
-    }
-
-    #[test]
-    fn mode_mismatch_is_named_in_divergence_diagnostics() {
-        let st = tape(vec![WireEvent::Read {
-            addr: 0x1000,
-            len: 4,
-            result: Ok(vec![0; 4]),
-        }]);
-        st.note_mode_mismatch("plan", "interp");
-        let b = ReplayBackend::new(&st);
-        let mut buf = [0u8; 8];
-        let err = b.read(0x9999, &mut buf).unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("divergence at event 0"), "{msg}");
-        assert!(msg.contains("execution-mode mismatch"), "{msg}");
-        assert!(msg.contains("plan-mode"), "{msg}");
-        assert!(msg.contains("recorded under interp-mode"), "{msg}");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use vtrace::Tracer;
 
 use crate::backend::{BackendError, BackendKind, SimBackend, TargetBackend};
 use crate::cache::BlockCache;
+use crate::planner::SpanPlanner;
 use crate::profile::LatencyProfile;
 use crate::{BridgeError, Result};
 
@@ -18,6 +19,10 @@ const CSTR_CHUNK: u64 = 64;
 
 /// Largest span a single prefetch hint will pull (one page).
 const MAX_PREFETCH: u64 = 4096;
+
+/// Spans up to this many bytes travel through a stack buffer: a hint's
+/// or a footprint's span, block-aligned, always fits.
+const SPAN_STACK: usize = 2 * MAX_PREFETCH as usize;
 
 /// Cumulative access statistics (virtual time, reads, bytes).
 ///
@@ -45,16 +50,6 @@ pub struct TargetStats {
     /// Reads that faulted on unmapped memory — wild pointers chased by a
     /// distiller or checker over a corrupted image.
     pub faults: u64,
-    /// Walk-plan IR nodes executed by plan-mode extraction (0 under the
-    /// plain interpreter).
-    pub plan_nodes: u64,
-    /// Subwalks skipped because an identical traversal (same kind, same
-    /// root) already ran earlier in the plan.
-    pub dedup_walks: u64,
-    /// Scheduler waves that ran two or more discovery walks concurrently.
-    /// Derived from the plan's wave structure, never from thread timing,
-    /// so it is deterministic across runs.
-    pub parallel_batches: u64,
     /// Panes served from their retained graph because the dirty set
     /// missed every span they touched (incremental refresh hits).
     pub vincr_hits: u64,
@@ -146,13 +141,9 @@ pub struct Target<'a> {
     cache_misses: Cell<u64>,
     packets_saved: Cell<u64>,
     faults: Cell<u64>,
-    plan_nodes: Cell<u64>,
-    dedup_walks: Cell<u64>,
-    parallel_batches: Cell<u64>,
     vincr_hits: Cell<u64>,
     vincr_rewalks: Cell<u64>,
     dirty_bytes: Cell<u64>,
-    plan_mode: Cell<bool>,
     track_touched: Cell<bool>,
     touched: RefCell<Vec<(u64, u64)>>,
     tracer: Option<Rc<Tracer>>,
@@ -208,13 +199,9 @@ impl<'a> Target<'a> {
             cache_misses: Cell::new(0),
             packets_saved: Cell::new(0),
             faults: Cell::new(0),
-            plan_nodes: Cell::new(0),
-            dedup_walks: Cell::new(0),
-            parallel_batches: Cell::new(0),
             vincr_hits: Cell::new(0),
             vincr_rewalks: Cell::new(0),
             dirty_bytes: Cell::new(0),
-            plan_mode: Cell::new(false),
             track_touched: Cell::new(false),
             touched: RefCell::new(Vec::new()),
             tracer: None,
@@ -284,9 +271,6 @@ impl<'a> Target<'a> {
             cache_misses: self.cache_misses.get(),
             packets_saved: self.packets_saved.get(),
             faults: self.faults.get(),
-            plan_nodes: self.plan_nodes.get(),
-            dedup_walks: self.dedup_walks.get(),
-            parallel_batches: self.parallel_batches.get(),
             vincr_hits: self.vincr_hits.get(),
             vincr_rewalks: self.vincr_rewalks.get(),
             dirty_bytes: self.dirty_bytes.get(),
@@ -302,41 +286,15 @@ impl<'a> Target<'a> {
         self.cache_misses.set(0);
         self.packets_saved.set(0);
         self.faults.set(0);
-        self.plan_nodes.set(0);
-        self.dedup_walks.set(0);
-        self.parallel_batches.set(0);
         self.vincr_hits.set(0);
         self.vincr_rewalks.set(0);
         self.dirty_bytes.set(0);
     }
 
-    /// Whether plan-mode extraction owns the prefetch schedule. While
-    /// set, the distillers' ad-hoc [`Target::prefetch`] hints become
-    /// no-ops so the planner's scheduled spans are not double-pulled
-    /// (and `packets_saved` is not double-counted).
-    pub fn plan_mode(&self) -> bool {
-        self.plan_mode.get()
-    }
-
-    /// Enter or leave plan mode (see [`Target::plan_mode`]).
-    pub fn set_plan_mode(&self, on: bool) {
-        self.plan_mode.set(on);
-    }
-
-    /// Record the outcome of one plan execution. The counts come from
-    /// the plan's deterministic schedule, so a live run and its replay
-    /// report identical numbers.
-    pub fn note_plan_walks(&self, nodes: u64, dedups: u64, batches: u64) {
-        self.plan_nodes.set(self.plan_nodes.get() + nodes);
-        self.dedup_walks.set(self.dedup_walks.get() + dedups);
-        self.parallel_batches
-            .set(self.parallel_batches.get() + batches);
-    }
-
     /// Record the outcome of one incremental refresh: panes kept from
     /// their retained graph, panes re-walked, and the mutated bytes the
-    /// backend reported. Like the plan counters, these come from a
-    /// deterministic decision, so live runs and replays agree exactly.
+    /// backend reported. These come from a deterministic decision, so
+    /// live runs and replays agree exactly.
     pub fn note_incr(&self, hits: u64, rewalks: u64, dirty_bytes: u64) {
         self.vincr_hits.set(self.vincr_hits.get() + hits);
         self.vincr_rewalks.set(self.vincr_rewalks.get() + rewalks);
@@ -346,7 +304,7 @@ impl<'a> Target<'a> {
     /// Start or stop recording the address spans metered reads touch.
     /// While on, every logical read — cache hit or miss — logs its
     /// requested span so vincr can index what each pane depends on.
-    /// Speculative traffic (prefetch hints, planner span pulls) is
+    /// Speculative traffic (prefetch hints, footprint fetches) is
     /// deliberately excluded: a prefetched byte nobody decoded must not
     /// force a re-walk.
     pub fn set_touched_tracking(&self, on: bool) {
@@ -378,24 +336,27 @@ impl<'a> Target<'a> {
         touched.push((addr, len));
     }
 
-    /// A thread-shareable raw view of the wire, if the backend supports
-    /// overlapped reads (see [`TargetBackend::sync_view`]).
-    pub fn sync_view(&self) -> Option<&dyn crate::backend::SyncRead> {
-        self.backend.sync_view()
-    }
-
-    /// Pull one planner-scheduled span into the cache, metering the
-    /// whole aligned span as a single packet when possible (the same
-    /// accounting as a prefetch hint, but driven by the cost-based plan
-    /// rather than a distiller guess). Returns the packets sent. No-op
-    /// on uncached targets; never faults.
-    pub fn fetch_planned_span(&self, addr: u64, len: u64) -> u64 {
+    /// Fetch the blocks of `footprint` (sorted block bases, as
+    /// [`BlockCache::copy_footprint`] hands them out) that are not
+    /// resident, folding neighbours into spans by the profile's
+    /// `SpanPlanner` rule, one packet per span. Gap blocks travel in
+    /// their span but are not kept: the last walk did not use them. Like
+    /// a prefetch hint it is speculative: it never faults, touches
+    /// nothing and joins no footprint. Returns the packets sent; a no-op
+    /// on uncached targets.
+    pub fn prefetch_footprint(&self, footprint: &[u64]) -> u64 {
         let Some(cache) = self.cache else { return 0 };
-        if len == 0 {
-            return 0;
-        }
-        let (packets, blocks) = self.fetch_span(cache, addr, len.min(MAX_PREFETCH));
-        self.note_saved(blocks.saturating_sub(packets));
+        let bs = cache.block_size();
+        let absent = footprint
+            .iter()
+            .filter(|&&base| !cache.contains(base))
+            .map(|&base| (base, bs));
+        let mut packets = 0;
+        SpanPlanner::for_profile(&self.profile).fold(absent, |addr, len| {
+            let (sent, blocks) = self.fetch_span(cache, addr, len, Some(footprint));
+            self.note_saved(blocks.saturating_sub(sent));
+            packets += sent;
+        });
         packets
     }
 
@@ -449,14 +410,14 @@ impl<'a> Target<'a> {
         let mut base = cache.base_of(addr);
         let last = cache.base_of(addr + len - 1);
         while base <= last {
-            if cache.contains(base) {
+            if cache.contains_used(base) {
                 self.note_hit(base, bs);
             } else {
                 let mut block = vec![0u8; bs as usize];
                 if self.backend.read(base, &mut block).is_ok() {
                     self.account(base, bs);
                     self.cache_misses.set(self.cache_misses.get() + 1);
-                    cache.insert(base, block.into_boxed_slice());
+                    cache.insert(base, block.into_boxed_slice(), true);
                 } else {
                     // The block's page is unmapped; pay for the doomed
                     // exact request (the serve path reports the fault).
@@ -618,15 +579,26 @@ impl<'a> Target<'a> {
     /// aligned span as ONE packet when possible, degrading to per-block
     /// fetches of the mapped blocks when the span touches unmapped pages
     /// (holes are skipped silently; a later serve reports the fault).
-    /// Returns `(packets sent, blocks fetched)`. `len` must be non-zero.
-    fn fetch_span(&self, cache: &BlockCache, addr: u64, len: u64) -> (u64, u64) {
+    /// With `only` (sorted bases), blocks outside it travel in the span
+    /// but are not kept. Returns `(packets sent, blocks fetched)`. `len`
+    /// must be non-zero.
+    fn fetch_span(
+        &self,
+        cache: &BlockCache,
+        addr: u64,
+        len: u64,
+        only: Option<&[u64]>,
+    ) -> (u64, u64) {
         let bs = cache.block_size();
         let start = cache.base_of(addr);
         let end = cache.base_of(addr + len - 1) + bs;
+        let wanted = |base: u64| {
+            !cache.contains(base) && only.is_none_or(|only| only.binary_search(&base).is_ok())
+        };
         let mut missing = 0u64;
         let mut base = start;
         while base < end {
-            if !cache.contains(base) {
+            if wanted(base) {
                 missing += 1;
             }
             base += bs;
@@ -635,18 +607,23 @@ impl<'a> Target<'a> {
             return (0, 0);
         }
         let span = end - start;
-        let mut buf = vec![0u8; span as usize];
-        if self.backend.read(start, &mut buf).is_ok() {
+        let mut stack = [0u8; SPAN_STACK];
+        let mut heap = Vec::new();
+        let buf = match stack.get_mut(..span as usize) {
+            Some(buf) => buf,
+            None => {
+                heap.resize(span as usize, 0);
+                &mut heap[..]
+            }
+        };
+        if self.backend.read(start, buf).is_ok() {
             self.account(start, span);
             self.cache_misses.set(self.cache_misses.get() + missing);
             let mut base = start;
             while base < end {
-                if !cache.contains(base) {
+                if wanted(base) {
                     let off = (base - start) as usize;
-                    cache.insert(
-                        base,
-                        buf[off..off + bs as usize].to_vec().into_boxed_slice(),
-                    );
+                    cache.insert(base, buf[off..off + bs as usize].into(), false);
                 }
                 base += bs;
             }
@@ -655,12 +632,12 @@ impl<'a> Target<'a> {
             let mut fetched = 0u64;
             let mut base = start;
             while base < end {
-                if !cache.contains(base) {
+                if wanted(base) {
                     let mut block = vec![0u8; bs as usize];
                     if self.backend.read(base, &mut block).is_ok() {
                         self.account(base, bs);
                         self.cache_misses.set(self.cache_misses.get() + 1);
-                        cache.insert(base, block.into_boxed_slice());
+                        cache.insert(base, block.into_boxed_slice(), false);
                         fetched += 1;
                     }
                 }
@@ -674,19 +651,24 @@ impl<'a> Target<'a> {
     /// enabled, pulls the covering blocks in a single span packet (capped
     /// at one page); uncached targets ignore the hint entirely, keeping
     /// the baseline cost model untouched. Hints never fault.
+    ///
+    /// Every resident block the hint covers joins the recording walk's
+    /// footprint, used or not: replayed without one of them, the hint
+    /// would find a block absent and pull its whole span again.
     pub fn prefetch(&self, addr: u64, len: u64) {
-        if self.plan_mode.get() {
-            // The plan's scheduled spans own prefetching; ad-hoc hints
-            // from the distillers would double-pull (and double-count).
-            return;
-        }
         let Some(cache) = self.cache else { return };
         if len == 0 || !cache.config().prefetch {
             return;
         }
-        let (packets, blocks) = self.fetch_span(cache, addr, len.min(MAX_PREFETCH));
+        let len = len.min(MAX_PREFETCH);
+        let (packets, blocks) = self.fetch_span(cache, addr, len, None);
         // Fetching N blocks in fewer packets saves the difference.
         self.note_saved(blocks.saturating_sub(packets));
+        let first = cache.base_of(addr);
+        let last = cache.base_of(addr + len - 1);
+        for i in 0..=(last - first) / cache.block_size() {
+            cache.contains_used(first + i * cache.block_size());
+        }
     }
 
     /// Execute a batch of reads, coalescing adjacent/overlapping requests
@@ -715,7 +697,7 @@ impl<'a> Target<'a> {
                 if cache.config().coalesce {
                     // Each merged span travels as one packet.
                     for &(addr, len) in &plan.spans() {
-                        packets += self.fetch_span(cache, addr, len).0;
+                        packets += self.fetch_span(cache, addr, len, None).0;
                     }
                 } else {
                     // Ablation knob: each request meters on its own,

@@ -8,10 +8,12 @@
 //! store is sound by construction; [`FleetCache::publish`] still
 //! *asserts* graph equality when two engines race to publish the same
 //! key, turning any unsoundness into a loud failure instead of a wrong
-//! pane.
+//! pane. It compares after releasing the group's lock, so the compare
+//! holds no sibling up and a failed assertion poisons nothing they lock.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -122,24 +124,32 @@ impl SharedExtractions for FleetCache {
     }
 
     fn publish(&self, generation: u64, viewcl: &str, plot: &SharedPlot) {
-        let mut g = self.inner.lock().unwrap();
-        g.walking.remove(&(generation, viewcl.to_string()));
-        match g.plots.entry((generation, viewcl.to_string())) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // Soundness tripwire: equal keys must mean equal graphs.
-                assert!(
-                    e.get().graph == plot.graph,
-                    "share-group collision: generation {generation:#x} / `{viewcl}` \
-                     published twice with different graphs"
-                );
-                g.stats.duplicates += 1;
+        let key = (generation, viewcl.to_string());
+        let stored = {
+            let mut g = self.inner.lock().unwrap();
+            g.walking.remove(&key);
+            match g.plots.entry(key) {
+                Entry::Occupied(e) => {
+                    let stored = Arc::clone(&e.get().graph);
+                    g.stats.duplicates += 1;
+                    Some(stored)
+                }
+                Entry::Vacant(v) => {
+                    v.insert(plot.clone());
+                    g.stats.published += 1;
+                    None
+                }
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(plot.clone());
-                g.stats.published += 1;
-            }
-        }
+        };
         self.published.notify_all();
+        // Soundness tripwire: equal keys must mean equal graphs.
+        if let Some(graph) = stored {
+            assert!(
+                graph == plot.graph,
+                "share-group collision: generation {generation:#x} / `{viewcl}` \
+                 published twice with different graphs"
+            );
+        }
     }
 
     fn abandon(&self, generation: u64, viewcl: &str) {
@@ -189,8 +199,12 @@ mod tests {
     use super::*;
 
     fn plot() -> SharedPlot {
+        plot_of(vgraph::Graph::default())
+    }
+
+    fn plot_of(graph: vgraph::Graph) -> SharedPlot {
         SharedPlot {
-            graph: std::sync::Arc::new(vgraph::Graph::default()),
+            graph: Arc::new(graph),
             full_len: 0,
             full: Default::default(),
             tape: None,
@@ -207,5 +221,28 @@ mod tests {
         c.publish(1, "fig", &plot());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.published, s.duplicates), (1, 2, 1, 1));
+    }
+
+    #[test]
+    fn a_colliding_publish_panics_without_poisoning_the_group() {
+        let c = Arc::new(FleetCache::default());
+        c.publish(1, "fig", &plot());
+        let mut other = vgraph::Graph::new();
+        other.intern(0x1000, "Task", "task_struct", 8);
+        let collide = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.publish(1, "fig", &plot_of(other));
+        }));
+        assert!(collide.is_err(), "a collision still trips the assertion");
+        // A sibling engine's thread keeps using the group.
+        let sibling = Arc::clone(&c);
+        std::thread::spawn(move || {
+            assert!(sibling.get(1, "fig").is_some());
+            sibling.publish(2, "fig", &plot());
+            assert!(sibling.get(2, "fig").is_some());
+        })
+        .join()
+        .expect("the group's lock is not poisoned");
+        let s = c.stats();
+        assert_eq!((s.published, s.duplicates, s.hits), (2, 1, 2));
     }
 }

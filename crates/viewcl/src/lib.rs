@@ -29,7 +29,6 @@ mod decor;
 mod interp;
 mod lexer;
 mod parser;
-pub mod plan;
 mod stdlib;
 
 pub use ast::*;

@@ -12,7 +12,7 @@
 //! every push or only when the producer rings.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -92,7 +92,13 @@ impl<T> Bounded<T> {
         self.waker.get().is_some()
     }
 
-    fn pushed(&self) {
+    /// Queue `item` under the held lock `g` (the caller checked for
+    /// room), then wake a consumer.
+    fn push_locked(&self, mut g: MutexGuard<'_, Inner<T>>, item: T) {
+        g.items.push_back(item);
+        g.high_water = g.high_water.max(g.items.len());
+        self.not_empty.notify_one();
+        drop(g);
         if let Some((t, Wake::OnPush)) = self.waker.get() {
             t.unpark();
         }
@@ -115,11 +121,7 @@ impl<T> Bounded<T> {
                 return Err(item);
             }
             if g.items.len() < self.cap {
-                g.items.push_back(item);
-                g.high_water = g.high_water.max(g.items.len());
-                self.not_empty.notify_one();
-                drop(g);
-                self.pushed();
+                self.push_locked(g, item);
                 return Ok(());
             }
             g = self.not_full.wait(g).unwrap();
@@ -138,11 +140,7 @@ impl<T> Bounded<T> {
                 return Err(TryPush::Closed(item));
             }
             if g.items.len() < self.cap {
-                g.items.push_back(item);
-                g.high_water = g.high_water.max(g.items.len());
-                self.not_empty.notify_one();
-                drop(g);
-                self.pushed();
+                self.push_locked(g, item);
                 return Ok(());
             }
             let now = std::time::Instant::now();
@@ -156,18 +154,28 @@ impl<T> Bounded<T> {
 
     /// Non-blocking push.
     pub fn try_push(&self, item: T) -> Result<(), TryPush<T>> {
-        let mut g = self.inner.lock().unwrap();
+        let g = self.inner.lock().unwrap();
         if g.closed {
             return Err(TryPush::Closed(item));
         }
         if g.items.len() >= self.cap {
             return Err(TryPush::Full(item));
         }
-        g.items.push_back(item);
-        g.high_water = g.high_water.max(g.items.len());
-        self.not_empty.notify_one();
-        drop(g);
-        self.pushed();
+        self.push_locked(g, item);
+        Ok(())
+    }
+
+    /// Non-blocking push of an item built only once there is room, so a
+    /// full or closed queue costs the producer nothing.
+    pub(crate) fn try_push_with(&self, make: impl FnOnce() -> T) -> Result<(), TryPush<()>> {
+        let g = self.inner.lock().unwrap();
+        if g.closed {
+            return Err(TryPush::Closed(()));
+        }
+        if g.items.len() >= self.cap {
+            return Err(TryPush::Full(()));
+        }
+        self.push_locked(g, make());
         Ok(())
     }
 

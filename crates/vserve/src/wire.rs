@@ -140,8 +140,10 @@ impl Io for ChanIo {
         if buf.is_empty() {
             return Ok(0);
         }
+        // Copy the chunk only once the queue has room for it: a stalled
+        // lane is retried on every pump sweep.
         let n = buf.len().min(CHAN_CHUNK);
-        match self.tx.try_push(buf[..n].to_vec()) {
+        match self.tx.try_push_with(|| buf[..n].to_vec()) {
             Ok(()) => Ok(n),
             Err(TryPush::Full(_)) => Err(io::ErrorKind::WouldBlock.into()),
             Err(TryPush::Closed(_)) => Err(io::ErrorKind::BrokenPipe.into()),

@@ -57,9 +57,9 @@ pub enum SpanKind {
     Interp,
     /// One distiller invocation (List/RBTree/XArray/… walk).
     Distill,
-    /// Plan-mode extraction: walk-plan compilation, one scheduler wave,
-    /// or one plan-node walk + span fetch.
-    Plan,
+    /// Footprint replay: fetching, before a walk, the blocks the same
+    /// pane's last walk used.
+    Prefetch,
     /// Incremental refresh: the dirty-set intersection that decides
     /// whether a retained pane is kept or re-walked.
     Incr,
@@ -86,7 +86,7 @@ impl SpanKind {
             SpanKind::Parse => "parse",
             SpanKind::Interp => "interp",
             SpanKind::Distill => "distill",
-            SpanKind::Plan => "plan",
+            SpanKind::Prefetch => "prefetch",
             SpanKind::Incr => "incr",
             SpanKind::Query => "query",
             SpanKind::Clause => "clause",
@@ -617,17 +617,6 @@ pub fn chrome_trace_with_backend<'a>(
     backend: Option<&str>,
     roots: impl IntoIterator<Item = (u64, &'a TraceSpan)>,
 ) -> String {
-    chrome_trace_full(backend, None, roots)
-}
-
-/// [`chrome_trace_with_backend`] plus an `otherData.exec_mode` tag
-/// naming the execution mode (`interp` / `plan`) the panes were
-/// extracted under, so a plan-mode trace is self-describing.
-pub fn chrome_trace_full<'a>(
-    backend: Option<&str>,
-    exec_mode: Option<&str>,
-    roots: impl IntoIterator<Item = (u64, &'a TraceSpan)>,
-) -> String {
     let mut events = Vec::new();
     for (tid, root) in roots {
         span_events(root, tid, &mut events);
@@ -638,9 +627,6 @@ pub fn chrome_trace_full<'a>(
     let mut other = Map::new();
     if let Some(b) = backend {
         other.insert("backend".into(), Value::String(b.into()));
-    }
-    if let Some(m) = exec_mode {
-        other.insert("exec_mode".into(), Value::String(m.into()));
     }
     if !other.is_empty() {
         top.insert("otherData".into(), Value::Object(other));
