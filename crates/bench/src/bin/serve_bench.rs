@@ -9,14 +9,17 @@
 //!
 //! Fleet mode (`--fleet`): the corpus is recorded once into a `.vrec`
 //! capture, then served twice — by a single-engine fleet (baseline) and
-//! by an N-engine fleet of identical replay sessions sharing one
-//! extraction store. Because identical captures share walks (and tape
-//! spans, and generation deltas), aggregate throughput must scale ≥ 2x
-//! over the baseline; the run exits non-zero otherwise (the CI
-//! regression gate). Fleet runs use their own per-engine client count
+//! by an N-engine fleet of identical replay sessions in one share
+//! group. Because identical captures share walks (and tape spans, and
+//! generation steps), aggregate throughput must scale ≥ 2x over the
+//! baseline; the run exits non-zero otherwise (the CI regression gate).
+//! Fleet runs use their own per-engine client count
 //! (`--fleet-clients`, default 2): the load generators share this
 //! machine with the engines, so piling on clients measures scheduler
-//! contention, not engine scaling.
+//! contention, not engine scaling. They also step their own number of
+//! stops unless `--stops` is given ([`FLEET_STOPS`]): at the default
+//! mode's 3 stops each side lasts 20–35 ms, too short for the ratio of
+//! two throughputs to settle on a shared host.
 //!
 //! Soak mode (`--soak`): 256 binary-framed wire connections (default;
 //! `--soak-clients`) hammer one evented `WirePump` + engine with the
@@ -61,6 +64,14 @@ use vserve::{
 /// How much faster an N-engine replay fleet must aggregate over one
 /// engine for the run to pass.
 const FLEET_SCALING_GATE: f64 = 2.0;
+
+/// Stop events the default mode steps unless `--stops` says otherwise.
+const STOPS: usize = 3;
+
+/// Stop events a fleet run steps unless `--stops` says otherwise: each
+/// side then serves 8,106 or 32,424 requests, about a second of steady
+/// state. At 48 stops one run in eleven still missed the gate.
+const FLEET_STOPS: usize = 192;
 
 /// How much healthy aggregate throughput may drop when one stalled
 /// client joins the soak (`--soak`) before the run fails.
@@ -661,7 +672,7 @@ fn fleet_run_doc(r: &FleetRunResult) -> FleetRunDoc {
 
 fn main() {
     let mut clients = 4usize;
-    let mut stops = 3usize;
+    let mut stops = None;
     let mut fleet_mode = false;
     let mut engines = 4usize;
     let mut fleet_clients = 2usize;
@@ -690,7 +701,10 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--clients N")
             }
-            "--stops" => stops = args.next().and_then(|v| v.parse().ok()).expect("--stops N"),
+            "--stops" => {
+                let n = args.next().and_then(|v| v.parse().ok());
+                stops = Some(n.expect("--stops N"));
+            }
             "--fleet" => fleet_mode = true,
             "--engines" => {
                 engines = args
@@ -715,6 +729,8 @@ fn main() {
         }
     }
 
+    let fleet_stops = stops.unwrap_or(FLEET_STOPS);
+    let stops = stops.unwrap_or(STOPS);
     println!(
         "serve_bench: {clients} clients x {} figures x {stops} stop events\n",
         figures::all().len()
@@ -783,11 +799,11 @@ fn main() {
 
     let fleet = if fleet_mode {
         println!("\nrecording the corpus capture for the fleet runs...");
-        let cap = record_corpus(stops);
-        println!("fleet baseline: 1 engine x {fleet_clients} clients");
-        let baseline = run_fleet(&cap, 1, fleet_clients, stops);
+        let cap = record_corpus(fleet_stops);
+        println!("fleet baseline: 1 engine x {fleet_clients} clients x {fleet_stops} stop events");
+        let baseline = run_fleet(&cap, 1, fleet_clients, fleet_stops);
         println!("fleet run: {engines} engines x {fleet_clients} clients each");
-        let big = run_fleet(&cap, engines, fleet_clients, stops);
+        let big = run_fleet(&cap, engines, fleet_clients, fleet_stops);
         for (name, r) in [("baseline", &baseline), ("fleet", &big)] {
             if let Err(e) = r.stats.reconcile() {
                 eprintln!("{name}: FleetStats do not reconcile: {e}");
@@ -810,7 +826,7 @@ fn main() {
             failed = true;
         }
         Some(FleetDoc {
-            stops,
+            stops: fleet_stops,
             baseline: bdoc,
             fleet: fdoc,
             scaling,

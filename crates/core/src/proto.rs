@@ -138,14 +138,29 @@ const VPLOT_SOURCE: &str = ",\"source\":";
 
 /// The `vplot` command for `graph` and `source`: byte for byte
 /// `VCommand::Vplot { graph, source }.to_json()`, written from borrowed
-/// parts into a string sized exactly ([`vplot_json_len`]), so no graph
-/// is moved or cloned to encode it.
-pub fn vplot_json(graph: &Graph, source: &str) -> String {
-    let mut out = String::with_capacity(vplot_json_len(graph, source));
+/// parts into a string of capacity `len`, its length as
+/// [`vplot_json_len`] measured it, so no graph is moved, cloned or
+/// measured again to encode it.
+pub fn vplot_json(graph: &Graph, source: &str, len: usize) -> String {
+    let mut out = String::with_capacity(len);
     out.push_str(VPLOT_HEAD);
     graph.write_json(&mut out);
     out.push_str(VPLOT_SOURCE);
     source.write_json(&mut out);
+    out.push('}');
+    out
+}
+
+/// The `vplot_delta` command: byte for byte `VCommand::VplotDelta {
+/// source, seq, delta }.to_json()`, written from borrowed parts, so a
+/// delta shared by several engines is encoded without a copy.
+pub fn vplot_delta_json(delta: &GraphDelta, source: &str, seq: u64) -> String {
+    let mut out = String::from("{\"command\":\"vplot_delta\",\"source\":");
+    source.write_json(&mut out);
+    out.push_str(",\"seq\":");
+    seq.write_json(&mut out);
+    out.push_str(",\"delta\":");
+    delta.write_json(&mut out);
     out.push('}');
     out
 }

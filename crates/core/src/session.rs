@@ -538,24 +538,6 @@ impl Session {
         self.cache.as_ref()
     }
 
-    /// Export the cache's resident blocks for cross-session sharing
-    /// (`vfleet` share groups). `None` when the cache is disabled.
-    pub fn cache_snapshot(&self) -> Option<vbridge::CacheSnapshot> {
-        self.cache.as_ref().map(|c| c.snapshot())
-    }
-
-    /// Adopt warmed spans from a sibling session stopped at the same
-    /// machine state; returns the number of blocks adopted. A no-op on
-    /// uncached sessions — and on replay sessions, whose tape must
-    /// observe every fetch in recorded order (a warmed block would skip
-    /// wire reads and diverge the capture cursor).
-    pub fn warm_cache(&self, snap: &vbridge::CacheSnapshot) -> usize {
-        if self.replay.is_some() {
-            return 0;
-        }
-        self.cache.as_ref().map_or(0, |c| c.warm_from(snap))
-    }
-
     /// Resume the (simulated) kernel: cached target bytes may now be
     /// stale. With exact dirty info (an incremental session over a
     /// backend that reports it) only the mutated blocks drop; otherwise

@@ -59,7 +59,7 @@ impl SessionSpec {
     }
 
     /// Whether this spec builds a replay session (strict tape order; the
-    /// fleet must never warm its cache or reorder its walks).
+    /// fleet must never reorder its walks).
     pub fn is_replay(&self) -> bool {
         matches!(self, SessionSpec::Replay { .. })
     }

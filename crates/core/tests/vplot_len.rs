@@ -2,10 +2,12 @@
 //! writes the command from a borrowed graph and must be byte for byte
 //! `VCommand::Vplot { .. }.to_json()`; `proto::vplot_json_len` counts
 //! it without writing and must equal its length exactly, because the
-//! engine decides between a delta and a full plot on that count alone.
-//! Checked over random graphs with hostile strings and extreme numbers,
-//! and over every figure under both latency profiles, at two workload
-//! seeds, across 20 tick stops.
+//! engine decides between a delta and a full plot on that count alone,
+//! and sizes the encoded plot by it. Checked over random graphs with
+//! hostile strings and extreme numbers, and over every figure under
+//! both latency profiles, at two workload seeds, across 20 tick stops,
+//! where `proto::vplot_delta_json` must also write each stop's delta
+//! byte for byte as `VCommand::VplotDelta { .. }.to_json()` does.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,18 +16,19 @@ use ksim::workload::{build, WorkloadConfig};
 use proptest::prelude::*;
 use vbridge::LatencyProfile;
 use vgraph::{Attrs, BoxId, BoxNode, ContainerKind, Graph, Item, ViewInst};
-use visualinux::proto::{vplot_json, vplot_json_len, VCommand};
+use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand};
 use visualinux::{figures, Session};
 
 fn check(graph: &Graph, source: &str) {
-    let json = vplot_json(graph, source);
+    let len = vplot_json_len(graph, source);
+    let json = vplot_json(graph, source, len);
     let want = VCommand::Vplot {
         graph: graph.clone(),
         source: source.to_string(),
     }
     .to_json();
     assert!(json == want, "vplot_json differs from VCommand::to_json");
-    assert_eq!(vplot_json_len(graph, source), json.len());
+    assert_eq!(len, json.len());
 }
 
 /// Printable ASCII, `"`, `\`, every control byte, and 2-, 3- and 4-byte
@@ -230,6 +233,7 @@ fn every_figure_measures_exactly_across_tick_stops() {
                 .attach()
                 .unwrap();
             let roots = s.roots.clone();
+            let mut last: Vec<Graph> = Vec::new();
             for stop in 0..=20u64 {
                 if stop > 0 {
                     let roots = roots.clone();
@@ -238,10 +242,28 @@ fn every_figure_measures_exactly_across_tick_stops() {
                     })
                     .unwrap();
                 }
-                for fig in &figs {
-                    let (graph, _) = s.extract(fig.viewcl).expect(fig.id);
-                    check(&graph, fig.viewcl);
+                let graphs: Vec<Graph> = figs
+                    .iter()
+                    .map(|fig| s.extract(fig.viewcl).expect(fig.id).0)
+                    .collect();
+                for (i, (fig, graph)) in figs.iter().zip(&graphs).enumerate() {
+                    check(graph, fig.viewcl);
+                    if let Some(base) = last.get(i) {
+                        let delta = vgraph::diff::diff(base, graph);
+                        let json = vplot_delta_json(&delta, fig.viewcl, stop);
+                        let want = VCommand::VplotDelta {
+                            source: fig.viewcl.to_string(),
+                            seq: stop,
+                            delta,
+                        }
+                        .to_json();
+                        assert!(
+                            json == want,
+                            "vplot_delta_json differs from VCommand::to_json"
+                        );
+                    }
                 }
+                last = graphs;
             }
         }
     }

@@ -32,7 +32,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
 /// Block cache tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,45 +290,6 @@ impl BlockCache {
         dst.copy_from_slice(&block.data[off..off + dst.len()]);
         true
     }
-
-    /// Export the resident blocks as a `Send + Sync` [`CacheSnapshot`]
-    /// that another session's cache can adopt with
-    /// [`BlockCache::warm_from`]. The snapshot shares the block payloads
-    /// (`Arc`), so taking one is cheap relative to re-fetching the spans
-    /// over the wire.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let blocks = self.blocks.borrow();
-        CacheSnapshot {
-            block_size: self.cfg.block_size,
-            blocks: blocks
-                .iter()
-                .map(|(base, block)| (*base, Arc::from(&block.data[..])))
-                .collect(),
-        }
-    }
-
-    /// Adopt every snapshot block not already resident, as if the spans
-    /// had been fetched over the wire for free. Returns the number of
-    /// blocks adopted; a block-size mismatch adopts nothing (the span
-    /// geometry would not line up).
-    ///
-    /// Only sound while both caches describe the *same stopped machine
-    /// state*: the caller (e.g. the fleet's share groups) must key
-    /// snapshots by stop generation. Never warm a replay session — its
-    /// tape must observe every fetch in recorded order.
-    pub fn warm_from(&self, snap: &CacheSnapshot) -> usize {
-        if snap.block_size != self.cfg.block_size {
-            return 0;
-        }
-        let mut adopted = 0;
-        for (base, data) in &snap.blocks {
-            if !self.contains(*base) {
-                self.insert(*base, data[..].into(), false);
-                adopted += 1;
-            }
-        }
-        adopted
-    }
 }
 
 /// Hashes a block base with one folded multiply: the 128-bit product of
@@ -372,32 +333,6 @@ impl Hasher for BaseHash {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// A thread-safe view of a cache's resident blocks at one stop
-/// generation — the unit of cross-session span sharing (`vfleet`). Plain
-/// shared data: safe to pass between engine threads.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    block_size: u64,
-    blocks: Vec<(u64, Arc<[u8]>)>,
-}
-
-impl CacheSnapshot {
-    /// Block size the blocks were fetched under.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Number of blocks captured.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the snapshot holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
     }
 }
 
@@ -511,26 +446,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_bad_block_size() {
         BlockCache::new(CacheConfig::with_block_size(100));
-    }
-
-    #[test]
-    fn snapshot_warms_a_sibling_cache() {
-        let a = BlockCache::new(CacheConfig::default());
-        a.insert(0x100, vec![3u8; 256].into_boxed_slice(), false);
-        a.insert(0x200, vec![4u8; 256].into_boxed_slice(), false);
-        let snap = a.snapshot();
-        assert_eq!((snap.block_size(), snap.len()), (256, 2));
-
-        let b = BlockCache::new(CacheConfig::default());
-        b.insert(0x100, vec![9u8; 256].into_boxed_slice(), false);
-        assert_eq!(b.warm_from(&snap), 1, "only the absent block is adopted");
-        let mut out = [0u8; 2];
-        assert!(b.copy_from(0x100, 0, &mut out));
-        assert_eq!(out, [9; 2], "resident blocks are never overwritten");
-        assert!(b.copy_from(0x200, 0, &mut out));
-        assert_eq!(out, [4; 2]);
-
-        let c = BlockCache::new(CacheConfig::with_block_size(64));
-        assert_eq!(c.warm_from(&snap), 0, "block-size mismatch adopts nothing");
     }
 }

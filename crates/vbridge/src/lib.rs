@@ -39,7 +39,7 @@ mod replay;
 mod target;
 
 pub use backend::{BackendError, BackendKind, DirtyInfo, DirtySet, SimBackend, TargetBackend};
-pub use cache::{BlockCache, CacheConfig, CacheSnapshot};
+pub use cache::{BlockCache, CacheConfig};
 pub use error::{BridgeError, ErrorKind, Result};
 pub use eval::Evaluator;
 pub use helpers::{HelperFn, HelperRegistry};

@@ -17,25 +17,23 @@
 //!   respawns the session from its spec plus a served-extraction
 //!   journal, reproducing tape position and cache state exactly.
 //! * **Cross-session sharing.** Engines whose specs fingerprint
-//!   identically join a share group ([`cache::FleetCache`]): the first
-//!   engine to walk a `(generation, ViewCL)` pair publishes the graph,
-//!   siblings serve it without touching their own bridge. Stop
+//!   identically join a share group ([`vserve::ShareGroup`]): the first
+//!   engine to walk a `(generation, ViewCL)` pair publishes its memo
+//!   record, siblings serve it without touching their own bridge, and
+//!   the record's generation step is diffed once for all of them. Stop
 //!   generations are hash-chained over tick arguments
 //!   ([`chain_generation`]), so diverging mutation histories can never
-//!   alias. Live engines additionally share warmed snapshot-cache
-//!   blocks; replay engines never do (a tape fetches its own bytes, in
-//!   recorded order).
+//!   alias. The group holds records only while some engine's memo does,
+//!   so a fleet's shared state stays flat however long it steps.
 //! * **Accounting.** [`FleetStats`] aggregates lifecycle counters, the
 //!   summed per-engine [`vserve::ServeStats`], and share-group hit/miss
 //!   books; [`FleetStats::reconcile`] checks them against each other
 //!   bit-for-bit once the books settle ([`Fleet::shutdown`]).
 
-pub mod cache;
 mod pool;
 mod router;
 mod stats;
 
-pub use cache::{FleetCache, FleetCacheStats};
 pub use pool::{chain_generation, ConnGuard, Fleet, FleetConfig, FleetConnection};
 pub use router::FleetRouter;
 pub use stats::FleetStats;

@@ -8,9 +8,11 @@ use std::thread::JoinHandle;
 
 use ksim::workload::WorkloadRoots;
 use visualinux::SessionSpec;
-use vserve::{Connection, JournalEntry, Preload, ServeConfig, ServeStats, Server, ServerHandle};
+use vserve::{
+    Connection, JournalEntry, Preload, ServeConfig, ServeStats, Server, ServerHandle, ShareGroup,
+    ShareStats,
+};
 
-use crate::cache::{FleetCache, FleetCacheStats};
 use crate::stats::FleetStats;
 use crate::FleetError;
 
@@ -49,7 +51,7 @@ struct EngineRt {
 struct SessionEntry {
     spec: Arc<SessionSpec>,
     /// The share group (all sessions with this spec fingerprint).
-    group: Arc<FleetCache>,
+    group: Arc<ShareGroup>,
     /// Workload roots for rebuilding tick closures (live specs only;
     /// replay sessions skip stop mutations anyway).
     roots: Option<WorkloadRoots>,
@@ -70,7 +72,7 @@ struct SessionEntry {
 struct Inner {
     cfg: FleetConfig,
     sessions: HashMap<String, SessionEntry>,
-    groups: HashMap<u64, Arc<FleetCache>>,
+    groups: HashMap<u64, Arc<ShareGroup>>,
     clock: u64,
     spawns: u64,
     respawns: u64,
@@ -167,11 +169,7 @@ impl Fleet {
         if g.sessions.contains_key(key) {
             return Err(FleetError::DuplicateSession(key.to_string()));
         }
-        let group = g
-            .groups
-            .entry(spec.fingerprint())
-            .or_insert_with(|| Arc::new(FleetCache::default()))
-            .clone();
+        let group = g.groups.entry(spec.fingerprint()).or_default().clone();
         let roots = match &spec {
             SessionSpec::Live { workload, .. } => Some(ksim::workload::debug_info(workload).2),
             SessionSpec::Replay { .. } => None,
@@ -427,7 +425,7 @@ impl Inner {
         for e in self.sessions.values() {
             engine.absorb(&e.retired);
         }
-        let mut cache = FleetCacheStats::default();
+        let mut cache = ShareStats::default();
         for g in self.groups.values() {
             cache.absorb(&g.stats());
         }
@@ -478,13 +476,13 @@ fn preload_ops(
     for &(n, after) in ticks {
         while js.peek().is_some_and(|e| e.generation == gen) {
             let e = js.next().expect("peeked");
-            ops.push((e.generation, Preload::Plot(e.viewcl.clone())));
+            ops.push((e.generation, Preload::Plot(Arc::clone(&e.viewcl))));
         }
         ops.push((gen, Preload::Stop(tick_closure(roots, n))));
         gen = after;
     }
     for e in js {
-        ops.push((e.generation, Preload::Plot(e.viewcl.clone())));
+        ops.push((e.generation, Preload::Plot(Arc::clone(&e.viewcl))));
     }
     ops
 }

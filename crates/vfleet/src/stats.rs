@@ -1,12 +1,10 @@
 //! Fleet-wide accounting and its reconciliation invariants.
 
 use serde::{Deserialize, Serialize};
-use vserve::ServeStats;
-
-use crate::cache::FleetCacheStats;
+use vserve::{ServeStats, ShareStats};
 
 /// Aggregated fleet totals: lifecycle counters, the summed per-engine
-/// [`ServeStats`], and the summed share-group [`FleetCacheStats`].
+/// [`ServeStats`], and the summed share-group [`ShareStats`].
 ///
 /// Engine books settle when an engine retires (eviction or fleet
 /// shutdown) — a resident engine's counters live on its own thread and
@@ -34,7 +32,7 @@ pub struct FleetStats {
     /// Summed per-engine serving totals (settled books only).
     pub engine: ServeStats,
     /// Summed share-group totals.
-    pub cache: FleetCacheStats,
+    pub cache: ShareStats,
 }
 
 impl FleetStats {
@@ -54,12 +52,6 @@ impl FleetStats {
             return Err(format!(
                 "published ({}) + duplicates ({}) != walks ({})",
                 self.cache.published, self.cache.duplicates, self.engine.walks
-            ));
-        }
-        if self.cache.delta_hits != self.engine.shared_delta_hits {
-            return Err(format!(
-                "cache delta hits ({}) != engines' shared delta hits ({})",
-                self.cache.delta_hits, self.engine.shared_delta_hits
             ));
         }
         // Every walk started as a miss; a miss may exceed walks only by
@@ -107,11 +99,11 @@ mod tests {
                 fulls_sent: 10,
                 ..ServeStats::default()
             },
-            cache: FleetCacheStats {
+            cache: ShareStats {
                 hits: 3,
                 misses: 4,
                 published: 4,
-                ..FleetCacheStats::default()
+                ..ShareStats::default()
             },
             ..FleetStats::default()
         };
@@ -130,11 +122,11 @@ mod tests {
                 fulls_sent: 2,
                 ..ServeStats::default()
             },
-            cache: FleetCacheStats {
+            cache: ShareStats {
                 hits: 2, // one hit too many
                 misses: 1,
                 published: 1,
-                ..FleetCacheStats::default()
+                ..ShareStats::default()
             },
             ..FleetStats::default()
         };

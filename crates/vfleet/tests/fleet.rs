@@ -58,6 +58,11 @@ fn identical_replay_sessions_share_walks_across_engines() {
     assert_eq!(stats.cache.hits, served);
     assert_eq!(stats.cache.published, served);
     assert_eq!(stats.cache.duplicates, 0);
+    assert_eq!(
+        stats.engine.diffs,
+        (FIGS as u64) * ROUNDS,
+        "one diff per source and generation step, fleet-wide: engine b diffs none"
+    );
     assert_eq!(stats.spawns, 2);
     assert_eq!(stats.respawns, 0);
     assert_eq!(stats.evictions, 0);

@@ -35,7 +35,7 @@
 //!   length ([`visualinux::proto::vplot_json_len`]) without encoding
 //!   it: the delta-or-full decision needs only the length. The bytes
 //!   are encoded by the first full ship, once, into a cell shared by
-//!   every client of the source and, through [`SharedPlot`], by every
+//!   every client of the source and, through a [`ShareGroup`], by every
 //!   fleet sibling ([`ServeStats::full_encodes`]).
 //! * **The wire.** See DESIGN.md §17: byte streams plug in through the
 //!   nonblocking [`Io`] seam, a [`Framing`] turns bytes into `VCommand`
@@ -67,7 +67,7 @@ pub use evented::{ConnectRouter, PumpHandle, RoutedConn, SingleSession, WireConf
 pub use framing::{BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming};
 pub use queue::{Bounded, TryPush};
 pub use server::{Connection, SendMode, ServeConfig, Server, ServerHandle};
-pub use shared::{JournalEntry, Preload, SharedExtractions, SharedPlot};
+pub use shared::{JournalEntry, Preload, ShareGroup, ShareStats};
 pub use stats::{ServeStats, WireStats};
 pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
 

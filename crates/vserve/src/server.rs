@@ -17,9 +17,9 @@
 //! the server remembers the last graph it shipped, until the client
 //! departs, and sends a [`vgraph::diff`] delta when that is smaller.
 //!
-//! A fleet (`vfleet`) extends the memo across engines: plug a
-//! [`SharedExtractions`] store in with [`Server::share_extractions`] and
-//! the engine consults it before walking, publishes what it walks, and
+//! A fleet (`vfleet`) extends the memo across engines: join a
+//! [`ShareGroup`] with [`Server::share_extractions`] and the engine
+//! consults it before walking, publishes the record it walks, and
 //! keeps a lag journal of shared-served results so a replay session's
 //! strict tape order survives the skipped walks (re-enacted on the next
 //! local walk, or by a respawned engine via [`Server::preload`]).
@@ -30,12 +30,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ksim::image::KernelImage;
 use vbridge::BackendKind;
-use visualinux::proto::{vplot_json, vplot_json_len, VCommand, VResponse};
+use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand, VResponse};
 use visualinux::Session;
 use vtrace::SpanKind;
 
 use crate::queue::{Bounded, TryPush, Wake};
-use crate::shared::{JournalEntry, Preload, SharedExtractions, SharedPlot};
+use crate::shared::{JournalEntry, Preload, ShareGroup, SharedPlot};
 use crate::stats::ServeStats;
 use crate::ServeError;
 
@@ -324,35 +324,24 @@ struct DeltaMemo {
     payload: String,
 }
 
-/// One source's memoized extraction: what it serves in the current stop
-/// generation — or, until it is served again, in the one that just
-/// ended — and the graph of the generation before.
+/// One source's memoized extraction: the record it serves in the
+/// current stop generation — or, until it is served again, in the one
+/// that just ended — and, in a share group, the record of the
+/// generation before. Holding both is what keeps a record alive in the
+/// group: a stop drops every entry it did not serve, so a record lives
+/// exactly while some engine can serve it or step from it.
 struct MemoEntry {
-    graph: Arc<vgraph::Graph>,
-    /// The exact length of the full `vplot` ship of `graph`, measured
-    /// when the walk is served: what a delta must undercut to ship.
-    full_len: usize,
-    /// The full `vplot` ship, encoded by the first full ship of `graph`
-    /// and then identical for every client of this source (and, via the
-    /// shared store, for every sibling engine). A graph no full plot
-    /// ships for is never encoded.
-    full: Arc<OnceLock<Arc<str>>>,
+    plot: Arc<SharedPlot>,
     delta: Option<DeltaMemo>,
-    /// The previous generation's key and graph: the base of the
-    /// canonical `previous → current` delta, recognized by pointer and
-    /// fetched from / published to the shared store.
-    prev: Option<(u64, Arc<vgraph::Graph>)>,
+    /// The previous generation's record, in a share group: the base of
+    /// `plot`'s canonical step, recognized by graph pointer. Alone, an
+    /// engine has no sibling to share a step with, and the payload memo
+    /// is all the reuse there is.
+    prev: Option<Arc<SharedPlot>>,
     /// Served in the current generation, so requests coalesce on it.
     /// Every stop clears it: a repeated generation key still
     /// invalidates.
     fresh: bool,
-}
-
-/// A deferred session operation (shared-served walk or deferred stop),
-/// re-enacted in order before the next local walk.
-enum LagOp {
-    Plot(String),
-    Stop(Box<dyn FnOnce(&mut KernelImage) + Send>),
 }
 
 /// The pane server. Owns the session; `run` is the engine loop.
@@ -361,18 +350,20 @@ pub struct Server {
     shared: Arc<Shared>,
     stats: ServeStats,
     /// Each client's subscriptions by source; a departure drops its map.
-    subs: HashMap<u64, HashMap<String, SyncState>>,
-    memo: HashMap<String, MemoEntry>,
-    /// The fleet's cross-engine extraction store, if attached.
-    share: Option<Arc<dyn SharedExtractions>>,
+    subs: HashMap<u64, HashMap<Arc<str>, SyncState>>,
+    /// By source; the key is the one copy of the source the engine's
+    /// subscriptions, lag, journal and share group hold.
+    memo: HashMap<Arc<str>, MemoEntry>,
+    /// The fleet's share group, if joined.
+    share: Option<Arc<ShareGroup>>,
     /// Current stop-generation key (fleet-chained or a plain counter).
     generation: u64,
-    /// Session operations skipped while serving from the shared store,
+    /// Session operations skipped while serving from the share group,
     /// in original order; drained before the next local walk.
-    lag: Vec<LagOp>,
+    lag: Vec<Preload>,
     /// Every extraction served (walked or shared), first-served order —
-    /// what a respawned successor must re-enact. Kept only while a
-    /// shared store is attached: only a fleet respawns engines.
+    /// what a respawned successor must re-enact. Kept only in a share
+    /// group: only a fleet respawns engines.
     journal: Vec<JournalEntry>,
     /// Outboxes with a waker that took a reply since the engine last
     /// idled long enough to ring them.
@@ -404,9 +395,11 @@ impl Server {
         }
     }
 
-    /// Attach a cross-engine extraction store (fleet share group): the
-    /// engine consults it before walking and publishes what it walks.
-    pub fn share_extractions(&mut self, share: Arc<dyn SharedExtractions>) {
+    /// Join a fleet share group: the engine consults it before walking
+    /// and publishes the record it walks. The group holds the records
+    /// only while this engine's memo (or a sibling's) does, so leaving
+    /// takes nothing but dropping the engine.
+    pub fn share_extractions(&mut self, share: Arc<ShareGroup>) {
         self.share = Some(share);
     }
 
@@ -415,20 +408,17 @@ impl Server {
     /// the predecessor's journal interleaved with the applied stops, in
     /// original order (each tagged with the generation it ran under).
     /// Drained lazily like ordinary lag, so a respawn costs nothing
-    /// until a request actually misses the shared store.
+    /// until a request actually misses the share group.
     pub fn preload(&mut self, generation: u64, ops: Vec<(u64, Preload)>) {
         assert!(
             self.lag.is_empty() && self.journal.is_empty(),
             "preload must precede serving"
         );
         for (gen, op) in ops {
-            match op {
-                Preload::Plot(src) => {
-                    self.journal_served(gen, &src);
-                    self.lag.push(LagOp::Plot(src));
-                }
-                Preload::Stop(mutate) => self.lag.push(LagOp::Stop(mutate)),
+            if let Preload::Plot(src) = &op {
+                self.journal_served(gen, src);
             }
+            self.lag.push(op);
         }
         self.generation = generation;
     }
@@ -457,17 +447,17 @@ impl Server {
     /// The served-extraction journal, first-served order (fleet respawn
     /// input; includes preloaded history). Empty for a standalone
     /// engine: the journal is kept only once
-    /// [`Server::share_extractions`] attached a store.
+    /// [`Server::share_extractions`] joined a share group.
     pub fn journal(&self) -> &[JournalEntry] {
         &self.journal
     }
 
     /// Journal one served extraction, when a fleet may respawn us.
-    fn journal_served(&mut self, generation: u64, viewcl: &str) {
+    fn journal_served(&mut self, generation: u64, viewcl: &Arc<str>) {
         if self.share.is_some() {
             self.journal.push(JournalEntry {
                 generation,
-                viewcl: viewcl.to_string(),
+                viewcl: Arc::clone(viewcl),
             });
         }
     }
@@ -529,17 +519,18 @@ impl Server {
                 if self.lag.is_empty() {
                     self.apply_stop(mutate);
                 } else {
-                    self.lag.push(LagOp::Stop(mutate));
+                    self.lag.push(Preload::Stop(mutate));
                 }
-                let old = self.generation;
                 self.generation = generation.unwrap_or(self.generation + 1);
-                // What the ended generation served becomes the anchor of
-                // the canonical `old → new` deltas, shareable across
-                // sibling engines; anything it did not serve goes.
+                // In a share group, what the ended generation served
+                // becomes the base of the canonical steps into the new
+                // one, and the record of the generation before goes.
+                // Anything the ended generation did not serve goes.
+                let keep_prev = self.share.is_some();
                 self.memo.retain(|_, m| {
                     let served = std::mem::take(&mut m.fresh);
                     if served {
-                        m.prev = Some((old, Arc::clone(&m.graph)));
+                        m.prev = keep_prev.then(|| Arc::clone(&m.plot));
                         m.delta = None;
                     }
                     served
@@ -593,7 +584,11 @@ impl Server {
             }
             VCommand::Vack { source, seq, .. } => {
                 self.stats.acks += 1;
-                match self.subs.get_mut(&client).and_then(|s| s.get_mut(source)) {
+                match self
+                    .subs
+                    .get_mut(&client)
+                    .and_then(|s| s.get_mut(source.as_str()))
+                {
                     Some(sub) if sub.seq == *seq => VResponse::Ok {
                         pane: None,
                         synthesized: None,
@@ -633,13 +628,13 @@ impl Server {
         }
     }
 
-    /// Bring `viewcl` into the memo for the current generation: from the
-    /// fleet's shared store when a sibling engine already walked it,
-    /// else by walking the bridge locally (catching the session up on
-    /// any lagged operations first).
-    fn materialize(&mut self, viewcl: &str) -> Result<(), String> {
+    /// Bring `src` into the memo for the current generation: from the
+    /// fleet's share group when a sibling engine already walked it, else
+    /// by walking the bridge locally (catching the session up on any
+    /// lagged operations first).
+    fn materialize(&mut self, src: &Arc<str>) -> Result<(), String> {
         if let Some(share) = self.share.clone() {
-            if let Some(sp) = share.get(self.generation, viewcl) {
+            if let Some(plot) = share.get(self.generation, src) {
                 self.stats.shared_hits += 1;
                 // A shared hit leaves the session untouched, but a
                 // replay tape must still observe this walk, in order,
@@ -653,7 +648,7 @@ impl Server {
                 if self.session.backend_kind() == BackendKind::Replay {
                     let skipped = !self.session.cache_enabled()
                         && self.lag.is_empty()
-                        && sp.tape.is_some_and(|(from, to)| {
+                        && plot.tape.is_some_and(|(from, to)| {
                             self.session.replay_state().is_some_and(|st| {
                                 st.position() == from && st.skip_events(to - from).is_ok()
                             })
@@ -661,28 +656,19 @@ impl Server {
                     if skipped {
                         self.stats.tape_skips += 1;
                     } else {
-                        self.lag.push(LagOp::Plot(viewcl.to_string()));
+                        self.lag.push(Preload::Plot(Arc::clone(src)));
                     }
                 }
-                self.journal_served(self.generation, viewcl);
-                let prev = self.memo.remove(viewcl).and_then(|m| m.prev);
-                self.serve(viewcl, prev, sp.graph, (sp.full_len, sp.full));
+                self.journal_served(self.generation, src);
+                self.serve(src, plot);
                 return Ok(());
             }
         }
         self.catch_up()?;
-        let live = self.session.backend_kind() != BackendKind::Replay;
-        if live {
-            if let Some(share) = &self.share {
-                if let Some(snap) = share.blocks(self.generation) {
-                    self.stats.warm_blocks += self.session.warm_cache(&snap) as u64;
-                }
-            }
-        }
         let tape_from = self.session.replay_state().map(|st| st.position());
         let (graph, pstats) = self
             .session
-            .extract_shared(viewcl)
+            .extract_shared(src)
             .map_err(|e| e.to_string())?;
         self.stats.walks += 1;
         self.stats.walk_packets += pstats.target.reads;
@@ -690,62 +676,44 @@ impl Server {
         self.stats.walk_virtual_ns += pstats.target.virtual_ns;
         self.stats.walk_cache_hits += pstats.target.cache_hits;
         self.stats.walk_faults += pstats.target.faults;
-        self.journal_served(self.generation, viewcl);
+        self.journal_served(self.generation, src);
         // A pane the session kept comes back as the very allocation this
         // source last served, and keeps its measured length and payload
         // cell. Any other graph is measured here and encoded only if a
         // full plot of it ships.
-        let (prev, kept) = match self.memo.remove(viewcl) {
-            Some(m) => (
-                m.prev,
-                Arc::ptr_eq(&m.graph, &graph).then_some((m.full_len, m.full)),
-            ),
-            None => (None, None),
-        };
+        let kept = self
+            .memo
+            .get(src)
+            .filter(|m| Arc::ptr_eq(&m.plot.graph, &graph))
+            .map(|m| (m.plot.full_len, Arc::clone(&m.plot.full)));
         let (full_len, full) =
-            kept.unwrap_or_else(|| (vplot_json_len(&graph, viewcl), Arc::default()));
-        if let Some(share) = &self.share {
-            share.publish(
-                self.generation,
-                viewcl,
-                &SharedPlot {
-                    graph: Arc::clone(&graph),
-                    full_len,
-                    full: Arc::clone(&full),
-                    tape: tape_from.and_then(|from| {
-                        self.session.replay_state().map(|st| (from, st.position()))
-                    }),
-                },
-            );
-            if live {
-                if let Some(snap) = self.session.cache_snapshot() {
-                    share.publish_blocks(self.generation, snap);
-                }
-            }
-        }
-        self.serve(viewcl, prev, graph, (full_len, full));
-        Ok(())
-    }
-
-    /// Make `graph` what `viewcl` serves in the current generation,
-    /// over `prev`, the previous generation's graph; `full` is its full
-    /// plot's length and payload cell.
-    fn serve(
-        &mut self,
-        viewcl: &str,
-        prev: Option<(u64, Arc<vgraph::Graph>)>,
-        graph: Arc<vgraph::Graph>,
-        (full_len, full): (usize, Arc<OnceLock<Arc<str>>>),
-    ) {
-        let entry = MemoEntry {
+            kept.unwrap_or_else(|| (vplot_json_len(&graph, src), Arc::default()));
+        let plot = Arc::new(SharedPlot {
             graph,
             full_len,
             full,
+            tape: tape_from
+                .and_then(|from| self.session.replay_state().map(|st| (from, st.position()))),
+            step: OnceLock::new(),
+        });
+        if let Some(share) = &self.share {
+            share.publish(self.generation, src, &plot);
+        }
+        self.serve(src, plot);
+        Ok(())
+    }
+
+    /// Make `plot` what `src` serves in the current generation, over the
+    /// previous generation's record.
+    fn serve(&mut self, src: &Arc<str>, plot: Arc<SharedPlot>) {
+        let prev = self.memo.remove(src).and_then(|m| m.prev);
+        let entry = MemoEntry {
+            plot,
             delta: None,
             prev,
             fresh: true,
         };
-        self.memo.insert(viewcl.to_string(), entry);
+        self.memo.insert(Arc::clone(src), entry);
     }
 
     /// Re-enact lagged operations (shared-served walks, deferred stops)
@@ -754,13 +722,13 @@ impl Server {
     fn catch_up(&mut self) -> Result<(), String> {
         for op in std::mem::take(&mut self.lag) {
             match op {
-                LagOp::Plot(src) => {
+                Preload::Plot(src) => {
                     self.session
                         .extract_shared(&src)
                         .map_err(|e| format!("catch-up walk of `{src}` failed: {e}"))?;
                     self.stats.catchup_walks += 1;
                 }
-                LagOp::Stop(mutate) => self.apply_stop(mutate),
+                Preload::Stop(mutate) => self.apply_stop(mutate),
             }
         }
         Ok(())
@@ -783,81 +751,70 @@ impl Server {
     /// Serve one `vplot_request`: memoized extraction, then a full ship
     /// or a delta, whichever is fewer bytes for *this* client.
     fn plot(&mut self, client: u64, viewcl: &str) -> Result<String, String> {
-        if self.memo.get(viewcl).is_some_and(|m| m.fresh) {
+        let (src, fresh) = match self.memo.get_key_value(viewcl) {
+            Some((src, m)) => (Arc::clone(src), m.fresh),
+            None => (Arc::from(viewcl), false),
+        };
+        if fresh {
             self.stats.coalesced += 1;
         } else {
-            self.materialize(viewcl).inspect_err(|_| {
+            self.materialize(&src).inspect_err(|_| {
                 // A walk that fails publishes nothing: release the claim
                 // its miss took, or later lookups of the key wait for it.
                 if let Some(share) = &self.share {
-                    share.abandon(self.generation, viewcl);
+                    share.abandon(self.generation, &src);
                 }
             })?;
         }
         self.stats.extractions += 1;
         let (graph, full_len) = {
-            let m = self.memo.get(viewcl).expect("just materialized");
-            (Arc::clone(&m.graph), m.full_len)
+            let m = &self.memo[&src];
+            (Arc::clone(&m.plot.graph), m.plot.full_len)
         };
 
         let subs = self.subs.entry(client).or_default();
-        let sub = match subs.get_mut(viewcl) {
-            Some(sub) => sub,
-            // A first subscription ships full, as a resync does.
-            None => subs.entry(viewcl.to_string()).or_insert(SyncState {
-                seq: 0,
-                last: Arc::clone(&graph),
-                resync: true,
-            }),
-        };
+        // A first subscription ships full, as a resync does.
+        let sub = subs.entry(Arc::clone(&src)).or_insert_with(|| SyncState {
+            seq: 0,
+            last: Arc::clone(&graph),
+            resync: true,
+        });
         let delta_cmd = if sub.resync {
             None
         } else {
             // Lockstep fast path: every in-sync client stepping the same
             // base graph at the same seq gets identical delta bytes, so
-            // the diff is memoized on the extraction entry. Shipped
+            // the payload is memoized on the extraction entry. Shipped
             // graphs are shared allocations, so "same base" is a pointer
             // compare, not a graph walk.
-            let m = self.memo.get_mut(viewcl).expect("just materialized");
+            let m = self.memo.get_mut(&src).expect("just materialized");
+            let seq = sub.seq + 1;
             let reusable = m
                 .delta
                 .as_ref()
-                .is_some_and(|d| d.seq == sub.seq + 1 && Arc::ptr_eq(&d.base, &sub.last));
+                .is_some_and(|d| d.seq == seq && Arc::ptr_eq(&d.base, &sub.last));
             if !reusable {
-                // The canonical generation step (previous memoized graph
-                // → current) is engine-invariant, so its structural diff
-                // can come from the fleet's shared store instead of
-                // being recomputed by every sibling.
-                let canonical_from = m
+                // The canonical step (previous record → this one) is
+                // engine-invariant: the first engine of the share group
+                // to ship it diffs it into the record, and every sibling
+                // holding the record encodes from that.
+                let canonical = m
                     .prev
                     .as_ref()
-                    .filter(|(_, pg)| Arc::ptr_eq(pg, &sub.last))
-                    .map(|(from, _)| *from);
-                let delta = match (canonical_from, &self.share) {
-                    (Some(from), Some(share)) => {
-                        match share.get_delta(from, self.generation, viewcl) {
-                            Some(d) => {
-                                self.stats.shared_delta_hits += 1;
-                                d
-                            }
-                            None => {
-                                let d = vgraph::diff::diff(&sub.last, &m.graph);
-                                share.publish_delta(from, self.generation, viewcl, &d);
-                                d
-                            }
-                        }
-                    }
-                    _ => vgraph::diff::diff(&sub.last, &m.graph),
+                    .is_some_and(|p| Arc::ptr_eq(&p.graph, &sub.last));
+                let mut diff = || {
+                    self.stats.diffs += 1;
+                    vgraph::diff::diff(&sub.last, &m.plot.graph)
+                };
+                let payload = if canonical {
+                    vplot_delta_json(m.plot.step.get_or_init(diff), &src, seq)
+                } else {
+                    vplot_delta_json(&diff(), &src, seq)
                 };
                 m.delta = Some(DeltaMemo {
                     base: Arc::clone(&sub.last),
-                    seq: sub.seq + 1,
-                    payload: VCommand::VplotDelta {
-                        source: viewcl.to_string(),
-                        seq: sub.seq + 1,
-                        delta,
-                    }
-                    .to_json(),
+                    seq,
+                    payload,
                 });
             }
             Some(m.delta.as_ref().expect("just stored").payload.clone())
@@ -877,23 +834,23 @@ impl Server {
             _ => {
                 sub.seq = 0;
                 sub.resync = false;
-                Ok(self.ship_full(viewcl))
+                Ok(self.ship_full(&src))
             }
         }
     }
 
-    /// The full `vplot` ship of `viewcl`'s memo entry. The first full
-    /// ship of a graph encodes it (`ServeStats::full_encodes`); every
-    /// later one, here or in a sibling engine holding the same cell,
-    /// copies those bytes.
-    fn ship_full(&mut self, viewcl: &str) -> String {
-        let m = self.memo.get(viewcl).expect("just materialized");
+    /// The full `vplot` ship of `src`'s memo entry. The first full ship
+    /// of a record encodes it (`ServeStats::full_encodes`) into a string
+    /// sized by its measured length; every later one, here or in a
+    /// sibling engine holding the same cell, copies those bytes.
+    fn ship_full(&mut self, src: &str) -> String {
+        let plot = &self.memo[src].plot;
         let mut encoded = false;
-        let json = m.full.get_or_init(|| {
+        let json = plot.full.get_or_init(|| {
             encoded = true;
-            vplot_json(&m.graph, viewcl).into()
+            vplot_json(&plot.graph, src, plot.full_len).into()
         });
-        debug_assert_eq!(json.len(), m.full_len, "a measured length is exact");
+        debug_assert_eq!(json.len(), plot.full_len, "a measured length is exact");
         let full = json.to_string();
         self.stats.full_encodes += u64::from(encoded);
         self.stats.fulls_sent += 1;

@@ -26,20 +26,21 @@ pub struct ServeStats {
     pub full_encodes: u64,
     /// Extraction requests answered from a concurrent/identical walk.
     pub coalesced: u64,
-    /// Extraction requests answered from a fleet's shared store — a
+    /// Extraction requests answered from a fleet's share group — a
     /// sibling engine paid the walk.
     pub shared_hits: u64,
-    /// Generation-step deltas taken from a fleet's shared store — a
-    /// sibling engine paid the structural diff.
-    pub shared_delta_hits: u64,
+    /// Structural diffs computed. A record's canonical step (from the
+    /// previous generation's record) is diffed once by the first engine
+    /// to ship it, so a fleet stepping in lockstep diffs once per source
+    /// and generation step; any other base is diffed once per memoized
+    /// payload.
+    pub diffs: u64,
     /// Lagged walks re-enacted to catch the session up on shared-served
     /// history before a local walk (or after a fleet respawn).
     pub catchup_walks: u64,
     /// Shared hits absorbed by jumping the replay cursor over the
     /// sibling's published tape span instead of re-enacting the walk.
     pub tape_skips: u64,
-    /// Cache blocks adopted from a sibling engine's published snapshot.
-    pub warm_blocks: u64,
     /// Full `vplot` payloads shipped.
     pub fulls_sent: u64,
     /// `vplot_delta` payloads shipped.
@@ -135,10 +136,9 @@ impl ServeStats {
         self.full_encodes += other.full_encodes;
         self.coalesced += other.coalesced;
         self.shared_hits += other.shared_hits;
-        self.shared_delta_hits += other.shared_delta_hits;
+        self.diffs += other.diffs;
         self.catchup_walks += other.catchup_walks;
         self.tape_skips += other.tape_skips;
-        self.warm_blocks += other.warm_blocks;
         self.fulls_sent += other.fulls_sent;
         self.deltas_sent += other.deltas_sent;
         self.full_bytes_sent += other.full_bytes_sent;

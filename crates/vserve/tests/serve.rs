@@ -134,7 +134,7 @@ fn a_standalone_engine_keeps_no_journal() {
     conn.close();
     let (stats, journaled) = engine.join().unwrap();
     assert_eq!(stats.walks, 3, "{stats:?}");
-    // Only a fleet respawns engines, and it attaches a shared store.
+    // Only a fleet respawns engines, and it puts them in a share group.
     assert_eq!(journaled, 0);
 }
 
