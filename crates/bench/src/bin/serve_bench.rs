@@ -23,11 +23,13 @@
 //!
 //! Soak mode (`--soak`): 256 binary-framed wire connections (default;
 //! `--soak-clients`) hammer one evented `WirePump` + engine with the
-//! figure corpus, once without and once with a deliberately *stalled*
-//! client that queues the whole corpus and never reads a reply. The
-//! pump must cap the zombie's lane (`WireStats::stalled_skips > 0`)
-//! and healthy aggregate req/s must stay within 10% of the zombie-free
-//! baseline; the run exits non-zero otherwise (the CI `wire` gate).
+//! figure corpus, without and with a deliberately *stalled* client
+//! that queues the whole corpus and never reads a reply, in
+//! [`SOAK_PAIRS`] pairs of runs. The pump must cap the zombie's lane
+//! (`WireStats::stalled_skips > 0`) and the median run's healthy
+//! aggregate req/s with the zombie must stay within 10% of the median
+//! zombie-free run's; the soak exits non-zero otherwise (the CI `wire`
+//! gate).
 //!
 //! ```text
 //! cargo run -p bench --bin serve_bench              # 4 clients, 3 stops
@@ -76,6 +78,18 @@ const FLEET_STOPS: usize = 192;
 /// How much healthy aggregate throughput may drop when one stalled
 /// client joins the soak (`--soak`) before the run fails.
 const SOAK_DEGRADATION_GATE: f64 = 0.10;
+
+/// Requests each healthy soak client makes per run unless
+/// `--soak-frames` says otherwise: a run then lasts about half a second.
+const SOAK_FRAMES: usize = 200;
+
+/// Runs with and without the stalled client that a soak alternates,
+/// each pair in the other order than the pair before. On a shared
+/// 2-vCPU host one run's throughput moves by about 8% whether it lasts
+/// half a second or two, so one pair's degradation reads anywhere from
+/// -20% to +25%; the medians of this many runs per kind agree within a
+/// few points, in 35-50 s.
+const SOAK_PAIRS: usize = 30;
 
 struct ProfileResult {
     name: &'static str,
@@ -185,10 +199,12 @@ struct SoakRunDoc {
     wire: WireStats,
 }
 
-/// The `--soak` comparison in `BENCH_serve.json`.
+/// The `--soak` comparison in `BENCH_serve.json`: the median run of
+/// each kind.
 #[derive(serde::Serialize)]
 struct SoakDoc {
     frames_per_client: usize,
+    runs_per_kind: usize,
     baseline: SoakRunDoc,
     stalled: SoakRunDoc,
     /// Fractional healthy-throughput drop with the stalled client in.
@@ -678,7 +694,7 @@ fn main() {
     let mut fleet_clients = 2usize;
     let mut soak_mode = false;
     let mut soak_clients = 256usize;
-    let mut soak_frames = 24usize;
+    let mut soak_frames = SOAK_FRAMES;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -837,35 +853,45 @@ fn main() {
     };
 
     let soak = if soak_mode {
-        println!("\nsoak baseline: {soak_clients} healthy wire clients, none stalled");
-        let baseline = run_soak(soak_clients, 0, soak_frames);
-        println!("soak run: {soak_clients} healthy wire clients + 1 stalled");
-        let hostile = run_soak(soak_clients, 1, soak_frames);
-        for (name, r) in [("soak baseline", &baseline), ("soak", &hostile)] {
-            if let Err(e) = r.wire.reconcile() {
-                eprintln!("{name}: WireStats do not reconcile: {e}");
-                failed = true;
-            }
-            if let Err(e) = r.stats.reconcile() {
-                eprintln!("{name}: ServeStats do not reconcile: {e}");
-                failed = true;
+        println!(
+            "\nsoak: {soak_clients} healthy wire clients, {SOAK_PAIRS} runs without and \
+             {SOAK_PAIRS} with 1 stalled client"
+        );
+        // `runs[k]`: the runs with `k` stalled clients.
+        let mut runs: [Vec<SoakRunResult>; 2] = Default::default();
+        for pair in 0..SOAK_PAIRS {
+            for stalled in [pair % 2, 1 - pair % 2] {
+                let r = run_soak(soak_clients, stalled, soak_frames);
+                let name = ["soak baseline", "soak"][stalled];
+                if let Err(e) = r.wire.reconcile() {
+                    eprintln!("{name}: WireStats do not reconcile: {e}");
+                    failed = true;
+                }
+                if let Err(e) = r.stats.reconcile() {
+                    eprintln!("{name}: ServeStats do not reconcile: {e}");
+                    failed = true;
+                }
+                if stalled == 1 && r.wire.stalled_skips == 0 {
+                    eprintln!("soak: the stalled client never tripped the stall cap");
+                    failed = true;
+                }
+                runs[stalled].push(r);
             }
         }
-        if hostile.wire.stalled_skips == 0 {
-            eprintln!("soak: the stalled client never tripped the stall cap");
-            failed = true;
-        }
-        let bdoc = soak_run_doc(&baseline);
-        let sdoc = soak_run_doc(&hostile);
+        let [bdoc, sdoc] = runs.map(|mut kind| {
+            kind.sort_by(|a, b| a.elapsed_s.total_cmp(&b.elapsed_s));
+            soak_run_doc(&kind[kind.len() / 2])
+        });
         let degradation = 1.0 - sdoc.requests_per_sec / bdoc.requests_per_sec;
         println!(
-            "soak: healthy {} req/s with the stalled client vs {} req/s without \
-             -> degradation {:.1}% (gate {:.0}%); {} stalled-lane skips",
+            "soak: healthy {} req/s with the stalled client vs {} req/s without, \
+             medians of {SOAK_PAIRS} runs -> degradation {:.1}% (gate {:.0}%); \
+             {} stalled-lane skips",
             sdoc.requests_per_sec as u64,
             bdoc.requests_per_sec as u64,
             degradation * 100.0,
             SOAK_DEGRADATION_GATE * 100.0,
-            hostile.wire.stalled_skips,
+            sdoc.wire.stalled_skips,
         );
         if degradation > SOAK_DEGRADATION_GATE {
             eprintln!(
@@ -877,6 +903,7 @@ fn main() {
         }
         Some(SoakDoc {
             frames_per_client: soak_frames,
+            runs_per_kind: SOAK_PAIRS,
             baseline: bdoc,
             stalled: sdoc,
             degradation,

@@ -561,17 +561,7 @@ impl Session {
         // serves reads: a recording wire tapes known sets, a replay
         // wire substitutes the taped set, anything else reports
         // Unknown — the bottom rung of the degradation ladder.
-        let info = {
-            let backend: Box<dyn TargetBackend + '_> = match (&self.replay, &self.recorder) {
-                (Some(state), _) => Box::new(ReplayBackend::new(state)),
-                (None, Some(tape)) => Box::new(RecordBackend::new(
-                    Box::new(SimBackend::new(&self.img.mem)),
-                    tape.clone(),
-                )),
-                (None, None) => Box::new(SimBackend::new(&self.img.mem)),
-            };
-            backend.resume_dirty(observed)
-        };
+        let info = self.backend().resume_dirty(observed);
         if let Some(c) = &self.cache {
             match info.known() {
                 Some(set) => {
@@ -687,24 +677,33 @@ impl Session {
         )
     }
 
-    /// Compose the backend stack and build a bridge target over it.
-    /// Metering, caching and tracing live in [`Target`], once, above
-    /// whichever backend the session attaches to:
+    /// The session's backend stack:
     ///
     /// * replay session → [`ReplayBackend`] (the empty image is never
     ///   read);
     /// * recording session → [`RecordBackend`] over [`SimBackend`];
     /// * plain live session → [`SimBackend`].
-    fn target(&self) -> Target<'_> {
-        let backend: Box<dyn TargetBackend + '_> = match (&self.replay, &self.recorder) {
+    fn backend(&self) -> Box<dyn TargetBackend + '_> {
+        match (&self.replay, &self.recorder) {
             (Some(state), _) => Box::new(ReplayBackend::new(state)),
             (None, Some(tape)) => Box::new(RecordBackend::new(
                 Box::new(SimBackend::new(&self.img.mem)),
                 tape.clone(),
             )),
             (None, None) => Box::new(SimBackend::new(&self.img.mem)),
-        };
-        let mut target = Target::over(backend, &self.img.types, &self.img.symbols, self.profile);
+        }
+    }
+
+    /// A bridge target over the session's backend stack. Metering,
+    /// caching and tracing live in [`Target`], once, above whichever
+    /// backend the session attaches to.
+    fn target(&self) -> Target<'_> {
+        let mut target = Target::over(
+            self.backend(),
+            &self.img.types,
+            &self.img.symbols,
+            self.profile,
+        );
         if let Some(cache) = &self.cache {
             target.set_cache(cache);
         }
@@ -1028,7 +1027,7 @@ plot @root
                 PaneId(0)
             }
             Some(session) => {
-                let last = *session.layout.leaves().last().expect("non-empty layout");
+                let last = session.layout.last_leaf();
                 session.split(last, SplitDir::Horizontal, graph)?
             }
         };

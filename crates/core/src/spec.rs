@@ -5,7 +5,7 @@
 //! tracing state), so a fleet cannot move sessions between threads — it
 //! moves *specs* and rebuilds. A [`SessionSpec`] is the unit of
 //! spawn/evict/respawn in `vfleet`: evicting an engine keeps its spec
-//! (plus a served-extraction journal), and the next request rebuilds an
+//! (plus the session's journal of stops), and the next request rebuilds an
 //! identical session on a fresh thread. Because `ksim` workloads are
 //! seed-deterministic and `.vrec` captures replay bit-identically, two
 //! sessions built from equal specs serve byte-identical graphs — which

@@ -490,42 +490,16 @@ impl<'a> Target<'a> {
 
     /// Read an unsigned little-endian integer of `size` bytes (metered).
     pub fn read_uint(&self, addr: u64, size: usize) -> Result<u64> {
-        self.note_touched(addr, size as u64);
-        match self.cache {
-            None => {
-                self.account(addr, size as u64);
-                let mut buf = [0u8; 8];
-                self.backend
-                    .read(addr, &mut buf[..size])
-                    .map_err(|e| self.wire_err(addr, e))?;
-                Ok(ktypes::read_uint(&buf, size))
-            }
-            Some(c) => {
-                let mut buf = [0u8; 8];
-                self.read_through_cache(c, addr, &mut buf[..size])?;
-                Ok(ktypes::read_uint(&buf, size))
-            }
-        }
+        let mut buf = [0u8; 8];
+        self.read(addr, &mut buf[..size])?;
+        Ok(ktypes::read_uint(&buf, size))
     }
 
     /// Read a signed integer (metered).
     pub fn read_int(&self, addr: u64, size: usize) -> Result<i64> {
-        self.note_touched(addr, size as u64);
-        match self.cache {
-            None => {
-                self.account(addr, size as u64);
-                let mut buf = [0u8; 8];
-                self.backend
-                    .read(addr, &mut buf[..size])
-                    .map_err(|e| self.wire_err(addr, e))?;
-                Ok(ktypes::read_int(&buf, size))
-            }
-            Some(c) => {
-                let mut buf = [0u8; 8];
-                self.read_through_cache(c, addr, &mut buf[..size])?;
-                Ok(ktypes::read_int(&buf, size))
-            }
-        }
+        let mut buf = [0u8; 8];
+        self.read(addr, &mut buf[..size])?;
+        Ok(ktypes::read_int(&buf, size))
     }
 
     /// Read a NUL-terminated C string, metered as one packet per 64-byte

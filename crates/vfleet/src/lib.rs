@@ -14,8 +14,12 @@
 //! * **Lazy lifecycle.** Engines spawn on first connection. A resident
 //!   budget ([`FleetConfig::max_resident`]) evicts the least-recently-
 //!   used idle engine — gracefully, books settled — and the next request
-//!   respawns the session from its spec plus a served-extraction
-//!   journal, reproducing tape position and cache state exactly.
+//!   respawns the session from its spec plus its journal
+//!   ([`vserve::SessionOp`]): every stop and, for a replay session,
+//!   every extraction served, in order. A replay respawn re-walks what
+//!   its predecessors served and lands at their tape position; a live
+//!   one re-applies its stops, since its graphs depend on its image
+//!   alone, and walks only what it is asked.
 //! * **Cross-session sharing.** Engines whose specs fingerprint
 //!   identically join a share group ([`vserve::ShareGroup`]): the first
 //!   engine to walk a `(generation, ViewCL)` pair publishes its memo

@@ -9,8 +9,7 @@ use std::thread::JoinHandle;
 use ksim::workload::WorkloadRoots;
 use visualinux::SessionSpec;
 use vserve::{
-    Connection, JournalEntry, Preload, ServeConfig, ServeStats, Server, ServerHandle, ShareGroup,
-    ShareStats,
+    Connection, ServeConfig, ServeStats, Server, ServerHandle, SessionOp, ShareGroup, ShareStats,
 };
 
 use crate::stats::FleetStats;
@@ -42,7 +41,7 @@ impl Default for FleetConfig {
 /// A resident engine: its thread plus the handles to reach it.
 struct EngineRt {
     handle: ServerHandle,
-    join: JoinHandle<(ServeStats, Vec<JournalEntry>)>,
+    join: JoinHandle<(ServeStats, Vec<SessionOp>)>,
     /// Open fleet connections (eviction eligibility).
     conns: Arc<AtomicUsize>,
 }
@@ -52,16 +51,15 @@ struct SessionEntry {
     spec: Arc<SessionSpec>,
     /// The share group (all sessions with this spec fingerprint).
     group: Arc<ShareGroup>,
-    /// Workload roots for rebuilding tick closures (live specs only;
-    /// replay sessions skip stop mutations anyway).
-    roots: Option<WorkloadRoots>,
+    /// Workload roots every tick of a live session shares (replay
+    /// sessions skip stop mutations anyway).
+    roots: Option<Arc<WorkloadRoots>>,
     engine: Option<EngineRt>,
     /// Current stop-generation key (hash-chained over applied ticks).
     generation: u64,
-    /// Applied ticks, in order: `(tick n, generation after)`.
-    ticks: Vec<(u64, u64)>,
-    /// Served-extraction journal settled from retired incarnations.
-    journal: Vec<JournalEntry>,
+    /// The session's journal while no engine holds it: what its last
+    /// engine recorded, then the ticks applied while dormant.
+    journal: Vec<SessionOp>,
     /// Serving totals settled from retired incarnations.
     retired: ServeStats,
     /// LRU clock value of the last connect.
@@ -171,7 +169,9 @@ impl Fleet {
         }
         let group = g.groups.entry(spec.fingerprint()).or_default().clone();
         let roots = match &spec {
-            SessionSpec::Live { workload, .. } => Some(ksim::workload::debug_info(workload).2),
+            SessionSpec::Live { workload, .. } => {
+                Some(Arc::new(ksim::workload::debug_info(workload).2))
+            }
             SessionSpec::Replay { .. } => None,
         };
         g.sessions.insert(
@@ -182,7 +182,6 @@ impl Fleet {
                 roots,
                 engine: None,
                 generation: 0,
-                ticks: Vec::new(),
                 journal: Vec::new(),
                 retired: ServeStats::default(),
                 last_used: 0,
@@ -237,8 +236,8 @@ impl Fleet {
     }
 
     /// Apply tick `n` to one session: chains the generation key and
-    /// queues the stop on its engine (dormant sessions just advance
-    /// their key — the stop is re-enacted on respawn).
+    /// queues the stop on its engine (a dormant session's journal
+    /// records the stop, re-enacted on respawn).
     pub fn tick(&self, key: &str, n: u64) -> Result<(), FleetError> {
         let mut g = self.inner.lock().unwrap();
         g.tick_locked(key, n)
@@ -289,14 +288,18 @@ impl Fleet {
         g.stats()
     }
 
-    /// The settled served-extraction journal for `key` (retired
-    /// incarnations; a resident engine's tail is not yet visible).
-    pub fn journal(&self, key: &str) -> Vec<JournalEntry> {
+    /// `key`'s journal while the session is dormant, in order: `None`
+    /// for a stop, the source of a replay session's extraction. Empty
+    /// while an engine holds it.
+    pub fn journal(&self, key: &str) -> Vec<Option<Arc<str>>> {
         let g = self.inner.lock().unwrap();
-        g.sessions
-            .get(key)
-            .map(|e| e.journal.clone())
-            .unwrap_or_default()
+        let ops = g.sessions.get(key).map_or(&[][..], |e| &e.journal);
+        ops.iter()
+            .map(|op| match op {
+                SessionOp::Stop(_) => None,
+                SessionOp::Plot(src) => Some(Arc::clone(src)),
+            })
+            .collect()
     }
 
     pub(crate) fn note_routing_error(&self) {
@@ -333,26 +336,33 @@ impl Inner {
             .get_mut(key)
             .ok_or_else(|| FleetError::UnknownSession(key.to_string()))?;
         let next = chain_generation(entry.generation, n);
-        if let Some(rt) = &entry.engine {
-            let mutate = tick_closure(&entry.roots, n);
-            rt.handle
+        let roots = entry.roots.clone();
+        let mutate = move |img: &mut ksim::image::KernelImage| {
+            if let Some(r) = &roots {
+                ksim::tick::tick(img, r, n);
+            }
+        };
+        match &entry.engine {
+            Some(rt) => rt
+                .handle
                 .stop_event_keyed(next, mutate)
-                .map_err(|e| FleetError::Engine(e.to_string()))?;
+                .map_err(|e| FleetError::Engine(e.to_string()))?,
+            None => entry.journal.push(SessionOp::Stop(Box::new(mutate))),
         }
         entry.generation = next;
-        entry.ticks.push((n, next));
         Ok(())
     }
 
-    /// Spawn `key`'s engine on a fresh thread, preloading its settled
-    /// history so a respawn reproduces its predecessor's tape position
-    /// and cache state on demand.
+    /// Spawn `key`'s engine on a fresh thread, handing it the session's
+    /// journal so a respawn catches up on its predecessor's stops (and a
+    /// replay session on its tape position) on demand. A failed spawn
+    /// gives the journal back.
     fn spawn(&mut self, key: &str) -> Result<(), FleetError> {
         let entry = self.sessions.get_mut(key).expect("registered");
         let spec = entry.spec.clone();
         let group = entry.group.clone();
         let generation = entry.generation;
-        let ops = preload_ops(&entry.journal, &entry.ticks, &entry.roots);
+        let journal = std::mem::take(&mut entry.journal);
         let cfg = ServeConfig {
             exit_when_idle: false,
             ..self.cfg.serve
@@ -363,15 +373,15 @@ impl Inner {
                 Ok(s) => s,
                 Err(e) => {
                     let _ = tx.send(Err(e.to_string()));
-                    return (ServeStats::default(), Vec::new());
+                    return (ServeStats::default(), journal);
                 }
             };
             let mut server = Server::new(session, cfg);
             server.share_extractions(group);
-            server.preload(generation, ops);
+            server.preload(generation, journal);
             let _ = tx.send(Ok(server.handle()));
             server.run();
-            (server.stats(), server.journal().to_vec())
+            (server.stats(), server.into_journal())
         });
         match rx.recv() {
             Ok(Ok(handle)) => {
@@ -388,7 +398,9 @@ impl Inner {
                 Ok(())
             }
             Ok(Err(msg)) => {
-                let _ = join.join();
+                if let Ok((_, journal)) = join.join() {
+                    entry.journal = journal;
+                }
                 Err(FleetError::Spawn(msg))
             }
             Err(_) => {
@@ -405,9 +417,8 @@ impl Inner {
         self.evictions += 1;
     }
 
-    /// Retire the engine and settle its books into the entry. The
-    /// engine's journal *replaces* the settled one — it includes the
-    /// preloaded history, so it is the full served sequence.
+    /// Retire the engine and settle its books into the entry, taking
+    /// back the session's journal (preloaded history included).
     fn evict_uncounted(&mut self, key: &str) {
         let entry = self.sessions.get_mut(key).expect("registered");
         let Some(rt) = entry.engine.take() else {
@@ -443,50 +454,6 @@ impl Inner {
     }
 }
 
-/// The image mutation for tick `n`: the deterministic `ksim` tick for
-/// live sessions; a no-op for replay sessions (the session skips stop
-/// mutations on a tape anyway, it only consumes the resume marker).
-fn tick_closure(
-    roots: &Option<WorkloadRoots>,
-    n: u64,
-) -> Box<dyn FnOnce(&mut ksim::image::KernelImage) + Send> {
-    match roots {
-        Some(r) => {
-            let r = r.clone();
-            Box::new(move |img| {
-                ksim::tick::tick(img, &r, n);
-            })
-        }
-        None => Box::new(|_| {}),
-    }
-}
-
-/// Interleave a settled journal with the applied ticks, in original
-/// order, into the op sequence a respawned engine must re-enact: each
-/// journal entry carries the generation it was served under, and every
-/// generation segment precedes the tick that ended it.
-fn preload_ops(
-    journal: &[JournalEntry],
-    ticks: &[(u64, u64)],
-    roots: &Option<WorkloadRoots>,
-) -> Vec<(u64, Preload)> {
-    let mut ops = Vec::with_capacity(journal.len() + ticks.len());
-    let mut js = journal.iter().peekable();
-    let mut gen = 0u64;
-    for &(n, after) in ticks {
-        while js.peek().is_some_and(|e| e.generation == gen) {
-            let e = js.next().expect("peeked");
-            ops.push((e.generation, Preload::Plot(Arc::clone(&e.viewcl))));
-        }
-        ops.push((gen, Preload::Stop(tick_closure(roots, n))));
-        gen = after;
-    }
-    for e in js {
-        ops.push((e.generation, Preload::Plot(Arc::clone(&e.viewcl))));
-    }
-    ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,35 +464,5 @@ mod tests {
         let b = chain_generation(chain_generation(0, 2), 1);
         assert_ne!(a, b, "tick order must be part of the key");
         assert_ne!(chain_generation(0, 1), chain_generation(0, 2));
-    }
-
-    #[test]
-    fn preload_interleaves_journal_segments_with_ticks() {
-        let g1 = chain_generation(0, 1);
-        let g2 = chain_generation(g1, 2);
-        let journal = vec![
-            JournalEntry {
-                generation: 0,
-                viewcl: "a".into(),
-            },
-            JournalEntry {
-                generation: g1,
-                viewcl: "b".into(),
-            },
-            JournalEntry {
-                generation: g2,
-                viewcl: "c".into(),
-            },
-        ];
-        let ticks = vec![(1, g1), (2, g2)];
-        let ops = preload_ops(&journal, &ticks, &None);
-        let shape: Vec<String> = ops
-            .iter()
-            .map(|(_, op)| match op {
-                Preload::Plot(v) => format!("plot:{v}"),
-                Preload::Stop(_) => "stop".into(),
-            })
-            .collect();
-        assert_eq!(shape, ["plot:a", "stop", "plot:b", "stop", "plot:c"]);
     }
 }

@@ -22,21 +22,28 @@ pub fn fig_sources(n: usize) -> Vec<String> {
 /// the request order a fleet client drives, so a replay engine's tape
 /// lines up with its serving order.
 pub fn record_capture(figs: &[String], rounds: u64) -> Capture {
+    let schedule: Vec<&[String]> = (0..=rounds).map(|_| figs).collect();
+    record_schedule(&schedule)
+}
+
+/// Record a capture that extracts `schedule[n]` in generation `n`, with
+/// tick `n` ending generation `n - 1`.
+pub fn record_schedule(schedule: &[&[String]]) -> Capture {
     let mut s = Session::builder(build(&WorkloadConfig::default()))
         .profile(LatencyProfile::free())
         .cache(CacheConfig::default())
         .record("fleet-capture.vrec") // in-memory; never flushed to disk
         .attach()
         .expect("record session");
-    for round in 0..=rounds {
+    for (round, figs) in schedule.iter().enumerate() {
         if round > 0 {
             let roots = s.roots.clone();
             s.stop_event(|img| {
-                ksim::tick::tick(img, &roots, round);
+                ksim::tick::tick(img, &roots, round as u64);
             })
             .expect("live stop");
         }
-        for fig in figs {
+        for fig in *figs {
             s.extract(fig).expect("record extract");
         }
     }

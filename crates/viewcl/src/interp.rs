@@ -51,6 +51,12 @@ static NO_CTYPE: LazyLock<Arc<str>> = LazyLock::new(|| "".into());
 /// The flag and emoji sets of the decorators, built once per process.
 static FLAGS: LazyLock<FlagSets> = LazyLock::new(FlagSets::with_builtins);
 
+/// How many boxes may nest, each inside its parent's views. Every
+/// figure nests at most 6 deep; a box that links each element of a
+/// kernel list to the next nests once per element, and the recursion
+/// that instantiates it would otherwise overflow the thread's stack.
+const MAX_BOX_DEPTH: usize = 64;
+
 /// The interpreter. Owns the output graph; borrows the programs it runs
 /// (`'p`) and the target and helper registry (`'t`) for the duration of
 /// evaluation.
@@ -67,6 +73,8 @@ pub struct Interp<'p, 't, 'img> {
     /// The scope stack (see the module docs). Top-level assignments stay
     /// at its bottom.
     scope: Vec<(&'p str, Value)>,
+    /// How many boxes are being instantiated, each inside the last.
+    depth: usize,
 }
 
 impl<'p, 't, 'img> Interp<'p, 't, 'img> {
@@ -80,6 +88,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             graph: Graph::new(),
             box_types: Vec::new(),
             scope: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -534,8 +543,17 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         if !fresh {
             return Ok(id);
         }
+        if self.depth == MAX_BOX_DEPTH {
+            return Err(VclError::TooDeep {
+                def: def.name.to_string(),
+                addr,
+                cap: MAX_BOX_DEPTH,
+            });
+        }
         let base = self.scope.len();
+        self.depth += 1;
         let filled = self.fill_views(def, id, base, CValue::LValue { addr, ty: cty });
+        self.depth -= 1;
         self.scope.truncate(base);
         filled.map(|()| id)
     }
@@ -596,6 +614,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                             "Link `{name}` target must be a box, got {other:?}"
                         )))
                     }
+                    Err(e @ VclError::TooDeep { .. }) => return Err(e),
                     Err(_) => out.push(Item::NullLink { name: name.clone() }),
                 },
                 ItemDef::Container { name, value } => match self.eval(value, base)? {

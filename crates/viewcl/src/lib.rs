@@ -50,6 +50,17 @@ pub enum VclError {
     },
     /// Evaluation failed.
     Eval(String),
+    /// A box would nest deeper than the interpreter's cap, as one that
+    /// links each element of a long kernel list to the next does. Unlike
+    /// other evaluation errors, it is not plotted as a null link.
+    TooDeep {
+        /// The box definition.
+        def: String,
+        /// The address of the box that would nest too deep.
+        addr: u64,
+        /// How many boxes may nest.
+        cap: usize,
+    },
     /// A bridge (target/expression) operation failed.
     Bridge(vbridge::BridgeError),
 }
@@ -63,6 +74,11 @@ impl std::fmt::Display for VclError {
                 vtrace::diag::at_byte(*pos)
             ),
             VclError::Eval(m) => write!(f, "viewcl evaluation error: {m}"),
+            VclError::TooDeep { def, addr, cap } => write!(
+                f,
+                "viewcl evaluation error: box `{def}` at {addr:#x} would nest \
+                 deeper than {cap} boxes"
+            ),
             VclError::Bridge(e) => write!(f, "viewcl: {e}"),
         }
     }

@@ -613,3 +613,53 @@ u = T(${{&init_task}})"
         Err("viewcl evaluation error: box `T` has no view `:missing`".to_string())
     );
 }
+
+/// A box that links each task to the next: instantiating it nests once
+/// per task on the circular task list.
+const TASK_CHAIN: &str = r#"
+define Task as Box<task_struct> [
+    Text pid
+    Link next -> Task<task_struct.tasks>(${@this.tasks.next})
+]
+t = Task(${&init_task})
+plot @t
+"#;
+
+#[test]
+fn a_box_chain_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+    for processes in [100, 1000] {
+        // The default stack of a spawned thread, on which engines run.
+        // Uncapped, the chain overflows it past about 190 tasks in a
+        // debug build and 1,400 in a release build, aborting the process.
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let cfg = WorkloadConfig {
+                    processes,
+                    ..WorkloadConfig::default()
+                };
+                let (img, _, _) = workload::build(&cfg).finish();
+                let target =
+                    Target::new(&img.mem, &img.types, &img.symbols, LatencyProfile::free());
+                let helpers = HelperRegistry::new();
+                let program = parse_program(TASK_CHAIN).unwrap();
+                let mut interp = Interp::new(&target, &helpers);
+                let err = interp.run(&program).expect_err("the chain nests too deep");
+                (img.symbols.lookup("init_task").unwrap().addr, err)
+            })
+            .unwrap();
+        let (init_task, err) = run.join().expect("the walk returns");
+        match &err {
+            viewcl::VclError::TooDeep { def, addr, cap } => {
+                assert_eq!((def.as_str(), *cap), ("Task", 64));
+                assert_ne!(*addr, init_task, "the cap is met 64 tasks down the list");
+            }
+            other => panic!("{processes} processes: {other}"),
+        }
+        let message = err.to_string();
+        assert!(
+            message.contains("`Task`") && message.contains("64"),
+            "{message}"
+        );
+    }
+}

@@ -12,6 +12,11 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use vgraph::{BoxId, Graph};
 
+/// How many panes a session holds. A layout of at most 63 splits nests
+/// shallowly enough for [`Session::load`] to read back whatever shape
+/// the splits built.
+pub const MAX_PANES: usize = 64;
+
 /// Handle to a pane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
 pub struct PaneId(pub u32);
@@ -51,6 +56,18 @@ impl Layout {
             Layout::Leaf(_) => false,
             Layout::Split { first, second, .. } => {
                 first.replace_leaf(target, with.clone()) || second.replace_leaf(target, with)
+            }
+        }
+    }
+
+    /// The last pane in left-to-right, top-to-bottom order: the end of
+    /// the `second` spine.
+    pub fn last_leaf(&self) -> PaneId {
+        let mut node = self;
+        loop {
+            match node {
+                Layout::Leaf(id) => return *id,
+                Layout::Split { second, .. } => node = second,
             }
         }
     }
@@ -119,6 +136,8 @@ pub enum PanelError {
     NotPrimary(PaneId),
     /// A ViewQL refinement failed.
     Refine(String),
+    /// The session already holds [`MAX_PANES`] panes.
+    Full,
 }
 
 impl std::fmt::Display for PanelError {
@@ -127,6 +146,7 @@ impl std::fmt::Display for PanelError {
             PanelError::NoSuchPane(p) => write!(f, "no such pane {p:?}"),
             PanelError::NotPrimary(p) => write!(f, "pane {p:?} is not primary"),
             PanelError::Refine(m) => write!(f, "refinement failed: {m}"),
+            PanelError::Full => write!(f, "a session holds at most {MAX_PANES} panes"),
         }
     }
 }
@@ -152,10 +172,17 @@ impl Session {
         }
     }
 
-    fn fresh(&mut self) -> PaneId {
+    /// A new pane's id, splitting `pane`, if the session has room.
+    fn fresh(&mut self, pane: PaneId) -> Result<PaneId, PanelError> {
+        if !self.panes.contains_key(&pane) {
+            return Err(PanelError::NoSuchPane(pane));
+        }
+        if self.panes.len() >= MAX_PANES {
+            return Err(PanelError::Full);
+        }
         let id = PaneId(self.next_id);
         self.next_id += 1;
-        id
+        Ok(id)
     }
 
     /// The pane content.
@@ -206,10 +233,7 @@ impl Session {
         dir: SplitDir,
         graph: Graph,
     ) -> Result<PaneId, PanelError> {
-        if !self.panes.contains_key(&pane) {
-            return Err(PanelError::NoSuchPane(pane));
-        }
-        let new = self.fresh();
+        let new = self.fresh(pane)?;
         self.panes.insert(
             new,
             PaneContent::Primary {
@@ -236,10 +260,7 @@ impl Session {
         dir: SplitDir,
         picks: Vec<BoxId>,
     ) -> Result<PaneId, PanelError> {
-        if !self.panes.contains_key(&origin) {
-            return Err(PanelError::NoSuchPane(origin));
-        }
-        let new = self.fresh();
+        let new = self.fresh(origin)?;
         self.panes
             .insert(new, PaneContent::Secondary { origin, picks });
         self.layout.replace_leaf(
@@ -396,6 +417,37 @@ mod tests {
             s.refine(sec, "a = SELECT x FROM *"),
             Err(PanelError::NotPrimary(_))
         ));
+    }
+
+    #[test]
+    fn a_full_session_refuses_panes_and_still_loads() {
+        // The deepest layouts splits can build: a chain down the
+        // `second` spine, as pushes build it, and one down `first`.
+        for split_last in [true, false] {
+            let mut s = Session::new(graph("A", &[0x1000]));
+            for _ in 1..MAX_PANES {
+                let at = if split_last {
+                    s.layout.last_leaf()
+                } else {
+                    PaneId(0)
+                };
+                s.split(at, SplitDir::Horizontal, Graph::new()).unwrap();
+            }
+            assert_eq!(s.len(), MAX_PANES);
+            let last = s.layout.last_leaf();
+            assert_eq!(s.layout.leaves().last(), Some(&last));
+            assert_eq!(
+                s.split(last, SplitDir::Vertical, Graph::new()),
+                Err(PanelError::Full)
+            );
+            assert_eq!(
+                s.select(PaneId(0), SplitDir::Vertical, vec![BoxId(0)]),
+                Err(PanelError::Full)
+            );
+            let restored = Session::load(&s.save()).expect("a full session loads");
+            assert_eq!(restored.layout, s.layout);
+            assert_eq!(restored.len(), MAX_PANES);
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use client::{Replica, ReplicaEvent};
 pub use evented::{ConnectRouter, PumpHandle, RoutedConn, SingleSession, WireConfig, WirePump};
 pub use framing::{BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming};
 pub use queue::{Bounded, TryPush};
-pub use server::{Connection, SendMode, ServeConfig, Server, ServerHandle};
-pub use shared::{JournalEntry, Preload, ShareGroup, ShareStats};
+pub use server::{Connection, SendMode, ServeConfig, Server, ServerHandle, SessionOp};
+pub use shared::{ShareGroup, ShareStats};
 pub use stats::{ServeStats, WireStats};
 pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
 

@@ -19,10 +19,14 @@
 //!
 //! A fleet (`vfleet`) extends the memo across engines: join a
 //! [`ShareGroup`] with [`Server::share_extractions`] and the engine
-//! consults it before walking, publishes the record it walks, and
-//! keeps a lag journal of shared-served results so a replay session's
-//! strict tape order survives the skipped walks (re-enacted on the next
-//! local walk, or by a respawned engine via [`Server::preload`]).
+//! consults it before walking and publishes the record it walks. It
+//! also journals its session ([`SessionOp`]): every stop and, on a
+//! replay session, every extraction served; a live session's graphs
+//! depend on its image alone. Ops not applied yet (a shared hit whose
+//! tape span the cursor could not jump, and all that follows it) are
+//! re-enacted in order before the next local walk, so the tape sees
+//! walks and resume marks as recorded. A respawned engine is handed the
+//! whole journal, all of it owed ([`Server::preload`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,7 +39,7 @@ use visualinux::Session;
 use vtrace::SpanKind;
 
 use crate::queue::{Bounded, TryPush, Wake};
-use crate::shared::{JournalEntry, Preload, ShareGroup, SharedPlot};
+use crate::shared::{ShareGroup, SharedPlot};
 use crate::stats::ServeStats;
 use crate::ServeError;
 
@@ -67,6 +71,22 @@ impl Default for ServeConfig {
     }
 }
 
+/// A stop's image mutation. `FnMut`, so a recorded stop can be applied
+/// again by a respawned engine.
+type Mutate = Box<dyn FnMut(&mut KernelImage) + Send>;
+
+/// One operation of a fleet session's journal, re-enacted in order by
+/// an engine that owes it (see the module docs).
+pub enum SessionOp {
+    /// A stop event. A replay session consumes its resume mark and
+    /// never calls the mutation: the tape holds the recorded kernel's
+    /// changes.
+    Stop(Mutate),
+    /// An extraction a replay session served. Re-walking it moves the
+    /// tape cursor exactly as the original walk did.
+    Plot(Arc<str>),
+}
+
 /// A unit of work for the engine.
 enum Request {
     /// A protocol line from a client.
@@ -76,7 +96,7 @@ enum Request {
     /// "increment" (standalone servers).
     Stop {
         generation: Option<u64>,
-        mutate: Box<dyn FnOnce(&mut KernelImage) + Send>,
+        mutate: Mutate,
     },
     /// A client departed. The marker trails everything that client
     /// queued, so the engine answers those requests *before* dropping
@@ -263,7 +283,7 @@ impl ServerHandle {
     /// strictly ordered with the surrounding requests.
     pub fn stop_event(
         &self,
-        mutate: impl FnOnce(&mut KernelImage) + Send + 'static,
+        mutate: impl FnMut(&mut KernelImage) + Send + 'static,
     ) -> Result<(), ServeError> {
         self.stop_with(None, mutate)
     }
@@ -274,7 +294,7 @@ impl ServerHandle {
     pub fn stop_event_keyed(
         &self,
         generation: u64,
-        mutate: impl FnOnce(&mut KernelImage) + Send + 'static,
+        mutate: impl FnMut(&mut KernelImage) + Send + 'static,
     ) -> Result<(), ServeError> {
         self.stop_with(Some(generation), mutate)
     }
@@ -282,7 +302,7 @@ impl ServerHandle {
     fn stop_with(
         &self,
         generation: Option<u64>,
-        mutate: impl FnOnce(&mut KernelImage) + Send + 'static,
+        mutate: impl FnMut(&mut KernelImage) + Send + 'static,
     ) -> Result<(), ServeError> {
         self.shared
             .reqq
@@ -352,19 +372,18 @@ pub struct Server {
     /// Each client's subscriptions by source; a departure drops its map.
     subs: HashMap<u64, HashMap<Arc<str>, SyncState>>,
     /// By source; the key is the one copy of the source the engine's
-    /// subscriptions, lag, journal and share group hold.
+    /// subscriptions, journal and share group hold.
     memo: HashMap<Arc<str>, MemoEntry>,
     /// The fleet's share group, if joined.
     share: Option<Arc<ShareGroup>>,
     /// Current stop-generation key (fleet-chained or a plain counter).
     generation: u64,
-    /// Session operations skipped while serving from the share group,
-    /// in original order; drained before the next local walk.
-    lag: Vec<Preload>,
-    /// Every extraction served (walked or shared), first-served order —
-    /// what a respawned successor must re-enact. Kept only in a share
-    /// group: only a fleet respawns engines.
-    journal: Vec<JournalEntry>,
+    /// The session's journal, kept only in a share group: only a fleet
+    /// respawns engines.
+    journal: Vec<SessionOp>,
+    /// How many of `journal`'s ops the session has applied; the rest
+    /// are owed.
+    applied: usize,
     /// Outboxes with a waker that took a reply since the engine last
     /// idled long enough to ring them.
     owed: Vec<Arc<Bounded<String>>>,
@@ -389,8 +408,8 @@ impl Server {
             memo: HashMap::new(),
             share: None,
             generation: 0,
-            lag: Vec::new(),
             journal: Vec::new(),
+            applied: 0,
             owed: Vec::new(),
         }
     }
@@ -403,23 +422,15 @@ impl Server {
         self.share = Some(share);
     }
 
-    /// Seed a fresh engine with its predecessor's history (fleet
-    /// respawn): `generation` is the current stop-generation key, `ops`
-    /// the predecessor's journal interleaved with the applied stops, in
-    /// original order (each tagged with the generation it ran under).
-    /// Drained lazily like ordinary lag, so a respawn costs nothing
-    /// until a request actually misses the share group.
-    pub fn preload(&mut self, generation: u64, ops: Vec<(u64, Preload)>) {
-        assert!(
-            self.lag.is_empty() && self.journal.is_empty(),
-            "preload must precede serving"
-        );
-        for (gen, op) in ops {
-            if let Preload::Plot(src) = &op {
-                self.journal_served(gen, src);
-            }
-            self.lag.push(op);
-        }
+    /// Hand a fresh engine its session's journal (fleet respawn):
+    /// `generation` is the current stop-generation key, and every op of
+    /// `journal` is owed. They are re-enacted before the first local
+    /// walk, so a respawn costs nothing until a request misses the
+    /// share group.
+    pub fn preload(&mut self, generation: u64, journal: Vec<SessionOp>) {
+        assert!(self.journal.is_empty(), "preload must precede serving");
+        self.journal = journal;
+        self.applied = 0;
         self.generation = generation;
     }
 
@@ -444,22 +455,27 @@ impl Server {
         &self.session
     }
 
-    /// The served-extraction journal, first-served order (fleet respawn
-    /// input; includes preloaded history). Empty for a standalone
-    /// engine: the journal is kept only once
+    /// Retire the engine and take its session's journal, preloaded
+    /// history included: what a respawned successor re-enacts. Empty
+    /// for a standalone engine: the journal is kept only once
     /// [`Server::share_extractions`] joined a share group.
-    pub fn journal(&self) -> &[JournalEntry] {
-        &self.journal
+    pub fn into_journal(self) -> Vec<SessionOp> {
+        self.journal
     }
 
-    /// Journal one served extraction, when a fleet may respawn us.
-    fn journal_served(&mut self, generation: u64, viewcl: &Arc<str>) {
+    /// Journal `op` in a share group. An op the session has not applied
+    /// yet is owed, and only a suffix of the journal may be.
+    fn record(&mut self, op: SessionOp, applied: bool) {
         if self.share.is_some() {
-            self.journal.push(JournalEntry {
-                generation,
-                viewcl: Arc::clone(viewcl),
-            });
+            debug_assert!(!applied || self.applied == self.journal.len());
+            self.journal.push(op);
+            self.applied += usize::from(applied);
         }
+    }
+
+    /// Whether the session owes journaled ops.
+    fn owes(&self) -> bool {
+        self.applied < self.journal.len()
     }
 
     /// The current stop-generation key.
@@ -512,15 +528,18 @@ impl Server {
 
     fn handle_request(&mut self, req: Request) {
         match req {
-            Request::Stop { generation, mutate } => {
-                // While the session lags behind shared-served walks, the
-                // stop is deferred too: a replay tape must observe walks
-                // and resume marks in original order.
-                if self.lag.is_empty() {
-                    self.apply_stop(mutate);
-                } else {
-                    self.lag.push(Preload::Stop(mutate));
+            Request::Stop {
+                generation,
+                mut mutate,
+            } => {
+                // While the session owes shared-served walks, the stop is
+                // owed too: a replay tape must observe walks and resume
+                // marks in original order.
+                let owed = self.owes();
+                if !owed {
+                    apply_stop(&mut self.session, &mut mutate);
                 }
+                self.record(SessionOp::Stop(mutate), !owed);
                 self.generation = generation.unwrap_or(self.generation + 1);
                 // In a share group, what the ended generation served
                 // becomes the base of the canonical steps into the new
@@ -631,8 +650,9 @@ impl Server {
     /// Bring `src` into the memo for the current generation: from the
     /// fleet's share group when a sibling engine already walked it, else
     /// by walking the bridge locally (catching the session up on any
-    /// lagged operations first).
+    /// owed operations first).
     fn materialize(&mut self, src: &Arc<str>) -> Result<(), String> {
+        let replay = self.session.backend_kind() == BackendKind::Replay;
         if let Some(share) = self.share.clone() {
             if let Some(plot) = share.get(self.generation, src) {
                 self.stats.shared_hits += 1;
@@ -643,23 +663,19 @@ impl Server {
                 // exactly at its start (identical capture, identical
                 // history), the cursor just jumps the span. Otherwise —
                 // cache-backed sessions, whose block state a skipped
-                // walk would leave cold, or a mid-flight lag queue —
-                // the walk is remembered as lag and re-enacted later.
-                if self.session.backend_kind() == BackendKind::Replay {
+                // walk would leave cold, or ops already owed — the walk
+                // is owed and re-enacted later.
+                if replay {
                     let skipped = !self.session.cache_enabled()
-                        && self.lag.is_empty()
+                        && !self.owes()
                         && plot.tape.is_some_and(|(from, to)| {
                             self.session.replay_state().is_some_and(|st| {
                                 st.position() == from && st.skip_events(to - from).is_ok()
                             })
                         });
-                    if skipped {
-                        self.stats.tape_skips += 1;
-                    } else {
-                        self.lag.push(Preload::Plot(Arc::clone(src)));
-                    }
+                    self.stats.tape_skips += u64::from(skipped);
+                    self.record(SessionOp::Plot(Arc::clone(src)), skipped);
                 }
-                self.journal_served(self.generation, src);
                 self.serve(src, plot);
                 return Ok(());
             }
@@ -676,7 +692,9 @@ impl Server {
         self.stats.walk_virtual_ns += pstats.target.virtual_ns;
         self.stats.walk_cache_hits += pstats.target.cache_hits;
         self.stats.walk_faults += pstats.target.faults;
-        self.journal_served(self.generation, src);
+        if replay {
+            self.record(SessionOp::Plot(Arc::clone(src)), true);
+        }
         // A pane the session kept comes back as the very allocation this
         // source last served, and keeps its measured length and payload
         // cell. Any other graph is measured here and encoded only if a
@@ -716,36 +734,23 @@ impl Server {
         self.memo.insert(Arc::clone(src), entry);
     }
 
-    /// Re-enact lagged operations (shared-served walks, deferred stops)
-    /// in original order, so a local walk starts from a consistent
-    /// tape/cache position.
+    /// Re-enact the owed operations (shared-served walks, deferred
+    /// stops) in original order, so a local walk starts from a
+    /// consistent tape position. A failed walk counts as applied.
     fn catch_up(&mut self) -> Result<(), String> {
-        for op in std::mem::take(&mut self.lag) {
+        while let Some(op) = self.journal.get_mut(self.applied) {
+            self.applied += 1;
             match op {
-                Preload::Plot(src) => {
+                SessionOp::Plot(src) => {
                     self.session
-                        .extract_shared(&src)
+                        .extract_shared(src)
                         .map_err(|e| format!("catch-up walk of `{src}` failed: {e}"))?;
                     self.stats.catchup_walks += 1;
                 }
-                Preload::Stop(mutate) => self.apply_stop(mutate),
+                SessionOp::Stop(mutate) => apply_stop(&mut self.session, mutate),
             }
         }
         Ok(())
-    }
-
-    /// Advance the session across a stop. A replay session refuses
-    /// image mutation ([`Session::stop_event`] errors loudly there —
-    /// the tape already holds the recorded kernel's changes), so the
-    /// engine advances its cursor with a bare resume instead.
-    fn apply_stop(&mut self, mutate: Box<dyn FnOnce(&mut KernelImage) + Send>) {
-        if self.session.backend_kind() == BackendKind::Replay {
-            self.session.resume();
-        } else {
-            self.session
-                .stop_event(mutate)
-                .expect("live sessions accept stop events");
-        }
     }
 
     /// Serve one `vplot_request`: memoized extraction, then a full ship
@@ -912,6 +917,20 @@ impl Server {
                 }
             }
         }
+    }
+}
+
+/// Advance `session` across a stop. A replay session refuses image
+/// mutation ([`Session::stop_event`] errors loudly there — the tape
+/// already holds the recorded kernel's changes), so the engine advances
+/// its cursor with a bare resume instead.
+fn apply_stop(session: &mut Session, mutate: &mut Mutate) {
+    if session.backend_kind() == BackendKind::Replay {
+        session.resume();
+    } else {
+        session
+            .stop_event(mutate)
+            .expect("live sessions accept stop events");
     }
 }
 

@@ -5,10 +5,12 @@
 //! so the first engine to walk a `(stop generation, ViewCL)` pair can
 //! publish the result and every sibling can serve it without touching
 //! its own bridge. For replay engines that sharing is what makes the
-//! fleet scale: a shared hit skips an entire tape walk. The engine
-//! records each shared hit as *lag* — a deferred local re-extraction —
-//! so its session (and, for replay backends, the strict in-order tape
-//! cursor) can be caught up the moment a local walk becomes necessary.
+//! fleet scale: a shared hit skips an entire tape walk. A replay engine
+//! that cannot jump its tape cursor over the sibling's span records the
+//! hit in its journal as *owed*, a walk it re-enacts in order the moment
+//! a local walk becomes necessary (see [`crate::SessionOp`]). A live
+//! engine owes nothing for a hit: its graphs are a function of its image
+//! alone.
 //!
 //! A [`ShareGroup`] indexes the very records the engines' memos hold,
 //! and holds them only weakly: a record lives while some memo can serve
@@ -191,32 +193,6 @@ impl ShareGroup {
         g.walking.remove(&(generation, Arc::clone(source)));
         self.published.notify_all();
     }
-}
-
-/// One served extraction in first-served order: the journal a fleet
-/// keeps per session so a respawned engine can re-enact exactly what its
-/// predecessor served (tape position, cache state) before taking new
-/// work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// Stop-generation key the extraction was served under.
-    pub generation: u64,
-    /// The ViewCL program, shared with the engine's memo key.
-    pub viewcl: Arc<str>,
-}
-
-/// A deferred session operation, re-enacted in original order before
-/// the engine's next local walk: a walk a shared hit skipped, or a stop
-/// that arrived behind one. A freshly respawned engine is handed its
-/// predecessor's journal as these ([`crate::Server::preload`]),
-/// interleaved with the stop events the fleet applied.
-pub enum Preload {
-    /// Re-extract a ViewCL program (re-positions a replay tape; warms a
-    /// live cache).
-    Plot(Arc<str>),
-    /// Re-apply a stop event (replay sessions skip the mutation but
-    /// consume their resume marker).
-    Stop(Box<dyn FnOnce(&mut ksim::image::KernelImage) + Send>),
 }
 
 #[cfg(test)]

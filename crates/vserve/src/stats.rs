@@ -35,8 +35,9 @@ pub struct ServeStats {
     /// and generation step; any other base is diffed once per memoized
     /// payload.
     pub diffs: u64,
-    /// Lagged walks re-enacted to catch the session up on shared-served
-    /// history before a local walk (or after a fleet respawn).
+    /// Owed walks re-enacted to catch a replay session up on its
+    /// journal before a local walk: shared hits whose tape span it could
+    /// not jump, or a fleet respawn's history.
     pub catchup_walks: u64,
     /// Shared hits absorbed by jumping the replay cursor over the
     /// sibling's published tape span instead of re-enacting the walk.

@@ -1,14 +1,17 @@
 //! Concurrency semantics of the pane server: many clients against one
 //! shared target, coalescing, backpressure, and graceful shutdown.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, LatencyProfile};
-use visualinux::proto::VCommand;
+use visualinux::proto::{VCommand, VResponse};
+use visualinux::vpanels::PaneId;
 use visualinux::{figures, Session};
-use vserve::{SendMode, ServeConfig, ServeError, ServeStats, Server, ServerHandle};
+use vserve::{
+    Connection, SendMode, ServeConfig, ServeError, ServeStats, Server, ServerHandle, ShareGroup,
+};
 
 fn attach() -> Session {
     Session::builder(build(&WorkloadConfig::default()))
@@ -22,6 +25,15 @@ fn attach() -> Session {
 /// design) and hand back a control handle plus the join handle that
 /// yields the final stats.
 fn spawn_engine(cfg: ServeConfig) -> (ServerHandle, thread::JoinHandle<ServeStats>) {
+    spawn_engine_over(cfg, attach)
+}
+
+/// [`spawn_engine`] over the session `attach` builds, on a thread with
+/// the default 2 MiB stack.
+fn spawn_engine_over(
+    cfg: ServeConfig,
+    attach: fn() -> Session,
+) -> (ServerHandle, thread::JoinHandle<ServeStats>) {
     let (tx, rx) = mpsc::channel();
     let join = thread::spawn(move || {
         let mut server = Server::new(attach(), cfg);
@@ -111,8 +123,9 @@ fn stop_events_invalidate_the_memo_in_request_order() {
     stats.reconcile().expect("books balance");
 }
 
-#[test]
-fn a_standalone_engine_keeps_no_journal() {
+/// Request `fig3-4` `per_stop` times, then stop, three times over, on
+/// an engine in `share` (if any); the engine's books and journal length.
+fn journal_after_three_stops(share: Option<ShareGroup>, per_stop: usize) -> (ServeStats, usize) {
     let fig = figures::by_id("fig3-4").expect("figure");
     let request = VCommand::VplotRequest {
         viewcl: fig.viewcl.to_string(),
@@ -120,22 +133,40 @@ fn a_standalone_engine_keeps_no_journal() {
     let (tx, rx) = mpsc::channel();
     let engine = thread::spawn(move || {
         let mut server = Server::new(attach(), ServeConfig::default());
+        if let Some(group) = share {
+            server.share_extractions(Arc::new(group));
+        }
         tx.send(server.handle()).unwrap();
         server.run();
-        (server.stats(), server.journal().len())
+        (server.stats(), server.into_journal().len())
     });
     let handle = rx.recv().unwrap();
     let conn = handle.connect();
     for _ in 0..3 {
-        conn.send(&request, SendMode::Blocking).unwrap();
-        conn.recv().unwrap();
+        for _ in 0..per_stop {
+            conn.send(&request, SendMode::Blocking).unwrap();
+            conn.recv().unwrap();
+        }
         handle.stop_event(|_| {}).unwrap();
     }
     conn.close();
-    let (stats, journaled) = engine.join().unwrap();
+    engine.join().unwrap()
+}
+
+#[test]
+fn a_standalone_engine_keeps_no_journal() {
+    let (stats, journaled) = journal_after_three_stops(None, 1);
     assert_eq!(stats.walks, 3, "{stats:?}");
     // Only a fleet respawns engines, and it puts them in a share group.
     assert_eq!(journaled, 0);
+}
+
+#[test]
+fn a_live_share_group_engine_journals_one_op_per_stop() {
+    let (stats, journaled) = journal_after_three_stops(Some(ShareGroup::default()), 4);
+    assert_eq!((stats.walks, stats.coalesced), (3, 9), "{stats:?}");
+    // A live session's stops rebuild it: the requests leave no trace.
+    assert_eq!(journaled, 3);
 }
 
 #[test]
@@ -256,4 +287,127 @@ fn shutdown_drains_requests_queued_by_departed_clients() {
     assert_eq!(stats.walks, 1);
     assert_eq!(stats.coalesced, 2);
     stats.reconcile().expect("books balance");
+}
+
+/// The reply to `cmd` on `conn`, parsed.
+fn ask(conn: &Connection, cmd: &VCommand) -> VResponse {
+    conn.send(cmd, SendMode::Blocking).unwrap();
+    VResponse::from_json(&conn.recv().expect("a reply")).unwrap()
+}
+
+/// A full plot of fig3-4 answers `conn`: the engine is serving.
+fn assert_served(conn: &Connection) {
+    let request = VCommand::VplotRequest {
+        viewcl: figures::by_id("fig3-4").unwrap().viewcl.to_string(),
+    };
+    conn.send(&request, SendMode::Blocking).unwrap();
+    let plot = conn.recv().expect("a reply");
+    assert!(plot.starts_with(r#"{"command":"vplot""#), "{plot:.80}");
+}
+
+#[test]
+fn a_box_chain_too_deep_earns_an_error_and_a_sibling_stays_served() {
+    // About 200 tasks, each linking to the next: nested that deep, the
+    // walk's recursion would overflow a debug engine's 2 MiB stack.
+    let (handle, engine) = spawn_engine_over(ServeConfig::default(), || {
+        let cfg = WorkloadConfig {
+            processes: 100,
+            ..WorkloadConfig::default()
+        };
+        Session::builder(build(&cfg))
+            .profile(LatencyProfile::free())
+            .attach()
+            .unwrap()
+    });
+    let (hostile, sibling) = (handle.connect(), handle.connect());
+    let chain = VCommand::VplotRequest {
+        viewcl: "define Task as Box<task_struct> [\n\
+                 Text pid\n\
+                 Link next -> Task<task_struct.tasks>(${@this.tasks.next})\n\
+                 ]\n\
+                 t = Task(${&init_task})\n\
+                 plot @t"
+            .to_string(),
+    };
+    match ask(&hostile, &chain) {
+        VResponse::Err { message } => assert!(
+            message.contains("box `Task` at 0x") && message.contains("deeper than 64 boxes"),
+            "{message}"
+        ),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    assert_served(&sibling);
+    drop((hostile, sibling));
+    let stats = engine.join().unwrap();
+    stats.reconcile().unwrap();
+    assert_eq!((stats.plot_requests, stats.errors, stats.walks), (2, 1, 1));
+}
+
+/// `n` pushes of an empty graph; each reply must satisfy `check`.
+fn push(conn: &Connection, n: usize, mut check: impl FnMut(VResponse)) {
+    let cmd = VCommand::Vplot {
+        graph: vgraph::Graph::new(),
+        source: String::new(),
+    };
+    for _ in 0..n {
+        check(ask(conn, &cmd));
+    }
+}
+
+#[test]
+fn a_push_past_the_pane_cap_earns_an_error_and_the_engine_keeps_serving() {
+    let (handle, engine) = spawn_engine(ServeConfig::default());
+    let conn = handle.connect();
+    let mut next = 0;
+    push(&conn, 64, |reply| {
+        let pane = Some(PaneId(next));
+        next += 1;
+        assert_eq!(
+            reply,
+            VResponse::Ok {
+                pane,
+                synthesized: None
+            }
+        );
+    });
+    push(&conn, 1, |reply| match reply {
+        VResponse::Err { message } => {
+            assert!(message.contains("at most 64 panes"), "{message}")
+        }
+        other => panic!("the 65th push: {other:?}"),
+    });
+    assert_served(&conn);
+    drop(conn);
+    let stats = engine.join().unwrap();
+    stats.reconcile().unwrap();
+    assert_eq!((stats.requests, stats.errors), (66, 1));
+}
+
+#[test]
+fn pushes_cost_the_same_however_many_came_before() {
+    const WINDOW: usize = 10_000;
+    let (handle, engine) = spawn_engine(ServeConfig::default());
+    let conn = handle.connect();
+    let refused = |reply| assert!(matches!(reply, VResponse::Err { .. }));
+    push(&conn, 64, |_| {});
+    // 100,000 pushes in all. A push whose cost grew with the pushes
+    // before it would make the last window cost about 19 times the
+    // first.
+    let timed = |n| {
+        let t0 = std::time::Instant::now();
+        push(&conn, n, refused);
+        t0.elapsed()
+    };
+    let first = timed(WINDOW);
+    timed(100_000 - 64 - 2 * WINDOW);
+    let last = timed(WINDOW);
+    assert!(
+        last < 4 * first,
+        "the last {WINDOW} pushes took {last:?}, the first {first:?}"
+    );
+    assert_served(&conn);
+    drop(conn);
+    let stats = engine.join().unwrap();
+    stats.reconcile().unwrap();
+    assert_eq!(stats.errors, 100_000 - 64);
 }
