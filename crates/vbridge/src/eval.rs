@@ -45,127 +45,114 @@ enum Tok {
     Str(String),
     Punct(&'static str),
     Eof,
+    /// Where `src` stops being an expression, and why.
+    Bad(Box<BridgeError>),
 }
 
-/// Tokenize `src`; each token carries the byte offset it starts at.
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let mut out = Vec::new();
-    let b = src.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i] as char;
-        let at = i;
-        let err = |msg: &str| parse_error(src, at, msg);
-        macro_rules! push {
-            ($t:expr) => {
-                out.push(($t, at))
-            };
-        }
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '0'..='9' => {
-                let start = i;
-                if c == '0' && i + 1 < b.len() && (b[i + 1] == b'x' || b[i + 1] == b'X') {
-                    i += 2;
-                    while i < b.len() && (b[i] as char).is_ascii_hexdigit() {
-                        i += 1;
-                    }
-                    let v = u64::from_str_radix(&src[start + 2..i], 16)
-                        .map_err(|_| err("bad hex literal"))?;
-                    push!(Tok::Num(v as i64));
-                } else {
-                    while i < b.len() && (b[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
-                    let v: u64 = src[start..i].parse().map_err(|_| err("bad literal"))?;
-                    push!(Tok::Num(v as i64));
-                }
-                // Swallow C integer suffixes (UL, ULL, …).
-                while i < b.len() && matches!(b[i] as char, 'u' | 'U' | 'l' | 'L') {
-                    i += 1;
-                }
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < b.len() && matches!(b[i] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_')
-                {
-                    i += 1;
-                }
-                push!(Tok::Ident(src[start..i].to_string()));
-            }
-            '@' => {
-                i += 1;
-                let start = i;
-                while i < b.len() && matches!(b[i] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_')
-                {
-                    i += 1;
-                }
-                if start == i {
-                    return Err(err("dangling `@`"));
-                }
-                push!(Tok::AtIdent(src[start..i].to_string()));
-            }
-            '"' => {
-                i += 1;
-                let start = i;
-                while i < b.len() && b[i] != b'"' {
-                    i += 1;
-                }
-                if i == b.len() {
-                    return Err(err("unterminated string"));
-                }
-                push!(Tok::Str(src[start..i].to_string()));
-                i += 1;
-            }
-            _ => {
-                let two = if i + 1 < b.len() { &src[i..i + 2] } else { "" };
-                let p2: Option<&'static str> = match two {
-                    "->" => Some("->"),
-                    "<<" => Some("<<"),
-                    ">>" => Some(">>"),
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "==" => Some("=="),
-                    "!=" => Some("!="),
-                    "&&" => Some("&&"),
-                    "||" => Some("||"),
-                    _ => None,
-                };
-                if let Some(p) = p2 {
-                    push!(Tok::Punct(p));
-                    i += 2;
-                    continue;
-                }
-                let p1: &'static str = match c {
-                    '+' => "+",
-                    '-' => "-",
-                    '*' => "*",
-                    '/' => "/",
-                    '%' => "%",
-                    '&' => "&",
-                    '|' => "|",
-                    '^' => "^",
-                    '~' => "~",
-                    '!' => "!",
-                    '(' => "(",
-                    ')' => ")",
-                    '[' => "[",
-                    ']' => "]",
-                    '.' => ".",
-                    ',' => ",",
-                    '?' => "?",
-                    ':' => ":",
-                    '<' => "<",
-                    '>' => ">",
-                    _ => return Err(err(&format!("unexpected character `{c}`"))),
-                };
-                push!(Tok::Punct(p1));
-                i += 1;
-            }
-        }
+impl Tok {
+    /// Whether no token follows this one.
+    fn is_last(&self) -> bool {
+        matches!(self, Tok::Eof | Tok::Bad(_))
     }
-    out.push((Tok::Eof, src.len()));
-    Ok(out)
+}
+
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Reads the tokens of `src` one at a time, as the parser asks for
+/// them, so a malformed expression stops at its first bad token.
+struct Lexer<'s> {
+    src: &'s str,
+    /// Byte offset of the next unread character.
+    i: usize,
+}
+
+impl Lexer<'_> {
+    /// The next token and the byte offset it starts at: [`Tok::Eof`] at
+    /// the end, or [`Tok::Bad`] where `src` stops being an expression.
+    fn next_tok(&mut self) -> (Tok, usize) {
+        let src = self.src;
+        let b = src.as_bytes();
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = b.get(self.i) {
+            self.i += 1;
+        }
+        let at = self.i;
+        let bad = |msg: &str| (Tok::Bad(Box::new(parse_error(src, at, msg))), at);
+        let Some(&first) = b.get(at) else {
+            return (Tok::Eof, src.len());
+        };
+        let word_end = |from: usize| {
+            b[from..]
+                .iter()
+                .position(|&w| !is_word(w))
+                .map_or(b.len(), |n| from + n)
+        };
+        let (tok, end) = match first {
+            b'0'..=b'9' => {
+                let hex = first == b'0' && matches!(b.get(at + 1), Some(b'x' | b'X'));
+                let digits = if hex { at + 2 } else { at };
+                let end = b[digits..]
+                    .iter()
+                    .position(|&d| {
+                        !(if hex {
+                            d.is_ascii_hexdigit()
+                        } else {
+                            d.is_ascii_digit()
+                        })
+                    })
+                    .map_or(b.len(), |n| digits + n);
+                let v = if hex {
+                    u64::from_str_radix(&src[digits..end], 16)
+                } else {
+                    src[digits..end].parse()
+                };
+                let Ok(v) = v else {
+                    return bad(if hex {
+                        "bad hex literal"
+                    } else {
+                        "bad literal"
+                    });
+                };
+                // Swallow C integer suffixes (UL, ULL, …).
+                let suffix = b[end..]
+                    .iter()
+                    .position(|&c| !matches!(c, b'u' | b'U' | b'l' | b'L'))
+                    .map_or(b.len(), |n| end + n);
+                (Tok::Num(v as i64), suffix)
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let end = word_end(at);
+                (Tok::Ident(src[at..end].to_string()), end)
+            }
+            b'@' => {
+                let end = word_end(at + 1);
+                if end == at + 1 {
+                    return bad("dangling `@`");
+                }
+                (Tok::AtIdent(src[at + 1..end].to_string()), end)
+            }
+            b'"' => match b[at + 1..].iter().position(|&c| c == b'"') {
+                Some(n) => (Tok::Str(src[at + 1..at + 1 + n].to_string()), at + n + 2),
+                None => return bad("unterminated string"),
+            },
+            _ => {
+                const PUNCT: [&str; 29] = [
+                    "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+", "-", "*", "/", "%",
+                    "&", "|", "^", "~", "!", "(", ")", "[", "]", ".", ",", "?", ":", "<", ">",
+                ];
+                match PUNCT.iter().find(|p| src[at..].starts_with(*p)) {
+                    Some(p) => (Tok::Punct(p), at + p.len()),
+                    None => {
+                        let c = src[at..].chars().next().expect("`at` is below the length");
+                        return bad(&format!("unexpected character `{c}`"));
+                    }
+                }
+            }
+        };
+        self.i = end;
+        (tok, at)
+    }
 }
 
 /// A [`BridgeError::Parse`] for `src`, positioned at byte `at`.
@@ -230,6 +217,9 @@ pub enum Expr {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The tokens read so far, through the cursor: casts and type names
+    /// step back over them.
     toks: Vec<(Tok, usize)>,
     pos: usize,
     src: &'s str,
@@ -238,19 +228,35 @@ struct Parser<'s> {
 }
 
 impl<'s> Parser<'s> {
+    /// A parse error at the cursor, or the lexer's, if the cursor is
+    /// where lexing failed.
     fn err(&self, msg: impl Into<String>) -> BridgeError {
-        parse_error(self.src, self.toks[self.pos].1, &msg.into())
+        match self.peek() {
+            Tok::Bad(e) => (**e).clone(),
+            _ => parse_error(self.src, self.toks[self.pos].1, &msg.into()),
+        }
     }
 
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].0
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+    /// Step to the next token, lexing it if it is new; the last token is
+    /// never left.
+    fn advance(&mut self) {
+        if self.peek().is_last() {
+            return;
         }
+        self.pos += 1;
+        if self.pos == self.toks.len() {
+            let t = self.lexer.next_tok();
+            self.toks.push(t);
+        }
+    }
+
+    fn next(&mut self) -> Tok {
+        let t = self.peek().clone();
+        self.advance();
         t
     }
 
@@ -267,7 +273,7 @@ impl<'s> Parser<'s> {
 
     fn eat(&mut self, p: &str) -> bool {
         if matches!(self.peek(), Tok::Punct(q) if *q == p) {
-            self.pos += 1;
+            self.advance();
             true
         } else {
             false
@@ -299,7 +305,7 @@ impl<'s> Parser<'s> {
                 break;
             }
             words.push(w.clone());
-            self.pos += 1;
+            self.advance();
             // A bare single identifier could be a value, not a type; only
             // continue greedily for multi-word forms.
             if !matches!(
@@ -373,7 +379,7 @@ impl<'s> Parser<'s> {
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = self.bin_op(min_prec) {
             self.descend()?;
-            self.pos += 1;
+            self.advance();
             let rhs = self.parse_bin(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -392,7 +398,7 @@ impl<'s> Parser<'s> {
         if let Tok::Ident(w) = self.peek() {
             if w == "sizeof" {
                 self.descend()?;
-                self.pos += 1;
+                self.advance();
                 if self.eat("(") {
                     if let Some(tn) = self.try_type_name() {
                         if self.eat(")") {
@@ -411,7 +417,7 @@ impl<'s> Parser<'s> {
         for op in ["!", "~", "-", "+", "*", "&"] {
             if matches!(self.peek(), Tok::Punct(p) if *p == op) {
                 self.descend()?;
-                self.pos += 1;
+                self.advance();
                 let e = self.parse_unary()?;
                 return Ok(if op == "+" {
                     e
@@ -423,7 +429,7 @@ impl<'s> Parser<'s> {
         // Cast: `(` typename `)` unary — with backtracking.
         if matches!(self.peek(), Tok::Punct("(")) {
             let save = self.pos;
-            self.pos += 1;
+            self.advance();
             if let Some(tn) = self.try_type_name() {
                 if self.eat(")") {
                     // Heuristic: a parenthesized single identifier followed
@@ -463,7 +469,7 @@ impl<'s> Parser<'s> {
                     Tok::Ident(f) => Name::new(f.as_str()),
                     t => return Err(self.err(format!("expected field name, got {t:?}"))),
                 };
-                self.pos += 1;
+                self.advance();
                 e = Expr::Member {
                     base: Box::new(e),
                     field,
@@ -476,7 +482,7 @@ impl<'s> Parser<'s> {
             } else if matches!(self.peek(), Tok::Punct("(")) {
                 if let Expr::Ident(name) = &e {
                     let name = Name::new(name.text().clone());
-                    self.pos += 1;
+                    self.advance();
                     let mut args = Vec::new();
                     if !self.eat(")") {
                         loop {
@@ -508,7 +514,7 @@ impl<'s> Parser<'s> {
                 // fold the tag keyword into one identifier.
                 if matches!(n.as_str(), "struct" | "union" | "enum") {
                     if let Tok::Ident(tag) = self.peek().clone() {
-                        self.pos += 1;
+                        self.advance();
                         return Ok(Expr::Ident(Name::new(format!("{n} {tag}"))));
                     }
                 }
@@ -520,6 +526,7 @@ impl<'s> Parser<'s> {
                 self.expect(")")?;
                 Ok(e)
             }
+            Tok::Bad(e) => Err(*e),
             t => Err(parse_error(
                 self.src,
                 at,
@@ -531,9 +538,10 @@ impl<'s> Parser<'s> {
 
 /// Parse a C expression into an AST.
 pub fn parse(src: &str) -> Result<Expr> {
-    let toks = lex(src)?;
+    let mut lexer = Lexer { src, i: 0 };
     let mut p = Parser {
-        toks,
+        toks: vec![lexer.next_tok()],
+        lexer,
         pos: 0,
         src,
         depth: 0,

@@ -205,10 +205,17 @@ impl PartialEq for Graph {
 /// [`Graph::from_parts`], so its intern index is whole.
 impl Deserialize for Graph {
     fn deserialize_value(v: &serde::Value) -> serde::Result<Graph> {
-        let wire::Graph { boxes, roots } = Deserialize::deserialize_value(v)?;
-        check_parts(&boxes, &roots).map_err(serde::Error::custom)?;
-        Ok(Graph::from_parts(boxes, roots))
+        checked(Deserialize::deserialize_value(v)?)
     }
+
+    fn deserialize_json(p: &mut serde::de::Parser<'_>) -> serde::Result<Graph> {
+        checked(Deserialize::deserialize_json(p)?)
+    }
+}
+
+fn checked(wire::Graph { boxes, roots }: wire::Graph) -> serde::Result<Graph> {
+    check_parts(&boxes, &roots).map_err(serde::Error::custom)?;
+    Ok(Graph::from_parts(boxes, roots))
 }
 
 mod wire {

@@ -1,6 +1,8 @@
-//! ViewCL tokenizer.
+//! ViewCL tokenizer: a [`Lexer`] reads one token at a time, as the
+//! parser asks for it, so a malformed program stops at its first bad
+//! token.
 
-use crate::{Result, VclError};
+use crate::VclError;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +21,15 @@ pub enum Tok {
     Punct(&'static str),
     /// End of input.
     Eof,
+    /// Where the input stops being ViewCL, and why.
+    Bad(Box<VclError>),
+}
+
+impl Tok {
+    /// Whether no token follows this one.
+    pub fn is_last(&self) -> bool {
+        matches!(self, Tok::Eof | Tok::Bad(_))
+    }
 }
 
 /// A token plus its source position.
@@ -32,82 +43,104 @@ pub struct SpannedTok {
     pub pos: usize,
 }
 
-/// Tokenize a ViewCL source string.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
-    let b = src.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut out = Vec::new();
-    let err = |line: u32, pos: usize, msg: &str| VclError::Parse {
-        line,
-        pos,
-        msg: msg.to_string(),
-    };
+/// Reads the tokens of a ViewCL source string one at a time.
+pub struct Lexer<'s> {
+    src: &'s str,
+    /// Byte offset of the next unread character.
+    i: usize,
+    /// 1-based line of `i`.
+    line: u32,
+}
 
-    macro_rules! push {
-        ($t:expr, $pos:expr) => {
-            out.push(SpannedTok {
-                tok: $t,
-                line,
-                pos: $pos,
-            })
-        };
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+impl<'s> Lexer<'s> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'s str) -> Lexer<'s> {
+        Lexer { src, i: 0, line: 1 }
     }
 
-    while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
+    /// The next token: [`Tok::Eof`] at the end of the input, or
+    /// [`Tok::Bad`] where it stops being ViewCL. Neither is followed by
+    /// another token.
+    pub fn next_tok(&mut self) -> SpannedTok {
+        let (tok, pos) = self.scan();
+        SpannedTok {
+            tok,
+            line: self.line,
+            pos,
+        }
+    }
+
+    fn bad(&self, pos: usize, msg: &str) -> (Tok, usize) {
+        let err = VclError::Parse {
+            line: self.line,
+            pos,
+            msg: msg.to_string(),
+        };
+        (Tok::Bad(Box::new(err)), pos)
+    }
+
+    /// The next token and its offset, leaving `i` past it.
+    fn scan(&mut self) -> (Tok, usize) {
+        let src = self.src;
+        let b = src.as_bytes();
+        while self.i < b.len() {
+            let i = self.i;
+            let c = b[i] as char;
+            let (tok, end) = match c {
+                '\n' => {
+                    self.line += 1;
+                    self.i += 1;
+                    continue;
                 }
-            }
-            '$' if i + 1 < b.len() && b[i + 1] == b'{' => {
-                let start = i + 2;
-                let mut depth = 1;
-                let mut j = start;
-                while j < b.len() && depth > 0 {
-                    match b[j] {
-                        b'{' => depth += 1,
-                        b'}' => depth -= 1,
-                        b'\n' => line += 1,
-                        _ => {}
+                ' ' | '\t' | '\r' => {
+                    self.i += 1;
+                    continue;
+                }
+                '/' if b.get(i + 1) == Some(&b'/') => {
+                    self.i = b[i..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(b.len(), |n| i + n);
+                    continue;
+                }
+                '$' if b.get(i + 1) == Some(&b'{') => {
+                    let start = i + 2;
+                    let mut depth = 1;
+                    let mut j = start;
+                    while j < b.len() && depth > 0 {
+                        match b[j] {
+                            b'{' => depth += 1,
+                            b'}' => depth -= 1,
+                            b'\n' => self.line += 1,
+                            _ => {}
+                        }
+                        j += 1;
                     }
-                    j += 1;
+                    if depth != 0 {
+                        return self.bad(i, "unterminated ${...}");
+                    }
+                    (Tok::CExpr(src[start..j - 1].into()), j)
                 }
-                if depth != 0 {
-                    return Err(err(line, i, "unterminated ${...}"));
-                }
-                push!(Tok::CExpr(src[start..j - 1].to_string()), i);
-                i = j;
-            }
-            '@' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len()
-                    && matches!(b[j] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_' )
-                {
-                    j += 1;
-                }
-                // Allow dotted paths: @node.mr64.slot — a dot must be
-                // followed by an identifier character to be part of the
-                // reference (so `@x.forEach` stops before `.forEach`).
-                loop {
-                    if j < b.len()
-                        && b[j] == b'.'
-                        && j + 1 < b.len()
-                        && matches!(b[j + 1] as char, 'a'..='z' | 'A'..='Z' | '_')
+                '@' => {
+                    let start = i + 1;
+                    let mut j = start;
+                    while j < b.len() && is_word(b[j]) {
+                        j += 1;
+                    }
+                    // Allow dotted paths: @node.mr64.slot — a dot must be
+                    // followed by an identifier character to be part of the
+                    // reference (so `@x.forEach` stops before `.forEach`).
+                    while b.get(j) == Some(&b'.')
+                        && b.get(j + 1)
+                            .is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_')
                     {
                         let word_start = j + 1;
                         let mut k = word_start;
-                        while k < b.len()
-                            && matches!(b[k] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_')
-                        {
+                        while k < b.len() && is_word(b[k]) {
                             k += 1;
                         }
                         let word = &src[word_start..k];
@@ -116,124 +149,118 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                         }
                         j = k;
                         // Optional [number] indices.
-                        while j < b.len() && b[j] == b'[' {
-                            let mut k = j + 1;
-                            while k < b.len() && b[k] != b']' {
-                                k += 1;
+                        while b.get(j) == Some(&b'[') {
+                            match b[j..].iter().position(|&c| c == b']') {
+                                Some(n) => j += n + 1,
+                                None => return self.bad(j, "unterminated index in @ref"),
                             }
-                            if k == b.len() {
-                                return Err(err(line, j, "unterminated index in @ref"));
-                            }
-                            j = k + 1;
                         }
+                    }
+                    if j == start {
+                        return self.bad(i, "dangling `@`");
+                    }
+                    (Tok::AtRef(src[start..j].into()), j)
+                }
+                '<' => {
+                    // Heuristic spec scan: take `<...>` as a Spec when the
+                    // contents look like a type/decorator/path (no newline,
+                    // only word chars, ':', '.', '*', and spaces).
+                    let close = b[i + 1..]
+                        .iter()
+                        .position(|&cc| {
+                            !(is_word(cc) || matches!(cc, b':' | b'.' | b'*' | b' ' | b'[' | b']'))
+                        })
+                        .map(|n| i + 1 + n)
+                        .filter(|&j| b[j] == b'>');
+                    match close {
+                        Some(j) => (Tok::Spec(src[i + 1..j].trim().into()), j + 1),
+                        None => (Tok::Punct("<"), i + 1),
+                    }
+                }
+                '0'..='9' => {
+                    let hex = c == '0' && b.get(i + 1).is_some_and(|&x| (x | 32) == b'x');
+                    let digits = if hex { i + 2 } else { i };
+                    let end = b[digits..]
+                        .iter()
+                        .position(|&d| {
+                            !(if hex {
+                                d.is_ascii_hexdigit()
+                            } else {
+                                d.is_ascii_digit()
+                            })
+                        })
+                        .map_or(b.len(), |n| digits + n);
+                    let v = if hex {
+                        u64::from_str_radix(&src[digits..end], 16).map(|v| v as i64)
                     } else {
-                        break;
+                        src[digits..end].parse()
+                    };
+                    match v {
+                        Ok(v) => (Tok::Num(v), end),
+                        Err(_) if hex => return self.bad(i, "bad hex literal"),
+                        Err(_) => return self.bad(i, "bad literal"),
                     }
                 }
-                if j == start {
-                    return Err(err(line, i, "dangling `@`"));
+                'a'..='z' | 'A'..='Z' | '_' => {
+                    let end = b[i..]
+                        .iter()
+                        .position(|&w| !is_word(w))
+                        .map_or(b.len(), |n| i + n);
+                    (Tok::Ident(src[i..end].into()), end)
                 }
-                push!(Tok::AtRef(src[start..j].to_string()), i);
-                i = j;
-            }
-            '<' => {
-                // Heuristic spec scan: take `<...>` as a Spec when the
-                // contents look like a type/decorator/path (no newline,
-                // only word chars, ':', '.', '*', and spaces).
-                let mut j = i + 1;
-                let mut ok = false;
-                while j < b.len() {
-                    let cc = b[j] as char;
-                    if cc == '>' {
-                        ok = true;
-                        break;
-                    }
-                    if !(cc.is_ascii_alphanumeric()
-                        || matches!(cc, '_' | ':' | '.' | '*' | ' ' | '[' | ']'))
-                    {
-                        break;
-                    }
-                    j += 1;
+                _ => {
+                    let two = src.get(i..i + 2).unwrap_or("");
+                    let p: &'static str = match (two, c) {
+                        ("->", _) => "->",
+                        ("=>", _) => "=>",
+                        (_, '[') => "[",
+                        (_, ']') => "]",
+                        (_, '{') => "{",
+                        (_, '}') => "}",
+                        (_, '(') => "(",
+                        (_, ')') => ")",
+                        (_, ':') => ":",
+                        (_, ',') => ",",
+                        (_, '=') => "=",
+                        (_, '|') => "|",
+                        (_, '.') => ".",
+                        (_, '>') => ">",
+                        _ => {
+                            let c = src[i..].chars().next().expect("`i` is below the length");
+                            return self.bad(i, &format!("unexpected character `{c}`"));
+                        }
+                    };
+                    (Tok::Punct(p), i + p.len())
                 }
-                if ok {
-                    push!(Tok::Spec(src[i + 1..j].trim().to_string()), i);
-                    i = j + 1;
-                } else {
-                    push!(Tok::Punct("<"), i);
-                    i += 1;
-                }
-            }
-            '0'..='9' => {
-                let start = i;
-                if c == '0' && i + 1 < b.len() && (b[i + 1] | 32) == b'x' {
-                    i += 2;
-                    while i < b.len() && (b[i] as char).is_ascii_hexdigit() {
-                        i += 1;
-                    }
-                    let v = u64::from_str_radix(&src[start + 2..i], 16)
-                        .map_err(|_| err(line, start, "bad hex literal"))?;
-                    push!(Tok::Num(v as i64), start);
-                } else {
-                    while i < b.len() && (b[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
-                    let v: i64 = src[start..i]
-                        .parse()
-                        .map_err(|_| err(line, start, "bad literal"))?;
-                    push!(Tok::Num(v), start);
-                }
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < b.len() && matches!(b[i] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_')
-                {
-                    i += 1;
-                }
-                push!(Tok::Ident(src[start..i].to_string()), start);
-            }
-            _ => {
-                let two = if i + 1 < b.len() { &src[i..i + 2] } else { "" };
-                if two == "->" {
-                    push!(Tok::Punct("->"), i);
-                    i += 2;
-                    continue;
-                }
-                if two == "=>" {
-                    push!(Tok::Punct("=>"), i);
-                    i += 2;
-                    continue;
-                }
-                let p: &'static str = match c {
-                    '[' => "[",
-                    ']' => "]",
-                    '{' => "{",
-                    '}' => "}",
-                    '(' => "(",
-                    ')' => ")",
-                    ':' => ":",
-                    ',' => ",",
-                    '=' => "=",
-                    '|' => "|",
-                    '.' => ".",
-                    '>' => ">",
-                    _ => return Err(err(line, i, &format!("unexpected character `{c}`"))),
-                };
-                push!(Tok::Punct(p), i);
-                i += 1;
-            }
+            };
+            self.i = end;
+            return (tok, i);
         }
+        (Tok::Eof, b.len())
     }
-    out.push(SpannedTok {
-        tok: Tok::Eof,
-        line,
-        pos: b.len(),
-    });
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Result;
+
+    /// Tokenize a whole ViewCL source string.
+    fn lex(src: &str) -> Result<Vec<SpannedTok>> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_tok();
+            match t.tok {
+                Tok::Bad(e) => return Err(*e),
+                Tok::Eof => {
+                    out.push(t);
+                    return Ok(out);
+                }
+                _ => out.push(t),
+            }
+        }
+    }
 
     fn toks(src: &str) -> Vec<Tok> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()

@@ -1,11 +1,13 @@
 //! ViewCL recursive-descent parser.
 
+use std::collections::VecDeque;
+
 use ktypes::Name;
 
 use crate::ast::*;
 use crate::decor::Decorator;
 use crate::interp::DEFAULT;
-use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lexer::{Lexer, SpannedTok, Tok};
 use crate::{Result, VclError};
 
 /// Deepest nesting of values (`switch` arms, constructor arguments,
@@ -18,46 +20,79 @@ const MAX_DEPTH: usize = 128;
 /// be a whole `${…}` of wire-supplied text; the position says where.
 const MAX_MSG_BYTES: usize = 256;
 
-struct P {
-    toks: Vec<SpannedTok>,
-    pos: usize,
+struct P<'s> {
+    lexer: Lexer<'s>,
+    /// The token at the cursor, then the one after it (for `peek2`)
+    /// unless the input ends first. The parser never steps back.
+    toks: VecDeque<SpannedTok>,
     /// Values open above the cursor.
     depth: usize,
 }
 
-impl P {
+impl<'s> P<'s> {
+    fn new(src: &'s str) -> P<'s> {
+        let mut p = P {
+            lexer: Lexer::new(src),
+            toks: VecDeque::with_capacity(2),
+            depth: 0,
+        };
+        p.fill();
+        p
+    }
+
+    /// Lex up to the token after the cursor.
+    fn fill(&mut self) {
+        while self.toks.len() < 2 && !self.toks.back().is_some_and(|t| t.tok.is_last()) {
+            let t = self.lexer.next_tok();
+            self.toks.push_back(t);
+        }
+    }
+
+    /// Step to the next token, handing back the one left; the last
+    /// token is never left, so it is handed back as a copy.
+    fn bump(&mut self) -> Tok {
+        let t = if self.toks.len() > 1 {
+            self.toks.pop_front().expect("two tokens are held").tok
+        } else {
+            self.peek().clone()
+        };
+        self.fill();
+        t
+    }
+
+    fn advance(&mut self) {
+        self.bump();
+    }
+
+    /// A parse error at the cursor, or the lexer's, if the cursor is
+    /// where lexing failed.
     fn err(&self, msg: impl Into<String>) -> VclError {
+        if let Tok::Bad(e) = self.peek() {
+            return (**e).clone();
+        }
         let mut msg = msg.into();
         if msg.len() > MAX_MSG_BYTES {
             msg.truncate(msg.floor_char_boundary(MAX_MSG_BYTES));
             msg.push('…');
         }
         VclError::Parse {
-            line: self.toks[self.pos].line,
-            pos: self.toks[self.pos].pos,
+            line: self.toks[0].line,
+            pos: self.toks[0].pos,
             msg,
         }
     }
 
     fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+        &self.toks[0].tok
     }
 
     fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
+        &self.toks[self.toks.len() - 1].tok
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
         if matches!(self.peek(), Tok::Punct(q) if *q == p) {
-            self.pos += 1;
+            self.advance();
             true
         } else {
             false
@@ -74,7 +109,7 @@ impl P {
 
     fn eat_kw(&mut self, kw: &str) -> bool {
         if matches!(self.peek(), Tok::Ident(i) if i == kw) {
-            self.pos += 1;
+            self.advance();
             true
         } else {
             false
@@ -111,11 +146,11 @@ impl P {
             match self.peek() {
                 Tok::Eof => break,
                 Tok::Ident(i) if i == "define" => {
-                    self.pos += 1;
+                    self.advance();
                     prog.defines.push(self.box_def()?);
                 }
                 Tok::Ident(i) if i == "plot" => {
-                    self.pos += 1;
+                    self.advance();
                     match self.bump() {
                         Tok::AtRef(name) => prog.stmts.push(Stmt::Plot(name)),
                         t => return Err(self.err(format!("plot expects `@name`, got {t:?}"))),
@@ -220,7 +255,7 @@ impl P {
             match self.peek() {
                 Tok::Punct(p) if *p == close => break,
                 Tok::Ident(i) if i == "Text" => {
-                    self.pos += 1;
+                    self.advance();
                     let decor = match self.peek() {
                         Tok::Spec(_) => Decorator::parse(&self.expect_spec()?),
                         _ => None,
@@ -232,14 +267,14 @@ impl P {
                     out.push(ItemDef::Text { decor, specs });
                 }
                 Tok::Ident(i) if i == "Link" => {
-                    self.pos += 1;
+                    self.advance();
                     let name = self.expect_ident()?.into();
                     self.expect_punct("->")?;
                     let target = self.rvalue()?;
                     out.push(ItemDef::Link { name, target });
                 }
                 Tok::Ident(i) if i == "Container" => {
-                    self.pos += 1;
+                    self.advance();
                     let name = self.expect_ident()?.into();
                     self.expect_punct(":")?;
                     let value = self.rvalue()?;
@@ -312,13 +347,16 @@ impl P {
     }
 
     fn rvalue_at_depth(&mut self) -> Result<RValue> {
-        match self.peek().clone() {
-            Tok::CExpr(e) => {
-                self.pos += 1;
-                Ok(RValue::CExpr(CExpr::new(e)))
-            }
+        if !matches!(
+            self.peek(),
+            Tok::CExpr(_) | Tok::AtRef(_) | Tok::Num(_) | Tok::Ident(_)
+        ) {
+            return Err(self.err(format!("unexpected {:?} in value position", self.peek())));
+        }
+        // Moved out, not copied: a `${…}` can be most of the program.
+        match self.bump() {
+            Tok::CExpr(e) => Ok(RValue::CExpr(CExpr::new(e))),
             Tok::AtRef(r) => {
-                self.pos += 1;
                 // `@x.forEach` continuation?
                 if matches!(self.peek(), Tok::Punct("."))
                     && matches!(self.peek2(), Tok::Ident(i) if i == "forEach")
@@ -329,20 +367,10 @@ impl P {
                 }
                 Ok(RValue::reference(r))
             }
-            Tok::Num(n) => {
-                self.pos += 1;
-                Ok(RValue::CExpr(CExpr::new(n.to_string())))
-            }
-            Tok::Ident(i) if i == "NULL" => {
-                self.pos += 1;
-                Ok(RValue::Null)
-            }
-            Tok::Ident(i) if i == "switch" => {
-                self.pos += 1;
-                self.switch_expr()
-            }
+            Tok::Num(n) => Ok(RValue::CExpr(CExpr::new(n.to_string()))),
+            Tok::Ident(i) if i == "NULL" => Ok(RValue::Null),
+            Tok::Ident(i) if i == "switch" => self.switch_expr(),
             Tok::Ident(i) if i == "Box" => {
-                self.pos += 1;
                 let label = match self.peek() {
                     Tok::Ident(l)
                         if !matches!(l.as_str(), "Text" | "Link" | "Container" | "where") =>
@@ -364,7 +392,6 @@ impl P {
             Tok::Ident(i)
                 if matches!(i.as_str(), "List" | "HList" | "RBTree" | "Array" | "XArray") =>
             {
-                self.pos += 1;
                 let kind = match i.as_str() {
                     "List" => CtorKind::List,
                     "HList" => CtorKind::HList,
@@ -377,7 +404,8 @@ impl P {
                     && matches!(self.peek(), Tok::Punct("."))
                     && matches!(self.peek2(), Tok::Ident(m) if m == "selectFrom")
                 {
-                    self.pos += 2;
+                    self.advance();
+                    self.advance();
                     self.expect_punct("(")?;
                     let source = self.rvalue()?;
                     self.expect_punct(",")?;
@@ -403,7 +431,6 @@ impl P {
             }
             Tok::Ident(name) => {
                 // Box instantiation: Name(arg) or Name<anchor>(arg).
-                self.pos += 1;
                 let anchor = match self.peek() {
                     Tok::Spec(_) => Some(Name::new(self.expect_spec()?)),
                     _ => None,
@@ -417,7 +444,7 @@ impl P {
                     arg: Box::new(arg),
                 })
             }
-            t => Err(self.err(format!("unexpected {t:?} in value position"))),
+            _ => unreachable!("checked above"),
         }
     }
 
@@ -427,7 +454,8 @@ impl P {
         {
             return Ok(None);
         }
-        self.pos += 2;
+        self.advance();
+        self.advance();
         self.expect_punct("|")?;
         let param = self.expect_ident()?;
         self.expect_punct("|")?;
@@ -491,13 +519,7 @@ impl P {
 
 /// Parse a full ViewCL program.
 pub fn parse_program(src: &str) -> Result<Program> {
-    let toks = lex(src)?;
-    let mut p = P {
-        toks,
-        pos: 0,
-        depth: 0,
-    };
-    p.program()
+    P::new(src).program()
 }
 
 #[cfg(test)]

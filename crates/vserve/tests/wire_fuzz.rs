@@ -443,3 +443,133 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
     stats.reconcile().expect("engine books balance");
     assert_eq!((stats.requests, stats.errors), (12, 6), "{stats:?}");
 }
+
+/// Frames whose cost is in values the engine has no use for, over the
+/// binary wire: a pushed graph whose one `attrs.extra` value is a
+/// 400,000-key object, an ack carrying an unknown 40,000-key object and
+/// one carrying an unknown 8M-element array, and a program with a
+/// three-byte character where a token belongs. Each earns a small reply
+/// within a second (the 16 MB array within four: a debug build checks
+/// it byte by byte on its way through the in-process wire), and a
+/// sibling connection stays served.
+#[test]
+fn wide_values_are_answered_in_time_and_siblings_stay_served() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let engine = std::thread::spawn(move || {
+        let session = visualinux::Session::builder(ksim::workload::build(
+            &ksim::workload::WorkloadConfig::default(),
+        ))
+        .profile(vbridge::LatencyProfile::free())
+        .attach()
+        .unwrap();
+        let mut server = Server::new(
+            session,
+            ServeConfig {
+                exit_when_idle: false,
+                ..ServeConfig::default()
+            },
+        );
+        tx.send(server.handle()).unwrap();
+        server.run();
+        server.stats()
+    });
+    let handle = rx.recv().unwrap();
+    let pump = WirePump::new(
+        Box::new(SingleSession::new(handle.clone())),
+        WireConfig::default(),
+    );
+    let ph = pump.handle();
+    let pump_thread = std::thread::spawn(move || pump.run());
+    let connect = || {
+        let (client_io, srv_io) = byte_pair(64);
+        ph.add(Box::new(srv_io)).unwrap();
+        WireClient::binary(Box::new(client_io)).unwrap()
+    };
+    let mut hostile = connect();
+    let mut sibling = connect();
+
+    let object = |keys: usize| {
+        let members: Vec<String> = (0..keys).map(|i| format!("\"{i}\":0")).collect();
+        format!("{{{}}}", members.join(","))
+    };
+    let mut graph = vgraph::Graph::new();
+    let (task, _) = graph.intern(0x1000, "Task", "task_struct", 64);
+    graph
+        .get_mut(task)
+        .attrs
+        .set("wide", serde_json::Value::Null);
+    graph.roots.push(task);
+    let push = VCommand::Vplot {
+        graph,
+        source: String::new(),
+    }
+    .to_json()
+    .replace("\"wide\":null", &format!("\"wide\":{}", object(400_000)));
+    let ack = |junk: String| {
+        format!("{{\"command\":\"vack\",\"source\":\"s\",\"seq\":1,\"junk\":{junk}}}")
+    };
+    let cases = [
+        ("a 400,000-key extra value", push, None, 1.0),
+        (
+            "an unknown 40,000-key object",
+            ack(object(40_000)),
+            Some("ack for unknown plot `s`"),
+            1.0,
+        ),
+        (
+            "an unknown 8M-element array",
+            ack(format!("[{}0]", "0,".repeat(8 << 20))),
+            Some("ack for unknown plot `s`"),
+            4.0,
+        ),
+        (
+            "a three-byte character",
+            VCommand::VplotRequest {
+                viewcl: "x = ☃".into(),
+            }
+            .to_json(),
+            Some("at byte 4 (line 1): unexpected character `☃`"),
+            1.0,
+        ),
+    ];
+    let fig = visualinux::figures::by_id("fig3-4").unwrap();
+    let request = VCommand::VplotRequest {
+        viewcl: fig.viewcl.to_string(),
+    };
+    for (what, frame, want, seconds) in cases {
+        let sent = std::time::Instant::now();
+        hostile.send_payload(&frame).unwrap();
+        let reply = hostile.recv().unwrap().expect("the engine answers");
+        let took = sent.elapsed();
+        assert!(took.as_secs_f64() < seconds, "{what}: answered in {took:?}");
+        assert!(reply.len() < 1024, "{what}: {} B reply", reply.len());
+        match (VResponse::from_json(&reply), want) {
+            (Ok(VResponse::Ok { .. }), None) => {}
+            (Ok(VResponse::Err { message }), Some(want)) => {
+                assert!(message.contains(want), "{what}: {message}")
+            }
+            (other, _) => panic!("{what}: unexpected reply {other:?}"),
+        }
+        sibling.send(&request).unwrap();
+        let plot = sibling
+            .recv()
+            .unwrap()
+            .expect("the sibling is still served");
+        assert!(
+            plot.starts_with("{\"command\":\"vplot"),
+            "{what}: sibling got {plot:.80}"
+        );
+    }
+
+    drop(hostile);
+    drop(sibling);
+    handle.shutdown();
+    let stats = engine.join().unwrap();
+    ph.shutdown();
+    pump_thread
+        .join()
+        .unwrap()
+        .reconcile()
+        .expect("wire books balance");
+    stats.reconcile().expect("engine books balance");
+}
