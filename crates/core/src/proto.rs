@@ -184,24 +184,24 @@ impl VResponse {
 }
 
 /// Dispatch a received command against a live [`crate::Session`] — what
-/// the visualizer's request handler does.
-pub fn dispatch(session: &mut crate::Session, cmd: &VCommand) -> VResponse {
+/// the visualizer's request handler does. A pushed graph is not copied.
+pub fn dispatch(session: &mut crate::Session, cmd: VCommand) -> VResponse {
     let result: Result<VResponse, crate::SessionError> = (|| {
         Ok(match cmd {
             VCommand::Vplot { graph, .. } => {
                 // The GDB side already paid the extraction cost; adopt the
                 // shipped graph instead of re-extracting from `source`
                 // (which is carried for session replay only).
-                let pane = session.adopt_graph(graph.clone(), None)?;
+                let pane = session.adopt_graph(graph, None)?;
                 VResponse::Ok {
                     pane: Some(pane),
                     synthesized: None,
                 }
             }
             VCommand::VctrlApply { pane, viewql } => {
-                session.vctrl_refine(*pane, viewql)?;
+                session.vctrl_refine(pane, &viewql)?;
                 VResponse::Ok {
-                    pane: Some(*pane),
+                    pane: Some(pane),
                     synthesized: None,
                 }
             }
@@ -209,21 +209,21 @@ pub fn dispatch(session: &mut crate::Session, cmd: &VCommand) -> VResponse {
                 message: "split requires a ViewCL source; use Session::vctrl_split".into(),
             },
             VCommand::VctrlFocus { addr } => {
-                let hits = session.focus(*addr);
+                let hits = session.focus(addr);
                 VResponse::Ok {
                     pane: hits.first().map(|h| h.pane),
                     synthesized: None,
                 }
             }
             VCommand::Vchat { pane, message } => {
-                let out = session.vchat(*pane, message, true)?;
+                let out = session.vchat(pane, &message, true)?;
                 VResponse::Ok {
-                    pane: Some(*pane),
+                    pane: Some(pane),
                     synthesized: Some(out.viewql),
                 }
             }
             VCommand::VplotRequest { viewcl } => {
-                let pane = session.plot(crate::PlotSpec::Source(viewcl))?;
+                let pane = session.plot(crate::PlotSpec::Source(&viewcl))?;
                 VResponse::Ok {
                     pane: Some(pane),
                     synthesized: None,
@@ -280,7 +280,7 @@ mod tests {
         let (graph, _) = s.extract(fig.viewcl).unwrap();
         let resp = dispatch(
             &mut s,
-            &VCommand::Vplot {
+            VCommand::Vplot {
                 graph,
                 source: fig.viewcl.to_string(),
             },
@@ -292,7 +292,7 @@ mod tests {
         // vctrl apply over the wire.
         let resp = dispatch(
             &mut s,
-            &VCommand::VctrlApply {
+            VCommand::VctrlApply {
                 pane,
                 viewql:
                     "a = SELECT task_struct FROM * WHERE mm == NULL\nUPDATE a WITH collapsed: true"
@@ -303,7 +303,7 @@ mod tests {
         // vchat over the wire.
         let resp = dispatch(
             &mut s,
-            &VCommand::Vchat {
+            VCommand::Vchat {
                 pane,
                 message: "shrink tasks that have no address space".into(),
             },
@@ -318,7 +318,7 @@ mod tests {
         // Errors come back as Err responses, not panics.
         let resp = dispatch(
             &mut s,
-            &VCommand::VctrlApply {
+            VCommand::VctrlApply {
                 pane,
                 viewql: "UPDATE nope WITH x: 1".into(),
             },

@@ -10,8 +10,8 @@ use ksim::workload::{AllTypes, Workload, WorkloadConfig, WorkloadRoots};
 use ksim::KernelImage;
 use vbridge::{
     BackendKind, BlockCache, BridgeError, CacheConfig, Capture, DirtyInfo, DirtySet,
-    HelperRegistry, LatencyProfile, RecordBackend, Recorder, ReplayBackend, ReplayState,
-    SimBackend, Target, TargetBackend, TargetStats,
+    HelperRegistry, LatencyProfile, ReadRecord, RecordBackend, Recorder, ReplayBackend,
+    ReplayState, SimBackend, Target, TargetBackend, TargetStats,
 };
 use vgraph::{Graph, GraphStats};
 use vpanels::{FocusHit, PaneId, SplitDir};
@@ -365,6 +365,7 @@ impl SessionBuilder {
             scenario,
             incremental,
             programs: RefCell::default(),
+            reads: ReadRecord::default(),
         };
         if incremental && s.replay.is_none() {
             // The image's write log is the source of exact dirty sets.
@@ -411,6 +412,8 @@ pub struct Session {
     /// Parsed ViewCL programs and retained panes by source: a pane
     /// re-extracted on every stop is parsed once, not once per walk.
     programs: RefCell<ProgramCache>,
+    /// What the current walk reads, lent to its target.
+    reads: ReadRecord,
 }
 
 /// A retained pane (vincr): the graph its last walk produced, and what
@@ -820,7 +823,12 @@ impl Session {
                 None => programs.parse(viewcl_src)?,
             }
         };
-        let target = self.target();
+        let mut target = self.target();
+        // What the walk reads gives the entry its footprint and its
+        // staleness set.
+        if entry.is_some() {
+            target.record_reads(&self.reads);
+        }
         // vincr: if no resume since the retained graph's walk dirtied a
         // span it read, serve it as-is — zero wire traffic, and
         // byte-identical to a fresh walk, since nothing it read has
@@ -840,7 +848,6 @@ impl Session {
                 }
                 target.note_incr(0, 1, bytes);
             }
-            target.set_touched_tracking(true);
         }
         // Footprints live in the program cache, so a source past its
         // byte bound records none.
@@ -854,14 +861,7 @@ impl Session {
         let graph = {
             let _s = vtrace::span(tracer, SpanKind::Interp, "interp::run");
             let mut interp = viewcl::Interp::new(&target, &self.helpers);
-            if let Some(c) = cache {
-                c.begin_footprint();
-            }
-            let run = interp.run(&program);
-            if let Some(c) = cache {
-                c.end_footprint();
-            }
-            run?;
+            interp.run(&program)?;
             Arc::new(interp.into_graph())
         };
         let stats = PlotStats {
@@ -869,18 +869,18 @@ impl Session {
             target: target.stats(),
         };
         if let Some(e) = entry {
-            // Only a walk that succeeded replaces the footprint.
+            // Only a walk that succeeded replaces the footprint and the
+            // retained pane.
+            let touched = target.end_walk(&mut e.footprint, self.incremental);
             if let Some(c) = cache {
-                c.copy_footprint(&mut e.footprint);
                 e.footprint_epoch = c.epoch();
             }
-            if self.incremental {
-                // Remember what this walk read; the fresh graph
-                // replaces the retained one.
+            if let Some(touched) = touched {
+                // The fresh graph replaces the retained one.
                 e.kept = Some(Retained {
                     graph: Arc::clone(&graph),
                     stats: stats.graph,
-                    touched: DirtySet::from_ranges(target.take_touched()),
+                    touched,
                     stale: false,
                     dirty_bytes: Some(0),
                 });

@@ -1,15 +1,16 @@
 //! Hostile frames and programs cost what their bytes are worth.
 //!
 //! A counting global allocator pins what decoding allocates: a value the
-//! frame's type has no use for is skipped, not built, and a malformed
+//! frame's type has no use for is skipped, not built, a malformed
 //! ViewCL program stops at its first bad token instead of tokenizing
-//! the rest. This binary holds a single test so that nothing else
-//! allocates while it counts.
+//! the rest, and a pushed graph is adopted as decoded, not copied. This
+//! binary holds a single test so that nothing else allocates while it
+//! counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use visualinux::proto::VCommand;
+use visualinux::proto::{self, VCommand, VResponse};
 
 /// Counts the bytes of every allocation and reallocation, then defers
 /// to [`System`].
@@ -75,6 +76,39 @@ fn hostile_input_allocates_in_proportion_to_what_is_kept() {
     assert_eq!(err, "viewcl: expected string, got array");
     assert!(bytes < 1024, "{bytes} B to refuse a 2 MB array");
 
+    // `wire_fuzz`'s push: one box whose `attrs.extra` value is a
+    // 400,000-key object. The pane takes the decoded graph over.
+    let mut session = visualinux::Session::builder(ksim::workload::build(
+        &ksim::workload::WorkloadConfig::default(),
+    ))
+    .attach()
+    .unwrap();
+    let mut graph = vgraph::Graph::new();
+    let (task, _) = graph.intern(0x1000, "Task", "task_struct", 64);
+    graph
+        .get_mut(task)
+        .attrs
+        .set("wide", serde_json::Value::Null);
+    graph.roots.push(task);
+    let members: Vec<String> = (0..400_000).map(|i| format!("\"{i}\":0")).collect();
+    let push = VCommand::Vplot {
+        graph,
+        source: String::new(),
+    }
+    .to_json()
+    .replace(
+        "\"wide\":null",
+        &format!("\"wide\":{{{}}}", members.join(",")),
+    );
+    drop(members);
+    let (cmd, decoded) = counted(|| VCommand::from_json(&push).unwrap());
+    let (reply, dispatched) = counted(|| proto::dispatch(&mut session, cmd));
+    assert!(matches!(reply, VResponse::Ok { .. }), "{reply:?}");
+    assert!(
+        dispatched * 10 < decoded,
+        "{dispatched} B to dispatch a push whose decode took {decoded} B"
+    );
+
     // Two 16 MB malformed programs: the first fails at its fourth
     // token, and the second's C expression at its second.
     let words = format!("x = {}", "a ".repeat(8 << 20));
@@ -97,8 +131,8 @@ fn hostile_input_allocates_in_proportion_to_what_is_kept() {
         }
         other => panic!("{other:?}"),
     }
-    // The expression's text is kept once in the program and once in
-    // its error, which echoes it.
-    let allowed = 2 * ones.len() as u64 + (64 << 10);
+    // The expression's text is kept once, in the program; its error
+    // keeps only the part it echoes.
+    let allowed = ones.len() as u64 + (64 << 10);
     assert!(bytes < allowed, "{bytes} B for {} B", ones.len());
 }

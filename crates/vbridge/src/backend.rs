@@ -1,8 +1,8 @@
 //! Pluggable target backends.
 //!
 //! A [`TargetBackend`] is the *wire* below [`crate::Target`]: raw span
-//! reads, mapped-address probes and C-string pulls against some stopped
-//! kernel, reporting faults as [`BackendError`]s. Everything above the
+//! reads and C-string pulls against some stopped kernel, reporting
+//! faults as [`BackendError`]s. Everything above the
 //! wire — latency metering, the snapshot block cache, read coalescing,
 //! tracing, fault accounting — lives once in `Target` and works the same
 //! over *any* backend.
@@ -204,12 +204,9 @@ pub trait TargetBackend {
     /// Read `out.len()` bytes at `addr`, or fault.
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError>;
 
-    /// Whether `addr` is mapped (a 1-byte probe on the real wire).
-    fn probe(&self, addr: u64) -> Result<bool, BackendError>;
-
     /// Read a NUL-terminated C string of at most `max` bytes at `addr`.
     /// On a fault the error carries the exact faulting address, which the
-    /// metering layer charges for (chunks up to and including the probe).
+    /// metering layer charges for (chunks up to and including that byte).
     fn read_cstr(&self, addr: u64, max: usize) -> Result<String, BackendError>;
 
     /// The transport's native latency profile, if it has one (a replayed
@@ -255,10 +252,6 @@ impl TargetBackend for SimBackend<'_> {
 
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError> {
         self.mem.read(addr, out).map_err(BackendError::Mem)
-    }
-
-    fn probe(&self, addr: u64) -> Result<bool, BackendError> {
-        Ok(self.mem.is_mapped(addr))
     }
 
     fn read_cstr(&self, addr: u64, max: usize) -> Result<String, BackendError> {
@@ -318,9 +311,6 @@ mod tests {
             fn read(&self, _: u64, _: &mut [u8]) -> Result<(), BackendError> {
                 unreachable!()
             }
-            fn probe(&self, _: u64) -> Result<bool, BackendError> {
-                unreachable!()
-            }
             fn read_cstr(&self, _: u64, _: usize) -> Result<String, BackendError> {
                 unreachable!()
             }
@@ -342,8 +332,6 @@ mod tests {
         let mut buf = [0u8; 8];
         b.read(0x1000, &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 0xabcd);
-        assert!(b.probe(0x1000).unwrap());
-        assert!(!b.probe(0xdead_0000).unwrap());
         assert!(matches!(
             b.read(0xdead_0000, &mut buf),
             Err(BackendError::Mem(MemError::Unmapped { .. }))

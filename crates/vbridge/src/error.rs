@@ -50,7 +50,7 @@ impl std::fmt::Display for ErrorKind {
 /// How much of a malformed C expression a parse error echoes. The text
 /// can come from any wire client, so a longer one is cut here and the
 /// error's byte offset says where in it the parser stopped.
-const PARSE_ECHO_BYTES: usize = 64;
+pub(crate) const PARSE_ECHO_BYTES: usize = 64;
 
 /// Errors surfaced while debugging the target.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +61,9 @@ pub enum BridgeError {
     Type(ktypes::TypeError),
     /// A C expression failed to parse.
     Parse {
-        /// The offending expression text.
+        /// The offending expression text, or as much of it as the error
+        /// echoes: past [`PARSE_ECHO_BYTES`], one more character, which
+        /// shows the text was cut.
         expr: String,
         /// Byte offset of the error within `expr`.
         at: usize,

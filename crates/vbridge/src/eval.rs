@@ -31,6 +31,7 @@ use std::collections::HashMap;
 
 use ktypes::{BitField, CValue, Name, TypeId, TypeKind};
 
+use crate::error::PARSE_ECHO_BYTES;
 use crate::helpers::HelperRegistry;
 use crate::target::Target;
 use crate::{BridgeError, Result};
@@ -155,10 +156,11 @@ impl Lexer<'_> {
     }
 }
 
-/// A [`BridgeError::Parse`] for `src`, positioned at byte `at`.
+/// A [`BridgeError::Parse`] for `src`, positioned at byte `at`, keeping
+/// only what its message echoes.
 fn parse_error(src: &str, at: usize, msg: &str) -> BridgeError {
     BridgeError::Parse {
-        expr: src.to_string(),
+        expr: src[..src.ceil_char_boundary(PARSE_ECHO_BYTES + 1)].to_string(),
         at,
         msg: msg.to_string(),
     }

@@ -16,9 +16,9 @@
 //! * an optional snapshot [`BlockCache`] services repeat reads for free
 //!   while the kernel stays stopped, coalesces batched reads
 //!   ([`Target::read_many`]) into minimal wire spans, accepts prefetch
-//!   hints ([`Target::prefetch`]) from container distillers, and records
-//!   each walk's block footprint so the next walk of the same pane after
-//!   a resume can fetch it up front ([`Target::prefetch_footprint`]) —
+//!   hints ([`Target::prefetch`]) from container distillers, and fetches
+//!   the footprint a walk's [`ReadRecord`] left up front on the pane's
+//!   next walk after a resume ([`Target::prefetch_footprint`]) —
 //!   invalidated wholesale when the session resumes the target;
 //! * the wire below the metering layer is a pluggable [`TargetBackend`]:
 //!   [`SimBackend`] serves a live `ksim` image, [`RecordBackend`] wraps
@@ -46,4 +46,4 @@ pub use helpers::{HelperFn, HelperRegistry};
 pub use profile::LatencyProfile;
 pub use record::{Capture, RecordBackend, Recorder, WireEvent, VREC_VERSION};
 pub use replay::{ReplayBackend, ReplayState};
-pub use target::{ReadPlan, Target, TargetStats};
+pub use target::{ReadPlan, ReadRecord, Target, TargetStats};

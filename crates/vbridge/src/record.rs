@@ -1,16 +1,16 @@
 //! Wire capture: the `.vrec` format and the recording backend.
 //!
 //! A [`RecordBackend`] wraps any other backend and writes every wire
-//! operation — successful reads *and* faults, probes, C-string pulls, and
-//! resume boundaries — onto a shared [`Recorder`] tape. The finished tape
+//! operation — successful reads *and* faults, C-string pulls, dirty sets
+//! and resume boundaries — onto a shared [`Recorder`] tape. The finished tape
 //! serializes as a [`Capture`] (`.vrec`): a self-describing JSON document
 //! carrying the capture's origin backend, latency profile, cache
 //! configuration and metadata, so a [`crate::ReplayBackend`] can later
 //! serve the exact same session with zero image access.
 //!
 //! The format is deliberately simple: events are compact JSON arrays
-//! tagged by a one-letter opcode (`r`ead, `rf` read-fault, `p`robe,
-//! `c`str, `cf` cstr-fault, `z` resume), with read payloads hex-encoded
+//! tagged by an opcode (`r`ead, `rf` read-fault, `c`str, `cf`
+//! cstr-fault, `d`irty set, `z` resume), with read payloads hex-encoded
 //! and addresses as plain JSON integers (the vendored parser preserves
 //! full `u64` precision).
 
@@ -42,13 +42,6 @@ pub enum WireEvent {
         /// Served bytes, or the faulting address.
         result: std::result::Result<Vec<u8>, u64>,
     },
-    /// A mapped-address probe and its answer.
-    Probe {
-        /// Probed address.
-        addr: u64,
-        /// Whether the address was mapped.
-        mapped: bool,
-    },
     /// A C-string pull: `Ok` carries the string, `Err` the fault address.
     Cstr {
         /// Requested address.
@@ -75,7 +68,6 @@ impl WireEvent {
     pub fn describe(&self) -> String {
         match self {
             WireEvent::Read { addr, len, .. } => format!("read addr={addr:#x} len={len}"),
-            WireEvent::Probe { addr, .. } => format!("probe addr={addr:#x}"),
             WireEvent::Cstr { addr, max, .. } => format!("cstr addr={addr:#x} max={max}"),
             WireEvent::Dirty { ranges } => {
                 let bytes: u64 = ranges.iter().map(|&(_, len)| len).sum();
@@ -195,12 +187,6 @@ impl TargetBackend for RecordBackend<'_> {
             }
         }
         res
-    }
-
-    fn probe(&self, addr: u64) -> Result<bool, BackendError> {
-        let res = self.inner.probe(addr)?;
-        self.tape.push(WireEvent::Probe { addr, mapped: res });
-        Ok(res)
     }
 
     fn read_cstr(&self, addr: u64, max: usize) -> Result<String, BackendError> {
@@ -352,9 +338,6 @@ fn event_to_value(ev: &WireEvent) -> Value {
             num(*len),
             num(*fault),
         ],
-        WireEvent::Probe { addr, mapped } => {
-            vec![Value::String("p".into()), num(*addr), Value::Bool(*mapped)]
-        }
         WireEvent::Cstr {
             addr,
             max,
@@ -417,13 +400,6 @@ fn event_from_value(i: usize, v: &Value) -> Result<WireEvent, String> {
             addr: u(1, "addr")?,
             len: u(2, "len")?,
             result: Err(u(3, "fault")?),
-        }),
-        "p" => Ok(WireEvent::Probe {
-            addr: u(1, "addr")?,
-            mapped: arr
-                .get(2)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("{ctx} (p): missing or non-bool mapped"))?,
         }),
         "c" => Ok(WireEvent::Cstr {
             addr: u(1, "addr")?,
@@ -595,10 +571,6 @@ mod tests {
                     len: 8,
                     result: Err(0xdead_0000_0000),
                 },
-                WireEvent::Probe {
-                    addr: 0x1000,
-                    mapped: true,
-                },
                 WireEvent::Cstr {
                     addr: 0x2000,
                     max: 16,
@@ -668,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_tapes_reads_probes_and_faults() {
+    fn recorder_tapes_reads_strings_and_faults() {
         use kmem::Mem;
         let mut mem = Mem::new();
         mem.map(0x1000, 4096);
@@ -678,21 +650,20 @@ mod tests {
         let mut buf = [0u8; 4];
         b.read(0x1000, &mut buf).unwrap();
         assert!(b.read(0xdead_0000, &mut buf).is_err());
-        assert!(b.probe(0x1000).unwrap());
         assert_eq!(b.read_cstr(0x1100, 16).unwrap(), "hello");
         assert!(b.read_cstr(0xbeef_0000, 16).is_err());
         tape.note_resume();
         let cap = tape.capture(BackendKind::Sim, LatencyProfile::free(), None, Value::Null);
-        assert_eq!(cap.events.len(), 6);
+        assert_eq!(cap.events.len(), 5);
         assert!(matches!(
             &cap.events[1],
             WireEvent::Read { result: Err(_), .. }
         ));
         assert!(matches!(
-            &cap.events[4],
+            &cap.events[3],
             WireEvent::Cstr { result: Err(_), .. }
         ));
-        assert_eq!(cap.events[5], WireEvent::Resume);
+        assert_eq!(cap.events[4], WireEvent::Resume);
         assert_eq!(b.kind(), BackendKind::Record);
         assert!(b.describe().contains("record over"));
     }

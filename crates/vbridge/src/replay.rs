@@ -198,18 +198,6 @@ impl TargetBackend for ReplayBackend<'_> {
         }
     }
 
-    fn probe(&self, addr: u64) -> Result<bool, BackendError> {
-        let want = format!("probe addr={addr:#x}");
-        let ev = self.state.next_matching(
-            &want,
-            |ev| matches!(ev, WireEvent::Probe { addr: a, .. } if *a == addr),
-        )?;
-        match ev {
-            WireEvent::Probe { mapped, .. } => Ok(*mapped),
-            _ => unreachable!("next_matching returned a non-probe event"),
-        }
-    }
-
     fn read_cstr(&self, addr: u64, max: usize) -> Result<String, BackendError> {
         let want = format!("cstr addr={addr:#x} max={max}");
         let ev = self.state.next_matching(&want, |ev| {
@@ -260,10 +248,6 @@ mod tests {
                 len: 4,
                 result: Ok(vec![1, 2, 3, 4]),
             },
-            WireEvent::Probe {
-                addr: 0x1000,
-                mapped: true,
-            },
             WireEvent::Cstr {
                 addr: 0x2000,
                 max: 8,
@@ -280,7 +264,6 @@ mod tests {
         let mut buf = [0u8; 4];
         b.read(0x1000, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4]);
-        assert!(b.probe(0x1000).unwrap());
         assert_eq!(b.read_cstr(0x2000, 8).unwrap(), "ok");
         st.consume_resume().unwrap();
         let mut buf2 = [0u8; 2];
@@ -351,13 +334,17 @@ mod tests {
 
     #[test]
     fn resume_mismatch_poisons_later_reads() {
-        let st = tape(vec![WireEvent::Probe {
+        let st = tape(vec![WireEvent::Read {
             addr: 0x1,
-            mapped: false,
+            len: 1,
+            result: Err(0x1),
         }]);
         assert!(st.consume_resume().is_err());
         let b = ReplayBackend::new(&st);
-        assert!(matches!(b.probe(0x1), Err(BackendError::Capture(_))));
+        assert!(matches!(
+            b.read(0x1, &mut [0u8; 1]),
+            Err(BackendError::Capture(_))
+        ));
     }
 
     #[test]

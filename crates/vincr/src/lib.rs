@@ -9,7 +9,8 @@
 //!   ([`vbridge::DirtyInfo`] — `ksim` knows exactly, a record wire tapes
 //!   it, a replay wire reproduces it, anything else says `Unknown`);
 //! * each retained pane keeps, beside its graph, the address spans its
-//!   last walk read (collected by `Target::set_touched_tracking`);
+//!   last walk read (derived by `Target::end_walk` from the walk's
+//!   `ReadRecord`);
 //! * at every resume, [`decide`] intersects the stop's dirty set once
 //!   with the spans of each pane not yet stale. A pane whose spans miss
 //!   it stays current, and the next request is served its retained

@@ -581,7 +581,7 @@ impl Server {
                         let _sp = vtrace::span_with(self.session.tracer(), SpanKind::Serve, || {
                             format!("serve:{}", tag_of(&cmd))
                         });
-                        self.dispatch(client, &cmd)
+                        self.dispatch(client, cmd)
                     }
                 };
                 self.reply(client, reply);
@@ -589,11 +589,11 @@ impl Server {
         }
     }
 
-    fn dispatch(&mut self, client: u64, cmd: &VCommand) -> String {
+    fn dispatch(&mut self, client: u64, cmd: VCommand) -> String {
         match cmd {
             VCommand::VplotRequest { viewcl } => {
                 self.stats.plot_requests += 1;
-                match self.plot(client, viewcl) {
+                match self.plot(client, &viewcl) {
                     Ok(payload) => payload,
                     Err(message) => {
                         self.stats.errors += 1;
@@ -608,7 +608,7 @@ impl Server {
                     .get_mut(&client)
                     .and_then(|s| s.get_mut(source.as_str()))
                 {
-                    Some(sub) if sub.seq == *seq => VResponse::Ok {
+                    Some(sub) if sub.seq == seq => VResponse::Ok {
                         pane: None,
                         synthesized: None,
                     }

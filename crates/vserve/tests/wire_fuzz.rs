@@ -447,8 +447,9 @@ fn hostile_json_earns_small_errors_and_siblings_stay_served() {
 /// Frames whose cost is in values the engine has no use for, over the
 /// binary wire: a pushed graph whose one `attrs.extra` value is a
 /// 400,000-key object, an ack carrying an unknown 40,000-key object and
-/// one carrying an unknown 8M-element array, and a program with a
-/// three-byte character where a token belongs. Each earns a small reply
+/// one carrying an unknown 8M-element array, a program with a
+/// three-byte character where a token belongs, and a 2 MB malformed
+/// number where the program belongs. Each earns a reply under 256 bytes
 /// within a second (the 16 MB array within four: a debug build checks
 /// it byte by byte on its way through the in-process wire), and a
 /// sibling connection stays served.
@@ -508,6 +509,8 @@ fn wide_values_are_answered_in_time_and_siblings_stay_served() {
     let ack = |junk: String| {
         format!("{{\"command\":\"vack\",\"source\":\"s\",\"seq\":1,\"junk\":{junk}}}")
     };
+    // The error quotes the first 64 bytes of the number.
+    let number_error = format!("bad number `{}…` at byte 36", "1.".repeat(32));
     let cases = [
         ("a 400,000-key extra value", push, None, 1.0),
         (
@@ -531,6 +534,15 @@ fn wide_values_are_answered_in_time_and_siblings_stay_served() {
             Some("at byte 4 (line 1): unexpected character `☃`"),
             1.0,
         ),
+        (
+            "a 2 MB malformed number",
+            format!(
+                "{{\"command\":\"vplot_request\",\"viewcl\":{}1}}",
+                "1.".repeat(1 << 20)
+            ),
+            Some(number_error.as_str()),
+            1.0,
+        ),
     ];
     let fig = visualinux::figures::by_id("fig3-4").unwrap();
     let request = VCommand::VplotRequest {
@@ -542,7 +554,7 @@ fn wide_values_are_answered_in_time_and_siblings_stay_served() {
         let reply = hostile.recv().unwrap().expect("the engine answers");
         let took = sent.elapsed();
         assert!(took.as_secs_f64() < seconds, "{what}: answered in {took:?}");
-        assert!(reply.len() < 1024, "{what}: {} B reply", reply.len());
+        assert!(reply.len() < 256, "{what}: {} B reply", reply.len());
         match (VResponse::from_json(&reply), want) {
             (Ok(VResponse::Ok { .. }), None) => {}
             (Ok(VResponse::Err { message }), Some(want)) => {
