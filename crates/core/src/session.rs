@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use ksim::workload::{AllTypes, Workload, WorkloadConfig, WorkloadRoots};
 use ksim::KernelImage;
+use ktypes::Stamp;
 use vbridge::{
     BackendKind, BlockCache, BridgeError, CacheConfig, Capture, DirtyInfo, DirtySet,
     HelperRegistry, LatencyProfile, ReadRecord, RecordBackend, Recorder, ReplayBackend,
@@ -253,12 +254,14 @@ impl SessionBuilder {
     /// Enable incremental re-extraction (vincr). The live image logs
     /// exact mutated byte ranges; across a [`Session::resume`] the
     /// session intersects them with the address spans each retained
-    /// pane read, re-walking only panes the mutation could have
-    /// changed — everything else is served from its retained graph,
-    /// byte-identical and wire-free. Recorded captures tape the dirty
-    /// sets (and stamp `meta.incremental`), so replay sessions follow
-    /// the same decisions automatically; backends that cannot report
-    /// dirty info degrade to full re-walks.
+    /// pane read — everything the mutation missed is served from its
+    /// retained graph, byte-identical and wire-free, and on a cached
+    /// session a pane it hit is still kept if its bytes compare equal
+    /// (see [`Session::extract_shared`]). Recorded captures tape the
+    /// dirty sets (and stamp `meta.incremental`), so replay sessions
+    /// follow the same decisions automatically; backends that cannot
+    /// report dirty info degrade to that comparison, or to full
+    /// re-walks without a cache.
     pub fn incremental(mut self) -> Self {
         self.incremental = true;
         self
@@ -416,13 +419,19 @@ pub struct Session {
     reads: ReadRecord,
 }
 
-/// A retained pane (vincr): the graph its last walk produced, and what
-/// the resumes since then did to the spans that walk read. Each resume
-/// updates every record once, so a keep is a flag read.
+/// A retained pane: the graph its last walk produced, what that walk
+/// was served, and, on an incremental session (vincr), what the resumes
+/// since then did to the spans it read. Each resume updates every
+/// incremental record once, so a dirty-set keep is a flag read.
 struct Retained {
     graph: Arc<Graph>,
     stats: GraphStats,
-    /// Address spans the walk read.
+    /// The bytes the walk was served (`Target::end_walk`), for a content
+    /// check after a resume; empty when none was taken.
+    snapshot: Vec<u8>,
+    /// The type registry's and symbol table's states the walk ran under.
+    tables: (Stamp, Stamp),
+    /// Address spans the walk read (incremental sessions only).
     touched: DirtySet,
     /// A resume since the walk may have changed a span it read.
     stale: bool,
@@ -446,14 +455,17 @@ struct ProgramCache {
     entries: HashMap<String, Cached>,
     /// Source bytes of the cached programs.
     bytes: usize,
+    /// Bytes of the retained panes' snapshots, together at most the
+    /// block cache's capacity.
+    snapshot_bytes: usize,
 }
 
 /// A source's parsed program, what its last walk on a cached session
-/// read, and the pane an incremental session keeps.
+/// read, and the pane a cached or incremental session keeps.
 struct Cached {
     program: Rc<viewcl::Program>,
     /// The bases of the cache blocks the last successful walk used,
-    /// sorted, and the cache epoch it ran in.
+    /// sorted, and the cache epoch they were last fetched or walked in.
     footprint: Vec<u64>,
     footprint_epoch: u64,
     kept: Option<Retained>,
@@ -462,27 +474,27 @@ struct Cached {
 impl ProgramCache {
     /// Parse `src` into a new entry, or into none past the byte bound.
     /// Parse errors are not cached.
-    fn parse(&mut self, src: &str) -> viewcl::Result<(Rc<viewcl::Program>, Option<&mut Cached>)> {
+    fn parse(&mut self, src: &str) -> viewcl::Result<Rc<viewcl::Program>> {
         let program = Rc::new(viewcl::parse_program(src)?);
         if src.len() > PROGRAM_CACHE_BYTES {
-            return Ok((program, None));
+            return Ok(program);
         }
         if self.entries.len() == PROGRAM_CACHE_ENTRIES
             || self.bytes + src.len() > PROGRAM_CACHE_BYTES
         {
             self.entries.clear();
             self.bytes = 0;
+            self.snapshot_bytes = 0;
         }
         self.bytes += src.len();
         let entry = Cached {
-            program,
+            program: Rc::clone(&program),
             footprint: Vec::new(),
             footprint_epoch: 0,
             kept: None,
         };
         self.entries.insert(src.into(), entry);
-        let e = self.entries.get_mut(src).expect("just inserted");
-        Ok((Rc::clone(&e.program), Some(e)))
+        Ok(program)
     }
 }
 
@@ -792,9 +804,12 @@ impl Session {
         Ok((Arc::unwrap_or_clone(graph), stats))
     }
 
-    /// [`Session::extract`] without taking the graph over. A pane an
-    /// incremental session keeps comes back as its retained allocation
-    /// itself, so callers can tell an unchanged pane by `Arc::ptr_eq`.
+    /// [`Session::extract`] without taking the graph over. A pane the
+    /// session keeps comes back as its retained allocation itself, so
+    /// callers can tell an unchanged pane by `Arc::ptr_eq`. A cached
+    /// session keeps a pane on its first walk after a resume when every
+    /// byte its last walk was served is unchanged; an incremental one
+    /// also keeps, with no fetch, a pane the dirty sets missed.
     pub fn extract_shared(&self, viewcl_src: &str) -> Result<(Arc<Graph>, PlotStats)> {
         self.extract_labeled(viewcl_src, "extract")
     }
@@ -807,55 +822,86 @@ impl Session {
     /// A cached session remembers each source's *footprint*: the cache
     /// blocks its last successful walk used. On the source's first walk
     /// after a resume it fetches the footprint's absent blocks in merged
-    /// spans before the interpreter runs, so the walk finds them
-    /// resident instead of paying a round trip per block. It only moves
-    /// cost: the interpreter runs unchanged and builds the graph a cold
-    /// walk builds.
+    /// spans, so a walk finds them resident instead of paying a round
+    /// trip per block.
+    ///
+    /// A walk's graph depends only on its program, the session's types,
+    /// symbols and helpers, and the bytes it reads, so the session keeps
+    /// the graph beside a snapshot of the bytes it was served. The keep
+    /// ladder, for a source with a retained pane:
+    /// * an incremental session keeps a pane the dirty sets since its
+    ///   walk missed, with no fetch, if the tables are the ones the walk
+    ///   ran under;
+    /// * otherwise, on the first walk after a resume, the footprint is
+    ///   fetched and the pane kept if every byte of its snapshot is
+    ///   still there and the tables are the ones the walk ran under;
+    /// * anything else walks. A plain session's repeat walk within one
+    ///   stop walks, as does an incremental pane with no snapshot.
     fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Arc<Graph>, PlotStats)> {
         let tracer = self.tracer.as_ref();
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
         // One lookup, held until this walk's graph replaces the pane.
         let mut programs = self.programs.borrow_mut();
-        let (program, entry) = {
+        let programs = &mut *programs;
+        let (program, mut entry) = {
             let _s = vtrace::span(tracer, SpanKind::Parse, "viewcl::parse");
             match programs.entries.get_mut(viewcl_src) {
                 Some(e) => (Rc::clone(&e.program), Some(e)),
-                None => programs.parse(viewcl_src)?,
+                None => {
+                    let program = programs.parse(viewcl_src)?;
+                    (program, programs.entries.get_mut(viewcl_src))
+                }
             }
         };
         let mut target = self.target();
-        // What the walk reads gives the entry its footprint and its
-        // staleness set.
+        // What the walk reads gives the entry its footprint, its
+        // snapshot and its staleness set.
         if entry.is_some() {
             target.record_reads(&self.reads);
         }
-        // vincr: if no resume since the retained graph's walk dirtied a
-        // span it read, serve it as-is — zero wire traffic, and
-        // byte-identical to a fresh walk, since nothing it read has
-        // changed.
-        if self.incremental {
-            if let Some(r) = entry.as_ref().and_then(|e| e.kept.as_ref()) {
+        // Footprints and retained panes live in the program cache, so a
+        // source past its byte bound keeps neither.
+        let epoch = self.cache.as_ref().map(BlockCache::epoch);
+        let tables = self.tables();
+        if let Some(e) = entry.as_deref_mut() {
+            // vincr: if no resume since the retained graph's walk
+            // dirtied a span it read, and the tables are the ones it ran
+            // under, serve it as-is, with no fetch.
+            let clean = self.incremental
+                && e.kept
+                    .as_ref()
+                    .is_some_and(|r| !r.stale && r.tables == tables);
+            // Otherwise the first walk after a resume fetches the
+            // footprint...
+            let resumed = match epoch {
+                Some(epoch) if !clean && epoch != e.footprint_epoch => {
+                    e.footprint_epoch = epoch;
+                    true
+                }
+                _ => false,
+            };
+            if resumed && !e.footprint.is_empty() {
+                let _s = vtrace::span(tracer, SpanKind::Prefetch, "footprint::prefetch");
+                target.prefetch_footprint(&e.footprint);
+            }
+            // ...and keeps the pane if every byte its walk was served
+            // is unchanged: a walk now would build the same graph.
+            if let Some(r) = e.kept.as_mut() {
                 let _s =
                     vtrace::span_with(tracer, SpanKind::Incr, || format!("incr::decide {label}"));
                 let bytes = r.dirty_bytes.unwrap_or(0);
-                if !r.stale {
+                if clean || resumed && r.tables == tables && target.unchanged(&r.snapshot) {
                     target.note_incr(1, 0, bytes);
+                    r.stale = false;
                     let stats = PlotStats {
                         graph: r.stats,
                         target: target.stats(),
                     };
                     return Ok((Arc::clone(&r.graph), stats));
                 }
-                target.note_incr(0, 1, bytes);
-            }
-        }
-        // Footprints live in the program cache, so a source past its
-        // byte bound records none.
-        let cache = self.cache.as_ref().filter(|_| entry.is_some());
-        if let (Some(c), Some(e)) = (cache, entry.as_ref()) {
-            if !e.footprint.is_empty() && e.footprint_epoch != c.epoch() {
-                let _s = vtrace::span(tracer, SpanKind::Prefetch, "footprint::prefetch");
-                target.prefetch_footprint(&e.footprint);
+                if resumed || self.incremental {
+                    target.note_incr(0, 1, bytes);
+                }
             }
         }
         let graph = {
@@ -864,28 +910,6 @@ impl Session {
             interp.run(&program)?;
             Arc::new(interp.into_graph())
         };
-        let stats = PlotStats {
-            graph: GraphStats::of(&graph),
-            target: target.stats(),
-        };
-        if let Some(e) = entry {
-            // Only a walk that succeeded replaces the footprint and the
-            // retained pane.
-            let touched = target.end_walk(&mut e.footprint, self.incremental);
-            if let Some(c) = cache {
-                e.footprint_epoch = c.epoch();
-            }
-            if let Some(touched) = touched {
-                // The fresh graph replaces the retained one.
-                e.kept = Some(Retained {
-                    graph: Arc::clone(&graph),
-                    stats: stats.graph,
-                    touched,
-                    stale: false,
-                    dirty_bytes: Some(0),
-                });
-            }
-        }
         // The distillers tolerate per-object memory faults (corrupt
         // pointers render as diagnostics), but a capture-level failure
         // means the replay itself is broken: surface it loudly instead
@@ -893,7 +917,43 @@ impl Session {
         if let Some(msg) = self.replay.as_ref().and_then(|s| s.poisoned()) {
             return Err(SessionError::Capture(msg));
         }
+        let stats = PlotStats {
+            graph: GraphStats::of(&graph),
+            target: target.stats(),
+        };
+        if let Some(e) = entry {
+            // Only a walk that succeeded replaces the footprint and the
+            // retained pane; the old snapshot's buffer takes the new one.
+            let mut snapshot = e.kept.take().map(|r| r.snapshot).unwrap_or_default();
+            programs.snapshot_bytes -= snapshot.len();
+            let touched = target.end_walk(&mut e.footprint, &mut snapshot, self.incremental);
+            let capacity = self.cache.as_ref().map_or(0, |c| {
+                let cfg = c.config();
+                cfg.max_blocks.saturating_mul(cfg.block_size as usize)
+            });
+            if programs.snapshot_bytes + snapshot.len() > capacity {
+                snapshot.clear();
+            }
+            programs.snapshot_bytes += snapshot.len();
+            if touched.is_some() || !snapshot.is_empty() {
+                e.kept = Some(Retained {
+                    graph: Arc::clone(&graph),
+                    stats: stats.graph,
+                    snapshot,
+                    tables,
+                    touched: touched.unwrap_or_default(),
+                    stale: false,
+                    dirty_bytes: Some(0),
+                });
+            }
+        }
         Ok((graph, stats))
+    }
+
+    /// The states of the type registry and symbol table a walk runs
+    /// under.
+    fn tables(&self) -> (Stamp, Stamp) {
+        (self.img.types.stamp(), self.img.symbols.stamp())
     }
 
     /// Fold a finished top-level span into the pane's trace record,
@@ -1443,6 +1503,48 @@ plot @m
         let (kept, stats) = s.extract_shared(src).unwrap();
         assert_eq!(stats.target.vincr_hits, 1);
         assert!(Arc::ptr_eq(&walked, &kept));
+    }
+
+    #[test]
+    fn snapshots_stay_within_the_cache_capacity() {
+        // 16 blocks of 256 bytes: 4 KiB for every snapshot together.
+        let cfg = vbridge::CacheConfig {
+            max_blocks: 16,
+            ..vbridge::CacheConfig::default()
+        };
+        let mut s = Session::builder(build(&WorkloadConfig::default()))
+            .cache(cfg)
+            .attach()
+            .expect("live attach");
+        let uncached = session();
+        let walk = |s: &Session| -> Vec<(Arc<Graph>, TargetStats)> {
+            let walks = crate::figures::all()
+                .iter()
+                .map(|fig| {
+                    let (graph, stats) = s.extract_shared(fig.viewcl).unwrap();
+                    let (want, _) = uncached.extract(fig.viewcl).unwrap();
+                    assert_eq!(graph.to_json(), want.to_json(), "{}", fig.id);
+                    (graph, stats.target)
+                })
+                .collect();
+            let programs = s.programs.borrow();
+            let held = programs.entries.values().filter_map(|e| e.kept.as_ref());
+            let held: usize = held.map(|r| r.snapshot.len()).sum();
+            assert_eq!(programs.snapshot_bytes, held);
+            assert!(held <= 16 * 256, "{held} bytes held");
+            walks
+        };
+        let first = walk(&s);
+        s.resume();
+        let (mut kept, mut walked) = (0, 0);
+        for ((before, _), (after, stats)) in first.iter().zip(walk(&s)) {
+            let held = Arc::ptr_eq(before, &after);
+            assert_eq!(held, stats.vincr_hits == 1);
+            kept += usize::from(held);
+            walked += usize::from(!held);
+        }
+        // Some walks fitted and were kept; the others kept no snapshot.
+        assert!(kept > 0 && walked > 0, "{kept} kept, {walked} walked");
     }
 
     #[test]

@@ -1,19 +1,31 @@
 //! Footprint replay: a cached session fetches, on a pane's first walk
 //! after a resume, the cache blocks that pane's last walk used, in
-//! merged spans, before the unchanged interpreter runs. It moves cost
-//! and nothing else:
+//! merged spans, then compares the bytes that walk was served with what
+//! arrived, and keeps the pane when they are equal. It moves cost and
+//! nothing else:
 //!
-//! * after a tick stop, the 21 figures walk to byte-identical graphs
-//!   as a fresh session attached to the same state, for at least 25%
-//!   less link time and 40% fewer packets in all, and no figure costs
-//!   more than its walk in the fresh session;
+//! * after a tick stop, the 21 figures come back byte-identical to a
+//!   fresh session attached to the same state, for at least 25% less
+//!   link time and 40% fewer packets in all, and no figure costs more
+//!   than its walk in the fresh session;
+//! * over 20 tick stops, every graph matches an uncached session that
+//!   takes the same stops (and never keeps), at least 19 of 21 panes
+//!   are handed out as their retained allocation at every stop, and a
+//!   walk of a kept pane within its stop sends no packet, so a keep
+//!   moved none;
+//! * a byte a pane read, rewritten with its own value, keeps the pane,
+//!   and changed, re-walks it, as does a stop that defines a symbol;
+//! * a walk that faulted is never kept;
 //! * a recorded cached session with three stops replays bit for bit;
 //! * a walk that fails leaves the previous footprint in place.
 //!
 //! Run with `--nocapture` to print the per-figure table.
 
+use std::sync::Arc;
+
 use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, LatencyProfile, TargetStats};
+use vgraph::Graph;
 use visualinux::{figures, Session};
 
 fn cached(cfg: &WorkloadConfig) -> Session {
@@ -102,6 +114,148 @@ fn post_stop_walks_match_a_fresh_session_for_much_less_link_time() {
             "seed {seed}: {pkts} packets are not 40% under the fresh {cold_pkts}"
         );
     }
+}
+
+#[test]
+fn twenty_tick_stops_keep_the_panes_whose_bytes_held() {
+    for seed in [1u64, 42] {
+        let cfg = WorkloadConfig {
+            seed,
+            ..WorkloadConfig::default()
+        };
+        let mut session = cached(&cfg);
+        let mut uncached = Session::builder(build(&cfg))
+            .profile(LatencyProfile::kgdb_rpi400())
+            .attach()
+            .expect("live attach");
+        let mut last: Vec<Arc<Graph>> = figures::all()
+            .iter()
+            .map(|fig| session.extract_shared(fig.viewcl).expect(fig.id).0)
+            .collect();
+        for step in 1..=20 {
+            tick(&mut session, step);
+            tick(&mut uncached, step);
+            let (mut kept, mut packets) = (0, 0);
+            for (fig, before) in figures::all().iter().zip(&mut last) {
+                let (graph, stats) = session.extract_shared(fig.viewcl).expect(fig.id);
+                let (want, ustats) = uncached.extract(fig.viewcl).expect(fig.id);
+                assert_eq!(
+                    ustats.target.vincr_hits, 0,
+                    "an uncached session never keeps"
+                );
+                let at = format!("seed {seed}, stop {step}: {}", fig.id);
+                assert_eq!(graph.to_json(), want.to_json(), "{at}");
+                packets += stats.target.reads;
+                let same = Arc::ptr_eq(&graph, before);
+                assert_eq!(same, stats.target.vincr_hits == 1, "{at}");
+                *before = graph;
+                if same {
+                    kept += 1;
+                    // The walk the keep saved finds every block the
+                    // replay fetched: skipping it moved no packet.
+                    let (graph, again) = session.extract_shared(fig.viewcl).expect(fig.id);
+                    assert_eq!(again.target.vincr_hits, 0, "a repeat within a stop walks");
+                    assert_eq!(again.target.reads, 0, "{at}");
+                    *before = graph;
+                }
+            }
+            println!("seed {seed}, stop {step}: {kept} of 21 kept, {packets} packets");
+            assert!(kept >= 19, "seed {seed}, stop {step}: {kept} of 21 kept");
+        }
+    }
+}
+
+#[test]
+fn a_pane_is_kept_while_its_bytes_and_tables_hold() {
+    let cfg = WorkloadConfig::default();
+    let mut session = cached(&cfg);
+    let mut uncached = Session::builder(build(&cfg)).attach().expect("live attach");
+    let fig = figures::by_id("fig3-4").expect("figure");
+    // The first byte of init_task's name, which the process tree shows.
+    let comm = {
+        let types = &session.image().types;
+        let task = types.find("task_struct").expect("task_struct");
+        session.roots.init_task + types.field_path(task, "comm").expect("comm").0
+    };
+    let byte = {
+        let mut b = [0u8];
+        session.image().mem.read(comm, &mut b).expect("mapped");
+        b[0]
+    };
+    let (first, _) = session.extract_shared(fig.viewcl).unwrap();
+    let mut stop = |session: &mut Session, mutate: &dyn Fn(&mut ksim::KernelImage)| {
+        for s in [&mut *session, &mut uncached] {
+            s.stop_event(mutate).unwrap();
+        }
+        let (graph, stats) = session.extract_shared(fig.viewcl).unwrap();
+        let (want, _) = uncached.extract(fig.viewcl).unwrap();
+        assert_eq!(graph.to_json(), want.to_json());
+        (graph, stats.target)
+    };
+    let (same, stats) = stop(&mut session, &|img| img.mem.write(comm, &[byte]));
+    assert!(Arc::ptr_eq(&first, &same), "rewritten with its own value");
+    assert_eq!((stats.vincr_hits, stats.vincr_rewalks), (1, 0));
+    let (changed, stats) = stop(&mut session, &|img| img.mem.write(comm, &[byte ^ 0x20]));
+    assert!(!Arc::ptr_eq(&same, &changed), "changed");
+    assert_eq!((stats.vincr_hits, stats.vincr_rewalks), (0, 1));
+    assert_ne!(first.to_json(), changed.to_json());
+    // A stop that defines a symbol leaves every byte as it was, but the
+    // walk ran under another symbol table: the pane is walked again.
+    let (again, stats) = stop(&mut session, &|img| {
+        let task = img.types.find("task_struct").expect("task_struct");
+        img.symbols.define_object("a_new_symbol", comm, task);
+    });
+    assert!(!Arc::ptr_eq(&changed, &again), "a new symbol table");
+    assert_eq!((stats.vincr_hits, stats.vincr_rewalks), (0, 1));
+}
+
+#[test]
+fn a_walk_that_faulted_is_never_kept() {
+    let spec = ksim::corpus::by_name("cve-2023-3269-stackrot").expect("a corpus scenario");
+    let attach = || {
+        let (builder, _) = Session::from_scenario(&spec);
+        builder.profile(LatencyProfile::kgdb_rpi400())
+    };
+    let mut session = attach()
+        .cache(CacheConfig::default())
+        .attach()
+        .expect("live attach");
+    let mut uncached = attach().attach().expect("live attach");
+    // fig9-2's walk faults on the dangling maple node and plots a
+    // diagnostic. Each figure's last graph and whether its walk
+    // faulted; a figure whose walk fails outright on this image is
+    // compared as an error.
+    let mut last: Vec<Option<(Arc<Graph>, bool)>> = vec![None; figures::all().len()];
+    let (mut faulted, mut kept) = (0, 0);
+    for step in 0..=3 {
+        if step > 0 {
+            tick(&mut session, step);
+            tick(&mut uncached, step);
+        }
+        for (fig, last) in figures::all().iter().zip(&mut last) {
+            let at = format!("stop {step}: {}", fig.id);
+            let (graph, stats) = match session.extract_shared(fig.viewcl) {
+                Ok(walk) => walk,
+                Err(e) => {
+                    let want = uncached.extract(fig.viewcl).expect_err(&at);
+                    assert_eq!(e.to_string(), want.to_string(), "{at}");
+                    continue;
+                }
+            };
+            let (want, _) = uncached.extract(fig.viewcl).expect(&at);
+            assert_eq!(graph.to_json(), want.to_json(), "{at}");
+            if let Some((before, true)) = last.as_ref() {
+                // A pane walked with a fault is walked again.
+                faulted += 1;
+                assert!(!Arc::ptr_eq(before, &graph), "{at} kept");
+                assert_eq!(stats.target.vincr_hits, 0, "{at} kept");
+            }
+            kept += stats.target.vincr_hits;
+            *last = Some((graph, stats.target.faults > 0));
+        }
+    }
+    assert!(faulted > 0, "no walk faulted");
+    assert!(kept > 0, "no walk was kept");
 }
 
 #[test]

@@ -121,8 +121,11 @@ fn corpus_tick_workloads_stay_byte_identical() {
 fn unknown_dirty_degrades_to_full_rewalks() {
     // A capture recorded *without* dirty events (pre-incremental tape)
     // replayed under an incremental session: every resume reports
-    // `DirtyInfo::Unknown`, so every retained pane re-walks — reads
-    // follow the tape exactly and no stale graph is ever served.
+    // `DirtyInfo::Unknown`, so every retained pane is stale and is
+    // checked by content before it re-walks. fig3-4 shows what every
+    // tick changes, so the check fails at each stop and the pane
+    // re-walks: reads follow the tape exactly and no stale graph is
+    // ever served.
     let dir = std::env::temp_dir().join(format!("vrec-incr-unk-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("plain.vrec");
@@ -276,4 +279,42 @@ fn a_kept_pane_serves_with_zero_wire_packets() {
     assert_eq!(s1.target.vincr_rewalks, 0);
     assert_eq!(s1.target.reads, 0, "a keep issues no wire packets");
     assert_eq!(s1.target.dirty_bytes, 0);
+}
+
+#[test]
+fn a_stop_that_defines_a_symbol_rewalks_a_pane_its_dirty_set_missed() {
+    // The walk renders the unknown symbol as an error text and succeeds;
+    // the stop writes no byte, but defines the symbol, so a walk now
+    // shows its value. A dirty-set keep would serve the error.
+    let src = "define T as Box<task_struct> [\n    Text pid\n    Text late: ${late_symbol}\n]\n\
+               t = T(${&init_task})\nplot @t\n";
+    let define = |img: &mut ksim::KernelImage| {
+        let task = img.types.find("task_struct").expect("task_struct");
+        let addr = img.symbols.lookup("init_task").expect("init_task").addr;
+        img.symbols.define_object("late_symbol", addr, task);
+    };
+    for cached in [false, true] {
+        let b = Session::builder(build(&WorkloadConfig::default())).incremental();
+        let mut s = if cached {
+            b.cache(CacheConfig::default())
+        } else {
+            b
+        }
+        .attach()
+        .unwrap();
+        let (before, _) = s.extract(src).unwrap();
+        assert!(before.to_json().contains("unknown identifier"));
+        s.stop_event(define).unwrap();
+        let (after, stats) = s.extract(src).unwrap();
+        let mut fresh = Session::builder(build(&WorkloadConfig::default()))
+            .attach()
+            .unwrap();
+        fresh.stop_event(define).unwrap();
+        let (want, _) = fresh.extract(src).unwrap();
+        assert_eq!(after.to_json(), want.to_json(), "cached: {cached}");
+        assert_eq!(
+            (stats.target.vincr_hits, stats.target.vincr_rewalks),
+            (0, 1)
+        );
+    }
 }

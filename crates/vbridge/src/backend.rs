@@ -79,23 +79,9 @@ impl DirtySet {
     /// overlapping and adjacent spans. Deterministic for a given range
     /// *set* regardless of input order.
     pub fn from_ranges(raw: impl IntoIterator<Item = (u64, u64)>) -> DirtySet {
-        let mut ranges: Vec<(u64, u64)> = raw.into_iter().filter(|&(_, len)| len > 0).collect();
-        ranges.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for (addr, len) in ranges {
-            let end = addr.saturating_add(len);
-            if let Some(last) = out.last_mut() {
-                let last_end = last.0.saturating_add(last.1);
-                if addr <= last_end {
-                    if end > last_end {
-                        last.1 = end - last.0;
-                    }
-                    continue;
-                }
-            }
-            out.push((addr, len));
-        }
-        DirtySet { ranges: out }
+        let mut ranges: Vec<(u64, u64)> = raw.into_iter().collect();
+        normalize(&mut ranges);
+        DirtySet { ranges }
     }
 
     /// The normalized spans.
@@ -138,6 +124,31 @@ impl DirtySet {
             }
         })
     }
+}
+
+/// Normalize `(addr, len)` ranges in place: drop empties, sort, merge
+/// overlapping and adjacent spans.
+pub(crate) fn normalize(ranges: &mut Vec<(u64, u64)>) {
+    ranges.retain(|&(_, len)| len > 0);
+    ranges.sort_unstable();
+    let mut kept = 0;
+    for i in 0..ranges.len() {
+        let (addr, len) = ranges[i];
+        if kept > 0 {
+            let last = &mut ranges[kept - 1];
+            let last_end = last.0.saturating_add(last.1);
+            if addr <= last_end {
+                let end = addr.saturating_add(len);
+                if end > last_end {
+                    last.1 = end - last.0;
+                }
+                continue;
+            }
+        }
+        ranges[kept] = (addr, len);
+        kept += 1;
+    }
+    ranges.truncate(kept);
 }
 
 /// What a backend knows about mutations since the previous resume.

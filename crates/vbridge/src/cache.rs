@@ -22,8 +22,12 @@
 //! iteration order.
 //!
 //! A block is only its bytes. Which blocks a walk used — its
-//! *footprint* — is derived from the target's record of what the walk
-//! read ([`crate::Target::end_walk`]), not tracked here.
+//! *footprint* — and the snapshot of the bytes it was served are
+//! derived from the target's record of what the walk read
+//! ([`crate::Target::end_walk`]), not tracked here; the cache only
+//! lends out a range's resident bytes, block by block, for the
+//! snapshot to be copied and compared in place
+//! ([`crate::Target::unchanged`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
@@ -206,6 +210,28 @@ impl BlockCache {
         dst.copy_from_slice(&block[off..off + dst.len()]);
         true
     }
+
+    /// Hand `f` the resident bytes of `[addr, addr+len)` in order, one
+    /// block's part at a time, while it returns true. False if a block
+    /// is absent or `f` stopped.
+    pub(crate) fn each_piece(&self, addr: u64, len: u64, mut f: impl FnMut(&[u8]) -> bool) -> bool {
+        let blocks = self.blocks.borrow();
+        let end = addr.saturating_add(len);
+        let mut at = addr;
+        while at < end {
+            let base = self.base_of(at);
+            let Some(block) = blocks.get(&base) else {
+                return false;
+            };
+            let off = at - base;
+            let n = (self.cfg.block_size - off).min(end - at);
+            if !f(&block[off as usize..(off + n) as usize]) {
+                return false;
+            }
+            at += n;
+        }
+        true
+    }
 }
 
 /// Hashes a block base with one folded multiply: the 128-bit product of
@@ -332,9 +358,10 @@ mod tests {
         let free = LatencyProfile::free();
         let mut target = Target::with_cache(&mem, &types, &symbols, free, &c);
         let mut footprint = vec![0xdead];
+        let mut snapshot = Vec::new();
         // Outside a recording nothing is logged.
         target.read_uint(0x1300, 8).unwrap();
-        assert_eq!(target.end_walk(&mut footprint, false), None);
+        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
         assert!(footprint.is_empty());
         target.record_reads(&record);
         target.read_uint(0x1300, 8).unwrap();
@@ -343,7 +370,7 @@ mod tests {
         // A block fetched but never read is not used.
         target.prefetch_footprint(&[0x1200]);
         assert!(c.contains(0x1200));
-        target.end_walk(&mut footprint, false);
+        target.end_walk(&mut footprint, &mut snapshot, false);
         assert_eq!(
             footprint,
             [0x1100, 0x1300],
@@ -354,14 +381,14 @@ mod tests {
         target.record_reads(&record);
         target.read_uint(0x1200, 8).unwrap();
         target.read_uint(0x1300, 8).unwrap();
-        target.end_walk(&mut footprint, false);
+        target.end_walk(&mut footprint, &mut snapshot, false);
         assert_eq!(footprint, [0x1200, 0x1300]);
         // The footprint holds at most `max_blocks` bases.
         target.record_reads(&record);
         for addr in [0x1400u64, 0x1500, 0x1600, 0x1700] {
             target.read_uint(addr, 8).unwrap();
         }
-        target.end_walk(&mut footprint, false);
+        target.end_walk(&mut footprint, &mut snapshot, false);
         assert_eq!(footprint, [0x1400, 0x1500, 0x1600]);
     }
 

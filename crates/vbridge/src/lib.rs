@@ -18,8 +18,10 @@
 //!   ([`Target::read_many`]) into minimal wire spans, accepts prefetch
 //!   hints ([`Target::prefetch`]) from container distillers, and fetches
 //!   the footprint a walk's [`ReadRecord`] left up front on the pane's
-//!   next walk after a resume ([`Target::prefetch_footprint`]) —
-//!   invalidated wholesale when the session resumes the target;
+//!   next walk after a resume ([`Target::prefetch_footprint`]), where
+//!   the bytes the walk was served are compared in place
+//!   ([`Target::unchanged`]) — invalidated wholesale when the session
+//!   resumes the target;
 //! * the wire below the metering layer is a pluggable [`TargetBackend`]:
 //!   [`SimBackend`] serves a live `ksim` image, [`RecordBackend`] wraps
 //!   any backend and captures every wire operation into a serializable

@@ -8,7 +8,7 @@ use kmem::{Mem, MemError, SymbolTable};
 use ktypes::{CValue, TypeId, TypeKind, TypeRegistry};
 use vtrace::Tracer;
 
-use crate::backend::{BackendError, BackendKind, DirtySet, SimBackend, TargetBackend};
+use crate::backend::{normalize, BackendError, BackendKind, DirtySet, SimBackend, TargetBackend};
 use crate::cache::{BaseHasher, BlockCache};
 use crate::planner::SpanPlanner;
 use crate::profile::LatencyProfile;
@@ -51,11 +51,16 @@ pub struct TargetStats {
     /// Reads that faulted on unmapped memory — wild pointers chased by a
     /// distiller or checker over a corrupted image.
     pub faults: u64,
-    /// Panes served from their retained graph because the dirty set
-    /// missed every span they touched (incremental refresh hits).
+    /// Panes served from their retained graph: the dirty sets since the
+    /// pane's walk missed every span it touched (an incremental keep),
+    /// or, on the pane's first walk after a resume, every byte the walk
+    /// was served compared equal once the footprint was fetched (a
+    /// content keep).
     pub vincr_hits: u64,
-    /// Panes re-walked because the dirty set intersected their touched
-    /// spans — or because the backend reported an unknown dirty set.
+    /// Panes re-walked although a graph was retained: the dirty set
+    /// intersected their touched spans, or the backend could not say
+    /// what changed, on an incremental session, or a content comparison
+    /// failed.
     pub vincr_rewalks: u64,
     /// Mutated bytes behind the incremental refresh decisions: for each
     /// kept or re-walked pane, the bytes dirtied by every resume since
@@ -100,19 +105,9 @@ impl ReadPlan {
     /// The minimal `(addr, len)` spans covering every queued request:
     /// sorted, with adjacent/overlapping requests merged.
     pub fn spans(&self) -> Vec<(u64, u64)> {
-        let mut sorted = self.reqs.clone();
-        sorted.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-        for (addr, len) in sorted {
-            match out.last_mut() {
-                Some((last_addr, last_len)) if addr <= *last_addr + *last_len => {
-                    let end = (addr + len).max(*last_addr + *last_len);
-                    *last_len = end - *last_addr;
-                }
-                _ => out.push((addr, len)),
-            }
-        }
-        out
+        let mut spans = self.reqs.clone();
+        normalize(&mut spans);
+        spans
     }
 }
 
@@ -136,6 +131,8 @@ pub struct ReadRecord {
     reads: RefCell<Vec<(u64, u64, ReadKind)>>,
     /// Block bases already in the footprint being derived.
     seen: RefCell<HashSet<u64, BaseHasher>>,
+    /// The served ranges of the snapshot being derived, normalized.
+    served: RefCell<Vec<(u64, u64)>>,
 }
 
 /// A debugger's view of the stopped kernel.
@@ -338,8 +335,23 @@ impl<'a> Target<'a> {
     /// `staleness`, return what it read or asked for: the set a
     /// resume's dirty set must miss for the walk's graph to stay
     /// current. A prefetched byte nobody decoded forces no re-walk.
-    pub fn end_walk(&self, footprint: &mut Vec<u64>, staleness: bool) -> Option<DirtySet> {
+    ///
+    /// `snapshot` is replaced with the bytes the walk was served, for
+    /// [`Target::unchanged`]: its served ranges, sorted and merged, each
+    /// as its address and length (little-endian `u64`s) followed by its
+    /// bytes, copied from the cache. It is left empty, which is no
+    /// snapshot, when the target is uncached, when a read faulted (the
+    /// graph then also depends on which pages are mapped), when a
+    /// served block has been evicted since, and when the walk read
+    /// nothing: there is nothing to compare.
+    pub fn end_walk(
+        &self,
+        footprint: &mut Vec<u64>,
+        snapshot: &mut Vec<u8>,
+        staleness: bool,
+    ) -> Option<DirtySet> {
         footprint.clear();
+        snapshot.clear();
         let record = self.record?;
         let reads = record.reads.borrow();
         if let Some(cache) = self.cache {
@@ -354,9 +366,56 @@ impl<'a> Target<'a> {
                 }
             }
             footprint.sort_unstable();
+            if reads.iter().all(|r| r.2 != ReadKind::Stale) {
+                let mut served = record.served.borrow_mut();
+                served.clear();
+                let ranges = reads.iter().filter(|r| r.2 == ReadKind::Served);
+                served.extend(ranges.map(|&(addr, len, _)| (addr, len)));
+                normalize(&mut served);
+                for &(addr, len) in served.iter() {
+                    snapshot.extend_from_slice(&addr.to_le_bytes());
+                    snapshot.extend_from_slice(&len.to_le_bytes());
+                    let copied = cache.each_piece(addr, len, |piece| {
+                        snapshot.extend_from_slice(piece);
+                        true
+                    });
+                    if !copied {
+                        snapshot.clear();
+                        break;
+                    }
+                }
+            }
         }
         let read = reads.iter().filter(|r| r.2 != ReadKind::Hint);
         staleness.then(|| DirtySet::from_ranges(read.map(|&(addr, len, _)| (addr, len))))
+    }
+
+    /// Whether every byte of `snapshot`, taken by [`Target::end_walk`],
+    /// is resident in the cache and unchanged, compared in place. Sends
+    /// nothing over the wire and meters nothing: a block that is not
+    /// resident is a mismatch, as are an empty snapshot and an uncached
+    /// target.
+    pub fn unchanged(&self, snapshot: &[u8]) -> bool {
+        let Some(cache) = self.cache.filter(|_| !snapshot.is_empty()) else {
+            return false;
+        };
+        let mut rest = snapshot;
+        while let Some((head, tail)) = rest.split_first_chunk::<16>() {
+            let (addr, len) = head.split_at(8);
+            let addr = u64::from_le_bytes(addr.try_into().expect("eight bytes"));
+            let len = u64::from_le_bytes(len.try_into().expect("eight bytes"));
+            let (mut bytes, tail) = tail.split_at(len as usize);
+            let held = cache.each_piece(addr, len, |piece| {
+                let (head, more) = bytes.split_at(piece.len());
+                bytes = more;
+                head == piece
+            });
+            if !held {
+                return false;
+            }
+            rest = tail;
+        }
+        true
     }
 
     /// Log a range, merged into the last one when it continues it in
@@ -686,7 +745,9 @@ impl<'a> Target<'a> {
     /// Execute a batch of reads, coalescing adjacent/overlapping requests
     /// into minimal wire spans when the cache is enabled. Returns one
     /// buffer per request, in request order — byte-identical to issuing
-    /// the requests one by one.
+    /// the requests one by one. Requests are served in order and the
+    /// batch stops at the first fault, so, as in a loop of `read`
+    /// calls, nothing after it travels.
     pub fn read_many(&self, plan: &ReadPlan) -> Result<Vec<Vec<u8>>> {
         match self.cache {
             None => {
@@ -702,26 +763,27 @@ impl<'a> Target<'a> {
                     .collect()
             }
             Some(cache) => {
+                let coalesce = cache.config().coalesce;
+                // A span whose length is zeroed has travelled.
+                let mut spans = if coalesce { plan.spans() } else { Vec::new() };
                 let mut packets = 0u64;
-                if cache.config().coalesce {
-                    // Each merged span travels as one packet.
-                    for &(addr, len) in &plan.spans() {
-                        packets += self.fetch_span(cache, addr, len, None).0;
-                    }
-                } else {
-                    // Ablation knob: each request meters on its own,
-                    // exactly like a loop of `read` calls.
-                    for &(addr, len) in &plan.reqs {
-                        packets += self.meter_range_cached(cache, addr, len);
-                    }
-                }
-                // An uncached bridge would have paid one packet per request.
-                self.note_saved((plan.reqs.len() as u64).saturating_sub(packets));
                 let mut served = 0;
                 let bufs = plan
                     .reqs
                     .iter()
                     .map(|&(addr, len)| {
+                        if coalesce {
+                            // The merged span holding the request travels
+                            // as one packet, the first time it is needed.
+                            let at = spans.partition_point(|&(a, _)| a <= addr) - 1;
+                            let span = std::mem::take(&mut spans[at].1);
+                            if span > 0 {
+                                packets += self.fetch_span(cache, spans[at].0, span, None).0;
+                            }
+                        } else {
+                            // Ablation knob: each request meters on its own.
+                            packets += self.meter_range_cached(cache, addr, len);
+                        }
                         let mut buf = vec![0u8; len as usize];
                         let res = self.serve_cached(cache, addr, &mut buf);
                         self.log_request(addr, len, &res);
@@ -729,6 +791,8 @@ impl<'a> Target<'a> {
                         res.map(|()| buf)
                     })
                     .collect();
+                // An uncached bridge would have paid one packet per request.
+                self.note_saved((served as u64).saturating_sub(packets));
                 // The batch asked for the requests after a fault too.
                 for &(addr, len) in &plan.reqs[served..] {
                     self.log(addr, len, ReadKind::Stale);
@@ -1125,14 +1189,14 @@ mod tests {
         // faulted was asked for, and no block holds it.
         assert!(target.read_cstr(0x1fe0, 64).is_err());
         // A batch whose second request faults: the requests after it
-        // were asked for too. The third one's block is fetched, but as
-        // filler, so it stays out of the footprint.
+        // were asked for too, but, as in a loop of reads, the third
+        // one's block does not travel.
         let mut plan = ReadPlan::new();
         plan.add(0x1100, 8);
         plan.add(0x2100, 8);
         plan.add(0x1800, 8);
         assert!(target.read_many(&plan).is_err());
-        assert!(cache.contains(0x1800));
+        assert!(!cache.contains(0x1800));
         // A hint longer than a page is capped at one.
         target.prefetch(0x3000, 8192);
         // A footprint replay is not logged.
@@ -1153,7 +1217,10 @@ mod tests {
             ]
         );
         let mut footprint = vec![0xdead];
-        let staleness = target.end_walk(&mut footprint, true).unwrap();
+        let mut snapshot = vec![0xde];
+        let staleness = target
+            .end_walk(&mut footprint, &mut snapshot, true)
+            .unwrap();
         let hinted = (0x3000..0x4000).step_by(256);
         let want: Vec<u64> = [0x1000, 0x1100, 0x1f00].into_iter().chain(hinted).collect();
         assert_eq!(footprint, want, "sorted, each once");
@@ -1168,7 +1235,8 @@ mod tests {
             ],
             "served and staleness-only, no hint"
         );
-        assert_eq!(target.end_walk(&mut footprint, false), None);
+        assert!(snapshot.is_empty(), "a walk that faulted keeps no snapshot");
+        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
         assert_eq!(footprint, want);
 
         // Uncached: no footprint, and no hint either.
@@ -1186,7 +1254,7 @@ mod tests {
                 (0x2000, 4, Stale)
             ]
         );
-        let staleness = plain.end_walk(&mut footprint, true).unwrap();
+        let staleness = plain.end_walk(&mut footprint, &mut snapshot, true).unwrap();
         assert!(footprint.is_empty());
         assert_eq!(staleness.ranges(), [(0x1000, 12), (0x1ffc, 8)]);
 
@@ -1200,13 +1268,86 @@ mod tests {
         for addr in [0x1300, 0x1100, 0x1300, 0x1200] {
             target.read_uint(addr, 8).unwrap();
         }
-        assert_eq!(target.end_walk(&mut footprint, false), None);
+        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
         assert_eq!(footprint, [0x1100, 0x1300]);
         // A target that records nothing derives nothing.
         let unrecorded = Target::with_cache(&mem, &types, &symbols, free, &small);
         unrecorded.read_uint(0x1000, 8).unwrap();
-        assert_eq!(unrecorded.end_walk(&mut footprint, true), None);
+        assert_eq!(
+            unrecorded.end_walk(&mut footprint, &mut snapshot, true),
+            None
+        );
         assert!(footprint.is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_matches_only_unchanged_resident_bytes() {
+        let mut mem = Mem::new();
+        mem.map(0x1000, 4096);
+        let (types, symbols) = (TypeRegistry::new(), SymbolTable::new());
+        let cache = BlockCache::new(CacheConfig::default());
+        let record = ReadRecord::default();
+        let free = LatencyProfile::free();
+        // Three served ranges, the second across a block boundary; read
+        // out of order, one of them twice.
+        let ranges = [(0x1008u64, 16u64), (0x10f8, 16), (0x1200, 4)];
+        let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
+        {
+            let mut target = Target::with_cache(&mem, &types, &symbols, free, &cache);
+            target.record_reads(&record);
+            for (addr, len) in [ranges[2], ranges[0], ranges[1], ranges[0]] {
+                target.read(addr, &mut vec![0; len as usize]).unwrap();
+            }
+            target.end_walk(&mut footprint, &mut snapshot, false);
+            assert_eq!(footprint, [0x1000, 0x1100, 0x1200]);
+            assert_eq!(
+                snapshot.len(),
+                3 * 16 + 36,
+                "each range once: header, bytes"
+            );
+            assert!(target.unchanged(&snapshot), "within the stop");
+            assert!(!target.unchanged(&[]), "an empty snapshot is none");
+            let plain = Target::new(&mem, &types, &symbols, free);
+            assert!(!plain.unchanged(&snapshot), "uncached");
+        }
+        // A resume: every block drops, the footprint is fetched again,
+        // and the snapshot compared with what arrived.
+        let resume = |mem: &Mem, fetch: &[u64]| {
+            cache.bump_epoch();
+            let target = Target::with_cache(mem, &types, &symbols, free, &cache);
+            target.prefetch_footprint(fetch);
+            target.unchanged(&snapshot)
+        };
+        assert!(resume(&mem, &footprint), "equal bytes");
+        // The first and last byte of each range, changed one at a time,
+        // then written back: bytes beside the ranges do not count.
+        for &(addr, len) in &ranges {
+            for at in [addr, addr + len - 1] {
+                mem.write(at, &[1]);
+                assert!(!resume(&mem, &footprint), "{at:#x} changed");
+                mem.write(at, &[0]);
+                mem.write(addr - 1, &[7]);
+                mem.write(addr + len, &[7]);
+                assert!(resume(&mem, &footprint), "{at:#x} written back");
+                mem.write(addr - 1, &[0]);
+                mem.write(addr + len, &[0]);
+            }
+        }
+        // A block the comparison needs that is not resident.
+        assert!(!resume(&mem, &footprint[1..]), "0x1000 absent");
+        assert!(!resume(&mem, &footprint[..2]), "0x1200 absent");
+        // A snapshot is taken from resident bytes only: a walk whose
+        // block was evicted before it ended keeps none.
+        let one = BlockCache::new(CacheConfig {
+            max_blocks: 1,
+            ..CacheConfig::default()
+        });
+        let mut target = Target::with_cache(&mem, &types, &symbols, free, &one);
+        target.record_reads(&record);
+        target.read_uint(0x1008, 8).unwrap();
+        target.read_uint(0x1208, 8).unwrap();
+        target.end_walk(&mut footprint, &mut snapshot, false);
+        assert!(snapshot.is_empty());
     }
 
     #[test]
@@ -1223,14 +1364,19 @@ mod tests {
         );
         // Off by default: nothing is logged.
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        assert_eq!(target.end_walk(&mut Vec::new(), true), None);
+        assert_eq!(
+            target.end_walk(&mut Vec::new(), &mut Vec::new(), true),
+            None
+        );
         target.record_reads(&record);
         // Prefetch pulls a whole span but is speculative — not touched.
         target.prefetch(roots.init_task + 0x800, 256);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
         let _ = target.read_uint(roots.init_task + 8, 4).unwrap(); // coalesces
         let _ = target.read_uint(roots.init_task + 0x100, 8).unwrap();
-        let touched = target.end_walk(&mut Vec::new(), true).unwrap();
+        let touched = target
+            .end_walk(&mut Vec::new(), &mut Vec::new(), true)
+            .unwrap();
         assert_eq!(
             touched.ranges(),
             [(roots.init_task, 12), (roots.init_task + 0x100, 8)]
@@ -1238,7 +1384,9 @@ mod tests {
         // A new walk starts a fresh log; cache hits still record.
         target.record_reads(&record);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let touched = target.end_walk(&mut Vec::new(), true).unwrap();
+        let touched = target
+            .end_walk(&mut Vec::new(), &mut Vec::new(), true)
+            .unwrap();
         assert_eq!(touched.ranges(), [(roots.init_task, 8)]);
     }
 

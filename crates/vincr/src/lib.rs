@@ -14,22 +14,30 @@
 //! * at every resume, [`decide`] intersects the stop's dirty set once
 //!   with the spans of each pane not yet stale. A pane whose spans miss
 //!   it stays current, and the next request is served its retained
-//!   graph as-is (a *hit*); anything else is marked stale and re-walks
-//!   on its next request — every pane, when dirty info is unknown (the
-//!   degradation ladder's bottom rung is exactly the old whole-epoch
-//!   behaviour);
+//!   graph as-is, with no fetch (a *hit*); anything else is marked
+//!   stale — every pane, when dirty info is unknown (the degradation
+//!   ladder's bottom rung);
+//! * a stale pane on a cached session is checked by content before it
+//!   re-walks: its footprint is fetched, as on any cached session's
+//!   first walk after a resume, and if every byte its last walk was
+//!   served is unchanged the retained graph is served (a hit again);
+//!   otherwise, or with no snapshot to compare, it re-walks. This also
+//!   keeps a pane whose dirty hit rewrote its bytes with the same
+//!   values;
 //! * a re-walked pane's fresh graph replaces its retained one outright.
 //!   The delta a client sees is computed once, by vserve, from the graph
 //!   it last shipped — so the wire cost of a refresh is proportional to
 //!   what actually changed.
 //!
 //! The session (`visualinux::Session`) holds those per-pane records, so
-//! a keep costs a flag read, however many stops ago the pane was walked.
+//! a dirty-set keep costs a flag read, however many stops ago the pane
+//! was walked. A plain cached session, whose resumes say nothing about
+//! what changed, keeps panes by the content check alone.
 //!
 //! The subsystem never *improves* fidelity claims by guessing: every
-//! shortcut is justified by an exact dirty set, and the equivalence
-//! suite checks the incremental result byte-identical to a fresh
-//! extraction.
+//! shortcut is justified by an exact dirty set or an exact comparison
+//! of bytes, and the equivalence suite checks the incremental result
+//! byte-identical to a fresh extraction.
 
 use vbridge::{DirtyInfo, DirtySet};
 
