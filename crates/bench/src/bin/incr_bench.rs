@@ -1,13 +1,20 @@
-//! `incr_bench` — post-stop re-extraction cost: full re-walk vs vincr.
+//! `incr_bench` — post-stop re-extraction cost: a plain cached session
+//! vs vincr.
 //!
 //! Both sessions extract every Table 4 figure, take one scheduler tick
 //! (a single-task stop: the tick mutates a handful of task_struct
-//! fields), then re-extract the whole corpus. The full session re-walks
-//! everything from a bumped cache epoch — the pre-incremental behavior.
-//! The incremental session intersects the stop's dirty ranges with each
-//! pane's touched-span index: panes the tick provably missed are served
-//! retained (zero wire packets), the rest re-walk over a cache that
-//! only dropped the intersecting blocks.
+//! fields), then re-extract the whole corpus. The `full` column is the
+//! plain cached session: on each pane's first walk after the stop it
+//! replays the pane's block footprint and keeps the pane when the bytes
+//! its last walk was served came back unchanged (a content keep); only
+//! the panes whose bytes changed re-walk. The incremental session
+//! intersects the stop's dirty ranges with each pane's touched-span
+//! index: panes the tick provably missed are served retained (zero wire
+//! packets), the rest re-walk over a cache that only dropped the
+//! intersecting blocks. Both sessions keep the panes the tick left
+//! alone, so `wall_ns` compares a footprint replay and byte comparison
+//! against a dirty-set check, each plus the re-walks of the panes the
+//! tick changed; the packet columns carry the replay's cost on the wire.
 //!
 //! ```text
 //! cargo run --release -p bench --bin incr_bench
@@ -137,7 +144,7 @@ fn run_profile(name: &'static str, profile: LatencyProfile, drift: &mut Vec<Stri
 }
 
 fn main() {
-    println!("incr_bench: post-stop re-extraction, full re-walk vs incremental refresh\n");
+    println!("incr_bench: post-stop re-extraction, plain cached vs incremental refresh\n");
     let mut drift: Vec<String> = Vec::new();
     let profiles = vec![
         run_profile("gdb_qemu", LatencyProfile::gdb_qemu(), &mut drift),

@@ -57,7 +57,7 @@ use vbridge::{CacheConfig, Capture, LatencyProfile};
 use vfleet::{Fleet, FleetConfig, FleetStats};
 use visualinux::proto::{VCommand, VERSION};
 use visualinux::{figures, Session, SessionSpec};
-use vserve::framing::{hello_frame, parse_verdict, BinaryFraming, DecodeBuf, Framing};
+use vserve::framing::{hello_frame, parse_verdict, BinaryFraming, DecodeBuf};
 use vserve::{
     byte_pair, Io, Replica, SendMode, ServeConfig, ServeStats, Server, ServerHandle, SingleSession,
     WireClient, WireConfig, WirePump, WireStats,
@@ -562,13 +562,12 @@ fn run_soak(healthy: usize, stalled: usize, frames: usize) -> SoakRunResult {
                     Err(e) => panic!("stalled verdict: {e}"),
                 }
             }
-            let framing = BinaryFraming::default();
             let mut bulk = Vec::new();
             for i in 0..4 * viewcls.len() {
                 let cmd = VCommand::VplotRequest {
                     viewcl: viewcls[i % viewcls.len()].clone(),
                 };
-                framing.encode(&cmd.to_json(), &mut bulk);
+                BinaryFraming.encode(&cmd.to_json(), &mut bulk);
             }
             let mut done = 0;
             while done < bulk.len() {

@@ -16,6 +16,26 @@ fn arg_u64(args: &[CValue], i: usize, who: &str) -> vbridge::Result<u64> {
         .ok_or_else(|| BridgeError::Eval(format!("{who}: argument {i} must be scalar")))
 }
 
+/// `base + offset + index * stride`, or an error naming the helper and
+/// its operands when the sum leaves the address space: a program or
+/// kernel memory supplies them, so they may be anything.
+fn address(who: &str, base: u64, offset: u64, index: u64, stride: u64) -> vbridge::Result<u64> {
+    index
+        .checked_mul(stride)
+        .and_then(|scaled| scaled.checked_add(offset))
+        .and_then(|off| base.checked_add(off))
+        .ok_or_else(|| {
+            let scaled = if stride == 0 {
+                String::new()
+            } else {
+                format!(" + {index} * {stride:#x}")
+            };
+            BridgeError::Eval(format!(
+                "{who}: address {base:#x} + {offset:#x}{scaled} overflows"
+            ))
+        })
+}
+
 fn long_ty(t: &Target<'_>) -> ktypes::TypeId {
     t.types.find("long").expect("long interned")
 }
@@ -51,7 +71,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .find_pointer_to(rq_ty)
             .ok_or_else(|| BridgeError::Eval("rq* not interned".into()))?;
         Ok(CValue::Ptr {
-            addr: sym.addr + cpu * size,
+            addr: address("cpu_rq", sym.addr, 0, cpu, size)?,
             ty: pty,
         })
     });
@@ -65,8 +85,8 @@ pub fn register_all(h: &mut HelperRegistry) {
             .ok_or_else(|| BridgeError::Eval("task_struct not registered".into()))?;
         let (off, _) = t.types.field_path(ty, "__state")?;
         let (flags_off, _) = t.types.field_path(ty, "flags")?;
-        let s = t.read_uint(task + off, 4)?;
-        let flags = t.read_uint(task + flags_off, 4)?;
+        let s = t.read_uint(address("task_state", task, off, 0, 0)?, 4)?;
+        let flags = t.read_uint(address("task_state", task, flags_off, 0, 0)?, 4)?;
         let letter = match s {
             0 => "R",
             1 => "S",
@@ -145,7 +165,10 @@ pub fn register_all(h: &mut HelperRegistry) {
         let base = arg_u64(args, 0, "per_cpu_ptr")?;
         let cpu = arg_u64(args, 1, "per_cpu_ptr")?;
         let size = arg_u64(args, 2, "per_cpu_ptr")?;
-        Ok(int_val(t, (base + cpu * size) as i64))
+        Ok(int_val(
+            t,
+            address("per_cpu_ptr", base, 0, cpu, size)? as i64,
+        ))
     });
     // timer_base_of(cpu) / rcu_data_of(cpu): typed per-cpu accessors.
     h.register("timer_base_of", |t, args| {
@@ -160,7 +183,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .ok_or_else(|| BridgeError::Eval("timer_base not registered".into()))?;
         let pty = t.types.find_pointer_to(ty).expect("ensure_pointers ran");
         Ok(CValue::Ptr {
-            addr: sym.addr + cpu * t.types.size_of(ty),
+            addr: address("timer_base_of", sym.addr, 0, cpu, t.types.size_of(ty))?,
             ty: pty,
         })
     });
@@ -176,7 +199,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .ok_or_else(|| BridgeError::Eval("rcu_data not registered".into()))?;
         let pty = t.types.find_pointer_to(ty).expect("ensure_pointers ran");
         Ok(CValue::Ptr {
-            addr: sym.addr + cpu * t.types.size_of(ty),
+            addr: address("rcu_data_of", sym.addr, 0, cpu, t.types.size_of(ty))?,
             ty: pty,
         })
     });
@@ -204,7 +227,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .find("mm_struct")
             .ok_or_else(|| BridgeError::Eval("mm_struct not registered".into()))?;
         let (root_off, _) = t.types.field_path(mm_ty, "mm_mt.ma_root")?;
-        let mut entry = t.read_uint(mm + root_off, 8)?;
+        let mut entry = t.read_uint(address("find_vma", mm, root_off, 0, 0)?, 8)?;
         let vma_ty = t.types.find("vm_area_struct").expect("registered");
         let pty = t
             .types
@@ -235,13 +258,13 @@ pub fn register_all(h: &mut HelperRegistry) {
             let mut next = 0u64;
             for i in 0..nslots {
                 let piv = if i + 1 < nslots {
-                    t.read_uint(node + piv_off + 8 * i, 8)?
+                    t.read_uint(address("find_vma", node, piv_off, i, 8)?, 8)?
                 } else {
                     u64::MAX
                 };
                 let piv = if piv == 0 && i > 0 { u64::MAX } else { piv };
                 if addr <= piv {
-                    next = t.read_uint(node + slot_off + 8 * i, 8)?;
+                    next = t.read_uint(address("find_vma", node, slot_off, i, 8)?, 8)?;
                     break;
                 }
                 lo = piv.wrapping_add(1);
@@ -290,7 +313,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .find_pointer_to(zone_ty)
             .expect("ensure_pointers ran");
         Ok(CValue::Ptr {
-            addr: nd + zones_off + idx * t.types.size_of(zone_ty),
+            addr: address("zone_of", nd, zones_off, idx, t.types.size_of(zone_ty))?,
             ty: pty,
         })
     });
@@ -301,7 +324,12 @@ pub fn register_all(h: &mut HelperRegistry) {
             .types
             .find("page")
             .ok_or_else(|| BridgeError::Eval("struct page not registered".into()))?;
-        let pfn = (page - ksim::image::VMEMMAP_BASE) / t.types.size_of(page_ty);
+        let base = ksim::image::VMEMMAP_BASE;
+        let pfn = page.checked_sub(base).ok_or_else(|| {
+            BridgeError::Eval(format!(
+                "pfn_of_page: page {page:#x} lies below the vmemmap base {base:#x}"
+            ))
+        })? / t.types.size_of(page_ty);
         Ok(int_val(t, pfn as i64))
     });
     // i_mapping_of(inode): follows inode->i_mapping.
@@ -315,7 +343,7 @@ pub fn register_all(h: &mut HelperRegistry) {
         let asty = t.types.find("address_space").expect("registered");
         let pty = t.types.find_pointer_to(asty).expect("ensure_pointers ran");
         Ok(CValue::Ptr {
-            addr: t.read_uint(inode + off, 8)?,
+            addr: t.read_uint(address("i_mapping_of", inode, off, 0, 0)?, 8)?,
             ty: pty,
         })
     });
@@ -332,7 +360,7 @@ pub fn register_all(h: &mut HelperRegistry) {
             .find_pointer_to(sem_ty)
             .expect("ensure_pointers ran");
         Ok(CValue::Ptr {
-            addr: sa + t.types.size_of(saty),
+            addr: address("sem_base", sa, t.types.size_of(saty), 0, 0)?,
             ty: pty,
         })
     });
@@ -398,6 +426,79 @@ mod tests {
         match ev.eval_str("ip4_str(0x0100007f)").unwrap() {
             CValue::Str(s) => assert_eq!(s, "127.0.0.1"),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Evaluate `expr` with every helper registered; it must fail with a
+    /// message containing `want`.
+    fn fails(expr: &str, want: &str) {
+        let (img, _t, _roots) = build(&WorkloadConfig::default()).finish();
+        let target = Target::new(&img.mem, &img.types, &img.symbols, LatencyProfile::free());
+        let h = registry();
+        let ev = Evaluator::new(&target, &h);
+        let err = ev.eval_str(expr).unwrap_err().to_string();
+        assert!(err.contains(want), "{expr}: {err}");
+    }
+
+    #[test]
+    fn per_cpu_ptr_past_the_top_is_an_error() {
+        fails(
+            "per_cpu_ptr(0xffffffffffffff00, 2, 0x100)",
+            "per_cpu_ptr: address 0xffffffffffffff00 + 0x0 + 2 * 0x100 overflows",
+        );
+    }
+
+    #[test]
+    fn cpu_rq_of_a_huge_cpu_is_an_error() {
+        fails("cpu_rq(0x7fffffffffffffff)", "cpu_rq: address 0x");
+    }
+
+    #[test]
+    fn zone_of_past_the_top_is_an_error() {
+        fails(
+            "zone_of(0xffffffffffffffff, 1)",
+            "zone_of: address 0xffffffffffffffff + 0x",
+        );
+    }
+
+    #[test]
+    fn pfn_of_a_page_below_vmemmap_is_an_error() {
+        fails(
+            "pfn_of_page(0)",
+            &format!(
+                "pfn_of_page: page 0x0 lies below the vmemmap base {:#x}",
+                ksim::image::VMEMMAP_BASE
+            ),
+        );
+    }
+
+    #[test]
+    fn every_address_helper_refuses_to_wrap() {
+        for (expr, want) in [
+            // `__state` sits at offset 0, so the first read faults.
+            (
+                "task_state(0xffffffffffffffff)",
+                "unmapped address 0xffffffffffffffff",
+            ),
+            (
+                "timer_base_of(0x7fffffffffffffff)",
+                "timer_base_of: address",
+            ),
+            ("rcu_data_of(0x7fffffffffffffff)", "rcu_data_of: address"),
+            (
+                "find_vma(0xffffffffffffffff, 0)",
+                "find_vma: address 0xffffffffffffffff",
+            ),
+            (
+                "i_mapping_of(0xffffffffffffffff)",
+                "i_mapping_of: address 0xffffffffffffffff",
+            ),
+            (
+                "sem_base(0xffffffffffffffff)",
+                "sem_base: address 0xffffffffffffffff",
+            ),
+        ] {
+            fails(expr, want);
         }
     }
 }

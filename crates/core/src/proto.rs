@@ -14,10 +14,11 @@ use vpanels::{PaneId, SplitDir};
 /// The protocol revision this build speaks. Negotiated (and pinned) by
 /// the binary wire handshake (`vserve::framing`): a peer announcing a
 /// different revision is rejected loudly, naming both versions, instead
-/// of silently misparsing frames. Newline-JSON connections predate the
-/// handshake and are treated as implicitly compatible; clients stamp the
-/// revision into every [`VCommand::Vack`] so the serving side can still
-/// observe what its peers speak.
+/// of silently misparsing frames. A peer that does not open with the
+/// handshake at all (a newline-JSON client of revision 1) is refused with
+/// one JSON error line. Clients stamp the revision into every
+/// [`VCommand::Vack`] so the serving side can still observe what its
+/// peers speak.
 ///
 /// History: 1 = the blocking newline-JSON protocol (PR 4–9);
 /// 2 = length-prefixed binary framing + hello/accept negotiation +

@@ -1,10 +1,10 @@
 //! Public-API snapshot: the exported surface of `vbridge` (the backend
 //! trait, capture format and target layering), `core::session` (the
 //! builder and v-commands), `core::proto` (the wire protocol and its
-//! version constant) and `vserve` (the Io/Framing transport seam, the
-//! evented pump and the serving surface) is locked against a checked-in
-//! golden, so an accidental signature change or a silently dropped
-//! export fails here instead of shipping.
+//! version constant) and `vserve` (the Io transport seam, the binary
+//! framing, the evented pump and the serving surface) is locked against
+//! a checked-in golden, so an accidental signature change or a silently
+//! dropped export fails here instead of shipping.
 //!
 //! Regenerating after an *intentional* API change:
 //!

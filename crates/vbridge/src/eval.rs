@@ -728,17 +728,21 @@ impl<'t, 'img> Evaluator<'t, 'img> {
                 (f.offset, f.ty, f.bit)
             }
         };
+        // The object's address comes from the program or from memory.
+        let at = addr.checked_add(offset).ok_or_else(|| {
+            BridgeError::Eval(format!(
+                "member `.{field}`: address {addr:#x} + {offset:#x} overflows"
+            ))
+        })?;
         match bit {
             Some(bf) => {
-                let storage = self
-                    .target
-                    .read_uint(addr + offset, bf.storage_size as usize)?;
+                let storage = self.target.read_uint(at, bf.storage_size as usize)?;
                 Ok(CValue::Int {
                     value: bf.extract(storage),
                     ty: fty,
                 })
             }
-            None => self.target.load(addr + offset, fty),
+            None => self.target.load(at, fty),
         }
     }
 
@@ -761,7 +765,15 @@ impl<'t, 'img> Evaluator<'t, 'img> {
                         }));
                     }
                     let esz = self.target.types.size_of(*elem);
-                    self.target.load(addr + esz * i as u64, *elem)
+                    let at = esz
+                        .checked_mul(i as u64)
+                        .and_then(|off| addr.checked_add(off))
+                        .ok_or_else(|| {
+                            BridgeError::Eval(format!(
+                                "index [{i}]: address {addr:#x} + {i} * {esz:#x} overflows"
+                            ))
+                        })?;
+                    self.target.load(at, *elem)
                 }
                 _ => Err(BridgeError::Eval("indexing a non-array lvalue".into())),
             },
@@ -1246,6 +1258,34 @@ mod tests {
         let fx = fixture();
         with_eval(&fx, |ev| {
             assert!(ev.eval_str("((struct task_struct *)0)->pid").is_err());
+        });
+    }
+
+    #[test]
+    fn an_address_past_the_top_is_an_error_not_a_panic() {
+        let fx = fixture();
+        let task = fx.types.task.task_struct;
+        let (comm, _) = fx.img.types.field_path(task, "comm").unwrap();
+        with_eval(&fx, |ev| {
+            let fails = |expr: &str, want: &str| {
+                let err = ev.eval_str(expr).unwrap_err().to_string();
+                assert!(err.contains(want), "{expr}: {err}");
+            };
+            fails(
+                "((struct task_struct *)0xffffffffffffffff)->pid",
+                "member `.pid`: address 0xffffffffffffffff + ",
+            );
+            // A bitfield sums its storage address the same way.
+            fails(
+                "((struct slab *)0xffffffffffffffff)->frozen",
+                "member `.frozen`: address 0xffffffffffffffff + ",
+            );
+            // An array member that starts below the top but ends past it.
+            let base = u64::MAX - comm - 3;
+            fails(
+                &format!("((struct task_struct *){base})->comm[15]"),
+                "index [15]: address 0xfffffffffffffffc + 15 * 0x1",
+            );
         });
     }
 

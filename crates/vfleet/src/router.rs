@@ -13,8 +13,8 @@
 //! The routing decision plugs into the evented [`vserve::WirePump`] via
 //! [`ConnectRouter`]: build the pump with
 //! `WirePump::new(Box::new(FleetRouter::new(fleet)), cfg)` and one poll
-//! thread serves every session behind one endpoint — both framings,
-//! fair queuing and all.
+//! thread serves every session behind one endpoint — the versioned
+//! binary framing, fair queuing and all.
 
 use std::sync::Arc;
 

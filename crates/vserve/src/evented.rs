@@ -31,10 +31,13 @@
 //! costs its siblings one skipped lane visit per sweep — measured by
 //! the `serve_bench --soak` gate.
 //!
-//! **Framings.** The first byte of a lane picks its wire format
-//! ([`crate::framing::sniff`]): a binary hello runs the version
-//! handshake (skew → reject frame naming both versions, lane closed);
-//! anything else is implicit newline-JSON. One endpoint serves both.
+//! **The handshake.** Every lane starts at the hello
+//! ([`crate::framing::parse_hello`]): a `VWHI` hello runs the version
+//! handshake (skew → reject frame naming both versions, lane closed).
+//! A peer whose first bytes are anything else — a newline-JSON client
+//! included — gets one JSON error line naming the hello and the
+//! protocol version, the shape of the connection-limit refusal, and is
+//! closed ([`WireStats::decode_errors`]).
 //!
 //! **Routing.** Engine selection is a seam: [`ConnectRouter`] maps a
 //! lane's first protocol frame to a [`Connection`]. The single-session
@@ -51,10 +54,7 @@ use std::time::Duration;
 
 use visualinux::proto::VResponse;
 
-use crate::framing::{
-    negotiate_server, parse_hello, sniff, BinaryFraming, DecodeBuf, Framing, LineFraming, Sniff,
-    DEFAULT_MAX_FRAME, DEFAULT_MAX_LINE,
-};
+use crate::framing::{negotiate_server, parse_hello, BinaryFraming, DecodeBuf};
 use crate::queue::{Bounded, Wake};
 use crate::server::{Connection, SendMode, ServerHandle};
 use crate::stats::WireStats;
@@ -65,7 +65,7 @@ use crate::ServeError;
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
     /// Lanes the pump will drive at once; connections beyond it are
-    /// refused with a best-effort error payload.
+    /// refused with a best-effort JSON error line.
     pub max_connections: usize,
     /// Frames admitted into the engine per lane per sweep — the
     /// round-robin fairness quantum.
@@ -73,10 +73,6 @@ pub struct WireConfig {
     /// Bytes buffered toward one client before the pump declares it
     /// stalled and skips its reads and reply drains.
     pub outbuf_limit: usize,
-    /// Per-frame ceiling for binary lanes.
-    pub max_frame: u32,
-    /// Line-length ceiling for newline-JSON lanes.
-    pub max_line: usize,
     /// Longest the pump parks after a sweep that moved nothing. Arriving
     /// connections and bytes on transports that can signal
     /// ([`Io::set_waker`]) unpark it at once, so this bounds the wait on
@@ -92,8 +88,6 @@ impl Default for WireConfig {
             max_connections: 1024,
             fair_budget: 4,
             outbuf_limit: 1 << 20,
-            max_frame: DEFAULT_MAX_FRAME,
-            max_line: DEFAULT_MAX_LINE,
             idle_sleep: Duration::from_micros(200),
         }
     }
@@ -147,11 +141,9 @@ impl ConnectRouter for SingleSession {
 
 /// Where a lane is in its lifecycle.
 enum Stage {
-    /// Waiting for the first byte to pick the framing.
-    Sniff,
-    /// Binary: waiting for the 8-byte hello.
+    /// Waiting for the 8-byte hello.
     Hello,
-    /// Framing fixed; waiting for the first frame to route.
+    /// Version pinned; waiting for the first frame to route.
     Route,
     /// Routed: frames flow to the engine, replies flow back.
     Ready,
@@ -161,7 +153,6 @@ enum Stage {
 struct Lane {
     io: Box<dyn Io>,
     stage: Stage,
-    framing: Option<Box<dyn Framing>>,
     inbuf: DecodeBuf,
     outbuf: Vec<u8>,
     /// Decoded frames awaiting admission (bounded by `fair_budget`).
@@ -184,8 +175,7 @@ impl Lane {
     fn new(io: Box<dyn Io>) -> Lane {
         Lane {
             io,
-            stage: Stage::Sniff,
-            framing: None,
+            stage: Stage::Hello,
             inbuf: DecodeBuf::new(),
             outbuf: Vec::new(),
             pending: VecDeque::new(),
@@ -201,20 +191,24 @@ impl Lane {
 
     /// Encode a reply payload toward the client.
     fn push_reply(&mut self, payload: &str, stats: &mut WireStats) {
-        if let Some(f) = &self.framing {
-            f.encode(payload, &mut self.outbuf);
-            stats.frames_out += 1;
-        }
+        BinaryFraming.encode(payload, &mut self.outbuf);
+        stats.frames_out += 1;
     }
 
-    /// A fatal framing failure: answer with a positioned diagnostic (on
-    /// lanes whose framing is known), then close.
+    /// A fatal framing failure: answer with a positioned diagnostic, then
+    /// close.
     fn fail(&mut self, msg: String, stats: &mut WireStats) {
         stats.decode_errors += 1;
         let reply = VResponse::Err { message: msg }.to_json();
         self.push_reply(&reply, stats);
         self.closing = true;
     }
+}
+
+/// A refusal before any handshake, in the one shape any peer can read:
+/// a JSON error line.
+fn refusal(message: String) -> String {
+    format!("{}\n", VResponse::Err { message }.to_json())
 }
 
 /// Hands new connections to a running pump. Clonable and `Send`.
@@ -308,14 +302,9 @@ impl WirePump {
             progress = true;
             if self.lanes.len() >= self.cfg.max_connections {
                 self.stats.refused += 1;
-                // Best-effort: the framing is unknown this early, so the
-                // refusal is a JSON line (legacy-readable) and the
-                // connection is dropped either way.
-                let msg = VResponse::Err {
-                    message: format!("connection limit ({}) reached", self.cfg.max_connections),
-                }
-                .to_json();
-                let _ = io.write(format!("{msg}\n").as_bytes());
+                // Best-effort: the connection is dropped either way.
+                let limit = self.cfg.max_connections;
+                let _ = io.write(refusal(format!("connection limit ({limit}) reached")).as_bytes());
                 continue;
             }
             self.stats.accepted += 1;
@@ -354,8 +343,7 @@ impl WirePump {
                 match conn.try_recv() {
                     Some(reply) => {
                         lane.in_flight = lane.in_flight.saturating_sub(1);
-                        let f = lane.framing.as_ref().expect("routed lanes have a framing");
-                        f.encode(&reply, &mut lane.outbuf);
+                        BinaryFraming.encode(&reply, &mut lane.outbuf);
                         self.stats.frames_out += 1;
                         progress = true;
                     }
@@ -406,30 +394,10 @@ impl WirePump {
                 return progress;
             }
             match lane.stage {
-                Stage::Sniff => {
-                    if lane.inbuf.is_empty() {
-                        break;
-                    }
-                    let first = lane.inbuf.first_byte().expect("checked non-empty");
-                    match sniff(first) {
-                        Sniff::Binary => {
-                            self.stats.hello_binary += 1;
-                            lane.stage = Stage::Hello;
-                        }
-                        Sniff::Lines => {
-                            self.stats.hello_lines += 1;
-                            lane.framing =
-                                Some(Box::new(LineFraming::with_max_line(self.cfg.max_line)));
-                            lane.stage = Stage::Route;
-                        }
-                    }
-                    progress = true;
-                }
                 Stage::Hello => match parse_hello(&mut lane.inbuf) {
                     Ok(None) => break,
                     Ok(Some(theirs)) => {
-                        lane.framing =
-                            Some(Box::new(BinaryFraming::with_max_frame(self.cfg.max_frame)));
+                        self.stats.hello_binary += 1;
                         match negotiate_server(theirs) {
                             Ok(accept) => {
                                 lane.outbuf.extend_from_slice(&accept);
@@ -443,47 +411,46 @@ impl WirePump {
                         }
                         progress = true;
                     }
-                    Err(_) => {
-                        // A malformed hello: no framing was ever agreed,
-                        // so there is nothing sensible to reply with.
+                    Err(e) => {
+                        // Not a hello, so no framing was agreed: refuse
+                        // in the one shape any peer can read.
                         self.stats.decode_errors += 1;
+                        let line = refusal(format!("frame error: {e}"));
+                        lane.outbuf.extend_from_slice(line.as_bytes());
                         lane.closing = true;
                         progress = true;
                     }
                 },
-                Stage::Route => {
-                    let f = lane.framing.as_ref().expect("set at sniff/hello");
-                    match f.decode(&mut lane.inbuf) {
-                        Ok(None) => break,
-                        Ok(Some(frame)) => {
-                            progress = true;
-                            match self.router.route(&frame) {
-                                Ok(routed) => {
-                                    routed.conn.set_waker(std::thread::current());
-                                    let lane = &mut self.lanes[idx];
-                                    lane.window = routed.conn.capacity();
-                                    lane.conn = Some(routed.conn);
-                                    lane._guard = routed.guard;
-                                    lane.stage = Stage::Ready;
-                                    match routed.ack {
-                                        Some(ack) => lane.push_reply(&ack, &mut self.stats),
-                                        None => lane.pending.push_back(frame),
-                                    }
-                                }
-                                Err(message) => {
-                                    self.stats.routing_retries += 1;
-                                    let reply = VResponse::Err { message }.to_json();
-                                    self.lanes[idx].push_reply(&reply, &mut self.stats);
+                Stage::Route => match BinaryFraming.decode(&mut lane.inbuf) {
+                    Ok(None) => break,
+                    Ok(Some(frame)) => {
+                        progress = true;
+                        match self.router.route(&frame) {
+                            Ok(routed) => {
+                                routed.conn.set_waker(std::thread::current());
+                                let lane = &mut self.lanes[idx];
+                                lane.window = routed.conn.capacity();
+                                lane.conn = Some(routed.conn);
+                                lane._guard = routed.guard;
+                                lane.stage = Stage::Ready;
+                                match routed.ack {
+                                    Some(ack) => lane.push_reply(&ack, &mut self.stats),
+                                    None => lane.pending.push_back(frame),
                                 }
                             }
-                        }
-                        Err(e) => {
-                            let msg = format!("frame error: {e}");
-                            lane.fail(msg, &mut self.stats);
-                            return true;
+                            Err(message) => {
+                                self.stats.routing_retries += 1;
+                                let reply = VResponse::Err { message }.to_json();
+                                self.lanes[idx].push_reply(&reply, &mut self.stats);
+                            }
                         }
                     }
-                }
+                    Err(e) => {
+                        let msg = format!("frame error: {e}");
+                        lane.fail(msg, &mut self.stats);
+                        return true;
+                    }
+                },
                 Stage::Ready => {
                     progress |= self.pump_ready(idx);
                     break;
@@ -501,8 +468,7 @@ impl WirePump {
         while admitted < budget {
             let lane = &mut self.lanes[idx];
             if lane.pending.is_empty() {
-                let f = lane.framing.as_ref().expect("routed lanes have a framing");
-                match f.decode(&mut lane.inbuf) {
+                match BinaryFraming.decode(&mut lane.inbuf) {
                     Ok(Some(frame)) => lane.pending.push_back(frame),
                     Ok(None) => break,
                     Err(e) => {
@@ -551,13 +517,12 @@ impl WirePump {
         if !lane.eof || lane.closing || lane.dead {
             return false;
         }
-        if let Some(f) = &lane.framing {
-            if !lane.inbuf.is_empty() {
-                if let Err(e) = f.finish(&lane.inbuf) {
-                    let msg = format!("frame error: {e}");
-                    lane.fail(msg, &mut self.stats);
-                    return true;
-                }
+        // A partial hello has no frame to check; it just closes.
+        if !matches!(lane.stage, Stage::Hello) {
+            if let Err(e) = BinaryFraming.finish(&lane.inbuf) {
+                let msg = format!("frame error: {e}");
+                lane.fail(msg, &mut self.stats);
+                return true;
             }
         }
         lane.closing = lane.pending.is_empty() && lane.in_flight == 0;

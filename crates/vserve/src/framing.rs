@@ -1,23 +1,18 @@
 //! Framing: how protocol payloads become bytes on a stream.
 //!
 //! The wire layer is split into two orthogonal seams (DESIGN.md §17):
-//! [`crate::wire::Io`] moves raw bytes, and a [`Framing`] cuts the byte
-//! stream into payload frames. Two framings ship:
-//!
-//! * [`LineFraming`] — the historical newline-delimited JSON. No
-//!   handshake; a connection whose first byte is `{` (or whitespace)
-//!   speaks it implicitly.
-//! * [`BinaryFraming`] — a `u32` little-endian length prefix per frame,
-//!   preceded by a fixed 8-byte hello/accept handshake that negotiates
-//!   and *pins* [`visualinux::proto::VERSION`]. A version mismatch is
-//!   answered with a reject frame and surfaces as
-//!   [`FrameError::VersionSkew`], naming both versions — never a silent
-//!   misparse.
+//! [`crate::wire::Io`] moves raw bytes, and [`BinaryFraming`] cuts the
+//! byte stream into payload frames: a `u32` little-endian length prefix
+//! per frame, at most [`MAX_FRAME`] bytes of payload, preceded by a
+//! fixed 8-byte hello/accept handshake that negotiates and *pins*
+//! [`visualinux::proto::VERSION`]. A version mismatch is answered with
+//! a reject frame and surfaces as [`FrameError::VersionSkew`], naming
+//! both versions — never a silent misparse. It is the only wire format:
+//! a peer whose first bytes are not a hello is refused.
 //!
 //! Framing sits strictly *below* the `VCommand` layer: a frame carries
 //! an opaque UTF-8 payload, so `.vrec` captures (which record target
-//! wire packets, not client frames) are byte-identical no matter which
-//! framing served them.
+//! wire packets, not client frames) do not depend on it.
 //!
 //! Decoding is incremental and panic-free: bytes accumulate in a
 //! [`DecodeBuf`] that tracks absolute stream positions, `decode` yields
@@ -30,10 +25,10 @@ use std::fmt;
 
 use visualinux::proto::VERSION;
 
-/// Hard ceiling a [`BinaryFraming`] will declare or accept per frame.
-pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
-/// Hard ceiling a [`LineFraming`] will buffer while hunting a newline.
-pub const DEFAULT_MAX_LINE: usize = 64 << 20;
+/// The largest payload a frame carries, on both ends: a peer's declared
+/// length past it is [`FrameError::Oversize`], and the engine answers a
+/// reply past it with an error instead.
+pub const MAX_FRAME: usize = 64 << 20;
 
 /// Client hello: `VWHI` + u16-LE version + u16-LE reserved (zero).
 pub const HELLO_MAGIC: [u8; 4] = *b"VWHI";
@@ -48,7 +43,7 @@ pub const HANDSHAKE_LEN: usize = 8;
 /// stream went wrong; none of them is ever a panic or a hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// A declared frame length exceeds the configured ceiling.
+    /// A declared frame length exceeds [`MAX_FRAME`].
     Oversize {
         /// Absolute stream offset of the offending length prefix.
         at: u64,
@@ -65,15 +60,15 @@ pub enum FrameError {
         /// What was wrong with them.
         what: String,
     },
-    /// The stream closed mid-frame: a partial length prefix, a payload
-    /// shorter than its prefix declared, or an unterminated line.
+    /// The stream closed mid-frame: a partial length prefix, or a
+    /// payload shorter than its prefix declared.
     Truncated {
         /// Absolute stream offset where the incomplete frame began.
         at: u64,
         /// Bytes of it that did arrive.
         have: usize,
-        /// Bytes the frame needed to complete (0 = unknowable, e.g. an
-        /// unterminated line).
+        /// Bytes the frame needed to complete (0 = unknowable: the length
+        /// prefix itself is incomplete).
         need: usize,
     },
     /// The hello/accept handshake found the two ends speaking different
@@ -156,12 +151,6 @@ impl DecodeBuf {
         self.pos
     }
 
-    /// The next unconsumed byte, if any — what the server sniffs to
-    /// pick a connection's framing ([`sniff`]).
-    pub fn first_byte(&self) -> Option<u8> {
-        self.peek().first().copied()
-    }
-
     fn peek(&self) -> &[u8] {
         &self.buf[self.start..]
     }
@@ -173,150 +162,43 @@ impl DecodeBuf {
     }
 }
 
-/// One way of cutting a byte stream into payload frames. Object-safe so
-/// a connection can carry whichever framing its handshake picked.
-pub trait Framing: Send {
-    /// Append one encoded frame carrying `payload` to `out`.
-    fn encode(&self, payload: &str, out: &mut Vec<u8>);
-
-    /// Decode one complete frame off the front of `buf`, consuming it.
-    /// `Ok(None)` means the frame is not complete yet — feed more bytes.
-    /// Errors are positioned and terminal for the stream.
-    fn decode(&self, buf: &mut DecodeBuf) -> Result<Option<String>, FrameError>;
-
-    /// End-of-stream check: the peer closed; is the residue a clean
-    /// frame boundary? A mid-frame close is a positioned
-    /// [`FrameError::Truncated`].
-    fn finish(&self, buf: &DecodeBuf) -> Result<(), FrameError>;
-
-    /// The framing's name (diagnostics, stats).
-    fn name(&self) -> &'static str;
-}
-
-/// Newline-delimited JSON: one payload per `\n`-terminated line, CR
-/// stripped, empty lines skipped. The pre-handshake wire format, kept
-/// as a first-class [`Framing`].
-pub struct LineFraming {
-    max_line: usize,
-}
-
-impl Default for LineFraming {
-    fn default() -> Self {
-        LineFraming {
-            max_line: DEFAULT_MAX_LINE,
-        }
-    }
-}
-
-impl LineFraming {
-    /// Line framing with an explicit line-length ceiling.
-    pub fn with_max_line(max_line: usize) -> LineFraming {
-        LineFraming { max_line }
-    }
-}
-
-impl Framing for LineFraming {
-    fn encode(&self, payload: &str, out: &mut Vec<u8>) {
-        debug_assert!(!payload.contains('\n'), "payload would split the frame");
-        out.extend_from_slice(payload.as_bytes());
-        out.push(b'\n');
-    }
-
-    fn decode(&self, buf: &mut DecodeBuf) -> Result<Option<String>, FrameError> {
-        loop {
-            let bytes = buf.peek();
-            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
-                if bytes.len() > self.max_line {
-                    return Err(FrameError::Oversize {
-                        at: buf.position(),
-                        declared: bytes.len() as u64,
-                        max: self.max_line as u64,
-                    });
-                }
-                return Ok(None);
-            };
-            let at = buf.position();
-            let line = &bytes[..nl];
-            let line = line.strip_suffix(b"\r").unwrap_or(line);
-            if line.is_empty() {
-                buf.consume(nl + 1);
-                continue;
-            }
-            let payload = std::str::from_utf8(line)
-                .map_err(|e| FrameError::Garbage {
-                    at: at + e.valid_up_to() as u64,
-                    what: "line is not valid UTF-8".into(),
-                })?
-                .to_string();
-            buf.consume(nl + 1);
-            return Ok(Some(payload));
-        }
-    }
-
-    fn finish(&self, buf: &DecodeBuf) -> Result<(), FrameError> {
-        let residue = buf.peek().iter().filter(|&&b| b != b'\r').count();
-        if residue == 0 {
-            return Ok(());
-        }
-        Err(FrameError::Truncated {
-            at: buf.position(),
-            have: buf.len(),
-            need: 0,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "lines"
-    }
-}
-
 /// Length-prefixed binary frames: `u32`-LE payload length, then that
-/// many bytes of UTF-8 payload. Preceded on the wire by the
-/// hello/accept handshake (see module docs); the framing itself is
-/// version-agnostic — the negotiated version pins the *payload*
-/// protocol, and the prefix makes frame boundaries explicit so a
-/// corrupted stream fails at a named byte offset instead of resyncing
+/// many bytes of UTF-8 payload, at most [`MAX_FRAME`]. Preceded on the
+/// wire by the hello/accept handshake (see module docs); the framing
+/// itself is version-agnostic — the negotiated version pins the
+/// *payload* protocol, and the prefix makes frame boundaries explicit so
+/// a corrupted stream fails at a named byte offset instead of resyncing
 /// on luck.
-pub struct BinaryFraming {
-    max_frame: u32,
-}
-
-impl Default for BinaryFraming {
-    fn default() -> Self {
-        BinaryFraming {
-            max_frame: DEFAULT_MAX_FRAME,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct BinaryFraming;
 
 impl BinaryFraming {
-    /// Binary framing with an explicit per-frame ceiling.
-    pub fn with_max_frame(max_frame: u32) -> BinaryFraming {
-        BinaryFraming { max_frame }
-    }
-}
-
-impl Framing for BinaryFraming {
-    fn encode(&self, payload: &str, out: &mut Vec<u8>) {
-        debug_assert!(payload.len() <= self.max_frame as usize);
+    /// Append one encoded frame carrying `payload` to `out`. The payload
+    /// must fit [`MAX_FRAME`]: the engine refuses larger replies, and
+    /// `WireClient` larger requests, before they get here.
+    pub fn encode(&self, payload: &str, out: &mut Vec<u8>) {
+        debug_assert!(payload.len() <= MAX_FRAME);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(payload.as_bytes());
     }
 
-    fn decode(&self, buf: &mut DecodeBuf) -> Result<Option<String>, FrameError> {
+    /// Decode one complete frame off the front of `buf`, consuming it.
+    /// `Ok(None)` means the frame is not complete yet — feed more bytes.
+    /// Errors are positioned and terminal for the stream.
+    pub fn decode(&self, buf: &mut DecodeBuf) -> Result<Option<String>, FrameError> {
         let bytes = buf.peek();
         if bytes.len() < 4 {
             return Ok(None);
         }
-        let declared = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-        if declared > self.max_frame {
+        let declared = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+        if declared > MAX_FRAME {
             return Err(FrameError::Oversize {
                 at: buf.position(),
                 declared: declared as u64,
-                max: self.max_frame as u64,
+                max: MAX_FRAME as u64,
             });
         }
-        let total = 4 + declared as usize;
+        let total = 4 + declared;
         if bytes.len() < total {
             return Ok(None);
         }
@@ -331,7 +213,10 @@ impl Framing for BinaryFraming {
         Ok(Some(payload))
     }
 
-    fn finish(&self, buf: &DecodeBuf) -> Result<(), FrameError> {
+    /// End-of-stream check: the peer closed; is the residue a clean
+    /// frame boundary? A mid-frame close is a positioned
+    /// [`FrameError::Truncated`].
+    pub fn finish(&self, buf: &DecodeBuf) -> Result<(), FrameError> {
         if buf.is_empty() {
             return Ok(());
         }
@@ -346,31 +231,6 @@ impl Framing for BinaryFraming {
             have: buf.len(),
             need,
         })
-    }
-
-    fn name(&self) -> &'static str {
-        "binary"
-    }
-}
-
-/// What the first byte of a fresh connection announces. Binary hello
-/// frames open with `V` (the magic), which no JSON line can (those open
-/// with `{` or whitespace) — so one listening endpoint serves both
-/// framings without configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sniff {
-    /// A binary hello is on its way: run the handshake.
-    Binary,
-    /// Implicit newline-JSON (no handshake).
-    Lines,
-}
-
-/// Classify a connection by its first byte.
-pub fn sniff(first: u8) -> Sniff {
-    if first == HELLO_MAGIC[0] {
-        Sniff::Binary
-    } else {
-        Sniff::Lines
     }
 }
 
@@ -412,7 +272,7 @@ pub fn parse_hello(buf: &mut DecodeBuf) -> Result<Option<u16>, FrameError> {
         return Err(FrameError::Garbage {
             at: buf.position(),
             what: format!(
-                "expected a VWHI hello frame, got {:?}",
+                "expected a VWHI hello frame for wire protocol v{VERSION}, got {:?}",
                 &bytes[..bytes.len().min(8)]
             ),
         });
@@ -473,30 +333,9 @@ pub fn parse_verdict(buf: &mut DecodeBuf, ours: u16) -> Result<Option<()>, Frame
 mod tests {
     use super::*;
 
-    fn feed(f: &dyn Framing, bytes: &[u8]) -> Result<Vec<String>, FrameError> {
-        let mut buf = DecodeBuf::new();
-        buf.extend(bytes);
-        let mut out = Vec::new();
-        while let Some(p) = f.decode(&mut buf)? {
-            out.push(p);
-        }
-        f.finish(&buf)?;
-        Ok(out)
-    }
-
-    #[test]
-    fn line_framing_round_trips_and_skips_blanks() {
-        let f = LineFraming::default();
-        let mut wire = Vec::new();
-        f.encode("alpha", &mut wire);
-        wire.extend_from_slice(b"\r\n");
-        f.encode("beta", &mut wire);
-        assert_eq!(feed(&f, &wire).unwrap(), ["alpha", "beta"]);
-    }
-
     #[test]
     fn binary_framing_round_trips_across_split_reads() {
-        let f = BinaryFraming::default();
+        let f = BinaryFraming;
         let mut wire = Vec::new();
         f.encode("hello", &mut wire);
         f.encode("", &mut wire);
@@ -516,19 +355,19 @@ mod tests {
 
     #[test]
     fn oversize_declared_length_errors_with_position() {
-        let f = BinaryFraming::with_max_frame(16);
+        let f = BinaryFraming;
         let mut buf = DecodeBuf::new();
         buf.extend(b"prefix-consumed\n");
         let skip = buf.len();
         buf.consume(skip);
-        buf.extend(&1000u32.to_le_bytes());
+        buf.extend(&(MAX_FRAME as u32 + 1).to_le_bytes());
         let err = f.decode(&mut buf).unwrap_err();
         assert_eq!(
             err,
             FrameError::Oversize {
                 at: skip as u64,
-                declared: 1000,
-                max: 16
+                declared: MAX_FRAME as u64 + 1,
+                max: MAX_FRAME as u64
             }
         );
         assert!(err.to_string().contains("at byte 16"), "{err}");
@@ -536,7 +375,7 @@ mod tests {
 
     #[test]
     fn mid_frame_close_is_a_positioned_truncation() {
-        let f = BinaryFraming::default();
+        let f = BinaryFraming;
         let mut buf = DecodeBuf::new();
         buf.extend(&10u32.to_le_bytes());
         buf.extend(b"abc"); // 3 of 10 payload bytes
@@ -561,7 +400,7 @@ mod tests {
 
     #[test]
     fn non_utf8_payload_is_garbage_at_the_bad_byte() {
-        let f = BinaryFraming::default();
+        let f = BinaryFraming;
         let mut buf = DecodeBuf::new();
         buf.extend(&4u32.to_le_bytes());
         buf.extend(&[b'o', b'k', 0xff, 0xfe]);
@@ -604,12 +443,5 @@ mod tests {
                 theirs: VERSION
             }
         );
-    }
-
-    #[test]
-    fn sniff_separates_hello_from_json() {
-        assert_eq!(sniff(b'V'), Sniff::Binary);
-        assert_eq!(sniff(b'{'), Sniff::Lines);
-        assert_eq!(sniff(b' '), Sniff::Lines);
     }
 }

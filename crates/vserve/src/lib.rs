@@ -38,20 +38,23 @@
 //!   every client of the source and, through a [`ShareGroup`], by every
 //!   fleet sibling ([`ServeStats::full_encodes`]).
 //! * **The wire.** See DESIGN.md §17: byte streams plug in through the
-//!   nonblocking [`Io`] seam, a [`Framing`] turns bytes into `VCommand`
-//!   payloads (newline-JSON [`LineFraming`], or length-prefixed
-//!   [`BinaryFraming`] behind a versioned `VWHI`/`VWOK` handshake that
-//!   fails loudly naming both versions on skew), and one evented
-//!   [`WirePump`] thread multiplexes every connection — per-client
-//!   fair budgeted admission, bounded out-buffers, and a stall cap so
-//!   one dead-reader client cannot stall the engine or starve its
-//!   siblings. The pump parks when idle and is woken by what clients
-//!   send; it collects engine replies on its own sweeps (an idle engine
-//!   rings it for replies still queued). A [`WireClient`] over a
-//!   [`ChanIo`] waits on its receive queue.
+//!   nonblocking [`Io`] seam, and [`BinaryFraming`] turns bytes into
+//!   `VCommand` payloads: length-prefixed frames of at most
+//!   [`framing::MAX_FRAME`] bytes behind a versioned `VWHI`/`VWOK`
+//!   handshake that fails loudly naming both versions on skew. A peer
+//!   that does not open with the hello gets one JSON error line and is
+//!   closed. One evented [`WirePump`] thread multiplexes every
+//!   connection — per-client fair budgeted admission, bounded
+//!   out-buffers, and a stall cap so one dead-reader client cannot
+//!   stall the engine or starve its siblings. The pump parks when idle
+//!   and is woken by what clients send; it collects engine replies on
+//!   its own sweeps (an idle engine rings it for replies still queued).
+//!   A [`WireClient`] over a [`ChanIo`] waits on its receive queue.
 //!   Framing sits strictly below [`visualinux::proto::VCommand`], so
-//!   replies are byte-identical across framings and `.vrec`
-//!   determinism is untouched.
+//!   replies are byte-identical over the wire and over a direct
+//!   [`Connection`], and `.vrec` determinism is untouched. A plot
+//!   whose payload would exceed the frame cap is answered with an
+//!   error on every transport ([`ServeStats::oversized`]).
 
 mod client;
 mod evented;
@@ -64,7 +67,7 @@ mod wire;
 
 pub use client::{Replica, ReplicaEvent};
 pub use evented::{ConnectRouter, PumpHandle, RoutedConn, SingleSession, WireConfig, WirePump};
-pub use framing::{BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming};
+pub use framing::{BinaryFraming, DecodeBuf, FrameError};
 pub use queue::{Bounded, TryPush};
 pub use server::{Connection, SendMode, ServeConfig, Server, ServerHandle, SessionOp};
 pub use shared::{ShareGroup, ShareStats};

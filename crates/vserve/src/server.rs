@@ -38,6 +38,7 @@ use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand, 
 use visualinux::Session;
 use vtrace::SpanKind;
 
+use crate::framing::MAX_FRAME;
 use crate::queue::{Bounded, TryPush, Wake};
 use crate::shared::{ShareGroup, SharedPlot};
 use crate::stats::ServeStats;
@@ -754,7 +755,9 @@ impl Server {
     }
 
     /// Serve one `vplot_request`: memoized extraction, then a full ship
-    /// or a delta, whichever is fewer bytes for *this* client.
+    /// or a delta, whichever is fewer bytes for *this* client. A payload
+    /// past [`MAX_FRAME`] is refused with an error: no peer could take
+    /// the frame.
     fn plot(&mut self, client: u64, viewcl: &str) -> Result<String, String> {
         let (src, fresh) = match self.memo.get_key_value(viewcl) {
             Some((src, m)) => (Arc::clone(src), m.fresh),
@@ -784,7 +787,7 @@ impl Server {
             last: Arc::clone(&graph),
             resync: true,
         });
-        let delta_cmd = if sub.resync {
+        let delta = if sub.resync {
             None
         } else {
             // Lockstep fast path: every in-sync client stepping the same
@@ -822,21 +825,31 @@ impl Server {
                     payload,
                 });
             }
-            Some(m.delta.as_ref().expect("just stored").payload.clone())
+            Some(&m.delta.as_ref().expect("just stored").payload)
         };
         sub.last = graph;
-        match delta_cmd {
+        let delta = delta.filter(|d| d.len() < full_len);
+        let len = delta.map_or(full_len, |d| d.len());
+        if len > MAX_FRAME {
+            // The client never gets this step, so its next ship is full.
+            sub.resync = true;
+            self.stats.oversized += 1;
+            return Err(format!(
+                "a {len}-byte reply exceeds the {MAX_FRAME}-byte frame cap"
+            ));
+        }
+        match delta {
             // Delta sync pays off: ship it.
-            Some(d) if d.len() < full_len => {
+            Some(d) => {
                 sub.seq += 1;
                 self.stats.deltas_sent += 1;
                 self.stats.delta_bytes_sent += d.len() as u64;
                 self.stats.delta_bytes_saved += (full_len - d.len()) as u64;
-                Ok(d)
+                Ok(d.clone())
             }
             // Fallback: the delta would cost more than the plot
             // (or the client lost sync) — full ship, seq resets.
-            _ => {
+            None => {
                 sub.seq = 0;
                 sub.resync = false;
                 Ok(self.ship_full(&src))
@@ -1114,6 +1127,79 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.errors, 2);
         stats.reconcile().unwrap();
+    }
+
+    #[test]
+    fn a_reply_past_the_frame_cap_is_an_error_and_siblings_stay_served() {
+        let mut server = server(ServeConfig {
+            exit_when_idle: false,
+            ..ServeConfig::default()
+        });
+        let handle = server.handle();
+        let (big, sibling) = (handle.connect(), handle.connect());
+        // A comment of control bytes, each six bytes once JSON-escaped:
+        // every plot echoes its source, so this one passes the cap at a
+        // sixth of its size.
+        let fig = figures::by_id("fig3-4").unwrap().viewcl;
+        let padded = format!("// {}\n{fig}", "\u{1}".repeat(MAX_FRAME / 6 + 1));
+        // `big` holds the source in sync, as after earlier ships, so the
+        // refused step is a delta the client never gets.
+        let src: Arc<str> = Arc::from(padded.as_str());
+        let in_sync = SyncState {
+            seq: 3,
+            last: Arc::new(vgraph::Graph::new()),
+            resync: false,
+        };
+        let big_id = big.id();
+        server
+            .subs
+            .entry(big_id)
+            .or_default()
+            .insert(Arc::clone(&src), in_sync);
+        let clients = thread::spawn(move || {
+            let ask = |conn: &Connection, viewcl: &str| {
+                let cmd = VCommand::VplotRequest {
+                    viewcl: viewcl.to_string(),
+                };
+                conn.send(&cmd, SendMode::Blocking).unwrap();
+                conn.recv().expect("a reply")
+            };
+            let refused = ask(&big, &padded);
+            assert!(refused.len() < 256, "{} B error reply", refused.len());
+            let Ok(VResponse::Err { message }) = VResponse::from_json(&refused) else {
+                panic!("expected an error, got {refused:.80}");
+            };
+            let cap = format!(" exceeds the {MAX_FRAME}-byte frame cap");
+            let len: usize = message
+                .strip_prefix("a ")
+                .and_then(|m| m.strip_suffix(&cap))
+                .and_then(|m| m.strip_suffix("-byte reply"))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{message}"));
+            assert!(len > MAX_FRAME, "{message}");
+            // The engine keeps serving: a sibling, and the refused client.
+            for (conn, fig) in [(&sibling, "fig3-4"), (&big, "fig7-1")] {
+                let plot = ask(conn, figures::by_id(fig).unwrap().viewcl);
+                assert!(plot.starts_with(r#"{"command":"vplot","#), "{plot:.80}");
+            }
+            // Stop the engine while both clients are still subscribed.
+            handle.shutdown();
+            (big, sibling)
+        });
+        server.run();
+        let _still_connected = clients.join().unwrap();
+        assert!(
+            server.subs[&big_id][&src].resync,
+            "the refused subscription ships in full next"
+        );
+        let stats = server.stats();
+        stats.reconcile().unwrap();
+        assert_eq!(
+            (stats.extractions, stats.oversized, stats.errors),
+            (3, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!((stats.fulls_sent, stats.deltas_sent), (2, 0), "{stats:?}");
     }
 
     #[test]

@@ -52,6 +52,10 @@ pub struct ServeStats {
     pub delta_bytes_sent: u64,
     /// Bytes a full re-ship would have cost minus what the delta cost.
     pub delta_bytes_saved: u64,
+    /// Plots refused because their payload would exceed the wire's
+    /// frame cap ([`crate::framing::MAX_FRAME`]): each is answered with
+    /// an error, and its subscription ships in full next.
+    pub oversized: u64,
     /// `vack` commands processed.
     pub acks: u64,
     /// Subscriptions forced back to a full ship by a bad/missing ack.
@@ -100,10 +104,10 @@ impl ServeStats {
                 self.full_encodes, self.fulls_sent
             ));
         }
-        if self.fulls_sent + self.deltas_sent != self.extractions {
+        if self.fulls_sent + self.deltas_sent + self.oversized != self.extractions {
             return Err(format!(
-                "fulls ({}) + deltas ({}) != extractions ({})",
-                self.fulls_sent, self.deltas_sent, self.extractions
+                "fulls ({}) + deltas ({}) + oversized ({}) != extractions ({})",
+                self.fulls_sent, self.deltas_sent, self.oversized, self.extractions
             ));
         }
         // A delta is only chosen when strictly smaller than the full ship.
@@ -145,6 +149,7 @@ impl ServeStats {
         self.full_bytes_sent += other.full_bytes_sent;
         self.delta_bytes_sent += other.delta_bytes_sent;
         self.delta_bytes_saved += other.delta_bytes_saved;
+        self.oversized += other.oversized;
         self.acks += other.acks;
         self.resyncs += other.resyncs;
         self.errors += other.errors;
@@ -176,17 +181,15 @@ impl ServeStats {
 
 /// Counters a [`crate::WirePump`] keeps while it sweeps. Orthogonal to
 /// [`ServeStats`] (which books engine work): these book the wire itself
-/// — lanes, framings, frames, and the fairness machinery's decisions.
+/// — lanes, handshakes, frames, and the fairness machinery's decisions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireStats {
     /// Connections taken on as lanes.
     pub accepted: u64,
     /// Connections refused over the connection limit.
     pub refused: u64,
-    /// Lanes whose first byte opened a binary hello handshake.
+    /// Lanes that opened with a well-formed `VWHI` hello.
     pub hello_binary: u64,
-    /// Lanes that spoke implicit newline-JSON.
-    pub hello_lines: u64,
     /// Handshakes rejected for version skew.
     pub version_skews: u64,
     /// Routing frames answered with an error (client may retry).
@@ -199,7 +202,8 @@ pub struct WireStats {
     pub bytes_in: u64,
     /// Raw bytes written to all lanes.
     pub bytes_out: u64,
-    /// Fatal framing failures (positioned diagnostics sent, lane closed).
+    /// Fatal framing failures, a first frame that is not a hello among
+    /// them (positioned diagnostics sent, lane closed).
     pub decode_errors: u64,
     /// Admissions deferred because the reply window or request queue was
     /// full — the backpressure gate that keeps the engine nonblocking.
@@ -216,10 +220,10 @@ pub struct WireStats {
 impl WireStats {
     /// Internal bookkeeping invariants for the wire layer.
     pub fn reconcile(&self) -> Result<(), String> {
-        if self.hello_binary + self.hello_lines > self.accepted {
+        if self.hello_binary > self.accepted {
             return Err(format!(
-                "more framing sniffs ({} + {}) than accepted lanes ({})",
-                self.hello_binary, self.hello_lines, self.accepted
+                "more hellos ({}) than accepted lanes ({})",
+                self.hello_binary, self.accepted
             ));
         }
         if self.version_skews > self.hello_binary {
@@ -243,7 +247,6 @@ impl WireStats {
         self.accepted += other.accepted;
         self.refused += other.refused;
         self.hello_binary += other.hello_binary;
-        self.hello_lines += other.hello_lines;
         self.version_skews += other.version_skews;
         self.routing_retries += other.routing_retries;
         self.frames_in += other.frames_in;
@@ -267,7 +270,6 @@ mod tests {
         let a = WireStats {
             accepted: 4,
             hello_binary: 3,
-            hello_lines: 1,
             version_skews: 1,
             frames_in: 10,
             frames_out: 9,
@@ -277,7 +279,7 @@ mod tests {
         a.reconcile().unwrap();
         let b = WireStats {
             accepted: 2,
-            hello_lines: 2,
+            hello_binary: 2,
             lanes_max: 2,
             ..WireStats::default()
         };

@@ -18,10 +18,10 @@
 //!   `examples/serve_tcp.rs` binds it to real sockets.
 //!
 //! [`WireClient`] is the client-side codec: a blocking
-//! send/receive-one-payload loop over an `Io` + [`Framing`], including
-//! the binary hello/accept handshake. Server-side connections are
-//! driven by the evented [`crate::WirePump`] instead — one poll thread,
-//! many clients.
+//! send/receive-one-payload loop of [`BinaryFraming`] over an `Io`,
+//! after the hello/accept handshake. Server-side connections are driven
+//! by the evented [`crate::WirePump`] instead — one poll thread, many
+//! clients.
 
 use std::io;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use visualinux::proto::{VCommand, VERSION};
 
 use crate::framing::{
-    hello_frame, parse_verdict, BinaryFraming, DecodeBuf, Framing, LineFraming, HANDSHAKE_LEN,
+    hello_frame, parse_verdict, BinaryFraming, DecodeBuf, HANDSHAKE_LEN, MAX_FRAME,
 };
 use crate::queue::{Bounded, TryPush, Wake};
 use crate::ServeError;
@@ -210,29 +210,17 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// The blocking client-side codec: one [`Io`] + one [`Framing`], with
-/// payload-at-a-time `send`/`recv`. Construct with [`WireClient::lines`]
-/// (implicit newline-JSON, no handshake) or [`WireClient::binary`]
-/// (hello/accept handshake pinning [`VERSION`] — a skew fails loudly
-/// naming both versions before any payload moves).
+/// The blocking client-side codec: [`BinaryFraming`] over one [`Io`],
+/// with payload-at-a-time `send`/`recv`. Construct with
+/// [`WireClient::binary`], whose hello/accept handshake pins [`VERSION`]
+/// — a skew fails loudly naming both versions before any payload moves.
 pub struct WireClient {
     io: Box<dyn Io>,
-    framing: Box<dyn Framing>,
     inbuf: DecodeBuf,
     outbuf: Vec<u8>,
 }
 
 impl WireClient {
-    /// A newline-JSON client (the pre-handshake wire format).
-    pub fn lines(io: Box<dyn Io>) -> WireClient {
-        WireClient {
-            io,
-            framing: Box::new(LineFraming::default()),
-            inbuf: DecodeBuf::new(),
-            outbuf: Vec::new(),
-        }
-    }
-
     /// A binary-framed client: performs the hello/accept handshake at
     /// [`VERSION`] and fails with a both-versions-named protocol error
     /// on skew.
@@ -245,7 +233,6 @@ impl WireClient {
     pub fn binary_with_version(io: Box<dyn Io>, version: u16) -> Result<WireClient, ServeError> {
         let mut c = WireClient {
             io,
-            framing: Box::new(BinaryFraming::default()),
             inbuf: DecodeBuf::new(),
             outbuf: Vec::new(),
         };
@@ -270,14 +257,17 @@ impl WireClient {
         }
     }
 
-    /// The active framing's name (`"lines"` or `"binary"`).
-    pub fn framing_name(&self) -> &'static str {
-        self.framing.name()
-    }
-
     /// Send one serialized payload (blocking until the bytes are out).
+    /// A payload past [`MAX_FRAME`] is an error: no server would take
+    /// the frame.
     pub fn send_payload(&mut self, payload: &str) -> Result<(), ServeError> {
-        self.framing.encode(payload, &mut self.outbuf);
+        if payload.len() > MAX_FRAME {
+            return Err(ServeError::Protocol(format!(
+                "a {}-byte payload exceeds the {MAX_FRAME}-byte frame cap",
+                payload.len()
+            )));
+        }
+        BinaryFraming.encode(payload, &mut self.outbuf);
         self.flush()
     }
 
@@ -297,14 +287,14 @@ impl WireClient {
     pub fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<String>, ServeError> {
         let mut spins = 0;
         loop {
-            match self.framing.decode(&mut self.inbuf) {
+            match BinaryFraming.decode(&mut self.inbuf) {
                 Ok(Some(p)) => return Ok(Some(p)),
                 Ok(None) => {}
                 Err(e) => return Err(ServeError::Protocol(e.to_string())),
             }
             if !self.fill(&mut spins)? {
                 // EOF: a clean frame boundary ends the stream gracefully.
-                return match self.framing.finish(&self.inbuf) {
+                return match BinaryFraming.finish(&self.inbuf) {
                     Ok(()) => Ok(None),
                     Err(e) => Err(ServeError::Protocol(e.to_string())),
                 };
@@ -434,7 +424,7 @@ mod tests {
             };
             let verdict = crate::framing::negotiate_server(theirs).unwrap();
             write_all(&mut io, &verdict);
-            let f = BinaryFraming::default();
+            let f = BinaryFraming;
             // Echo one frame back.
             let payload = loop {
                 if let Some(p) = f.decode(&mut buf).unwrap() {
@@ -451,9 +441,11 @@ mod tests {
             write_all(&mut io, &out);
         });
         let mut c = WireClient::binary(Box::new(a)).unwrap();
-        assert_eq!(c.framing_name(), "binary");
         c.send_payload("ping").unwrap();
         assert_eq!(c.recv().unwrap().as_deref(), Some("echo:ping"));
+        // A payload no server would take never reaches the stream.
+        let err = c.send_payload(&"x".repeat(MAX_FRAME + 1)).unwrap_err();
+        assert!(err.to_string().contains("frame cap"), "{err}");
         server.join().unwrap();
     }
 }

@@ -7,47 +7,30 @@
 use proptest::prelude::*;
 use visualinux::proto::{VCommand, VResponse, VERSION};
 use vserve::framing::{
-    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame, sniff,
-    BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
+    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame,
+    BinaryFraming, DecodeBuf, FrameError, MAX_FRAME,
 };
 use vserve::{byte_pair, Io, ServeConfig, Server, SingleSession, WireClient, WireConfig, WirePump};
 
-/// JSON-ish payloads: printable, no newlines (a line frame cannot carry
-/// one), including empty and multi-byte UTF-8.
+/// JSON-ish payloads, including empty ones, newlines and multi-byte
+/// UTF-8: a length prefix carries any payload.
 fn payload_strategy() -> BoxedStrategy<String> {
     prop_oneof![
         Just(String::new()),
         Just("{\"command\":\"vack\",\"source\":\"s\",\"seq\":1}".to_string()),
         (0usize..64).prop_map(|n| "x".repeat(n)),
         (1usize..8).prop_map(|n| "héllo→🜃".repeat(n)),
+        (0usize..8).prop_map(|n| "line\n\r\n".repeat(n)),
         (0u64..u64::MAX).prop_map(|n| format!("{{\"seq\":{n}}}")),
     ]
     .boxed()
 }
 
-fn framings() -> Vec<Box<dyn Framing>> {
-    vec![
-        Box::new(LineFraming::default()),
-        Box::new(BinaryFraming::default()),
-    ]
-}
-
-/// What a framing reproduces from `payloads`: the line framing cannot
-/// represent an empty payload (a blank line is skipped by design); the
-/// binary framing carries everything.
-fn representable(f: &dyn Framing, payloads: &[String]) -> Vec<String> {
-    payloads
-        .iter()
-        .filter(|p| f.name() != "lines" || !p.is_empty())
-        .cloned()
-        .collect()
-}
-
-/// Drain `buf` through `f`, bounding the iteration count so a decoder
-/// that stops making progress fails the test instead of hanging it.
-fn drain(f: &dyn Framing, buf: &mut DecodeBuf, out: &mut Vec<String>) -> Result<(), FrameError> {
+/// Drain `buf`, bounding the iteration count so a decoder that stops
+/// making progress fails the test instead of hanging it.
+fn drain(buf: &mut DecodeBuf, out: &mut Vec<String>) -> Result<(), FrameError> {
     for _ in 0..100_000 {
-        match f.decode(buf)? {
+        match BinaryFraming.decode(buf)? {
             Some(p) => out.push(p),
             None => return Ok(()),
         }
@@ -65,24 +48,22 @@ proptest! {
         payloads in proptest::collection::vec(payload_strategy(), 0..12),
         chunk in 1usize..97,
     ) {
-        for f in framings() {
-            let mut wire = Vec::new();
-            for p in &payloads {
-                f.encode(p, &mut wire);
-            }
-            let mut buf = DecodeBuf::new();
-            let mut got = Vec::new();
-            for piece in wire.chunks(chunk) {
-                buf.extend(piece);
-                if let Err(e) = drain(f.as_ref(), &mut buf, &mut got) {
-                    return Err(TestCaseError::Fail(format!("{}: {e}", f.name())));
-                }
-            }
-            if f.finish(&buf).is_err() {
-                return Err(TestCaseError::Fail(format!("{}: dirty finish", f.name())));
-            }
-            prop_assert_eq!(got, representable(f.as_ref(), &payloads));
+        let mut wire = Vec::new();
+        for p in &payloads {
+            BinaryFraming.encode(p, &mut wire);
         }
+        let mut buf = DecodeBuf::new();
+        let mut got = Vec::new();
+        for piece in wire.chunks(chunk) {
+            buf.extend(piece);
+            if let Err(e) = drain(&mut buf, &mut got) {
+                return Err(TestCaseError::Fail(e.to_string()));
+            }
+        }
+        if BinaryFraming.finish(&buf).is_err() {
+            return Err(TestCaseError::Fail("dirty finish".into()));
+        }
+        prop_assert_eq!(got, payloads);
     }
 
     // Cutting a valid stream anywhere yields a prefix of the payloads
@@ -93,96 +74,89 @@ proptest! {
         payloads in proptest::collection::vec(payload_strategy(), 1..8),
         cut_seed in 0usize..10_000,
     ) {
-        for f in framings() {
-            let mut wire = Vec::new();
-            for p in &payloads {
-                f.encode(p, &mut wire);
+        let mut wire = Vec::new();
+        for p in &payloads {
+            BinaryFraming.encode(p, &mut wire);
+        }
+        let cut = cut_seed % (wire.len() + 1);
+        let mut buf = DecodeBuf::new();
+        buf.extend(&wire[..cut]);
+        let mut got = Vec::new();
+        if drain(&mut buf, &mut got).is_err() {
+            // A cut cannot invent garbage in a valid prefix.
+            return Err(TestCaseError::Fail("decode error on prefix".into()));
+        }
+        prop_assert!(got.len() <= payloads.len());
+        prop_assert_eq!(&got[..], &payloads[..got.len()]);
+        match BinaryFraming.finish(&buf) {
+            Ok(()) => prop_assert!(buf.is_empty()),
+            Err(FrameError::Truncated { at, have, .. }) => {
+                prop_assert!(have > 0);
+                // The truncation points inside the bytes that arrived.
+                prop_assert!((at as usize) < cut);
             }
-            let cut = cut_seed % (wire.len() + 1);
-            let mut buf = DecodeBuf::new();
-            buf.extend(&wire[..cut]);
-            let mut got = Vec::new();
-            if drain(f.as_ref(), &mut buf, &mut got).is_err() {
-                // Only the *binary* framing can error before EOF here
-                // (a cut cannot invent garbage in a valid prefix).
-                return Err(TestCaseError::Fail(format!("{}: decode error on prefix", f.name())));
-            }
-            let want = representable(f.as_ref(), &payloads);
-            prop_assert!(got.len() <= want.len());
-            prop_assert_eq!(&got[..], &want[..got.len()]);
-            match f.finish(&buf) {
-                Ok(()) => prop_assert!(buf.is_empty()),
-                Err(FrameError::Truncated { at, have, .. }) => {
-                    prop_assert!(have > 0);
-                    // The truncation points inside the bytes that arrived.
-                    prop_assert!((at as usize) < cut);
-                }
-                Err(e) => return Err(TestCaseError::Fail(format!("{}: {e}", f.name()))),
-            }
+            Err(e) => return Err(TestCaseError::Fail(e.to_string())),
         }
     }
 
-    // Any declared length over the ceiling is an `Oversize` at the
-    // prefix's stream offset, regardless of preceding valid frames.
+    // Any declared length over the 64 MiB cap is an `Oversize` at the
+    // prefix's stream offset, regardless of preceding valid frames, and
+    // before any of the declared payload is buffered.
     #[test]
     fn oversized_declared_lengths_are_positioned(
         preamble in proptest::collection::vec(payload_strategy(), 0..4),
-        excess in 1u64..1_000_000,
+        excess in 1u64..=(u32::MAX as u64 - MAX_FRAME as u64),
     ) {
-        let max = 4096u32;
-        let f = BinaryFraming::with_max_frame(max);
         let mut wire = Vec::new();
         for p in &preamble {
-            f.encode(p, &mut wire);
+            BinaryFraming.encode(p, &mut wire);
         }
         let at = wire.len() as u64;
-        let declared = max as u64 + excess.min(u32::MAX as u64 - max as u64);
+        let max = MAX_FRAME as u64;
+        let declared = max + excess;
         wire.extend_from_slice(&(declared as u32).to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
         let mut buf = DecodeBuf::new();
         buf.extend(&wire);
         let mut got = Vec::new();
-        let err = match drain(&f, &mut buf, &mut got) {
+        let err = match drain(&mut buf, &mut got) {
             Err(e) => e,
             Ok(()) => return Err(TestCaseError::Fail("oversize accepted".into())),
         };
         prop_assert_eq!(&got, &preamble);
-        prop_assert_eq!(err, FrameError::Oversize { at, declared, max: max as u64 });
+        prop_assert_eq!(err, FrameError::Oversize { at, declared, max });
     }
 
-    // Arbitrary garbage never panics or hangs either framing: every
-    // byte sequence terminates in frames, "need more", or a positioned
-    // error.
+    // Arbitrary garbage never panics or hangs the decoder: every byte
+    // sequence terminates in frames, "need more", or a positioned error.
     #[test]
     fn arbitrary_bytes_never_panic_or_hang(
         bytes in proptest::collection::vec(0u8..=255, 0..512),
         chunk in 1usize..64,
     ) {
-        for f in framings() {
-            let mut buf = DecodeBuf::new();
-            let mut got = Vec::new();
-            let mut failed = None;
-            for piece in bytes.chunks(chunk) {
-                buf.extend(piece);
-                if let Err(e) = drain(f.as_ref(), &mut buf, &mut got) {
-                    failed = Some(e);
-                    break;
+        let mut buf = DecodeBuf::new();
+        let mut got = Vec::new();
+        let mut failed = None;
+        for piece in bytes.chunks(chunk) {
+            buf.extend(piece);
+            if let Err(e) = drain(&mut buf, &mut got) {
+                failed = Some(e);
+                break;
+            }
+        }
+        let fin = failed.map(Err).unwrap_or_else(|| BinaryFraming.finish(&buf));
+        if let Err(e) = fin {
+            // Positioned within the bytes that actually arrived.
+            let at = match &e {
+                FrameError::Oversize { at, .. }
+                | FrameError::Garbage { at, .. }
+                | FrameError::Truncated { at, .. } => *at,
+                FrameError::VersionSkew { .. } => {
+                    return Err(TestCaseError::Fail("skew without a handshake".into()))
                 }
-            }
-            let fin = failed.map(Err).unwrap_or_else(|| f.finish(&buf));
-            if let Err(e) = fin {
-                // Positioned within the bytes that actually arrived.
-                let at = match &e {
-                    FrameError::Oversize { at, .. }
-                    | FrameError::Garbage { at, .. }
-                    | FrameError::Truncated { at, .. } => *at,
-                    FrameError::VersionSkew { .. } => {
-                        return Err(TestCaseError::Fail("skew without a handshake".into()))
-                    }
-                };
-                prop_assert!((at as usize) <= bytes.len());
-                prop_assert!(!e.to_string().is_empty());
-            }
+            };
+            prop_assert!((at as usize) <= bytes.len());
+            prop_assert!(!e.to_string().is_empty());
         }
     }
 
@@ -211,8 +185,8 @@ proptest! {
     }
 
     // A hello chunked at any boundary parses incrementally; corrupting
-    // any single byte of its magic is positioned garbage, and the
-    // corrupted first byte no longer sniffs as binary.
+    // any single byte of its magic is positioned garbage that names the
+    // hello and the version.
     #[test]
     fn hello_frames_parse_incrementally_and_reject_bad_magic(
         split in 0usize..8,
@@ -230,13 +204,13 @@ proptest! {
 
         let mut bad = hello;
         bad[at_byte] ^= 0x20;
-        if at_byte == 0 {
-            prop_assert_eq!(sniff(bad[0]), Sniff::Lines);
-        }
         let mut buf = DecodeBuf::new();
         buf.extend(&bad);
         match parse_hello(&mut buf) {
-            Err(FrameError::Garbage { at: 0, .. }) => {}
+            Err(FrameError::Garbage { at: 0, what }) => {
+                prop_assert!(what.contains("VWHI hello"), "{}", what);
+                prop_assert!(what.contains(&format!("v{VERSION}")), "{}", what);
+            }
             other => return Err(TestCaseError::Fail(format!("bad magic: {other:?}"))),
         }
     }

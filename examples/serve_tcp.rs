@@ -2,11 +2,12 @@
 //! endpoint of the paper's §4.2 message flow, backed by a
 //! `vserve::Server` behind the evented `WirePump`.
 //!
-//! One listening socket serves both wire framings: a client that opens
-//! with the binary hello (`WireClient::binary`) gets length-prefixed
-//! frames after a version handshake; anything else is treated as the
-//! legacy newline-delimited JSON. All connections are driven by a
-//! single poll thread with per-client fair queuing — no thread per
+//! The socket speaks one wire format: a client opens with the binary
+//! hello (`WireClient::binary`) and gets length-prefixed frames after a
+//! version handshake. A peer whose first bytes are anything else — a
+//! newline-JSON client, say — gets one JSON error line naming the hello
+//! and the protocol version, and is closed. All connections are driven
+//! by a single poll thread with per-client fair queuing — no thread per
 //! connection.
 //!
 //! ```text
@@ -14,22 +15,17 @@
 //! cargo run --example serve_tcp -- --hold 0.0.0.0:9000 # keep serving
 //! ```
 //!
-//! With `--hold`, the legacy framing means you can still talk to it
-//! from another terminal with nothing but netcat:
-//!
-//! ```text
-//! printf '%s\n' '{"command":"vplot_request","viewcl":"..."}' | nc 127.0.0.1 9000
-//! ```
-//!
 //! The run is self-demonstrating: after binding, the example connects
 //! an in-process binary-framed smoke client over the same TCP surface,
 //! requests a figure twice around a stop event, prints what came back
-//! (a full plot, then a delta), then proves the newline-JSON path still
-//! answers on the very same port. Without `--hold` it then shuts the
-//! server down gracefully and exits, which is what the CI smoke run
-//! relies on.
+//! (a full plot, then a delta), then sends a newline-JSON request on
+//! the very same port and prints the refusal it gets. Without `--hold`
+//! it then shuts the server down gracefully and exits, which is what
+//! the CI smoke run relies on.
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, LatencyProfile};
@@ -60,7 +56,7 @@ fn main() -> std::io::Result<()> {
     let listener = TcpListener::bind(&addr)?;
     let addr = listener.local_addr()?;
     println!(
-        "vserve: listening on {addr} (binary framed wire v{}, newline-JSON auto-detected)",
+        "vserve: listening on {addr} (binary framed wire v{}; a peer without the VWHI hello is refused)",
         visualinux::proto::VERSION
     );
 
@@ -109,7 +105,7 @@ fn main() -> std::io::Result<()> {
         let stream = TcpStream::connect(addr).expect("connect to ourselves");
         let io = tcp_io(stream).expect("nonblocking socket");
         let mut client = WireClient::binary(Box::new(io)).expect("wire handshake");
-        println!("smoke: negotiated {} framing", client.framing_name());
+        println!("smoke: negotiated wire v{}", visualinux::proto::VERSION);
         let mut replica = Replica::new();
         let request = VCommand::VplotRequest {
             viewcl: fig.viewcl.to_string(),
@@ -148,16 +144,22 @@ fn main() -> std::io::Result<()> {
             }
         }
 
-        // The same port still answers the legacy newline-JSON framing:
-        // no hello, first byte '{', auto-detected per connection.
-        let stream = TcpStream::connect(addr).expect("connect (lines)");
-        let io = tcp_io(stream).expect("nonblocking socket");
-        let mut lines = WireClient::lines(Box::new(io));
-        lines
-            .send(&VCommand::VctrlFocus { addr: 0 })
-            .expect("send over lines framing");
-        let reply = lines.recv().expect("recv").expect("reply");
-        println!("smoke: lines framing still answers: {reply}");
+        // A newline-JSON peer opens without the hello: the same port
+        // answers it with one JSON error line and closes.
+        let mut stale = TcpStream::connect(addr).expect("connect (no hello)");
+        stale
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let line = VCommand::VctrlFocus { addr: 0 }.to_json();
+        stale
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send a JSON line");
+        let mut refusal = String::new();
+        stale
+            .read_to_string(&mut refusal)
+            .expect("the refusal, then the close");
+        assert!(refusal.contains("VWHI hello"), "{refusal}");
+        print!("smoke: a peer without the hello is refused: {refusal}");
 
         if !hold {
             done.shutdown();
@@ -170,10 +172,10 @@ fn main() -> std::io::Result<()> {
     ph.shutdown();
     let wire = pump_thread.join().expect("pump");
     println!(
-        "wire: {} lanes ({} binary, {} lines), {} frames in / {} out, {} sweeps",
+        "wire: {} lanes ({} with a hello, {} refused), {} frames in / {} out, {} sweeps",
         wire.accepted,
         wire.hello_binary,
-        wire.hello_lines,
+        wire.decode_errors,
         wire.frames_in,
         wire.frames_out,
         wire.sweeps

@@ -1,14 +1,17 @@
 //! Corpus properties: random scenario specs build valid (clean) images
 //! at any dial setting, every declared injection is caught by `kcheck`
 //! with the right class — and the right address where the spec pins one
-//! — and corrupted corpus images never panic the distillers.
+//! — and corrupted corpus images never panic the distillers or any of
+//! the 21 figures.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kgen::{check_ground_truth, scoped_probe, to_expected, FULL_PROBE};
 use ksim::corpus::{self, InjectionSpec, ScenarioSpec};
 use ksim::faults::ALL_FAULTS;
 use ksim::workload::WorkloadConfig;
 use proptest::prelude::*;
-use visualinux::Session;
+use visualinux::{figures, Session};
 
 fn arb_workload() -> impl Strategy<Value = WorkloadConfig> {
     (
@@ -128,6 +131,41 @@ fn shipped_corpus_ground_truth_holds() {
         }
         check_ground_truth(&spec).unwrap();
     }
+}
+
+/// Every figure walks every corpus scenario but the 1k and 10k rungs to
+/// a graph or an error, never a panic. A corrupted image hands the
+/// helpers and member accesses any address at all (fig15-1 on
+/// `xarray-corrupt` passes `pfn_of_page` a page below the vmemmap
+/// base), and a debug build checks every sum they make.
+#[test]
+fn every_figure_walks_every_scenario_to_a_graph_or_an_error() {
+    let mut panicked = Vec::new();
+    for spec in corpus::corpus() {
+        if matches!(spec.name.as_str(), "clean-1k" | "clean-10k") {
+            continue;
+        }
+        let (builder, _) = Session::from_scenario(&spec);
+        let session = builder.attach().unwrap();
+        for fig in figures::all() {
+            let walk = catch_unwind(AssertUnwindSafe(|| session.extract(fig.viewcl).map(drop)));
+            if walk.is_err() {
+                panicked.push(format!("{} on {}", fig.id, spec.name));
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "walks panicked: {panicked:?}");
+    // The corrupt slot's pfn shows the helper's error, not a wrapped
+    // number.
+    let xarray = corpus::by_name("xarray-corrupt").unwrap();
+    let session = Session::from_scenario(&xarray).0.attach().unwrap();
+    let fig = figures::by_id("fig15-1").unwrap();
+    let (graph, _) = session.extract(fig.viewcl).unwrap();
+    let shown = format!("{graph:?}");
+    assert!(
+        shown.contains("pfn_of_page: page 0x6 lies below the vmemmap base"),
+        "{shown}"
+    );
 }
 
 /// The CVE members re-express the hand-written case studies: StackRot
