@@ -11,10 +11,10 @@ use ksim::KernelImage;
 use ktypes::Stamp;
 use vbridge::{
     BackendKind, BlockCache, BridgeError, CacheConfig, Capture, DirtyInfo, DirtySet,
-    HelperRegistry, LatencyProfile, ReadRecord, RecordBackend, Recorder, ReplayBackend,
+    HelperRegistry, LatencyProfile, ReadIndex, ReadRecord, RecordBackend, Recorder, ReplayBackend,
     ReplayState, SimBackend, Target, TargetBackend, TargetStats,
 };
-use vgraph::{Graph, GraphStats};
+use vgraph::{BoxId, Graph, GraphStats};
 use vpanels::{FocusHit, PaneId, SplitDir};
 use vtrace::{SpanKind, TraceSpan, Tracer};
 
@@ -419,10 +419,11 @@ pub struct Session {
     reads: ReadRecord,
 }
 
-/// A retained pane: the graph its last walk produced, what that walk
-/// was served, and, on an incremental session (vincr), what the resumes
-/// since then did to the spans it read. Each resume updates every
-/// incremental record once, so a dirty-set keep is a flag read.
+/// A retained pane: the graph its last walk (or patch) produced, what
+/// that walk read and was served, and, on an incremental session
+/// (vincr), which of its boxes the resumes since then dirtied. Each
+/// resume updates every incremental record once, so a dirty-set keep is
+/// a check of an empty list.
 struct Retained {
     graph: Arc<Graph>,
     stats: GraphStats,
@@ -431,13 +432,31 @@ struct Retained {
     snapshot: Vec<u8>,
     /// The type registry's and symbol table's states the walk ran under.
     tables: (Stamp, Stamp),
-    /// Address spans the walk read (incremental sessions only).
-    touched: DirtySet,
-    /// A resume since the walk may have changed a span it read.
-    stale: bool,
+    /// What the walk read, by the box whose views read it.
+    index: ReadIndex,
+    /// What a patch of the pane checks its boxes against; `None` when
+    /// no patch can stand in for a walk (`Interp::finish`) or a read of
+    /// the walk faulted.
+    trail: Option<viewcl::Trail>,
+    /// The boxes whose reads a resume since the walk dirtied, sorted
+    /// (incremental sessions only); `None` once a resume could not say.
+    dirtied: Option<Vec<u32>>,
     /// Bytes the resumes since the walk dirtied, summed; `None` once one
     /// of them could not say.
     dirty_bytes: Option<u64>,
+}
+
+impl Retained {
+    /// Whether a resume since the walk may have changed what it read.
+    fn stale(&self) -> bool {
+        self.dirtied.as_ref().is_none_or(|boxes| !boxes.is_empty())
+    }
+
+    /// The pane is current again.
+    fn refreshed(&mut self) {
+        self.dirtied.get_or_insert_with(Vec::new).clear();
+        self.dirty_bytes = Some(0);
+    }
 }
 
 /// Most programs, and most source bytes, a session keeps parsed, with
@@ -596,7 +615,13 @@ impl Session {
             let entries = self.programs.get_mut().entries.values_mut();
             for r in entries.filter_map(|e| e.kept.as_mut()) {
                 r.dirty_bytes = r.dirty_bytes.zip(bytes).map(|(a, b)| a + b);
-                r.stale = r.stale || !vincr::decide(&r.touched, &info).is_keep();
+                r.dirtied = match (r.dirtied.take(), info.known()) {
+                    (Some(mut boxes), Some(set)) => {
+                        r.index.owners_of(set.ranges(), &mut boxes);
+                        Some(boxes)
+                    }
+                    _ => None,
+                };
             }
         }
     }
@@ -816,8 +841,8 @@ impl Session {
 
     /// [`Session::extract_shared`] with a span label (the figure id for
     /// library plots). The root `extract` span covers the whole
-    /// pipeline; parse, prefetch and interp get child spans, distillers
-    /// nest inside interp.
+    /// pipeline; parse, prefetch and interp (or patch) get child spans,
+    /// distillers nest inside them.
     ///
     /// A cached session remembers each source's *footprint*: the cache
     /// blocks its last successful walk used. On the source's first walk
@@ -826,17 +851,26 @@ impl Session {
     /// trip per block.
     ///
     /// A walk's graph depends only on its program, the session's types,
-    /// symbols and helpers, and the bytes it reads, so the session keeps
-    /// the graph beside a snapshot of the bytes it was served. The keep
-    /// ladder, for a source with a retained pane:
-    /// * an incremental session keeps a pane the dirty sets since its
-    ///   walk missed, with no fetch, if the tables are the ones the walk
+    /// symbols and helpers, and the bytes it reads, and a box's views
+    /// only on the bytes they read. So the session keeps the graph
+    /// beside a snapshot of the bytes the walk was served and an index
+    /// of which box read what. The ladder, for a source with a retained
+    /// pane:
+    /// * keep: an incremental session keeps a pane the dirty sets since
+    ///   its walk missed, with no fetch, if the tables are the ones the
+    ///   walk ran under. Otherwise, on the first walk after a resume, the
+    ///   footprint is fetched and the pane kept if every byte of its
+    ///   snapshot is still there and the tables are the ones the walk
     ///   ran under;
-    /// * otherwise, on the first walk after a resume, the footprint is
-    ///   fetched and the pane kept if every byte of its snapshot is
-    ///   still there and the tables are the ones the walk ran under;
-    /// * anything else walks. A plain session's repeat walk within one
-    ///   stop walks, as does an incremental pane with no snapshot.
+    /// * patch: if the comparison found bytes that changed, or an
+    ///   incremental session's dirty sets did, only the views of the
+    ///   boxes that read them are evaluated again, and a copy of the
+    ///   pane's graph takes them in place ([`viewcl::Interp::patch`]),
+    ///   when that stands in for a walk;
+    /// * walk: anything else. A plain session's repeat walk within one
+    ///   stop walks, as do a pane whose walk faulted, a program with a
+    ///   `selectFrom`, a change a virtual box or a top-level statement
+    ///   read, and a patch whose boxes would instantiate other boxes.
     fn extract_labeled(&self, viewcl_src: &str, label: &str) -> Result<(Arc<Graph>, PlotStats)> {
         let tracer = self.tracer.as_ref();
         let _root = vtrace::span(tracer, SpanKind::Extract, label);
@@ -855,8 +889,10 @@ impl Session {
         };
         let mut target = self.target();
         // What the walk reads gives the entry its footprint, its
-        // snapshot and its staleness set.
-        if entry.is_some() {
+        // snapshot and its read index: a pane is retained on a cached or
+        // incremental session.
+        let retains = self.cache.is_some() || self.incremental;
+        if entry.is_some() && retains {
             target.record_reads(&self.reads);
         }
         // Footprints and retained panes live in the program cache, so a
@@ -870,7 +906,7 @@ impl Session {
             let clean = self.incremental
                 && e.kept
                     .as_ref()
-                    .is_some_and(|r| !r.stale && r.tables == tables);
+                    .is_some_and(|r| !r.stale() && r.tables == tables);
             // Otherwise the first walk after a resume fetches the
             // footprint...
             let resumed = match epoch {
@@ -884,31 +920,61 @@ impl Session {
                 let _s = vtrace::span(tracer, SpanKind::Prefetch, "footprint::prefetch");
                 target.prefetch_footprint(&e.footprint);
             }
-            // ...and keeps the pane if every byte its walk was served
-            // is unchanged: a walk now would build the same graph.
             if let Some(r) = e.kept.as_mut() {
-                let _s =
-                    vtrace::span_with(tracer, SpanKind::Incr, || format!("incr::decide {label}"));
-                let bytes = r.dirty_bytes.unwrap_or(0);
-                if clean || resumed && r.tables == tables && target.unchanged(&r.snapshot) {
-                    target.note_incr(1, 0, bytes);
-                    r.stale = false;
-                    let stats = PlotStats {
-                        graph: r.stats,
-                        target: target.stats(),
-                    };
-                    return Ok((Arc::clone(&r.graph), stats));
-                }
-                if resumed || self.incremental {
-                    target.note_incr(0, 1, bytes);
+                // ...and keeps the pane if every byte its walk was
+                // served is unchanged: a walk now would build the same
+                // graph. Else the boxes that read what changed are
+                // patched, if the tables hold.
+                let boxes = {
+                    let _s = vtrace::span_with(tracer, SpanKind::Incr, || {
+                        format!("incr::decide {label}")
+                    });
+                    let bytes = r.dirty_bytes.unwrap_or(0);
+                    let mut changed = Vec::new();
+                    let compared =
+                        resumed && r.tables == tables && target.changed(&r.snapshot, &mut changed);
+                    if clean || compared && changed.is_empty() {
+                        target.note_incr(1, 0, bytes);
+                        r.refreshed();
+                        let stats = PlotStats {
+                            graph: r.stats,
+                            target: target.stats(),
+                        };
+                        return Ok((Arc::clone(&r.graph), stats));
+                    }
+                    if resumed || self.incremental {
+                        target.note_incr(0, 1, bytes);
+                    }
+                    if compared {
+                        let mut boxes = Vec::new();
+                        r.index.owners_of(&changed, &mut boxes);
+                        Some(boxes)
+                    } else if self.incremental {
+                        r.dirtied.clone()
+                    } else {
+                        None
+                    }
+                };
+                if let Some(boxes) = boxes.filter(|_| r.tables == tables) {
+                    let held = &mut programs.snapshot_bytes;
+                    if let Some((graph, stats)) = self.patch(&target, &program, e, &boxes, held) {
+                        let stats = PlotStats {
+                            graph: stats,
+                            target: target.stats(),
+                        };
+                        return Ok((graph, stats));
+                    }
+                    // What the patch read is not what the walk reads.
+                    target.record_reads(&self.reads);
                 }
             }
         }
-        let graph = {
+        let (graph, trail) = {
             let _s = vtrace::span(tracer, SpanKind::Interp, "interp::run");
             let mut interp = viewcl::Interp::new(&target, &self.helpers);
             interp.run(&program)?;
-            Arc::new(interp.into_graph())
+            let (graph, trail) = interp.finish();
+            (Arc::new(graph), trail)
         };
         // The distillers tolerate per-object memory faults (corrupt
         // pointers render as diagnostics), but a capture-level failure
@@ -923,31 +989,99 @@ impl Session {
         };
         if let Some(e) = entry {
             // Only a walk that succeeded replaces the footprint and the
-            // retained pane; the old snapshot's buffer takes the new one.
-            let mut snapshot = e.kept.take().map(|r| r.snapshot).unwrap_or_default();
+            // retained pane; the old pane's buffers take the new ones.
+            let old = e.kept.take().map(|r| (r.snapshot, r.index));
+            let (mut snapshot, mut index) = old.unwrap_or_default();
             programs.snapshot_bytes -= snapshot.len();
-            let touched = target.end_walk(&mut e.footprint, &mut snapshot, self.incremental);
-            let capacity = self.cache.as_ref().map_or(0, |c| {
-                let cfg = c.config();
-                cfg.max_blocks.saturating_mul(cfg.block_size as usize)
-            });
-            if programs.snapshot_bytes + snapshot.len() > capacity {
+            target.end_walk(&mut e.footprint, &mut snapshot, &mut index);
+            if programs.snapshot_bytes + snapshot.len() > self.snapshot_capacity() {
                 snapshot.clear();
             }
             programs.snapshot_bytes += snapshot.len();
-            if touched.is_some() || !snapshot.is_empty() {
+            if self.incremental || !snapshot.is_empty() {
                 e.kept = Some(Retained {
                     graph: Arc::clone(&graph),
                     stats: stats.graph,
                     snapshot,
                     tables,
-                    touched: touched.unwrap_or_default(),
-                    stale: false,
+                    trail: trail.filter(|_| !index.faulted()),
+                    index,
+                    dirtied: Some(Vec::new()),
                     dirty_bytes: Some(0),
                 });
             }
         }
         Ok((graph, stats))
+    }
+
+    /// How many bytes the retained panes' snapshots may hold together:
+    /// the block cache's capacity.
+    fn snapshot_capacity(&self) -> usize {
+        self.cache.as_ref().map_or(0, |c| {
+            let cfg = c.config();
+            cfg.max_blocks.saturating_mul(cfg.block_size as usize)
+        })
+    }
+
+    /// Patch the pane `e` retains (see [`Session::extract_labeled`]):
+    /// evaluate the views of `boxes` (box ids, sorted) again and, if
+    /// that stands in for a walk, put them into a copy of the pane's
+    /// graph, which becomes the pane. When the boxes read again what
+    /// they read before, the pane's index and footprint stay and its
+    /// snapshot takes the new bytes; otherwise all three are derived
+    /// again from the index with the boxes' new reads. `held` counts
+    /// the bytes of every pane's snapshot. `None`, with nothing
+    /// changed, when the pane must be walked.
+    fn patch(
+        &self,
+        target: &Target<'_>,
+        program: &viewcl::Program,
+        e: &mut Cached,
+        boxes: &[u32],
+        held: &mut usize,
+    ) -> Option<(Arc<Graph>, GraphStats)> {
+        let (r, footprint) = (e.kept.as_mut()?, &mut e.footprint);
+        let trail = r.trail.as_ref()?;
+        let ids: Vec<BoxId> = boxes.iter().map(|&b| BoxId(b)).collect();
+        let _s = vtrace::span_with(self.tracer.as_ref(), SpanKind::Patch, || {
+            format!("interp::patch {} of {} boxes", ids.len(), r.graph.len())
+        });
+        let faults = target.stats().faults;
+        let mut interp = viewcl::Interp::new(target, &self.helpers);
+        let views = interp.patch(program, &r.graph, trail, &ids)?;
+        let poisoned = self.replay.as_ref().is_some_and(|s| s.poisoned().is_some());
+        if poisoned || target.stats().faults != faults {
+            return None;
+        }
+        let before = r.snapshot.len();
+        if r.index.matches(&self.reads, boxes) {
+            if !r.snapshot.is_empty() {
+                target.refill(&mut r.snapshot);
+            }
+        } else {
+            let mut index = r.index.clone();
+            index.replace(&self.reads, boxes);
+            let (mut derived, mut snapshot) = (Vec::new(), Vec::new());
+            if !target.derive(&index, &mut derived, &mut snapshot) {
+                return None;
+            }
+            if *held - before + snapshot.len() > self.snapshot_capacity() {
+                snapshot.clear();
+            }
+            (r.index, *footprint, r.snapshot) = (index, derived, snapshot);
+        }
+        *held = *held - before + r.snapshot.len();
+        let mut graph = Graph::clone(&r.graph);
+        for (&id, views) in ids.iter().zip(views) {
+            graph.get_mut(id).views = views;
+        }
+        let stats = GraphStats::of(&graph);
+        let graph = Arc::new(graph);
+        target.note_patch(ids.len() as u64);
+        r.graph = Arc::clone(&graph);
+        r.stats = stats;
+        r.refreshed();
+        Some((graph, stats))
     }
 
     /// The states of the type registry and symbol table a walk runs

@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn footprint_logs_each_used_block_once_and_nothing_else() {
-        use crate::{LatencyProfile, ReadRecord, Target};
+        use crate::{LatencyProfile, ReadIndex, ReadRecord, Target};
         use kmem::{Mem, SymbolTable};
         use ktypes::TypeRegistry;
 
@@ -359,9 +359,10 @@ mod tests {
         let mut target = Target::with_cache(&mem, &types, &symbols, free, &c);
         let mut footprint = vec![0xdead];
         let mut snapshot = Vec::new();
+        let mut index = ReadIndex::default();
         // Outside a recording nothing is logged.
         target.read_uint(0x1300, 8).unwrap();
-        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert!(footprint.is_empty());
         target.record_reads(&record);
         target.read_uint(0x1300, 8).unwrap();
@@ -370,7 +371,7 @@ mod tests {
         // A block fetched but never read is not used.
         target.prefetch_footprint(&[0x1200]);
         assert!(c.contains(0x1200));
-        target.end_walk(&mut footprint, &mut snapshot, false);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert_eq!(
             footprint,
             [0x1100, 0x1300],
@@ -381,14 +382,14 @@ mod tests {
         target.record_reads(&record);
         target.read_uint(0x1200, 8).unwrap();
         target.read_uint(0x1300, 8).unwrap();
-        target.end_walk(&mut footprint, &mut snapshot, false);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert_eq!(footprint, [0x1200, 0x1300]);
         // The footprint holds at most `max_blocks` bases.
         target.record_reads(&record);
         for addr in [0x1400u64, 0x1500, 0x1600, 0x1700] {
             target.read_uint(addr, 8).unwrap();
         }
-        target.end_walk(&mut footprint, &mut snapshot, false);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert_eq!(footprint, [0x1400, 0x1500, 0x1600]);
     }
 

@@ -48,4 +48,4 @@ pub use helpers::{HelperFn, HelperRegistry};
 pub use profile::LatencyProfile;
 pub use record::{Capture, RecordBackend, Recorder, WireEvent, VREC_VERSION};
 pub use replay::{ReplayBackend, ReplayState};
-pub use target::{ReadPlan, ReadRecord, Target, TargetStats};
+pub use target::{ReadIndex, ReadPlan, ReadRecord, Target, TargetStats, TOP_LEVEL};

@@ -8,7 +8,7 @@ use kmem::{Mem, MemError, SymbolTable};
 use ktypes::{CValue, TypeId, TypeKind, TypeRegistry};
 use vtrace::Tracer;
 
-use crate::backend::{normalize, BackendError, BackendKind, DirtySet, SimBackend, TargetBackend};
+use crate::backend::{normalize, BackendError, BackendKind, SimBackend, TargetBackend};
 use crate::cache::{BaseHasher, BlockCache};
 use crate::planner::SpanPlanner;
 use crate::profile::LatencyProfile;
@@ -67,6 +67,10 @@ pub struct TargetStats {
     /// that pane's last walk, summed per resume — 0 for the pane when
     /// any of those resumes could not say what changed.
     pub dirty_bytes: u64,
+    /// Boxes whose views a patch evaluated again, instead of walking
+    /// the whole pane: the boxes whose reads a change reached. 0 for a
+    /// walk and for a keep.
+    pub reevaluated: u64,
 }
 
 /// A batch of reads to be coalesced into minimal wire spans.
@@ -111,8 +115,12 @@ impl ReadPlan {
     }
 }
 
+/// The owner of the reads a program's top-level statements make, which
+/// no box makes (see [`Target::set_owner`]).
+pub const TOP_LEVEL: u32 = u32::MAX;
+
 /// What a logged range counts for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ReadKind {
     /// Bytes a read returned: in the footprint and the staleness set.
     Served,
@@ -122,17 +130,145 @@ enum ReadKind {
     Hint,
 }
 
-/// What one walk read: each range once, in the order first read, a
-/// range that continues the last one in its kind merged into it. A
-/// session lends one to every walk ([`Target::record_reads`]), so
-/// recording allocates nothing once it has grown.
+/// One logged range, and the box whose views read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Read {
+    addr: u64,
+    len: u64,
+    owner: u32,
+    kind: ReadKind,
+}
+
+impl Read {
+    fn end(&self) -> u64 {
+        self.addr.saturating_add(self.len)
+    }
+}
+
+/// What one walk read: every range, in the order read, with its owner,
+/// a range that continues the last one in its kind and owner merged
+/// into it. A session lends one to every walk
+/// ([`Target::record_reads`]), so recording allocates nothing once it
+/// has grown.
 #[derive(Debug, Default)]
 pub struct ReadRecord {
-    reads: RefCell<Vec<(u64, u64, ReadKind)>>,
+    reads: RefCell<Vec<Read>>,
     /// Block bases already in the footprint being derived.
     seen: RefCell<HashSet<u64, BaseHasher>>,
-    /// The served ranges of the snapshot being derived, normalized.
-    served: RefCell<Vec<(u64, u64)>>,
+}
+
+/// What one walk read, by the box that read it: the ranges of its
+/// [`ReadRecord`], sorted by address, a range merged into the one before
+/// it when it has the same owner and kind and overlaps or continues it.
+/// A retained pane keeps one to find which of its boxes a change
+/// reached ([`ReadIndex::owners_of`]), and a patch of those boxes checks
+/// and updates it ([`ReadIndex::matches`], [`ReadIndex::replace`]).
+#[derive(Debug, Default, Clone)]
+pub struct ReadIndex {
+    reads: Vec<Read>,
+    /// The longest range: how far before a queried range a range that
+    /// reaches into it can start.
+    longest: u64,
+}
+
+impl ReadIndex {
+    /// Sort and merge `reads` (see the type's docs).
+    fn rebuild(&mut self) {
+        self.reads
+            .sort_unstable_by_key(|r| (r.addr, r.owner, r.kind, r.len));
+        merge(&mut self.reads);
+        self.longest = self.reads.iter().map(|r| r.len).max().unwrap_or(0);
+    }
+
+    /// Whether a read of the walk faulted.
+    pub fn faulted(&self) -> bool {
+        self.reads.iter().any(|r| r.kind == ReadKind::Stale)
+    }
+
+    /// Add to `owners` the owner of every range the walk read or asked
+    /// for (not a hint) that overlaps one of `ranges`, then sort
+    /// `owners` and drop repeats.
+    pub fn owners_of(&self, ranges: &[(u64, u64)], owners: &mut Vec<u32>) {
+        for &(addr, len) in ranges {
+            let end = addr.saturating_add(len);
+            let from = self
+                .reads
+                .partition_point(|r| r.addr.saturating_add(self.longest) <= addr);
+            let hits = self.reads[from..].iter().take_while(|r| r.addr < end);
+            owners.extend(
+                hits.filter(|r| r.kind != ReadKind::Hint && r.end() > addr)
+                    .map(|r| r.owner),
+            );
+        }
+        owners.sort_unstable();
+        owners.dedup();
+    }
+
+    /// Whether what `record` logged covers, for each owner and kind, the
+    /// bytes this index holds for `owners` (sorted), and no others: the
+    /// boxes `owners` read again what they read before.
+    pub fn matches(&self, record: &ReadRecord, owners: &[u32]) -> bool {
+        let mine = self
+            .reads
+            .iter()
+            .filter(|r| owners.binary_search(&r.owner).is_ok());
+        let mine = by_owner(mine.copied().collect());
+        by_owner(record.reads.borrow().clone()) == mine
+    }
+
+    /// Replace the ranges of `owners` (sorted) with what `record` logged.
+    pub fn replace(&mut self, record: &ReadRecord, owners: &[u32]) {
+        self.reads
+            .retain(|r| owners.binary_search(&r.owner).is_err());
+        self.reads.extend_from_slice(&record.reads.borrow());
+        self.rebuild();
+    }
+
+    /// The served ranges, sorted, with overlapping and adjacent ones
+    /// merged whatever their owners.
+    fn served(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut served = self.reads.iter().filter(|r| r.kind == ReadKind::Served);
+        let mut at = served.next().map(|r| (r.addr, r.end()));
+        std::iter::from_fn(move || {
+            let (start, mut end) = at?;
+            at = None;
+            for r in served.by_ref() {
+                if r.addr > end {
+                    at = Some((r.addr, r.end()));
+                    break;
+                }
+                end = end.max(r.end());
+            }
+            Some((start, end - start))
+        })
+    }
+}
+
+/// `reads` sorted by owner, kind and address, each owner's ranges of a
+/// kind merged where they overlap or touch.
+fn by_owner(mut reads: Vec<Read>) -> Vec<Read> {
+    reads.sort_unstable_by_key(|r| (r.owner, r.kind, r.addr, r.len));
+    merge(&mut reads);
+    reads
+}
+
+/// Merge each range of the sorted `reads` into the one before it when
+/// it has the same owner and kind and overlaps or continues it.
+fn merge(reads: &mut Vec<Read>) {
+    let mut kept = 0;
+    for i in 0..reads.len() {
+        let r = reads[i];
+        if kept > 0 {
+            let last = &mut reads[kept - 1];
+            if (last.owner, last.kind) == (r.owner, r.kind) && r.addr <= last.end() {
+                last.len = last.end().max(r.end()) - last.addr;
+                continue;
+            }
+        }
+        reads[kept] = r;
+        kept += 1;
+    }
+    reads.truncate(kept);
 }
 
 /// A debugger's view of the stopped kernel.
@@ -164,7 +300,10 @@ pub struct Target<'a> {
     vincr_hits: Cell<u64>,
     vincr_rewalks: Cell<u64>,
     dirty_bytes: Cell<u64>,
+    reevaluated: Cell<u64>,
     record: Option<&'a ReadRecord>,
+    /// Who the reads logged now are for (see [`Target::set_owner`]).
+    owner: Cell<u32>,
     tracer: Option<Rc<Tracer>>,
 }
 
@@ -221,7 +360,9 @@ impl<'a> Target<'a> {
             vincr_hits: Cell::new(0),
             vincr_rewalks: Cell::new(0),
             dirty_bytes: Cell::new(0),
+            reevaluated: Cell::new(0),
             record: None,
+            owner: Cell::new(TOP_LEVEL),
             tracer: None,
         }
     }
@@ -292,6 +433,7 @@ impl<'a> Target<'a> {
             vincr_hits: self.vincr_hits.get(),
             vincr_rewalks: self.vincr_rewalks.get(),
             dirty_bytes: self.dirty_bytes.get(),
+            reevaluated: self.reevaluated.get(),
         }
     }
 
@@ -307,6 +449,7 @@ impl<'a> Target<'a> {
         self.vincr_hits.set(0);
         self.vincr_rewalks.set(0);
         self.dirty_bytes.set(0);
+        self.reevaluated.set(0);
     }
 
     /// Record the outcome of one incremental refresh: panes kept from
@@ -319,25 +462,38 @@ impl<'a> Target<'a> {
         self.dirty_bytes.set(self.dirty_bytes.get() + dirty_bytes);
     }
 
+    /// Record that a patch evaluated the views of `boxes` boxes again
+    /// instead of walking their pane.
+    pub fn note_patch(&self, boxes: u64) {
+        self.reevaluated.set(self.reevaluated.get() + boxes);
+    }
+
     /// Log what this target reads into `record`, cleared first, for
     /// [`Target::end_walk`]: what reads return, what they ask for past
     /// a fault (with a cache, a faulting `read_many` batch's later
-    /// requests too), and prefetch hints. A footprint replay is not
+    /// requests too), and prefetch hints, each with the owner it was
+    /// read for ([`Target::set_owner`]). A footprint replay is not
     /// logged.
     pub fn record_reads(&mut self, record: &'a ReadRecord) {
         record.reads.borrow_mut().clear();
         self.record = Some(record);
     }
 
-    /// End a recorded walk: replace `footprint` with the sorted bases of
-    /// the cache blocks holding what it read or hinted (at most
-    /// `max_blocks`, those used first; none uncached), and, with
-    /// `staleness`, return what it read or asked for: the set a
-    /// resume's dirty set must miss for the walk's graph to stay
-    /// current. A prefetched byte nobody decoded forces no re-walk.
+    /// Book what is read from now on to `owner`: the box whose views
+    /// are being evaluated, or [`TOP_LEVEL`]. Returns who reads were
+    /// booked to until now.
+    pub fn set_owner(&self, owner: u32) -> u32 {
+        self.owner.replace(owner)
+    }
+
+    /// End a recorded walk: replace `index` with what it read, by owner,
+    /// and `footprint` with the sorted bases of the cache blocks holding
+    /// what it read or hinted (at most `max_blocks`, those used first;
+    /// none uncached). A prefetched byte nobody decoded forces no
+    /// re-walk: the index's owner queries skip hints.
     ///
     /// `snapshot` is replaced with the bytes the walk was served, for
-    /// [`Target::unchanged`]: its served ranges, sorted and merged, each
+    /// [`Target::changed`]: its served ranges, sorted and merged, each
     /// as its address and length (little-endian `u64`s) followed by its
     /// bytes, copied from the cache. It is left empty, which is no
     /// snapshot, when the target is uncached, when a read faulted (the
@@ -348,54 +504,93 @@ impl<'a> Target<'a> {
         &self,
         footprint: &mut Vec<u64>,
         snapshot: &mut Vec<u8>,
-        staleness: bool,
-    ) -> Option<DirtySet> {
+        index: &mut ReadIndex,
+    ) {
         footprint.clear();
         snapshot.clear();
-        let record = self.record?;
-        let reads = record.reads.borrow();
-        if let Some(cache) = self.cache {
-            let mut seen = record.seen.borrow_mut();
-            seen.clear();
-            for &(addr, len, _) in reads.iter().filter(|r| r.2 != ReadKind::Stale) {
-                let last = cache.base_of(addr.saturating_add(len - 1));
-                for base in (cache.base_of(addr)..=last).step_by(cache.block_size() as usize) {
-                    if footprint.len() < cache.config().max_blocks && seen.insert(base) {
-                        footprint.push(base);
+        index.reads.clear();
+        if let Some(record) = self.record {
+            let reads = record.reads.borrow();
+            index.reads.extend_from_slice(&reads);
+            if let Some(cache) = self.cache {
+                let mut seen = record.seen.borrow_mut();
+                seen.clear();
+                for r in reads.iter().filter(|r| r.kind != ReadKind::Stale) {
+                    let last = cache.base_of(r.addr.saturating_add(r.len - 1));
+                    for base in (cache.base_of(r.addr)..=last).step_by(cache.block_size() as usize)
+                    {
+                        if footprint.len() < cache.config().max_blocks && seen.insert(base) {
+                            footprint.push(base);
+                        }
                     }
                 }
-            }
-            footprint.sort_unstable();
-            if reads.iter().all(|r| r.2 != ReadKind::Stale) {
-                let mut served = record.served.borrow_mut();
-                served.clear();
-                let ranges = reads.iter().filter(|r| r.2 == ReadKind::Served);
-                served.extend(ranges.map(|&(addr, len, _)| (addr, len)));
-                normalize(&mut served);
-                for &(addr, len) in served.iter() {
-                    snapshot.extend_from_slice(&addr.to_le_bytes());
-                    snapshot.extend_from_slice(&len.to_le_bytes());
-                    let copied = cache.each_piece(addr, len, |piece| {
-                        snapshot.extend_from_slice(piece);
-                        true
-                    });
-                    if !copied {
-                        snapshot.clear();
-                        break;
-                    }
-                }
+                footprint.sort_unstable();
             }
         }
-        let read = reads.iter().filter(|r| r.2 != ReadKind::Hint);
-        staleness.then(|| DirtySet::from_ranges(read.map(|&(addr, len, _)| (addr, len))))
+        index.rebuild();
+        self.take_snapshot(index, snapshot);
     }
 
-    /// Whether every byte of `snapshot`, taken by [`Target::end_walk`],
-    /// is resident in the cache and unchanged, compared in place. Sends
-    /// nothing over the wire and meters nothing: a block that is not
-    /// resident is a mismatch, as are an empty snapshot and an uncached
-    /// target.
-    pub fn unchanged(&self, snapshot: &[u8]) -> bool {
+    /// Derive `footprint` and `snapshot` from `index` as
+    /// [`Target::end_walk`] derives them from a walk's record, for a
+    /// pane whose index a patch changed. False when the footprint would
+    /// pass `max_blocks`: which blocks it keeps then depends on the
+    /// order a walk reads them in, which an index does not keep.
+    pub fn derive(
+        &self,
+        index: &ReadIndex,
+        footprint: &mut Vec<u64>,
+        snapshot: &mut Vec<u8>,
+    ) -> bool {
+        footprint.clear();
+        snapshot.clear();
+        if let Some(cache) = self.cache {
+            let bs = cache.block_size() as usize;
+            for r in index.reads.iter().filter(|r| r.kind != ReadKind::Stale) {
+                let last = cache.base_of(r.addr.saturating_add(r.len - 1));
+                footprint.extend((cache.base_of(r.addr)..=last).step_by(bs));
+            }
+            footprint.sort_unstable();
+            footprint.dedup();
+            if footprint.len() > cache.config().max_blocks {
+                footprint.clear();
+                return false;
+            }
+        }
+        self.take_snapshot(index, snapshot);
+        true
+    }
+
+    /// Copy into the empty `snapshot` the bytes of `index`'s served
+    /// ranges (see [`Target::end_walk`]), unless a read faulted or a
+    /// block is not resident.
+    fn take_snapshot(&self, index: &ReadIndex, snapshot: &mut Vec<u8>) {
+        let Some(cache) = self.cache.filter(|_| !index.faulted()) else {
+            return;
+        };
+        for (addr, len) in index.served() {
+            snapshot.extend_from_slice(&addr.to_le_bytes());
+            snapshot.extend_from_slice(&len.to_le_bytes());
+            let copied = cache.each_piece(addr, len, |piece| {
+                snapshot.extend_from_slice(piece);
+                true
+            });
+            if !copied {
+                snapshot.clear();
+                return;
+            }
+        }
+    }
+
+    /// Compare `snapshot`, taken by [`Target::end_walk`], with what the
+    /// cache holds now, in place, replacing `changed` with the runs of
+    /// bytes that differ, as `(address, length)`, in address order. Sends
+    /// nothing over the wire and meters nothing. False, with `changed`
+    /// empty, when there is nothing to compare with: a block the
+    /// snapshot needs is not resident, the snapshot is empty, or the
+    /// target is uncached.
+    pub fn changed(&self, snapshot: &[u8], changed: &mut Vec<(u64, u64)>) -> bool {
+        changed.clear();
         let Some(cache) = self.cache.filter(|_| !snapshot.is_empty()) else {
             return false;
         };
@@ -405,12 +600,28 @@ impl<'a> Target<'a> {
             let addr = u64::from_le_bytes(addr.try_into().expect("eight bytes"));
             let len = u64::from_le_bytes(len.try_into().expect("eight bytes"));
             let (mut bytes, tail) = tail.split_at(len as usize);
+            let mut at = addr;
             let held = cache.each_piece(addr, len, |piece| {
-                let (head, more) = bytes.split_at(piece.len());
+                let (old, more) = bytes.split_at(piece.len());
                 bytes = more;
-                head == piece
+                if old != piece {
+                    let differ = old
+                        .iter()
+                        .zip(piece)
+                        .enumerate()
+                        .filter(|(_, (a, b))| a != b);
+                    for byte in differ.map(|(i, _)| at + i as u64) {
+                        match changed.last_mut() {
+                            Some((start, n)) if *start + *n == byte => *n += 1,
+                            _ => changed.push((byte, 1)),
+                        }
+                    }
+                }
+                at += piece.len() as u64;
+                true
             });
             if !held {
+                changed.clear();
                 return false;
             }
             rest = tail;
@@ -418,16 +629,51 @@ impl<'a> Target<'a> {
         true
     }
 
+    /// Copy into `snapshot`, over its old bytes, what the cache holds
+    /// now for each of its ranges: a patch whose boxes read again what
+    /// they read before keeps the ranges and takes the bytes. False,
+    /// with the snapshot emptied, when a block is not resident.
+    pub fn refill(&self, snapshot: &mut Vec<u8>) -> bool {
+        let Some(cache) = self.cache else {
+            snapshot.clear();
+            return false;
+        };
+        let mut at = 0;
+        while let Some(head) = snapshot.get(at..at + 16) {
+            let (addr, len) = head.split_at(8);
+            let addr = u64::from_le_bytes(addr.try_into().expect("eight bytes"));
+            let len = u64::from_le_bytes(len.try_into().expect("eight bytes"));
+            let mut pos = at + 16;
+            let held = cache.each_piece(addr, len, |piece| {
+                snapshot[pos..pos + piece.len()].copy_from_slice(piece);
+                pos += piece.len();
+                true
+            });
+            if !held {
+                snapshot.clear();
+                return false;
+            }
+            at = pos;
+        }
+        true
+    }
+
     /// Log a range, merged into the last one when it continues it in
-    /// the same kind.
+    /// the same kind and owner.
     fn log(&self, addr: u64, len: u64, kind: ReadKind) {
         let Some(record) = self.record.filter(|_| len > 0) else {
             return;
         };
+        let owner = self.owner.get();
         let mut reads = record.reads.borrow_mut();
         match reads.last_mut() {
-            Some((a, l, k)) if *k == kind && a.saturating_add(*l) == addr => *l += len,
-            _ => reads.push((addr, len, kind)),
+            Some(r) if (r.kind, r.owner) == (kind, owner) && r.end() == addr => r.len += len,
+            _ => reads.push(Read {
+                addr,
+                len,
+                owner,
+                kind,
+            }),
         }
     }
 
@@ -1161,7 +1407,16 @@ mod tests {
     }
 
     fn logged(record: &ReadRecord) -> Vec<(u64, u64, ReadKind)> {
-        record.reads.borrow().clone()
+        let reads = record.reads.borrow();
+        reads.iter().map(|r| (r.addr, r.len, r.kind)).collect()
+    }
+
+    /// What a walk read or asked for, normalized: the set a resume's
+    /// dirty set must miss for the walk's graph to stay current.
+    fn staleness(index: &ReadIndex) -> Vec<(u64, u64)> {
+        let read = index.reads.iter().filter(|r| r.kind != ReadKind::Hint);
+        let set = crate::DirtySet::from_ranges(read.map(|r| (r.addr, r.len)));
+        set.ranges().to_vec()
     }
 
     #[test]
@@ -1218,14 +1473,13 @@ mod tests {
         );
         let mut footprint = vec![0xdead];
         let mut snapshot = vec![0xde];
-        let staleness = target
-            .end_walk(&mut footprint, &mut snapshot, true)
-            .unwrap();
+        let mut index = ReadIndex::default();
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         let hinted = (0x3000..0x4000).step_by(256);
         let want: Vec<u64> = [0x1000, 0x1100, 0x1f00].into_iter().chain(hinted).collect();
         assert_eq!(footprint, want, "sorted, each once");
         assert_eq!(
-            staleness.ranges(),
+            staleness(&index),
             [
                 (0x1000, 12),
                 (0x1100, 8),
@@ -1235,8 +1489,9 @@ mod tests {
             ],
             "served and staleness-only, no hint"
         );
+        assert!(index.faulted());
         assert!(snapshot.is_empty(), "a walk that faulted keeps no snapshot");
-        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert_eq!(footprint, want);
 
         // Uncached: no footprint, and no hint either.
@@ -1254,9 +1509,9 @@ mod tests {
                 (0x2000, 4, Stale)
             ]
         );
-        let staleness = plain.end_walk(&mut footprint, &mut snapshot, true).unwrap();
+        plain.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert!(footprint.is_empty());
-        assert_eq!(staleness.ranges(), [(0x1000, 12), (0x1ffc, 8)]);
+        assert_eq!(staleness(&index), [(0x1000, 12), (0x1ffc, 8)]);
 
         // Past `max_blocks`, the blocks the walk used first.
         let small = BlockCache::new(CacheConfig {
@@ -1268,16 +1523,15 @@ mod tests {
         for addr in [0x1300, 0x1100, 0x1300, 0x1200] {
             target.read_uint(addr, 8).unwrap();
         }
-        assert_eq!(target.end_walk(&mut footprint, &mut snapshot, false), None);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert_eq!(footprint, [0x1100, 0x1300]);
+        // Derived from the index, the footprint would pass `max_blocks`.
+        assert!(!target.derive(&index, &mut footprint, &mut snapshot));
         // A target that records nothing derives nothing.
         let unrecorded = Target::with_cache(&mem, &types, &symbols, free, &small);
         unrecorded.read_uint(0x1000, 8).unwrap();
-        assert_eq!(
-            unrecorded.end_walk(&mut footprint, &mut snapshot, true),
-            None
-        );
-        assert!(footprint.is_empty());
+        unrecorded.end_walk(&mut footprint, &mut snapshot, &mut index);
+        assert!(footprint.is_empty() && snapshot.is_empty() && index.reads.is_empty());
     }
 
     #[test]
@@ -1292,50 +1546,69 @@ mod tests {
         // out of order, one of them twice.
         let ranges = [(0x1008u64, 16u64), (0x10f8, 16), (0x1200, 4)];
         let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
+        let mut index = ReadIndex::default();
+        let mut changed = vec![(0xdead, 1)];
         {
             let mut target = Target::with_cache(&mem, &types, &symbols, free, &cache);
             target.record_reads(&record);
             for (addr, len) in [ranges[2], ranges[0], ranges[1], ranges[0]] {
                 target.read(addr, &mut vec![0; len as usize]).unwrap();
             }
-            target.end_walk(&mut footprint, &mut snapshot, false);
+            target.end_walk(&mut footprint, &mut snapshot, &mut index);
             assert_eq!(footprint, [0x1000, 0x1100, 0x1200]);
             assert_eq!(
                 snapshot.len(),
                 3 * 16 + 36,
                 "each range once: header, bytes"
             );
-            assert!(target.unchanged(&snapshot), "within the stop");
-            assert!(!target.unchanged(&[]), "an empty snapshot is none");
+            assert!(target.changed(&snapshot, &mut changed), "within the stop");
+            assert!(changed.is_empty());
+            assert!(
+                !target.changed(&[], &mut changed),
+                "an empty snapshot is none"
+            );
             let plain = Target::new(&mem, &types, &symbols, free);
-            assert!(!plain.unchanged(&snapshot), "uncached");
+            assert!(!plain.changed(&snapshot, &mut changed), "uncached");
         }
         // A resume: every block drops, the footprint is fetched again,
-        // and the snapshot compared with what arrived.
+        // and the snapshot compared with what arrived: `Some(changed)`.
         let resume = |mem: &Mem, fetch: &[u64]| {
             cache.bump_epoch();
             let target = Target::with_cache(mem, &types, &symbols, free, &cache);
             target.prefetch_footprint(fetch);
-            target.unchanged(&snapshot)
+            let mut changed = Vec::new();
+            target.changed(&snapshot, &mut changed).then_some(changed)
         };
-        assert!(resume(&mem, &footprint), "equal bytes");
+        assert_eq!(resume(&mem, &footprint), Some(vec![]), "equal bytes");
         // The first and last byte of each range, changed one at a time,
         // then written back: bytes beside the ranges do not count.
         for &(addr, len) in &ranges {
             for at in [addr, addr + len - 1] {
                 mem.write(at, &[1]);
-                assert!(!resume(&mem, &footprint), "{at:#x} changed");
+                assert_eq!(resume(&mem, &footprint), Some(vec![(at, 1)]), "{at:#x}");
                 mem.write(at, &[0]);
                 mem.write(addr - 1, &[7]);
                 mem.write(addr + len, &[7]);
-                assert!(resume(&mem, &footprint), "{at:#x} written back");
+                assert_eq!(resume(&mem, &footprint), Some(vec![]), "{at:#x} back");
                 mem.write(addr - 1, &[0]);
                 mem.write(addr + len, &[0]);
             }
         }
+        // A run of changed bytes across a block boundary is one run.
+        mem.write(0x10fe, &[5, 5, 5]);
+        assert_eq!(resume(&mem, &footprint), Some(vec![(0x10fe, 3)]));
+        // Refilled, the snapshot holds the new bytes and compares equal.
+        {
+            let target = Target::with_cache(&mem, &types, &symbols, free, &cache);
+            let mut refilled = snapshot.clone();
+            assert!(target.refill(&mut refilled));
+            assert!(target.changed(&refilled, &mut changed) && changed.is_empty());
+            assert_eq!(refilled.len(), snapshot.len());
+        }
+        mem.write(0x10fe, &[0, 0, 0]);
         // A block the comparison needs that is not resident.
-        assert!(!resume(&mem, &footprint[1..]), "0x1000 absent");
-        assert!(!resume(&mem, &footprint[..2]), "0x1200 absent");
+        assert_eq!(resume(&mem, &footprint[1..]), None, "0x1000 absent");
+        assert_eq!(resume(&mem, &footprint[..2]), None, "0x1200 absent");
         // A snapshot is taken from resident bytes only: a walk whose
         // block was evicted before it ended keeps none.
         let one = BlockCache::new(CacheConfig {
@@ -1346,7 +1619,7 @@ mod tests {
         target.record_reads(&record);
         target.read_uint(0x1008, 8).unwrap();
         target.read_uint(0x1208, 8).unwrap();
-        target.end_walk(&mut footprint, &mut snapshot, false);
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
         assert!(snapshot.is_empty());
     }
 
@@ -1362,32 +1635,124 @@ mod tests {
             LatencyProfile::free(),
             &cache,
         );
+        let mut index = ReadIndex::default();
+        let mut end_walk = |target: &Target| {
+            target.end_walk(&mut Vec::new(), &mut Vec::new(), &mut index);
+            staleness(&index)
+        };
         // Off by default: nothing is logged.
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        assert_eq!(
-            target.end_walk(&mut Vec::new(), &mut Vec::new(), true),
-            None
-        );
+        assert_eq!(end_walk(&target), []);
         target.record_reads(&record);
         // Prefetch pulls a whole span but is speculative — not touched.
         target.prefetch(roots.init_task + 0x800, 256);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
         let _ = target.read_uint(roots.init_task + 8, 4).unwrap(); // coalesces
         let _ = target.read_uint(roots.init_task + 0x100, 8).unwrap();
-        let touched = target
-            .end_walk(&mut Vec::new(), &mut Vec::new(), true)
-            .unwrap();
         assert_eq!(
-            touched.ranges(),
+            end_walk(&target),
             [(roots.init_task, 12), (roots.init_task + 0x100, 8)]
         );
         // A new walk starts a fresh log; cache hits still record.
         target.record_reads(&record);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let touched = target
-            .end_walk(&mut Vec::new(), &mut Vec::new(), true)
-            .unwrap();
-        assert_eq!(touched.ranges(), [(roots.init_task, 8)]);
+        assert_eq!(end_walk(&target), [(roots.init_task, 8)]);
+    }
+
+    #[test]
+    fn the_index_books_each_read_to_its_owner() {
+        let mut mem = Mem::new();
+        mem.map(0x1000, 4096);
+        let (types, symbols) = (TypeRegistry::new(), SymbolTable::new());
+        let cache = BlockCache::new(CacheConfig::default());
+        let record = ReadRecord::default();
+        let mut target = Target::with_cache(&mem, &types, &symbols, LatencyProfile::free(), &cache);
+        target.record_reads(&record);
+        let read = |owner: u32, addr: u64| {
+            target.set_owner(owner);
+            target.read_uint(addr, 8).unwrap();
+        };
+        // Box 1 reads around box 2's read of the next eight bytes: the
+        // record keeps them apart, the index merges box 1's own.
+        read(1, 0x1000);
+        read(2, 0x1008);
+        read(1, 0x1010);
+        read(1, 0x1018);
+        read(TOP_LEVEL, 0x1100);
+        target.set_owner(2);
+        target.prefetch(0x1200, 16);
+        assert_eq!(target.set_owner(TOP_LEVEL), 2);
+        let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
+        let mut index = ReadIndex::default();
+        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        let ranges: Vec<_> = index
+            .reads
+            .iter()
+            .map(|r| (r.addr, r.len, r.owner))
+            .collect();
+        assert_eq!(
+            ranges,
+            [
+                (0x1000, 8, 1),
+                (0x1008, 8, 2),
+                (0x1010, 16, 1),
+                (0x1100, 8, TOP_LEVEL),
+                (0x1200, 16, 2)
+            ]
+        );
+        let owners = |ranges: &[(u64, u64)]| {
+            let mut owners = vec![7];
+            index.owners_of(ranges, &mut owners);
+            owners
+        };
+        assert_eq!(owners(&[(0x100c, 8)]), [1, 2, 7], "appended, sorted");
+        assert_eq!(owners(&[(0x101f, 1), (0x1104, 1)]), [1, 7, TOP_LEVEL]);
+        assert_eq!(
+            owners(&[(0x1200, 4), (0x1028, 8)]),
+            [7],
+            "a hint owns nothing"
+        );
+        // The served ranges merge across owners into one snapshot range.
+        assert_eq!(snapshot.len(), 16 + 0x20 + 16 + 8);
+        // Box 1 reads again in another order: the same ranges. Reading
+        // past them, or less, is not.
+        let again = |addrs: &[u64]| {
+            let mut target =
+                Target::with_cache(&mem, &types, &symbols, LatencyProfile::free(), &cache);
+            target.record_reads(&record);
+            target.set_owner(1);
+            for &addr in addrs {
+                target.read_uint(addr, 8).unwrap();
+            }
+        };
+        again(&[0x1018, 0x1000, 0x1010]);
+        assert!(index.matches(&record, &[1]));
+        assert!(!index.matches(&record, &[1, 2]), "box 2 read nothing");
+        again(&[0x1018, 0x1000, 0x1010, 0x1020]);
+        assert!(!index.matches(&record, &[1]));
+        again(&[0x1000, 0x1010]);
+        assert!(!index.matches(&record, &[1]));
+        // Replaced, box 1's ranges are what it read this time, and the
+        // footprint and snapshot derive from the index again.
+        index.replace(&record, &[1]);
+        let ranges: Vec<_> = index
+            .reads
+            .iter()
+            .map(|r| (r.addr, r.len, r.owner))
+            .collect();
+        assert_eq!(
+            ranges,
+            [
+                (0x1000, 8, 1),
+                (0x1008, 8, 2),
+                (0x1010, 8, 1),
+                (0x1100, 8, TOP_LEVEL),
+                (0x1200, 16, 2)
+            ]
+        );
+        assert!(target.derive(&index, &mut footprint, &mut snapshot));
+        assert_eq!(footprint, [0x1000, 0x1100, 0x1200]);
+        assert_eq!(snapshot.len(), 16 + 0x18 + 16 + 8);
     }
 
     #[test]

@@ -422,6 +422,16 @@ impl Graph {
         (id, true)
     }
 
+    /// The box [`Graph::intern`] would return for `(addr, label)` without
+    /// creating one: `None` for a virtual box (addr 0), which is never
+    /// shared, and for a key the graph does not hold.
+    pub fn find(&self, addr: u64, label: &str) -> Option<BoxId> {
+        let at = self.by_addr.get(&addr).filter(|_| addr != 0)?;
+        let same = |&&i: &&u32| *self.boxes[i as usize].label == *label;
+        let hit = at.as_slice().iter().rev().find(same)?;
+        Some(self.boxes[*hit as usize].id)
+    }
+
     /// Get a box.
     ///
     /// # Panics

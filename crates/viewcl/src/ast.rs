@@ -29,6 +29,9 @@ pub struct Program {
     /// Positions in `defines` by name; a later definition of a name
     /// shadows an earlier one.
     pub(crate) table: BTreeMap<Arc<str>, usize>,
+    /// Whether an `Array.selectFrom` appears: it collects boxes from
+    /// the graph built so far, so no box's views stand alone.
+    pub(crate) selects: bool,
 }
 
 impl Program {

@@ -14,11 +14,18 @@
 //! later binding shadows an earlier one; a box starts a new scope at the
 //! top, and a `forEach` element or an anonymous box extends the enclosing
 //! one and truncates it again when done.
+//!
+//! A walk books every read to the box whose views make it (the
+//! top-level statements to [`vbridge::TOP_LEVEL`]) and notes, for each
+//! box, which boxes its views instantiated, in order: its [`Trail`]. A
+//! box's views see only its own scope, so when only some boxes' reads
+//! changed, [`Interp::patch`] can evaluate just their views again and
+//! check that they instantiate what they did before.
 
 use std::sync::{Arc, LazyLock};
 
 use ktypes::{CValue, Name, TypeId};
-use vbridge::{Evaluator, HelperRegistry, Target};
+use vbridge::{Evaluator, HelperRegistry, Target, TOP_LEVEL};
 use vgraph::{Attrs, BoxId, ContainerKind, Graph, Item, ViewInst};
 
 use crate::ast::*;
@@ -75,12 +82,76 @@ pub struct Interp<'p, 't, 'img> {
     scope: Vec<(&'p str, Value)>,
     /// How many boxes are being instantiated, each inside the last.
     depth: usize,
+    /// The box whose views are being evaluated, [`TOP_LEVEL`] outside
+    /// them: who the target books reads to.
+    owner: u32,
+    /// Every box interned, with the box whose views interned it, in
+    /// walk order.
+    calls: Vec<(u32, BoxId)>,
+    /// A `Link` turned an error into a null link, so a box that failed
+    /// may hide behind it; or a patch needed a box its pane lacks.
+    swallowed: bool,
+    /// While patching ([`Interp::patch`]): the pane, read in place of
+    /// `graph`, which stays empty.
+    pane: Option<Arc<Graph>>,
+    /// While patching: the views of the box being evaluated again, and
+    /// the boxes its views instantiated in the walk, in order.
+    views: Vec<ViewInst>,
+    expect: &'p [BoxId],
+}
+
+/// Which boxes each box's views instantiated in the walk that built a
+/// graph, in order, for [`Interp::patch`]; from [`Interp::finish`].
+#[derive(Debug, Clone, Default)]
+pub struct Trail {
+    /// Box `i`'s are `calls[starts[i]..starts[i + 1]]`.
+    calls: Vec<BoxId>,
+    starts: Vec<u32>,
+}
+
+impl Trail {
+    /// Group `calls` by owner, keeping their order; the top level's go.
+    fn of(boxes: usize, calls: &[(u32, BoxId)]) -> Trail {
+        let mut starts = vec![0u32; boxes + 1];
+        let owned = calls.iter().filter(|(owner, _)| (*owner as usize) < boxes);
+        for &(owner, _) in owned.clone() {
+            starts[owner as usize] += 1;
+        }
+        let mut total = 0;
+        for s in &mut starts {
+            total += std::mem::replace(s, total);
+        }
+        // Each box's slot starts as its first position and ends as the
+        // next box's.
+        let mut grouped = vec![BoxId(0); total as usize];
+        for &(owner, id) in owned {
+            let at = &mut starts[owner as usize];
+            grouped[*at as usize] = id;
+            *at += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Trail {
+            calls: grouped,
+            starts,
+        }
+    }
+
+    /// The boxes `id`'s views instantiated.
+    fn of_box(&self, id: BoxId) -> &[BoxId] {
+        let i = id.0 as usize;
+        match (self.starts.get(i), self.starts.get(i + 1)) {
+            (Some(&from), Some(&to)) => &self.calls[from as usize..to as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     /// Create an interpreter over `target` with `helpers` callable from
     /// `${...}` expressions.
     pub fn new(target: &'t Target<'img>, helpers: &'t HelperRegistry) -> Self {
+        target.set_owner(TOP_LEVEL);
         Interp {
             target,
             helpers,
@@ -89,6 +160,12 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             box_types: Vec::new(),
             scope: Vec::new(),
             depth: 0,
+            owner: TOP_LEVEL,
+            calls: Vec::new(),
+            swallowed: false,
+            pane: None,
+            views: Vec::new(),
+            expect: &[],
         }
     }
 
@@ -130,10 +207,92 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         self.graph
     }
 
+    /// Finish and take the graph, and its [`Trail`] unless no patch can
+    /// stand in for a walk of the programs run: one of them uses
+    /// `selectFrom`, whose result depends on the graph built so far, or
+    /// a `Link` swallowed an error, so a box's views may have failed
+    /// where a parent shows a null link.
+    pub fn finish(self) -> (Graph, Option<Trail>) {
+        let whole = !self.swallowed && !self.programs.iter().any(|p| p.selects);
+        let trail = whole.then(|| Trail::of(self.graph.len(), &self.calls));
+        (self.graph, trail)
+    }
+
+    /// Evaluate the views of `boxes` (sorted ids of boxes of `pane`,
+    /// the graph a walk of `program` built, whose trail is `trail`)
+    /// again, against the target as it is now, and return them in
+    /// order. `pane` is not changed. A box's views see its own scope
+    /// only, so when the boxes outside `boxes` read the same bytes as in
+    /// that walk, a walk now would build `pane` with these views in
+    /// place of theirs.
+    ///
+    /// `None` when that does not hold: a box is not one the program
+    /// defines, its views fail, need a box `pane` does not hold, let a
+    /// `Link` swallow an error, or instantiate other boxes, or in
+    /// another order, than they did in the walk. Boxes the walk
+    /// created in their views would then be created elsewhere, or not
+    /// at all, and numbered otherwise.
+    pub fn patch(
+        &mut self,
+        program: &'p Program,
+        pane: &Arc<Graph>,
+        trail: &'p Trail,
+        boxes: &[BoxId],
+    ) -> Option<Vec<Vec<ViewInst>>> {
+        self.load_defines(program);
+        self.pane = Some(Arc::clone(pane));
+        let mut patched = Vec::with_capacity(boxes.len());
+        for &id in boxes {
+            let node = pane.boxes().get(id.0 as usize).filter(|b| b.addr != 0)?;
+            let def = self.define(&node.label)?;
+            let cty = self.bound(&def.ctype, || self.ctype_of(&def.ctype)).ok()?;
+            self.calls.clear();
+            self.expect = trail.of_box(id);
+            let outer = self.own(id.0);
+            let base = self.scope.len();
+            let this = CValue::LValue {
+                addr: node.addr,
+                ty: cty,
+            };
+            let filled = self.fill_views(def, id, base, this);
+            self.scope.truncate(base);
+            self.own(outer);
+            let views = std::mem::take(&mut self.views);
+            let all = self.calls.len() == self.expect.len();
+            if filled.is_err() || self.swallowed || !all {
+                return None;
+            }
+            patched.push(views);
+        }
+        Some(patched)
+    }
+
     // -------------------------------------------------------- evaluation --
 
     fn evaluator(&self) -> Evaluator<'_, 'img> {
         Evaluator::new(self.target, self.helpers)
+    }
+
+    /// The graph boxes are read from: the one under construction, or
+    /// the pane being patched.
+    fn graph(&self) -> &Graph {
+        self.pane.as_deref().unwrap_or(&self.graph)
+    }
+
+    /// The C type of box `id`; `None` for a virtual one. A patch knows
+    /// its pane's boxes by their C type's name.
+    fn box_type(&self, id: BoxId) -> Option<TypeId> {
+        match self.box_types.get(id.0 as usize) {
+            Some(ty) => *ty,
+            None => self.target.types.find(&self.graph().get(id).ctype),
+        }
+    }
+
+    /// Make `owner` the box whose views are being evaluated; returns
+    /// the one that was.
+    fn own(&mut self, owner: u32) -> u32 {
+        self.target.set_owner(owner);
+        std::mem::replace(&mut self.owner, owner)
     }
 
     fn long(&self) -> TypeId {
@@ -159,7 +318,10 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         self.programs.iter().rev().find_map(|p| p.define(name))
     }
 
-    /// Intern a box, noting the C type of a new one.
+    /// Intern a box, noting the C type of a new one and which box's
+    /// views asked for it. A patch finds the box in its pane, and fails
+    /// where a walk would create one or instantiate another box than it
+    /// did at this point.
     fn intern(
         &mut self,
         addr: u64,
@@ -167,14 +329,32 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         ctype: &Arc<str>,
         size: u64,
         ty: Option<TypeId>,
-    ) -> (BoxId, bool) {
-        let (id, fresh) = self
-            .graph
-            .intern(addr, Arc::clone(label), Arc::clone(ctype), size);
-        if fresh {
-            self.box_types.push(ty);
-        }
-        (id, fresh)
+    ) -> Result<(BoxId, bool)> {
+        let (id, fresh) = match &self.pane {
+            None => {
+                let (id, fresh) =
+                    self.graph
+                        .intern(addr, Arc::clone(label), Arc::clone(ctype), size);
+                if fresh {
+                    self.box_types.push(ty);
+                }
+                (id, fresh)
+            }
+            Some(pane) => match pane
+                .find(addr, label)
+                .filter(|id| self.expect.get(self.calls.len()) == Some(id))
+            {
+                Some(id) => (id, false),
+                None => {
+                    self.swallowed = true;
+                    return Err(VclError::Eval(format!(
+                        "a patch cannot instantiate `{label}` at {addr:#x}"
+                    )));
+                }
+            },
+        };
+        self.calls.push((self.owner, id));
+        Ok((id, fresh))
     }
 
     /// The C value `@name` denotes in a `${…}` expression: boxes are
@@ -183,8 +363,8 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         match v {
             Value::C(c) => Some(c.clone()),
             Value::Box(id) => {
-                let addr = self.graph.get(*id).addr;
-                Some(match self.box_types[id.0 as usize] {
+                let addr = self.graph().get(*id).addr;
+                Some(match self.box_type(*id) {
                     Some(ty) if addr != 0 => CValue::LValue { addr, ty },
                     _ => CValue::Int {
                         value: addr as i64,
@@ -260,17 +440,16 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                         )))
                     }
                 };
-                let mut members: Vec<BoxId> = self
-                    .graph
+                let graph = self.graph();
+                let mut members: Vec<BoxId> = graph
                     .reachable(&[root])
                     .into_iter()
-                    .filter(|id| *self.graph.get(*id).label == **box_type)
+                    .filter(|id| *graph.get(*id).label == **box_type)
                     .collect();
                 // Order by the most natural sort key available.
                 members.sort_by_key(|id| {
-                    let b = self.graph.get(*id);
-                    b.member_raw("vm_start", &self.graph)
-                        .unwrap_or(b.addr as i64)
+                    let b = graph.get(*id);
+                    b.member_raw("vm_start", graph).unwrap_or(b.addr as i64)
                 });
                 Ok(Value::Seq(members, ContainerKind::Sequence))
             }
@@ -292,7 +471,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                             other => other.as_u64().unwrap_or(0),
                         }
                     }
-                    Value::Box(id) => self.graph.get(*id).addr,
+                    Value::Box(id) => self.graph().get(*id).addr,
                     Value::Seq(..) => {
                         return Err(VclError::Eval(format!(
                             "{box_type}(…): cannot instantiate from a container"
@@ -316,9 +495,11 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 items,
                 wheres,
             } => {
-                let (id, _) = self.intern(0, label, &NO_CTYPE, 0, None);
+                let (id, _) = self.intern(0, label, &NO_CTYPE, 0, None)?;
                 let mark = self.scope.len();
+                let outer = self.own(id.0);
                 let view_items = self.anon_items(items, wheres, base);
+                self.own(outer);
                 self.scope.truncate(mark);
                 self.graph.get_mut(id).views.push(ViewInst {
                     name: DEFAULT.clone(),
@@ -369,7 +550,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                     .ok_or_else(|| VclError::Eval("switch: non-integer value".into()))
             }
             Value::Null => Ok(0),
-            Value::Box(id) => Ok(self.graph.get(*id).addr as i64),
+            Value::Box(id) => Ok(self.graph().get(*id).addr as i64),
             Value::Seq(..) => Err(VclError::Eval("switch: cannot compare containers".into())),
         }
     }
@@ -404,11 +585,9 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             match self.eval(a, base)? {
                 Value::C(c) => cargs.push(c),
                 Value::Box(id) => {
-                    let b = self.graph.get(id);
-                    let ty =
-                        self.box_types[id.0 as usize].or_else(|| self.target.types.find(&b.ctype));
-                    match ty {
-                        Some(ty) => cargs.push(CValue::LValue { addr: b.addr, ty }),
+                    let addr = self.graph().get(id).addr;
+                    match self.box_type(id) {
+                        Some(ty) => cargs.push(CValue::LValue { addr, ty }),
                         None => {
                             return Err(VclError::Eval("container source box has no C type".into()))
                         }
@@ -470,7 +649,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                         Value::Seq(ids, _) => members.extend(ids),
                         Value::C(c) => {
                             // Yielding a raw value wraps it in a cell box.
-                            members.push(self.cell_box(&c));
+                            members.push(self.cell_box(&c)?);
                         }
                     }
                 }
@@ -478,12 +657,12 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             None => {
                 // No body: wrap each element in a display cell.
                 for elem in elems {
-                    members.push(self.cell_box(&elem));
+                    members.push(self.cell_box(&elem)?);
                 }
             }
         }
         if let Some(t) = trunc {
-            members.push(self.diag_box(&t.describe(ctor_name, n_elems), t.addr));
+            members.push(self.diag_box(&t.describe(ctor_name, n_elems), t.addr)?);
         }
         Ok(Value::Seq(members, ckind))
     }
@@ -501,8 +680,8 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
 
     /// A virtual diagnostic box appended to a truncated container so the
     /// damage shows up in the plot itself.
-    fn diag_box(&mut self, msg: &str, addr: u64) -> BoxId {
-        let (id, _) = self.intern(0, &DIAG, &NO_CTYPE, 0, None);
+    fn diag_box(&mut self, msg: &str, addr: u64) -> Result<BoxId> {
+        let (id, _) = self.intern(0, &DIAG, &NO_CTYPE, 0, None)?;
         let b = self.graph.get_mut(id);
         b.attrs
             .set("diagnostic", serde_json::Value::String(msg.to_string()));
@@ -514,14 +693,16 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 raw: Some(addr as i64),
             }],
         });
-        id
+        Ok(id)
     }
 
     /// A virtual single-text box used for containers of raw values
     /// (e.g. maple-tree pivots).
-    fn cell_box(&mut self, v: &CValue) -> BoxId {
-        let (id, _) = self.intern(0, &CELL, &NO_CTYPE, 0, None);
+    fn cell_box(&mut self, v: &CValue) -> Result<BoxId> {
+        let (id, _) = self.intern(0, &CELL, &NO_CTYPE, 0, None)?;
+        let outer = self.own(id.0);
         let value = decor::render_default(self.target, v);
+        self.own(outer);
         self.graph.get_mut(id).views.push(ViewInst {
             name: DEFAULT.clone(),
             items: vec![Item::Text {
@@ -530,7 +711,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                 raw: decor::raw_for_query(v),
             }],
         });
-        id
+        Ok(id)
     }
 
     // ----------------------------------------------------- instantiation --
@@ -539,7 +720,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
     fn instantiate(&mut self, def: &'p BoxDef, addr: u64) -> Result<BoxId> {
         let cty = self.bound(&def.ctype, || self.ctype_of(&def.ctype))?;
         let size = self.target.types.size_of(cty);
-        let (id, fresh) = self.intern(addr, &def.name, def.ctype.text(), size, Some(cty));
+        let (id, fresh) = self.intern(addr, &def.name, def.ctype.text(), size, Some(cty))?;
         if !fresh {
             return Ok(id);
         }
@@ -552,14 +733,16 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
         }
         let base = self.scope.len();
         self.depth += 1;
+        let outer = self.own(id.0);
         let filled = self.fill_views(def, id, base, CValue::LValue { addr, ty: cty });
+        self.own(outer);
         self.depth -= 1;
         self.scope.truncate(base);
         filled.map(|()| id)
     }
 
     /// Evaluate the views of box `id` in a new scope at `base`; the
-    /// caller truncates it.
+    /// caller truncates it. A patch keeps the views apart from its pane.
     fn fill_views(&mut self, def: &'p BoxDef, id: BoxId, base: usize, this: CValue) -> Result<()> {
         self.scope.push(("this", Value::C(this)));
         // Evaluate every where binding once, in view-declaration order,
@@ -583,10 +766,14 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
             for &v in chain {
                 self.eval_items(&def.views[v].items, base, &mut view_items)?;
             }
-            self.graph.get_mut(id).views.push(ViewInst {
+            let view = ViewInst {
                 name: view.name.clone(),
                 items: view_items,
-            });
+            };
+            match self.pane {
+                Some(_) => self.views.push(view),
+                None => self.graph.get_mut(id).views.push(view),
+            }
         }
         Ok(())
     }
@@ -615,7 +802,12 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                         )))
                     }
                     Err(e @ VclError::TooDeep { .. }) => return Err(e),
-                    Err(_) => out.push(Item::NullLink { name: name.clone() }),
+                    // A patch that cannot stand in for a walk stops.
+                    Err(e) if self.pane.is_some() => return Err(e),
+                    Err(_) => {
+                        self.swallowed = true;
+                        out.push(Item::NullLink { name: name.clone() })
+                    }
                 },
                 ItemDef::Container { name, value } => match self.eval(value, base)? {
                     Value::Seq(members, kind) => out.push(Item::Container {
@@ -650,7 +842,7 @@ impl<'p, 't, 'img> Interp<'p, 't, 'img> {
                     ty: self.long(),
                 },
                 Value::Box(id) => CValue::Int {
-                    value: self.graph.get(id).addr as i64,
+                    value: self.graph().get(id).addr as i64,
                     ty: self.long(),
                 },
                 Value::Seq(..) => {

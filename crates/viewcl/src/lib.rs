@@ -33,7 +33,7 @@ mod stdlib;
 
 pub use ast::*;
 pub use decor::{Decorator, FlagSets};
-pub use interp::{Interp, Value};
+pub use interp::{Interp, Trail, Value};
 pub use parser::parse_program;
 
 /// Errors produced while parsing or evaluating ViewCL.

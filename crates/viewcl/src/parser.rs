@@ -27,6 +27,8 @@ struct P<'s> {
     toks: VecDeque<SpannedTok>,
     /// Values open above the cursor.
     depth: usize,
+    /// An `Array.selectFrom` has been parsed.
+    selects: bool,
 }
 
 impl<'s> P<'s> {
@@ -35,6 +37,7 @@ impl<'s> P<'s> {
             lexer: Lexer::new(src),
             toks: VecDeque::with_capacity(2),
             depth: 0,
+            selects: false,
         };
         p.fill();
         p
@@ -168,6 +171,7 @@ impl<'s> P<'s> {
         for (i, d) in prog.defines.iter().enumerate() {
             prog.table.insert(d.name.clone(), i);
         }
+        prog.selects = self.selects;
         Ok(prog)
     }
 
@@ -411,6 +415,7 @@ impl<'s> P<'s> {
                     self.expect_punct(",")?;
                     let box_type = self.expect_ident()?;
                     self.expect_punct(")")?;
+                    self.selects = true;
                     return Ok(RValue::SelectFrom {
                         source: Box::new(source),
                         box_type,

@@ -344,49 +344,41 @@ pub fn array_elems(
                 CValue::Ptr { ty, .. } => target.types.pointee(*ty).ok(),
                 _ => None,
             };
-            let mut out = Vec::with_capacity(n as usize);
-            match elem_ty {
-                Some(ty) if target.types.size_of(ty) > 0 => {
-                    let esz = target.types.size_of(ty);
-                    target.prefetch(base, esz * n);
-                    for i in 0..n {
-                        match target.load(base + esz * i, ty) {
-                            Ok(v) => out.push(v),
-                            Err(_) => {
-                                return Ok((
-                                    out,
-                                    Some(Truncation {
-                                        reason: TruncReason::Fault,
-                                        addr: base + esz * i,
-                                    }),
-                                ))
-                            }
-                        }
-                    }
-                }
+            // Untyped: treat as an array of 8-byte words.
+            let (elem_ty, esz) = match elem_ty {
+                Some(ty) if target.types.size_of(ty) > 0 => (Ok(ty), target.types.size_of(ty)),
                 _ => {
-                    // Untyped: treat as an array of 8-byte words.
-                    target.prefetch(base, 8 * n);
                     let word_ty = target
                         .types
                         .find("unsigned long")
                         .ok_or_else(|| VclError::Eval("u64 not interned".into()))?;
-                    for i in 0..n {
-                        match target.read_uint(base + 8 * i, 8) {
-                            Ok(v) => out.push(CValue::Int {
-                                value: v as i64,
-                                ty: word_ty,
-                            }),
-                            Err(_) => {
-                                return Ok((
-                                    out,
-                                    Some(Truncation {
-                                        reason: TruncReason::Fault,
-                                        addr: base + 8 * i,
-                                    }),
-                                ))
-                            }
-                        }
+                    (Err(word_ty), 8)
+                }
+            };
+            // The length comes from kernel memory, so it may be anything:
+            // the walk ends at the first element it cannot read, at the
+            // end of the address space, and at `MAX_ELEMS`.
+            target.prefetch(base, esz.saturating_mul(n));
+            let mut out = Vec::with_capacity((n as usize).min(MAX_ELEMS));
+            for i in 0..n {
+                let addr = base.wrapping_add(esz.wrapping_mul(i));
+                if out.len() == MAX_ELEMS {
+                    let reason = TruncReason::Bound;
+                    return Ok((out, Some(Truncation { reason, addr })));
+                }
+                let at = esz.checked_mul(i).and_then(|off| base.checked_add(off));
+                let elem = at.and_then(|at| match elem_ty {
+                    Ok(ty) => target.load(at, ty).ok(),
+                    Err(word_ty) => target.read_uint(at, 8).ok().map(|v| CValue::Int {
+                        value: v as i64,
+                        ty: word_ty,
+                    }),
+                });
+                match elem {
+                    Some(v) => out.push(v),
+                    None => {
+                        let reason = TruncReason::Fault;
+                        return Ok((out, Some(Truncation { reason, addr })));
                     }
                 }
             }

@@ -56,7 +56,7 @@ use visualinux::proto::VResponse;
 
 use crate::framing::{negotiate_server, parse_hello, BinaryFraming, DecodeBuf};
 use crate::queue::{Bounded, Wake};
-use crate::server::{Connection, SendMode, ServerHandle};
+use crate::server::{Connection, ServerHandle};
 use crate::stats::WireStats;
 use crate::wire::Io;
 use crate::ServeError;
@@ -486,22 +486,25 @@ impl WirePump {
                 self.stats.engine_busy += 1;
                 break;
             }
-            let frame = lane.pending.front().expect("just ensured").clone();
+            // The frame moves into the engine's queue; one the queue
+            // refuses comes back to the front of the lane.
+            let frame = lane.pending.pop_front().expect("just ensured");
             let conn = lane.conn.as_ref().expect("ready lanes are routed");
-            match conn.send_frame(frame, SendMode::NonBlocking) {
+            match conn.offer_frame(frame) {
                 Ok(()) => {
-                    lane.pending.pop_front();
                     lane.in_flight += 1;
                     admitted += 1;
                     self.stats.frames_in += 1;
                     progress = true;
                 }
-                Err(ServeError::Backpressure) => {
+                Err((ServeError::Backpressure, frame)) => {
+                    lane.pending.push_front(frame);
                     self.stats.engine_busy += 1;
                     break;
                 }
-                Err(_) => {
+                Err((_, frame)) => {
                     // Engine gone; flush what we owe and end the lane.
+                    lane.pending.push_front(frame);
                     lane.closing = true;
                     return true;
                 }

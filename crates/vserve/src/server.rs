@@ -188,17 +188,36 @@ impl Connection {
     /// Submit an already-serialized protocol frame payload — what a wire
     /// pump forwards straight off its decoder without re-parsing.
     pub fn send_frame(&self, payload: String, mode: SendMode) -> Result<(), ServeError> {
+        match mode {
+            SendMode::Blocking => {
+                let req = Request::Cmd {
+                    client: self.id,
+                    line: payload,
+                };
+                self.shared.reqq.push(req).map_err(|_| ServeError::Closed)
+            }
+            SendMode::NonBlocking => self.offer_frame(payload).map_err(|(e, _)| e),
+        }
+    }
+
+    /// [`Connection::send_frame`] without waiting, handing the payload
+    /// back with the error when the request queue is full or closed, so
+    /// a wire pump can keep it queued without copying it first.
+    pub(crate) fn offer_frame(&self, payload: String) -> Result<(), (ServeError, String)> {
         let req = Request::Cmd {
             client: self.id,
             line: payload,
         };
-        match mode {
-            SendMode::Blocking => self.shared.reqq.push(req).map_err(|_| ServeError::Closed),
-            SendMode::NonBlocking => self.shared.reqq.try_push(req).map_err(|e| match e {
-                TryPush::Full(_) => ServeError::Backpressure,
-                TryPush::Closed(_) => ServeError::Closed,
-            }),
-        }
+        self.shared.reqq.try_push(req).map_err(|e| {
+            let (err, req) = match e {
+                TryPush::Full(req) => (ServeError::Backpressure, req),
+                TryPush::Closed(req) => (ServeError::Closed, req),
+            };
+            match req {
+                Request::Cmd { line, .. } => (err, line),
+                _ => unreachable!("a frame is offered as a command"),
+            }
+        })
     }
 
     /// Next reply line; blocks. `None` once the server closed this
@@ -352,6 +371,8 @@ struct DeltaMemo {
 /// group: a stop drops every entry it did not serve, so a record lives
 /// exactly while some engine can serve it or step from it.
 struct MemoEntry {
+    /// The source, as the memo's key holds it.
+    src: Arc<str>,
     plot: Arc<SharedPlot>,
     delta: Option<DeltaMemo>,
     /// The previous generation's record, in a share group: the base of
@@ -648,11 +669,16 @@ impl Server {
         }
     }
 
-    /// Bring `src` into the memo for the current generation: from the
+    /// The record `src` serves in the current generation: from the
     /// fleet's share group when a sibling engine already walked it, else
-    /// by walking the bridge locally (catching the session up on any
-    /// owed operations first).
-    fn materialize(&mut self, src: &Arc<str>) -> Result<(), String> {
+    /// a walk of the bridge here (catching the session up on any owed
+    /// operations first). `last` is what `src` served before: a pane the
+    /// session kept keeps its measured length and payload cell.
+    fn materialize(
+        &mut self,
+        src: &Arc<str>,
+        last: Option<&SharedPlot>,
+    ) -> Result<Arc<SharedPlot>, String> {
         let replay = self.session.backend_kind() == BackendKind::Replay;
         if let Some(share) = self.share.clone() {
             if let Some(plot) = share.get(self.generation, src) {
@@ -677,16 +703,26 @@ impl Server {
                     self.stats.tape_skips += u64::from(skipped);
                     self.record(SessionOp::Plot(Arc::clone(src)), skipped);
                 }
-                self.serve(src, plot);
-                return Ok(());
+                return Ok(plot);
             }
         }
-        self.catch_up()?;
-        let tape_from = self.session.replay_state().map(|st| st.position());
-        let (graph, pstats) = self
-            .session
-            .extract_shared(src)
-            .map_err(|e| e.to_string())?;
+        let walked = self.catch_up().and_then(|()| {
+            let tape_from = self.session.replay_state().map(|st| st.position());
+            let walk = self.session.extract_shared(src);
+            walk.map(|walk| (walk, tape_from))
+                .map_err(|e| e.to_string())
+        });
+        let ((graph, pstats), tape_from) = match walked {
+            Ok(walked) => walked,
+            Err(e) => {
+                // A walk that fails publishes nothing: release the claim
+                // its miss took, or later lookups of the key wait for it.
+                if let Some(share) = &self.share {
+                    share.abandon(self.generation, src);
+                }
+                return Err(e);
+            }
+        };
         self.stats.walks += 1;
         self.stats.walk_packets += pstats.target.reads;
         self.stats.walk_bytes += pstats.target.bytes;
@@ -700,11 +736,9 @@ impl Server {
         // source last served, and keeps its measured length and payload
         // cell. Any other graph is measured here and encoded only if a
         // full plot of it ships.
-        let kept = self
-            .memo
-            .get(src)
-            .filter(|m| Arc::ptr_eq(&m.plot.graph, &graph))
-            .map(|m| (m.plot.full_len, Arc::clone(&m.plot.full)));
+        let kept = last
+            .filter(|last| Arc::ptr_eq(&last.graph, &graph))
+            .map(|last| (last.full_len, Arc::clone(&last.full)));
         let (full_len, full) =
             kept.unwrap_or_else(|| (vplot_json_len(&graph, src), Arc::default()));
         let plot = Arc::new(SharedPlot {
@@ -718,21 +752,7 @@ impl Server {
         if let Some(share) = &self.share {
             share.publish(self.generation, src, &plot);
         }
-        self.serve(src, plot);
-        Ok(())
-    }
-
-    /// Make `plot` what `src` serves in the current generation, over the
-    /// previous generation's record.
-    fn serve(&mut self, src: &Arc<str>, plot: Arc<SharedPlot>) {
-        let prev = self.memo.remove(src).and_then(|m| m.prev);
-        let entry = MemoEntry {
-            plot,
-            delta: None,
-            prev,
-            fresh: true,
-        };
-        self.memo.insert(Arc::clone(src), entry);
+        Ok(plot)
     }
 
     /// Re-enact the owed operations (shared-served walks, deferred
@@ -759,30 +779,55 @@ impl Server {
     /// past [`MAX_FRAME`] is refused with an error: no peer could take
     /// the frame.
     fn plot(&mut self, client: u64, viewcl: &str) -> Result<String, String> {
-        let (src, fresh) = match self.memo.get_key_value(viewcl) {
-            Some((src, m)) => (Arc::clone(src), m.fresh),
-            None => (Arc::from(viewcl), false),
-        };
-        if fresh {
-            self.stats.coalesced += 1;
-        } else {
-            self.materialize(&src).inspect_err(|_| {
-                // A walk that fails publishes nothing: release the claim
-                // its miss took, or later lookups of the key wait for it.
-                if let Some(share) = &self.share {
-                    share.abandon(self.generation, &src);
-                }
-            })?;
-        }
-        self.stats.extractions += 1;
-        let (graph, full_len) = {
-            let m = &self.memo[&src];
-            (Arc::clone(&m.plot.graph), m.plot.full_len)
-        };
+        // The memo leaves `self` while this request holds its entry, so
+        // the walk and the reply, which need the rest of `self`, look
+        // the source up no second time.
+        let mut memo = std::mem::take(&mut self.memo);
+        let reply = self.plot_in(&mut memo, client, viewcl);
+        self.memo = memo;
+        reply
+    }
 
+    /// [`Server::plot`] over the memo taken out of `self`: one lookup,
+    /// and an entry from an earlier generation takes its new record in
+    /// place.
+    fn plot_in(
+        &mut self,
+        memo: &mut HashMap<Arc<str>, MemoEntry>,
+        client: u64,
+        viewcl: &str,
+    ) -> Result<String, String> {
+        if let Some(m) = memo.get_mut(viewcl) {
+            if m.fresh {
+                self.stats.coalesced += 1;
+            } else {
+                m.plot = self.materialize(&m.src, Some(&m.plot))?;
+                m.delta = None;
+                m.fresh = true;
+            }
+            return self.ship(client, m);
+        }
+        let src: Arc<str> = Arc::from(viewcl);
+        let plot = self.materialize(&src, None)?;
+        let m = memo.entry(Arc::clone(&src)).or_insert(MemoEntry {
+            src,
+            plot,
+            delta: None,
+            prev: None,
+            fresh: true,
+        });
+        self.ship(client, m)
+    }
+
+    /// Answer `client`'s request for `m`'s source, served in the current
+    /// generation: a delta from the graph the client holds, when it has
+    /// one and the delta is smaller, else the full plot.
+    fn ship(&mut self, client: u64, m: &mut MemoEntry) -> Result<String, String> {
+        self.stats.extractions += 1;
+        let (graph, full_len) = (Arc::clone(&m.plot.graph), m.plot.full_len);
         let subs = self.subs.entry(client).or_default();
         // A first subscription ships full, as a resync does.
-        let sub = subs.entry(Arc::clone(&src)).or_insert_with(|| SyncState {
+        let sub = subs.entry(Arc::clone(&m.src)).or_insert_with(|| SyncState {
             seq: 0,
             last: Arc::clone(&graph),
             resync: true,
@@ -795,7 +840,6 @@ impl Server {
             // the payload is memoized on the extraction entry. Shipped
             // graphs are shared allocations, so "same base" is a pointer
             // compare, not a graph walk.
-            let m = self.memo.get_mut(&src).expect("just materialized");
             let seq = sub.seq + 1;
             let reusable = m
                 .delta
@@ -815,9 +859,9 @@ impl Server {
                     vgraph::diff::diff(&sub.last, &m.plot.graph)
                 };
                 let payload = if canonical {
-                    vplot_delta_json(m.plot.step.get_or_init(diff), &src, seq)
+                    vplot_delta_json(m.plot.step.get_or_init(diff), &m.src, seq)
                 } else {
-                    vplot_delta_json(&diff(), &src, seq)
+                    vplot_delta_json(&diff(), &m.src, seq)
                 };
                 m.delta = Some(DeltaMemo {
                     base: Arc::clone(&sub.last),
@@ -852,17 +896,16 @@ impl Server {
             None => {
                 sub.seq = 0;
                 sub.resync = false;
-                Ok(self.ship_full(&src))
+                Ok(self.ship_full(&m.plot, &m.src))
             }
         }
     }
 
-    /// The full `vplot` ship of `src`'s memo entry. The first full ship
-    /// of a record encodes it (`ServeStats::full_encodes`) into a string
-    /// sized by its measured length; every later one, here or in a
-    /// sibling engine holding the same cell, copies those bytes.
-    fn ship_full(&mut self, src: &str) -> String {
-        let plot = &self.memo[src].plot;
+    /// The full `vplot` ship of `plot`, `src`'s record. The first full
+    /// ship of a record encodes it (`ServeStats::full_encodes`) into a
+    /// string sized by its measured length; every later one, here or in
+    /// a sibling engine holding the same cell, copies those bytes.
+    fn ship_full(&mut self, plot: &SharedPlot, src: &str) -> String {
         let mut encoded = false;
         let json = plot.full.get_or_init(|| {
             encoded = true;

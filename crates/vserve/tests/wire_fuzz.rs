@@ -559,3 +559,145 @@ fn wide_values_are_answered_in_time_and_siblings_stay_served() {
         .expect("wire books balance");
     stats.reconcile().expect("engine books balance");
 }
+
+/// Every helper the session registers (`visualinux::helpers`), called
+/// from one `vplot_request` each with the extreme integers 0, -1,
+/// `i64::MIN`, `i64::MAX` and `u64::MAX` in every integer argument: the
+/// engine answers each with a plot whose text shows the helper's value
+/// or its error, or with an error reply, and never panics, even where a
+/// debug build checks its arithmetic; a sibling connection stays served
+/// after each.
+#[test]
+fn every_helper_survives_extreme_arguments_and_siblings_stay_served() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let engine = std::thread::spawn(move || {
+        let session = visualinux::Session::builder(ksim::workload::build(
+            &ksim::workload::WorkloadConfig::default(),
+        ))
+        .profile(vbridge::LatencyProfile::free())
+        .attach()
+        .unwrap();
+        let mut server = Server::new(
+            session,
+            ServeConfig {
+                exit_when_idle: false,
+                ..ServeConfig::default()
+            },
+        );
+        tx.send(server.handle()).unwrap();
+        server.run();
+        server.stats()
+    });
+    let handle = rx.recv().unwrap();
+    let pump = WirePump::new(
+        Box::new(SingleSession::new(handle.clone())),
+        WireConfig::default(),
+    );
+    let ph = pump.handle();
+    let pump_thread = std::thread::spawn(move || pump.run());
+    let connect = || {
+        let (client_io, srv_io) = byte_pair(64);
+        ph.add(Box::new(srv_io)).unwrap();
+        WireClient::binary(Box::new(client_io)).unwrap()
+    };
+    let mut hostile = connect();
+    let mut sibling = connect();
+
+    // Each helper and its arguments; `{}` is the extreme integer.
+    let helpers = [
+        ("cpu_rq", "{}"),
+        ("task_state", "{}"),
+        ("mte_to_node", "{}"),
+        ("mte_node_type", "{}"),
+        ("mte_is_leaf", "{}"),
+        ("xa_is_node", "{}"),
+        ("ma_slot_check", "{}"),
+        ("mt_node_max", "{}"),
+        ("mte_parent", "{}"),
+        ("per_cpu_ptr", "{}, {}, {}"),
+        ("timer_base_of", "{}"),
+        ("rcu_data_of", "{}"),
+        ("xa_to_node", "{}"),
+        ("find_vma", "{}, {}"),
+        ("fname_eq", "{}, \"x\""),
+        ("zone_of", "{}, {}"),
+        ("pfn_of_page", "{}"),
+        ("i_mapping_of", "{}"),
+        ("sem_base", "{}"),
+        ("ntohs", "{}"),
+        ("ip4_str", "{}"),
+    ];
+    let registry = visualinux::helpers::registry();
+    let mut registered: Vec<&str> = registry.names().collect();
+    let mut cased: Vec<&str> = helpers.iter().map(|(name, _)| *name).collect();
+    registered.sort_unstable();
+    cased.sort_unstable();
+    assert_eq!(cased, registered, "a case per registered helper");
+    let extremes = [
+        "0",
+        "-1",
+        "(-9223372036854775807 - 1)",
+        "0x7fffffffffffffff",
+        "0xffffffffffffffff",
+    ];
+    let fig = visualinux::figures::by_id("fig3-4").unwrap();
+    let request = VCommand::VplotRequest {
+        viewcl: fig.viewcl.to_string(),
+    };
+    let mut errors = 0;
+    for (helper, args) in helpers {
+        let texts: Vec<String> = extremes
+            .iter()
+            .enumerate()
+            .map(|(i, x)| format!("    Text v{i}: ${{{helper}({})}}\n", args.replace("{}", x)))
+            .collect();
+        let viewcl = format!("x = Box Probe [\n{}]\nplot @x\n", texts.concat());
+        hostile.send(&VCommand::VplotRequest { viewcl }).unwrap();
+        let reply = hostile.recv().unwrap().expect("the engine answers");
+        match VCommand::from_json(&reply) {
+            Ok(VCommand::Vplot { graph, .. }) => {
+                let probe = graph.get(graph.roots[0]);
+                let items = &probe.views[0].items;
+                assert_eq!(items.len(), extremes.len(), "{helper}");
+                for item in items {
+                    match item {
+                        vgraph::Item::Text { value, .. } => {
+                            errors += usize::from(value.starts_with("<error"))
+                        }
+                        other => panic!("{helper}: {other:?}"),
+                    }
+                }
+            }
+            _ => match VResponse::from_json(&reply) {
+                Ok(VResponse::Err { .. }) => errors += extremes.len(),
+                other => panic!("{helper}: unexpected reply {other:?}"),
+            },
+        }
+        sibling.send(&request).unwrap();
+        let plot = sibling
+            .recv()
+            .unwrap()
+            .expect("the sibling is still served");
+        assert!(
+            plot.starts_with("{\"command\":\"vplot"),
+            "{helper}: sibling got {plot:.80}"
+        );
+    }
+    // 45 of the 105 calls name a CPU, an address or an object the
+    // image does not hold, or overflow an address sum; the others
+    // compute a value (`ntohs`, the maple tree's bit helpers, …).
+    assert_eq!(errors, 45, "errors of 105 calls");
+
+    drop(hostile);
+    drop(sibling);
+    handle.shutdown();
+    let stats = engine.join().unwrap();
+    ph.shutdown();
+    pump_thread
+        .join()
+        .unwrap()
+        .reconcile()
+        .expect("wire books balance");
+    stats.reconcile().expect("engine books balance");
+    assert_eq!(stats.requests, 42, "{stats:?}");
+}

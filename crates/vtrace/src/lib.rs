@@ -63,6 +63,10 @@ pub enum SpanKind {
     /// Incremental refresh: the dirty-set intersection that decides
     /// whether a retained pane is kept or re-walked.
     Incr,
+    /// Re-evaluating the views of the boxes of a retained pane whose
+    /// reads changed, instead of walking the pane (contains distiller
+    /// spans).
+    Patch,
     /// One ViewQL program applied to a pane.
     Query,
     /// One ViewQL clause (statement).
@@ -88,6 +92,7 @@ impl SpanKind {
             SpanKind::Distill => "distill",
             SpanKind::Prefetch => "prefetch",
             SpanKind::Incr => "incr",
+            SpanKind::Patch => "patch",
             SpanKind::Query => "query",
             SpanKind::Clause => "clause",
             SpanKind::Render => "render",

@@ -7,7 +7,9 @@
 //! and spans record clock deltas, so the sums must telescope: for every
 //! pane, Σ own-counters over the span tree == the root's inclusive
 //! counters == the extraction's `TargetStats` projection, in integer
-//! nanoseconds with no rounding anywhere.
+//! nanoseconds with no rounding anywhere. That holds for an extraction
+//! that keeps a pane or patches it after a stop as for a walk, and a
+//! patch shows as one `patch` span naming how many boxes it evaluated.
 
 use ksim::workload::{build, WorkloadConfig};
 use proptest::prelude::*;
@@ -30,6 +32,43 @@ fn assert_reconciles(trace: &TraceSpan, target: TargetStats) -> Result<(), TestC
     // Telescoping: exclusive shares sum back to the inclusive root.
     prop_assert_eq!(trace.leaf_totals(), tot);
     Ok(())
+}
+
+/// Take scheduler tick 1 as a stop, then plot figure `id` again.
+fn tick_and_plot(s: &mut Session, id: &str) -> visualinux::vpanels::PaneId {
+    let roots = s.roots.clone();
+    s.stop_event(|img| {
+        ksim::tick::tick(img, &roots, 1);
+    })
+    .unwrap();
+    s.plot(PlotSpec::Figure(id)).unwrap()
+}
+
+#[test]
+fn a_patch_reconciles_and_names_the_boxes_it_evaluated() {
+    for (id, boxes) in [("fig3-4", 22), ("fig7-1", 7)] {
+        let mut s = Session::builder(build(&WorkloadConfig::default()))
+            .profile(LatencyProfile::kgdb_rpi400())
+            .cache(CacheConfig::default())
+            .tracing()
+            .attach()
+            .unwrap();
+        s.plot(PlotSpec::Figure(id)).unwrap();
+        let pane = tick_and_plot(&mut s, id);
+        let stats = s.plot_stats(pane).unwrap().target;
+        assert_eq!(stats.reevaluated, 2, "{id}");
+        let trace = s.vtrace(pane).unwrap();
+        assert_reconciles(&trace, stats).unwrap();
+        let flat = trace.flatten();
+        let patch: Vec<_> = flat
+            .iter()
+            .filter(|sp| sp.kind == SpanKind::Patch)
+            .collect();
+        assert_eq!(patch.len(), 1, "{id}");
+        assert_eq!(patch[0].name, format!("interp::patch 2 of {boxes} boxes"));
+        // The patch walks no pane: no interp span.
+        assert!(flat.iter().all(|sp| sp.kind != SpanKind::Interp), "{id}");
+    }
 }
 
 proptest! {
@@ -89,6 +128,14 @@ proptest! {
             if profile_idx != 0 {
                 prop_assert!(warm_stats.virtual_ns <= stats.virtual_ns);
             }
+            // After a tick stop the pane is kept, patched or walked, and
+            // reconciles whichever it was; a patch is one span.
+            let after = tick_and_plot(&mut s, fig.id);
+            let after_stats = s.plot_stats(after).unwrap().target;
+            let after_trace = s.vtrace(after).unwrap();
+            assert_reconciles(&after_trace, after_stats)?;
+            let patches = after_trace.flatten().iter().filter(|sp| sp.kind == SpanKind::Patch).count();
+            prop_assert_eq!(patches, usize::from(after_stats.reevaluated > 0));
         }
 
         // The wire log saw every packet and every cache hit (plus at
