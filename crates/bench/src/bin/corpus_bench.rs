@@ -3,9 +3,13 @@
 //! For the clean scale rungs (~100 / ~1k / ~10k tasks) it measures image
 //! build time, the scoped evaluation probe (the paper's Figure 9-2: one
 //! process's address space) against the deliberately population-linear
-//! full task-list plot, and the full `kcheck` sweep. For every fault and
-//! CVE member it verifies the declared ground truth and round-trips the
-//! recorded capture through a byte-identity replay.
+//! full task-list plot, and the full `kcheck` sweep. On each rung it then
+//! walks the 21 Table 2 figures on a fresh KGDB session with the default
+//! cache, takes one tick stop and walks them again, on a plain and on an
+//! incremental session, and reports the cold walk's and the refresh's
+//! packets, link time and wall time and the panes kept. For every fault
+//! and CVE member it verifies the declared ground truth and round-trips
+//! the recorded capture through a byte-identity replay.
 //!
 //! ```text
 //! cargo run --release -p bench --bin corpus_bench
@@ -19,15 +23,23 @@
 //! * the full-pane control fails to grow >= 20x over the same range
 //!   (which would mean the meter, not the scoping, produced the flat
 //!   line),
+//! * an incremental refresh at `clean-10k` sends more than 100 packets,
+//!   a plain refresh on any rung sends more than its own cold walk, or
+//!   a refreshed graph differs from a fresh uncached walk of the same
+//!   state,
 //! * any corpus member's ground truth fails, or its capture does not
 //!   replay to the live graph.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bench::TablePrinter;
 use kgen::{check_ground_truth, record_scenario, replay_probe, scoped_probe, FULL_PROBE};
-use ksim::corpus;
-use visualinux::{PlotSpec, Session};
+use ksim::corpus::{self, ScenarioSpec};
+use vbridge::{CacheConfig, LatencyProfile};
+use vgraph::Graph;
+use visualinux::{figures, PlotSpec, Session, SessionError};
 
 /// One probe's cost on one rung.
 #[derive(serde::Serialize, Clone, Copy)]
@@ -50,6 +62,26 @@ struct RungDoc {
     sweep_clean: bool,
 }
 
+/// The 21 figures walked once on a session.
+#[derive(serde::Serialize, Clone, Copy, Default)]
+struct Walks {
+    packets: u64,
+    link_ms: f64,
+    wall_ms: f64,
+    /// Panes handed out as their retained graph.
+    kept: u64,
+}
+
+/// One rung's cold walk and refresh after one tick stop, on a plain or
+/// an incremental session.
+#[derive(serde::Serialize)]
+struct RefreshDoc {
+    scenario: String,
+    mode: &'static str,
+    cold: Walks,
+    refresh: Walks,
+}
+
 /// One fault/CVE member's row.
 #[derive(serde::Serialize)]
 struct MemberDoc {
@@ -66,6 +98,7 @@ struct MemberDoc {
 struct BenchDoc {
     bench: &'static str,
     rungs: Vec<RungDoc>,
+    refresh: Vec<RefreshDoc>,
     members: Vec<MemberDoc>,
     scoped_packet_ratio_10k_over_100: f64,
     full_packet_ratio_10k_over_100: f64,
@@ -73,6 +106,106 @@ struct BenchDoc {
 
 fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// A walk's graph JSON, or its error's text, hashed.
+fn digest(walk: &Result<Arc<Graph>, SessionError>) -> u64 {
+    let text = match walk {
+        Ok(graph) => graph.to_json(),
+        Err(e) => e.to_string(),
+    };
+    let mut h = DefaultHasher::new();
+    text.hash(&mut h);
+    h.finish()
+}
+
+/// Take the stop one scheduler tick makes.
+fn tick(s: &mut Session) {
+    let roots = s.roots.clone();
+    s.stop_event(|img| {
+        ksim::tick::tick(img, &roots, 1);
+    })
+    .expect("a live session takes stops");
+}
+
+/// Walk the 21 figures on `s`: what the walks cost, timed alone, and
+/// their graphs.
+fn walk_all(s: &Session) -> (Walks, Vec<Result<Arc<Graph>, SessionError>>) {
+    let t = Instant::now();
+    let walks: Vec<_> = figures::all()
+        .iter()
+        .map(|fig| s.extract_shared(fig.viewcl))
+        .collect();
+    let mut w = Walks {
+        wall_ms: ms(t),
+        ..Walks::default()
+    };
+    let graphs = walks
+        .into_iter()
+        .map(|walk| {
+            walk.map(|(graph, stats)| {
+                w.packets += stats.target.reads;
+                w.link_ms += stats.target.virtual_ns as f64 / 1e6;
+                w.kept += stats.target.vincr_hits;
+                graph
+            })
+        })
+        .collect();
+    (w, graphs)
+}
+
+/// The 21 figures' digests after one tick stop, on a fresh uncached
+/// session: what every refresh must give.
+fn fresh_digests(spec: &ScenarioSpec) -> Vec<u64> {
+    let mut s = Session::from_scenario(spec)
+        .0
+        .attach()
+        .expect("live attach");
+    tick(&mut s);
+    let walk = |src| s.extract_shared(src).map(|(graph, _)| graph);
+    figures::all()
+        .iter()
+        .map(|fig| digest(&walk(fig.viewcl)))
+        .collect()
+}
+
+/// Walk the 21 figures on a fresh KGDB session over `spec` with the
+/// default cache, take one tick stop and walk them again; a refreshed
+/// graph whose digest is not `want`'s is a failure.
+fn refresh(
+    spec: &ScenarioSpec,
+    incremental: bool,
+    want: &[u64],
+    failures: &mut Vec<String>,
+) -> RefreshDoc {
+    let builder = Session::from_scenario(spec)
+        .0
+        .profile(LatencyProfile::kgdb_rpi400())
+        .cache(CacheConfig::default());
+    let builder = if incremental {
+        builder.incremental()
+    } else {
+        builder
+    };
+    let mut s = builder.attach().expect("live attach");
+    let (cold, _) = walk_all(&s);
+    tick(&mut s);
+    let (refresh, got) = walk_all(&s);
+    let mode = if incremental { "incremental" } else { "plain" };
+    for ((fig, got), want) in figures::all().iter().zip(&got).zip(want) {
+        if digest(got) != *want {
+            failures.push(format!(
+                "{}: {mode} refresh of {} differs from a fresh walk",
+                spec.name, fig.id
+            ));
+        }
+    }
+    RefreshDoc {
+        scenario: spec.name.clone(),
+        mode,
+        cold,
+        refresh,
+    }
 }
 
 fn main() {
@@ -185,6 +318,59 @@ fn main() {
         ));
     }
 
+    // --- The refresh after one tick, per rung ----------------------------
+    let mut refreshes = Vec::new();
+    for r in &rungs {
+        let spec = corpus::by_name(&r.scenario).expect("rung exists");
+        let want = fresh_digests(&spec);
+        for incremental in [false, true] {
+            refreshes.push(refresh(&spec, incremental, &want, &mut failures));
+        }
+    }
+    let t = TablePrinter::new(&[10, 12, 10, 11, 9, 9, 11, 9, 5]);
+    t.row(
+        &[
+            "rung",
+            "session",
+            "cold-pkts",
+            "cold-link-s",
+            "cold-ms",
+            "ref-pkts",
+            "ref-link-s",
+            "ref-ms",
+            "kept",
+        ]
+        .map(String::from),
+    );
+    t.sep();
+    for r in &refreshes {
+        t.row(&[
+            r.scenario.clone(),
+            r.mode.to_string(),
+            r.cold.packets.to_string(),
+            format!("{:.1}", r.cold.link_ms / 1e3),
+            format!("{:.1}", r.cold.wall_ms),
+            r.refresh.packets.to_string(),
+            format!("{:.1}", r.refresh.link_ms / 1e3),
+            format!("{:.1}", r.refresh.wall_ms),
+            r.refresh.kept.to_string(),
+        ]);
+        if r.mode == "plain" && r.refresh.packets > r.cold.packets {
+            failures.push(format!(
+                "{}: a plain refresh sends {} packets, its cold walk {}",
+                r.scenario, r.refresh.packets, r.cold.packets
+            ));
+        }
+        if r.scenario == "clean-10k" && r.mode == "incremental" && r.refresh.packets > 100 {
+            failures.push(format!(
+                "clean-10k: an incremental refresh sends {} packets (bound: 100)",
+                r.refresh.packets
+            ));
+        }
+    }
+    t.sep();
+    println!();
+
     // --- Fault / CVE members: ground truth + replay ---------------------
     let mut members = Vec::new();
     for spec in corpus::corpus()
@@ -236,6 +422,7 @@ fn main() {
     let doc = BenchDoc {
         bench: "corpus",
         rungs,
+        refresh: refreshes,
         members,
         scoped_packet_ratio_10k_over_100: scoped_ratio,
         full_packet_ratio_10k_over_100: full_ratio,

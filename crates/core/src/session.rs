@@ -427,12 +427,14 @@ pub struct Session {
 struct Retained {
     graph: Arc<Graph>,
     stats: GraphStats,
-    /// The bytes the walk was served (`Target::end_walk`), for a content
-    /// check after a resume; empty when none was taken.
+    /// The bytes the walk was served, in the order of the index's served
+    /// ranges (`Target::derive`), for a content check after a resume;
+    /// empty when none was taken.
     snapshot: Vec<u8>,
     /// The type registry's and symbol table's states the walk ran under.
     tables: (Stamp, Stamp),
-    /// What the walk read, by the box whose views read it.
+    /// What the walk read, by the box whose views read it: the pane's
+    /// one range list, which its footprint and snapshot derive from.
     index: ReadIndex,
     /// What a patch of the pane checks its boxes against; `None` when
     /// no patch can stand in for a walk (`Interp::finish`) or a read of
@@ -931,8 +933,9 @@ impl Session {
                     });
                     let bytes = r.dirty_bytes.unwrap_or(0);
                     let mut changed = Vec::new();
-                    let compared =
-                        resumed && r.tables == tables && target.changed(&r.snapshot, &mut changed);
+                    let compared = resumed
+                        && r.tables == tables
+                        && target.changed(&r.index, &r.snapshot, &mut changed);
                     if clean || compared && changed.is_empty() {
                         target.note_incr(1, 0, bytes);
                         r.refreshed();
@@ -992,12 +995,9 @@ impl Session {
             // retained pane; the old pane's buffers take the new ones.
             let old = e.kept.take().map(|r| (r.snapshot, r.index));
             let (mut snapshot, mut index) = old.unwrap_or_default();
-            programs.snapshot_bytes -= snapshot.len();
-            target.end_walk(&mut e.footprint, &mut snapshot, &mut index);
-            if programs.snapshot_bytes + snapshot.len() > self.snapshot_capacity() {
-                snapshot.clear();
-            }
-            programs.snapshot_bytes += snapshot.len();
+            target.end_walk(&mut index);
+            let held = &mut programs.snapshot_bytes;
+            self.derive(&target, &index, &mut e.footprint, &mut snapshot, held);
             if self.incremental || !snapshot.is_empty() {
                 e.kept = Some(Retained {
                     graph: Arc::clone(&graph),
@@ -1014,24 +1014,41 @@ impl Session {
         Ok((graph, stats))
     }
 
-    /// How many bytes the retained panes' snapshots may hold together:
-    /// the block cache's capacity.
-    fn snapshot_capacity(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| {
+    /// Replace a pane's `footprint` and `snapshot` with what its `index`
+    /// gives them (`Target::derive`), after a walk and after a patch
+    /// alike. `held` counts the bytes of every pane's snapshot, this
+    /// one's old bytes included; together they hold at most the block
+    /// cache's capacity, and a snapshot that does not fit is left empty.
+    fn derive(
+        &self,
+        target: &Target<'_>,
+        index: &ReadIndex,
+        footprint: &mut Vec<u64>,
+        snapshot: &mut Vec<u8>,
+        held: &mut usize,
+    ) {
+        *held -= snapshot.len();
+        target.derive(index, footprint, snapshot);
+        let capacity = self.cache.as_ref().map_or(0, |c| {
             let cfg = c.config();
             cfg.max_blocks.saturating_mul(cfg.block_size as usize)
-        })
+        });
+        if *held + snapshot.len() > capacity {
+            snapshot.clear();
+        }
+        *held += snapshot.len();
     }
 
     /// Patch the pane `e` retains (see [`Session::extract_labeled`]):
     /// evaluate the views of `boxes` (box ids, sorted) again and, if
     /// that stands in for a walk, put them into a copy of the pane's
-    /// graph, which becomes the pane. When the boxes read again what
-    /// they read before, the pane's index and footprint stay and its
-    /// snapshot takes the new bytes; otherwise all three are derived
-    /// again from the index with the boxes' new reads. `held` counts
-    /// the bytes of every pane's snapshot. `None`, with nothing
-    /// changed, when the pane must be walked.
+    /// graph, which becomes the pane. The index takes the boxes' new
+    /// reads, when they read other ranges than before, and the
+    /// footprint and snapshot are derived from it as after a walk; a
+    /// pane whose boxes read again what they read before and that held
+    /// no snapshot holds none. `held` counts the bytes of every pane's
+    /// snapshot. `None`, with nothing changed, when the pane must be
+    /// walked.
     fn patch(
         &self,
         target: &Target<'_>,
@@ -1053,24 +1070,13 @@ impl Session {
         if poisoned || target.stats().faults != faults {
             return None;
         }
-        let before = r.snapshot.len();
-        if r.index.matches(&self.reads, boxes) {
-            if !r.snapshot.is_empty() {
-                target.refill(&mut r.snapshot);
-            }
-        } else {
-            let mut index = r.index.clone();
-            index.replace(&self.reads, boxes);
-            let (mut derived, mut snapshot) = (Vec::new(), Vec::new());
-            if !target.derive(&index, &mut derived, &mut snapshot) {
-                return None;
-            }
-            if *held - before + snapshot.len() > self.snapshot_capacity() {
-                snapshot.clear();
-            }
-            (r.index, *footprint, r.snapshot) = (index, derived, snapshot);
+        let same = r.index.matches(&self.reads, boxes);
+        if !same {
+            r.index.replace(&self.reads, boxes);
         }
-        *held = *held - before + r.snapshot.len();
+        if !same || !r.snapshot.is_empty() {
+            self.derive(target, &r.index, footprint, &mut r.snapshot, held);
+        }
         let mut graph = Graph::clone(&r.graph);
         for (&id, views) in ids.iter().zip(views) {
             graph.get_mut(id).views = views;
@@ -1709,6 +1715,211 @@ plot @m
         assert!(cached.cache().unwrap().is_empty());
         let (_, s_cold2) = cached.extract(fig.viewcl).unwrap();
         assert!(s_cold2.target.cache_misses > 0);
+    }
+
+    /// What a walk of `src` on `img` derives on a fresh target with a
+    /// cache of `cfg`.
+    struct Derived {
+        graph: String,
+        index: ReadIndex,
+        footprint: Vec<u64>,
+        snapshot: Vec<u8>,
+        /// The bytes a snapshot of the walk holds when it holds any: the
+        /// image's, at the index's served ranges; none if a read faulted.
+        served: Vec<u8>,
+    }
+
+    /// Walk `src` on `img` as a fresh cached session would, and derive
+    /// its pane's index, footprint and snapshot. `None` if the walk
+    /// fails.
+    fn walk_and_derive(img: &KernelImage, cfg: vbridge::CacheConfig, src: &str) -> Option<Derived> {
+        let cache = BlockCache::new(cfg);
+        let reads = ReadRecord::default();
+        let free = LatencyProfile::free();
+        let mut target = Target::with_cache(&img.mem, &img.types, &img.symbols, free, &cache);
+        target.record_reads(&reads);
+        let helpers = crate::helpers::registry();
+        let program = viewcl::parse_program(src).ok()?;
+        let mut interp = viewcl::Interp::new(&target, &helpers);
+        interp.run(&program).ok()?;
+        let graph = interp.finish().0.to_json();
+        let mut index = ReadIndex::default();
+        target.end_walk(&mut index);
+        let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
+        target.derive(&index, &mut footprint, &mut snapshot);
+        let mut served = Vec::new();
+        for (addr, len) in index.served().filter(|_| !index.faulted()) {
+            let at = served.len();
+            served.resize(at + len as usize, 0);
+            img.mem.read(addr, &mut served[at..]).expect("served");
+        }
+        Some(Derived {
+            graph,
+            index,
+            footprint,
+            snapshot,
+            served,
+        })
+    }
+
+    /// Extract the 21 figures on every session, then check that each
+    /// pane a session retains carries the index, footprint and
+    /// snapshot a walk of its source on the same image derives. With
+    /// the default cache nothing is evicted and every snapshot fits;
+    /// a smaller cache may hold no snapshot for a pane. Returns each
+    /// session's extraction stats, by figure.
+    fn check_retained(
+        sessions: &[(&str, vbridge::CacheConfig, Session)],
+        at: &str,
+    ) -> Vec<Vec<TargetStats>> {
+        let mut fresh: HashMap<(usize, &str), Option<Derived>> = HashMap::new();
+        let mut stats = Vec::new();
+        for (name, cfg, s) in sessions {
+            let got: Vec<_> = crate::figures::all()
+                .iter()
+                .map(|fig| s.extract_shared(fig.viewcl).map(|(_, st)| st.target))
+                .collect();
+            let exact = *cfg == vbridge::CacheConfig::default();
+            let programs = s.programs.borrow();
+            for (fig, got) in crate::figures::all().iter().zip(&got) {
+                let want = fresh
+                    .entry((cfg.max_blocks, fig.viewcl))
+                    .or_insert_with(|| walk_and_derive(&s.img, *cfg, fig.viewcl));
+                let at = format!("{at}: {name} {}", fig.id);
+                assert_eq!(got.is_ok(), want.is_some(), "{at}: walks as afresh");
+                // A walk that fails replaces no pane.
+                let (Some(want), Some(e)) = (want, programs.entries.get(fig.viewcl)) else {
+                    continue;
+                };
+                let Some(r) = &e.kept else { continue };
+                assert_eq!(r.graph.to_json(), want.graph, "{at}: graph");
+                assert!(r.index == want.index, "{at}: index");
+                assert_eq!(e.footprint, want.footprint, "{at}: footprint");
+                let held =
+                    |snapshot: &[u8]| snapshot == want.served || !exact && snapshot.is_empty();
+                assert!(held(&want.snapshot), "{at}: fresh snapshot");
+                assert!(held(&r.snapshot), "{at}: snapshot");
+            }
+            stats.push(got.into_iter().map(Result::unwrap_or_default).collect());
+        }
+        stats
+    }
+
+    #[test]
+    fn a_patched_pane_carries_what_a_walk_derives() {
+        let small = vbridge::CacheConfig {
+            max_blocks: 16,
+            ..vbridge::CacheConfig::default()
+        };
+        for seed in [1u64, 42] {
+            let cfg = WorkloadConfig {
+                seed,
+                ..WorkloadConfig::default()
+            };
+            let attach = |cache: vbridge::CacheConfig, incremental: bool| {
+                let b = Session::builder(build(&cfg)).cache(cache);
+                let b = if incremental { b.incremental() } else { b };
+                b.attach().expect("live attach")
+            };
+            let default = vbridge::CacheConfig::default();
+            let mut sessions = [
+                ("plain", default, attach(default, false)),
+                ("incremental", default, attach(default, true)),
+                ("plain 16 blocks", small, attach(small, false)),
+                ("incremental 16 blocks", small, attach(small, true)),
+            ];
+            let stop = |sessions: &mut [(&str, _, Session)], f: &dyn Fn(&mut KernelImage)| {
+                for (_, _, s) in sessions.iter_mut() {
+                    s.stop_event(f).expect("a live session takes stops");
+                }
+            };
+            check_retained(&sessions, &format!("seed {seed}, first walk"));
+            let roots = sessions[0].2.roots.clone();
+            for step in 1..=3 {
+                stop(&mut sessions, &|img: &mut KernelImage| {
+                    ksim::tick::tick(img, &roots, step);
+                });
+                check_retained(&sessions, &format!("seed {seed}, tick {step}"));
+            }
+            if seed != 1 {
+                continue;
+            }
+            // A longer name: the task's box reads a longer string, so a
+            // patch takes its new ranges and derives the pane again.
+            let img = sessions[0].2.image();
+            let task_struct = img.types.find("task_struct").expect("task_struct");
+            let (comm, _) = img.types.field_path(task_struct, "comm").expect("comm");
+            let comm = roots.leaders[0] + comm;
+            let longer = format!("{:x<15}\0", img.mem.read_cstr(comm, 16).expect("a name"));
+            stop(&mut sessions, &|img: &mut KernelImage| {
+                img.mem.write(comm, longer.as_bytes());
+            });
+            let stats = check_retained(&sessions, "a longer name");
+            let fig3_4 = crate::figures::all().iter().position(|f| f.id == "fig3-4");
+            let fig3_4 = fig3_4.expect("fig3-4");
+            for ((name, _, s), stats) in sessions.iter().zip(stats) {
+                let patched = stats[fig3_4].reevaluated > 0;
+                assert_eq!(patched, *name != "plain 16 blocks", "{name}");
+                if *name == "incremental 16 blocks" {
+                    // Its 40 blocks pass the cap: no footprint.
+                    let programs = s.programs.borrow();
+                    let src = crate::figures::all()[fig3_4].viewcl;
+                    assert!(programs.entries[src].footprint.is_empty());
+                }
+            }
+            // Seeded random bytes in ranges the figures' walks are
+            // served, two stops a figure, each putting back first the
+            // bytes the stop before it wrote.
+            let ranges: Vec<Vec<(u64, u64)>> = crate::figures::all()
+                .iter()
+                .map(|fig| {
+                    let img = sessions[0].2.image();
+                    let want = walk_and_derive(img, default, fig.viewcl).expect("walks");
+                    want.index.served().collect()
+                })
+                .collect();
+            let mut seed = 0x5eed_u64;
+            let mut next = move || {
+                // SplitMix64.
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut undo: Option<(u64, Vec<u8>)> = None;
+            for (i, ranges) in ranges.iter().cycle().take(2 * ranges.len()).enumerate() {
+                let (start, len) = ranges[next() as usize % ranges.len()];
+                let at = start + next() % len;
+                let n = (1 + next() % 8).min(start + len - at) as usize;
+                let bytes: Vec<u8> = (0..n).map(|_| next() as u8).collect();
+                // What the bytes are once the last stop's are put back.
+                let mut old = vec![0; n];
+                sessions[0]
+                    .2
+                    .image()
+                    .mem
+                    .read(at, &mut old)
+                    .expect("served");
+                let back = undo.take();
+                if let Some((addr, was)) = &back {
+                    for (k, b) in old.iter_mut().enumerate() {
+                        let back = (at + k as u64).checked_sub(*addr);
+                        *b = back
+                            .and_then(|j| was.get(j as usize))
+                            .copied()
+                            .unwrap_or(*b);
+                    }
+                }
+                stop(&mut sessions, &|img: &mut KernelImage| {
+                    if let Some((addr, was)) = &back {
+                        img.mem.write(*addr, was);
+                    }
+                    img.mem.write(at, &bytes);
+                });
+                undo = Some((at, old));
+                check_retained(&sessions, &format!("random stop {i}"));
+            }
+        }
     }
 
     #[test]

@@ -289,7 +289,7 @@ fn a_patch_evaluates_where_bindings_again() {
 }
 
 /// The ranges a walk of `src` on `session`'s image is served, merged:
-/// the ranges a snapshot holds, read off its headers.
+/// the ranges whose bytes a snapshot holds.
 fn served(session: &Session, src: &str) -> Vec<(u64, u64)> {
     let img = session.image();
     let cache = BlockCache::new(CacheConfig::default());
@@ -301,17 +301,9 @@ fn served(session: &Session, src: &str) -> Vec<(u64, u64)> {
     let program = viewcl::parse_program(src).expect("a figure parses");
     let mut interp = viewcl::Interp::new(&target, &helpers);
     let _ = interp.run(&program);
-    let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
-    target.end_walk(&mut footprint, &mut snapshot, &mut ReadIndex::default());
-    let mut ranges = Vec::new();
-    let mut rest = &snapshot[..];
-    while let Some((head, tail)) = rest.split_first_chunk::<16>() {
-        let addr = u64::from_le_bytes(head[..8].try_into().unwrap());
-        let len = u64::from_le_bytes(head[8..].try_into().unwrap());
-        ranges.push((addr, len));
-        rest = &tail[len as usize..];
-    }
-    ranges
+    let mut index = ReadIndex::default();
+    target.end_walk(&mut index);
+    index.served().collect()
 }
 
 /// A small seeded generator (SplitMix64).

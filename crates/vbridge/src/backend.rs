@@ -65,10 +65,10 @@ impl std::fmt::Display for BackendKind {
 /// A normalized set of byte ranges mutated since the previous resume:
 /// sorted, non-overlapping, non-adjacent `(addr, len)` spans.
 ///
-/// This is the currency of incremental re-extraction (`vincr`): the
-/// backend reports what the target wrote between stops, the session
-/// intersects it with the spans each retained pane graph touched, and
-/// only intersecting panes re-walk.
+/// This is the currency of incremental re-extraction: the backend
+/// reports what the target wrote between stops, and the session asks
+/// each retained pane's read index which of its boxes read a dirty byte
+/// (`ReadIndex::owners_of`); a pane none of whose boxes did is kept.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
     ranges: Vec<(u64, u64)>,
@@ -106,23 +106,6 @@ impl DirtySet {
             let (a, len) = self.ranges[i - 1];
             addr < a.saturating_add(len)
         }
-    }
-
-    /// Whether any dirty span overlaps any of `spans` (unnormalized ok).
-    pub fn intersects(&self, spans: &[(u64, u64)]) -> bool {
-        spans.iter().any(|&(addr, len)| {
-            if len == 0 {
-                return false;
-            }
-            let end = addr.saturating_add(len);
-            // First dirty span that could start before `end`…
-            let i = self.ranges.partition_point(|&(a, _)| a < end);
-            // …must also end after `addr` to overlap.
-            i > 0 && {
-                let (a, l) = self.ranges[i - 1];
-                a.saturating_add(l) > addr
-            }
-        })
     }
 }
 
@@ -209,9 +192,6 @@ pub trait TargetBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
-    /// One-line description for diagnostics and trace metadata.
-    fn describe(&self) -> String;
-
     /// Read `out.len()` bytes at `addr`, or fault.
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError>;
 
@@ -257,10 +237,6 @@ impl TargetBackend for SimBackend<'_> {
         BackendKind::Sim
     }
 
-    fn describe(&self) -> String {
-        "sim: live ksim image".to_string()
-    }
-
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError> {
         self.mem.read(addr, out).map_err(BackendError::Mem)
     }
@@ -297,13 +273,7 @@ mod tests {
         assert!(d.covers(0x27));
         assert!(!d.covers(0x28));
         assert!(!d.covers(0xf));
-        assert!(d.intersects(&[(0x27, 1)]));
-        assert!(d.intersects(&[(0x0, 0x11)]));
-        assert!(!d.intersects(&[(0x28, 100)]));
-        assert!(!d.intersects(&[(0x0, 0x10)]));
-        assert!(!d.intersects(&[(0x27, 0)]), "empty spans never intersect");
         assert!(DirtySet::default().is_empty());
-        assert!(!DirtySet::default().intersects(&[(0, u64::MAX)]));
         // Order-insensitive normalization.
         let e = DirtySet::from_ranges(vec![(0x18, 8), (0x10, 8), (0x20, 8)]);
         assert_eq!(d, e);
@@ -315,9 +285,6 @@ mod tests {
         impl TargetBackend for Stub {
             fn kind(&self) -> BackendKind {
                 BackendKind::Sim
-            }
-            fn describe(&self) -> String {
-                "stub".into()
             }
             fn read(&self, _: u64, _: &mut [u8]) -> Result<(), BackendError> {
                 unreachable!()

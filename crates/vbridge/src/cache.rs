@@ -23,11 +23,11 @@
 //!
 //! A block is only its bytes. Which blocks a walk used — its
 //! *footprint* — and the snapshot of the bytes it was served are
-//! derived from the target's record of what the walk read
-//! ([`crate::Target::end_walk`]), not tracked here; the cache only
+//! derived from the pane's index of what the walk read
+//! ([`crate::Target::derive`]), not tracked here; the cache only
 //! lends out a range's resident bytes, block by block, for the
 //! snapshot to be copied and compared in place
-//! ([`crate::Target::unchanged`]).
+//! ([`crate::Target::changed`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
@@ -362,7 +362,8 @@ mod tests {
         let mut index = ReadIndex::default();
         // Outside a recording nothing is logged.
         target.read_uint(0x1300, 8).unwrap();
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert!(footprint.is_empty());
         target.record_reads(&record);
         target.read_uint(0x1300, 8).unwrap();
@@ -371,7 +372,8 @@ mod tests {
         // A block fetched but never read is not used.
         target.prefetch_footprint(&[0x1200]);
         assert!(c.contains(0x1200));
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert_eq!(
             footprint,
             [0x1100, 0x1300],
@@ -382,15 +384,18 @@ mod tests {
         target.record_reads(&record);
         target.read_uint(0x1200, 8).unwrap();
         target.read_uint(0x1300, 8).unwrap();
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert_eq!(footprint, [0x1200, 0x1300]);
-        // The footprint holds at most `max_blocks` bases.
+        // Past `max_blocks` bases the footprint holds none: the cache
+        // could not hold them.
         target.record_reads(&record);
         for addr in [0x1400u64, 0x1500, 0x1600, 0x1700] {
             target.read_uint(addr, 8).unwrap();
         }
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
-        assert_eq!(footprint, [0x1400, 0x1500, 0x1600]);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
+        assert!(footprint.is_empty());
     }
 
     #[test]

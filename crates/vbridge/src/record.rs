@@ -164,10 +164,6 @@ impl TargetBackend for RecordBackend<'_> {
         BackendKind::Record
     }
 
-    fn describe(&self) -> String {
-        format!("record over {}", self.inner.describe())
-    }
-
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError> {
         let res = self.inner.read(addr, out);
         match &res {
@@ -665,7 +661,6 @@ mod tests {
         ));
         assert_eq!(cap.events[4], WireEvent::Resume);
         assert_eq!(b.kind(), BackendKind::Record);
-        assert!(b.describe().contains("record over"));
     }
 
     #[test]

@@ -169,15 +169,6 @@ impl TargetBackend for ReplayBackend<'_> {
         BackendKind::Replay
     }
 
-    fn describe(&self) -> String {
-        format!(
-            "replay of {} capture ({} events, {} consumed)",
-            self.state.capture.origin,
-            self.state.capture.events.len(),
-            self.state.pos.get()
-        )
-    }
-
     fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), BackendError> {
         let want = format!("read addr={addr:#x} len={}", out.len());
         let ev = self.state.next_matching(&want, |ev| {
@@ -353,6 +344,5 @@ mod tests {
         let b = ReplayBackend::new(&st);
         assert_eq!(b.native_profile(), Some(LatencyProfile::free()));
         assert_eq!(b.kind(), BackendKind::Replay);
-        assert!(b.describe().contains("replay of sim capture"));
     }
 }

@@ -1,7 +1,6 @@
 //! The metered debug target.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use kmem::{Mem, MemError, SymbolTable};
@@ -9,7 +8,7 @@ use ktypes::{CValue, TypeId, TypeKind, TypeRegistry};
 use vtrace::Tracer;
 
 use crate::backend::{normalize, BackendError, BackendKind, SimBackend, TargetBackend};
-use crate::cache::{BaseHasher, BlockCache};
+use crate::cache::BlockCache;
 use crate::planner::SpanPlanner;
 use crate::profile::LatencyProfile;
 use crate::{BridgeError, Result};
@@ -153,17 +152,16 @@ impl Read {
 #[derive(Debug, Default)]
 pub struct ReadRecord {
     reads: RefCell<Vec<Read>>,
-    /// Block bases already in the footprint being derived.
-    seen: RefCell<HashSet<u64, BaseHasher>>,
 }
 
 /// What one walk read, by the box that read it: the ranges of its
 /// [`ReadRecord`], sorted by address, a range merged into the one before
 /// it when it has the same owner and kind and overlaps or continues it.
-/// A retained pane keeps one to find which of its boxes a change
+/// It is a retained pane's one range list: its footprint and snapshot
+/// are derived from it ([`Target::derive`]), it names the boxes a change
 /// reached ([`ReadIndex::owners_of`]), and a patch of those boxes checks
 /// and updates it ([`ReadIndex::matches`], [`ReadIndex::replace`]).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ReadIndex {
     reads: Vec<Read>,
     /// The longest range: how far before a queried range a range that
@@ -225,8 +223,9 @@ impl ReadIndex {
     }
 
     /// The served ranges, sorted, with overlapping and adjacent ones
-    /// merged whatever their owners.
-    fn served(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// merged whatever their owners: the ranges whose bytes a snapshot
+    /// holds, in its order.
+    pub fn served(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let mut served = self.reads.iter().filter(|r| r.kind == ReadKind::Served);
         let mut at = served.next().map(|r| (r.addr, r.end()));
         std::iter::from_fn(move || {
@@ -269,6 +268,26 @@ fn merge(reads: &mut Vec<Read>) {
         kept += 1;
     }
     reads.truncate(kept);
+}
+
+/// Hand `f` the resident bytes of `index`'s served ranges in order, one
+/// block's part at a time, each with its address and its offset in the
+/// pane's snapshot. False if a block is not resident.
+fn each_served(
+    cache: &BlockCache,
+    index: &ReadIndex,
+    mut f: impl FnMut(u64, usize, &[u8]),
+) -> bool {
+    let mut off = 0;
+    index.served().all(|(addr, len)| {
+        let mut at = addr;
+        cache.each_piece(addr, len, |piece| {
+            f(at, off, piece);
+            at += piece.len() as u64;
+            off += piece.len();
+            true
+        })
+    })
 }
 
 /// A debugger's view of the stopped kernel.
@@ -377,11 +396,6 @@ impl<'a> Target<'a> {
         self.backend.kind()
     }
 
-    /// One-line description of the wire backend.
-    pub fn backend_desc(&self) -> String {
-        self.backend.describe()
-    }
-
     /// The active latency profile.
     pub fn profile(&self) -> LatencyProfile {
         self.profile
@@ -486,176 +500,99 @@ impl<'a> Target<'a> {
         self.owner.replace(owner)
     }
 
-    /// End a recorded walk: replace `index` with what it read, by owner,
-    /// and `footprint` with the sorted bases of the cache blocks holding
-    /// what it read or hinted (at most `max_blocks`, those used first;
-    /// none uncached). A prefetched byte nobody decoded forces no
-    /// re-walk: the index's owner queries skip hints.
-    ///
-    /// `snapshot` is replaced with the bytes the walk was served, for
-    /// [`Target::changed`]: its served ranges, sorted and merged, each
-    /// as its address and length (little-endian `u64`s) followed by its
-    /// bytes, copied from the cache. It is left empty, which is no
-    /// snapshot, when the target is uncached, when a read faulted (the
-    /// graph then also depends on which pages are mapped), when a
-    /// served block has been evicted since, and when the walk read
-    /// nothing: there is nothing to compare.
-    pub fn end_walk(
-        &self,
-        footprint: &mut Vec<u64>,
-        snapshot: &mut Vec<u8>,
-        index: &mut ReadIndex,
-    ) {
-        footprint.clear();
-        snapshot.clear();
+    /// End a recorded walk: replace `index` with what it read, by owner;
+    /// with nothing when nothing was recorded.
+    pub fn end_walk(&self, index: &mut ReadIndex) {
         index.reads.clear();
         if let Some(record) = self.record {
-            let reads = record.reads.borrow();
-            index.reads.extend_from_slice(&reads);
-            if let Some(cache) = self.cache {
-                let mut seen = record.seen.borrow_mut();
-                seen.clear();
-                for r in reads.iter().filter(|r| r.kind != ReadKind::Stale) {
-                    let last = cache.base_of(r.addr.saturating_add(r.len - 1));
-                    for base in (cache.base_of(r.addr)..=last).step_by(cache.block_size() as usize)
-                    {
-                        if footprint.len() < cache.config().max_blocks && seen.insert(base) {
-                            footprint.push(base);
-                        }
-                    }
-                }
-                footprint.sort_unstable();
-            }
+            index.reads.extend_from_slice(&record.reads.borrow());
         }
         index.rebuild();
-        self.take_snapshot(index, snapshot);
     }
 
-    /// Derive `footprint` and `snapshot` from `index` as
-    /// [`Target::end_walk`] derives them from a walk's record, for a
-    /// pane whose index a patch changed. False when the footprint would
-    /// pass `max_blocks`: which blocks it keeps then depends on the
-    /// order a walk reads them in, which an index does not keep.
-    pub fn derive(
-        &self,
-        index: &ReadIndex,
-        footprint: &mut Vec<u64>,
-        snapshot: &mut Vec<u8>,
-    ) -> bool {
+    /// Replace a pane's `footprint` and `snapshot` with what its `index`
+    /// gives them, after a walk ([`Target::end_walk`]) and after a patch
+    /// alike.
+    ///
+    /// The footprint, for [`Target::prefetch_footprint`], is the sorted
+    /// bases of the cache blocks covering the index's served and hint
+    /// ranges. It is empty when the target is uncached, and when those
+    /// blocks would pass `max_blocks`, since the cache could not hold
+    /// them. A prefetched byte nobody decoded forces no re-walk: the
+    /// index's owner queries skip hints.
+    ///
+    /// The snapshot, for [`Target::changed`], is the bytes of the index's
+    /// served ranges ([`ReadIndex::served`]), in that order, copied from
+    /// the cache. It is left empty, which is no snapshot, when the
+    /// target is uncached, when a read faulted (the graph then also
+    /// depends on which pages are mapped), when a served block is not
+    /// resident, and when the walk read nothing: there is nothing to
+    /// compare.
+    pub fn derive(&self, index: &ReadIndex, footprint: &mut Vec<u64>, snapshot: &mut Vec<u8>) {
         footprint.clear();
         snapshot.clear();
-        if let Some(cache) = self.cache {
-            let bs = cache.block_size() as usize;
-            for r in index.reads.iter().filter(|r| r.kind != ReadKind::Stale) {
-                let last = cache.base_of(r.addr.saturating_add(r.len - 1));
-                footprint.extend((cache.base_of(r.addr)..=last).step_by(bs));
-            }
-            footprint.sort_unstable();
-            footprint.dedup();
-            if footprint.len() > cache.config().max_blocks {
+        let Some(cache) = self.cache else { return };
+        let bs = cache.block_size();
+        // The ranges come by address, so the blocks below the end of the
+        // ones before are in already.
+        let mut next = 0;
+        for r in index.reads.iter().filter(|r| r.kind != ReadKind::Stale) {
+            let first = cache.base_of(r.addr).max(next);
+            let last = cache.base_of(r.addr.saturating_add(r.len - 1));
+            let blocks = last.checked_sub(first).map_or(0, |n| n / bs + 1);
+            if footprint.len() as u64 + blocks > cache.config().max_blocks as u64 {
                 footprint.clear();
-                return false;
+                break;
             }
+            footprint.extend((first..=last).step_by(bs as usize));
+            next = next.max(last.saturating_add(bs));
         }
-        self.take_snapshot(index, snapshot);
-        true
-    }
-
-    /// Copy into the empty `snapshot` the bytes of `index`'s served
-    /// ranges (see [`Target::end_walk`]), unless a read faulted or a
-    /// block is not resident.
-    fn take_snapshot(&self, index: &ReadIndex, snapshot: &mut Vec<u8>) {
-        let Some(cache) = self.cache.filter(|_| !index.faulted()) else {
-            return;
-        };
-        for (addr, len) in index.served() {
-            snapshot.extend_from_slice(&addr.to_le_bytes());
-            snapshot.extend_from_slice(&len.to_le_bytes());
-            let copied = cache.each_piece(addr, len, |piece| {
-                snapshot.extend_from_slice(piece);
-                true
+        let copied = !index.faulted()
+            && each_served(cache, index, |_, _, piece| {
+                snapshot.extend_from_slice(piece)
             });
-            if !copied {
-                snapshot.clear();
-                return;
-            }
+        if !copied {
+            snapshot.clear();
         }
     }
 
-    /// Compare `snapshot`, taken by [`Target::end_walk`], with what the
-    /// cache holds now, in place, replacing `changed` with the runs of
-    /// bytes that differ, as `(address, length)`, in address order. Sends
-    /// nothing over the wire and meters nothing. False, with `changed`
-    /// empty, when there is nothing to compare with: a block the
-    /// snapshot needs is not resident, the snapshot is empty, or the
+    /// Compare `snapshot`, derived from `index` ([`Target::derive`]), with
+    /// what the cache holds now, in place, replacing `changed` with the
+    /// runs of bytes that differ, as `(address, length)`, in address
+    /// order. Sends nothing over the wire and meters nothing. False, with
+    /// `changed` empty, when there is nothing to compare with: a block
+    /// the snapshot needs is not resident, the snapshot is empty, or the
     /// target is uncached.
-    pub fn changed(&self, snapshot: &[u8], changed: &mut Vec<(u64, u64)>) -> bool {
+    pub fn changed(
+        &self,
+        index: &ReadIndex,
+        snapshot: &[u8],
+        changed: &mut Vec<(u64, u64)>,
+    ) -> bool {
         changed.clear();
         let Some(cache) = self.cache.filter(|_| !snapshot.is_empty()) else {
             return false;
         };
-        let mut rest = snapshot;
-        while let Some((head, tail)) = rest.split_first_chunk::<16>() {
-            let (addr, len) = head.split_at(8);
-            let addr = u64::from_le_bytes(addr.try_into().expect("eight bytes"));
-            let len = u64::from_le_bytes(len.try_into().expect("eight bytes"));
-            let (mut bytes, tail) = tail.split_at(len as usize);
-            let mut at = addr;
-            let held = cache.each_piece(addr, len, |piece| {
-                let (old, more) = bytes.split_at(piece.len());
-                bytes = more;
-                if old != piece {
-                    let differ = old
-                        .iter()
-                        .zip(piece)
-                        .enumerate()
-                        .filter(|(_, (a, b))| a != b);
-                    for byte in differ.map(|(i, _)| at + i as u64) {
-                        match changed.last_mut() {
-                            Some((start, n)) if *start + *n == byte => *n += 1,
-                            _ => changed.push((byte, 1)),
-                        }
+        let held = each_served(cache, index, |at, off, piece| {
+            let old = &snapshot[off..off + piece.len()];
+            if old != piece {
+                let differ = old
+                    .iter()
+                    .zip(piece)
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b);
+                for byte in differ.map(|(i, _)| at + i as u64) {
+                    match changed.last_mut() {
+                        Some((start, n)) if *start + *n == byte => *n += 1,
+                        _ => changed.push((byte, 1)),
                     }
                 }
-                at += piece.len() as u64;
-                true
-            });
-            if !held {
-                changed.clear();
-                return false;
             }
-            rest = tail;
+        });
+        if !held {
+            changed.clear();
         }
-        true
-    }
-
-    /// Copy into `snapshot`, over its old bytes, what the cache holds
-    /// now for each of its ranges: a patch whose boxes read again what
-    /// they read before keeps the ranges and takes the bytes. False,
-    /// with the snapshot emptied, when a block is not resident.
-    pub fn refill(&self, snapshot: &mut Vec<u8>) -> bool {
-        let Some(cache) = self.cache else {
-            snapshot.clear();
-            return false;
-        };
-        let mut at = 0;
-        while let Some(head) = snapshot.get(at..at + 16) {
-            let (addr, len) = head.split_at(8);
-            let addr = u64::from_le_bytes(addr.try_into().expect("eight bytes"));
-            let len = u64::from_le_bytes(len.try_into().expect("eight bytes"));
-            let mut pos = at + 16;
-            let held = cache.each_piece(addr, len, |piece| {
-                snapshot[pos..pos + piece.len()].copy_from_slice(piece);
-                pos += piece.len();
-                true
-            });
-            if !held {
-                snapshot.clear();
-                return false;
-            }
-            at = pos;
-        }
-        true
+        held
     }
 
     /// Log a range, merged into the last one when it continues it in
@@ -691,7 +628,7 @@ impl<'a> Target<'a> {
     }
 
     /// Fetch the blocks of `footprint` (sorted block bases, as
-    /// [`Target::end_walk`] derives them) that are not resident, folding
+    /// [`Target::derive`] derives them) that are not resident, folding
     /// neighbours into spans by the profile's `SpanPlanner` rule, one
     /// packet per span. Gap blocks travel in their span but are not
     /// kept: the last walk did not use them. Like a prefetch hint it is
@@ -1474,7 +1411,8 @@ mod tests {
         let mut footprint = vec![0xdead];
         let mut snapshot = vec![0xde];
         let mut index = ReadIndex::default();
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         let hinted = (0x3000..0x4000).step_by(256);
         let want: Vec<u64> = [0x1000, 0x1100, 0x1f00].into_iter().chain(hinted).collect();
         assert_eq!(footprint, want, "sorted, each once");
@@ -1491,7 +1429,8 @@ mod tests {
         );
         assert!(index.faulted());
         assert!(snapshot.is_empty(), "a walk that faulted keeps no snapshot");
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert_eq!(footprint, want);
 
         // Uncached: no footprint, and no hint either.
@@ -1509,28 +1448,34 @@ mod tests {
                 (0x2000, 4, Stale)
             ]
         );
-        plain.end_walk(&mut footprint, &mut snapshot, &mut index);
+        plain.end_walk(&mut index);
+        plain.derive(&index, &mut footprint, &mut snapshot);
         assert!(footprint.is_empty());
         assert_eq!(staleness(&index), [(0x1000, 12), (0x1ffc, 8)]);
 
-        // Past `max_blocks`, the blocks the walk used first.
+        // Up to `max_blocks` blocks the footprint holds them all; past
+        // it, none, whatever order the walk read them in.
         let small = BlockCache::new(CacheConfig {
             max_blocks: 2,
             ..CacheConfig::default()
         });
         let mut target = Target::with_cache(&mem, &types, &symbols, free, &small);
-        target.record_reads(&record);
-        for addr in [0x1300, 0x1100, 0x1300, 0x1200] {
-            target.read_uint(addr, 8).unwrap();
-        }
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
-        assert_eq!(footprint, [0x1100, 0x1300]);
-        // Derived from the index, the footprint would pass `max_blocks`.
-        assert!(!target.derive(&index, &mut footprint, &mut snapshot));
+        let mut walk = |addrs: &[u64]| {
+            target.record_reads(&record);
+            for &addr in addrs {
+                target.read_uint(addr, 8).unwrap();
+            }
+            target.end_walk(&mut index);
+            target.derive(&index, &mut footprint, &mut snapshot);
+            footprint.clone()
+        };
+        assert_eq!(walk(&[0x1300, 0x1100, 0x1300]), [0x1100, 0x1300]);
+        assert_eq!(walk(&[0x1300, 0x1100, 0x1300, 0x1200]), []);
         // A target that records nothing derives nothing.
         let unrecorded = Target::with_cache(&mem, &types, &symbols, free, &small);
         unrecorded.read_uint(0x1000, 8).unwrap();
-        unrecorded.end_walk(&mut footprint, &mut snapshot, &mut index);
+        unrecorded.end_walk(&mut index);
+        unrecorded.derive(&index, &mut footprint, &mut snapshot);
         assert!(footprint.is_empty() && snapshot.is_empty() && index.reads.is_empty());
     }
 
@@ -1554,21 +1499,21 @@ mod tests {
             for (addr, len) in [ranges[2], ranges[0], ranges[1], ranges[0]] {
                 target.read(addr, &mut vec![0; len as usize]).unwrap();
             }
-            target.end_walk(&mut footprint, &mut snapshot, &mut index);
+            target.end_walk(&mut index);
+            target.derive(&index, &mut footprint, &mut snapshot);
             assert_eq!(footprint, [0x1000, 0x1100, 0x1200]);
-            assert_eq!(
-                snapshot.len(),
-                3 * 16 + 36,
-                "each range once: header, bytes"
+            assert_eq!(snapshot.len(), 36, "each range's bytes once");
+            assert!(
+                target.changed(&index, &snapshot, &mut changed),
+                "within the stop"
             );
-            assert!(target.changed(&snapshot, &mut changed), "within the stop");
             assert!(changed.is_empty());
             assert!(
-                !target.changed(&[], &mut changed),
+                !target.changed(&index, &[], &mut changed),
                 "an empty snapshot is none"
             );
             let plain = Target::new(&mem, &types, &symbols, free);
-            assert!(!plain.changed(&snapshot, &mut changed), "uncached");
+            assert!(!plain.changed(&index, &snapshot, &mut changed), "uncached");
         }
         // A resume: every block drops, the footprint is fetched again,
         // and the snapshot compared with what arrived: `Some(changed)`.
@@ -1577,7 +1522,9 @@ mod tests {
             let target = Target::with_cache(mem, &types, &symbols, free, &cache);
             target.prefetch_footprint(fetch);
             let mut changed = Vec::new();
-            target.changed(&snapshot, &mut changed).then_some(changed)
+            target
+                .changed(&index, &snapshot, &mut changed)
+                .then_some(changed)
         };
         assert_eq!(resume(&mem, &footprint), Some(vec![]), "equal bytes");
         // The first and last byte of each range, changed one at a time,
@@ -1597,13 +1544,16 @@ mod tests {
         // A run of changed bytes across a block boundary is one run.
         mem.write(0x10fe, &[5, 5, 5]);
         assert_eq!(resume(&mem, &footprint), Some(vec![(0x10fe, 3)]));
-        // Refilled, the snapshot holds the new bytes and compares equal.
+        // Derived again, the snapshot holds the new bytes, in the order
+        // of the served ranges, and compares equal.
         {
             let target = Target::with_cache(&mem, &types, &symbols, free, &cache);
-            let mut refilled = snapshot.clone();
-            assert!(target.refill(&mut refilled));
-            assert!(target.changed(&refilled, &mut changed) && changed.is_empty());
-            assert_eq!(refilled.len(), snapshot.len());
+            let mut again = Vec::new();
+            target.derive(&index, &mut Vec::new(), &mut again);
+            assert!(target.changed(&index, &again, &mut changed) && changed.is_empty());
+            let mut want = vec![0; 36];
+            want[16 + 6..16 + 9].fill(5);
+            assert_eq!(again, want);
         }
         mem.write(0x10fe, &[0, 0, 0]);
         // A block the comparison needs that is not resident.
@@ -1619,7 +1569,8 @@ mod tests {
         target.record_reads(&record);
         target.read_uint(0x1008, 8).unwrap();
         target.read_uint(0x1208, 8).unwrap();
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert!(snapshot.is_empty());
     }
 
@@ -1637,7 +1588,7 @@ mod tests {
         );
         let mut index = ReadIndex::default();
         let mut end_walk = |target: &Target| {
-            target.end_walk(&mut Vec::new(), &mut Vec::new(), &mut index);
+            target.end_walk(&mut index);
             staleness(&index)
         };
         // Off by default: nothing is logged.
@@ -1684,7 +1635,8 @@ mod tests {
         assert_eq!(target.set_owner(TOP_LEVEL), 2);
         let (mut footprint, mut snapshot) = (Vec::new(), Vec::new());
         let mut index = ReadIndex::default();
-        target.end_walk(&mut footprint, &mut snapshot, &mut index);
+        target.end_walk(&mut index);
+        target.derive(&index, &mut footprint, &mut snapshot);
         let ranges: Vec<_> = index
             .reads
             .iter()
@@ -1712,8 +1664,12 @@ mod tests {
             [7],
             "a hint owns nothing"
         );
-        // The served ranges merge across owners into one snapshot range.
-        assert_eq!(snapshot.len(), 16 + 0x20 + 16 + 8);
+        // The served ranges merge across owners.
+        assert_eq!(
+            index.served().collect::<Vec<_>>(),
+            [(0x1000, 0x20), (0x1100, 8)]
+        );
+        assert_eq!(snapshot.len(), 0x20 + 8);
         // Box 1 reads again in another order: the same ranges. Reading
         // past them, or less, is not.
         let again = |addrs: &[u64]| {
@@ -1750,9 +1706,9 @@ mod tests {
                 (0x1200, 16, 2)
             ]
         );
-        assert!(target.derive(&index, &mut footprint, &mut snapshot));
+        target.derive(&index, &mut footprint, &mut snapshot);
         assert_eq!(footprint, [0x1000, 0x1100, 0x1200]);
-        assert_eq!(snapshot.len(), 16 + 0x18 + 16 + 8);
+        assert_eq!(snapshot.len(), 0x18 + 8);
     }
 
     #[test]
