@@ -137,12 +137,50 @@ impl VCommand {
 const VPLOT_HEAD: &str = "{\"command\":\"vplot\",\"graph\":";
 const VPLOT_SOURCE: &str = ",\"source\":";
 
-/// The `vplot` command for `graph` and `source`: byte for byte
-/// `VCommand::Vplot { graph, source }.to_json()`, written from borrowed
-/// parts into a string of capacity `len`, its length as
-/// [`vplot_json_len`] measured it, so no graph is moved, cloned or
-/// measured again to encode it.
-pub fn vplot_json(graph: &Graph, source: &str, len: usize) -> String {
+/// How a [`VCommand::VplotDelta`] opens, up to its source, and what
+/// separates the source from the sequence number and that from the
+/// delta.
+const DELTA_HEAD: &str = "{\"command\":\"vplot_delta\",\"source\":";
+const DELTA_SEQ: &str = ",\"seq\":";
+const DELTA_BODY: &str = ",\"delta\":";
+
+/// A ViewCL source as a reply echoes it: its JSON string, escaped once.
+/// [`vplot_json`] and [`vplot_delta_json`] copy these bytes where they
+/// would escape a `str` source, so a server that echoes one source in
+/// many replies escapes it once. Written exactly as the source `str`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SourceJson(Box<str>);
+
+impl SourceJson {
+    /// Escape `source`.
+    pub fn new(source: &str) -> SourceJson {
+        let mut json = String::with_capacity(source.json_len());
+        source.write_json(&mut json);
+        SourceJson(json.into())
+    }
+}
+
+impl Serialize for SourceJson {
+    fn serialize_value(&self) -> serde_json::Value {
+        let source: String = serde_json::from_str(&self.0).expect("escaped from a str");
+        serde_json::Value::String(source)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+
+    fn json_len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The `vplot` command for `graph` and `source` (a `str`, or a
+/// [`SourceJson`]): byte for byte `VCommand::Vplot { graph, source
+/// }.to_json()`, written from borrowed parts into a string of capacity
+/// `len`, its length as [`vplot_json_len`] measured it, so no graph is
+/// moved, cloned or measured again to encode it.
+pub fn vplot_json<S: Serialize + ?Sized>(graph: &Graph, source: &S, len: usize) -> String {
     let mut out = String::with_capacity(len);
     out.push_str(VPLOT_HEAD);
     graph.write_json(&mut out);
@@ -152,23 +190,33 @@ pub fn vplot_json(graph: &Graph, source: &str, len: usize) -> String {
     out
 }
 
-/// The `vplot_delta` command: byte for byte `VCommand::VplotDelta {
-/// source, seq, delta }.to_json()`, written from borrowed parts, so a
-/// delta shared by several engines is encoded without a copy.
-pub fn vplot_delta_json(delta: &GraphDelta, source: &str, seq: u64) -> String {
-    let mut out = String::from("{\"command\":\"vplot_delta\",\"source\":");
+/// The `vplot_delta` command for `source` (a `str`, or a
+/// [`SourceJson`]): byte for byte `VCommand::VplotDelta { source, seq,
+/// delta }.to_json()`, written from borrowed parts into a string sized
+/// once, so a delta shared by several engines is encoded without a copy.
+pub fn vplot_delta_json<S: Serialize + ?Sized>(delta: &GraphDelta, source: &S, seq: u64) -> String {
+    let len = DELTA_HEAD.len()
+        + source.json_len()
+        + DELTA_SEQ.len()
+        + seq.json_len()
+        + DELTA_BODY.len()
+        + delta.json_len()
+        + 1;
+    let mut out = String::with_capacity(len);
+    out.push_str(DELTA_HEAD);
     source.write_json(&mut out);
-    out.push_str(",\"seq\":");
+    out.push_str(DELTA_SEQ);
     seq.write_json(&mut out);
-    out.push_str(",\"delta\":");
+    out.push_str(DELTA_BODY);
     delta.write_json(&mut out);
     out.push('}');
+    debug_assert_eq!(out.len(), len, "a measured length is exact");
     out
 }
 
 /// The exact length of [`vplot_json`]`(graph, source)`, counted without
 /// encoding it.
-pub fn vplot_json_len(graph: &Graph, source: &str) -> usize {
+pub fn vplot_json_len<S: Serialize + ?Sized>(graph: &Graph, source: &S) -> usize {
     VPLOT_HEAD.len() + graph.json_len() + VPLOT_SOURCE.len() + source.json_len() + 1
 }
 
@@ -257,6 +305,19 @@ mod tests {
     use super::*;
     use ksim::workload::{build, WorkloadConfig};
     use vbridge::LatencyProfile;
+
+    #[test]
+    fn an_escaped_source_is_written_as_its_str() {
+        for source in ["", "plot @x", "q\"\\\n\u{1f}é😀"] {
+            let json = SourceJson::new(source);
+            let (mut a, mut b) = (String::new(), String::new());
+            json.write_json(&mut a);
+            source.write_json(&mut b);
+            assert_eq!(a, b);
+            assert_eq!(json.json_len(), source.json_len());
+            assert_eq!(json.serialize_value(), source.serialize_value());
+        }
+    }
 
     #[test]
     fn commands_round_trip_as_json() {

@@ -1042,7 +1042,10 @@ impl Session {
     /// Patch the pane `e` retains (see [`Session::extract_labeled`]):
     /// evaluate the views of `boxes` (box ids, sorted) again and, if
     /// that stands in for a walk, put them into a copy of the pane's
-    /// graph, which becomes the pane. The index takes the boxes' new
+    /// graph, which becomes the pane. The copy shares every other box
+    /// with the retained graph, and its stats are the retained ones
+    /// with the patched boxes' edges counted anew, so no step of a
+    /// patch is proportional to the pane. The index takes the boxes' new
     /// reads, when they read other ranges than before, and the
     /// footprint and snapshot are derived from it as after a walk; a
     /// pane whose boxes read again what they read before and that held
@@ -1078,10 +1081,12 @@ impl Session {
             self.derive(target, &r.index, footprint, &mut r.snapshot, held);
         }
         let mut graph = Graph::clone(&r.graph);
+        let mut stats = r.stats;
         for (&id, views) in ids.iter().zip(views) {
-            graph.get_mut(id).views = views;
+            stats = stats.with_views_replaced(&graph.get(id).views, &views);
+            graph.set_views(id, views);
         }
-        let stats = GraphStats::of(&graph);
+        debug_assert_eq!(stats, GraphStats::of(&graph), "stats by difference");
         let graph = Arc::new(graph);
         target.note_patch(ids.len() as u64);
         r.graph = Arc::clone(&graph);
@@ -1643,6 +1648,32 @@ plot @m
         let (kept, stats) = s.extract_shared(src).unwrap();
         assert_eq!(stats.target.vincr_hits, 1);
         assert!(Arc::ptr_eq(&walked, &kept));
+    }
+
+    #[test]
+    fn a_patched_pane_shares_its_other_boxes_with_the_pane_before() {
+        let mut s = Session::builder(build(&WorkloadConfig::default()))
+            .cache(vbridge::CacheConfig::default())
+            .attach()
+            .expect("live attach");
+        let fig = |id| crate::figures::by_id(id).expect("figure").viewcl;
+        let (fig3_4, _) = s.extract_shared(fig("fig3-4")).unwrap();
+        let (fig9_2, _) = s.extract_shared(fig("fig9-2")).unwrap();
+        let roots = s.roots.clone();
+        s.stop_event(|img| {
+            ksim::tick::tick(img, &roots, 1);
+        })
+        .unwrap();
+        let shared = |a: &Graph, b: &Graph| {
+            let pairs = a.boxes().iter().zip(b.boxes());
+            (pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count(), b.len())
+        };
+        let (patched, stats) = s.extract_shared(fig("fig3-4")).unwrap();
+        assert_eq!(stats.target.reevaluated, 2);
+        assert_eq!(shared(&fig3_4, &patched), (20, 22));
+        let (kept, stats) = s.extract_shared(fig("fig9-2")).unwrap();
+        assert_eq!(stats.target.vincr_hits, 1);
+        assert_eq!(shared(&fig9_2, &kept), (kept.len(), kept.len()));
     }
 
     #[test]

@@ -8,13 +8,20 @@
 //! both latency profiles, at two workload seeds, across 20 tick stops,
 //! where `proto::vplot_delta_json` must also write each stop's delta
 //! byte for byte as `VCommand::VplotDelta { .. }.to_json()` does.
+//!
+//! An engine measures a pane patched from the one it served before by
+//! difference: that plot's length plus `Graph::json_len_change`, the
+//! length change of the boxes the two graphs do not share. That must
+//! equal `vplot_json_len` too, over random pairs of equal box count and
+//! roots, and over every figure a cached session patches across 20
+//! tick stops at two seeds.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ksim::workload::{build, WorkloadConfig};
 use proptest::prelude::*;
-use vbridge::LatencyProfile;
+use vbridge::{CacheConfig, LatencyProfile};
 use vgraph::{Attrs, BoxId, BoxNode, ContainerKind, Graph, Item, ViewInst};
 use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand};
 use visualinux::{figures, Session};
@@ -202,6 +209,27 @@ fn graph() -> BoxedStrategy<Graph> {
         .boxed()
 }
 
+/// A graph and a copy that shares its boxes and roots but at the
+/// positions `mask` names, which hold the boxes of another random graph
+/// there, if it has one.
+fn graph_pair() -> BoxedStrategy<(Graph, Graph)> {
+    (graph(), graph(), any::<u8>())
+        .prop_map(|(g, other, mask)| {
+            let boxes: Vec<Arc<BoxNode>> = (0..)
+                .zip(g.boxes())
+                .map(
+                    |(i, b)| match other.boxes().get(i).filter(|_| mask >> i & 1 == 1) {
+                        Some(swapped) => Arc::clone(swapped),
+                        None => Arc::clone(b),
+                    },
+                )
+                .collect();
+            let copy = Graph::from_parts(boxes, g.roots.clone());
+            (g, copy)
+        })
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -212,6 +240,75 @@ proptest! {
     ) {
         check(&g, &source);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_length_by_difference_is_the_length(pair in graph_pair(), source in hostile_string()) {
+        let (base, new) = pair;
+        let unshared = (base.boxes().iter().zip(new.boxes()))
+            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+            .count();
+        match new.json_len_change(&base) {
+            Some(change) => {
+                let base_len = vplot_json_len(&base, &source);
+                prop_assert_eq!(base_len.checked_add_signed(change), Some(vplot_json_len(&new, &source)));
+            }
+            None => prop_assert!(unshared * 2 > new.len(), "{} of {} boxes differ", unshared, new.len()),
+        }
+    }
+}
+
+#[test]
+fn every_patched_figure_measures_exactly_by_difference_across_tick_stops() {
+    let figs = figures::all();
+    let mut by_difference = 0;
+    for seed in [1, 42] {
+        let config = WorkloadConfig {
+            seed,
+            ..WorkloadConfig::default()
+        };
+        let mut s = Session::builder(build(&config))
+            .profile(LatencyProfile::kgdb_rpi400())
+            .cache(CacheConfig::default())
+            .attach()
+            .unwrap();
+        let roots = s.roots.clone();
+        let mut last: Vec<(Arc<Graph>, usize)> = Vec::new();
+        for stop in 0..=20u64 {
+            if stop > 0 {
+                let roots = roots.clone();
+                s.stop_event(move |img| {
+                    ksim::tick::tick(img, &roots, stop);
+                })
+                .unwrap();
+            }
+            let walked: Vec<(Arc<Graph>, usize)> = figs
+                .iter()
+                .map(|fig| {
+                    let graph = s.extract_shared(fig.viewcl).expect(fig.id).0;
+                    let len = vplot_json_len(&graph, fig.viewcl);
+                    (graph, len)
+                })
+                .collect();
+            for ((fig, (graph, len)), (base, base_len)) in figs.iter().zip(&walked).zip(&last) {
+                if let Some(change) = graph.json_len_change(base) {
+                    assert_eq!(
+                        base_len.checked_add_signed(change),
+                        Some(*len),
+                        "{}",
+                        fig.id
+                    );
+                    by_difference += usize::from(!Arc::ptr_eq(graph, base));
+                }
+            }
+            last = walked;
+        }
+    }
+    // fig3-4 and fig7-1 are patched after every tick.
+    assert!(by_difference >= 2 * 20 * 2, "{by_difference} patched panes");
 }
 
 #[test]

@@ -12,9 +12,17 @@
 //! carries an explicit old→new id remap; a box whose neighbours were
 //! renumbered but whose content is otherwise untouched costs two integers
 //! on the wire, not a re-serialized subtree.
+//!
+//! Graphs share boxes (see [`Graph`]): a patched pane shares all but its
+//! patched boxes with the pane it was patched from. When two graphs hold
+//! the same `(addr, label)` at every position, every box keeps its id,
+//! so [`diff`] maps none and passes over a box both share; and
+//! [`apply_in_place`] writes only the boxes a delta ships, so a graph
+//! keeps sharing the rest.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,10 +64,11 @@ pub struct GraphDelta {
     /// `(old id, new id)` for every box whose identity persists — kept
     /// *and* changed boxes. Base boxes absent from this map were removed.
     pub remap: Vec<(u32, u32)>,
-    /// Full new content for changed and added boxes (ids are new ids).
-    /// Persistent boxes not listed here are carried over from the base
-    /// with their edge targets rewritten through `remap`.
-    pub boxes: Vec<BoxNode>,
+    /// Full new content for changed and added boxes (ids are new ids),
+    /// shared with the new graph. Persistent boxes not listed here are
+    /// carried over from the base with their edge targets rewritten
+    /// through `remap`.
+    pub boxes: Vec<Arc<BoxNode>>,
     /// Roots of the new graph.
     pub roots: Vec<BoxId>,
     /// What changed, in human terms.
@@ -133,12 +142,40 @@ fn remapped(old2new: &[Option<u32>], old: BoxId) -> Option<u32> {
     old2new.get(old.0 as usize).copied().flatten()
 }
 
+/// Base ids to new ids, over every persistent identity.
+#[derive(Clone, Copy)]
+enum Ids<'a> {
+    /// Aligned graphs of this many boxes: each box keeps its id.
+    Same(u32),
+    /// Indexed by base id.
+    Map(&'a [Option<u32>]),
+}
+
+impl Ids<'_> {
+    /// The new id of base box `old`, if its identity persists.
+    fn get(self, old: BoxId) -> Option<u32> {
+        match self {
+            Ids::Same(n) => (old.0 < n).then_some(old.0),
+            Ids::Map(old2new) => remapped(old2new, old),
+        }
+    }
+}
+
+/// Whether `base` and `new` hold the same `(addr, label)` at every
+/// position: then a box's semantic key is its position's in both, as
+/// virtual boxes count their occurrences in the same order.
+fn aligned(base: &Graph, new: &Graph) -> bool {
+    base.len() == new.len()
+        && (base.boxes().iter().zip(new.boxes()))
+            .all(|(o, n)| Arc::ptr_eq(o, n) || (o.addr == n.addr && o.label == n.label))
+}
+
 /// Whether `new` (at `new_id`) is base box `old` with its edges
-/// rewritten through `old2new` — i.e. whether the base box can be
-/// carried over and cost only its remap pair. Compares in place; an
-/// edge to a base box with no new identity never matches.
-fn carries_over(old: &BoxNode, new: &BoxNode, new_id: u32, old2new: &[Option<u32>]) -> bool {
-    let same_edge = |o: &BoxId, n: &BoxId| remapped(old2new, *o) == Some(n.0);
+/// rewritten through `ids` — i.e. whether the base box can be carried
+/// over and cost only its remap pair. Compares in place; an edge to a
+/// base box with no new identity never matches.
+fn carries_over(old: &BoxNode, new: &BoxNode, new_id: u32, ids: Ids) -> bool {
+    let same_edge = |o: &BoxId, n: &BoxId| ids.get(*o) == Some(n.0);
     let same_item = |oi: &Item, ni: &Item| match (oi, ni) {
         (Item::Link { name, target }, Item::Link { name: n, target: t }) => {
             name == n && same_edge(target, t)
@@ -204,10 +241,9 @@ fn edge_count(b: &BoxNode) -> u32 {
 /// the multiset difference of their `(item name, target)` pairs, with
 /// base targets carried into new ids. An edge whose target vanished
 /// matches nothing, so it counts as removed.
-fn edge_churn(old: &BoxNode, new: &BoxNode, old2new: &[Option<u32>]) -> (u32, u32) {
-    let mut was: Vec<(&str, Option<u32>)> = edges(old)
-        .map(|(name, t)| (name, remapped(old2new, t)))
-        .collect();
+fn edge_churn(old: &BoxNode, new: &BoxNode, ids: Ids) -> (u32, u32) {
+    let mut was: Vec<(&str, Option<u32>)> =
+        edges(old).map(|(name, t)| (name, ids.get(t))).collect();
     let mut now: Vec<(&str, Option<u32>)> = edges(new).map(|(name, t)| (name, Some(t.0))).collect();
     was.sort_unstable();
     now.sort_unstable();
@@ -256,21 +292,19 @@ fn count_text_changes(old: &BoxNode, new: &BoxNode) -> u32 {
 ///
 /// Each new box is matched to its predecessor by semantic key and
 /// compared with it in place, through the old→new id map; only changed
-/// and added boxes are cloned into the delta.
+/// and added boxes go into the delta, shared with `new`.
+///
+/// When the two graphs are aligned (as many boxes, and the same
+/// `(addr, label)` at every position, checked in one pass) each box's
+/// predecessor is the base box at its position, so no key is hashed,
+/// and a box both graphs share is carried over without a comparison.
+/// Keys of an intern-built graph are unique, and each of its edges names
+/// one of its boxes, so this is the delta the keyed match gives.
 pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
-    if std::ptr::eq(base, new) {
-        // One allocation: every box persists at its own id, unchanged.
-        // Keys of an intern-built graph are unique, so the comparison
-        // below would map each box to itself and return exactly this.
+    if aligned(base, new) {
         let n = base.len() as u32;
-        return GraphDelta {
-            base_len: n,
-            new_len: n,
-            remap: (0..n).map(|i| (i, i)).collect(),
-            boxes: Vec::new(),
-            roots: new.roots.clone(),
-            summary: DeltaSummary::default(),
-        };
+        let remap = (0..n).map(|i| (i, i)).collect();
+        return delta(base, new, (0..n).map(Some), Ids::Same(n), remap);
     }
     let base_index: HashMap<Key, u32> = keys_of(base).zip(0..).collect();
     // new→old and old→new over every persistent identity.
@@ -285,7 +319,19 @@ pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
         .zip(&old2new)
         .filter_map(|(o, n)| n.map(|n| (o, n)))
         .collect();
+    delta(base, new, new2old.into_iter(), Ids::Map(&old2new), remap)
+}
 
+/// The delta from `base` to `new`, given each new box's predecessor in
+/// `base` (`new2old`, in new-id order), the map back (`ids`) and its
+/// pairs (`remap`).
+fn delta(
+    base: &Graph,
+    new: &Graph,
+    new2old: impl Iterator<Item = Option<u32>>,
+    ids: Ids,
+    remap: Vec<(u32, u32)>,
+) -> GraphDelta {
     // Edge churn is counted per source box. Keys are unique within a
     // graph (interning makes real boxes unique, occurrence numbers make
     // virtual boxes unique), so every edge belongs to exactly one
@@ -297,15 +343,19 @@ pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
         boxes_removed: (base.len() - remap.len()) as u32,
         ..DeltaSummary::default()
     };
-    let mut boxes: Vec<BoxNode> = Vec::new();
-    for ((n, nb), old) in (0..).zip(new.boxes()).zip(&new2old) {
-        match *old {
+    let mut boxes: Vec<Arc<BoxNode>> = Vec::new();
+    for ((n, nb), old) in (0..).zip(new.boxes()).zip(new2old) {
+        match old {
             Some(o) => {
                 let ob = &base.boxes()[o as usize];
-                if carries_over(ob, nb, n, &old2new) {
-                    continue; // kept: costs only the remap pair
+                // Kept: costs only the remap pair. A box both graphs
+                // share at one id, under ids that move no box, is
+                // equal to itself with its edges rewritten.
+                let shared = matches!(ids, Ids::Same(_)) && Arc::ptr_eq(ob, nb) && nb.id.0 == n;
+                if shared || carries_over(ob, nb, n, ids) {
+                    continue;
                 }
-                let (added, removed) = edge_churn(ob, nb, &old2new);
+                let (added, removed) = edge_churn(ob, nb, ids);
                 summary.boxes_changed += 1;
                 summary.texts_changed += count_text_changes(ob, nb);
                 summary.edges_added += added;
@@ -316,10 +366,10 @@ pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
                 summary.edges_added += edge_count(nb);
             }
         }
-        boxes.push(nb.clone());
+        boxes.push(Arc::clone(nb));
     }
-    for (ob, n) in base.boxes().iter().zip(&old2new) {
-        if n.is_none() {
+    for (o, ob) in (0..).zip(base.boxes()) {
+        if ids.get(BoxId(o)).is_none() {
             summary.edges_removed += edge_count(ob);
         }
     }
@@ -336,7 +386,9 @@ pub fn diff(base: &Graph, new: &Graph) -> GraphDelta {
 
 /// Apply a delta to the base it was computed against, reconstructing the
 /// new graph exactly (same boxes, ids, roots — byte-identical wire form).
-/// A copy of `base` plus [`apply_in_place`].
+/// A copy of `base` plus [`apply_in_place`]: the result shares with
+/// `base` every box the delta does not change, and with `delta` the
+/// boxes it ships.
 pub fn apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
     let mut graph = base.clone();
     apply_in_place(&mut graph, delta.clone())?;
@@ -347,7 +399,9 @@ pub fn apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
 /// changes, so on error the graph is untouched. When every persistent
 /// box keeps its id, only the shipped boxes are written; otherwise the
 /// base boxes move into their new slots with their edges rewritten.
-/// Either way the intern index follows the boxes.
+/// Either way a carried box is copied only where its id or an edge
+/// target changes (a box shared with another graph stays shared), and
+/// the intern index follows the boxes.
 pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffError> {
     let base_len = graph.len();
     if base_len as u32 != delta.base_len {
@@ -393,12 +447,18 @@ pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffEr
     }
 
     // Everything else persists from the base, so each of its edges
-    // needs a new identity.
+    // needs a new identity; and a carried box whose id is not its new
+    // slot takes that id.
+    let mut renumbered = false;
     for ((o, ob), n) in (0..).zip(graph.boxes()).zip(&old2new) {
         let Some(n) = *n else { continue };
-        if !shipped[n as usize] && edges(ob).any(|(_, t)| remapped(&old2new, t).is_none()) {
+        if shipped[n as usize] {
+            continue;
+        }
+        if edges(ob).any(|(_, t)| remapped(&old2new, t).is_none()) {
             return Err(DiffError::UnmappedEdge { from: o, to: n });
         }
+        renumbered |= ob.id.0 != n;
     }
     if let Some(i) = (0..new_len).find(|&i| !shipped[i] && !claimed[i]) {
         return Err(DiffError::MissingBox(i as u32));
@@ -410,8 +470,12 @@ pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffEr
     if new_len == base_len && delta.remap.iter().all(|&(o, n)| o == n) {
         // Carried boxes keep their slots, and every edge they hold
         // already names its target's new id.
-        for (i, b) in (0..).zip(graph.boxes_mut()) {
-            b.id = BoxId(i);
+        if renumbered {
+            for i in (0..base_len as u32).filter(|&i| !shipped[i as usize]) {
+                if graph.get(BoxId(i)).id.0 != i {
+                    graph.get_mut(BoxId(i)).id = BoxId(i);
+                }
+            }
         }
         for b in delta.boxes {
             graph.replace_box(b);
@@ -419,19 +483,24 @@ pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffEr
         graph.roots = delta.roots;
         return Ok(());
     }
-    let mut slots: Vec<Option<BoxNode>> = vec![None; new_len];
+    let mut slots: Vec<Option<Arc<BoxNode>>> = vec![None; new_len];
     for (mut ob, n) in std::mem::take(graph).into_boxes().into_iter().zip(&old2new) {
         let Some(n) = *n else { continue };
         if shipped[n as usize] {
             continue;
         }
-        ob.id = BoxId(n);
-        let renumber = |t: &mut BoxId| *t = BoxId(remapped(&old2new, *t).expect("edges checked"));
-        for item in ob.views.iter_mut().flat_map(|v| &mut v.items) {
-            match item {
-                Item::Link { target, .. } => renumber(target),
-                Item::Container { members, .. } => members.iter_mut().for_each(renumber),
-                _ => {}
+        let moved = |t: BoxId| remapped(&old2new, t) != Some(t.0);
+        if ob.id.0 != n || edges(&ob).any(|(_, t)| moved(t)) {
+            let b = Arc::make_mut(&mut ob);
+            b.id = BoxId(n);
+            let renumber =
+                |t: &mut BoxId| *t = BoxId(remapped(&old2new, *t).expect("edges checked"));
+            for item in b.views.iter_mut().flat_map(|v| &mut v.items) {
+                match item {
+                    Item::Link { target, .. } => renumber(target),
+                    Item::Container { members, .. } => members.iter_mut().for_each(renumber),
+                    _ => {}
+                }
             }
         }
         slots[n as usize] = Some(ob);

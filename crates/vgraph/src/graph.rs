@@ -4,6 +4,13 @@
 //! `Arc<str>`s: a graph built from a program holds the program's own
 //! names, so building, cloning, diffing and applying a box copies only
 //! its values, and equal names usually compare by pointer.
+//!
+//! Boxes are shared too. A [`Graph`] holds each box behind an `Arc`, so
+//! a copy of a graph shares every box with it, and [`Graph::get_mut`]
+//! copies a shared box before it changes it (copy on write). Graphs that
+//! differ in a few boxes, such as a retained pane and the pane patched
+//! from it, hold one copy of the rest; dropping one frees only the boxes
+//! the other does not share. The intern index is shared the same way.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
@@ -179,23 +186,31 @@ impl BoxNode {
     }
 }
 
-/// The object graph.
+/// The object graph. Its boxes and intern index are shared with its
+/// copies until one of them changes (see the module docs).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct Graph {
-    boxes: Vec<BoxNode>,
+    boxes: Vec<Arc<BoxNode>>,
     /// Plot roots (the `plot` statements' arguments).
     pub roots: Vec<BoxId>,
     /// Intern index: the positions in `boxes` of the real boxes at each
     /// address, oldest first. One object plotted under several labels
-    /// shares an entry, and a lookup compares labels in place.
+    /// shares an entry, and a lookup compares labels in place. `None`
+    /// until the graph holds a real box.
     #[serde(skip)]
-    by_addr: HashMap<u64, Positions, AddrHasher>,
+    by_addr: Option<Arc<AddrIndex>>,
 }
+
+/// See [`Graph`]'s `by_addr`.
+type AddrIndex = HashMap<u64, Positions, AddrHasher>;
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         // `by_addr` is derived from `boxes`, so it carries no extra state.
-        self.boxes == other.boxes && self.roots == other.roots
+        // A box both graphs share is equal without a look inside.
+        self.roots == other.roots
+            && self.boxes.len() == other.boxes.len()
+            && (self.boxes.iter().zip(&other.boxes)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 }
 
@@ -360,16 +375,14 @@ impl Graph {
     }
 
     /// Rebuild a graph from raw parts, restoring the intern index.
-    /// Box ids must match their position in `boxes`.
-    pub fn from_parts(boxes: Vec<BoxNode>, roots: Vec<BoxId>) -> Graph {
-        let mut g = Graph {
-            boxes,
-            roots,
-            by_addr: HashMap::default(),
-        };
-        for (pos, b) in (0..).zip(&g.boxes) {
+    /// Box ids must match their position in `boxes`, which may be boxes
+    /// or boxes shared with other graphs.
+    pub fn from_parts<B: Into<Arc<BoxNode>>>(boxes: Vec<B>, roots: Vec<BoxId>) -> Graph {
+        let boxes: Vec<Arc<BoxNode>> = boxes.into_iter().map(Into::into).collect();
+        let mut by_addr = AddrIndex::default();
+        for (pos, b) in (0..).zip(&boxes) {
             if b.addr != 0 {
-                match g.by_addr.entry(b.addr) {
+                match by_addr.entry(b.addr) {
                     Entry::Occupied(mut at) => at.get_mut().insert(pos),
                     Entry::Vacant(at) => {
                         at.insert(Positions::One(pos));
@@ -377,7 +390,16 @@ impl Graph {
                 }
             }
         }
-        g
+        Graph {
+            boxes,
+            roots,
+            by_addr: (!by_addr.is_empty()).then(|| Arc::new(by_addr)),
+        }
+    }
+
+    /// The intern index, copied first if another graph shares it.
+    fn index_mut(&mut self) -> &mut AddrIndex {
+        Arc::make_mut(self.by_addr.get_or_insert_default())
     }
 
     /// Intern a box for `(addr, label)`; returns `(id, true)` when newly
@@ -392,25 +414,20 @@ impl Graph {
         ctype: impl Into<Arc<str>>,
         size: u64,
     ) -> (BoxId, bool) {
+        if let Some(id) = self.find(addr, label.as_ref()) {
+            return (id, false);
+        }
         let pos = self.boxes.len() as u32;
         if addr != 0 {
-            let boxes = &self.boxes;
-            match self.by_addr.entry(addr) {
-                Entry::Occupied(mut at) => {
-                    let key = label.as_ref();
-                    let same = |&&i: &&u32| *boxes[i as usize].label == *key;
-                    if let Some(&hit) = at.get().as_slice().iter().rev().find(same) {
-                        return (boxes[hit as usize].id, false);
-                    }
-                    at.get_mut().insert(pos);
-                }
+            match self.index_mut().entry(addr) {
+                Entry::Occupied(mut at) => at.get_mut().insert(pos),
                 Entry::Vacant(at) => {
                     at.insert(Positions::One(pos));
                 }
             }
         }
         let id = BoxId(pos);
-        self.boxes.push(BoxNode {
+        self.boxes.push(Arc::new(BoxNode {
             id,
             label: label.into(),
             ctype: ctype.into(),
@@ -418,7 +435,7 @@ impl Graph {
             size,
             views: Vec::new(),
             attrs: Attrs::default(),
-        });
+        }));
         (id, true)
     }
 
@@ -426,7 +443,7 @@ impl Graph {
     /// creating one: `None` for a virtual box (addr 0), which is never
     /// shared, and for a key the graph does not hold.
     pub fn find(&self, addr: u64, label: &str) -> Option<BoxId> {
-        let at = self.by_addr.get(&addr).filter(|_| addr != 0)?;
+        let at = self.by_addr.as_ref()?.get(&addr).filter(|_| addr != 0)?;
         let same = |&&i: &&u32| *self.boxes[i as usize].label == *label;
         let hit = at.as_slice().iter().rev().find(same)?;
         Some(self.boxes[*hit as usize].id)
@@ -441,31 +458,57 @@ impl Graph {
         &self.boxes[id.0 as usize]
     }
 
-    /// Get a box mutably.
+    /// Get a box mutably, copying it first if another graph shares it.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not from this graph.
     pub fn get_mut(&mut self, id: BoxId) -> &mut BoxNode {
-        &mut self.boxes[id.0 as usize]
+        Arc::make_mut(&mut self.boxes[id.0 as usize])
+    }
+
+    /// Give box `id` the views `views` in place of its own. A box another
+    /// graph shares is not copied: a new box takes its id, names,
+    /// address, size and attributes, and `views`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from this graph.
+    pub fn set_views(&mut self, id: BoxId, views: Vec<ViewInst>) {
+        let slot = &mut self.boxes[id.0 as usize];
+        match Arc::get_mut(slot) {
+            Some(node) => node.views = views,
+            None => {
+                *slot = Arc::new(BoxNode {
+                    id: slot.id,
+                    label: Arc::clone(&slot.label),
+                    ctype: Arc::clone(&slot.ctype),
+                    addr: slot.addr,
+                    size: slot.size,
+                    views,
+                    attrs: slot.attrs.clone(),
+                })
+            }
+        }
     }
 
     /// Put `node` into the slot its id names, moving its intern-index
     /// entry when the slot's address changes.
-    pub(crate) fn replace_box(&mut self, node: BoxNode) {
+    pub(crate) fn replace_box(&mut self, node: Arc<BoxNode>) {
         let pos = node.id.0;
         let (old, new) = (self.boxes[pos as usize].addr, node.addr);
         self.boxes[pos as usize] = node;
         if old == new {
             return;
         }
-        if let Entry::Occupied(mut at) = self.by_addr.entry(old) {
+        let index = self.index_mut();
+        if let Entry::Occupied(mut at) = index.entry(old) {
             if !at.get_mut().remove(pos) {
                 at.remove();
             }
         }
         if new != 0 {
-            match self.by_addr.entry(new) {
+            match index.entry(new) {
                 Entry::Occupied(mut at) => at.get_mut().insert(pos),
                 Entry::Vacant(at) => {
                     at.insert(Positions::One(pos));
@@ -475,18 +518,14 @@ impl Graph {
     }
 
     /// The boxes, by value.
-    pub(crate) fn into_boxes(self) -> Vec<BoxNode> {
+    pub(crate) fn into_boxes(self) -> Vec<Arc<BoxNode>> {
         self.boxes
     }
 
-    /// All boxes.
-    pub fn boxes(&self) -> &[BoxNode] {
+    /// All boxes. Two graphs share a box when their `Arc`s are one
+    /// (`Arc::ptr_eq`).
+    pub fn boxes(&self) -> &[Arc<BoxNode>] {
         &self.boxes
-    }
-
-    /// Mutable access to all boxes.
-    pub fn boxes_mut(&mut self) -> &mut [BoxNode] {
-        &mut self.boxes
     }
 
     /// Number of boxes.
@@ -530,6 +569,28 @@ impl Graph {
         }
         out.sort_unstable();
         out
+    }
+
+    /// How many bytes longer `self`'s JSON is than `base`'s, counted from
+    /// the boxes the two do not share. `None` unless they have as many
+    /// boxes and the same roots, so that only those boxes' bytes differ,
+    /// and at most half of the boxes differ, so that measuring both
+    /// sides of those costs less than measuring `self` whole.
+    pub fn json_len_change(&self, base: &Graph) -> Option<isize> {
+        if self.boxes.len() != base.boxes.len() || self.roots != base.roots {
+            return None;
+        }
+        let pairs = || self.boxes.iter().zip(&base.boxes);
+        let unshared = pairs().filter(|(a, b)| !Arc::ptr_eq(a, b)).count();
+        if unshared * 2 > self.boxes.len() {
+            return None;
+        }
+        let len = |b: &BoxNode| b.json_len() as isize;
+        let change = pairs()
+            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+            .map(|(a, b)| len(a) - len(b))
+            .sum();
+        Some(change)
     }
 
     /// Serialize to the JSON wire format (the visualizer protocol).
@@ -711,9 +772,9 @@ mod tests {
     #[test]
     fn from_parts_resolves_a_duplicate_key_to_the_last_box() {
         let mut boxes = sample().boxes().to_vec();
-        let mut dup = boxes[0].clone();
+        let mut dup = BoxNode::clone(&boxes[0]);
         dup.id = BoxId(boxes.len() as u32);
-        boxes.push(dup);
+        boxes.push(Arc::new(dup));
         let mut g = Graph::from_parts(boxes, vec![BoxId(0)]);
         assert_eq!(
             g.intern(0x1000, "Task", "task_struct", 100),
@@ -743,7 +804,7 @@ mod tests {
     fn decoding_refuses_ids_and_edges_that_name_no_box() {
         let decode = |g: &Graph| serde_json::from_str::<Graph>(&g.to_json()).map(|_| ());
         let mut renumbered = sample();
-        renumbered.boxes_mut()[1].id = BoxId(7);
+        renumbered.get_mut(BoxId(1)).id = BoxId(7);
         let mut linked = sample();
         linked.get_mut(BoxId(1)).views[0].items.push(Item::Link {
             name: "x".repeat(100).into(),
@@ -772,6 +833,54 @@ mod tests {
             assert!(err.contains(&want), "{err}");
         }
         assert!(decode(&sample()).is_ok());
+    }
+
+    #[test]
+    fn a_copy_shares_its_boxes_until_it_writes_them() {
+        let g = sample();
+        let json = g.to_json();
+        let mut copy = g.clone();
+        let shared = |a: &Graph, b: &Graph, i: usize| Arc::ptr_eq(&a.boxes()[i], &b.boxes()[i]);
+        assert!((0..g.len()).all(|i| shared(&g, &copy, i)));
+        copy.get_mut(BoxId(1)).attrs.collapsed = true;
+        copy.set_views(BoxId(0), Vec::new());
+        let (added, fresh) = copy.intern(0x4000, "Task", "task_struct", 8);
+        assert!(fresh);
+        // Each write copied the box it wrote, and the index; nothing
+        // else, and the graph copied from reads as it did.
+        assert_eq!(g.to_json(), json);
+        assert_eq!(g.find(0x4000, "Task"), None);
+        assert_eq!(copy.find(0x4000, "Task"), Some(added));
+        assert_eq!((shared(&g, &copy, 0), shared(&g, &copy, 1)), (false, false));
+        assert!(shared(&g, &copy, 2));
+        assert_eq!(copy.get(BoxId(0)).label, g.get(BoxId(0)).label);
+        assert!(copy.get(BoxId(0)).views.is_empty());
+        assert!(copy.get(BoxId(1)).attrs.collapsed);
+        // A box no other graph holds is written in place.
+        let before = Arc::as_ptr(&copy.boxes()[0]);
+        copy.set_views(BoxId(0), g.get(BoxId(0)).views.clone());
+        assert_eq!(Arc::as_ptr(&copy.boxes()[0]), before);
+    }
+
+    #[test]
+    fn a_length_change_counts_the_boxes_two_graphs_do_not_share() {
+        let g = sample();
+        let len = |g: &Graph| g.to_json().len() as isize;
+        assert_eq!(g.json_len_change(&g), Some(0));
+        let mut patched = g.clone();
+        patched.set_views(BoxId(1), Vec::new());
+        assert_eq!(patched.json_len_change(&g), Some(len(&patched) - len(&g)));
+        assert_eq!(g.json_len_change(&patched), Some(len(&g) - len(&patched)));
+        // Two of three boxes differ: measuring the graph whole is cheaper.
+        patched.get_mut(BoxId(2)).attrs.trimmed = true;
+        assert_eq!(patched.json_len_change(&g), None);
+        // Other roots, or another box count, change other bytes.
+        let mut rooted = g.clone();
+        rooted.roots.push(BoxId(1));
+        assert_eq!(rooted.json_len_change(&g), None);
+        let mut grown = g.clone();
+        grown.intern(0, "V", "", 0);
+        assert_eq!(grown.json_len_change(&g), None);
     }
 
     #[test]

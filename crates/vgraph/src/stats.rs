@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::Graph;
+use crate::graph::{Graph, Item, ViewInst};
 
 /// Aggregate statistics of an extracted graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -31,20 +31,35 @@ impl GraphStats {
                 s.kernel_objects += 1;
                 s.bytes += b.size;
             }
-            for v in &b.views {
-                for item in &v.items {
-                    match item {
-                        crate::graph::Item::Link { .. } => s.links += 1,
-                        crate::graph::Item::Container { members, .. } => {
-                            s.memberships += members.len() as u64
-                        }
-                        _ => {}
-                    }
-                }
-            }
+            let (links, memberships) = edges(&b.views);
+            s.links += links;
+            s.memberships += memberships;
         }
         s
     }
+
+    /// The statistics of the graph these describe once a box's views
+    /// `old` are replaced by `new` ([`Graph::set_views`]): its edges
+    /// change, and nothing else.
+    pub fn with_views_replaced(mut self, old: &[ViewInst], new: &[ViewInst]) -> GraphStats {
+        let ((old_links, old_memberships), (links, memberships)) = (edges(old), edges(new));
+        self.links = self.links - old_links + links;
+        self.memberships = self.memberships - old_memberships + memberships;
+        self
+    }
+}
+
+/// `(links, container memberships)` of a box's views.
+fn edges(views: &[ViewInst]) -> (u64, u64) {
+    let (mut links, mut memberships) = (0, 0);
+    for item in views.iter().flat_map(|v| &v.items) {
+        match item {
+            Item::Link { .. } => links += 1,
+            Item::Container { members, .. } => memberships += members.len() as u64,
+            _ => {}
+        }
+    }
+    (links, memberships)
 }
 
 #[cfg(test)]
@@ -79,5 +94,32 @@ mod tests {
         assert_eq!(s.bytes, 96);
         assert_eq!(s.links, 1);
         assert_eq!(s.memberships, 2);
+
+        // Box `a` loses its link and one member; `b` gains a link.
+        let mut patched = g.clone();
+        let mut stats = s;
+        let views = |items| {
+            vec![ViewInst {
+                name: "default".into(),
+                items,
+            }]
+        };
+        let container = Item::Container {
+            name: "c".into(),
+            kind: ContainerKind::Set,
+            members: vec![v],
+            attrs: Attrs::default(),
+        };
+        let link = Item::Link {
+            name: "back".into(),
+            target: a,
+        };
+        for (id, new) in [(a, views(vec![container])), (b, views(vec![link]))] {
+            stats = stats.with_views_replaced(&patched.get(id).views, &new);
+            patched.set_views(id, new);
+        }
+        assert_eq!(stats, GraphStats::of(&patched));
+        assert_eq!((stats.links, stats.memberships), (1, 1));
+        assert_eq!(GraphStats::of(&g), s, "the graph patched from is as it was");
     }
 }

@@ -15,8 +15,16 @@
 //! earlier `apply`, which assembled a fresh graph slot by slot. Every
 //! delta, sound or corrupted, must get the oracle's result from both:
 //! the same graph or the same error, and an untouched graph on error.
+//!
+//! Graphs share boxes, and `diff` passes over a box two aligned graphs
+//! share. So pairs whose second graph is a copy of the first that
+//! shares all but a few boxes ([`arb_shared_pair`]: views replaced as a
+//! patch does, attrs changed through `get_mut`, a box swapped for one
+//! at another address or under another label) must get the oracle's
+//! delta too, and `apply` must copy no box the delta does not ship.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use vgraph::diff::{apply, apply_in_place, diff};
@@ -145,7 +153,7 @@ fn oracle(base: &Graph, new: &Graph) -> GraphDelta {
     let mut remap: Vec<(u32, u32)> = old2new.iter().map(|(&o, &n)| (o, n)).collect();
     remap.sort_unstable();
 
-    let mut boxes: Vec<BoxNode> = Vec::new();
+    let mut boxes: Vec<Arc<BoxNode>> = Vec::new();
     for (new_id, key) in new_keys.iter().enumerate() {
         let nb = &new.boxes()[new_id];
         match base_index.get(key) {
@@ -156,18 +164,18 @@ fn oracle(base: &Graph, new: &Graph) -> GraphDelta {
                     &old2new,
                 );
                 match carried {
-                    Some(c) if c == *nb => {}
+                    Some(c) if c == **nb => {}
                     _ => {
                         summary.boxes_changed += 1;
                         summary.texts_changed +=
                             count_text_changes(&base.boxes()[old_id as usize], nb);
-                        boxes.push(nb.clone());
+                        boxes.push(Arc::clone(nb));
                     }
                 }
             }
             None => {
                 summary.boxes_added += 1;
-                boxes.push(nb.clone());
+                boxes.push(Arc::clone(nb));
             }
         }
     }
@@ -223,7 +231,7 @@ fn oracle_apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
         if slot.is_some() {
             return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
         }
-        *slot = Some(b.clone());
+        *slot = Some(BoxNode::clone(b));
     }
     let old2new: HashMap<u32, u32> = (0..)
         .zip(&old2new)
@@ -693,7 +701,7 @@ fn corrupt(d: &mut GraphDelta, base: &Graph, c: Corruption) {
         // A shipped box out of range.
         2 => {
             if let Some(i) = nth(&d.boxes, c.a) {
-                d.boxes[i].id = BoxId(new_len + k);
+                Arc::make_mut(&mut d.boxes[i]).id = BoxId(new_len + k);
             }
         }
         // A box shipped twice.
@@ -837,7 +845,7 @@ fn carried_boxes_take_their_slot_ids_when_the_base_numbers_them_otherwise() {
     g.intern(0x1000, "Task", "task_struct", 64);
     g.intern(0x2000, "Task", "task_struct", 64);
     g.roots.push(BoxId(0));
-    let mut boxes = g.boxes().to_vec();
+    let mut boxes: Vec<BoxNode> = g.boxes().iter().map(|b| BoxNode::clone(b)).collect();
     boxes[0].id = BoxId(1);
     boxes[1].id = BoxId(0);
     let base = Graph::from_parts(boxes, g.roots.clone());
@@ -863,4 +871,140 @@ fn a_graph_diffed_with_itself_is_the_identity_on_every_figure() {
         let (g, _) = session.extract(fig.viewcl).expect("the figure extracts");
         assert_eq!(diff(&g, &g), oracle(&g, &g.clone()), "{}", fig.id);
     }
+}
+
+// ----------------------------------------------------- shared boxes --
+
+/// How [`arb_shared_pair`]'s copy comes to differ from its base.
+const VIEWS: u8 = 0;
+const ATTRS: u8 = 1;
+const SWAP: u8 = 2;
+
+/// A base pane's graph and a copy of it that shares all but a few of its
+/// boxes, made one of three ways (`how`, returned beside the pair):
+/// * `VIEWS`: some boxes take the views the pane's boxes have after up
+///   to six random changes to their items, through `set_views`, as a
+///   patch puts re-evaluated views into a copy of the retained pane;
+/// * `ATTRS`: a box's attrs change through `get_mut`;
+/// * `SWAP`: a box is swapped for one at another address or under
+///   another label, its content otherwise the same.
+fn arb_shared_pair() -> impl Strategy<Value = (Graph, Graph, u8)> {
+    // Text, link, container and added-view changes: none adds, removes
+    // or reorders a box, so the changed pane numbers its boxes as the
+    // base does.
+    let mutation = (0u8..8, any::<usize>(), any::<usize>(), 0i64..60).prop_map(|(k, a, b, c)| {
+        let kind = if k == 7 { 10 } else { k };
+        Mutation { kind, a, b, c }
+    });
+    (
+        arb_pane(),
+        proptest::collection::vec(mutation, 0..7),
+        0u8..3,
+        any::<u64>(),
+        0i64..60,
+    )
+        .prop_map(|(pane, muts, how, pick, c)| {
+            let base = pane.build();
+            let n = base.len();
+            let at = BoxId((pick as usize % n) as u32);
+            let mut new = base.clone();
+            match how {
+                VIEWS => {
+                    let mut next = pane;
+                    for m in muts {
+                        next.mutate(m);
+                    }
+                    let changed = next.build();
+                    for id in (0..n as u32)
+                        .map(BoxId)
+                        .filter(|id| pick >> (id.0 % 64) & 1 == 1)
+                    {
+                        new.set_views(id, changed.get(id).views.clone());
+                    }
+                }
+                ATTRS => {
+                    let attrs = &mut new.get_mut(at).attrs;
+                    match c % 3 {
+                        0 => attrs.collapsed = !attrs.collapsed,
+                        1 => attrs.set("view", serde_json::json!("sched")),
+                        _ => attrs.set("pinned", serde_json::json!(c)),
+                    }
+                }
+                _ => {
+                    // Another key than any box of the pane has.
+                    let mut swapped = BoxNode::clone(base.get(at));
+                    if c % 2 == 0 {
+                        swapped.addr = 0x9000;
+                    } else {
+                        swapped.label = "Swapped".into();
+                    }
+                    let mut boxes = base.boxes().to_vec();
+                    boxes[at.0 as usize] = Arc::new(swapped);
+                    new = Graph::from_parts(boxes, base.roots.clone());
+                }
+            }
+            (base, new, how)
+        })
+}
+
+/// Whether `a` and `b` hold one allocation for box `id`.
+fn shared(a: &Graph, b: &Graph, id: usize) -> bool {
+    Arc::ptr_eq(&a.boxes()[id], &b.boxes()[id])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn pairs_that_share_boxes_get_the_oracles_delta_and_apply_copying_only_shipped_boxes(
+        pair in arb_shared_pair(),
+    ) {
+        let (a, b, _) = pair;
+        for (base, new) in [(&a, &b), (&b, &a)] {
+            let d = diff(base, new);
+            prop_assert_eq!(&d, &oracle(base, new));
+            for shipped in &d.boxes {
+                let own = &new.boxes()[shipped.id.0 as usize];
+                prop_assert!(Arc::ptr_eq(shipped, own), "a shipped box is shared with new");
+            }
+            let got = apply_both(base, &d)?;
+            prop_assert_eq!(got.as_ref(), Ok(new));
+            // When no box moves, every box the delta does not ship is
+            // the base's own allocation, through either apply.
+            let mut in_place = base.clone();
+            apply_in_place(&mut in_place, d.clone()).expect("applies");
+            let copied = apply(base, &d).expect("applies");
+            if d.remap.iter().all(|&(o, n)| o == n) {
+                let carried = (0..new.len()).filter(|&i| d.boxes.iter().all(|b| b.id.0 as usize != i));
+                for i in carried {
+                    prop_assert!(shared(&copied, base, i), "apply copied box {}", i);
+                    prop_assert!(shared(&in_place, base, i), "apply_in_place copied box {}", i);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_pairs_cover_every_way_of_sharing() {
+    // The property above is only as good as the pairs it sees: each way
+    // of making the copy must change some boxes and share the rest, and
+    // a swap must add and remove a box.
+    let mut rng = proptest::test_runner::TestRng::from_seed_str("diff_oracle shared boxes");
+    let mut changed = [0u32; 3];
+    let mut kept = [0usize; 3];
+    let mut swaps = 0;
+    for _ in 0..512 {
+        let (base, new, how) = arb_shared_pair().generate(&mut rng);
+        let d = diff(&base, &new);
+        let how = how as usize;
+        changed[how] += d.summary.boxes_changed;
+        kept[how] += (0..base.len()).filter(|&i| shared(&base, &new, i)).count();
+        let replaced = d.summary.boxes_added == 1 && d.summary.boxes_removed == 1;
+        swaps += u32::from(how == SWAP as usize && replaced);
+    }
+    assert!(changed[VIEWS as usize] >= 50, "views: {changed:?}");
+    assert!(changed[ATTRS as usize] >= 50, "attrs: {changed:?}");
+    assert!(swaps >= 50, "only {swaps} swaps added and removed a box");
+    assert!(kept.iter().all(|&k| k >= 200), "shared boxes: {kept:?}");
 }

@@ -491,6 +491,28 @@ UPDATE task_all \ task_2 WITH collapsed: true
     }
 
     #[test]
+    fn an_update_copies_only_the_boxes_it_changes() {
+        // A refinement runs on a copy of a pane's graph, which shares
+        // its boxes with the graph it was copied from.
+        let g = toy();
+        let json = g.to_json();
+        let mut pane = g.clone();
+        let mut e = Engine::new();
+        e.run(
+            &mut pane,
+            "two = SELECT task_struct FROM * WHERE pid == 2\nUPDATE two WITH collapsed: true",
+        )
+        .unwrap();
+        assert_eq!(g.to_json(), json, "the graph copied from is as it was");
+        let copied: Vec<bool> = (g.boxes().iter().zip(pane.boxes()))
+            .map(|(a, b)| !std::sync::Arc::ptr_eq(a, b))
+            .collect();
+        let collapsed: Vec<bool> = pane.boxes().iter().map(|b| b.attrs.collapsed).collect();
+        assert_eq!(copied, collapsed, "exactly the updated box is copied");
+        assert_eq!(collapsed.iter().filter(|&&c| c).count(), 1);
+    }
+
+    #[test]
     fn where_null_checks_links() {
         let mut g = toy();
         let mut e = Engine::new();

@@ -33,10 +33,14 @@
 //!   built without comparing boxes.
 //! * **Full plots on demand.** A walk measures its full `vplot`'s exact
 //!   length ([`visualinux::proto::vplot_json_len`]) without encoding
-//!   it: the delta-or-full decision needs only the length. The bytes
-//!   are encoded by the first full ship, once, into a cell shared by
-//!   every client of the source and, through a [`ShareGroup`], by every
-//!   fleet sibling ([`ServeStats::full_encodes`]).
+//!   it: the delta-or-full decision needs only the length. A pane
+//!   patched from the one served before shares all but its patched
+//!   boxes with it, and is measured from that plot's length by those
+//!   boxes alone ([`vgraph::Graph::json_len_change`]). The bytes are
+//!   encoded by the first full ship, once, into a cell shared by every
+//!   client of the source and, through a [`ShareGroup`], by every fleet
+//!   sibling ([`ServeStats::full_encodes`]). Each source is escaped
+//!   once, when its memo entry is made, and every reply copies it.
 //! * **The wire.** See DESIGN.md §17: byte streams plug in through the
 //!   nonblocking [`Io`] seam, and [`BinaryFraming`] turns bytes into
 //!   `VCommand` payloads: length-prefixed frames of at most

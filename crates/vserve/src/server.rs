@@ -34,7 +34,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ksim::image::KernelImage;
 use vbridge::BackendKind;
-use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand, VResponse};
+use visualinux::proto::{
+    vplot_delta_json, vplot_json, vplot_json_len, SourceJson, VCommand, VResponse,
+};
 use visualinux::Session;
 use vtrace::SpanKind;
 
@@ -373,6 +375,8 @@ struct DeltaMemo {
 struct MemoEntry {
     /// The source, as the memo's key holds it.
     src: Arc<str>,
+    /// The source as every reply echoes it, escaped once.
+    src_json: SourceJson,
     plot: Arc<SharedPlot>,
     delta: Option<DeltaMemo>,
     /// The previous generation's record, in a share group: the base of
@@ -669,14 +673,16 @@ impl Server {
         }
     }
 
-    /// The record `src` serves in the current generation: from the
-    /// fleet's share group when a sibling engine already walked it, else
-    /// a walk of the bridge here (catching the session up on any owed
-    /// operations first). `last` is what `src` served before: a pane the
-    /// session kept keeps its measured length and payload cell.
+    /// The record `src` (escaped as `src_json`) serves in the current
+    /// generation: from the fleet's share group when a sibling engine
+    /// already walked it, else a walk of the bridge here (catching the
+    /// session up on any owed operations first). `last` is what `src`
+    /// served before: a pane the session kept keeps its measured length
+    /// and payload cell, and one patched from it is measured from it.
     fn materialize(
         &mut self,
         src: &Arc<str>,
+        src_json: &SourceJson,
         last: Option<&SharedPlot>,
     ) -> Result<Arc<SharedPlot>, String> {
         let replay = self.session.backend_kind() == BackendKind::Replay;
@@ -735,12 +741,23 @@ impl Server {
         // A pane the session kept comes back as the very allocation this
         // source last served, and keeps its measured length and payload
         // cell. Any other graph is measured here and encoded only if a
-        // full plot of it ships.
-        let kept = last
-            .filter(|last| Arc::ptr_eq(&last.graph, &graph))
-            .map(|last| (last.full_len, Arc::clone(&last.full)));
-        let (full_len, full) =
-            kept.unwrap_or_else(|| (vplot_json_len(&graph, src), Arc::default()));
+        // full plot of it ships: one that shares most of its boxes with
+        // the last (a patched pane) by the length of the boxes it does
+        // not share, else whole.
+        let (full_len, full) = match last {
+            Some(last) if Arc::ptr_eq(&last.graph, &graph) => {
+                (last.full_len, Arc::clone(&last.full))
+            }
+            _ => {
+                let by_change = last.and_then(|last| {
+                    let change = graph.json_len_change(&last.graph)?;
+                    last.full_len.checked_add_signed(change)
+                });
+                let len = by_change.unwrap_or_else(|| vplot_json_len(&graph, src_json));
+                debug_assert_eq!(len, vplot_json_len(&graph, src_json), "measured exactly");
+                (len, Arc::default())
+            }
+        };
         let plot = Arc::new(SharedPlot {
             graph,
             full_len,
@@ -801,16 +818,18 @@ impl Server {
             if m.fresh {
                 self.stats.coalesced += 1;
             } else {
-                m.plot = self.materialize(&m.src, Some(&m.plot))?;
+                m.plot = self.materialize(&m.src, &m.src_json, Some(&m.plot))?;
                 m.delta = None;
                 m.fresh = true;
             }
             return self.ship(client, m);
         }
         let src: Arc<str> = Arc::from(viewcl);
-        let plot = self.materialize(&src, None)?;
+        let src_json = SourceJson::new(viewcl);
+        let plot = self.materialize(&src, &src_json, None)?;
         let m = memo.entry(Arc::clone(&src)).or_insert(MemoEntry {
             src,
+            src_json,
             plot,
             delta: None,
             prev: None,
@@ -859,9 +878,9 @@ impl Server {
                     vgraph::diff::diff(&sub.last, &m.plot.graph)
                 };
                 let payload = if canonical {
-                    vplot_delta_json(m.plot.step.get_or_init(diff), &m.src, seq)
+                    vplot_delta_json(m.plot.step.get_or_init(diff), &m.src_json, seq)
                 } else {
-                    vplot_delta_json(&diff(), &m.src, seq)
+                    vplot_delta_json(&diff(), &m.src_json, seq)
                 };
                 m.delta = Some(DeltaMemo {
                     base: Arc::clone(&sub.last),
@@ -896,16 +915,17 @@ impl Server {
             None => {
                 sub.seq = 0;
                 sub.resync = false;
-                Ok(self.ship_full(&m.plot, &m.src))
+                Ok(self.ship_full(&m.plot, &m.src_json))
             }
         }
     }
 
-    /// The full `vplot` ship of `plot`, `src`'s record. The first full
-    /// ship of a record encodes it (`ServeStats::full_encodes`) into a
-    /// string sized by its measured length; every later one, here or in
-    /// a sibling engine holding the same cell, copies those bytes.
-    fn ship_full(&mut self, plot: &SharedPlot, src: &str) -> String {
+    /// The full `vplot` ship of `plot`, the record of the source `src`
+    /// escapes. The first full ship of a record encodes it
+    /// (`ServeStats::full_encodes`) into a string sized by its measured
+    /// length; every later one, here or in a sibling engine holding the
+    /// same cell, copies those bytes.
+    fn ship_full(&mut self, plot: &SharedPlot, src: &SourceJson) -> String {
         let mut encoded = false;
         let json = plot.full.get_or_init(|| {
             encoded = true;
