@@ -296,10 +296,10 @@ fn main() {
         "  -> distill shows the same {distilled} intervals without {structural} structural boxes"
     );
 
-    // Bridge cache: stack the three mechanisms one by one on the slow
+    // Bridge cache: stack the two mechanisms one by one on the slow
     // transport. Two cold plots: the task list (Table 4's worst row,
     // dominated by list prefetch) and the page cache (xarray slot walks,
-    // where read coalescing bites).
+    // each of whose 64-slot spans a hint pulls as one packet).
     println!("\nBridge cache mechanisms (KGDB, cold extraction)\n");
     let run = |id: &str, cfg: Option<CacheConfig>| {
         let fig = visualinux::figures::by_id(id).unwrap();
@@ -314,14 +314,6 @@ fn main() {
         ("cache OFF (paper's baseline)", None),
         (
             "+ block cache only",
-            Some(CacheConfig {
-                coalesce: false,
-                prefetch: false,
-                ..CacheConfig::default()
-            }),
-        ),
-        (
-            "+ read coalescing",
             Some(CacheConfig {
                 prefetch: false,
                 ..CacheConfig::default()

@@ -61,21 +61,45 @@ fn all_figures_byte_identical_cached_cold_and_warm() {
 
 #[test]
 fn block_size_sweep_preserves_equivalence() {
-    // The invariants hold at every legal block size, not just the default.
+    // The invariants hold at every legal block size, not just the default,
+    // for every figure, cold and warm. And each request a warm walk's
+    // cache served without a packet was served by at least one hit, so
+    // it saves no more packets than it hits blocks.
     let uncached = Session::builder(build(&WorkloadConfig::default()))
         .profile(LatencyProfile::free())
         .attach()
         .unwrap();
-    let fig = figures::by_id("fig3-4").unwrap();
-    let (g, _) = uncached.extract(fig.viewcl).unwrap();
-    let reference = g.to_json();
+    let reference: Vec<String> = figures::all()
+        .iter()
+        .map(|fig| uncached.extract(fig.viewcl).expect(fig.id).0.to_json())
+        .collect();
+    let mut failures = Vec::new();
     for bs in [8u64, 64, 256, 4096] {
-        let cached = Session::builder(build(&WorkloadConfig::default()))
+        let mut cached = Session::builder(build(&WorkloadConfig::default()))
             .profile(LatencyProfile::free())
             .cache(CacheConfig::with_block_size(bs))
             .attach()
             .unwrap();
-        let (g_c, _) = cached.extract(fig.viewcl).unwrap();
-        assert_eq!(g_c.to_json(), reference, "block size {bs}");
+        for (fig, reference) in figures::all().iter().zip(&reference) {
+            cached.resume();
+            let (g_cold, _) = cached.extract(fig.viewcl).expect(fig.id);
+            let (g_warm, s_warm) = cached.extract(fig.viewcl).expect(fig.id);
+            if g_cold.to_json() != *reference || g_warm.to_json() != *reference {
+                failures.push(format!("{} at block size {bs}: JSON differs", fig.id));
+            }
+            let s = s_warm.target;
+            if s.cache_hits < s.packets_saved {
+                failures.push(format!(
+                    "{} at block size {bs}: warm walk saved {} packets with {} hits",
+                    fig.id, s.packets_saved, s.cache_hits
+                ));
+            }
+        }
     }
+    assert!(
+        failures.is_empty(),
+        "{} failures:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }

@@ -3,7 +3,7 @@
 //! A [`TargetBackend`] is the *wire* below [`crate::Target`]: raw span
 //! reads and C-string pulls against some stopped kernel, reporting
 //! faults as [`BackendError`]s. Everything above the
-//! wire — latency metering, the snapshot block cache, read coalescing,
+//! wire — latency metering, the snapshot block cache, prefetch,
 //! tracing, fault accounting — lives once in `Target` and works the same
 //! over *any* backend.
 //!
@@ -79,8 +79,26 @@ impl DirtySet {
     /// overlapping and adjacent spans. Deterministic for a given range
     /// *set* regardless of input order.
     pub fn from_ranges(raw: impl IntoIterator<Item = (u64, u64)>) -> DirtySet {
-        let mut ranges: Vec<(u64, u64)> = raw.into_iter().collect();
-        normalize(&mut ranges);
+        let mut ranges: Vec<(u64, u64)> = raw.into_iter().filter(|&(_, len)| len > 0).collect();
+        ranges.sort_unstable();
+        let mut kept = 0;
+        for i in 0..ranges.len() {
+            let (addr, len) = ranges[i];
+            if kept > 0 {
+                let last = &mut ranges[kept - 1];
+                let last_end = last.0.saturating_add(last.1);
+                if addr <= last_end {
+                    let end = addr.saturating_add(len);
+                    if end > last_end {
+                        last.1 = end - last.0;
+                    }
+                    continue;
+                }
+            }
+            ranges[kept] = (addr, len);
+            kept += 1;
+        }
+        ranges.truncate(kept);
         DirtySet { ranges }
     }
 
@@ -107,31 +125,6 @@ impl DirtySet {
             addr < a.saturating_add(len)
         }
     }
-}
-
-/// Normalize `(addr, len)` ranges in place: drop empties, sort, merge
-/// overlapping and adjacent spans.
-pub(crate) fn normalize(ranges: &mut Vec<(u64, u64)>) {
-    ranges.retain(|&(_, len)| len > 0);
-    ranges.sort_unstable();
-    let mut kept = 0;
-    for i in 0..ranges.len() {
-        let (addr, len) = ranges[i];
-        if kept > 0 {
-            let last = &mut ranges[kept - 1];
-            let last_end = last.0.saturating_add(last.1);
-            if addr <= last_end {
-                let end = addr.saturating_add(len);
-                if end > last_end {
-                    last.1 = end - last.0;
-                }
-                continue;
-            }
-        }
-        ranges[kept] = (addr, len);
-        kept += 1;
-    }
-    ranges.truncate(kept);
 }
 
 /// What a backend knows about mutations since the previous resume.

@@ -42,9 +42,6 @@ pub struct CacheConfig {
     pub block_size: u64,
     /// Capacity in blocks; the oldest block is evicted beyond this (FIFO).
     pub max_blocks: usize,
-    /// Merge batched reads (`Target::read_many`) into minimal wire spans.
-    /// Off, each request pays its own packet (ablation knob).
-    pub coalesce: bool,
     /// Honor `Target::prefetch` hints. Off, hints are ignored
     /// (ablation knob).
     pub prefetch: bool,
@@ -55,7 +52,6 @@ impl Default for CacheConfig {
         CacheConfig {
             block_size: 256,
             max_blocks: 4096,
-            coalesce: true,
             prefetch: true,
         }
     }

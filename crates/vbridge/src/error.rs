@@ -62,7 +62,7 @@ pub enum BridgeError {
     /// A C expression failed to parse.
     Parse {
         /// The offending expression text, or as much of it as the error
-        /// echoes: past [`PARSE_ECHO_BYTES`], one more character, which
+        /// echoes: past its first 64 bytes, one more character, which
         /// shows the text was cut.
         expr: String,
         /// Byte offset of the error within `expr`.

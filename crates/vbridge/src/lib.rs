@@ -14,20 +14,19 @@
 //!   equivalent of the paper's ~500 lines of GDB scripts that expose
 //!   inline kernel functions like `cpu_rq()` and `mte_to_node()`;
 //! * an optional snapshot [`BlockCache`] services repeat reads for free
-//!   while the kernel stays stopped, coalesces batched reads
-//!   ([`Target::read_many`]) into minimal wire spans, accepts prefetch
-//!   hints ([`Target::prefetch`]) from container distillers, and fetches
-//!   the footprint a walk's [`ReadRecord`] left up front on the pane's
-//!   next walk after a resume ([`Target::prefetch_footprint`]), where
-//!   the bytes the walk was served are compared in place
-//!   ([`Target::unchanged`]) — invalidated wholesale when the session
-//!   resumes the target;
+//!   while the kernel stays stopped, accepts prefetch hints
+//!   ([`Target::prefetch`]) from container distillers, which pull a span
+//!   they are about to read as one packet, and fetches the footprint a
+//!   walk's [`ReadRecord`] left up front on the pane's next walk after a
+//!   resume ([`Target::prefetch_footprint`]), where the bytes the walk
+//!   was served are compared in place ([`Target::changed`]) —
+//!   invalidated wholesale when the session resumes the target;
 //! * the wire below the metering layer is a pluggable [`TargetBackend`]:
 //!   [`SimBackend`] serves a live `ksim` image, [`RecordBackend`] wraps
 //!   any backend and captures every wire operation into a serializable
 //!   [`Capture`] (`.vrec`), and [`ReplayBackend`] serves a capture back
 //!   deterministically with zero image access — metering, cache,
-//!   coalescing and tracing behave identically over all three.
+//!   prefetch and tracing behave identically over all three.
 
 mod backend;
 mod cache;
@@ -48,4 +47,4 @@ pub use helpers::{HelperFn, HelperRegistry};
 pub use profile::LatencyProfile;
 pub use record::{Capture, RecordBackend, Recorder, WireEvent, VREC_VERSION};
 pub use replay::{ReplayBackend, ReplayState};
-pub use target::{ReadIndex, ReadPlan, ReadRecord, Target, TargetStats, TOP_LEVEL};
+pub use target::{ReadIndex, ReadRecord, Target, TargetStats, TOP_LEVEL};

@@ -457,7 +457,6 @@ impl Capture {
                     let mut m = Map::new();
                     m.insert("block_size".into(), num(c.block_size));
                     m.insert("max_blocks".into(), num(c.max_blocks as u64));
-                    m.insert("coalesce".into(), Value::Bool(c.coalesce));
                     m.insert("prefetch".into(), Value::Bool(c.prefetch));
                     Value::Object(m)
                 }
@@ -493,26 +492,24 @@ impl Capture {
             root.get("profile")
                 .ok_or_else(|| "capture header: missing `profile`".to_string())?,
         )?;
-        let cache =
-            match root.get("cache") {
-                None | Some(Value::Null) => None,
-                Some(c) => {
-                    let block_size = get_u64(c, "block_size", "cache config")?;
-                    let max_blocks = get_u64(c, "max_blocks", "cache config")? as usize;
-                    let coalesce = c.get("coalesce").and_then(Value::as_bool).ok_or_else(|| {
-                        "cache config: missing or non-bool `coalesce`".to_string()
-                    })?;
-                    let prefetch = c.get("prefetch").and_then(Value::as_bool).ok_or_else(|| {
-                        "cache config: missing or non-bool `prefetch`".to_string()
-                    })?;
-                    Some(CacheConfig {
-                        block_size,
-                        max_blocks,
-                        coalesce,
-                        prefetch,
-                    })
-                }
-            };
+        let cache = match root.get("cache") {
+            None | Some(Value::Null) => None,
+            // Older captures also carry a `coalesce` flag, which
+            // nothing reads any more.
+            Some(c) => {
+                let block_size = get_u64(c, "block_size", "cache config")?;
+                let max_blocks = get_u64(c, "max_blocks", "cache config")? as usize;
+                let prefetch = c
+                    .get("prefetch")
+                    .and_then(Value::as_bool)
+                    .ok_or_else(|| "cache config: missing or non-bool `prefetch`".to_string())?;
+                Some(CacheConfig {
+                    block_size,
+                    max_blocks,
+                    prefetch,
+                })
+            }
+        };
         let meta = root.get("meta").cloned().unwrap_or(Value::Null);
         let events_v = root
             .get("events")
@@ -688,6 +685,19 @@ mod tests {
             ]
         );
         assert!(cap.events[0].describe().contains("2 ranges, 12 bytes"));
+    }
+
+    #[test]
+    fn a_cache_header_with_a_coalesce_flag_still_loads() {
+        let text = r#"{"version":1,"origin":"sim","profile":{"name":"free","base_ns":0,"per_byte_ns":0},"cache":{"block_size":64,"max_blocks":16,"coalesce":true,"prefetch":false},"meta":null,"events":[]}"#;
+        let cap = Capture::from_json(text).unwrap();
+        let cache = CacheConfig {
+            block_size: 64,
+            max_blocks: 16,
+            prefetch: false,
+        };
+        assert_eq!(cap.cache, Some(cache));
+        assert!(!cap.to_json().contains("coalesce"), "no longer written");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! wire operation the metering layer issues must match the next event in
 //! the capture, and gets back exactly the recorded result — bytes or
 //! fault. Because the layers above the backend (metering, cache,
-//! coalescing, distillation) are deterministic, an identical session
+//! prefetch, distillation) are deterministic, an identical session
 //! issues an identical operation sequence, and replay reproduces graphs
 //! and [`TargetStats`](crate::TargetStats) bit-for-bit with *zero* image
 //! access.

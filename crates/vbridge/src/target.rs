@@ -7,7 +7,7 @@ use kmem::{Mem, MemError, SymbolTable};
 use ktypes::{CValue, TypeId, TypeKind, TypeRegistry};
 use vtrace::Tracer;
 
-use crate::backend::{normalize, BackendError, BackendKind, SimBackend, TargetBackend};
+use crate::backend::{BackendError, BackendKind, SimBackend, TargetBackend};
 use crate::cache::BlockCache;
 use crate::planner::SpanPlanner;
 use crate::profile::LatencyProfile;
@@ -44,8 +44,9 @@ pub struct TargetStats {
     pub cache_hits: u64,
     /// Block fetches caused by cache misses.
     pub cache_misses: u64,
-    /// Round-trips avoided: requests served without any wire packet, plus
-    /// packets merged away by read coalescing.
+    /// Round-trips avoided: requests served without any wire packet,
+    /// plus the blocks each prefetch span (a hint's or a footprint
+    /// replay's) fetched beyond the one packet that carried them.
     pub packets_saved: u64,
     /// Reads that faulted on unmapped memory — wild pointers chased by a
     /// distiller or checker over a corrupted image.
@@ -70,48 +71,6 @@ pub struct TargetStats {
     /// the whole pane: the boxes whose reads a change reached. 0 for a
     /// walk and for a keep.
     pub reevaluated: u64,
-}
-
-/// A batch of reads to be coalesced into minimal wire spans.
-///
-/// Adjacent and overlapping requests merge into one span; disjoint ones
-/// stay separate. [`Target::read_many`] turns each span into a single
-/// packet when the cache is enabled.
-#[derive(Debug, Clone, Default)]
-pub struct ReadPlan {
-    reqs: Vec<(u64, u64)>,
-}
-
-impl ReadPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        ReadPlan::default()
-    }
-
-    /// Queue a read of `len` bytes at `addr`.
-    pub fn add(&mut self, addr: u64, len: u64) {
-        if len > 0 {
-            self.reqs.push((addr, len));
-        }
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.reqs.len()
-    }
-
-    /// Whether no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.reqs.is_empty()
-    }
-
-    /// The minimal `(addr, len)` spans covering every queued request:
-    /// sorted, with adjacent/overlapping requests merged.
-    pub fn spans(&self) -> Vec<(u64, u64)> {
-        let mut spans = self.reqs.clone();
-        normalize(&mut spans);
-        spans
-    }
 }
 
 /// The owner of the reads a program's top-level statements make, which
@@ -354,9 +313,9 @@ impl<'a> Target<'a> {
     }
 
     /// Attach the metering layer over an arbitrary wire backend. Every
-    /// layer above the wire — latency accounting, block cache, read
-    /// coalescing, tracing, fault counting — behaves identically no
-    /// matter which backend serves the bytes.
+    /// layer above the wire — latency accounting, block cache, prefetch,
+    /// tracing, fault counting — behaves identically no matter which
+    /// backend serves the bytes.
     pub fn over(
         backend: Box<dyn TargetBackend + 'a>,
         types: &'a TypeRegistry,
@@ -484,10 +443,8 @@ impl<'a> Target<'a> {
 
     /// Log what this target reads into `record`, cleared first, for
     /// [`Target::end_walk`]: what reads return, what they ask for past
-    /// a fault (with a cache, a faulting `read_many` batch's later
-    /// requests too), and prefetch hints, each with the owner it was
-    /// read for ([`Target::set_owner`]). A footprint replay is not
-    /// logged.
+    /// a fault, and prefetch hints, each with the owner it was read for
+    /// ([`Target::set_owner`]). A footprint replay is not logged.
     pub fn record_reads(&mut self, record: &'a ReadRecord) {
         record.reads.borrow_mut().clear();
         self.record = Some(record);
@@ -722,27 +679,11 @@ impl<'a> Target<'a> {
         packets
     }
 
-    /// Serve `[addr, addr+len)` from resident blocks, falling back to the
-    /// image for absent ones — which faults at exactly the address an
-    /// uncached read would, since blocks never span pages.
-    fn serve_cached(&self, cache: &BlockCache, addr: u64, out: &mut [u8]) -> Result<()> {
-        let bs = cache.block_size();
-        let mut pos = 0usize;
-        while pos < out.len() {
-            let a = addr + pos as u64;
-            let base = cache.base_of(a);
-            let off = (a - base) as usize;
-            let n = (bs as usize - off).min(out.len() - pos);
-            if !cache.copy_from(base, off, &mut out[pos..pos + n]) {
-                self.backend
-                    .read(a, &mut out[pos..pos + n])
-                    .map_err(|e| self.wire_err(a, e))?;
-            }
-            pos += n;
-        }
-        Ok(())
-    }
-
+    /// Read `out.len()` bytes at `addr` through the cache: fetch the
+    /// absent blocks, one packet each, then serve from resident blocks,
+    /// falling back to the backend for a block that could not be
+    /// fetched — which faults at exactly the address an uncached read
+    /// would, since blocks never span pages.
     fn read_through_cache(&self, cache: &BlockCache, addr: u64, out: &mut [u8]) -> Result<()> {
         if out.is_empty() {
             return Ok(());
@@ -761,7 +702,21 @@ impl<'a> Target<'a> {
         if packets == 0 {
             self.note_saved(1);
         }
-        self.serve_cached(cache, addr, out)
+        let bs = cache.block_size();
+        let mut pos = 0usize;
+        while pos < out.len() {
+            let a = addr + pos as u64;
+            let base = cache.base_of(a);
+            let off = (a - base) as usize;
+            let n = (bs as usize - off).min(out.len() - pos);
+            if !cache.copy_from(base, off, &mut out[pos..pos + n]) {
+                self.backend
+                    .read(a, &mut out[pos..pos + n])
+                    .map_err(|e| self.wire_err(a, e))?;
+            }
+            pos += n;
+        }
+        Ok(())
     }
 
     /// Read raw bytes (metered).
@@ -923,66 +878,6 @@ impl<'a> Target<'a> {
         let (packets, blocks) = self.fetch_span(cache, addr, len, None);
         // Fetching N blocks in fewer packets saves the difference.
         self.note_saved(blocks.saturating_sub(packets));
-    }
-
-    /// Execute a batch of reads, coalescing adjacent/overlapping requests
-    /// into minimal wire spans when the cache is enabled. Returns one
-    /// buffer per request, in request order — byte-identical to issuing
-    /// the requests one by one. Requests are served in order and the
-    /// batch stops at the first fault, so, as in a loop of `read`
-    /// calls, nothing after it travels.
-    pub fn read_many(&self, plan: &ReadPlan) -> Result<Vec<Vec<u8>>> {
-        match self.cache {
-            None => {
-                // Uncached: the baseline cost model, one packet per request
-                // (`read` logs each request).
-                plan.reqs
-                    .iter()
-                    .map(|&(addr, len)| {
-                        let mut buf = vec![0u8; len as usize];
-                        self.read(addr, &mut buf)?;
-                        Ok(buf)
-                    })
-                    .collect()
-            }
-            Some(cache) => {
-                let coalesce = cache.config().coalesce;
-                // A span whose length is zeroed has travelled.
-                let mut spans = if coalesce { plan.spans() } else { Vec::new() };
-                let mut packets = 0u64;
-                let mut served = 0;
-                let bufs = plan
-                    .reqs
-                    .iter()
-                    .map(|&(addr, len)| {
-                        if coalesce {
-                            // The merged span holding the request travels
-                            // as one packet, the first time it is needed.
-                            let at = spans.partition_point(|&(a, _)| a <= addr) - 1;
-                            let span = std::mem::take(&mut spans[at].1);
-                            if span > 0 {
-                                packets += self.fetch_span(cache, spans[at].0, span, None).0;
-                            }
-                        } else {
-                            // Ablation knob: each request meters on its own.
-                            packets += self.meter_range_cached(cache, addr, len);
-                        }
-                        let mut buf = vec![0u8; len as usize];
-                        let res = self.serve_cached(cache, addr, &mut buf);
-                        self.log_request(addr, len, &res);
-                        served += 1;
-                        res.map(|()| buf)
-                    })
-                    .collect();
-                // An uncached bridge would have paid one packet per request.
-                self.note_saved((served as u64).saturating_sub(packets));
-                // The batch asked for the requests after a fault too.
-                for &(addr, len) in &plan.reqs[served..] {
-                    self.log(addr, len, ReadKind::Stale);
-                }
-                bufs
-            }
-        }
     }
 
     /// Load a value of type `ty` from `addr`, decoding scalars and
@@ -1179,49 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn read_plan_merges_adjacent_and_overlapping_spans() {
-        let mut plan = ReadPlan::new();
-        plan.add(0x100, 8);
-        plan.add(0x108, 8); // adjacent
-        plan.add(0x104, 8); // overlapping
-        plan.add(0x200, 4); // disjoint
-        assert_eq!(plan.spans(), vec![(0x100, 16), (0x200, 4)]);
-    }
-
-    #[test]
-    fn read_many_coalesces_into_fewer_packets() {
-        let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
-        let cache = BlockCache::new(CacheConfig::default());
-        let cached = Target::with_cache(
-            &img.mem,
-            &img.types,
-            &img.symbols,
-            LatencyProfile::kgdb_rpi400(),
-            &cache,
-        );
-        let plain = Target::new(
-            &img.mem,
-            &img.types,
-            &img.symbols,
-            LatencyProfile::kgdb_rpi400(),
-        );
-        let mut plan = ReadPlan::new();
-        for i in 0..8u64 {
-            plan.add(roots.init_task + 8 * i, 8);
-        }
-        let a = cached.read_many(&plan).unwrap();
-        let b = plain.read_many(&plan).unwrap();
-        assert_eq!(a, b, "coalesced results identical");
-        assert!(
-            cached.stats().reads < plain.stats().reads,
-            "coalesced: {} uncoalesced: {}",
-            cached.stats().reads,
-            plain.stats().reads
-        );
-        assert!(cached.stats().packets_saved >= 7);
-    }
-
-    #[test]
     fn cstr_metering_counts_chunks_fetched() {
         let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
         let target = Target::new(&img.mem, &img.types, &img.symbols, LatencyProfile::free());
@@ -1253,13 +1105,12 @@ mod tests {
         );
         target.set_tracer(tracer.clone());
         // Exercise every metering path: cached reads (miss + hit), a
-        // coalesced plan, a cstr, and a wild fault.
+        // hinted span read back, a cstr, and a wild fault.
         let _ = target.read_uint(roots.init_task, 8).unwrap();
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let mut plan = ReadPlan::new();
-        plan.add(roots.init_task + 512, 8);
-        plan.add(roots.init_task + 520, 8);
-        let _ = target.read_many(&plan).unwrap();
+        target.prefetch(roots.init_task + 512, 16);
+        let _ = target.read_uint(roots.init_task + 512, 8).unwrap();
+        let _ = target.read_uint(roots.init_task + 520, 8).unwrap();
         let _ = target.read_cstr(roots.init_task + 0x10, 16);
         let _ = target.read_uint(0xdead_0000_0000, 8);
         let s = target.stats();
@@ -1290,10 +1141,9 @@ mod tests {
         let drive = |t: &Target| -> (u64, String) {
             let v = t.read_uint(roots.init_task, 8).unwrap();
             let s = t.read_cstr(roots.init_task + comm_off, 16).unwrap();
-            let mut plan = ReadPlan::new();
-            plan.add(roots.init_task, 8);
-            plan.add(roots.init_task + 8, 8);
-            let _ = t.read_many(&plan).unwrap();
+            t.prefetch(roots.init_task + 512, 16);
+            let _ = t.read_uint(roots.init_task + 512, 8).unwrap();
+            let _ = t.read_uint(roots.init_task + 520, 8).unwrap();
             assert!(t.read_uint(0xdead_0000_0000, 8).is_err());
             (v, s)
         };
@@ -1380,15 +1230,6 @@ mod tests {
         // So does a string that runs into the hole: the byte that
         // faulted was asked for, and no block holds it.
         assert!(target.read_cstr(0x1fe0, 64).is_err());
-        // A batch whose second request faults: the requests after it
-        // were asked for too, but, as in a loop of reads, the third
-        // one's block does not travel.
-        let mut plan = ReadPlan::new();
-        plan.add(0x1100, 8);
-        plan.add(0x2100, 8);
-        plan.add(0x1800, 8);
-        assert!(target.read_many(&plan).is_err());
-        assert!(!cache.contains(0x1800));
         // A hint longer than a page is capped at one.
         target.prefetch(0x3000, 8192);
         // A footprint replay is not logged.
@@ -1402,9 +1243,6 @@ mod tests {
                 (0x2000, 4, Stale),
                 (0x1fe0, 32, Served),
                 (0x2000, 1, Stale),
-                (0x1100, 8, Served),
-                (0x2100, 8, Stale),
-                (0x1800, 8, Stale),
                 (0x3000, 4096, Hint),
             ]
         );
@@ -1414,17 +1252,11 @@ mod tests {
         target.end_walk(&mut index);
         target.derive(&index, &mut footprint, &mut snapshot);
         let hinted = (0x3000..0x4000).step_by(256);
-        let want: Vec<u64> = [0x1000, 0x1100, 0x1f00].into_iter().chain(hinted).collect();
+        let want: Vec<u64> = [0x1000, 0x1f00].into_iter().chain(hinted).collect();
         assert_eq!(footprint, want, "sorted, each once");
         assert_eq!(
             staleness(&index),
-            [
-                (0x1000, 12),
-                (0x1100, 8),
-                (0x1800, 8),
-                (0x1fe0, 0x24),
-                (0x2100, 8)
-            ],
+            [(0x1000, 12), (0x1fe0, 0x24)],
             "served and staleness-only, no hint"
         );
         assert!(index.faulted());
@@ -1598,7 +1430,7 @@ mod tests {
         // Prefetch pulls a whole span but is speculative — not touched.
         target.prefetch(roots.init_task + 0x800, 256);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let _ = target.read_uint(roots.init_task + 8, 4).unwrap(); // coalesces
+        let _ = target.read_uint(roots.init_task + 8, 4).unwrap(); // continues it
         let _ = target.read_uint(roots.init_task + 0x100, 8).unwrap();
         assert_eq!(
             end_walk(&target),

@@ -1,10 +1,10 @@
 //! Property: the snapshot block cache is invisible to callers. Any
 //! sequence of bridge operations — reads of every flavor, C strings,
-//! batches, prefetch hints, epoch bumps — produces identical data *and*
+//! prefetch hints, epoch bumps — produces identical data *and*
 //! identical faults through a cached target as through an uncached one.
 
 use proptest::prelude::*;
-use vbridge::{BlockCache, CacheConfig, LatencyProfile, ReadPlan, Target};
+use vbridge::{BlockCache, CacheConfig, LatencyProfile, Target};
 
 /// One step of a random bridge workout. Offsets are relative to the
 /// workload's `init_task` page so sequences hit a mix of mapped bytes,
@@ -16,7 +16,6 @@ enum Op {
     Int { off: u64, wild: bool, size: usize },
     Cstr { off: u64, wild: bool, max: usize },
     Prefetch { off: u64, wild: bool, len: u64 },
-    Many { offs: Vec<u64> },
     Bump,
 }
 
@@ -51,7 +50,6 @@ fn op_strategy() -> BoxedStrategy<Op> {
             wild,
             len
         }),
-        proptest::collection::vec(0u64..0x1000, 0..12).prop_map(|offs| Op::Many { offs }),
         Just(Op::Bump),
     ]
     .boxed()
@@ -123,16 +121,6 @@ proptest! {
                     cached.prefetch(resolve(base, *off, *wild), *len);
                     plain.prefetch(resolve(base, *off, *wild), *len);
                 }
-                Op::Many { offs } => {
-                    let mut plan = ReadPlan::new();
-                    for o in offs {
-                        plan.add(base + o, 8);
-                    }
-                    prop_assert_eq!(
-                        format!("{:?}", plain.read_many(&plan)),
-                        format!("{:?}", cached.read_many(&plan))
-                    );
-                }
                 Op::Bump => cached.bump_epoch(),
             }
         }
@@ -141,9 +129,7 @@ proptest! {
         // never more than the block-granularity worst case of the sequence.
         let s = cached.stats();
         let bs = 1u64 << block_size_log2;
-        // An unaligned span of `n` bytes touches at most n/bs + 2 blocks;
-        // each request in a batch pays for its own blocks when nothing
-        // merges.
+        // An unaligned span of `n` bytes touches at most n/bs + 2 blocks.
         let blocks = |span: u64| span / bs + 2;
         let worst: u64 = ops
             .iter()
@@ -152,7 +138,6 @@ proptest! {
                 Op::Uint { size, .. } | Op::Int { size, .. } => blocks(*size as u64),
                 Op::Cstr { max, .. } => blocks(*max as u64 + 1),
                 Op::Prefetch { len, .. } => blocks((*len).min(4096)),
-                Op::Many { offs } => offs.len() as u64 * blocks(8),
                 Op::Bump => 0,
             })
             .sum();

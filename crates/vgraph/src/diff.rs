@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{BoxId, BoxNode, Graph, Item};
+use crate::graph::{check_edges, BoxId, BoxNode, Graph, Item};
 
 /// Aggregate description of what changed (boxes/edges added, removed,
 /// text values rewritten) — the human-readable face of a delta.
@@ -80,7 +80,8 @@ pub struct GraphDelta {
 pub enum DiffError {
     /// The base graph does not have the box count the delta was made for.
     BaseMismatch { expected: u32, got: u32 },
-    /// An id in the delta is out of range or claimed twice.
+    /// An id in the delta is out of range or claimed twice, or a
+    /// shipped box links to or lists a box past the new graph.
     BadId(String),
     /// A carried-over box links to a base box with no new identity.
     UnmappedEdge { from: u32, to: u32 },
@@ -434,7 +435,7 @@ pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffEr
         *new = true;
     }
 
-    // Patched and added boxes ship in full.
+    // Patched and added boxes ship in full, each edge naming a new box.
     let mut shipped = vec![false; new_len];
     for b in &delta.boxes {
         let Some(slot) = shipped.get_mut(b.id.0 as usize) else {
@@ -444,6 +445,7 @@ pub fn apply_in_place(graph: &mut Graph, delta: GraphDelta) -> Result<(), DiffEr
             return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
         }
         *slot = true;
+        check_edges(b, new_len).map_err(DiffError::BadId)?;
     }
 
     // Everything else persists from the base, so each of its edges
@@ -750,6 +752,39 @@ mod tests {
         let mut d = diff(&a, &grown);
         d.boxes.retain(|b| b.addr != 0x9000);
         assert!(matches!(apply(&a, &d), Err(DiffError::MissingBox(_))));
+
+        // A shipped box that links to, or lists, a box past the new graph,
+        // where every box keeps its slot and where boxes move.
+        let moved = diff(&a, &grown);
+        assert_eq!(good.new_len, a.len() as u32);
+        assert_eq!(moved.new_len, a.len() as u32 + 1);
+        for sound in [good, moved] {
+            let past = BoxId(sound.new_len);
+            let edges = [
+                Item::Link {
+                    name: "next".into(),
+                    target: past,
+                },
+                Item::Container {
+                    name: "kids".into(),
+                    kind: ContainerKind::Set,
+                    members: vec![BoxId(0), past],
+                    attrs: Attrs::default(),
+                },
+            ];
+            for edge in edges {
+                let mut d = sound.clone();
+                Arc::make_mut(&mut d.boxes[0]).views[0].items.push(edge);
+                let mut g = a.clone();
+                let err = apply_in_place(&mut g, d).unwrap_err();
+                let named = format!("no box {} in a graph of {}", past.0, past.0);
+                assert!(
+                    matches!(&err, DiffError::BadId(m) if m.contains(&named)),
+                    "{err}"
+                );
+                assert_eq!(g, a, "a refused delta leaves the graph as it was");
+            }
+        }
     }
 
     #[test]

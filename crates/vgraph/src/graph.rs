@@ -250,30 +250,38 @@ mod wire {
 /// that names no box. Names quoted from the input are cut short.
 fn check_parts(boxes: &[BoxNode], roots: &[BoxId]) -> Result<(), String> {
     let n = boxes.len();
-    let in_graph = |id: &BoxId| (id.0 as usize) < n;
     for (pos, b) in boxes.iter().enumerate() {
         if b.id.0 as usize != pos {
             return Err(format!("box {pos} has id {}", b.id.0));
         }
-        for item in b.views.iter().flat_map(|v| &v.items) {
-            let bad = match item {
-                Item::Link { target, .. } => Some(target).filter(|t| !in_graph(t)),
-                Item::Container { members, .. } => members.iter().find(|m| !in_graph(m)),
-                Item::Text { .. } | Item::NullLink { .. } => None,
-            };
-            if let Some(t) = bad {
-                return Err(format!(
-                    "box {pos}, item `{}`: no box {} in a graph of {n}",
-                    cut(item.name()),
-                    t.0
-                ));
-            }
-        }
+        check_edges(b, n)?;
     }
-    match roots.iter().find(|r| !in_graph(r)) {
+    match roots.iter().find(|r| r.0 as usize >= n) {
         Some(r) => Err(format!("root: no box {} in a graph of {n}", r.0)),
         None => Ok(()),
     }
+}
+
+/// Why `b` does not fit a graph of `len` boxes, if it does not: a link
+/// or container member that names no box below `len`. Names quoted from
+/// the input are cut short.
+pub(crate) fn check_edges(b: &BoxNode, len: usize) -> Result<(), String> {
+    for item in b.views.iter().flat_map(|v| &v.items) {
+        let bad = match item {
+            Item::Link { target, .. } => Some(target).filter(|t| t.0 as usize >= len),
+            Item::Container { members, .. } => members.iter().find(|m| m.0 as usize >= len),
+            Item::Text { .. } | Item::NullLink { .. } => None,
+        };
+        if let Some(t) = bad {
+            return Err(format!(
+                "box {}, item `{}`: no box {} in a graph of {len}",
+                b.id.0,
+                cut(item.name()),
+                t.0
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// `s`, cut to at most 64 bytes, with `…` when something was cut.

@@ -202,7 +202,8 @@ fn oracle(base: &Graph, new: &Graph) -> GraphDelta {
 }
 
 /// The earlier `apply`: fill a fresh slot per new box, shipped boxes
-/// first, then carried base boxes with their edges rewritten.
+/// first, then carried base boxes with their edges rewritten. A shipped
+/// box whose edge names no new box is refused.
 fn oracle_apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
     if base.len() as u32 != delta.base_len {
         return Err(DiffError::BaseMismatch {
@@ -230,6 +231,22 @@ fn oracle_apply(base: &Graph, delta: &GraphDelta) -> Result<Graph, DiffError> {
         };
         if slot.is_some() {
             return Err(DiffError::BadId(format!("box {} shipped twice", b.id.0)));
+        }
+        for item in b.views.iter().flat_map(|v| &v.items) {
+            let targets: &[BoxId] = match item {
+                Item::Link { target, .. } => std::slice::from_ref(target),
+                Item::Container { members, .. } => members,
+                _ => &[],
+            };
+            if let Some(t) = targets.iter().find(|t| t.0 >= delta.new_len) {
+                return Err(DiffError::BadId(format!(
+                    "box {}, item `{}`: no box {} in a graph of {}",
+                    b.id.0,
+                    item.name(),
+                    t.0,
+                    delta.new_len
+                )));
+            }
         }
         *slot = Some(BoxNode::clone(b));
     }
@@ -650,7 +667,7 @@ struct Corruption {
 }
 
 fn arb_corruption() -> impl Strategy<Value = Corruption> {
-    (0u8..10, any::<usize>(), 0u32..6).prop_map(|(kind, a, b)| Corruption { kind, a, b })
+    (0u8..11, any::<usize>(), 0u32..6).prop_map(|(kind, a, b)| Corruption { kind, a, b })
 }
 
 fn nth<T>(v: &[T], i: usize) -> Option<usize> {
@@ -735,6 +752,32 @@ fn corrupt(d: &mut GraphDelta, base: &Graph, c: Corruption) {
         }
         // More new boxes than the base and the shipped boxes can fill.
         8 => d.new_len = base_len + d.boxes.len() as u32 + 1 + k,
+        // A shipped box links to, or lists, a box past the new graph.
+        9 => {
+            if let Some(i) = nth(&d.boxes, c.a) {
+                let past = BoxId(new_len + k);
+                let edge = match c.b % 2 {
+                    0 => Item::Link {
+                        name: "next".into(),
+                        target: past,
+                    },
+                    _ => Item::Container {
+                        name: "kids".into(),
+                        kind: ContainerKind::Set,
+                        members: vec![past],
+                        attrs: Attrs::default(),
+                    },
+                };
+                let b = Arc::make_mut(&mut d.boxes[i]);
+                match b.views.first_mut() {
+                    Some(v) => v.items.push(edge),
+                    None => b.views.push(ViewInst {
+                        name: "default".into(),
+                        items: vec![edge],
+                    }),
+                }
+            }
+        }
         // Fewer new boxes than the delta names.
         _ => d.new_len = new_len.saturating_sub(1 + k),
     }

@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 
 use ktypes::{CValue, TypeKind};
-use vbridge::{ReadPlan, Target};
+use vbridge::Target;
 
 use crate::{Result, VclError};
 
@@ -251,25 +251,22 @@ pub fn rbtree_nodes(
                 }),
             ));
         }
-        // The two child pointers are adjacent: batch them so the bridge
-        // coalesces the pair into one wire span.
-        let mut plan = ReadPlan::new();
-        plan.add(node + 8, 8);
-        plan.add(node + 16, 8);
-        let bufs = match target.read_many(&plan) {
-            Ok(b) => b,
-            Err(_) => {
-                return Ok((
-                    out,
-                    Some(Truncation {
-                        reason: TruncReason::Fault,
-                        addr: node,
-                    }),
-                ))
-            }
+        // The two child pointers are adjacent: hint the pair so a cached
+        // bridge pulls it as one span, and read both before pushing
+        // anything of the node.
+        target.prefetch(node + 8, 16);
+        let children = target
+            .read_uint(node + 8, 8)
+            .and_then(|right| target.read_uint(node + 16, 8).map(|left| (right, left)));
+        let Ok((right, left)) = children else {
+            return Ok((
+                out,
+                Some(Truncation {
+                    reason: TruncReason::Fault,
+                    addr: node,
+                }),
+            ));
         };
-        let right = ktypes::read_uint(&bufs[0], 8);
-        let left = ktypes::read_uint(&bufs[1], 8);
         if right != 0 {
             stack.push((right, false));
         }
@@ -455,25 +452,23 @@ pub fn xarray_entries(target: &Target<'_>, xa_val: &CValue) -> Result<XarrayWalk
                 break;
             }
         };
-        // All 64 slots will be inspected: hint the span, then batch the
-        // slot reads so they coalesce into minimal wire packets.
+        // All 64 slots will be inspected: hint the span so a cached
+        // bridge pulls it as one packet, and read every slot before
+        // walking any, so a fault leaves nothing of the node behind.
         target.prefetch(node + slots_off, 8 * 64);
-        let mut plan = ReadPlan::new();
-        for slot in 0..64u64 {
-            plan.add(node + slots_off + 8 * slot, 8);
+        let mut slots = [0u64; 64];
+        let read = (0u64..).zip(&mut slots).try_for_each(|(slot, entry)| {
+            let at = node + slots_off + 8 * slot;
+            target.read_uint(at, 8).map(|v| *entry = v)
+        });
+        if read.is_err() {
+            trunc = Some(Truncation {
+                reason: TruncReason::Fault,
+                addr: node,
+            });
+            break;
         }
-        let bufs = match target.read_many(&plan) {
-            Ok(b) => b,
-            Err(_) => {
-                trunc = Some(Truncation {
-                    reason: TruncReason::Fault,
-                    addr: node,
-                });
-                break;
-            }
-        };
-        for slot in 0..64u64 {
-            let entry = ktypes::read_uint(&bufs[slot as usize], 8);
+        for (slot, entry) in (0u64..).zip(slots) {
             if entry == 0 {
                 continue;
             }
@@ -494,7 +489,7 @@ mod tests {
     use super::*;
     use ksim::image::KernelBuilder;
     use ksim::structops;
-    use vbridge::{LatencyProfile, Target};
+    use vbridge::{BlockCache, CacheConfig, LatencyProfile, Target};
 
     struct Fx {
         kb: KernelBuilder,
@@ -635,6 +630,51 @@ mod tests {
         let trunc = trunc.unwrap();
         assert_eq!(trunc.reason, TruncReason::Fault);
         assert_eq!(trunc.addr, 0x5000);
+    }
+
+    #[test]
+    fn a_node_that_faults_mid_read_keeps_nothing_of_itself() {
+        // Page 0x2000 is mapped and 0x3000 is not. An xa_node whose slot
+        // array runs off the page, and an rb_node whose left pointer
+        // does: each walk ends at the node with none of its entries,
+        // cached or not.
+        let mut fx = fixture();
+        fx.kb.mem.map(0x1000, 4096);
+        fx.kb.mem.map(0x2000, 4096);
+        let xarray = fx.kb.types.find("xarray").unwrap();
+        let xa_node = fx.kb.types.find("xa_node").unwrap();
+        let (head_off, _) = fx.kb.types.field_path(xarray, "xa_head").unwrap();
+        let (slots_off, _) = fx.kb.types.field_path(xa_node, "slots").unwrap();
+        // A leaf (shift 0) with four entries on the page.
+        let node = 0x3000 - slots_off - 4 * 8;
+        for slot in 0..4 {
+            fx.kb
+                .mem
+                .write_uint(node + slots_off + 8 * slot, 8, 0x10 + slot);
+        }
+        fx.kb.mem.write_uint(0x1000 + head_off, 8, node | 2);
+        let rb = 0x3000 - 16;
+        let fault = |addr| {
+            Some(Truncation {
+                reason: TruncReason::Fault,
+                addr,
+            })
+        };
+        let cache = BlockCache::new(CacheConfig::default());
+        for cached in [false, true] {
+            let mut t = target(&fx);
+            if cached {
+                t.set_cache(&cache);
+            }
+            let xa = CValue::LValue {
+                addr: 0x1000,
+                ty: xarray,
+            };
+            assert_eq!(xarray_entries(&t, &xa).unwrap(), (vec![], fault(node)));
+            let root = long_val(&fx, rb);
+            assert_eq!(rbtree_nodes(&t, &root).unwrap(), (vec![], fault(rb)));
+            assert_eq!(t.stats().faults, 2, "cached: {cached}");
+        }
     }
 
     #[test]

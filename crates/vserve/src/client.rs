@@ -204,19 +204,30 @@ mod tests {
         .unwrap();
         // A matching `base_len` gets a delta past the first check; a
         // slot table sized by this `new_len` would take hundreds of GB.
-        let mut delta = diff::diff(&base, &graph(2));
-        delta.new_len = u32::MAX;
-        let hostile = VCommand::VplotDelta {
-            source: "src".into(),
-            seq: 1,
-            delta,
-        };
-        match r.apply_line(&hostile.to_json()) {
-            Err(ServeError::OutOfSync(m)) => assert!(m.contains("new_len 4294967295"), "{m}"),
-            other => panic!("hostile delta applied: {other:?}"),
+        let mut oversized = diff::diff(&base, &graph(2));
+        oversized.new_len = u32::MAX;
+        // Applied, this link would leave a graph whose edges name a box
+        // it does not have.
+        let mut dangling = diff::diff(&base, &graph(2));
+        std::sync::Arc::make_mut(&mut dangling.boxes[0]).views[0]
+            .items
+            .push(vgraph::Item::Link {
+                name: "next".into(),
+                target: vgraph::BoxId(99),
+            });
+        for (delta, named) in [(oversized, "new_len 4294967295"), (dangling, "no box 99")] {
+            let hostile = VCommand::VplotDelta {
+                source: "src".into(),
+                seq: 1,
+                delta,
+            };
+            match r.apply_line(&hostile.to_json()) {
+                Err(ServeError::OutOfSync(m)) => assert!(m.contains(named), "{m}"),
+                other => panic!("hostile delta applied: {other:?}"),
+            }
+            assert_eq!(r.graph("src"), Some(&base));
+            assert_eq!(r.seq("src"), Some(0));
         }
-        assert_eq!(r.graph("src"), Some(&base));
-        assert_eq!(r.seq("src"), Some(0));
 
         let good = VCommand::VplotDelta {
             source: "src".into(),

@@ -17,8 +17,8 @@
 //! with replies still queued rings it after about a millisecond.
 //!
 //! **Fairness.** Each sweep visits the lanes in rotating round-robin
-//! order and admits at most [`WireConfig::fair_budget`] frames per lane
-//! into the engine, so a chatty client cannot starve its siblings.
+//! order and admits at most `FAIR_BUDGET` frames per lane into the
+//! engine, so a chatty client cannot starve its siblings.
 //!
 //! **The engine never blocks.** A lane only admits a frame while its
 //! replies in flight are below the engine-side outbox capacity
@@ -61,15 +61,16 @@ use crate::stats::WireStats;
 use crate::wire::Io;
 use crate::ServeError;
 
+/// Frames admitted into the engine per lane per sweep: the round-robin
+/// fairness quantum.
+const FAIR_BUDGET: usize = 4;
+
 /// Tuning knobs for a [`WirePump`].
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
     /// Lanes the pump will drive at once; connections beyond it are
     /// refused with a best-effort JSON error line.
     pub max_connections: usize,
-    /// Frames admitted into the engine per lane per sweep — the
-    /// round-robin fairness quantum.
-    pub fair_budget: usize,
     /// Bytes buffered toward one client before the pump declares it
     /// stalled and skips its reads and reply drains.
     pub outbuf_limit: usize,
@@ -86,7 +87,6 @@ impl Default for WireConfig {
     fn default() -> Self {
         WireConfig {
             max_connections: 1024,
-            fair_budget: 4,
             outbuf_limit: 1 << 20,
             idle_sleep: Duration::from_micros(200),
         }
@@ -155,7 +155,7 @@ struct Lane {
     stage: Stage,
     inbuf: DecodeBuf,
     outbuf: Vec<u8>,
-    /// Decoded frames awaiting admission (bounded by `fair_budget`).
+    /// Decoded frames awaiting admission (bounded by `FAIR_BUDGET`).
     pending: VecDeque<String>,
     conn: Option<Connection>,
     _guard: Option<Box<dyn Any + Send>>,
@@ -460,12 +460,11 @@ impl WirePump {
         progress | self.finish_eof(idx)
     }
 
-    /// Admit up to `fair_budget` frames from a routed lane.
+    /// Admit up to `FAIR_BUDGET` frames from a routed lane.
     fn pump_ready(&mut self, idx: usize) -> bool {
-        let budget = self.cfg.fair_budget;
         let mut admitted = 0;
         let mut progress = false;
-        while admitted < budget {
+        while admitted < FAIR_BUDGET {
             let lane = &mut self.lanes[idx];
             if lane.pending.is_empty() {
                 match BinaryFraming.decode(&mut lane.inbuf) {
