@@ -59,7 +59,7 @@ use visualinux::proto::{VCommand, VERSION};
 use visualinux::{figures, Session, SessionSpec};
 use vserve::framing::{hello_frame, parse_verdict, BinaryFraming, DecodeBuf};
 use vserve::{
-    byte_pair, Io, Replica, SendMode, ServeConfig, ServeStats, Server, ServerHandle, SingleSession,
+    byte_pair, Io, Replica, ServeConfig, ServeStats, Server, ServerHandle, SingleSession,
     WireClient, WireConfig, WirePump, WireStats,
 };
 
@@ -269,18 +269,15 @@ fn run_profile(
                 for round in 0..=stops as u64 {
                     for fig in figs.iter() {
                         let sent = Instant::now();
-                        conn.send(
-                            &VCommand::VplotRequest {
-                                viewcl: fig.viewcl.to_string(),
-                            },
-                            SendMode::Blocking,
-                        )
+                        conn.send(&VCommand::VplotRequest {
+                            viewcl: fig.viewcl.to_string(),
+                        })
                         .expect("send");
                         let line = conn.recv().expect("reply");
                         latencies_ns.push(sent.elapsed().as_nanos() as u64);
                         replica.apply_line(&line).expect("apply");
                         if let Some(ack) = replica.ack(fig.viewcl) {
-                            conn.send(&ack, SendMode::Blocking).expect("ack");
+                            conn.send(&ack).expect("ack");
                             conn.recv().expect("ack reply");
                         }
                     }
@@ -410,12 +407,9 @@ fn run_fleet(
                     let mut sent_at = Vec::with_capacity(figs.len());
                     for fig in figs.iter() {
                         sent_at.push(Instant::now());
-                        conn.send(
-                            &VCommand::VplotRequest {
-                                viewcl: fig.viewcl.to_string(),
-                            },
-                            SendMode::Blocking,
-                        )
+                        conn.send(&VCommand::VplotRequest {
+                            viewcl: fig.viewcl.to_string(),
+                        })
                         .expect("send");
                     }
                     for sent in sent_at {
@@ -514,12 +508,9 @@ fn run_soak(healthy: usize, stalled: usize, frames: usize) -> SoakRunResult {
     // bias the baseline comparison.
     let warm = handle.connect();
     for viewcl in &viewcls {
-        warm.send(
-            &VCommand::VplotRequest {
-                viewcl: viewcl.clone(),
-            },
-            SendMode::Blocking,
-        )
+        warm.send(&VCommand::VplotRequest {
+            viewcl: viewcl.clone(),
+        })
         .expect("warmup send");
         warm.recv().expect("warmup reply");
     }

@@ -226,7 +226,7 @@ fn run_serve() {
     use ksim::workload::{build, WorkloadConfig};
     use std::sync::mpsc;
     use visualinux::proto::VCommand;
-    use vserve::{Replica, SendMode, ServeConfig, Server};
+    use vserve::{Replica, ServeConfig, Server};
     use vtrace::Counters;
 
     println!("Table 4 (--serve): serving footnote, KGDB profile (virtual time)\n");
@@ -253,12 +253,9 @@ fn run_serve() {
         for (conn, replica) in conns.iter().zip(replicas.iter_mut()) {
             for id in TABLE4_FIGURES {
                 let fig = figures::by_id(id).expect("figure exists");
-                conn.send(
-                    &VCommand::VplotRequest {
-                        viewcl: fig.viewcl.to_string(),
-                    },
-                    SendMode::Blocking,
-                )
+                conn.send(&VCommand::VplotRequest {
+                    viewcl: fig.viewcl.to_string(),
+                })
                 .expect("send");
                 replica
                     .apply_line(&conn.recv().expect("reply"))

@@ -144,26 +144,25 @@ const DELTA_HEAD: &str = "{\"command\":\"vplot_delta\",\"source\":";
 const DELTA_SEQ: &str = ",\"seq\":";
 const DELTA_BODY: &str = ",\"delta\":";
 
-/// A ViewCL source as a reply echoes it: its JSON string, escaped once.
-/// [`vplot_json`] and [`vplot_delta_json`] copy these bytes where they
-/// would escape a `str` source, so a server that echoes one source in
-/// many replies escapes it once. Written exactly as the source `str`.
+/// A value as a reply writes it: its JSON, encoded once. [`vplot_json`]
+/// and [`vplot_delta_json`] copy these bytes where they would encode the
+/// value, so a server that echoes one source, or ships one step, in many
+/// replies encodes it once. Written exactly as the value it encodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceJson(Box<str>);
+pub struct Json(Box<str>);
 
-impl SourceJson {
-    /// Escape `source`.
-    pub fn new(source: &str) -> SourceJson {
-        let mut json = String::with_capacity(source.json_len());
-        source.write_json(&mut json);
-        SourceJson(json.into())
+impl Json {
+    /// Encode `value`.
+    pub fn of<T: Serialize + ?Sized>(value: &T) -> Json {
+        let mut json = String::with_capacity(value.json_len());
+        value.write_json(&mut json);
+        Json(json.into())
     }
 }
 
-impl Serialize for SourceJson {
+impl Serialize for Json {
     fn serialize_value(&self) -> serde_json::Value {
-        let source: String = serde_json::from_str(&self.0).expect("escaped from a str");
-        serde_json::Value::String(source)
+        serde_json::from_str(&self.0).expect("encoded from a value")
     }
 
     fn write_json(&self, out: &mut String) {
@@ -175,8 +174,8 @@ impl Serialize for SourceJson {
     }
 }
 
-/// The `vplot` command for `graph` and `source` (a `str`, or a
-/// [`SourceJson`]): byte for byte `VCommand::Vplot { graph, source
+/// The `vplot` command for `graph` and `source` (a `str`, or its
+/// [`Json`]): byte for byte `VCommand::Vplot { graph, source
 /// }.to_json()`, written from borrowed parts into a string of capacity
 /// `len`, its length as [`vplot_json_len`] measured it, so no graph is
 /// moved, cloned or measured again to encode it.
@@ -190,11 +189,16 @@ pub fn vplot_json<S: Serialize + ?Sized>(graph: &Graph, source: &S, len: usize) 
     out
 }
 
-/// The `vplot_delta` command for `source` (a `str`, or a
-/// [`SourceJson`]): byte for byte `VCommand::VplotDelta { source, seq,
-/// delta }.to_json()`, written from borrowed parts into a string sized
-/// once, so a delta shared by several engines is encoded without a copy.
-pub fn vplot_delta_json<S: Serialize + ?Sized>(delta: &GraphDelta, source: &S, seq: u64) -> String {
+/// The `vplot_delta` command for `delta` (a `GraphDelta`, or its
+/// [`Json`]) and `source` (a `str`, or its [`Json`]): byte for byte
+/// `VCommand::VplotDelta { source, seq, delta }.to_json()`, written from
+/// borrowed parts into a string sized once, so a step shared by many
+/// replies is encoded once and copied into each.
+pub fn vplot_delta_json<D: Serialize + ?Sized, S: Serialize + ?Sized>(
+    delta: &D,
+    source: &S,
+    seq: u64,
+) -> String {
     let len = DELTA_HEAD.len()
         + source.json_len()
         + DELTA_SEQ.len()
@@ -306,17 +310,29 @@ mod tests {
     use ksim::workload::{build, WorkloadConfig};
     use vbridge::LatencyProfile;
 
+    /// `Json::of(value)` writes, measures and renders as `value` does.
+    fn encodes_as<T: Serialize + ?Sized>(value: &T) {
+        let json = Json::of(value);
+        let (mut got, mut want) = (String::new(), String::new());
+        json.write_json(&mut got);
+        value.write_json(&mut want);
+        assert_eq!(got, want);
+        assert_eq!(json.json_len(), value.json_len());
+        assert_eq!(json.serialize_value(), value.serialize_value());
+    }
+
     #[test]
     fn an_escaped_source_is_written_as_its_str() {
         for source in ["", "plot @x", "q\"\\\n\u{1f}é😀"] {
-            let json = SourceJson::new(source);
-            let (mut a, mut b) = (String::new(), String::new());
-            json.write_json(&mut a);
-            source.write_json(&mut b);
-            assert_eq!(a, b);
-            assert_eq!(json.json_len(), source.json_len());
-            assert_eq!(json.serialize_value(), source.serialize_value());
+            encodes_as(source);
         }
+    }
+
+    #[test]
+    fn an_encoded_step_is_written_as_its_delta() {
+        let mut graph = Graph::new();
+        graph.intern(0x1000, "Task", "task_struct", 8);
+        encodes_as(&vgraph::diff::diff(&Graph::new(), &graph));
     }
 
     #[test]

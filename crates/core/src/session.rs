@@ -152,37 +152,14 @@ type Flagged = (vgraph::BoxId, usize, String);
 
 /// Embed a [`WorkloadConfig`] in capture metadata (`meta.workload`).
 fn workload_cfg_to_meta(cfg: &WorkloadConfig) -> serde_json::Value {
-    use serde_json::{Map, Number, Value};
-    let num = |n: u64| Value::Number(Number::from_u64(n));
-    let mut w = Map::new();
-    w.insert("processes".into(), num(cfg.processes as u64));
-    w.insert("extra_threads".into(), num(cfg.extra_threads as u64));
-    w.insert(
-        "files_per_process".into(),
-        num(cfg.files_per_process as u64),
-    );
-    w.insert("pages_per_file".into(), num(cfg.pages_per_file as u64));
-    w.insert("anon_vmas".into(), num(cfg.anon_vmas as u64));
-    w.insert("kthreads".into(), num(cfg.kthreads as u64));
-    w.insert("seed".into(), num(cfg.seed));
-    let mut meta = Map::new();
-    meta.insert("workload".into(), Value::Object(w));
-    Value::Object(meta)
+    let mut meta = serde_json::Map::new();
+    meta.insert("workload".into(), cfg.to_json());
+    serde_json::Value::Object(meta)
 }
 
 /// Recover the [`WorkloadConfig`] from capture metadata, if present.
 fn workload_cfg_from_meta(meta: &serde_json::Value) -> Option<WorkloadConfig> {
-    let w = meta.get("workload")?;
-    let field = |name: &str| w.get(name).and_then(|v| v.as_u64());
-    Some(WorkloadConfig {
-        processes: field("processes")? as usize,
-        extra_threads: field("extra_threads")? as usize,
-        files_per_process: field("files_per_process")? as usize,
-        pages_per_file: field("pages_per_file")? as usize,
-        anon_vmas: field("anon_vmas")? as usize,
-        kthreads: field("kthreads")? as usize,
-        seed: field("seed")?,
-    })
+    WorkloadConfig::from_json(meta.get("workload")?).ok()
 }
 
 /// What a [`SessionBuilder`] attaches to.

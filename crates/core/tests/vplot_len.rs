@@ -6,8 +6,10 @@
 //! and sizes the encoded plot by it. Checked over random graphs with
 //! hostile strings and extreme numbers, and over every figure under
 //! both latency profiles, at two workload seeds, across 20 tick stops,
-//! where `proto::vplot_delta_json` must also write each stop's delta
-//! byte for byte as `VCommand::VplotDelta { .. }.to_json()` does.
+//! where `proto::vplot_delta_json` must also write each stop's delta,
+//! given as the delta or as its pre-encoded `proto::Json` (as an engine
+//! holds a record's step), byte for byte as
+//! `VCommand::VplotDelta { .. }.to_json()` does.
 //!
 //! An engine measures a pane patched from the one it served before by
 //! difference: that plot's length plus `Graph::json_len_change`, the
@@ -23,7 +25,7 @@ use ksim::workload::{build, WorkloadConfig};
 use proptest::prelude::*;
 use vbridge::{CacheConfig, LatencyProfile};
 use vgraph::{Attrs, BoxId, BoxNode, ContainerKind, Graph, Item, ViewInst};
-use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, VCommand};
+use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, Json, VCommand};
 use visualinux::{figures, Session};
 
 fn check(graph: &Graph, source: &str) {
@@ -348,6 +350,8 @@ fn every_figure_measures_exactly_across_tick_stops() {
                     if let Some(base) = last.get(i) {
                         let delta = vgraph::diff::diff(base, graph);
                         let json = vplot_delta_json(&delta, fig.viewcl, stop);
+                        let encoded =
+                            vplot_delta_json(&Json::of(&delta), &Json::of(fig.viewcl), stop);
                         let want = VCommand::VplotDelta {
                             source: fig.viewcl.to_string(),
                             seq: stop,
@@ -357,6 +361,10 @@ fn every_figure_measures_exactly_across_tick_stops() {
                         assert!(
                             json == want,
                             "vplot_delta_json differs from VCommand::to_json"
+                        );
+                        assert!(
+                            encoded == want,
+                            "vplot_delta_json of the encoded step differs from VCommand::to_json"
                         );
                     }
                 }

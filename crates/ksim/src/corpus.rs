@@ -129,24 +129,6 @@ impl ScenarioSpec {
     /// Serialize to a stable JSON document (field order fixed, so equal
     /// specs serialize to equal bytes).
     pub fn to_json(&self) -> String {
-        let num = |n: u64| Value::Number(Number::from_u64(n));
-        let mut w = Map::new();
-        w.insert("processes".into(), num(self.workload.processes as u64));
-        w.insert(
-            "extra_threads".into(),
-            num(self.workload.extra_threads as u64),
-        );
-        w.insert(
-            "files_per_process".into(),
-            num(self.workload.files_per_process as u64),
-        );
-        w.insert(
-            "pages_per_file".into(),
-            num(self.workload.pages_per_file as u64),
-        );
-        w.insert("anon_vmas".into(), num(self.workload.anon_vmas as u64));
-        w.insert("kthreads".into(), num(self.workload.kthreads as u64));
-        w.insert("seed".into(), num(self.workload.seed));
         let injections: Vec<Value> = self
             .injections
             .iter()
@@ -155,7 +137,7 @@ impl ScenarioSpec {
                 match inj {
                     InjectionSpec::Fault { kind, seed } => {
                         m.insert("fault".into(), Value::String(kind.name().into()));
-                        m.insert("seed".into(), num(*seed));
+                        m.insert("seed".into(), Value::Number(Number::from_u64(*seed)));
                     }
                     InjectionSpec::StackRot { expire_grace } => {
                         m.insert("stackrot".into(), Value::Bool(true));
@@ -170,7 +152,7 @@ impl ScenarioSpec {
             .collect();
         let mut doc = Map::new();
         doc.insert("name".into(), Value::String(self.name.clone()));
-        doc.insert("workload".into(), Value::Object(w));
+        doc.insert("workload".into(), self.workload.to_json());
         doc.insert("injections".into(), Value::Array(injections));
         serde_json::to_string(&Value::Object(doc)).expect("spec serialization cannot fail")
     }
@@ -183,28 +165,11 @@ impl ScenarioSpec {
             .and_then(|v| v.as_str())
             .ok_or("spec lacks a name")?
             .to_string();
-        let w = doc.get("workload").ok_or("spec lacks a workload")?;
-        let field = |f: &str| {
-            w.get(f)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("workload lacks `{f}`"))
-        };
-        let workload = WorkloadConfig {
-            processes: field("processes")? as usize,
-            extra_threads: field("extra_threads")? as usize,
-            files_per_process: field("files_per_process")? as usize,
-            pages_per_file: field("pages_per_file")? as usize,
-            anon_vmas: field("anon_vmas")? as usize,
-            kthreads: field("kthreads")? as usize,
-            seed: field("seed")?,
-        };
+        let workload =
+            WorkloadConfig::from_json(doc.get("workload").ok_or("spec lacks a workload")?)?;
         let mut injections = Vec::new();
-        let empty = Vec::new();
-        for inj in doc
-            .get("injections")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&empty)
-        {
+        let listed = doc.get("injections").and_then(Value::as_array);
+        for inj in listed.into_iter().flatten() {
             if let Some(fault) = inj.get("fault").and_then(|v| v.as_str()) {
                 let kind = FaultKind::from_name(fault)
                     .ok_or_else(|| format!("unknown fault kind `{fault}`"))?;
@@ -234,6 +199,41 @@ impl ScenarioSpec {
     /// this exact scenario". Embedded in `.vrec` capture headers.
     pub fn fingerprint(&self) -> u64 {
         fnv64(self.to_json().as_bytes())
+    }
+}
+
+impl WorkloadConfig {
+    /// The dials as a JSON object keyed by field name, in declaration
+    /// order: how a spec and a capture's metadata embed a config.
+    pub fn to_json(&self) -> Value {
+        let mut w = Map::new();
+        let dial = |n: usize| Value::Number(Number::from_u64(n as u64));
+        w.insert("processes".into(), dial(self.processes));
+        w.insert("extra_threads".into(), dial(self.extra_threads));
+        w.insert("files_per_process".into(), dial(self.files_per_process));
+        w.insert("pages_per_file".into(), dial(self.pages_per_file));
+        w.insert("anon_vmas".into(), dial(self.anon_vmas));
+        w.insert("kthreads".into(), dial(self.kthreads));
+        w.insert("seed".into(), Value::Number(Number::from_u64(self.seed)));
+        Value::Object(w)
+    }
+
+    /// Parse a config [`WorkloadConfig::to_json`] wrote.
+    pub fn from_json(w: &Value) -> Result<WorkloadConfig, String> {
+        let field = |f: &str| {
+            w.get(f)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("workload lacks `{f}`"))
+        };
+        Ok(WorkloadConfig {
+            processes: field("processes")? as usize,
+            extra_threads: field("extra_threads")? as usize,
+            files_per_process: field("files_per_process")? as usize,
+            pages_per_file: field("pages_per_file")? as usize,
+            anon_vmas: field("anon_vmas")? as usize,
+            kthreads: field("kthreads")? as usize,
+            seed: field("seed")?,
+        })
     }
 }
 

@@ -77,7 +77,6 @@ pub struct KernelBuilder {
     data: Zone,
     heap: Zone,
     percpu: Zone,
-    vmemmap: Zone,
     pagedata: Zone,
 }
 
@@ -96,7 +95,6 @@ impl KernelBuilder {
             data: Zone::new("data", DATA_BASE, 256 << 20),
             heap: Zone::new("heap", HEAP_BASE, 1 << 30),
             percpu: Zone::new("percpu", PERCPU_BASE, 16 << 20),
-            vmemmap: Zone::new("vmemmap", VMEMMAP_BASE, 256 << 20),
             pagedata: Zone::new("pagedata", PAGEDATA_BASE, 256 << 20),
         }
     }
@@ -138,11 +136,6 @@ impl KernelBuilder {
             .alloc(&mut self.mem, len.max(1), kmem::PAGE_SIZE)
     }
 
-    /// Allocate raw bytes in the vmemmap zone (`struct page` arrays).
-    pub fn alloc_vmemmap(&mut self, len: u64, align: u64) -> u64 {
-        self.vmemmap.alloc(&mut self.mem, len, align)
-    }
-
     /// Register a fake function entry point and return its address
     /// (used for function-pointer fields like `work->func`).
     pub fn func_sym(&mut self, name: &str) -> u64 {
@@ -157,11 +150,6 @@ impl KernelBuilder {
     /// A typed writer for the object of type `ty` at `addr`.
     pub fn obj(&mut self, addr: u64, ty: TypeId) -> ObjWriter<'_> {
         ObjWriter::new(&mut self.mem, &self.types, addr, ty)
-    }
-
-    /// Allocate an object of `ty` and hand back a writer positioned on it.
-    pub fn new_obj(&mut self, ty: TypeId) -> u64 {
-        self.alloc(ty)
     }
 
     /// Finish building: freeze into an immutable image.

@@ -789,9 +789,10 @@ impl<'a> Target<'a> {
     }
 
     /// Pull every absent block covering `[addr, addr+len)` — the whole
-    /// aligned span as ONE packet when possible, degrading to per-block
-    /// fetches of the mapped blocks when the span touches unmapped pages
-    /// (holes are skipped silently; a later serve reports the fault).
+    /// aligned span as ONE packet. A span that touches unmapped pages
+    /// fails: it is metered as the one doomed request it was, as
+    /// [`Target::meter_range_cached`] meters one, and fetches nothing
+    /// (a later read of a block in it fetches that block or faults).
     /// With `only` (sorted bases), blocks outside it travel in the span
     /// but are not kept. Returns `(packets sent, blocks fetched)`. `len`
     /// must be non-zero.
@@ -829,35 +830,21 @@ impl<'a> Target<'a> {
                 &mut heap[..]
             }
         };
-        if self.backend.read(start, buf).is_ok() {
-            self.account(start, span);
-            self.cache_misses.set(self.cache_misses.get() + missing);
-            let mut base = start;
-            while base < end {
-                if wanted(base) {
-                    let off = (base - start) as usize;
-                    cache.insert(base, buf[off..off + bs as usize].into());
-                }
-                base += bs;
-            }
-            (1, missing)
-        } else {
-            let mut fetched = 0u64;
-            let mut base = start;
-            while base < end {
-                if wanted(base) {
-                    let mut block = vec![0u8; bs as usize];
-                    if self.backend.read(base, &mut block).is_ok() {
-                        self.account(base, bs);
-                        self.cache_misses.set(self.cache_misses.get() + 1);
-                        cache.insert(base, block.into_boxed_slice());
-                        fetched += 1;
-                    }
-                }
-                base += bs;
-            }
-            (fetched, fetched)
+        let read = self.backend.read(start, buf);
+        self.account(start, span);
+        if read.is_err() {
+            return (1, 0);
         }
+        self.cache_misses.set(self.cache_misses.get() + missing);
+        let mut base = start;
+        while base < end {
+            if wanted(base) {
+                let off = (base - start) as usize;
+                cache.insert(base, buf[off..off + bs as usize].into());
+            }
+            base += bs;
+        }
+        (1, missing)
     }
 
     /// Hint that `[addr, addr+len)` is about to be walked. With the cache
@@ -1553,6 +1540,43 @@ mod tests {
         assert_eq!((s.vincr_hits, s.vincr_rewalks, s.dirty_bytes), (5, 1, 20));
         target.reset_stats();
         assert_eq!(target.stats(), TargetStats::default());
+    }
+
+    #[test]
+    fn a_hint_over_an_unmapped_block_meters_one_packet_and_fetches_nothing() {
+        let mut img = ksim::image::KernelBuilder::new();
+        // One mapped page: a span over its last block and the next
+        // page's first holds one mapped block and one unmapped.
+        img.mem.map(0x1000, 0x1000);
+        let cache = BlockCache::new(CacheConfig::default());
+        let target = Target::with_cache(
+            &img.mem,
+            &img.types,
+            &img.symbols,
+            LatencyProfile::kgdb_rpi400(),
+            &cache,
+        );
+        target.prefetch(0x1f00, 0x200);
+        let s = target.stats();
+        assert_eq!(
+            (s.reads, s.bytes, s.faults),
+            (1, 0x200, 0),
+            "one doomed packet"
+        );
+        assert_eq!(
+            s.virtual_ns,
+            LatencyProfile::kgdb_rpi400().cost_ns(0x200),
+            "priced at the span's length"
+        );
+        for base in [0x1f00, 0x2000] {
+            assert!(!cache.contains(base), "{base:#x} is not resident");
+        }
+        // A later read fetches its block alone, or faults.
+        target.read_uint(0x1f00, 8).unwrap();
+        assert!(target.read_uint(0x2000, 8).is_err());
+        let s = target.stats();
+        assert_eq!((s.reads, s.faults), (3, 1));
+        assert!(cache.contains(0x1f00) && !cache.contains(0x2000));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   identically join a share group ([`vserve::ShareGroup`]): the first
 //!   engine to walk a `(generation, ViewCL)` pair publishes its memo
 //!   record, siblings serve it without touching their own bridge, and
-//!   the record's generation step is diffed once for all of them. Stop
+//!   the record's generation step is diffed and encoded once, into the
+//!   record, for every client of all of them. Stop
 //!   generations are hash-chained over tick arguments
 //!   ([`chain_generation`]), so diverging mutation histories can never
 //!   alias. The group holds records only while some engine's memo does,

@@ -6,7 +6,7 @@ use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, Capture, LatencyProfile};
 use visualinux::proto::VCommand;
 use visualinux::{figures, Session};
-use vserve::{Replica, SendMode};
+use vserve::Replica;
 
 /// The first `n` corpus figures' ViewCL sources.
 pub fn fig_sources(n: usize) -> Vec<String> {
@@ -60,12 +60,9 @@ pub fn serve_round(
 ) -> Vec<vgraph::Graph> {
     figs.iter()
         .map(|fig| {
-            conn.send(
-                &VCommand::VplotRequest {
-                    viewcl: fig.clone(),
-                },
-                SendMode::Blocking,
-            )
+            conn.send(&VCommand::VplotRequest {
+                viewcl: fig.clone(),
+            })
             .expect("send");
             let line = conn.recv().expect("reply");
             replica.apply_line(&line).expect("apply");

@@ -14,7 +14,7 @@ use vbridge::LatencyProfile;
 use vfleet::{Fleet, FleetConfig, FleetError, FleetStats};
 use visualinux::proto::VCommand;
 use visualinux::{figures, SessionSpec};
-use vserve::{Replica, SendMode};
+use vserve::Replica;
 
 const FIGS: usize = 6;
 const ROUNDS: u64 = 2;
@@ -75,12 +75,9 @@ fn evicted_replay_session_respawns_bit_identically() {
     let dconn = fleet.connect("decoy").unwrap();
     assert!(!fleet.is_resident("r"), "replay engine was not evicted");
     dconn
-        .send(
-            &VCommand::VplotRequest {
-                viewcl: figs[0].clone(),
-            },
-            SendMode::Blocking,
-        )
+        .send(&VCommand::VplotRequest {
+            viewcl: figs[0].clone(),
+        })
         .unwrap();
     dconn.recv().expect("decoy serves");
     drop(dconn);

@@ -9,7 +9,7 @@ use vbridge::LatencyProfile;
 use vfleet::{Fleet, FleetConfig, FleetError, FleetRouter};
 use visualinux::proto::{VCommand, VResponse};
 use visualinux::SessionSpec;
-use vserve::{byte_pair, Replica, SendMode, WireClient, WireConfig, WirePump};
+use vserve::{byte_pair, Replica, WireClient, WireConfig, WirePump};
 
 const FIGS: usize = 5;
 const ROUNDS: u64 = 2;
@@ -203,7 +203,7 @@ fn a_failed_walk_releases_its_claim_on_the_key() {
     // cache's whole walk wait.
     let t0 = std::time::Instant::now();
     for conn in [&ca, &ca, &ca, &ca, &ca, &cb] {
-        conn.send(&bad, SendMode::Blocking).unwrap();
+        conn.send(&bad).unwrap();
         let reply = conn.recv().expect("reply");
         assert!(
             matches!(VResponse::from_json(&reply), Ok(VResponse::Err { .. })),

@@ -74,61 +74,7 @@ pub fn list_nodes(
     target: &Target<'_>,
     head_val: &CValue,
 ) -> Result<(Vec<u64>, Option<Truncation>)> {
-    let head = addr_of(head_val, "List")?;
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    seen.insert(head);
-    let mut cur = match target.read_uint(head, 8) {
-        Ok(v) => v,
-        Err(_) => {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Fault,
-                    addr: head,
-                }),
-            ))
-        }
-    };
-    while cur != head && cur != 0 {
-        if !seen.insert(cur) {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Cycle,
-                    addr: cur,
-                }),
-            ));
-        }
-        out.push(cur);
-        // The consumer is about to render the object embedding this
-        // node: hint the bridge to pull the surrounding bytes (covers
-        // the ->next hop below too). No-op on uncached targets.
-        target.prefetch(cur, 128);
-        let node = cur;
-        cur = match target.read_uint(cur, 8) {
-            Ok(v) => v,
-            Err(_) => {
-                return Ok((
-                    out,
-                    Some(Truncation {
-                        reason: TruncReason::Fault,
-                        addr: node,
-                    }),
-                ))
-            }
-        };
-        if out.len() >= MAX_ELEMS {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Bound,
-                    addr: cur,
-                }),
-            ));
-        }
-    }
-    Ok((out, None))
+    Ok(chain_nodes(target, addr_of(head_val, "List")?, true))
 }
 
 /// Walk an `hlist_head`, returning node addresses and a truncation note
@@ -137,57 +83,50 @@ pub fn hlist_nodes(
     target: &Target<'_>,
     head_val: &CValue,
 ) -> Result<(Vec<u64>, Option<Truncation>)> {
-    let head = addr_of(head_val, "HList")?;
+    Ok(chain_nodes(target, addr_of(head_val, "HList")?, false))
+}
+
+/// Follow the `next` pointers (each node's first word) from `head`
+/// until NULL, or, for a `circular` list, until back at `head`. A node
+/// seen twice, an unreadable node or the element bound truncates the
+/// walk.
+fn chain_nodes(target: &Target<'_>, head: u64, circular: bool) -> (Vec<u64>, Option<Truncation>) {
     let mut out = Vec::new();
     let mut seen = HashSet::new();
-    let mut cur = match target.read_uint(head, 8) {
-        Ok(v) => v,
-        Err(_) => {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Fault,
-                    addr: head,
-                }),
-            ))
-        }
-    };
-    while cur != 0 {
-        if !seen.insert(cur) {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Cycle,
-                    addr: cur,
-                }),
-            ));
-        }
-        out.push(cur);
-        target.prefetch(cur, 128);
-        let node = cur;
-        cur = match target.read_uint(cur, 8) {
+    let mut node = head;
+    let trunc = loop {
+        let next = match target.read_uint(node, 8) {
             Ok(v) => v,
             Err(_) => {
-                return Ok((
-                    out,
-                    Some(Truncation {
-                        reason: TruncReason::Fault,
-                        addr: node,
-                    }),
-                ))
+                break Truncation {
+                    reason: TruncReason::Fault,
+                    addr: node,
+                }
             }
         };
         if out.len() >= MAX_ELEMS {
-            return Ok((
-                out,
-                Some(Truncation {
-                    reason: TruncReason::Bound,
-                    addr: cur,
-                }),
-            ));
+            break Truncation {
+                reason: TruncReason::Bound,
+                addr: next,
+            };
         }
-    }
-    Ok((out, None))
+        if next == 0 || (circular && next == head) {
+            return (out, None);
+        }
+        if !seen.insert(next) {
+            break Truncation {
+                reason: TruncReason::Cycle,
+                addr: next,
+            };
+        }
+        out.push(next);
+        // The consumer is about to render the object embedding this
+        // node: hint the bridge to pull the surrounding bytes (covers
+        // its ->next read too). No-op on uncached targets.
+        target.prefetch(next, 128);
+        node = next;
+    };
+    (out, Some(trunc))
 }
 
 /// In-order walk of a red-black tree. Accepts an `rb_root`,
@@ -556,6 +495,40 @@ mod tests {
         let (nodes, trunc) = list_nodes(&t, &head).unwrap();
         // The dangling node is still surfaced (its fields will render as
         // errors), and the truncation names it.
+        assert_eq!(nodes, vec![0xdead_0000]);
+        let trunc = trunc.expect("fault must be flagged");
+        assert_eq!(trunc.reason, TruncReason::Fault);
+        assert_eq!(trunc.addr, 0xdead_0000);
+        assert!(t.stats().faults >= 1, "the wild read is metered");
+    }
+
+    #[test]
+    fn corrupted_hlist_truncates_with_cycle_diagnostic() {
+        let mut fx = fixture();
+        // head->first = node, node->next = node: a self-linked node.
+        fx.kb.mem.map(0x1000, 8);
+        fx.kb.mem.map(0x2000, 16);
+        fx.kb.mem.write_uint(0x1000, 8, 0x2000);
+        fx.kb.mem.write_uint(0x2000, 8, 0x2000);
+        let head = long_val(&fx, 0x1000);
+        let t = target(&fx);
+        let (nodes, trunc) = hlist_nodes(&t, &head).unwrap();
+        assert_eq!(nodes, vec![0x2000]);
+        let trunc = trunc.expect("cycle must be flagged");
+        assert_eq!(trunc.reason, TruncReason::Cycle);
+        assert_eq!(trunc.addr, 0x2000);
+        assert!(t.stats().reads < 10, "cycle found in a handful of reads");
+    }
+
+    #[test]
+    fn hlist_through_unmapped_node_truncates_with_fault() {
+        let mut fx = fixture();
+        fx.kb.mem.map(0x1000, 8);
+        // head->first points into unmapped memory: a dangling node.
+        fx.kb.mem.write_uint(0x1000, 8, 0xdead_0000);
+        let head = long_val(&fx, 0x1000);
+        let t = target(&fx);
+        let (nodes, trunc) = hlist_nodes(&t, &head).unwrap();
         assert_eq!(nodes, vec![0xdead_0000]);
         let trunc = trunc.expect("fault must be flagged");
         assert_eq!(trunc.reason, TruncReason::Fault);

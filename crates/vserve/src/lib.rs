@@ -73,7 +73,7 @@ pub use client::{Replica, ReplicaEvent};
 pub use evented::{ConnectRouter, PumpHandle, RoutedConn, SingleSession, WireConfig, WirePump};
 pub use framing::{BinaryFraming, DecodeBuf, FrameError};
 pub use queue::{Bounded, TryPush};
-pub use server::{Connection, SendMode, ServeConfig, Server, ServerHandle, SessionOp};
+pub use server::{Connection, ServeConfig, Server, ServerHandle, SessionOp};
 pub use shared::{ShareGroup, ShareStats};
 pub use stats::{ServeStats, WireStats};
 pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
@@ -83,8 +83,8 @@ pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
 pub enum ServeError {
     /// The server is shutting down (or already gone).
     Closed,
-    /// The request queue is full right now (only from a
-    /// [`SendMode::NonBlocking`] send).
+    /// The request queue is full right now: a wire pump's offer, which
+    /// never waits, is refused ([`Connection::send`] waits instead).
     Backpressure,
     /// A delta did not fit the replica's current state.
     OutOfSync(String),

@@ -15,7 +15,9 @@
 //! walk, every further one (from any client, until the next stop event)
 //! is served from the memoized result. Per subscription (client, source)
 //! the server remembers the last graph it shipped, until the client
-//! departs, and sends a [`vgraph::diff`] delta when that is smaller.
+//! departs, and sends a [`vgraph::diff`] delta when that is smaller. The
+//! step from the previous generation's record is diffed and encoded once,
+//! into the record, for every client that holds that record.
 //!
 //! A fleet (`vfleet`) extends the memo across engines: join a
 //! [`ShareGroup`] with [`Server::share_extractions`] and the engine
@@ -34,9 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ksim::image::KernelImage;
 use vbridge::BackendKind;
-use visualinux::proto::{
-    vplot_delta_json, vplot_json, vplot_json_len, SourceJson, VCommand, VResponse,
-};
+use visualinux::proto::{vplot_delta_json, vplot_json, vplot_json_len, Json, VCommand, VResponse};
 use visualinux::Session;
 use vtrace::SpanKind;
 
@@ -165,46 +165,29 @@ pub struct Connection {
     outbox: Arc<Bounded<String>>,
 }
 
-/// How a [`Connection::send`] behaves against a full request queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SendMode {
-    /// Wait for space: backpressure throttles the producer. The right
-    /// mode for dedicated client threads.
-    #[default]
-    Blocking,
-    /// Fail fast with [`ServeError::Backpressure`]. The only mode a
-    /// shared poll thread (the wire pump) may use — it must never park
-    /// on one client's behalf.
-    NonBlocking,
-}
-
 impl Connection {
-    /// Submit a command. The single submission entry point: `mode` picks
-    /// between blocking backpressure and a fast
-    /// [`ServeError::Backpressure`] failure; either way the call fails
+    /// Submit a command. A full request queue blocks the call until
+    /// there is room (backpressure throttles the producer); it fails
     /// with [`ServeError::Closed`] once the server is shutting down.
-    pub fn send(&self, cmd: &VCommand, mode: SendMode) -> Result<(), ServeError> {
-        self.send_frame(cmd.to_json(), mode)
+    pub fn send(&self, cmd: &VCommand) -> Result<(), ServeError> {
+        self.send_frame(cmd.to_json())
     }
 
-    /// Submit an already-serialized protocol frame payload — what a wire
-    /// pump forwards straight off its decoder without re-parsing.
-    pub fn send_frame(&self, payload: String, mode: SendMode) -> Result<(), ServeError> {
-        match mode {
-            SendMode::Blocking => {
-                let req = Request::Cmd {
-                    client: self.id,
-                    line: payload,
-                };
-                self.shared.reqq.push(req).map_err(|_| ServeError::Closed)
-            }
-            SendMode::NonBlocking => self.offer_frame(payload).map_err(|(e, _)| e),
-        }
+    /// Submit an already-serialized protocol frame payload, as
+    /// [`Connection::send`] does.
+    pub fn send_frame(&self, payload: String) -> Result<(), ServeError> {
+        let req = Request::Cmd {
+            client: self.id,
+            line: payload,
+        };
+        self.shared.reqq.push(req).map_err(|_| ServeError::Closed)
     }
 
-    /// [`Connection::send_frame`] without waiting, handing the payload
-    /// back with the error when the request queue is full or closed, so
-    /// a wire pump can keep it queued without copying it first.
+    /// [`Connection::send_frame`] without waiting, failing with
+    /// [`ServeError::Backpressure`] when the request queue is full, and
+    /// handing the payload back with the error, full or closed, so a
+    /// wire pump, which must never park on one client's behalf, can
+    /// keep it queued without copying it first.
     pub(crate) fn offer_frame(&self, payload: String) -> Result<(), (ServeError, String)> {
         let req = Request::Cmd {
             client: self.id,
@@ -357,32 +340,20 @@ struct SyncState {
     resync: bool,
 }
 
-/// A delta payload memoized on the extraction entry: every in-sync
-/// client stepping `base → graph` at the same seq receives the same
-/// bytes, so the diff is computed once per generation, not per client.
-struct DeltaMemo {
-    base: Arc<vgraph::Graph>,
-    seq: u64,
-    payload: String,
-}
-
 /// One source's memoized extraction: the record it serves in the
 /// current stop generation — or, until it is served again, in the one
-/// that just ended — and, in a share group, the record of the
-/// generation before. Holding both is what keeps a record alive in the
-/// group: a stop drops every entry it did not serve, so a record lives
-/// exactly while some engine can serve it or step from it.
+/// that just ended — and the record of the generation before. Holding
+/// both is what keeps a record alive in a share group: a stop drops
+/// every entry it did not serve, so a record lives exactly while some
+/// engine can serve it or step from it.
 struct MemoEntry {
     /// The source, as the memo's key holds it.
     src: Arc<str>,
     /// The source as every reply echoes it, escaped once.
-    src_json: SourceJson,
+    src_json: Json,
     plot: Arc<SharedPlot>,
-    delta: Option<DeltaMemo>,
-    /// The previous generation's record, in a share group: the base of
-    /// `plot`'s canonical step, recognized by graph pointer. Alone, an
-    /// engine has no sibling to share a step with, and the payload memo
-    /// is all the reuse there is.
+    /// The previous generation's record: the base of `plot`'s step,
+    /// recognized by graph pointer.
     prev: Option<Arc<SharedPlot>>,
     /// Served in the current generation, so requests coalesce on it.
     /// Every stop clears it: a repeated generation key still
@@ -567,16 +538,14 @@ impl Server {
                 }
                 self.record(SessionOp::Stop(mutate), !owed);
                 self.generation = generation.unwrap_or(self.generation + 1);
-                // In a share group, what the ended generation served
-                // becomes the base of the canonical steps into the new
-                // one, and the record of the generation before goes.
-                // Anything the ended generation did not serve goes.
-                let keep_prev = self.share.is_some();
+                // What the ended generation served becomes the base of
+                // the steps into the new one, and the record of the
+                // generation before goes. Anything the ended generation
+                // did not serve goes.
                 self.memo.retain(|_, m| {
                     let served = std::mem::take(&mut m.fresh);
                     if served {
-                        m.prev = keep_prev.then(|| Arc::clone(&m.plot));
-                        m.delta = None;
+                        m.prev = Some(Arc::clone(&m.plot));
                     }
                     served
                 });
@@ -682,7 +651,7 @@ impl Server {
     fn materialize(
         &mut self,
         src: &Arc<str>,
-        src_json: &SourceJson,
+        src_json: &Json,
         last: Option<&SharedPlot>,
     ) -> Result<Arc<SharedPlot>, String> {
         let replay = self.session.backend_kind() == BackendKind::Replay;
@@ -819,19 +788,17 @@ impl Server {
                 self.stats.coalesced += 1;
             } else {
                 m.plot = self.materialize(&m.src, &m.src_json, Some(&m.plot))?;
-                m.delta = None;
                 m.fresh = true;
             }
             return self.ship(client, m);
         }
         let src: Arc<str> = Arc::from(viewcl);
-        let src_json = SourceJson::new(viewcl);
+        let src_json = Json::of(viewcl);
         let plot = self.materialize(&src, &src_json, None)?;
         let m = memo.entry(Arc::clone(&src)).or_insert(MemoEntry {
             src,
             src_json,
             plot,
-            delta: None,
             prev: None,
             fresh: true,
         });
@@ -841,58 +808,40 @@ impl Server {
     /// Answer `client`'s request for `m`'s source, served in the current
     /// generation: a delta from the graph the client holds, when it has
     /// one and the delta is smaller, else the full plot.
-    fn ship(&mut self, client: u64, m: &mut MemoEntry) -> Result<String, String> {
+    fn ship(&mut self, client: u64, m: &MemoEntry) -> Result<String, String> {
         self.stats.extractions += 1;
-        let (graph, full_len) = (Arc::clone(&m.plot.graph), m.plot.full_len);
+        let plot = &m.plot;
         let subs = self.subs.entry(client).or_default();
         // A first subscription ships full, as a resync does.
         let sub = subs.entry(Arc::clone(&m.src)).or_insert_with(|| SyncState {
             seq: 0,
-            last: Arc::clone(&graph),
+            last: Arc::clone(&plot.graph),
             resync: true,
         });
-        let delta = if sub.resync {
-            None
-        } else {
-            // Lockstep fast path: every in-sync client stepping the same
-            // base graph at the same seq gets identical delta bytes, so
-            // the payload is memoized on the extraction entry. Shipped
-            // graphs are shared allocations, so "same base" is a pointer
-            // compare, not a graph walk.
+        let delta = (!sub.resync).then(|| {
+            // The step from the previous record is the same for every
+            // client holding that record, here or in a share group's
+            // sibling, so the first ship diffs and encodes it into the
+            // record and every ship copies it into its own envelope.
+            // Shipped graphs are shared allocations, so "holds that
+            // record" is a pointer compare. Any other base is diffed for
+            // this client alone.
             let seq = sub.seq + 1;
-            let reusable = m
-                .delta
-                .as_ref()
-                .is_some_and(|d| d.seq == seq && Arc::ptr_eq(&d.base, &sub.last));
-            if !reusable {
-                // The canonical step (previous record → this one) is
-                // engine-invariant: the first engine of the share group
-                // to ship it diffs it into the record, and every sibling
-                // holding the record encodes from that.
-                let canonical = m
-                    .prev
-                    .as_ref()
-                    .is_some_and(|p| Arc::ptr_eq(&p.graph, &sub.last));
-                let mut diff = || {
-                    self.stats.diffs += 1;
-                    vgraph::diff::diff(&sub.last, &m.plot.graph)
-                };
-                let payload = if canonical {
-                    vplot_delta_json(m.plot.step.get_or_init(diff), &m.src_json, seq)
-                } else {
-                    vplot_delta_json(&diff(), &m.src_json, seq)
-                };
-                m.delta = Some(DeltaMemo {
-                    base: Arc::clone(&sub.last),
-                    seq,
-                    payload,
-                });
+            let mut diff = || {
+                self.stats.diffs += 1;
+                vgraph::diff::diff(&sub.last, &plot.graph)
+            };
+            match &m.prev {
+                Some(prev) if Arc::ptr_eq(&prev.graph, &sub.last) => {
+                    let step = plot.step.get_or_init(|| Json::of(&diff()));
+                    vplot_delta_json(step, &m.src_json, seq)
+                }
+                _ => vplot_delta_json(&diff(), &m.src_json, seq),
             }
-            Some(&m.delta.as_ref().expect("just stored").payload)
-        };
-        sub.last = graph;
-        let delta = delta.filter(|d| d.len() < full_len);
-        let len = delta.map_or(full_len, |d| d.len());
+        });
+        sub.last = Arc::clone(&plot.graph);
+        let delta = delta.filter(|d| d.len() < plot.full_len);
+        let len = delta.as_ref().map_or(plot.full_len, String::len);
         if len > MAX_FRAME {
             // The client never gets this step, so its next ship is full.
             sub.resync = true;
@@ -907,15 +856,15 @@ impl Server {
                 sub.seq += 1;
                 self.stats.deltas_sent += 1;
                 self.stats.delta_bytes_sent += d.len() as u64;
-                self.stats.delta_bytes_saved += (full_len - d.len()) as u64;
-                Ok(d.clone())
+                self.stats.delta_bytes_saved += (plot.full_len - d.len()) as u64;
+                Ok(d)
             }
             // Fallback: the delta would cost more than the plot
             // (or the client lost sync) — full ship, seq resets.
             None => {
                 sub.seq = 0;
                 sub.resync = false;
-                Ok(self.ship_full(&m.plot, &m.src_json))
+                Ok(self.ship_full(plot, &m.src_json))
             }
         }
     }
@@ -925,7 +874,7 @@ impl Server {
     /// (`ServeStats::full_encodes`) into a string sized by its measured
     /// length; every later one, here or in a sibling engine holding the
     /// same cell, copies those bytes.
-    fn ship_full(&mut self, plot: &SharedPlot, src: &SourceJson) -> String {
+    fn ship_full(&mut self, plot: &SharedPlot, src: &Json) -> String {
         let mut encoded = false;
         let json = plot.full.get_or_init(|| {
             encoded = true;
@@ -1052,6 +1001,46 @@ mod tests {
     }
 
     #[test]
+    fn offered_frames_report_backpressure_then_closed() {
+        // No engine thread: the queue stays full, so the second offer
+        // must surface Backpressure rather than block.
+        let mut server = server(ServeConfig {
+            request_queue: 1,
+            client_queue: 1,
+            exit_when_idle: true,
+        });
+        let handle = server.handle();
+        let conn = handle.connect();
+        let ping = request("fig3-4").to_json();
+        let offer = |conn: &Connection| {
+            conn.offer_frame(ping.clone()).map_err(|(e, payload)| {
+                assert_eq!(payload, ping, "a refused frame is handed back");
+                e
+            })
+        };
+        offer(&conn).expect("first fits");
+        assert_eq!(offer(&conn), Err(ServeError::Backpressure));
+        // A refused offer enqueues nothing: the queue is still full.
+        assert_eq!(offer(&conn), Err(ServeError::Backpressure));
+        assert_eq!(server.shared.reqq.len(), 1);
+
+        // Graceful shutdown: queued work is still answered before the
+        // engine returns, but nothing new gets in.
+        handle.shutdown();
+        assert_eq!(offer(&conn), Err(ServeError::Closed));
+        assert!(conn.send(&request("fig3-4")).is_err());
+        server.run();
+        let reply = conn.recv().expect("queued request was served");
+        assert!(reply.contains("vplot"), "{reply}");
+        assert_eq!(conn.recv(), None, "stream closed after the drain");
+
+        let stats = server.stats();
+        assert_eq!(stats.requests, 1);
+        assert!(stats.queue_depth_max >= 1);
+        stats.reconcile().expect("books balance");
+    }
+
+    #[test]
     fn departed_clients_leave_no_subscription_and_no_pane() {
         let mut server = server(ServeConfig {
             exit_when_idle: false,
@@ -1061,7 +1050,7 @@ mod tests {
         let clients = thread::spawn(move || {
             for _ in 0..10_000 {
                 let conn = handle.connect();
-                conn.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+                conn.send(&request("fig3-4")).unwrap();
                 let reply = conn.recv().expect("a reply");
                 assert!(reply.starts_with(r#"{"command":"vplot","#), "{reply:.80}");
             }
@@ -1087,8 +1076,8 @@ mod tests {
         });
         let handle = server.handle();
         let (a, b) = (handle.connect(), handle.connect());
-        b.send(&request("fig3-4"), SendMode::Blocking).unwrap();
-        a.send(&request("fig7-1"), SendMode::Blocking).unwrap();
+        b.send(&request("fig3-4")).unwrap();
+        a.send(&request("fig7-1")).unwrap();
         // The queue is full, so neither departure can queue its `Gone`:
         // both clients are unregistered at once, with a request queued.
         drop(b);
@@ -1118,14 +1107,14 @@ mod tests {
         });
         let handle = rx.recv().unwrap();
         let (a, b, c) = (handle.connect(), handle.connect(), handle.connect());
-        b.send(&request("fig3-4"), SendMode::Blocking).unwrap();
+        b.send(&request("fig3-4")).unwrap();
         assert!(b.recv().is_some(), "b is subscribed");
         // The second reply to `a` finds its one-slot outbox full, so the
         // engine waits there; `c`'s two requests then fill the queue.
-        a.send(&request("fig3-4"), SendMode::Blocking).unwrap();
-        a.send(&request("fig7-1"), SendMode::Blocking).unwrap();
-        c.send(&request("fig3-4"), SendMode::Blocking).unwrap();
-        c.send(&request("fig7-1"), SendMode::Blocking).unwrap();
+        a.send(&request("fig3-4")).unwrap();
+        a.send(&request("fig7-1")).unwrap();
+        c.send(&request("fig3-4")).unwrap();
+        c.send(&request("fig7-1")).unwrap();
         drop(b); // no room for its `Gone`: unregistered unannounced
         for conn in [&a, &a, &c, &c] {
             assert!(conn.recv().is_some());
@@ -1145,7 +1134,7 @@ mod tests {
         let conn = server.handle().connect();
         let client = thread::spawn(move || {
             let ask = |cmd: &VCommand| {
-                conn.send(cmd, SendMode::Blocking).unwrap();
+                conn.send(cmd).unwrap();
                 conn.recv().expect("reply")
             };
             let answer = |cmd: &VCommand| VResponse::from_json(&ask(cmd)).unwrap();
@@ -1224,7 +1213,7 @@ mod tests {
                 let cmd = VCommand::VplotRequest {
                     viewcl: viewcl.to_string(),
                 };
-                conn.send(&cmd, SendMode::Blocking).unwrap();
+                conn.send(&cmd).unwrap();
                 conn.recv().expect("a reply")
             };
             let refused = ask(&big, &padded);
@@ -1310,7 +1299,7 @@ mod tests {
             let req = VCommand::VplotRequest {
                 viewcl: f.viewcl.to_string(),
             };
-            conn.send(&req, SendMode::Blocking).unwrap();
+            conn.send(&req).unwrap();
         }
         go_tx.send(()).unwrap();
         let t0 = std::time::Instant::now();

@@ -21,6 +21,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
+use visualinux::proto::Json;
 
 /// One extraction: what a memo serves for a source in one stop
 /// generation, and what a share group hands its siblings. Shared behind
@@ -44,12 +45,13 @@ pub(crate) struct SharedPlot {
     /// capture at the same position can advance their cursor over the
     /// span instead of re-enacting the walk.
     pub(crate) tape: Option<(usize, usize)>,
-    /// The canonical step: the structural diff from the previous stop
-    /// generation's record of this source to this one, filled in a
-    /// share group only. Engines stepping identical histories step
-    /// identical graphs, so the first engine to ship the step diffs it
-    /// and every holder encodes from it.
-    pub(crate) step: OnceLock<vgraph::GraphDelta>,
+    /// The step: the structural diff from the previous stop
+    /// generation's record of this source to this one, encoded as the
+    /// body of a `vplot_delta`. Engines stepping identical histories
+    /// step identical graphs, so the first ship that steps from the
+    /// previous record, in any engine holding this one, diffs and
+    /// encodes it, and every such ship copies it.
+    pub(crate) step: OnceLock<Json>,
 }
 
 /// Hit/miss accounting for one share group; a fleet sums its groups and

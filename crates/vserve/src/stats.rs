@@ -29,11 +29,12 @@ pub struct ServeStats {
     /// Extraction requests answered from a fleet's share group — a
     /// sibling engine paid the walk.
     pub shared_hits: u64,
-    /// Structural diffs computed. A record's canonical step (from the
-    /// previous generation's record) is diffed once by the first engine
-    /// to ship it, so a fleet stepping in lockstep diffs once per source
-    /// and generation step; any other base is diffed once per memoized
-    /// payload.
+    /// Structural diffs computed. A record's step (from the previous
+    /// generation's record) is diffed once, by the first ship that steps
+    /// from that record, for every client of the engine and of its share
+    /// group's siblings, whatever their sequence numbers: one diff per
+    /// source and generation step. Any other base is diffed for its
+    /// client alone.
     pub diffs: u64,
     /// Owed walks re-enacted to catch a replay session up on its
     /// journal before a local walk: shared hits whose tape span it could

@@ -12,7 +12,7 @@ use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::proto::VCommand;
 use visualinux::{figures, Session};
-use vserve::{Replica, SendMode, ServeConfig, ServeStats, Server};
+use vserve::{Replica, ServeConfig, ServeStats, Server};
 
 fn attach(incremental: bool) -> Session {
     let builder = Session::builder(build(&WorkloadConfig::default()))
@@ -70,12 +70,9 @@ fn serve_rounds(
                 .expect("stop event");
         }
         for fig in &figs {
-            conn.send(
-                &VCommand::VplotRequest {
-                    viewcl: fig.viewcl.to_string(),
-                },
-                SendMode::Blocking,
-            )
+            conn.send(&VCommand::VplotRequest {
+                viewcl: fig.viewcl.to_string(),
+            })
             .expect("send");
             let reply = conn.recv().expect("reply");
             replica.apply_line(&reply).expect("apply");

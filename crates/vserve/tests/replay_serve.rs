@@ -10,7 +10,7 @@ use ksim::workload::{build, WorkloadConfig};
 use vbridge::LatencyProfile;
 use visualinux::proto::VCommand;
 use visualinux::{figures, Session};
-use vserve::{Replica, SendMode, ServeConfig, Server};
+use vserve::{Replica, ServeConfig, Server};
 
 /// Figures requested in this exact order on both sides: replay is a
 /// strict in-order tape, and the server walks each unique source once.
@@ -60,12 +60,9 @@ fn server_serves_a_replay_capture_without_an_image() {
     let mut replica = Replica::new();
     for (id, want) in FIGS.iter().zip(&expected) {
         let fig = figures::by_id(id).unwrap();
-        conn.send(
-            &VCommand::VplotRequest {
-                viewcl: fig.viewcl.to_string(),
-            },
-            SendMode::Blocking,
-        )
+        conn.send(&VCommand::VplotRequest {
+            viewcl: fig.viewcl.to_string(),
+        })
         .expect("send");
         let reply = conn.recv().expect("reply");
         assert_eq!(&reply, want, "figure {id} diverged from the live recording");

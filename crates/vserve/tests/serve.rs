@@ -9,9 +9,7 @@ use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::proto::{VCommand, VResponse};
 use visualinux::vpanels::PaneId;
 use visualinux::{figures, Session};
-use vserve::{
-    Connection, SendMode, ServeConfig, ServeError, ServeStats, Server, ServerHandle, ShareGroup,
-};
+use vserve::{Connection, ServeConfig, ServeStats, Server, ServerHandle, ShareGroup};
 
 fn attach() -> Session {
     Session::builder(build(&WorkloadConfig::default()))
@@ -61,7 +59,7 @@ fn eight_clients_share_one_walk_and_get_identical_bytes() {
         .map(|conn| {
             let request = request.clone();
             thread::spawn(move || {
-                conn.send(&request, SendMode::Blocking).expect("send");
+                conn.send(&request).expect("send");
                 let reply = conn.recv().expect("reply");
                 conn.close();
                 reply
@@ -103,7 +101,7 @@ fn stop_events_invalidate_the_memo_in_request_order() {
 
     let (handle, engine) = spawn_engine(ServeConfig::default());
     let conn = handle.connect();
-    conn.send(&request, SendMode::Blocking).unwrap();
+    conn.send(&request).unwrap();
     let before = conn.recv().unwrap();
     let roots2 = roots.clone();
     handle
@@ -111,7 +109,7 @@ fn stop_events_invalidate_the_memo_in_request_order() {
             ksim::tick::tick(img, &roots2, 1);
         })
         .unwrap();
-    conn.send(&request, SendMode::Blocking).unwrap();
+    conn.send(&request).unwrap();
     let after = conn.recv().unwrap();
     conn.close();
     let stats = engine.join().unwrap();
@@ -144,7 +142,7 @@ fn journal_after_three_stops(share: Option<ShareGroup>, per_stop: usize) -> (Ser
     let conn = handle.connect();
     for _ in 0..3 {
         for _ in 0..per_stop {
-            conn.send(&request, SendMode::Blocking).unwrap();
+            conn.send(&request).unwrap();
             conn.recv().unwrap();
         }
         handle.stop_event(|_| {}).unwrap();
@@ -170,69 +168,18 @@ fn a_live_share_group_engine_journals_one_op_per_stop() {
 }
 
 #[test]
-fn nonblocking_send_reports_backpressure_then_closed() {
-    // No engine thread: the queue stays full, so the second
-    // non-blocking send must surface Backpressure rather than block.
-    let mut server = Server::new(
-        attach(),
-        ServeConfig {
-            request_queue: 1,
-            client_queue: 1,
-            exit_when_idle: true,
-        },
-    );
-    let handle = server.handle();
-    let conn = handle.connect();
-    let ping = VCommand::VplotRequest {
-        viewcl: figures::by_id("fig3-4").unwrap().viewcl.to_string(),
-    };
-    conn.send(&ping, SendMode::NonBlocking).expect("first fits");
-    assert_eq!(
-        conn.send(&ping, SendMode::NonBlocking),
-        Err(ServeError::Backpressure)
-    );
-    // A refused send enqueues nothing: the queue is still full.
-    assert_eq!(
-        conn.send(&ping, SendMode::NonBlocking),
-        Err(ServeError::Backpressure)
-    );
-
-    // Graceful shutdown: queued work is still answered before the
-    // engine returns, but nothing new gets in.
-    handle.shutdown();
-    assert_eq!(
-        conn.send(&ping, SendMode::NonBlocking),
-        Err(ServeError::Closed)
-    );
-    assert!(conn.send(&ping, SendMode::Blocking).is_err());
-    server.run();
-    let reply = conn.recv().expect("queued request was served");
-    assert!(reply.contains("vplot"), "{reply}");
-    assert_eq!(conn.recv(), None, "stream closed after the drain");
-
-    let stats = server.stats();
-    assert_eq!(stats.requests, 1);
-    assert!(stats.queue_depth_max >= 1);
-    stats.reconcile().expect("books balance");
-}
-
-#[test]
 fn malformed_lines_are_answered_not_fatal() {
     let (handle, engine) = spawn_engine(ServeConfig::default());
     let conn = handle.connect();
-    conn.send_frame("this is not json".to_string(), SendMode::Blocking)
-        .unwrap();
+    conn.send_frame("this is not json".to_string()).unwrap();
     let reply = conn.recv().expect("error reply");
     assert!(reply.contains("err"), "{reply}");
 
     // The server survives and keeps serving real requests.
     let fig = figures::by_id("fig3-4").unwrap();
-    conn.send(
-        &VCommand::VplotRequest {
-            viewcl: fig.viewcl.to_string(),
-        },
-        SendMode::Blocking,
-    )
+    conn.send(&VCommand::VplotRequest {
+        viewcl: fig.viewcl.to_string(),
+    })
     .unwrap();
     assert!(conn.recv().expect("real reply").contains("vplot"));
     conn.close();
@@ -255,12 +202,9 @@ fn shutdown_drains_requests_queued_by_departed_clients() {
     let handle = server.handle();
     let conn = handle.connect();
     for _ in 0..3 {
-        conn.send(
-            &VCommand::VplotRequest {
-                viewcl: fig.viewcl.to_string(),
-            },
-            SendMode::Blocking,
-        )
+        conn.send(&VCommand::VplotRequest {
+            viewcl: fig.viewcl.to_string(),
+        })
         .expect("queued while the engine is not yet running");
     }
     // The client hangs up with its requests still queued, then the
@@ -291,7 +235,7 @@ fn shutdown_drains_requests_queued_by_departed_clients() {
 
 /// The reply to `cmd` on `conn`, parsed.
 fn ask(conn: &Connection, cmd: &VCommand) -> VResponse {
-    conn.send(cmd, SendMode::Blocking).unwrap();
+    conn.send(cmd).unwrap();
     VResponse::from_json(&conn.recv().expect("a reply")).unwrap()
 }
 
@@ -300,7 +244,7 @@ fn assert_served(conn: &Connection) {
     let request = VCommand::VplotRequest {
         viewcl: figures::by_id("fig3-4").unwrap().viewcl.to_string(),
     };
-    conn.send(&request, SendMode::Blocking).unwrap();
+    conn.send(&request).unwrap();
     let plot = conn.recv().expect("a reply");
     assert!(plot.starts_with(r#"{"command":"vplot""#), "{plot:.80}");
 }

@@ -12,7 +12,7 @@ use ksim::workload::{build, WorkloadConfig, WorkloadRoots};
 use vbridge::LatencyProfile;
 use visualinux::proto::VCommand;
 use visualinux::{figures, Session};
-use vserve::{Connection, SendMode, ServeConfig, ServeStats, Server, ServerHandle, ShareGroup};
+use vserve::{Connection, ServeConfig, ServeStats, Server, ServerHandle, ShareGroup};
 
 const FIGS: [&str; 2] = ["fig3-4", "fig7-1"];
 
@@ -66,7 +66,7 @@ impl Engine {
         for id in FIGS {
             let viewcl = figures::by_id(id).unwrap().viewcl.to_string();
             let req = VCommand::VplotRequest { viewcl };
-            self.conn.send(&req, SendMode::Blocking).unwrap();
+            self.conn.send(&req).unwrap();
         }
         for _ in FIGS {
             let reply = self.conn.recv().expect("reply");

@@ -18,8 +18,8 @@ use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::proto::{VCommand, VResponse, VERSION};
 use visualinux::{figures, Session};
 use vserve::{
-    byte_pair, Io, PumpHandle, SendMode, ServeConfig, ServeStats, Server, ServerHandle,
-    SingleSession, WireClient, WireConfig, WirePump, WireStats,
+    byte_pair, Io, PumpHandle, ServeConfig, ServeStats, Server, ServerHandle, SingleSession,
+    WireClient, WireConfig, WirePump, WireStats,
 };
 
 /// An engine on its own thread behind a pump configured by `cfg`.
@@ -151,7 +151,7 @@ fn serve_profile(profile: LatencyProfile, rounds: u64) {
             };
             first.send(&request).unwrap();
             second.send(&request).unwrap();
-            direct.send(&request, SendMode::Blocking).unwrap();
+            direct.send(&request).unwrap();
             let over_binary = first.recv().unwrap().expect("binary reply");
             let over_second = second.recv().unwrap().expect("second reply");
             let wireless = direct.recv().expect("direct reply");
@@ -235,7 +235,7 @@ fn a_connection_past_the_limit_is_refused_and_the_admitted_stay_served() {
         };
         first.send(&request).unwrap();
         second.send(&request).unwrap();
-        direct.send(&request, SendMode::Blocking).unwrap();
+        direct.send(&request).unwrap();
         let a = first.recv().unwrap().expect("first reply");
         let b = second.recv().unwrap().expect("second reply");
         let wireless = direct.recv().expect("direct reply");
