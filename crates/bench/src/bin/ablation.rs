@@ -2,7 +2,7 @@
 //! *prune*, *flatten*, *distill* — by plotting the same state with and
 //! without each one and comparing extraction cost and plot size.
 
-use bench::{attach, attach_cached, TablePrinter};
+use bench::{attach, attach_cached, attribute, exit_on_drift, TablePrinter};
 use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::{PlotSpec, Session};
 
@@ -114,8 +114,6 @@ plot @t
 /// `TargetStats` aggregates bit-for-bit. Chrome trace JSON goes to
 /// `$VTRACE_OUT` (default `ablation-trace.json`).
 fn run_trace() {
-    use vtrace::{Counters, SpanKind};
-
     let mut session = attach(LatencyProfile::gdb_qemu());
     session.enable_tracing();
     println!("Ablation (--trace): per-stage attribution, QEMU profile (virtual time)\n");
@@ -149,43 +147,14 @@ fn run_trace() {
         let pane = session.plot(PlotSpec::Source(src)).expect("plot");
         let stats = session.plot_stats(pane).unwrap().target;
         let trace = session.vtrace(pane).expect("tracing is on");
-        if let Err(e) = trace.check_well_formed() {
-            drift.push(format!("{name}: ill-formed span tree: {e}"));
-        }
-        let mut walk = Counters::default();
-        let mut distill = Counters::default();
-        let mut rest = Counters::default();
-        for sp in trace.flatten() {
-            let own = sp.own();
-            match sp.kind {
-                SpanKind::Interp => walk = walk.plus(own),
-                SpanKind::Distill => distill = distill.plus(own),
-                _ => rest = rest.plus(own),
-            }
-        }
-        let tot = trace.totals();
-        if walk.plus(distill).plus(rest) != tot {
-            drift.push(format!("{name}: stage sum != span totals"));
-        }
-        let from_stats = Counters {
-            packets: stats.reads,
-            bytes: stats.bytes,
-            virtual_ns: stats.virtual_ns,
-            cache_hits: stats.cache_hits,
-            faults: stats.faults,
-        };
-        if tot != from_stats {
-            drift.push(format!(
-                "{name}: span totals {tot:?} != TargetStats {from_stats:?}"
-            ));
-        }
+        let st = attribute(name, &trace, &stats, &mut drift);
         t.row(&[
             name.to_string(),
-            format!("{:.2}", ms(walk.virtual_ns)),
-            format!("{:.2}", ms(distill.virtual_ns)),
-            format!("{:.2}", ms(rest.virtual_ns)),
-            format!("{:.2}", ms(tot.virtual_ns)),
-            format!("{}", tot.packets),
+            format!("{:.2}", ms(st.walk.virtual_ns)),
+            format!("{:.2}", ms(st.distill.virtual_ns)),
+            format!("{:.2}", ms(st.parse.plus(st.rest).virtual_ns)),
+            format!("{:.2}", ms(st.total.virtual_ns)),
+            format!("{}", st.total.packets),
         ]);
     }
     t.sep();
@@ -193,18 +162,11 @@ fn run_trace() {
     let out = std::env::var("VTRACE_OUT").unwrap_or_else(|_| "ablation-trace.json".to_string());
     std::fs::write(&out, session.export_chrome_trace()).expect("write chrome trace");
     println!("\nchrome trace:   {out}");
-    if drift.is_empty() {
-        println!(
-            "reconciliation: all {} plots match TargetStats bit-for-bit [clean]",
-            plots.len()
-        );
-    } else {
-        eprintln!("\nTRACE/STAT RECONCILIATION DRIFT:");
-        for d in &drift {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_drift(&drift);
+    println!(
+        "reconciliation: all {} plots match TargetStats bit-for-bit [clean]",
+        plots.len()
+    );
 }
 
 fn main() {

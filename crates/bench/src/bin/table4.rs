@@ -6,7 +6,10 @@
 //! cost model's; the claims preserved are the *shape*: the KGDB/QEMU
 //! per-object ratio (~50x), the per-KB band, and the figure ranking.
 
-use bench::{attach, attach_cached, attach_incr, TablePrinter, TABLE4_FIGURES};
+use bench::{
+    attach, attach_cached, attach_incr, attribute, counters, exit_on_drift, TablePrinter,
+    TABLE4_FIGURES,
+};
 use vbridge::{CacheConfig, LatencyProfile};
 use visualinux::{figures, PlotSpec};
 
@@ -72,18 +75,11 @@ fn measure_incr(profile: LatencyProfile) -> Vec<(f64, u64)> {
 
     let mut session = attach_incr(profile, CacheConfig::default());
     session.enable_tracing();
-    let bill = |s: &vbridge::TargetStats| Counters {
-        packets: s.reads,
-        bytes: s.bytes,
-        virtual_ns: s.virtual_ns,
-        cache_hits: s.cache_hits,
-        faults: s.faults,
-    };
     let mut acc = Counters::default();
     for id in TABLE4_FIGURES {
         let fig = figures::by_id(id).expect("figure exists");
         let (_, s) = session.extract(fig.viewcl).expect("figure extracts");
-        acc = acc.plus(bill(&s.target));
+        acc = acc.plus(counters(&s.target));
     }
     let roots = session.roots.clone();
     session
@@ -95,7 +91,7 @@ fn measure_incr(profile: LatencyProfile) -> Vec<(f64, u64)> {
     for id in TABLE4_FIGURES {
         let fig = figures::by_id(id).expect("figure exists");
         let (_, s) = session.extract(fig.viewcl).expect("figure extracts");
-        acc = acc.plus(bill(&s.target));
+        acc = acc.plus(counters(&s.target));
         rows.push((s.total_ms(), s.target.reads));
     }
     let clock = session.tracer().expect("tracing is on").clock();
@@ -115,8 +111,6 @@ fn measure_incr(profile: LatencyProfile) -> Vec<(f64, u64)> {
 /// is written as Chrome `trace_event` JSON to `$VTRACE_OUT`
 /// (default `table4-trace.json`).
 fn run_trace() {
-    use vtrace::{Counters, SpanKind};
-
     let mut session = attach(LatencyProfile::kgdb_rpi400());
     session.enable_tracing();
     println!("Table 4 (--trace): per-stage attribution, KGDB profile (virtual time)\n");
@@ -144,54 +138,16 @@ fn run_trace() {
         let pane = session.plot(PlotSpec::Figure(id)).expect("figure extracts");
         let stats = session.plot_stats(pane).unwrap().target;
         let trace = session.vtrace(pane).expect("tracing is on");
-        if let Err(e) = trace.check_well_formed() {
-            drift.push(format!("{id}: ill-formed span tree: {e}"));
-        }
-
-        // Exclusive (own) cost per pipeline stage.
-        let mut parse = Counters::default();
-        let mut walk = Counters::default();
-        let mut distill = Counters::default();
-        let mut rest = Counters::default();
-        for sp in trace.flatten() {
-            let own = sp.own();
-            match sp.kind {
-                SpanKind::Parse => parse = parse.plus(own),
-                SpanKind::Interp => walk = walk.plus(own),
-                SpanKind::Distill => distill = distill.plus(own),
-                _ => rest = rest.plus(own),
-            }
-        }
-        let sum = parse.plus(walk).plus(distill).plus(rest);
-
-        // Bit-for-bit reconciliation: stage rows vs the span-tree root
-        // vs the bridge's own TargetStats.
-        let tot = trace.totals();
-        if sum != tot {
-            drift.push(format!("{id}: stage sum {sum:?} != span totals {tot:?}"));
-        }
-        let from_stats = Counters {
-            packets: stats.reads,
-            bytes: stats.bytes,
-            virtual_ns: stats.virtual_ns,
-            cache_hits: stats.cache_hits,
-            faults: stats.faults,
-        };
-        if tot != from_stats {
-            drift.push(format!(
-                "{id}: span totals {tot:?} != TargetStats {from_stats:?}"
-            ));
-        }
-
+        let st = attribute(id, &trace, &stats, &mut drift);
         t.row(&[
             id.to_string(),
-            format!("{:.2}", ms(parse.virtual_ns)),
-            format!("{:.1}", ms(walk.virtual_ns)),
-            format!("{:.1}", ms(distill.virtual_ns)),
-            format!("{:.2}", ms(rest.virtual_ns)),
-            format!("{:.1}", ms(tot.virtual_ns)),
-            format!("{}", tot.packets),
-            format!("{}", tot.faults),
+            format!("{:.2}", ms(st.parse.virtual_ns)),
+            format!("{:.1}", ms(st.walk.virtual_ns)),
+            format!("{:.1}", ms(st.distill.virtual_ns)),
+            format!("{:.2}", ms(st.rest.virtual_ns)),
+            format!("{:.1}", ms(st.total.virtual_ns)),
+            format!("{}", st.total.packets),
+            format!("{}", st.total.faults),
         ]);
     }
     t.sep();
@@ -200,19 +156,12 @@ fn run_trace() {
     std::fs::write(&out, session.export_chrome_trace()).expect("write chrome trace");
     println!("\nchrome trace:   {out} (load in chrome://tracing or ui.perfetto.dev)");
 
-    if drift.is_empty() {
-        println!(
-            "reconciliation: all {} figures' per-stage rows sum to their \
-             aggregates bit-for-bit [clean]",
-            TABLE4_FIGURES.len()
-        );
-    } else {
-        eprintln!("\nTRACE/STAT RECONCILIATION DRIFT:");
-        for d in &drift {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_drift(&drift);
+    println!(
+        "reconciliation: all {} figures' per-stage rows sum to their \
+         aggregates bit-for-bit [clean]",
+        TABLE4_FIGURES.len()
+    );
 }
 
 /// `--serve` mode: replay the Table-4 corpus through the concurrent

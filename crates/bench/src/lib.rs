@@ -21,8 +21,9 @@
 //! interpreter performance on the same plots.
 
 use ksim::workload::{build, WorkloadConfig};
-use vbridge::{CacheConfig, LatencyProfile};
+use vbridge::{CacheConfig, LatencyProfile, TargetStats};
 use visualinux::Session;
+use vtrace::{Counters, SpanKind, TraceSpan};
 
 /// The figure ids measured in Table 4, in the paper's row order
 /// (19-1 and 19-2 merged like the paper's "Fig 19-1/2" row).
@@ -77,6 +78,87 @@ pub fn attach_incr(profile: LatencyProfile, cfg: CacheConfig) -> Session {
         .incremental()
         .attach()
         .unwrap()
+}
+
+/// The five counts a `TargetStats` shares with the spans, as span
+/// [`Counters`].
+pub fn counters(s: &TargetStats) -> Counters {
+    Counters {
+        packets: s.reads,
+        bytes: s.bytes,
+        virtual_ns: s.virtual_ns,
+        cache_hits: s.cache_hits,
+        faults: s.faults,
+    }
+}
+
+/// One plot's cost by pipeline stage: the exclusive (own) counters of
+/// its spans, summed by kind, and the trace's inclusive totals.
+#[derive(Debug, Default)]
+pub struct Stages {
+    /// ViewCL parsing.
+    pub parse: Counters,
+    /// The interpreter's walk outside the distillers.
+    pub walk: Counters,
+    /// Distiller walks.
+    pub distill: Counters,
+    /// Every other stage.
+    pub rest: Counters,
+    /// The trace root's inclusive totals.
+    pub total: Counters,
+}
+
+/// Split the plot `label`, traced as `trace` and metered as `stats`,
+/// into its [`Stages`], and push to `drift` each way the trace fails to
+/// account for the plot: an ill-formed span tree, stage rows that do not
+/// sum to the span totals, and span totals that are not its stats.
+pub fn attribute(
+    label: &str,
+    trace: &TraceSpan,
+    stats: &TargetStats,
+    drift: &mut Vec<String>,
+) -> Stages {
+    if let Err(e) = trace.check_well_formed() {
+        drift.push(format!("{label}: ill-formed span tree: {e}"));
+    }
+    let mut st = Stages {
+        total: trace.totals(),
+        ..Stages::default()
+    };
+    for sp in trace.flatten() {
+        let stage = match sp.kind {
+            SpanKind::Parse => &mut st.parse,
+            SpanKind::Interp => &mut st.walk,
+            SpanKind::Distill => &mut st.distill,
+            _ => &mut st.rest,
+        };
+        *stage = stage.plus(sp.own());
+    }
+    let tot = st.total;
+    let sum = st.parse.plus(st.walk).plus(st.distill).plus(st.rest);
+    if sum != tot {
+        drift.push(format!("{label}: stage sum {sum:?} != span totals {tot:?}"));
+    }
+    let from_stats = counters(stats);
+    if tot != from_stats {
+        drift.push(format!(
+            "{label}: span totals {tot:?} != TargetStats {from_stats:?}"
+        ));
+    }
+    st
+}
+
+/// End a `--trace` run that found `drift`: print it and exit 1. Returns
+/// when there is none.
+pub fn exit_on_drift(drift: &[String]) {
+    if drift.is_empty() {
+        return;
+    }
+    eprintln!("\nTRACE/STAT RECONCILIATION DRIFT:");
+    for d in drift {
+        eprintln!("  {d}");
+    }
+    std::process::exit(1);
 }
 
 /// Markdown-ish table printer with fixed-width columns.

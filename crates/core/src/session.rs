@@ -650,7 +650,7 @@ impl Session {
     }
 
     /// Turn on vtrace span recording for this session. Idempotent;
-    /// returns the (shared) tracer so callers can read the wire log or
+    /// returns the (shared) tracer so callers can read its clock or
     /// drain finished spans directly.
     pub fn enable_tracing(&mut self) -> Rc<Tracer> {
         if self.tracer.is_none() {
@@ -2004,7 +2004,9 @@ plot @m
             .attach()
             .unwrap();
         assert!(!s.tracing_enabled());
-        assert!(s.vtrace(PaneId(0)).is_none());
+        let untraced = s.plot(PlotSpec::Figure("fig3-6")).unwrap();
+        assert!(s.vtrace(untraced).is_none());
+        assert!(s.plot_stats(untraced).unwrap().target.reads > 0);
         s.enable_tracing();
         assert!(s.tracing_enabled());
 
@@ -2021,7 +2023,9 @@ plot @m
 
         // The trace includes the extraction plus the (wire-silent) render
         // and refine; its counters must reconcile with TargetStats
-        // exactly — same clock, mirrored increments, telescoping sums.
+        // exactly — one meter, telescoping sums. The tracer's clock
+        // holds this plot alone: the untraced plot before it counted
+        // into its own target's meter.
         let target = s.plot_stats(pane).unwrap().target;
         let tot = trace.totals();
         assert_eq!(tot.packets, target.reads);
@@ -2030,6 +2034,7 @@ plot @m
         assert_eq!(tot.cache_hits, target.cache_hits);
         assert_eq!(tot.faults, target.faults);
         assert_eq!(trace.leaf_totals(), tot);
+        assert_eq!(s.tracer().unwrap().clock(), tot);
 
         // The span tree shows the whole pipeline: extract with parse +
         // interp children, distiller spans inside interp, plus the render

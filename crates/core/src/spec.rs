@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use ksim::corpus::fnv64;
 use ksim::workload::{build, WorkloadConfig};
 use vbridge::{CacheConfig, Capture, LatencyProfile};
 
@@ -99,17 +100,6 @@ impl SessionSpec {
     }
 }
 
-/// FNV-1a, 64-bit: stable across processes (unlike `DefaultHasher`'s
-/// unspecified keys), so fingerprints are reproducible in bench output.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +109,11 @@ mod tests {
         let a = SessionSpec::live(WorkloadConfig::default(), LatencyProfile::free());
         let b = SessionSpec::live(WorkloadConfig::default(), LatencyProfile::free());
         assert_eq!(a.fingerprint(), b.fingerprint(), "equal specs pool");
+        assert_eq!(
+            a.fingerprint(),
+            0x76e0_97e9_8497_77aa,
+            "stable across builds"
+        );
         let c = SessionSpec::live(
             WorkloadConfig {
                 processes: 7,

@@ -237,9 +237,10 @@ impl WorkloadConfig {
     }
 }
 
-/// FNV-1a, 64-bit — stable across processes, mirroring the session-spec
-/// fingerprint in `visualinux::spec`.
-fn fnv64(data: &[u8]) -> u64 {
+/// FNV-1a, 64-bit: stable across processes (unlike `DefaultHasher`'s
+/// unspecified keys), so scenario and session-spec fingerprints are
+/// reproducible in fixtures and bench output.
+pub fn fnv64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in data {
         h ^= *b as u64;

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use kmem::{Mem, MemError, SymbolTable};
 use ktypes::{CValue, TypeId, TypeKind, TypeRegistry};
-use vtrace::Tracer;
+use vtrace::{Counters, Meter, Tracer};
 
 use crate::backend::{BackendError, BackendKind, SimBackend, TargetBackend};
 use crate::cache::BlockCache;
@@ -256,6 +256,11 @@ fn each_served(
 /// `&self`; the counters are interior-mutable, mirroring how observing a
 /// stopped target does not change it.
 ///
+/// The packets, bytes, virtual time, cache hits and faults it counts go
+/// into one [`Meter`]: its own, or its tracer's once
+/// [`Target::set_tracer`] attaches one, so the spans read the counts
+/// [`Target::stats`] reports.
+///
 /// With [`Target::with_cache`] the target additionally routes reads
 /// through a shared [`BlockCache`]: misses fetch whole aligned blocks as
 /// one packet each, hits are free, and results — values *and* faults —
@@ -268,13 +273,13 @@ pub struct Target<'a> {
     pub symbols: &'a SymbolTable,
     profile: LatencyProfile,
     cache: Option<&'a BlockCache>,
-    reads: Cell<u64>,
-    bytes: Cell<u64>,
-    virtual_ns: Cell<u64>,
-    cache_hits: Cell<u64>,
+    /// Counts the untraced target's packets, bytes, virtual time, cache
+    /// hits and faults.
+    meter: Meter,
+    /// Where the meter stood when the stats began.
+    start: Cell<Counters>,
     cache_misses: Cell<u64>,
     packets_saved: Cell<u64>,
-    faults: Cell<u64>,
     vincr_hits: Cell<u64>,
     vincr_rewalks: Cell<u64>,
     dirty_bytes: Cell<u64>,
@@ -328,13 +333,10 @@ impl<'a> Target<'a> {
             symbols,
             profile,
             cache: None,
-            reads: Cell::new(0),
-            bytes: Cell::new(0),
-            virtual_ns: Cell::new(0),
-            cache_hits: Cell::new(0),
+            meter: Meter::default(),
+            start: Cell::new(Counters::default()),
             cache_misses: Cell::new(0),
             packets_saved: Cell::new(0),
-            faults: Cell::new(0),
             vincr_hits: Cell::new(0),
             vincr_rewalks: Cell::new(0),
             dirty_bytes: Cell::new(0),
@@ -378,12 +380,17 @@ impl<'a> Target<'a> {
         }
     }
 
-    /// Mirror every metered event into `tracer`: each wire packet, cache
-    /// hit and fault is reported as it happens, so the tracer's clock
-    /// advances in lock-step with [`Target::stats`] — the reconciliation
-    /// invariant the vtrace test suite checks bit-for-bit.
+    /// Count every wire packet, cache hit and fault into `tracer`'s
+    /// meter, the clock its spans read, instead of this target's own.
+    /// The stats' packets, bytes, virtual time, cache hits and faults
+    /// begin again at the attach, so attach before the first read.
+    ///
+    /// Those five stats are the meter's advance since they began, so a
+    /// session's targets meter one after another, never at once: what
+    /// another target counted into the same tracer meanwhile would be
+    /// in them too.
     pub fn set_tracer(&mut self, tracer: Rc<Tracer>) {
-        tracer.set_backend(self.backend.kind().as_str());
+        self.start.set(tracer.meter().now());
         self.tracer = Some(tracer);
     }
 
@@ -392,17 +399,23 @@ impl<'a> Target<'a> {
         self.tracer.as_ref()
     }
 
+    /// The meter this target counts into: its tracer's, or its own.
+    fn meter(&self) -> &Meter {
+        self.tracer.as_ref().map_or(&self.meter, |t| t.meter())
+    }
+
     /// Snapshot the access statistics.
     pub fn stats(&self) -> TargetStats {
+        let m = self.meter().now().since(self.start.get());
         TargetStats {
             backend: self.backend.kind(),
-            reads: self.reads.get(),
-            bytes: self.bytes.get(),
-            virtual_ns: self.virtual_ns.get(),
-            cache_hits: self.cache_hits.get(),
+            reads: m.packets,
+            bytes: m.bytes,
+            virtual_ns: m.virtual_ns,
+            cache_hits: m.cache_hits,
             cache_misses: self.cache_misses.get(),
             packets_saved: self.packets_saved.get(),
-            faults: self.faults.get(),
+            faults: m.faults,
             vincr_hits: self.vincr_hits.get(),
             vincr_rewalks: self.vincr_rewalks.get(),
             dirty_bytes: self.dirty_bytes.get(),
@@ -412,13 +425,9 @@ impl<'a> Target<'a> {
 
     /// Reset the access statistics (e.g. between benchmark plots).
     pub fn reset_stats(&self) {
-        self.reads.set(0);
-        self.bytes.set(0);
-        self.virtual_ns.set(0);
-        self.cache_hits.set(0);
+        self.start.set(self.meter().now());
         self.cache_misses.set(0);
         self.packets_saved.set(0);
-        self.faults.set(0);
         self.vincr_hits.set(0);
         self.vincr_rewalks.set(0);
         self.dirty_bytes.set(0);
@@ -607,39 +616,19 @@ impl<'a> Target<'a> {
         packets
     }
 
-    fn account(&self, addr: u64, len: u64) {
-        let cost = self.profile.cost_ns(len);
-        self.reads.set(self.reads.get() + 1);
-        self.bytes.set(self.bytes.get() + len);
-        self.virtual_ns.set(self.virtual_ns.get() + cost);
-        if let Some(t) = &self.tracer {
-            t.on_wire_packet(addr, len, cost);
-        }
+    fn account(&self, len: u64) {
+        self.meter().packet(len, self.profile.cost_ns(len));
     }
 
     fn note_saved(&self, n: u64) {
         self.packets_saved.set(self.packets_saved.get() + n);
     }
 
-    fn note_hit(&self, addr: u64, len: u64) {
-        self.cache_hits.set(self.cache_hits.get() + 1);
-        if let Some(t) = &self.tracer {
-            t.on_cache_hit(addr, len);
-        }
-    }
-
-    fn note_fault(&self, addr: u64) {
-        self.faults.set(self.faults.get() + 1);
-        if let Some(t) = &self.tracer {
-            t.on_fault(addr);
-        }
-    }
-
     /// Convert a wire error, counting a fault only for real target memory
     /// faults — a replay divergence is a tooling error, not a wild read.
-    fn wire_err(&self, addr: u64, e: BackendError) -> BridgeError {
+    fn wire_err(&self, e: BackendError) -> BridgeError {
         if matches!(e, BackendError::Mem(_)) {
-            self.note_fault(addr);
+            self.meter().fault();
         }
         BridgeError::from(e)
     }
@@ -658,11 +647,11 @@ impl<'a> Target<'a> {
         let last = cache.base_of(addr + len - 1);
         while base <= last {
             if cache.contains(base) {
-                self.note_hit(base, bs);
+                self.meter().cache_hit();
             } else {
                 let mut block = vec![0u8; bs as usize];
                 if self.backend.read(base, &mut block).is_ok() {
-                    self.account(base, bs);
+                    self.account(bs);
                     self.cache_misses.set(self.cache_misses.get() + 1);
                     cache.insert(base, block.into_boxed_slice());
                 } else {
@@ -670,7 +659,7 @@ impl<'a> Target<'a> {
                     // exact request (the serve path reports the fault).
                     let start = base.max(addr);
                     let end = (base + bs).min(addr + len);
-                    self.account(start, end - start);
+                    self.account(end - start);
                 }
                 packets += 1;
             }
@@ -694,7 +683,7 @@ impl<'a> Target<'a> {
         if cache.base_of(addr + out.len() as u64 - 1) == base
             && cache.copy_from(base, (addr - base) as usize, out)
         {
-            self.note_hit(base, cache.block_size());
+            self.meter().cache_hit();
             self.note_saved(1);
             return Ok(());
         }
@@ -712,7 +701,7 @@ impl<'a> Target<'a> {
             if !cache.copy_from(base, off, &mut out[pos..pos + n]) {
                 self.backend
                     .read(a, &mut out[pos..pos + n])
-                    .map_err(|e| self.wire_err(a, e))?;
+                    .map_err(|e| self.wire_err(e))?;
             }
             pos += n;
         }
@@ -723,10 +712,8 @@ impl<'a> Target<'a> {
     pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<()> {
         let res = match self.cache {
             None => {
-                self.account(addr, out.len() as u64);
-                self.backend
-                    .read(addr, out)
-                    .map_err(|e| self.wire_err(addr, e))
+                self.account(out.len() as u64);
+                self.backend.read(addr, out).map_err(|e| self.wire_err(e))
             }
             Some(c) => self.read_through_cache(c, addr, out),
         };
@@ -768,11 +755,9 @@ impl<'a> Target<'a> {
         match self.cache {
             None => {
                 let mut rem = fetched;
-                let mut off = 0u64;
                 while rem > 0 {
                     let n = rem.min(CSTR_CHUNK);
-                    self.account(addr + off, n);
-                    off += n;
+                    self.account(n);
                     rem -= n;
                 }
             }
@@ -783,7 +768,7 @@ impl<'a> Target<'a> {
                 }
             }
         }
-        let res = res.map_err(|e| self.wire_err(addr, e));
+        let res = res.map_err(|e| self.wire_err(e));
         self.log_request(addr, fetched, &res);
         res
     }
@@ -831,7 +816,7 @@ impl<'a> Target<'a> {
             }
         };
         let read = self.backend.read(start, buf);
-        self.account(start, span);
+        self.account(span);
         if read.is_err() {
             return (1, 0);
         }
@@ -1079,42 +1064,50 @@ mod tests {
 
     #[test]
     fn tracer_clock_tracks_stats_exactly() {
-        use std::rc::Rc;
         let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
-        let cache = BlockCache::new(CacheConfig::default());
         let tracer = Rc::new(Tracer::new());
-        let mut target = Target::with_cache(
-            &img.mem,
-            &img.types,
-            &img.symbols,
-            LatencyProfile::kgdb_rpi400(),
-            &cache,
-        );
-        target.set_tracer(tracer.clone());
-        // Exercise every metering path: cached reads (miss + hit), a
-        // hinted span read back, a cstr, and a wild fault.
-        let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let _ = target.read_uint(roots.init_task, 8).unwrap();
-        target.prefetch(roots.init_task + 512, 16);
-        let _ = target.read_uint(roots.init_task + 512, 8).unwrap();
-        let _ = target.read_uint(roots.init_task + 520, 8).unwrap();
-        let _ = target.read_cstr(roots.init_task + 0x10, 16);
-        let _ = target.read_uint(0xdead_0000_0000, 8);
-        let s = target.stats();
-        let c = tracer.clock();
-        assert_eq!(c.packets, s.reads);
-        assert_eq!(c.bytes, s.bytes);
-        assert_eq!(c.virtual_ns, s.virtual_ns);
-        assert_eq!(c.cache_hits, s.cache_hits);
-        assert_eq!(c.faults, s.faults);
-        // The wire log saw every packet and every hit.
-        assert!(tracer.wire_seen() >= s.reads + s.cache_hits);
-        let evs = tracer.wire_events();
-        assert_eq!(
-            evs.iter().filter(|e| !e.cache_hit && e.len > 0).count() as u64,
-            s.reads
-        );
-        assert!(evs.iter().any(|e| e.fault), "the wild read is flagged");
+        // Exercise every metering path, on a cold cache each time:
+        // cached reads (miss + hit), a hinted span read back, a cstr,
+        // and a wild fault.
+        let drive = |traced: bool| {
+            let cache = BlockCache::new(CacheConfig::default());
+            let mut target = Target::with_cache(
+                &img.mem,
+                &img.types,
+                &img.symbols,
+                LatencyProfile::kgdb_rpi400(),
+                &cache,
+            );
+            if traced {
+                target.set_tracer(tracer.clone());
+            }
+            let _ = target.read_uint(roots.init_task, 8).unwrap();
+            let _ = target.read_uint(roots.init_task, 8).unwrap();
+            target.prefetch(roots.init_task + 512, 16);
+            let _ = target.read_uint(roots.init_task + 512, 8).unwrap();
+            let _ = target.read_uint(roots.init_task + 520, 8).unwrap();
+            let _ = target.read_cstr(roots.init_task + 0x10, 16);
+            let _ = target.read_uint(0xdead_0000_0000, 8);
+            target.stats()
+        };
+        let counters = |s: TargetStats| Counters {
+            packets: s.reads,
+            bytes: s.bytes,
+            virtual_ns: s.virtual_ns,
+            cache_hits: s.cache_hits,
+            faults: s.faults,
+        };
+        let first = drive(true);
+        assert_eq!(tracer.clock(), counters(first));
+        assert!(first.reads > 0 && first.cache_hits > 0 && first.faults == 1);
+        // A second target on the same tracer reports its own reads
+        // only; the clock holds both.
+        let second = drive(true);
+        assert_eq!(second, first);
+        assert_eq!(tracer.clock(), counters(first).plus(counters(second)));
+        // Untraced, the same reads count the same.
+        assert_eq!(drive(false), first);
+        assert_eq!(tracer.clock(), counters(first).plus(counters(second)));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::time::Duration;
 use visualinux::proto::VResponse;
 
 use crate::framing::{negotiate_server, parse_hello, BinaryFraming, DecodeBuf};
-use crate::queue::{Bounded, Wake};
+use crate::queue::{Bounded, TryPush, Wake};
 use crate::server::{Connection, ServerHandle};
 use crate::stats::WireStats;
 use crate::wire::Io;
@@ -496,12 +496,12 @@ impl WirePump {
                     self.stats.frames_in += 1;
                     progress = true;
                 }
-                Err((ServeError::Backpressure, frame)) => {
+                Err(TryPush::Full(frame)) => {
                     lane.pending.push_front(frame);
                     self.stats.engine_busy += 1;
                     break;
                 }
-                Err((_, frame)) => {
+                Err(TryPush::Closed(frame)) => {
                     // Engine gone; flush what we owe and end the lane.
                     lane.pending.push_front(frame);
                     lane.closing = true;

@@ -83,9 +83,6 @@ pub use wire::{byte_pair, ChanIo, Io, StreamIo, WireClient};
 pub enum ServeError {
     /// The server is shutting down (or already gone).
     Closed,
-    /// The request queue is full right now: a wire pump's offer, which
-    /// never waits, is refused ([`Connection::send`] waits instead).
-    Backpressure,
     /// A delta did not fit the replica's current state.
     OutOfSync(String),
     /// The peer spoke something that is not the protocol.
@@ -96,7 +93,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Closed => write!(f, "server closed"),
-            ServeError::Backpressure => write!(f, "request queue full"),
             ServeError::OutOfSync(m) => write!(f, "replica out of sync: {m}"),
             ServeError::Protocol(m) => write!(f, "protocol error: {m}"),
         }

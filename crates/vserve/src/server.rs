@@ -183,25 +183,22 @@ impl Connection {
         self.shared.reqq.push(req).map_err(|_| ServeError::Closed)
     }
 
-    /// [`Connection::send_frame`] without waiting, failing with
-    /// [`ServeError::Backpressure`] when the request queue is full, and
-    /// handing the payload back with the error, full or closed, so a
-    /// wire pump, which must never park on one client's behalf, can
-    /// keep it queued without copying it first.
-    pub(crate) fn offer_frame(&self, payload: String) -> Result<(), (ServeError, String)> {
+    /// [`Connection::send_frame`] without waiting: the queue's refusal,
+    /// full or closed, hands the payload back, so a wire pump, which
+    /// must never park on one client's behalf, can keep it queued
+    /// without copying it first.
+    pub(crate) fn offer_frame(&self, payload: String) -> Result<(), TryPush<String>> {
         let req = Request::Cmd {
             client: self.id,
             line: payload,
         };
-        self.shared.reqq.try_push(req).map_err(|e| {
-            let (err, req) = match e {
-                TryPush::Full(req) => (ServeError::Backpressure, req),
-                TryPush::Closed(req) => (ServeError::Closed, req),
-            };
-            match req {
-                Request::Cmd { line, .. } => (err, line),
-                _ => unreachable!("a frame is offered as a command"),
-            }
+        let line = |req| match req {
+            Request::Cmd { line, .. } => line,
+            _ => unreachable!("a frame is offered as a command"),
+        };
+        self.shared.reqq.try_push(req).map_err(|e| match e {
+            TryPush::Full(req) => TryPush::Full(line(req)),
+            TryPush::Closed(req) => TryPush::Closed(line(req)),
         })
     }
 
@@ -1003,7 +1000,7 @@ mod tests {
     #[test]
     fn offered_frames_report_backpressure_then_closed() {
         // No engine thread: the queue stays full, so the second offer
-        // must surface Backpressure rather than block.
+        // must be refused as full rather than block.
         let mut server = server(ServeConfig {
             request_queue: 1,
             client_queue: 1,
@@ -1012,22 +1009,18 @@ mod tests {
         let handle = server.handle();
         let conn = handle.connect();
         let ping = request("fig3-4").to_json();
-        let offer = |conn: &Connection| {
-            conn.offer_frame(ping.clone()).map_err(|(e, payload)| {
-                assert_eq!(payload, ping, "a refused frame is handed back");
-                e
-            })
-        };
-        offer(&conn).expect("first fits");
-        assert_eq!(offer(&conn), Err(ServeError::Backpressure));
+        let offer = || conn.offer_frame(ping.clone());
+        offer().expect("first fits");
+        // A refused frame is handed back.
+        assert!(matches!(offer(), Err(TryPush::Full(p)) if p == ping));
         // A refused offer enqueues nothing: the queue is still full.
-        assert_eq!(offer(&conn), Err(ServeError::Backpressure));
+        assert!(matches!(offer(), Err(TryPush::Full(p)) if p == ping));
         assert_eq!(server.shared.reqq.len(), 1);
 
         // Graceful shutdown: queued work is still answered before the
         // engine returns, but nothing new gets in.
         handle.shutdown();
-        assert_eq!(offer(&conn), Err(ServeError::Closed));
+        assert!(matches!(offer(), Err(TryPush::Closed(p)) if p == ping));
         assert!(conn.send(&request("fig3-4")).is_err());
         server.run();
         let reply = conn.recv().expect("queued request was served");

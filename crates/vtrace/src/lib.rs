@@ -1,27 +1,24 @@
-//! vtrace — span-based extraction tracing and the wire-level packet log.
+//! vtrace — span-based extraction tracing over the bridge's meter.
 //!
 //! Table 4 reports end-of-run aggregates; this crate decomposes them.
 //! Every pipeline stage (parse → interp → distiller walk → ViewQL →
-//! render) opens a [`TraceSpan`]; every wire packet the bridge sends is
-//! appended to a bounded [`WireLog`] ring buffer. Spans carry *inclusive*
-//! counters measured as deltas of one monotone [`Counters`] clock, so the
-//! per-span exclusive ("own") costs telescope: summed over any well-formed
-//! tree they equal the root's inclusive totals **exactly**, in integer
-//! nanoseconds — which is the reconciliation invariant the test suite
-//! pins against `TargetStats`.
+//! render) opens a [`TraceSpan`]. The bridge counts every wire packet,
+//! cache hit and fault into one [`Meter`]; a traced target counts into
+//! its [`Tracer`]'s, so the spans and the target's stats read the same
+//! counts. Spans carry *inclusive* counters measured as deltas of the
+//! meter's monotone [`Counters`], so the per-span exclusive ("own")
+//! costs telescope: summed over any well-formed tree they equal the
+//! root's inclusive totals **exactly**, in integer nanoseconds — which
+//! is the reconciliation invariant the test suite pins against
+//! `TargetStats`.
 //!
-//! The clock only ever advances when the bridge reports an event
-//! ([`Tracer::on_wire_packet`], [`Tracer::on_cache_hit`],
-//! [`Tracer::on_fault`]); it is *virtual* time, deterministic across runs.
+//! The meter only ever advances when the bridge counts an event; its
+//! time is *virtual*, deterministic across runs.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use serde_json::{Map, Number, Value};
-
-/// How many wire events the ring buffer retains by default.
-pub const DEFAULT_WIRE_CAPACITY: usize = 4096;
 
 /// Shared diagnostic formatting, so every layer of the stack renders
 /// source positions the same way.
@@ -103,8 +100,8 @@ impl SpanKind {
     }
 }
 
-/// The tracer's monotone clock: cumulative totals of everything the
-/// bridge reported. Span counters are deltas of two clock snapshots.
+/// Cumulative totals of everything the bridge counted, as a [`Meter`]
+/// reports them. Span counters are deltas of two snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Wire packets (one per metered read request / block fetch).
@@ -196,16 +193,6 @@ impl TraceSpan {
         self.children.push(child);
     }
 
-    /// Span start in virtual milliseconds.
-    pub fn start_vms(&self) -> f64 {
-        self.start_ns as f64 / 1e6
-    }
-
-    /// Span end in virtual milliseconds.
-    pub fn end_vms(&self) -> f64 {
-        self.end_ns as f64 / 1e6
-    }
-
     /// Inclusive virtual duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns - self.start_ns
@@ -287,70 +274,45 @@ impl TraceSpan {
     }
 }
 
-/// One entry of the wire log: a single bridge event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireEvent {
-    /// Monotone sequence number (never resets, survives eviction).
-    pub seq: u64,
-    /// Target address of the access.
-    pub addr: u64,
-    /// Bytes requested/transferred.
-    pub len: u64,
-    /// Virtual wire latency paid (0 for cache hits).
-    pub latency_ns: u64,
-    /// Served from the snapshot block cache — no packet travelled.
-    pub cache_hit: bool,
-    /// The access faulted on unmapped memory.
-    pub fault: bool,
+/// The bridge's counters: packets, bytes, virtual ns, cache hits and
+/// faults. Interior-mutable, so metering (`&Target`) counts through a
+/// shared reference. A [`Tracer`] owns one and reads it at each span's
+/// open and close; an untraced bridge target keeps its own.
+#[derive(Debug, Default)]
+pub struct Meter {
+    counts: Cell<Counters>,
 }
 
-/// Bounded ring buffer of [`WireEvent`]s: keeps the most recent
-/// `capacity` events, remembers how many were ever seen.
-#[derive(Debug)]
-pub struct WireLog {
-    capacity: usize,
-    seen: u64,
-    events: VecDeque<WireEvent>,
-}
-
-impl WireLog {
-    /// An empty log retaining up to `capacity` events.
-    pub fn new(capacity: usize) -> WireLog {
-        WireLog {
-            capacity: capacity.max(1),
-            seen: 0,
-            events: VecDeque::new(),
-        }
+impl Meter {
+    /// Snapshot of the counts so far.
+    pub fn now(&self) -> Counters {
+        self.counts.get()
     }
 
-    fn push(&mut self, mut ev: WireEvent) -> u64 {
-        ev.seq = self.seen;
-        self.seen += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-        ev.seq
+    /// One wire packet of `len` bytes costing `ns` of virtual time.
+    pub fn packet(&self, len: u64, ns: u64) {
+        self.counts.update(|c| Counters {
+            packets: c.packets + 1,
+            bytes: c.bytes + len,
+            virtual_ns: c.virtual_ns + ns,
+            ..c
+        });
     }
 
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &WireEvent> {
-        self.events.iter()
+    /// A read served from the snapshot block cache (no packet).
+    pub fn cache_hit(&self) {
+        self.counts.update(|c| Counters {
+            cache_hits: c.cache_hits + 1,
+            ..c
+        });
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever logged (≥ `len`).
-    pub fn total_seen(&self) -> u64 {
-        self.seen
+    /// An access faulted on unmapped memory.
+    pub fn fault(&self) {
+        self.counts.update(|c| Counters {
+            faults: c.faults + 1,
+            ..c
+        });
     }
 }
 
@@ -362,56 +324,33 @@ struct OpenSpan {
     children: Vec<TraceSpan>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
-    clock: Counters,
     stack: Vec<OpenSpan>,
     finished: Vec<TraceSpan>,
-    wire: WireLog,
-    backend: Option<&'static str>,
 }
 
 /// The session-wide trace collector. Shared as `Rc<Tracer>` between the
-/// session, its bridge targets and the interpreters; interior-mutable so
-/// metering (`&Target`) can report through a shared reference.
-#[derive(Debug)]
+/// session, its bridge targets and the interpreters: the targets count
+/// into its [`Meter`], and its spans read it.
+#[derive(Debug, Default)]
 pub struct Tracer {
+    meter: Meter,
     inner: RefCell<Inner>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
-    }
-}
-
 impl Tracer {
-    /// A tracer with the default wire-log capacity.
+    /// A tracer with no spans and a zero meter.
     pub fn new() -> Tracer {
-        Tracer::with_wire_capacity(DEFAULT_WIRE_CAPACITY)
-    }
-
-    /// A tracer retaining up to `capacity` wire events.
-    pub fn with_wire_capacity(capacity: usize) -> Tracer {
-        Tracer {
-            inner: RefCell::new(Inner {
-                clock: Counters::default(),
-                stack: Vec::new(),
-                finished: Vec::new(),
-                wire: WireLog::new(capacity),
-                backend: None,
-            }),
-        }
+        Tracer::default()
     }
 
     /// Open a span; it closes at the matching [`Tracer::end`].
     pub fn begin(&self, kind: SpanKind, name: impl Into<String>) {
-        let mut inner = self.inner.borrow_mut();
-        let opened_at = inner.clock;
-        inner.stack.push(OpenSpan {
+        self.inner.borrow_mut().stack.push(OpenSpan {
             name: name.into(),
             kind,
-            opened_at,
+            opened_at: self.meter.now(),
             children: Vec::new(),
         });
     }
@@ -422,12 +361,13 @@ impl Tracer {
         let Some(open) = inner.stack.pop() else {
             return;
         };
-        let delta = inner.clock.since(open.opened_at);
+        let now = self.meter.now();
+        let delta = now.since(open.opened_at);
         let span = TraceSpan {
             name: open.name,
             kind: open.kind,
             start_ns: open.opened_at.virtual_ns,
-            end_ns: inner.clock.virtual_ns,
+            end_ns: now.virtual_ns,
             packets: delta.packets,
             bytes: delta.bytes,
             cache_hits: delta.cache_hits,
@@ -450,83 +390,14 @@ impl Tracer {
         self.inner.borrow().stack.len()
     }
 
-    /// The bridge sent one wire packet of `len` bytes costing
-    /// `latency_ns` of virtual time.
-    pub fn on_wire_packet(&self, addr: u64, len: u64, latency_ns: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock.packets += 1;
-        inner.clock.bytes += len;
-        inner.clock.virtual_ns += latency_ns;
-        inner.wire.push(WireEvent {
-            seq: 0,
-            addr,
-            len,
-            latency_ns,
-            cache_hit: false,
-            fault: false,
-        });
+    /// The meter the bridge counts into.
+    pub fn meter(&self) -> &Meter {
+        &self.meter
     }
 
-    /// A read was served from the snapshot block cache (no packet).
-    pub fn on_cache_hit(&self, addr: u64, len: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock.cache_hits += 1;
-        inner.wire.push(WireEvent {
-            seq: 0,
-            addr,
-            len,
-            latency_ns: 0,
-            cache_hit: true,
-            fault: false,
-        });
-    }
-
-    /// An access faulted on unmapped memory. Flags the most recent wire
-    /// event (the packet that chased the wild pointer) when one exists,
-    /// else logs a standalone faulting probe.
-    pub fn on_fault(&self, addr: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock.faults += 1;
-        match inner.wire.events.back_mut() {
-            Some(ev) => ev.fault = true,
-            None => {
-                inner.wire.push(WireEvent {
-                    seq: 0,
-                    addr,
-                    len: 0,
-                    latency_ns: 0,
-                    cache_hit: false,
-                    fault: true,
-                });
-            }
-        }
-    }
-
-    /// Record which wire backend the traced session meters over (set by
-    /// the bridge when a target attaches this tracer). Exported as trace
-    /// metadata so a replayed trace says it was replayed.
-    pub fn set_backend(&self, backend: &'static str) {
-        self.inner.borrow_mut().backend = Some(backend);
-    }
-
-    /// The backend label, if one was reported.
-    pub fn backend(&self) -> Option<&'static str> {
-        self.inner.borrow().backend
-    }
-
-    /// Snapshot of the monotone clock.
+    /// Snapshot of the meter: the clock every span reads.
     pub fn clock(&self) -> Counters {
-        self.inner.borrow().clock
-    }
-
-    /// Copy of the retained wire events, oldest first.
-    pub fn wire_events(&self) -> Vec<WireEvent> {
-        self.inner.borrow().wire.events().copied().collect()
-    }
-
-    /// Total wire events ever logged.
-    pub fn wire_seen(&self) -> u64 {
-        self.inner.borrow().wire.total_seen()
+        self.meter.now()
     }
 
     /// Drain every finished top-level span, oldest first.
@@ -644,7 +515,7 @@ mod tests {
     use super::*;
 
     fn tick(t: &Tracer, len: u64, ns: u64) {
-        t.on_wire_packet(0x1000, len, ns);
+        t.meter().packet(len, ns);
     }
 
     #[test]
@@ -658,7 +529,7 @@ mod tests {
         tick(&t, 16, 200);
         t.begin(SpanKind::Distill, "List(&init_task.tasks)");
         tick(&t, 32, 300);
-        t.on_cache_hit(0x2000, 8);
+        t.meter().cache_hit();
         t.end();
         tick(&t, 4, 50);
         t.end();
@@ -703,35 +574,35 @@ mod tests {
     }
 
     #[test]
-    fn wire_log_is_bounded_and_keeps_sequence() {
-        let t = Tracer::with_wire_capacity(4);
-        for i in 0..10u64 {
-            t.on_wire_packet(0x1000 + i, 8, 10);
-        }
-        let evs = t.wire_events();
-        assert_eq!(evs.len(), 4, "ring evicted the oldest");
-        assert_eq!(t.wire_seen(), 10);
-        assert_eq!(evs.first().unwrap().seq, 6);
-        assert_eq!(evs.last().unwrap().seq, 9);
-        // Eviction never touches the clock.
-        assert_eq!(t.clock().packets, 10);
-        assert_eq!(t.clock().bytes, 80);
+    fn the_meter_counts_each_event_into_its_own_fields() {
+        let m = Meter::default();
+        m.packet(8, 100);
+        m.packet(16, 50);
+        m.cache_hit();
+        m.fault();
+        let want = Counters {
+            packets: 2,
+            bytes: 24,
+            virtual_ns: 150,
+            cache_hits: 1,
+            faults: 1,
+        };
+        assert_eq!(m.now(), want);
+        assert_eq!(m.now().since(want), Counters::default());
     }
 
     #[test]
-    fn faults_flag_the_packet_that_chased_the_pointer() {
+    fn a_fault_advances_the_clock_and_the_open_span_but_not_time() {
         let t = Tracer::new();
-        t.on_wire_packet(0xdead_0000, 8, 100);
-        t.on_fault(0xdead_0000);
-        let evs = t.wire_events();
-        assert_eq!(evs.len(), 1);
-        assert!(evs[0].fault);
+        tick(&t, 8, 100);
+        t.begin(SpanKind::Distill, "List(&bad)");
+        t.meter().fault();
+        t.end();
         assert_eq!(t.clock().faults, 1);
-        // A fault with no prior packet logs a standalone probe.
-        let t2 = Tracer::new();
-        t2.on_fault(0xbad);
-        assert!(t2.wire_events()[0].fault);
-        assert_eq!(t2.wire_events()[0].len, 0);
+        assert_eq!(t.clock().packets, 1);
+        let span = t.take_last_finished().unwrap();
+        assert_eq!(span.faults, 1);
+        assert_eq!((span.packets, span.duration_ns()), (0, 0));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! reconcile with `TargetStats` *exactly*, under any workload shape,
 //! latency profile, cache mode, and figure.
 //!
-//! The tracer's clock is advanced only by the bridge's own metering
-//! callbacks — one mirrored increment per `TargetStats` cell update —
-//! and spans record clock deltas, so the sums must telescope: for every
+//! A traced bridge target counts into the tracer's meter, the one its
+//! `TargetStats` are read from, and spans record deltas of that meter,
+//! so the sums must telescope: for every
 //! pane, Σ own-counters over the span tree == the root's inclusive
 //! counters == the extraction's `TargetStats` projection, in integer
 //! nanoseconds with no rounding anywhere. That holds for an extraction
@@ -15,7 +15,7 @@ use ksim::workload::{build, WorkloadConfig};
 use proptest::prelude::*;
 use vbridge::{CacheConfig, LatencyProfile, TargetStats};
 use visualinux::{figures, PlotSpec, Session};
-use vtrace::{Counters, SpanKind, TraceSpan};
+use vtrace::{SpanKind, TraceSpan};
 
 fn assert_reconciles(trace: &TraceSpan, target: TargetStats) -> Result<(), TestCaseError> {
     prop_assert!(
@@ -137,13 +137,5 @@ proptest! {
             let patches = after_trace.flatten().iter().filter(|sp| sp.kind == SpanKind::Patch).count();
             prop_assert_eq!(patches, usize::from(after_stats.reevaluated > 0));
         }
-
-        // The wire log saw every packet and every cache hit (plus at
-        // most one standalone probe per fault), even if the ring only
-        // retains the newest entries.
-        let tracer = s.tracer().unwrap();
-        let clock: Counters = tracer.clock();
-        prop_assert!(tracer.wire_seen() >= clock.packets + clock.cache_hits);
-        prop_assert!(tracer.wire_seen() <= clock.packets + clock.cache_hits + clock.faults);
     }
 }
